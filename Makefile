@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race test-v6 bench bench-telemetry bench-trace bench-sweep bench-fullspace bench-parallel bench-scale1 bench-v6 bench-grab
+.PHONY: all ci vet build test race test-v6 fuzz-smoke bench bench-e2e bench-compare bench-telemetry bench-trace bench-sweep bench-fullspace bench-parallel bench-scale1 bench-v6 bench-grab
 
 all: ci
 
@@ -27,6 +27,25 @@ race:
 # study differentials (deterministic, parallel-vs-serial, hitlist-only).
 test-v6:
 	$(GO) test -race -run 'V6|Hitlist|ParseFamily|IPv6' ./internal/ip/ ./internal/packet/ ./internal/world/ ./internal/zmap/ ./internal/results/ ./internal/experiment/
+
+# Ten seconds of each wire-parser fuzz target, differential against the
+# pre-rewrite parsers kept in the packages' oracle_test.go files: a hostile
+# simulated server must not panic a grabber or change its failure class.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
+	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
+	$(GO) test -run xxx -fuzz FuzzReadID -fuzztime 10s ./internal/sshwire/
+	$(GO) test -run xxx -fuzz FuzzHandshakeReader -fuzztime 10s ./internal/tlslite/
+
+# The repository's benchmark (bench/README.md): four workloads, seven
+# end-to-end metrics, result in bench/out/result.json. To compare two
+# commits, run bench-e2e on each, keep the two result files, and hand them
+# to bench-compare (exit 1 when any metric is worse than its bound).
+bench-e2e:
+	$(GO) run ./bench
+
+bench-compare:
+	$(GO) run ./bench -compare $(BASE) $(CHANGE)
 
 # Perf trajectory of the parallel scan engine and the columnar result
 # store; results are recorded in BENCH_parallel.json and

@@ -177,3 +177,27 @@ func BenchmarkGrabFast(b *testing.B) {
 		b.Fatalf("fast path spawned %d goroutines", n)
 	}
 }
+
+// BenchmarkGrabByVerdict prices one GrabFast per protocol × verdict
+// (the verdict is forced, so every iteration takes the same path); with
+// -benchmem it is the source of DESIGN.md § 13's allocation budget table.
+func BenchmarkGrabByVerdict(b *testing.B) {
+	_, g, hosts := benchGrabFabric(b)
+	ctx := context.Background()
+	for _, p := range proto.All() {
+		for _, v := range []struct {
+			name string
+			v    zgrab.DialVerdict
+		}{
+			{"connect", zgrab.DialConnect}, {"reset", zgrab.DialReset}, {"half-close", zgrab.DialHalfClose},
+			{"timeout", zgrab.DialTimeout}, {"refused", zgrab.DialRefused},
+		} {
+			b.Run(p.String()+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g.GrabFast(ctx, p, hosts[i%len(hosts)], time.Hour, v.v)
+				}
+			})
+		}
+	}
+}

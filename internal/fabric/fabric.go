@@ -26,6 +26,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/rng"
 	"repro/internal/vconn"
 	"repro/internal/world"
 	"repro/internal/zgrab"
@@ -58,6 +59,9 @@ type Fabric struct {
 	org   *origin.Origin
 	trial int
 	fib   *world.FIB
+	// isnKey draws a host's initial sequence number per answered probe;
+	// derived once here, not per SYN-ACK.
+	isnKey rng.Key
 
 	// queries recycles policy.Query scratch space: Send and Dial fill a
 	// pooled query, hand it to the rules, and release it on return, so
@@ -87,6 +91,7 @@ func New(cfg *Config, org *origin.Origin, trial int) *Fabric {
 		org:     org,
 		trial:   trial,
 		fib:     cfg.World.FIB(),
+		isnKey:  cfg.World.Key.Derive("isn"),
 		queries: sync.Pool{New: func() any { return new(policy.Query) }},
 	}
 }
@@ -130,11 +135,11 @@ func (f *Fabric) RoutedBatch(dst []ip.Addr, routed []bool) { f.fib.RoutedBatch(d
 // pathDown reports whether the origin→dst path is unusable at time t due to
 // a burst outage or a correlated loss episode. Both probes of a target and
 // the follow-up connection share this state — loss is not independent.
-func (f *Fabric) pathDown(dst ip.Addr, as *asn.AS, t time.Duration) bool {
+func (f *Fabric) pathDown(path *loss.Path, dst ip.Addr, as *asn.AS, t time.Duration) bool {
 	if f.cfg.Outages != nil && f.cfg.Outages.Affected(f.trial, f.org.ID, as.Number, dst, t) {
 		return true
 	}
-	return f.cfg.Loss.EpisodeActive(f.org.ID, dst, as.Number, f.trial)
+	return path.EpisodeActive(dst)
 }
 
 // Send implements zmap.PacketSink: evaluate one SYN probe. The evaluation
@@ -194,14 +199,15 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 		return nil
 	}
 
-	// Path conditions apply to everything beyond policy drops.
-	if f.pathDown(dst, d.AS, t) {
+	// Path conditions apply to everything beyond policy drops. The path's
+	// loss parameters are looked up once and shared by all three draws.
+	path := f.cfg.Loss.Path(f.org.ID, d.AS.Number, f.trial)
+	if f.pathDown(&path, dst, d.AS, t) {
 		return nil
 	}
 	// Independent per-packet loss: the probe (direction 0) and its
 	// response (direction 1) can each be dropped.
-	if f.cfg.Loss.PacketLost(f.org.ID, dst, d.AS.Number, f.trial, probeIdx*2, t) ||
-		f.cfg.Loss.PacketLost(f.org.ID, dst, d.AS.Number, f.trial, probeIdx*2+1, t) {
+	if path.PacketLost(dst, probeIdx*2, t) || path.PacketLost(dst, probeIdx*2+1, t) {
 		return nil
 	}
 
@@ -220,7 +226,7 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	// Host answers. ResetAfterAccept/CloseAfterAccept hosts still
 	// SYN-ACK (they kill the connection later, as Alibaba's SSH hosts
 	// do).
-	seq := f.cfg.World.Key.Derive("isn").Uint64(dst.Word64(), uint64(t))
+	seq := f.isnKey.Uint64(dst.Word64(), uint64(t))
 	return packet.MakeSYNACK(dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
 }
 
@@ -258,7 +264,8 @@ func (f *Fabric) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Dura
 	case policy.RefuseTCP:
 		return nil, zgrab.ErrRefused
 	}
-	if f.pathDown(dst, d.AS, t) {
+	path := f.cfg.Loss.Path(f.org.ID, d.AS.Number, f.trial)
+	if f.pathDown(&path, dst, d.AS, t) {
 		return nil, zgrab.ErrTimeout
 	}
 	if !d.Host || !d.Services.Has(p) {
@@ -266,7 +273,7 @@ func (f *Fabric) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Dura
 	}
 	// Per-packet loss over the whole handshake exchange: on loss the
 	// connection times out mid-handshake.
-	if f.cfg.Loss.HandshakeFailed(f.org.ID, dst, d.AS.Number, f.trial, attempt) {
+	if path.HandshakeFailed(dst, attempt) {
 		return nil, zgrab.ErrTimeout
 	}
 

@@ -14,7 +14,6 @@
 package fabric
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"sync"
@@ -83,13 +82,14 @@ func (f *Fabric) predialEval(dst ip.Addr, d world.Dest, port uint16, t time.Dura
 	case policy.RefuseTCP:
 		return zgrab.DialRefused
 	}
-	if f.pathDown(dst, d.AS, t) {
+	path := f.cfg.Loss.Path(f.org.ID, d.AS.Number, f.trial)
+	if f.pathDown(&path, dst, d.AS, t) {
 		return zgrab.DialTimeout
 	}
 	if !d.Host || !d.Services.Has(p) {
 		return zgrab.DialRefused
 	}
-	if f.cfg.Loss.HandshakeFailed(f.org.ID, dst, d.AS.Number, f.trial, attempt) {
+	if path.HandshakeFailed(dst, attempt) {
 		return zgrab.DialTimeout
 	}
 	switch verdict {
@@ -113,6 +113,7 @@ func (f *Fabric) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.
 	c.prot = p
 	c.served = false
 	c.closed = false
+	c.in, c.out, c.off = c.in[:0], c.out[:0], 0
 	switch v {
 	case zgrab.DialReset:
 		c.state = fastReset
@@ -158,9 +159,9 @@ type fastConn struct {
 	state  uint8
 	served bool
 	closed bool
-	in     bytes.Buffer
-	outBuf bytes.Buffer
-	out    bytes.Reader
+	in     []byte // the client's flight so far
+	out    []byte // the host's response flight
+	off    int    // out[off:] is not yet read
 }
 
 var _ net.Conn = (*fastConn)(nil)
@@ -179,10 +180,14 @@ func (c *fastConn) Read(p []byte) (int, error) {
 	}
 	if !c.served {
 		c.served = true
-		c.fab.cfg.Hosts.ServeInline(&c.outBuf, c.in.Bytes(), c.host, c.prot)
-		c.out.Reset(c.outBuf.Bytes())
+		c.out = c.fab.cfg.Hosts.ServeInline(c.out, c.in, c.host, c.prot)
 	}
-	return c.out.Read(p)
+	if c.off >= len(c.out) {
+		return 0, io.EOF
+	}
+	n := copy(p, c.out[c.off:])
+	c.off += n
+	return n, nil
 }
 
 // Write implements net.Conn.
@@ -203,7 +208,8 @@ func (c *fastConn) Write(p []byte) (int, error) {
 		// writing to a closed reader is an RST, as on the vconn path.
 		return 0, vconn.ErrReset
 	}
-	return c.in.Write(p)
+	c.in = append(c.in, p...)
+	return len(p), nil
 }
 
 // Close returns the conn to the pool. Idempotent, like vconn.Conn.Close.
@@ -212,9 +218,6 @@ func (c *fastConn) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.in.Reset()
-	c.outBuf.Reset()
-	c.out.Reset(nil)
 	c.fab = nil
 	fastConns.Put(c)
 	return nil

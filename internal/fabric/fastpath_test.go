@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -331,5 +332,67 @@ func TestGrabFastIDSDetection(t *testing.T) {
 	}
 	if v := fab.Predial(host, 80, time.Hour, 0); v != zgrab.DialTimeout {
 		t.Errorf("Predial after IDS detection = %d, want DialTimeout", v)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race, under
+// which sync.Pool drops a quarter of what it is given and a steady-state
+// allocation count means nothing.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+// grabAllocBudget is DESIGN.md § 13's allocation budget per GrabFast, for
+// every protocol and verdict: nothing, once the pools (fastConn, the
+// grabber's scratch, the host's exchange) are warm and the scratch has grown
+// to flight size. The L4 rejects never reach a pool at all.
+const grabAllocBudget = 0
+
+// TestGrabAllocBudget holds GrabFast to the budget for every protocol ×
+// verdict, over hosts whose banners cover the interned table.
+func TestGrabAllocBudget(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	ctx := context.Background()
+	_, fab, _, g, w := grabPair(t, 0, nil)
+	for _, p := range proto.All() {
+		var hosts []ip.Addr
+		for _, h := range w.Hosts() {
+			if h.Services.Has(p) && len(hosts) < 64 {
+				hosts = append(hosts, h.Addr)
+			}
+		}
+		if len(hosts) < 16 {
+			t.Fatalf("%v: only %d hosts", p, len(hosts))
+		}
+		for _, v := range []zgrab.DialVerdict{
+			zgrab.DialConnect, zgrab.DialReset, zgrab.DialHalfClose, zgrab.DialTimeout, zgrab.DialRefused,
+		} {
+			want := v == zgrab.DialConnect
+			grab := func() {
+				for _, dst := range hosts {
+					if res := g.GrabFast(ctx, p, dst, time.Hour, v); res.Success != want {
+						t.Fatalf("%v verdict %d on %v: %+v", p, v, dst, res)
+					}
+				}
+			}
+			grab() // warm the pools and grow the scratch to flight size
+			if got := testing.AllocsPerRun(20, grab) / float64(len(hosts)); got > grabAllocBudget {
+				t.Errorf("%v verdict %d: %.2f allocs per grab, budget %d", p, v, got, grabAllocBudget)
+			}
+		}
+	}
+	if n := fab.ActiveConns(); n != 0 {
+		t.Errorf("%d goroutines live", n)
 	}
 }

@@ -6,44 +6,80 @@
 package hostsim
 
 import (
-	"bytes"
-	"fmt"
+	"io"
 	"net"
-	"time"
+	"sync"
 
-	"repro/internal/bufpool"
 	"repro/internal/httpwire"
 	"repro/internal/ip"
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/sshwire"
 	"repro/internal/tlslite"
+	"repro/internal/wirebuf"
 )
 
 // Server serves host personalities derived from a key: server software
 // banners, certificate blobs, and SSH versions vary per host but are stable
 // across trials, as real hosts are.
 type Server struct {
-	key rng.Key
+	key    rng.Key
+	kexKey rng.Key
 }
 
 // NewServer returns a host simulator deriving personalities from key.
 func NewServer(key rng.Key) *Server {
-	return &Server{key: key.Derive("hostsim")}
+	key = key.Derive("hostsim")
+	return &Server{key: key, kexKey: key.Derive("kex")}
+}
+
+// exchange is the scratch one served connection runs on: the client's
+// flight is parsed in place in rd's arena, the response flight is built in
+// out, and everything the parsers and encoders need in between lives here,
+// so serving a connection allocates nothing. Pooled; nothing in it outlives
+// the serve call.
+type exchange struct {
+	rd   wirebuf.Reader
+	w    io.Writer // where flush sends out; nil for an inline exchange
+	out  []byte    // response flight not yet flushed
+	tmp  []byte    // staging: HTTP body, certificate blob, KEXINIT payload
+	addr [48]byte  // the host's address text, formatted once per exchange
+	req  httpwire.Request
+	hr   tlslite.HandshakeReader
+	ch   tlslite.ClientHello
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// flush hands the flight built so far to the peer. An inline exchange keeps
+// it in out, which is the caller's buffer.
+func (x *exchange) flush() error {
+	if x.w == nil {
+		return nil
+	}
+	_, err := x.w.Write(x.out)
+	x.out = x.out[:0]
+	return err
+}
+
+// release returns x to the pool, which must not pin the connection or the
+// caller's flight.
+func (x *exchange) release() {
+	x.w = nil
+	x.rd.Reset(nil)
+	exchanges.Put(x)
 }
 
 // Serve handles one accepted connection to host for the given protocol and
 // closes conn when done. It is designed to run in its own goroutine.
 func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol) {
 	defer conn.Close()
-	switch p {
-	case proto.HTTP:
-		s.serveHTTP(conn, host)
-	case proto.HTTPS:
-		s.serveTLS(conn, host)
-	case proto.SSH:
-		s.serveSSH(conn, host)
-	}
+	x := exchanges.Get().(*exchange)
+	x.rd.Reset(conn)
+	x.w = conn
+	x.out = x.out[:0]
+	s.serve(x, host, p)
+	x.release()
 }
 
 // ServeInline handles one connection's exchange synchronously in the
@@ -56,46 +92,30 @@ func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol) {
 // would see the client's half-close, and the bytes appended to out are
 // identical to what Serve would have streamed through a vconn pipe. This
 // is the grab fast path's server side: zero goroutines, zero
-// synchronization, no per-connection allocation beyond out's growth.
-func (s *Server) ServeInline(out *bytes.Buffer, in []byte, host ip.Addr, p proto.Protocol) {
-	var conn inlineConn
-	conn.in.Reset(in)
-	conn.out = out
+// synchronization, the request parsed in place in in, and no allocation
+// beyond out's growth.
+func (s *Server) ServeInline(out, in []byte, host ip.Addr, p proto.Protocol) []byte {
+	x := exchanges.Get().(*exchange)
+	x.rd.ResetBytes(in)
+	kept := x.out
+	x.out = out
+	s.serve(x, host, p)
+	out = x.out
+	x.out = kept
+	x.release()
+	return out
+}
+
+func (s *Server) serve(x *exchange, host ip.Addr, p proto.Protocol) {
 	switch p {
 	case proto.HTTP:
-		s.serveHTTP(&conn, host)
+		s.serveHTTP(x, host)
 	case proto.HTTPS:
-		s.serveTLS(&conn, host)
+		s.serveTLS(x, host)
 	case proto.SSH:
-		s.serveSSH(&conn, host)
+		s.serveSSH(x, host)
 	}
 }
-
-// inlineConn adapts a fully-buffered exchange to net.Conn for the serve
-// functions: reads drain the client's flight (then io.EOF, the half-close
-// a goroutine server sees once the client stops writing), writes append
-// to the response buffer. Stack-allocatable: ServeInline's conn never
-// escapes the serve call.
-type inlineConn struct {
-	in  bytes.Reader
-	out *bytes.Buffer
-}
-
-func (c *inlineConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
-func (c *inlineConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
-func (c *inlineConn) Close() error                     { return nil }
-func (c *inlineConn) LocalAddr() net.Addr              { return inlineAddr{} }
-func (c *inlineConn) RemoteAddr() net.Addr             { return inlineAddr{} }
-func (c *inlineConn) SetDeadline(time.Time) error      { return nil }
-func (c *inlineConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *inlineConn) SetWriteDeadline(time.Time) error { return nil }
-
-// inlineAddr is the placeholder endpoint for inline exchanges; the serve
-// functions never read connection addresses.
-type inlineAddr struct{}
-
-func (inlineAddr) Network() string { return "inline" }
-func (inlineAddr) String() string  { return "inline" }
 
 var httpServers = []string{
 	"nginx", "nginx/1.14.0", "Apache", "Apache/2.4.29 (Ubuntu)",
@@ -103,42 +123,49 @@ var httpServers = []string{
 }
 
 // serveHTTP answers one GET with a small page.
-func (s *Server) serveHTTP(conn net.Conn, host ip.Addr) {
-	br := bufpool.Reader(conn)
-	defer bufpool.PutReader(br)
-	req, err := httpwire.ReadRequest(br)
-	if err != nil {
+func (s *Server) serveHTTP(x *exchange, host ip.Addr) {
+	if err := httpwire.ReadRequest(&x.rd, &x.req); err != nil {
 		return
 	}
 	software := httpServers[int(s.key.Uint64(host.Word64(), 1)%uint64(len(httpServers)))]
-	body := fmt.Sprintf("<html><head><title>%s</title></head><body>host %s says hello to %s %s</body></html>",
-		host, host, req.Method, req.Target)
-	_ = httpwire.WriteResponse(conn, 200, "OK",
+	addr := host.AppendTo(x.addr[:0])
+	body := append(x.tmp[:0], "<html><head><title>"...)
+	body = append(body, addr...)
+	body = append(body, "</title></head><body>host "...)
+	body = append(body, addr...)
+	body = append(body, " says hello to "...)
+	body = append(body, x.req.Method...)
+	body = append(body, ' ')
+	body = append(body, x.req.Target...)
+	body = append(body, "</body></html>"...)
+	x.tmp = body
+	x.out = httpwire.AppendResponse(x.out, 200, "OK",
 		[]httpwire.Header{
 			{Name: "Server", Value: software},
 			{Name: "Content-Type", Value: "text/html"},
-		}, []byte(body))
+		}, body)
+	_ = x.flush() // the connection is done either way
 }
 
 // serveTLS completes the server's first handshake flight: ServerHello,
 // Certificate, ServerHelloDone. The grab terminates there, as the paper's
 // TLS handshake capture does.
-func (s *Server) serveTLS(conn net.Conn, host ip.Addr) {
-	hr := tlslite.NewHandshakeReader(conn)
-	typ, body, err := hr.Next()
+func (s *Server) serveTLS(x *exchange, host ip.Addr) {
+	x.hr.Reset(&x.rd)
+	typ, body, err := x.hr.Next()
 	if err != nil || typ != tlslite.TypeClientHello {
 		return
 	}
-	ch, err := tlslite.ParseClientHello(body)
-	if err != nil || len(ch.CipherSuites) == 0 {
-		_ = tlslite.WriteAlert(conn, 2, 40) // fatal handshake_failure
+	if err := tlslite.ParseClientHello(body, &x.ch); err != nil || len(x.ch.CipherSuites) == 0 {
+		x.out = tlslite.AppendAlert(x.out, 2, 40) // fatal handshake_failure
+		_ = x.flush()
 		return
 	}
 	// Pick the client's highest-preference suite we "support": first
 	// offered, like a server honoring client preference.
-	sh := &tlslite.ServerHello{
+	sh := tlslite.ServerHello{
 		Version:     tlslite.VersionTLS12,
-		CipherSuite: ch.CipherSuites[0],
+		CipherSuite: x.ch.CipherSuites[0],
 	}
 	stream := s.key.Stream(host.Word64(), 2)
 	for i := 0; i < 32; i += 8 {
@@ -147,22 +174,22 @@ func (s *Server) serveTLS(conn net.Conn, host ip.Addr) {
 			sh.Random[i+j] = byte(v >> (8 * uint(j)))
 		}
 	}
-	if err := sh.Write(conn); err != nil {
-		return
-	}
-	cert := &tlslite.Certificate{Chain: [][]byte{s.certBlob(host)}}
-	if err := cert.Write(conn); err != nil {
-		return
-	}
-	_ = tlslite.WriteServerHelloDone(conn)
+	// Both messages are far below the record limit; the error returns are
+	// for callers with unbounded chains.
+	x.out, _ = tlslite.AppendServerHello(x.out, &sh)
+	x.tmp = s.appendCertBlob(x.tmp[:0], host)
+	x.out, _ = tlslite.AppendCertificate(x.out, &tlslite.Certificate{Chain: [][]byte{x.tmp}})
+	x.out = tlslite.AppendServerHelloDone(x.out)
+	_ = x.flush()
 }
 
-// certBlob synthesizes a stable pseudo-DER certificate for the host. It is
-// opaque bytes with a DER-ish SEQUENCE framing, unique per host.
-func (s *Server) certBlob(host ip.Addr) []byte {
+// appendCertBlob synthesizes a stable pseudo-DER certificate for the host.
+// It is opaque bytes with a DER-ish SEQUENCE framing, unique per host.
+func (s *Server) appendCertBlob(dst []byte, host ip.Addr) []byte {
 	stream := s.key.Stream(host.Word64(), 3)
 	n := 600 + int(stream.Uint64()%400)
-	blob := make([]byte, n)
+	dst = append(dst, make([]byte, n)...) // extends in place: no temporary
+	blob := dst[len(dst)-n:]
 	for i := 0; i < n; i += 8 {
 		v := stream.Uint64()
 		for j := 0; j < 8 && i+j < n; j++ {
@@ -173,7 +200,7 @@ func (s *Server) certBlob(host ip.Addr) []byte {
 	blob[1] = 0x82 // long form, 2 length bytes
 	blob[2] = byte((n - 4) >> 8)
 	blob[3] = byte(n - 4)
-	return blob
+	return dst
 }
 
 var sshVersions = []string{
@@ -184,20 +211,19 @@ var sshVersions = []string{
 // serveSSH performs the identification exchange and sends KEXINIT, then
 // reads the client's ID and KEXINIT before closing. The grab terminates
 // after the version exchange per the paper's methodology.
-func (s *Server) serveSSH(conn net.Conn, host ip.Addr) {
+func (s *Server) serveSSH(x *exchange, host ip.Addr) {
 	version := sshVersions[int(s.key.Uint64(host.Word64(), 4)%uint64(len(sshVersions)))]
-	if err := sshwire.WriteID(conn, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: version}); err != nil {
+	// A fixed-size ID and KEXINIT: neither length limit can trip.
+	x.out, _ = sshwire.AppendID(x.out, "2.0", version, "")
+	kex := sshwire.DefaultKexInit(s.kexKey.DeriveN("host", host.Word64()))
+	x.tmp = sshwire.AppendKexInit(x.tmp[:0], &kex)
+	x.out, _ = sshwire.AppendPacket(x.out, x.tmp)
+	if err := x.flush(); err != nil {
 		return
 	}
-	kex := sshwire.DefaultKexInit(s.key.Derive("kex").DeriveN("host", host.Word64()))
-	if err := sshwire.WritePacket(conn, kex.Marshal()); err != nil {
-		return
-	}
-	br := bufpool.Reader(conn)
-	defer bufpool.PutReader(br)
-	if _, err := sshwire.ReadID(br); err != nil {
+	if _, err := sshwire.ReadID(&x.rd); err != nil {
 		return
 	}
 	// Client may send its KEXINIT; read and discard if so.
-	_, _ = sshwire.ReadPacket(br)
+	_, _ = sshwire.ReadPacket(&x.rd)
 }

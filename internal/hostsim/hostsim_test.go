@@ -1,11 +1,13 @@
 package hostsim
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"io"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/httpwire"
 	"repro/internal/ip"
@@ -14,6 +16,9 @@ import (
 	"repro/internal/sshwire"
 	"repro/internal/tlslite"
 	"repro/internal/vconn"
+	"repro/internal/wirebuf"
+	"repro/internal/world"
+	"repro/internal/zgrab"
 )
 
 // serve runs the host end of a pipe and returns the client side plus a
@@ -29,21 +34,50 @@ func serve(s *Server, host ip.Addr, p proto.Protocol) (client *vconn.Conn, wait 
 	return client, wg.Wait
 }
 
+// reader returns a wirebuf.Reader over the server's side of a connection.
+func reader(conn io.Reader) *wirebuf.Reader {
+	rd := new(wirebuf.Reader)
+	rd.Reset(conn)
+	return rd
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// clientFlight is the opening flight a grabber sends host for p.
+func clientFlight(p proto.Protocol, host ip.Addr, key rng.Key) []byte {
+	addr := []byte(host.String())
+	switch p {
+	case proto.HTTP:
+		return httpwire.AppendRequest(nil, "GET", "/", addr, "Mozilla/5.0 zgrab/0.x")
+	case proto.HTTPS:
+		var ch tlslite.ClientHello
+		tlslite.InitClientHello(&ch, key.DeriveN("ch", host.Word64()), addr)
+		return must(tlslite.AppendClientHello(nil, &ch))
+	default:
+		return must(sshwire.AppendID(nil, "2.0", "zgrab_ssh_0.x", ""))
+	}
+}
+
 func TestServeHTTPAnswersGet(t *testing.T) {
 	s := NewServer(rng.NewKey(1))
 	client, wait := serve(s, ip.MustParseAddr("10.0.0.1"), proto.HTTP)
 	defer client.Close()
-	if err := httpwire.WriteRequest(client, "GET", "/", "10.0.0.1", "test"); err != nil {
+	if _, err := client.Write(httpwire.AppendRequest(nil, "GET", "/", []byte("10.0.0.1"), "test")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := httpwire.ReadResponse(bufio.NewReader(client), 0)
-	if err != nil {
+	var resp httpwire.Response
+	if err := httpwire.ReadResponse(reader(client), &resp, 0); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != 200 {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
-	if sv, ok := resp.Get("Server"); !ok || sv == "" {
+	if sv, ok := resp.Get("Server"); !ok || len(sv) == 0 {
 		t.Error("no Server header")
 	}
 	if len(resp.Body) == 0 {
@@ -65,17 +99,19 @@ func TestServeTLSFlight(t *testing.T) {
 	host := ip.MustParseAddr("10.0.0.3")
 	client, wait := serve(s, host, proto.HTTPS)
 	defer client.Close()
-	ch := tlslite.NewClientHello(rng.NewKey(4), host.String())
-	if err := ch.Write(client); err != nil {
+	var ch tlslite.ClientHello
+	tlslite.InitClientHello(&ch, rng.NewKey(4), []byte(host.String()))
+	if _, err := client.Write(must(tlslite.AppendClientHello(nil, &ch))); err != nil {
 		t.Fatal(err)
 	}
-	hr := tlslite.NewHandshakeReader(client)
+	var hr tlslite.HandshakeReader
+	hr.Reset(reader(client))
 	typ, body, err := hr.Next()
 	if err != nil || typ != tlslite.TypeServerHello {
 		t.Fatalf("first message: %d, %v", typ, err)
 	}
-	sh, err := tlslite.ParseServerHello(body)
-	if err != nil {
+	var sh tlslite.ServerHello
+	if err := tlslite.ParseServerHello(body, &sh); err != nil {
 		t.Fatal(err)
 	}
 	if sh.CipherSuite != ch.CipherSuites[0] {
@@ -103,12 +139,12 @@ func TestServeTLSAlertsOnEmptySuites(t *testing.T) {
 	host := ip.MustParseAddr("10.0.0.4")
 	client, wait := serve(s, host, proto.HTTPS)
 	defer client.Close()
-	ch := tlslite.NewClientHello(rng.NewKey(6), "")
-	ch.CipherSuites = nil
-	if err := ch.Write(client); err != nil {
+	ch := tlslite.ClientHello{Version: tlslite.VersionTLS12}
+	if _, err := client.Write(must(tlslite.AppendClientHello(nil, &ch))); err != nil {
 		t.Fatal(err)
 	}
-	hr := tlslite.NewHandshakeReader(client)
+	var hr tlslite.HandshakeReader
+	hr.Reset(reader(client))
 	if _, _, err := hr.Next(); err != tlslite.ErrAlert {
 		t.Errorf("err = %v, want ErrAlert", err)
 	}
@@ -120,16 +156,16 @@ func TestServeSSHVersionExchange(t *testing.T) {
 	host := ip.MustParseAddr("10.0.0.5")
 	client, wait := serve(s, host, proto.SSH)
 	defer client.Close()
-	br := bufio.NewReader(client)
-	id, err := sshwire.ReadID(br)
+	rd := reader(client)
+	id, err := sshwire.ReadID(rd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id.ProtoVersion != "2.0" || id.SoftwareVersion == "" {
+	if string(id.ProtoVersion) != "2.0" || len(id.SoftwareVersion) == 0 {
 		t.Errorf("server id = %+v", id)
 	}
 	// Server's KEXINIT follows.
-	payload, err := sshwire.ReadPacket(br)
+	payload, err := sshwire.ReadPacket(rd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +177,9 @@ func TestServeSSHVersionExchange(t *testing.T) {
 		t.Error("empty kex algorithm list")
 	}
 	// Complete our side so the server returns cleanly.
-	sshwire.WriteID(client, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "test"})
-	sshwire.WritePacket(client, sshwire.DefaultKexInit(rng.NewKey(8)).Marshal())
+	mine := sshwire.DefaultKexInit(rng.NewKey(8))
+	flight := must(sshwire.AppendID(nil, "2.0", "test", ""))
+	client.Write(must(sshwire.AppendPacket(flight, sshwire.AppendKexInit(nil, &mine))))
 	wait()
 }
 
@@ -151,13 +188,13 @@ func TestPersonalitiesStableAndDiverse(t *testing.T) {
 	banner := func(host ip.Addr) string {
 		client, wait := serve(s, host, proto.SSH)
 		defer client.Close()
-		id, err := sshwire.ReadID(bufio.NewReader(client))
+		id, err := sshwire.ReadID(reader(client))
 		if err != nil {
 			t.Fatal(err)
 		}
 		client.Close()
 		wait()
-		return id.SoftwareVersion
+		return string(id.SoftwareVersion)
 	}
 	a1 := banner(ip.MustParseAddr("10.1.0.1"))
 	a2 := banner(ip.MustParseAddr("10.1.0.1"))
@@ -175,17 +212,21 @@ func TestPersonalitiesStableAndDiverse(t *testing.T) {
 
 func TestCertBlobStablePerHost(t *testing.T) {
 	s := NewServer(rng.NewKey(10))
-	a := s.certBlob(ip.MustParseAddr("10.0.0.9"))
-	b := s.certBlob(ip.MustParseAddr("10.0.0.9"))
+	a := s.appendCertBlob(nil, ip.MustParseAddr("10.0.0.9"))
+	b := s.appendCertBlob(nil, ip.MustParseAddr("10.0.0.9"))
 	if string(a) != string(b) {
 		t.Error("certificate changed between handshakes")
 	}
-	c := s.certBlob(ip.MustParseAddr("10.0.0.10"))
+	c := s.appendCertBlob(nil, ip.MustParseAddr("10.0.0.10"))
 	if string(a) == string(c) {
 		t.Error("different hosts share a certificate")
 	}
 	if len(a) < 500 {
 		t.Errorf("cert suspiciously small: %d bytes", len(a))
+	}
+	// Appending after other bytes frames the blob, not the prefix.
+	if d := s.appendCertBlob([]byte("prefix"), ip.MustParseAddr("10.0.0.9")); !bytes.Equal(d[6:], a) || string(d[:6]) != "prefix" {
+		t.Error("blob appended after a prefix differs")
 	}
 }
 
@@ -202,30 +243,11 @@ func TestServeInlineMatchesGoroutineServe(t *testing.T) {
 		ip.MustParseAddr("172.16.9.200"),
 		ip.MustParseAddr("192.0.2.41"),
 	} {
-		httpFlight := &bytes.Buffer{}
-		if err := httpwire.WriteRequest(httpFlight, "GET", "/", host.String(), "Mozilla/5.0 zgrab/0.x"); err != nil {
-			t.Fatal(err)
-		}
-		tlsFlight := &bytes.Buffer{}
-		ch := tlslite.NewClientHello(rng.NewKey(5).DeriveN("ch", host.Word64()), host.String())
-		if err := ch.Write(tlsFlight); err != nil {
-			t.Fatal(err)
-		}
-		sshFlight := &bytes.Buffer{}
-		if err := sshwire.WriteID(sshFlight, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "zgrab_ssh_0.x"}); err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct {
-			p      proto.Protocol
-			flight []byte
-		}{
-			{proto.HTTP, httpFlight.Bytes()},
-			{proto.HTTPS, tlsFlight.Bytes()},
-			{proto.SSH, sshFlight.Bytes()},
-		} {
-			t.Run(host.String()+"/"+tc.p.String(), func(t *testing.T) {
-				client, wait := serve(s, host, tc.p)
-				if _, err := client.Write(tc.flight); err != nil {
+		for _, p := range []proto.Protocol{proto.HTTP, proto.HTTPS, proto.SSH} {
+			flight := clientFlight(p, host, rng.NewKey(5))
+			t.Run(host.String()+"/"+p.String(), func(t *testing.T) {
+				client, wait := serve(s, host, p)
+				if _, err := client.Write(flight); err != nil {
 					t.Fatal(err)
 				}
 				client.CloseWrite()
@@ -236,11 +258,10 @@ func TestServeInlineMatchesGoroutineServe(t *testing.T) {
 				wait()
 				client.Close()
 
-				var out bytes.Buffer
-				s.ServeInline(&out, tc.flight, host, tc.p)
-				if !bytes.Equal(out.Bytes(), ref) {
+				out := s.ServeInline([]byte("kept"), flight, host, p)
+				if !bytes.Equal(out[4:], ref) || string(out[:4]) != "kept" {
 					t.Errorf("inline flight (%d bytes) differs from goroutine flight (%d bytes)",
-						out.Len(), len(ref))
+						len(out)-4, len(ref))
 				}
 				if len(ref) == 0 {
 					t.Error("reference server sent nothing")
@@ -263,11 +284,100 @@ func TestServeInlineGarbage(t *testing.T) {
 		ref, _ := io.ReadAll(client)
 		wait()
 		client.Close()
-		var out bytes.Buffer
-		s.ServeInline(&out, []byte("NONSENSE\r\n\r\n"), host, p)
-		if !bytes.Equal(out.Bytes(), ref) {
+		out := s.ServeInline(nil, []byte("NONSENSE\r\n\r\n"), host, p)
+		if !bytes.Equal(out, ref) {
 			t.Errorf("%v: inline garbage response (%d bytes) differs from goroutine (%d bytes)",
-				p, out.Len(), len(ref))
+				p, len(out), len(ref))
+		}
+	}
+}
+
+// recDialer serves every dial inline and records both flights of the last
+// connection, so a test sees exactly what a zgrab.Grabber and a Server put
+// on the wire for each other.
+type recDialer struct {
+	s    *Server
+	conn recConn
+}
+
+func (d *recDialer) Dial(_ context.Context, dst ip.Addr, port uint16, _ time.Duration, _ int) (net.Conn, error) {
+	p, _ := proto.FromPort(port)
+	d.conn = recConn{s: d.s, host: dst, p: p}
+	return &d.conn, nil
+}
+
+// recConn is the in-memory client end: writes gather the client flight,
+// the first read serves it inline.
+type recConn struct {
+	s      *Server
+	host   ip.Addr
+	p      proto.Protocol
+	client []byte
+	server []byte
+	served bool
+	off    int
+}
+
+func (c *recConn) Write(b []byte) (int, error) {
+	c.client = append(c.client, b...)
+	return len(b), nil
+}
+
+func (c *recConn) Read(b []byte) (int, error) {
+	if !c.served {
+		c.served = true
+		c.server = c.s.ServeInline(nil, c.client, c.host, c.p)
+	}
+	if c.off >= len(c.server) {
+		return 0, io.EOF
+	}
+	n := copy(b, c.server[c.off:])
+	c.off += n
+	return n, nil
+}
+
+func (c *recConn) Close() error                     { return nil }
+func (c *recConn) LocalAddr() net.Addr              { return vconn.Addr{Label: "grabber"} }
+func (c *recConn) RemoteAddr() net.Addr             { return vconn.Addr{IP: c.host} }
+func (c *recConn) SetDeadline(time.Time) error      { return nil }
+func (c *recConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestFlightsMatchOracleEncoders is the wire byte-identity proof for the
+// append-style codecs: for every host of a test world (and a few IPv6
+// addresses) and every protocol, the flight the grabber writes and the
+// flight the server answers equal, byte for byte, what the old fmt/Marshal
+// encoders produced, and the grab still succeeds on them.
+func TestFlightsMatchOracleEncoders(t *testing.T) {
+	w, err := world.Build(context.Background(), world.Spec{Seed: 5, Scale: 0.00002})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []ip.Addr
+	for _, h := range w.Hosts() {
+		hosts = append(hosts, h.Addr)
+	}
+	if len(hosts) < 500 {
+		t.Fatalf("test world has only %d hosts", len(hosts))
+	}
+	hosts = append(hosts, ip.MustParseAddr("2001:db8::1"), ip.MustParseAddr("2a00:1450:4001:81b::200e"))
+
+	s := NewServer(rng.NewKey(2020))
+	key := rng.NewKey(9).Derive("grab")
+	d := &recDialer{s: s}
+	g := &zgrab.Grabber{Dialer: d, Key: key}
+	for _, host := range hosts {
+		for _, p := range []proto.Protocol{proto.HTTP, proto.HTTPS, proto.SSH} {
+			res := g.Grab(context.Background(), p, host, 0)
+			if !res.Success || res.Banner == "" {
+				t.Fatalf("%v %v: grab failed: %+v", host, p, res)
+			}
+			if want := oracleClientFlight(p, host, key); !bytes.Equal(d.conn.client, want) {
+				t.Fatalf("%v %v: client flight\n got %q\nwant %q", host, p, d.conn.client, want)
+			}
+			if want := oracleServerFlight(s, p, host); !bytes.Equal(d.conn.server, want) {
+				t.Fatalf("%v %v: server flight\n got %q\nwant %q", host, p, d.conn.server, want)
+			}
 		}
 	}
 }

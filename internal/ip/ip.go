@@ -189,22 +189,27 @@ func MustParseAddr(s string) Addr {
 // String returns dotted-quad notation for IPv4 and RFC 5952 canonical form
 // for IPv6.
 func (a Addr) String() string {
+	var b [48]byte
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the text form String returns to dst, for callers that
+// build wire bytes without an intermediate string.
+func (a Addr) AppendTo(dst []byte) []byte {
 	if a.Is4() {
 		v := uint32(a.lo)
-		var b [15]byte
-		buf := strconv.AppendUint(b[:0], uint64(v>>24), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(v>>16&0xff), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(v>>8&0xff), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(v&0xff), 10)
-		return string(buf)
+		dst = strconv.AppendUint(dst, uint64(v>>24), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendUint(dst, uint64(v>>16&0xff), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendUint(dst, uint64(v>>8&0xff), 10)
+		dst = append(dst, '.')
+		return strconv.AppendUint(dst, uint64(v&0xff), 10)
 	}
 	var b [16]byte
 	bePutUint64(b[0:8], a.hi)
 	bePutUint64(b[8:16], a.lo)
-	return netip.AddrFrom16(b).String()
+	return netip.AddrFrom16(b).AppendTo(dst)
 }
 
 // Octets returns the four octets of an IPv4 address (panics on IPv6).

@@ -288,17 +288,34 @@ func (m *Matrix) volatileEpisode(o origin.ID, as asn.ASN, trial int) float64 {
 	}
 }
 
+// Path is the loss state of one (origin, AS, trial) path, resolved once:
+// the fabric asks up to three loss questions per probe (episode, and a
+// packet draw per direction), and each used to repeat the parameter lookup.
+// Every draw is still a keyed hash of the same event coordinates, so
+// decisions do not depend on how a caller groups them.
+type Path struct {
+	m      *Matrix
+	params Params
+	origin origin.ID
+	site   origin.ID // the origin's loss-sharing site identity
+	trial  int
+}
+
+// Path resolves the loss state of the (origin, AS) path in a trial.
+func (m *Matrix) Path(o origin.ID, as asn.ASN, trial int) Path {
+	return Path{m: m, params: m.Params(o, as, trial), origin: o, site: m.alias(o), trial: trial}
+}
+
 // DropFor returns the effective per-packet drop probability for a specific
 // destination, accounting for pathological /24 subsets.
-func (m *Matrix) DropFor(o origin.ID, dst ip.Addr, as asn.ASN, trial int) float64 {
-	p := m.Params(o, as, trial)
-	if p.BadPrefixFrac > 0 {
+func (p *Path) DropFor(dst ip.Addr) float64 {
+	if p.params.BadPrefixFrac > 0 {
 		s24 := dst.Slash24()
-		if m.badnetKey.Bool(p.BadPrefixFrac, uint64(o), s24.Base.Word64()) {
-			return p.BadDrop
+		if p.m.badnetKey.Bool(p.params.BadPrefixFrac, uint64(p.origin), s24.Base.Word64()) {
+			return p.params.BadDrop
 		}
 	}
-	return p.PacketDrop
+	return p.params.PacketDrop
 }
 
 // MicroBurstWindow is the duration of a correlated micro-burst: packets to
@@ -325,14 +342,14 @@ func (m *Matrix) alias(o origin.ID) origin.ID {
 // covering whole windows, so consecutive probes are usually lost together.
 // Micro-bursts are keyed by the origin's site: co-located origins share the
 // paths that carry the burst.
-func (m *Matrix) PacketLost(o origin.ID, dst ip.Addr, as asn.ASN, trial int, pktIdx uint64, t time.Duration) bool {
-	q := m.DropFor(o, dst, as, trial)
-	c := m.cfg.PairCorrelation
+func (p *Path) PacketLost(dst ip.Addr, pktIdx uint64, t time.Duration) bool {
+	q := p.DropFor(dst)
+	c := p.m.cfg.PairCorrelation
 	window := uint64(t / MicroBurstWindow)
-	if m.microKey.Bool(q*c, uint64(m.alias(o))+siteKeyOffset, dst.Word64(), uint64(trial), window) {
+	if p.m.microKey.Bool(q*c, uint64(p.site)+siteKeyOffset, dst.Word64(), uint64(p.trial), window) {
 		return true
 	}
-	return m.pktKey.Bool(q*(1-c), uint64(o), dst.Word64(), uint64(trial), pktIdx)
+	return p.m.pktKey.Bool(q*(1-c), uint64(p.origin), dst.Word64(), uint64(p.trial), pktIdx)
 }
 
 // siteKeyOffset separates site-keyed draws from origin-keyed draws so a
@@ -346,12 +363,12 @@ const siteKeyOffset = 4096
 // the origin's site, so co-located origins miss largely the same hosts —
 // the paper's follow-up finds the co-located Tier-1 triad recovers the
 // least coverage of any three origins.
-func (m *Matrix) EpisodeActive(o origin.ID, dst ip.Addr, as asn.ASN, trial int) bool {
-	p := m.Params(o, as, trial)
-	if m.episodeKey.Bool(p.EpisodeRate*0.85, uint64(m.alias(o))+siteKeyOffset, dst.Word64(), uint64(trial)) {
+func (p *Path) EpisodeActive(dst ip.Addr) bool {
+	rate := p.params.EpisodeRate
+	if p.m.episodeKey.Bool(rate*0.85, uint64(p.site)+siteKeyOffset, dst.Word64(), uint64(p.trial)) {
 		return true
 	}
-	return m.episodeKey.Bool(p.EpisodeRate*0.15, uint64(o), dst.Word64(), uint64(trial))
+	return p.m.episodeKey.Bool(rate*0.15, uint64(p.origin), dst.Word64(), uint64(p.trial))
 }
 
 // ConnFailProb returns the probability a full TCP connection plus
@@ -374,7 +391,6 @@ func ConnFailProb(q float64) float64 {
 // HandshakeFailed reports whether a connection attempt fails due to
 // per-packet loss (distinct from episodes), keyed per attempt so retries
 // draw independently.
-func (m *Matrix) HandshakeFailed(o origin.ID, dst ip.Addr, as asn.ASN, trial int, attempt int) bool {
-	q := m.DropFor(o, dst, as, trial)
-	return m.hsKey.Bool(ConnFailProb(q), uint64(o), dst.Word64(), uint64(trial), uint64(attempt))
+func (p *Path) HandshakeFailed(dst ip.Addr, attempt int) bool {
+	return p.m.hsKey.Bool(ConnFailProb(p.DropFor(dst)), uint64(p.origin), dst.Word64(), uint64(p.trial), uint64(attempt))
 }

@@ -135,9 +135,10 @@ func TestEpisodeCorrelation(t *testing.T) {
 	// (origin, dst, trial) always yields the same answer.
 	m := testMatrix()
 	dst := ip.MustParseAddr("10.0.0.1")
-	first := m.EpisodeActive(origin.AU, dst, 77, 2)
+	path := m.Path(origin.AU, 77, 2)
+	first := path.EpisodeActive(dst)
 	for i := 0; i < 10; i++ {
-		if m.EpisodeActive(origin.AU, dst, 77, 2) != first {
+		if path = m.Path(origin.AU, 77, 2); path.EpisodeActive(dst) != first {
 			t.Fatal("EpisodeActive not stable within a trial")
 		}
 	}
@@ -147,10 +148,11 @@ func TestEpisodeRateEmpirical(t *testing.T) {
 	m := NewMatrix(rng.NewKey(11).Derive("loss"), Config{})
 	const as = asn.ASN(123)
 	p := m.Params(origin.US1, as, 0)
+	path := m.Path(origin.US1, as, 0)
 	hits := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		if m.EpisodeActive(origin.US1, ip.AddrFrom4(uint32(i)), as, 0) {
+		if path.EpisodeActive(ip.AddrFrom4(uint32(i))) {
 			hits++
 		}
 	}
@@ -166,12 +168,13 @@ func TestPacketLossPairCorrelation(t *testing.T) {
 	m := NewMatrix(rng.NewKey(13).Derive("loss"), Config{BasePacketDrop: 0.05})
 	const as = asn.ASN(9)
 	p := m.Params(origin.US1, as, 0)
+	path := m.Path(origin.US1, as, 0)
 	var lost0, either, both int
 	const n = 200000
 	for i := 0; i < n; i++ {
 		dst := ip.AddrFrom4(uint32(i))
-		l0 := m.PacketLost(origin.US1, dst, as, 0, 0, 0)
-		l1 := m.PacketLost(origin.US1, dst, as, 0, 1, 0)
+		l0 := path.PacketLost(dst, 0, 0)
+		l1 := path.PacketLost(dst, 1, 0)
 		if l0 {
 			lost0++
 		}
@@ -201,12 +204,13 @@ func TestPacketLossZeroCorrelationIndependent(t *testing.T) {
 	// PairCorrelation can be effectively disabled for ablations.
 	m := NewMatrix(rng.NewKey(14).Derive("loss"), Config{BasePacketDrop: 0.05, PairCorrelation: 1e-9})
 	const as = asn.ASN(9)
+	path := m.Path(origin.US1, as, 0)
 	var both, either int
 	const n = 200000
 	for i := 0; i < n; i++ {
 		dst := ip.AddrFrom4(uint32(i))
-		l0 := m.PacketLost(origin.US1, dst, as, 0, 0, 0)
-		l1 := m.PacketLost(origin.US1, dst, as, 0, 1, 0)
+		l0 := path.PacketLost(dst, 0, 0)
+		l1 := path.PacketLost(dst, 1, 0)
 		if l0 || l1 {
 			either++
 		}
@@ -247,10 +251,11 @@ func TestConnFailProbShape(t *testing.T) {
 func TestBadPrefixOverride(t *testing.T) {
 	m := testMatrix()
 	m.Override(origin.DE, 3269, Params{PacketDrop: 0.16, BadPrefixFrac: 0.38, BadDrop: 0.55})
+	de := m.Path(origin.DE, 3269, 0)
 	bad, good := 0, 0
 	for i := 0; i < 2000; i++ {
 		dst := ip.AddrFrom4(uint32(i) << 8) // distinct /24s
-		q := m.DropFor(origin.DE, dst, 3269, 0)
+		q := de.DropFor(dst)
 		switch q {
 		case 0.55:
 			bad++
@@ -265,13 +270,14 @@ func TestBadPrefixOverride(t *testing.T) {
 		t.Errorf("bad-prefix fraction %v, want ~0.38", frac)
 	}
 	// All hosts within one /24 share the fate.
-	q1 := m.DropFor(origin.DE, ip.MustParseAddr("10.1.1.1"), 3269, 0)
-	q2 := m.DropFor(origin.DE, ip.MustParseAddr("10.1.1.200"), 3269, 0)
+	q1 := de.DropFor(ip.MustParseAddr("10.1.1.1"))
+	q2 := de.DropFor(ip.MustParseAddr("10.1.1.200"))
 	if q1 != q2 {
 		t.Error("bad-prefix decision must be /24-level")
 	}
 	// Other origins see the default path.
-	if q := m.DropFor(origin.BR, ip.MustParseAddr("10.1.1.1"), 3269, 0); q == 0.55 || q == 0.16 {
+	br := m.Path(origin.BR, 3269, 0)
+	if q := br.DropFor(ip.MustParseAddr("10.1.1.1")); q == 0.55 || q == 0.16 {
 		t.Errorf("override leaked to BR: %v", q)
 	}
 }
@@ -312,13 +318,14 @@ func TestDelayedProbesEscapeMicroBursts(t *testing.T) {
 	// §7 delayed-probe recommendation.
 	m := NewMatrix(rng.NewKey(77).Derive("loss"), Config{BasePacketDrop: 0.10})
 	const as = asn.ASN(4)
+	path := m.Path(origin.US1, as, 0)
 	var bothBack, bothDelay, eitherBack, eitherDelay int
 	const n = 100000
 	for i := 0; i < n; i++ {
 		dst := ip.AddrFrom4(uint32(i))
-		b0 := m.PacketLost(origin.US1, dst, as, 0, 0, 0)
-		b1 := m.PacketLost(origin.US1, dst, as, 0, 1, 0)
-		d1 := m.PacketLost(origin.US1, dst, as, 0, 1, 10*MicroBurstWindow)
+		b0 := path.PacketLost(dst, 0, 0)
+		b1 := path.PacketLost(dst, 1, 0)
+		d1 := path.PacketLost(dst, 1, 10*MicroBurstWindow)
 		if b0 || b1 {
 			eitherBack++
 		}

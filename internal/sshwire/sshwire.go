@@ -4,17 +4,20 @@
 // the SSH_MSG_KEXINIT message. The paper's SSH grab completes the protocol
 // version exchange and terminates, so no key exchange or crypto is
 // performed, but the bytes on the wire are genuine SSH.
+//
+// Encoders append to a caller-owned buffer; ReadID and ReadPacket return
+// views into the wirebuf.Reader's arena (valid until that Reader is
+// reset), so the exchange allocates nothing.
 package sshwire
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/rng"
+	"repro/internal/wirebuf"
 )
 
 // RFC 4253 message numbers used here.
@@ -38,89 +41,96 @@ var (
 	ErrMalformed    = errors.New("sshwire: malformed packet")
 )
 
-// ID is a parsed identification string.
+// ID is a parsed identification string: views into the arena.
 type ID struct {
-	ProtoVersion    string // "2.0"
-	SoftwareVersion string // e.g. "OpenSSH_7.4"
-	Comments        string
+	ProtoVersion    []byte // "2.0"
+	SoftwareVersion []byte // e.g. "OpenSSH_7.4"
+	Comments        []byte
 }
 
-// String formats the identification line (without CRLF).
-func (id ID) String() string {
-	s := fmt.Sprintf("SSH-%s-%s", id.ProtoVersion, id.SoftwareVersion)
-	if id.Comments != "" {
-		s += " " + id.Comments
+// AppendID appends an identification string terminated by CRLF.
+func AppendID(dst []byte, protoVersion, softwareVersion, comments string) ([]byte, error) {
+	n := len("SSH-") + len(protoVersion) + 1 + len(softwareVersion) + len("\r\n")
+	if comments != "" {
+		n += 1 + len(comments)
 	}
-	return s
-}
-
-// WriteID sends an identification string terminated by CRLF.
-func WriteID(w io.Writer, id ID) error {
-	line := id.String() + "\r\n"
-	if len(line) > MaxIDLen {
-		return ErrIDTooLong
+	if n > MaxIDLen {
+		return dst, ErrIDTooLong
 	}
-	_, err := io.WriteString(w, line)
-	return err
+	dst = append(dst, "SSH-"...)
+	dst = append(dst, protoVersion...)
+	dst = append(dst, '-')
+	dst = append(dst, softwareVersion...)
+	if comments != "" {
+		dst = append(dst, ' ')
+		dst = append(dst, comments...)
+	}
+	return append(dst, "\r\n"...), nil
 }
 
 // ReadID reads the peer's identification string, skipping any pre-ID banner
 // lines a server is allowed to send (RFC 4253 §4.2).
-func ReadID(br *bufio.Reader) (ID, error) {
+func ReadID(rd *wirebuf.Reader) (ID, error) {
 	for i := 0; i < MaxBannerLines; i++ {
-		line, err := readLine(br)
+		line, err := readLine(rd)
 		if err != nil {
 			return ID{}, err
 		}
-		if strings.HasPrefix(line, "SSH-") {
+		if bytes.HasPrefix(line, sshDash) {
 			return parseID(line)
 		}
 	}
 	return ID{}, ErrNotSSH
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	var b strings.Builder
+var sshDash = []byte("SSH-")
+
+// readLine returns the next LF-terminated line without its LF or CRLF. A
+// line may hold MaxIDLen bytes before the LF; unlike HTTP, a stream that
+// ends mid-line is an error.
+func readLine(rd *wirebuf.Reader) ([]byte, error) {
 	for {
-		c, err := br.ReadByte()
-		if err != nil {
-			return "", err
+		u := rd.Unread()
+		i := bytes.IndexByte(u, '\n')
+		if i > MaxIDLen || (i < 0 && len(u) > MaxIDLen) {
+			return nil, ErrIDTooLong
 		}
-		if c == '\n' {
-			return strings.TrimSuffix(b.String(), "\r"), nil
+		if i >= 0 {
+			rd.Advance(i + 1)
+			return bytes.TrimSuffix(u[:i], cr), nil
 		}
-		if b.Len() >= MaxIDLen {
-			return "", ErrIDTooLong
+		if err := rd.Fill(); err != nil {
+			return nil, err
 		}
-		b.WriteByte(c)
 	}
 }
 
-func parseID(line string) (ID, error) {
+var cr = []byte("\r")
+
+func parseID(line []byte) (ID, error) {
 	// SSH-protoversion-softwareversion [SP comments]
-	rest := strings.TrimPrefix(line, "SSH-")
-	dash := strings.IndexByte(rest, '-')
-	if dash < 0 {
+	rest := bytes.TrimPrefix(line, sshDash)
+	proto, swAndComments, ok := bytes.Cut(rest, dash)
+	if !ok {
 		return ID{}, ErrNotSSH
 	}
-	id := ID{ProtoVersion: rest[:dash]}
-	swAndComments := rest[dash+1:]
-	if sp := strings.IndexByte(swAndComments, ' '); sp >= 0 {
-		id.SoftwareVersion = swAndComments[:sp]
-		id.Comments = swAndComments[sp+1:]
-	} else {
-		id.SoftwareVersion = swAndComments
-	}
-	if id.ProtoVersion == "" || id.SoftwareVersion == "" {
+	id := ID{ProtoVersion: proto}
+	id.SoftwareVersion, id.Comments, _ = bytes.Cut(swAndComments, space)
+	if len(id.ProtoVersion) == 0 || len(id.SoftwareVersion) == 0 {
 		return ID{}, ErrNotSSH
 	}
 	return id, nil
 }
 
-// WritePacket sends one unencrypted SSH binary packet (RFC 4253 §6):
+var (
+	dash  = []byte("-")
+	space = []byte(" ")
+)
+
+// AppendPacket appends one unencrypted SSH binary packet (RFC 4253 §6):
 // uint32 packet_length, byte padding_length, payload, random padding.
 // Block size 8 applies before encryption; padding is at least 4 bytes.
-func WritePacket(w io.Writer, payload []byte) error {
+func AppendPacket(dst, payload []byte) ([]byte, error) {
 	const block = 8
 	// packet_length covers padding_length byte + payload + padding.
 	padLen := block - (5+len(payload))%block
@@ -129,34 +139,34 @@ func WritePacket(w io.Writer, payload []byte) error {
 	}
 	total := 1 + len(payload) + padLen
 	if total+4 > MaxPacketLen {
-		return ErrPacketTooBig
+		return dst, ErrPacketTooBig
 	}
-	buf := make([]byte, 4+total)
-	binary.BigEndian.PutUint32(buf, uint32(total))
-	buf[4] = byte(padLen)
-	copy(buf[5:], payload)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
+	dst = append(dst, byte(padLen))
+	dst = append(dst, payload...)
 	// Padding bytes: arbitrary; deterministic here.
 	for i := 0; i < padLen; i++ {
-		buf[5+len(payload)+i] = byte(i * 37)
+		dst = append(dst, byte(i*37))
 	}
-	_, err := w.Write(buf)
-	return err
+	return dst, nil
 }
 
-// ReadPacket reads one unencrypted SSH binary packet and returns its payload.
-func ReadPacket(r io.Reader) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// ReadPacket reads one unencrypted SSH binary packet and returns its
+// payload (a view into rd's arena).
+func ReadPacket(rd *wirebuf.Reader) ([]byte, error) {
+	if err := rd.Need(4); err != nil {
 		return nil, err
 	}
-	pktLen := binary.BigEndian.Uint32(lenBuf[:])
+	pktLen := binary.BigEndian.Uint32(rd.Unread())
 	if pktLen < 5 || pktLen > MaxPacketLen {
 		return nil, ErrPacketTooBig
 	}
-	body := make([]byte, pktLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	rd.Advance(4)
+	if err := rd.Need(int(pktLen)); err != nil {
 		return nil, err
 	}
+	body := rd.Unread()[:pktLen]
+	rd.Advance(int(pktLen))
 	padLen := int(body[0])
 	if padLen < 4 || 1+padLen > int(pktLen) {
 		return nil, ErrMalformed
@@ -180,18 +190,28 @@ type KexInit struct {
 	FirstKexPacketFollows   bool
 }
 
+// The OpenSSH-flavoured algorithm preferences every DefaultKexInit shares.
+var (
+	defaultKex      = []string{"curve25519-sha256", "diffie-hellman-group14-sha256"}
+	defaultHostKeys = []string{"ssh-ed25519", "rsa-sha2-256"}
+	defaultCiphers  = []string{"chacha20-poly1305@openssh.com", "aes128-ctr"}
+	defaultMACs     = []string{"hmac-sha2-256"}
+	defaultNone     = []string{"none"}
+)
+
 // DefaultKexInit returns a realistic OpenSSH-flavoured KEXINIT with a cookie
-// derived from key.
-func DefaultKexInit(key rng.Key) *KexInit {
-	k := &KexInit{
-		KexAlgorithms:           []string{"curve25519-sha256", "diffie-hellman-group14-sha256"},
-		HostKeyAlgorithms:       []string{"ssh-ed25519", "rsa-sha2-256"},
-		CiphersClientServer:     []string{"chacha20-poly1305@openssh.com", "aes128-ctr"},
-		CiphersServerClient:     []string{"chacha20-poly1305@openssh.com", "aes128-ctr"},
-		MACsClientServer:        []string{"hmac-sha2-256"},
-		MACsServerClient:        []string{"hmac-sha2-256"},
-		CompressionClientServer: []string{"none"},
-		CompressionServerClient: []string{"none"},
+// derived from key. The name-lists are shared between all callers:
+// read-only.
+func DefaultKexInit(key rng.Key) KexInit {
+	k := KexInit{
+		KexAlgorithms:           defaultKex,
+		HostKeyAlgorithms:       defaultHostKeys,
+		CiphersClientServer:     defaultCiphers,
+		CiphersServerClient:     defaultCiphers,
+		MACsClientServer:        defaultMACs,
+		MACsServerClient:        defaultMACs,
+		CompressionClientServer: defaultNone,
+		CompressionServerClient: defaultNone,
 	}
 	s := key.Stream(0x6b6578) // "kex"
 	for i := 0; i < 16; i += 8 {
@@ -200,21 +220,20 @@ func DefaultKexInit(key rng.Key) *KexInit {
 	return k
 }
 
-// Marshal encodes the KEXINIT payload, including the leading message byte.
-func (k *KexInit) Marshal() []byte {
-	var b []byte
-	b = append(b, MsgKexInit)
-	b = append(b, k.Cookie[:]...)
+// AppendKexInit appends the KEXINIT payload, including the leading message
+// byte.
+func AppendKexInit(dst []byte, k *KexInit) []byte {
+	dst = append(dst, MsgKexInit)
+	dst = append(dst, k.Cookie[:]...)
 	for _, list := range k.nameLists() {
-		b = appendNameList(b, *list)
+		dst = appendNameList(dst, *list)
 	}
 	if k.FirstKexPacketFollows {
-		b = append(b, 1)
+		dst = append(dst, 1)
 	} else {
-		b = append(b, 0)
+		dst = append(dst, 0)
 	}
-	b = append(b, 0, 0, 0, 0) // reserved uint32
-	return b
+	return append(dst, 0, 0, 0, 0) // reserved uint32
 }
 
 // ParseKexInit decodes a KEXINIT payload (starting at the message byte).
@@ -240,8 +259,8 @@ func ParseKexInit(payload []byte) (*KexInit, error) {
 }
 
 // nameLists returns pointers to the ten name-list fields in wire order.
-func (k *KexInit) nameLists() []*[]string {
-	return []*[]string{
+func (k *KexInit) nameLists() [10]*[]string {
+	return [10]*[]string{
 		&k.KexAlgorithms, &k.HostKeyAlgorithms,
 		&k.CiphersClientServer, &k.CiphersServerClient,
 		&k.MACsClientServer, &k.MACsServerClient,
@@ -250,12 +269,22 @@ func (k *KexInit) nameLists() []*[]string {
 	}
 }
 
-func appendNameList(b []byte, names []string) []byte {
-	s := strings.Join(names, ",")
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-	b = append(b, l[:]...)
-	return append(b, s...)
+func appendNameList(dst []byte, names []string) []byte {
+	n := len(names) - 1 // separators
+	if n < 0 {
+		n = 0
+	}
+	for _, name := range names {
+		n += len(name)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, name...)
+	}
+	return dst
 }
 
 func readNameList(b []byte) ([]string, []byte, error) {

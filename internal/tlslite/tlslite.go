@@ -5,15 +5,21 @@
 // considers a host accessible once the server's handshake flight parses, so
 // no key exchange or record encryption is implemented — but every byte
 // exchanged is valid TLS 1.2 that a real stack would produce or accept.
+//
+// Encoders append to a caller-owned buffer. The hot-path parsers
+// (HandshakeReader, ParseClientHello, ParseServerHello) fill caller-owned,
+// reusable values whose byte fields are views — into the HandshakeReader's
+// reassembly buffer, valid until its Reset — so a handshake allocates
+// nothing.
 package tlslite
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/rng"
+	"repro/internal/wirebuf"
 )
 
 // Record content types.
@@ -63,16 +69,18 @@ var (
 	ErrAlert        = errors.New("tlslite: received fatal alert")
 )
 
-// ClientHello is the first client flight.
+// ClientHello is the first client flight. A parsed ClientHello's SessionID
+// and ServerName are views into the message body it was parsed from.
 type ClientHello struct {
 	Version      uint16
 	Random       [32]byte
 	SessionID    []byte
 	CipherSuites []uint16
-	ServerName   string // SNI extension, empty to omit
+	ServerName   []byte // SNI extension, empty to omit
 }
 
-// ServerHello is the server's handshake response.
+// ServerHello is the server's handshake response. A parsed ServerHello's
+// SessionID is a view into the message body it was parsed from.
 type ServerHello struct {
 	Version     uint16
 	Random      [32]byte
@@ -86,90 +94,101 @@ type Certificate struct {
 	Chain [][]byte
 }
 
-// NewClientHello builds a Chrome-shaped ClientHello with a random derived
-// from key.
-func NewClientHello(key rng.Key, serverName string) *ClientHello {
-	ch := &ClientHello{
+// InitClientHello fills ch as a Chrome-shaped ClientHello with a random
+// derived from key, recycling its CipherSuites storage.
+func InitClientHello(ch *ClientHello, key rng.Key, serverName []byte) {
+	*ch = ClientHello{
 		Version:      VersionTLS12,
-		CipherSuites: ChromeTLS12Suites,
+		CipherSuites: append(ch.CipherSuites[:0], ChromeTLS12Suites...),
 		ServerName:   serverName,
 	}
 	s := key.Stream(0x636868) // "chh"
 	for i := 0; i < 32; i += 8 {
 		binary.BigEndian.PutUint64(ch.Random[i:], s.Uint64())
 	}
-	return ch
 }
 
 // --- record layer ---
 
-// WriteRecord frames payload as one TLS record.
-func WriteRecord(w io.Writer, contentType uint8, payload []byte) error {
-	if len(payload) > MaxRecordLen {
-		return ErrRecordTooBig
+// AppendRecord frames payload as one TLS record.
+func AppendRecord(dst []byte, contentType uint8, payload []byte) ([]byte, error) {
+	dst, err := appendRecordHeader(dst, contentType, len(payload))
+	if err != nil {
+		return dst, err
 	}
-	hdr := [5]byte{contentType, byte(VersionTLS12 >> 8), byte(VersionTLS12 & 0xff)}
-	binary.BigEndian.PutUint16(hdr[3:], uint16(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return append(dst, payload...), nil
 }
 
-// ReadRecord reads one TLS record, returning its content type and payload.
-func ReadRecord(r io.Reader) (uint8, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func appendRecordHeader(dst []byte, contentType uint8, n int) ([]byte, error) {
+	if n > MaxRecordLen {
+		return dst, ErrRecordTooBig
+	}
+	return append(dst, contentType, byte(VersionTLS12>>8), byte(VersionTLS12&0xff), byte(n>>8), byte(n)), nil
+}
+
+// ReadRecord reads one TLS record, returning its content type and payload
+// (a view into rd's arena).
+func ReadRecord(rd *wirebuf.Reader) (uint8, []byte, error) {
+	if err := rd.Need(5); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint16(hdr[3:])
-	if int(n) > MaxRecordLen {
+	hdr := rd.Unread()
+	ct, n := hdr[0], int(binary.BigEndian.Uint16(hdr[3:]))
+	if n > MaxRecordLen {
 		return 0, nil, ErrRecordTooBig
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	rd.Advance(5)
+	if err := rd.Need(n); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	payload := rd.Unread()[:n]
+	rd.Advance(n)
+	return ct, payload, nil
 }
 
-// HandshakeReader assembles handshake messages across records.
+// HandshakeReader assembles handshake messages across records. Reuse one
+// across exchanges via Reset; message bodies are views into its reassembly
+// buffer, valid until then.
 type HandshakeReader struct {
-	r   io.Reader
-	buf []byte
+	rd  *wirebuf.Reader
+	buf []byte // handshake bytes reassembled so far
+	off int    // buf[off:] is not yet returned
 }
 
-// NewHandshakeReader returns a reader over r.
-func NewHandshakeReader(r io.Reader) *HandshakeReader {
-	return &HandshakeReader{r: r}
+// Reset starts reading a new flight from rd, recycling the reassembly
+// buffer.
+func (h *HandshakeReader) Reset(rd *wirebuf.Reader) {
+	h.rd = rd
+	h.buf = h.buf[:0]
+	h.off = 0
 }
 
 // Next returns the next handshake message (type and body). A fatal alert
 // record yields ErrAlert.
 func (h *HandshakeReader) Next() (uint8, []byte, error) {
-	for len(h.buf) < 4 {
+	for len(h.buf)-h.off < 4 {
 		if err := h.fill(); err != nil {
 			return 0, nil, err
 		}
 	}
-	msgType := h.buf[0]
-	msgLen := int(h.buf[1])<<16 | int(h.buf[2])<<8 | int(h.buf[3])
+	hdr := h.buf[h.off:]
+	msgType := hdr[0]
+	msgLen := int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
 	if msgLen > MaxHandshakeLen {
 		return 0, nil, ErrMalformed
 	}
-	for len(h.buf) < 4+msgLen {
+	for len(h.buf)-h.off < 4+msgLen {
 		if err := h.fill(); err != nil {
 			return 0, nil, err
 		}
 	}
-	body := h.buf[4 : 4+msgLen]
-	h.buf = h.buf[4+msgLen:]
+	body := h.buf[h.off+4 : h.off+4+msgLen]
+	h.off += 4 + msgLen
 	return msgType, body, nil
 }
 
 func (h *HandshakeReader) fill() error {
-	ct, payload, err := ReadRecord(h.r)
+	ct, payload, err := ReadRecord(h.rd)
 	if err != nil {
 		return err
 	}
@@ -184,187 +203,182 @@ func (h *HandshakeReader) fill() error {
 	}
 }
 
-// writeHandshake frames body as a handshake message in one record.
-func writeHandshake(w io.Writer, msgType uint8, body []byte) error {
-	msg := make([]byte, 4+len(body))
-	msg[0] = msgType
-	msg[1] = byte(len(body) >> 16)
-	msg[2] = byte(len(body) >> 8)
-	msg[3] = byte(len(body))
-	copy(msg[4:], body)
-	return WriteRecord(w, RecordHandshake, msg)
+// appendHandshakeHeader frames a handshake message of bodyLen bytes in one
+// record; the caller appends exactly bodyLen bytes after it.
+func appendHandshakeHeader(dst []byte, msgType uint8, bodyLen int) ([]byte, error) {
+	dst, err := appendRecordHeader(dst, RecordHandshake, 4+bodyLen)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, msgType, byte(bodyLen>>16), byte(bodyLen>>8), byte(bodyLen)), nil
 }
 
 // --- ClientHello ---
 
-// Marshal encodes the ClientHello body (without the handshake header).
-func (ch *ClientHello) Marshal() []byte {
-	var b []byte
-	b = append(b, byte(ch.Version>>8), byte(ch.Version))
-	b = append(b, ch.Random[:]...)
-	b = append(b, byte(len(ch.SessionID)))
-	b = append(b, ch.SessionID...)
-	b = append(b, byte(len(ch.CipherSuites)*2>>8), byte(len(ch.CipherSuites)*2))
+// AppendClientHello appends the ClientHello as a handshake record.
+func AppendClientHello(dst []byte, ch *ClientHello) ([]byte, error) {
+	extLen := 0
+	if len(ch.ServerName) > 0 {
+		extLen = 9 + len(ch.ServerName)
+	}
+	dst, err := appendHandshakeHeader(dst, TypeClientHello,
+		2+32+1+len(ch.SessionID)+2+2*len(ch.CipherSuites)+2+2+extLen)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, byte(ch.Version>>8), byte(ch.Version))
+	dst = append(dst, ch.Random[:]...)
+	dst = append(dst, byte(len(ch.SessionID)))
+	dst = append(dst, ch.SessionID...)
+	dst = append(dst, byte(len(ch.CipherSuites)*2>>8), byte(len(ch.CipherSuites)*2))
 	for _, cs := range ch.CipherSuites {
-		b = append(b, byte(cs>>8), byte(cs))
+		dst = append(dst, byte(cs>>8), byte(cs))
 	}
-	b = append(b, 1, 0) // compression: null only
-	// Extensions.
-	var ext []byte
-	if ch.ServerName != "" {
-		ext = append(ext, sniExtension(ch.ServerName)...)
+	dst = append(dst, 1, 0) // compression: null only
+	dst = append(dst, byte(extLen>>8), byte(extLen))
+	if extLen > 0 {
+		// extension type 0, server_name_list with one host_name entry.
+		n := len(ch.ServerName)
+		dst = append(dst, 0, 0, byte((n+5)>>8), byte(n+5)) // type server_name, extension length
+		dst = append(dst, byte((n+3)>>8), byte(n+3))       // list length
+		dst = append(dst, 0, byte(n>>8), byte(n))          // name_type host_name, name length
+		dst = append(dst, ch.ServerName...)
 	}
-	b = append(b, byte(len(ext)>>8), byte(len(ext)))
-	b = append(b, ext...)
-	return b
+	return dst, nil
 }
 
-func sniExtension(name string) []byte {
-	// extension type 0, server_name_list with one host_name entry.
-	inner := make([]byte, 0, len(name)+5)
-	inner = append(inner, 0) // name_type host_name
-	inner = append(inner, byte(len(name)>>8), byte(len(name)))
-	inner = append(inner, name...)
-	list := make([]byte, 0, len(inner)+2)
-	list = append(list, byte(len(inner)>>8), byte(len(inner)))
-	list = append(list, inner...)
-	ext := make([]byte, 0, len(list)+4)
-	ext = append(ext, 0, 0) // type server_name
-	ext = append(ext, byte(len(list)>>8), byte(len(list)))
-	ext = append(ext, list...)
-	return ext
-}
-
-// ParseClientHello decodes a ClientHello body.
-func ParseClientHello(b []byte) (*ClientHello, error) {
-	ch := &ClientHello{}
+// ParseClientHello decodes a ClientHello body into ch, recycling its
+// CipherSuites storage.
+func ParseClientHello(b []byte, ch *ClientHello) error {
+	suites := ch.CipherSuites[:0]
+	*ch = ClientHello{}
 	if len(b) < 2+32+1 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	ch.Version = binary.BigEndian.Uint16(b)
 	copy(ch.Random[:], b[2:34])
 	b = b[34:]
 	sidLen := int(b[0])
 	if len(b) < 1+sidLen+2 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
-	ch.SessionID = append([]byte(nil), b[1:1+sidLen]...)
+	ch.SessionID = b[1 : 1+sidLen]
 	b = b[1+sidLen:]
 	csLen := int(binary.BigEndian.Uint16(b))
 	if csLen%2 != 0 || len(b) < 2+csLen+1 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	for i := 0; i < csLen; i += 2 {
-		ch.CipherSuites = append(ch.CipherSuites, binary.BigEndian.Uint16(b[2+i:]))
+		suites = append(suites, binary.BigEndian.Uint16(b[2+i:]))
 	}
+	ch.CipherSuites = suites
 	b = b[2+csLen:]
 	compLen := int(b[0])
 	if len(b) < 1+compLen {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	b = b[1+compLen:]
 	// Extensions (optional).
 	if len(b) >= 2 {
 		extLen := int(binary.BigEndian.Uint16(b))
 		if len(b) < 2+extLen {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
 		ext := b[2 : 2+extLen]
 		for len(ext) >= 4 {
 			typ := binary.BigEndian.Uint16(ext)
 			l := int(binary.BigEndian.Uint16(ext[2:]))
 			if len(ext) < 4+l {
-				return nil, ErrMalformed
+				return ErrMalformed
 			}
 			if typ == 0 { // server_name
-				if name, err := parseSNI(ext[4 : 4+l]); err == nil {
+				if name, ok := parseSNI(ext[4 : 4+l]); ok {
 					ch.ServerName = name
 				}
 			}
 			ext = ext[4+l:]
 		}
 	}
-	return ch, nil
+	return nil
 }
 
-func parseSNI(b []byte) (string, error) {
+func parseSNI(b []byte) ([]byte, bool) {
 	if len(b) < 2 {
-		return "", ErrMalformed
+		return nil, false
 	}
 	listLen := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+listLen || listLen < 3 {
-		return "", ErrMalformed
+		return nil, false
 	}
 	entry := b[2 : 2+listLen]
 	if entry[0] != 0 {
-		return "", ErrMalformed
+		return nil, false
 	}
 	n := int(binary.BigEndian.Uint16(entry[1:]))
 	if len(entry) < 3+n {
-		return "", ErrMalformed
+		return nil, false
 	}
-	return string(entry[3 : 3+n]), nil
-}
-
-// WriteClientHello sends the ClientHello as a handshake record.
-func (ch *ClientHello) Write(w io.Writer) error {
-	return writeHandshake(w, TypeClientHello, ch.Marshal())
+	return entry[3 : 3+n], true
 }
 
 // --- ServerHello ---
 
-// Marshal encodes the ServerHello body.
-func (sh *ServerHello) Marshal() []byte {
-	var b []byte
-	b = append(b, byte(sh.Version>>8), byte(sh.Version))
-	b = append(b, sh.Random[:]...)
-	b = append(b, byte(len(sh.SessionID)))
-	b = append(b, sh.SessionID...)
-	b = append(b, byte(sh.CipherSuite>>8), byte(sh.CipherSuite))
-	b = append(b, sh.Compression)
-	return b
+// AppendServerHello appends the ServerHello as a handshake record.
+func AppendServerHello(dst []byte, sh *ServerHello) ([]byte, error) {
+	dst, err := appendHandshakeHeader(dst, TypeServerHello, 2+32+1+len(sh.SessionID)+2+1)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, byte(sh.Version>>8), byte(sh.Version))
+	dst = append(dst, sh.Random[:]...)
+	dst = append(dst, byte(len(sh.SessionID)))
+	dst = append(dst, sh.SessionID...)
+	dst = append(dst, byte(sh.CipherSuite>>8), byte(sh.CipherSuite))
+	return append(dst, sh.Compression), nil
 }
 
-// ParseServerHello decodes a ServerHello body.
-func ParseServerHello(b []byte) (*ServerHello, error) {
-	sh := &ServerHello{}
+// ParseServerHello decodes a ServerHello body into sh.
+func ParseServerHello(b []byte, sh *ServerHello) error {
+	*sh = ServerHello{}
 	if len(b) < 2+32+1 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	sh.Version = binary.BigEndian.Uint16(b)
 	copy(sh.Random[:], b[2:34])
 	b = b[34:]
 	sidLen := int(b[0])
 	if len(b) < 1+sidLen+3 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
-	sh.SessionID = append([]byte(nil), b[1:1+sidLen]...)
+	sh.SessionID = b[1 : 1+sidLen]
 	b = b[1+sidLen:]
 	sh.CipherSuite = binary.BigEndian.Uint16(b)
 	sh.Compression = b[2]
-	return sh, nil
-}
-
-// Write sends the ServerHello as a handshake record.
-func (sh *ServerHello) Write(w io.Writer) error {
-	return writeHandshake(w, TypeServerHello, sh.Marshal())
+	return nil
 }
 
 // --- Certificate ---
 
-// Marshal encodes the Certificate body.
-func (c *Certificate) Marshal() []byte {
-	var inner []byte
+// AppendCertificate appends the Certificate message as a handshake record.
+func AppendCertificate(dst []byte, c *Certificate) ([]byte, error) {
+	inner := 0
 	for _, cert := range c.Chain {
-		inner = append(inner, byte(len(cert)>>16), byte(len(cert)>>8), byte(len(cert)))
-		inner = append(inner, cert...)
+		inner += 3 + len(cert)
 	}
-	b := make([]byte, 0, 3+len(inner))
-	b = append(b, byte(len(inner)>>16), byte(len(inner)>>8), byte(len(inner)))
-	return append(b, inner...)
+	dst, err := appendHandshakeHeader(dst, TypeCertificate, 3+inner)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, byte(inner>>16), byte(inner>>8), byte(inner))
+	for _, cert := range c.Chain {
+		dst = append(dst, byte(len(cert)>>16), byte(len(cert)>>8), byte(len(cert)))
+		dst = append(dst, cert...)
+	}
+	return dst, nil
 }
 
-// ParseCertificate decodes a Certificate body.
+// ParseCertificate decodes a Certificate body. The chain's blobs are views
+// into b.
 func ParseCertificate(b []byte) (*Certificate, error) {
 	if len(b) < 3 {
 		return nil, ErrMalformed
@@ -383,23 +397,20 @@ func ParseCertificate(b []byte) (*Certificate, error) {
 		if len(inner) < 3+n {
 			return nil, ErrMalformed
 		}
-		c.Chain = append(c.Chain, append([]byte(nil), inner[3:3+n]...))
+		c.Chain = append(c.Chain, inner[3:3+n])
 		inner = inner[3+n:]
 	}
 	return c, nil
 }
 
-// Write sends the Certificate as a handshake record.
-func (c *Certificate) Write(w io.Writer) error {
-	return writeHandshake(w, TypeCertificate, c.Marshal())
+// AppendServerHelloDone appends the (empty) ServerHelloDone message.
+func AppendServerHelloDone(dst []byte) []byte {
+	dst, _ = appendHandshakeHeader(dst, TypeServerHelloDone, 0) // 4 bytes: never too big
+	return dst
 }
 
-// WriteServerHelloDone sends the (empty) ServerHelloDone message.
-func WriteServerHelloDone(w io.Writer) error {
-	return writeHandshake(w, TypeServerHelloDone, nil)
-}
-
-// WriteAlert sends a two-byte alert record (level, description).
-func WriteAlert(w io.Writer, level, desc uint8) error {
-	return WriteRecord(w, RecordAlert, []byte{level, desc})
+// AppendAlert appends a two-byte alert record (level, description).
+func AppendAlert(dst []byte, level, desc uint8) []byte {
+	dst, _ = appendRecordHeader(dst, RecordAlert, 2) // 2 bytes: never too big
+	return append(dst, level, desc)
 }

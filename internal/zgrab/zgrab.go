@@ -12,9 +12,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/httpwire"
 	"repro/internal/ip"
 	"repro/internal/proto"
@@ -23,6 +23,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tlslite"
 	"repro/internal/vconn"
+	"repro/internal/wirebuf"
 )
 
 // FailMode classifies why a grab failed; §6 of the paper distinguishes
@@ -217,6 +218,23 @@ func (g *Grabber) grabOnce(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 	return res
 }
 
+// scratch is what one exchange runs on: the client flight is built in out,
+// the server flight accumulates in rd's arena, and the parsed messages are
+// views into that arena. Pooled per exchange — found here rather than
+// passed in, so neither Grab nor GrabFast grows a parameter. Views are valid
+// until the exchange returns; whatever a Result keeps is interned or copied
+// (see banner).
+type scratch struct {
+	out  []byte
+	rd   wirebuf.Reader
+	addr [48]byte // the destination's address text, formatted once
+	resp httpwire.Response
+	hr   tlslite.HandshakeReader
+	ch   tlslite.ClientHello
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
 // exchange runs the application-layer handshake on an established
 // connection, shared by the reference and fast grab paths.
 func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Result) {
@@ -224,14 +242,18 @@ func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Re
 	if g.Metrics != nil {
 		hsStart = time.Now()
 	}
+	sc := scratches.Get().(*scratch)
+	sc.rd.Reset(conn)
 	switch p {
 	case proto.HTTP:
-		grabHTTP(conn, dst, res)
+		grabHTTP(sc, conn, dst, res)
 	case proto.HTTPS:
-		grabTLS(conn, dst, g.Key, res)
+		grabTLS(sc, conn, dst, g.Key, res)
 	case proto.SSH:
-		grabSSH(conn, res)
+		grabSSH(sc, conn, res)
 	}
+	sc.rd.Reset(nil) // the pool must not pin the connection
+	scratches.Put(sc)
 	if g.Metrics != nil {
 		g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(hsStart))
 	}
@@ -347,53 +369,48 @@ func classifyIOError(err error, sawBytes bool) FailMode {
 	}
 }
 
-// countingReader tracks whether any bytes were received, distinguishing a
-// peer that closed before speaking (FailClosed) from one that spoke a
-// different protocol (FailProto).
-type countingReader struct {
-	r io.Reader
-	n int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
-}
+// maxHTTPBody caps how much of a response body a grab reads.
+const maxHTTPBody = 16 << 10
 
 // grabHTTP sends GET / and requires a parseable status line.
-func grabHTTP(conn net.Conn, dst ip.Addr, res *Result) {
-	if err := httpwire.WriteRequest(conn, "GET", "/", dst.String(), "Mozilla/5.0 zgrab/0.x"); err != nil {
+func grabHTTP(sc *scratch, conn net.Conn, dst ip.Addr, res *Result) {
+	sc.out = httpwire.AppendRequest(sc.out[:0], "GET", "/", dst.AppendTo(sc.addr[:0]), "Mozilla/5.0 zgrab/0.x")
+	if _, err := conn.Write(sc.out); err != nil {
 		res.Fail = classifyIOError(err, false)
 		return
 	}
-	br := bufpool.Reader(conn)
-	defer bufpool.PutReader(br)
-	resp, err := httpwire.ReadResponse(br, 16<<10)
-	if err != nil {
+	if err := httpwire.ReadResponse(&sc.rd, &sc.resp, maxHTTPBody); err != nil {
 		if errors.Is(err, httpwire.ErrMalformed) || errors.Is(err, httpwire.ErrLineTooLong) {
 			res.Fail = FailProto
 			return
 		}
-		res.Fail = classifyIOError(err, br.Buffered() > 0)
+		// The parser reports an I/O error only once every received byte
+		// has been consumed (an unterminated last line still parses), so a
+		// peer that goes away mid-head counts as closed, not as speaking
+		// another protocol — as it always has.
+		res.Fail = classifyIOError(err, false)
 		return
 	}
 	res.Success = true
-	if sv, ok := resp.Get("Server"); ok {
-		res.Banner = sv
+	if sv, ok := sc.resp.Get("Server"); ok {
+		res.Banner = banner(sv)
 	}
 }
 
 // grabTLS sends a Chrome-shaped ClientHello and requires a parseable
 // ServerHello (the paper's handshake capture).
-func grabTLS(conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
-	ch := tlslite.NewClientHello(key.DeriveN("ch", dst.Word64()), dst.String())
-	if err := ch.Write(conn); err != nil {
+func grabTLS(sc *scratch, conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
+	tlslite.InitClientHello(&sc.ch, key.DeriveN("ch", dst.Word64()), dst.AppendTo(sc.addr[:0]))
+	var err error
+	if sc.out, err = tlslite.AppendClientHello(sc.out[:0], &sc.ch); err == nil {
+		_, err = conn.Write(sc.out)
+	}
+	if err != nil {
 		res.Fail = classifyIOError(err, false)
 		return
 	}
-	hr := tlslite.NewHandshakeReader(conn)
-	typ, body, err := hr.Next()
+	sc.hr.Reset(&sc.rd)
+	typ, body, err := sc.hr.Next()
 	if err != nil {
 		if errors.Is(err, tlslite.ErrAlert) || errors.Is(err, tlslite.ErrMalformed) {
 			res.Fail = FailProto
@@ -406,8 +423,8 @@ func grabTLS(conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
 		res.Fail = FailProto
 		return
 	}
-	sh, err := tlslite.ParseServerHello(body)
-	if err != nil {
+	var sh tlslite.ServerHello
+	if err := tlslite.ParseServerHello(body, &sh); err != nil {
 		res.Fail = FailProto
 		return
 	}
@@ -416,7 +433,7 @@ func grabTLS(conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
 	// Drain the rest of the server flight (Certificate, HelloDone) so
 	// the server sees an orderly close; errors here don't matter.
 	for i := 0; i < 4; i++ {
-		if typ, _, err := hr.Next(); err != nil || typ == tlslite.TypeServerHelloDone {
+		if typ, _, err := sc.hr.Next(); err != nil || typ == tlslite.TypeServerHelloDone {
 			break
 		}
 	}
@@ -444,23 +461,53 @@ func itoa16(v uint16) string {
 // Success is a parsed server identification, per the paper's methodology
 // ("a partial SSH handshake that terminates after the protocol version
 // exchange").
-func grabSSH(conn net.Conn, res *Result) {
-	if err := sshwire.WriteID(conn, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "zgrab_ssh_0.x"}); err != nil {
+func grabSSH(sc *scratch, conn net.Conn, res *Result) {
+	var err error
+	if sc.out, err = sshwire.AppendID(sc.out[:0], "2.0", "zgrab_ssh_0.x", ""); err == nil {
+		_, err = conn.Write(sc.out)
+	}
+	if err != nil {
 		res.Fail = classifyIOError(err, false)
 		return
 	}
-	cr := &countingReader{r: conn}
-	br := bufpool.Reader(cr)
-	defer bufpool.PutReader(br)
-	id, err := sshwire.ReadID(br)
+	id, err := sshwire.ReadID(&sc.rd)
 	if err != nil {
 		if errors.Is(err, sshwire.ErrNotSSH) || errors.Is(err, sshwire.ErrIDTooLong) {
 			res.Fail = FailProto
 			return
 		}
-		res.Fail = classifyIOError(err, cr.n > 0)
+		// Any received byte distinguishes a peer that spoke a different
+		// protocol (FailProto) from one that closed before speaking
+		// (FailClosed).
+		res.Fail = classifyIOError(err, sc.rd.Received() > 0)
 		return
 	}
 	res.Success = true
-	res.Banner = id.SoftwareVersion
+	res.Banner = banner(id.SoftwareVersion)
+}
+
+// knownBanners interns the server-software strings the grabbers see at
+// scale, so a Result's Banner costs no allocation and pins no parse buffer.
+// The lookup m[string(b)] does not allocate.
+var knownBanners = func() map[string]string {
+	m := make(map[string]string)
+	for _, s := range []string{
+		"nginx", "nginx/1.14.0", "Apache", "Apache/2.4.29 (Ubuntu)",
+		"Microsoft-IIS/10.0", "lighttpd/1.4.45", "openresty",
+		"OpenSSH_7.4", "OpenSSH_7.9p1", "OpenSSH_8.2p1", "dropbear_2019.78",
+		"OpenSSH_6.6.1", "OpenSSH_8.0",
+	} {
+		m[s] = s
+	}
+	return m
+}()
+
+// banner turns a view into exchange scratch into a string that outlives
+// the exchange: the interned instance when the software is a known one, a
+// copy otherwise.
+func banner(b []byte) string {
+	if s, ok := knownBanners[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }

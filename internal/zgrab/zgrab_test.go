@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,18 +43,19 @@ func (d *pipeDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.
 		return nil, ErrTimeout
 	}
 	client, server := vconn.PipeLabeled("scanner", dst.String())
+	// Teardown is synchronous and FIN is a half-close, as in fabric.Dial: a
+	// spawned Close races the grabber's first write (close-then-write is
+	// an RST), which made the recorded FailMode depend on scheduling.
 	switch {
 	case d.abortAfter:
-		go server.Abort()
+		server.Abort()
 	case d.closeAfter:
-		go server.Close()
+		server.CloseWrite()
 	case d.garbage:
-		go func() {
-			server.Write([]byte("220 FTP ready\r\n"))
-			server.Close()
-		}()
+		server.Write([]byte("220 FTP ready\r\n")) // fits the pipe's window: does not block
+		server.CloseWrite()
 	case d.refuseFirstN > 0 && attempt < d.refuseFirstN:
-		go server.Close()
+		server.CloseWrite()
 	default:
 		go d.server.Serve(server, dst, d.proto)
 	}
@@ -214,7 +216,7 @@ func TestGrabHTTPOverRealTCP(t *testing.T) {
 	var res Result
 	res.Proto = proto.HTTP
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	grabHTTP(conn, ip.MustParseAddr("127.0.0.1"), &res)
+	newGrabber(nil).exchange(conn, proto.HTTP, ip.MustParseAddr("127.0.0.1"), &res)
 	if !res.Success {
 		t.Fatalf("real-TCP grab failed: %+v", res)
 	}
@@ -228,5 +230,98 @@ func TestFailModeStrings(t *testing.T) {
 		if f.String() != want {
 			t.Errorf("%d.String() = %q", f, f.String())
 		}
+	}
+}
+
+// cannedDialer answers every dial's request with a fixed HTTP response
+// chosen by the destination address, written by a goroutine over a vconn
+// pipe.
+type cannedDialer struct {
+	response func(dst ip.Addr) []byte
+}
+
+func (d *cannedDialer) Dial(_ context.Context, dst ip.Addr, _ uint16, _ time.Duration, _ int) (net.Conn, error) {
+	client, server := vconn.PipeLabeled("scanner", dst.String())
+	go func() {
+		// The grabber sends its request in one write; take it before
+		// answering, or the close below could reset that write.
+		server.Read(make([]byte, 4096))
+		server.Write(d.response(dst))
+		server.Close()
+	}()
+	return client, nil
+}
+
+// TestScratchReuseSafety is the ownership rule under load: 16 workers grab
+// responses of very different lengths back to back (so a pooled scratch
+// regularly parses a response longer than its previous one and regrows its
+// arena), every banner is unknown to the interned table, and each
+// Result.Banner is read only after its scratch has served many other
+// exchanges. Run under -race this is also the pool-safety proof.
+func TestScratchReuseSafety(t *testing.T) {
+	software := func(dst ip.Addr) string { return "srv-" + dst.String() + "/unlisted" }
+	d := &cannedDialer{response: func(dst ip.Addr) []byte {
+		// 0 … ~12 KiB of extra headers and body, by address.
+		n := int(dst.Word64()%13) * 1024
+		resp := "HTTP/1.1 200 OK\r\nServer: " + software(dst) + "\r\nX-Pad: " + strings.Repeat("p", n/2) +
+			"\r\n\r\n" + strings.Repeat("b", n/2)
+		return []byte(resp)
+	}}
+	g := newGrabber(d)
+	const workers, perWorker = 16, 40
+	results := make([][]Result, workers)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				dst := ip.AddrFrom4(0x0a000000 + uint32(wk*perWorker+i)*7)
+				results[wk] = append(results[wk], g.Grab(context.Background(), proto.HTTP, dst, 0))
+			}
+		}(wk)
+	}
+	wg.Wait()
+	for wk := range results {
+		for i, res := range results[wk] {
+			dst := ip.AddrFrom4(0x0a000000 + uint32(wk*perWorker+i)*7)
+			if !res.Success || res.Banner != software(dst) {
+				t.Fatalf("worker %d grab %d (%v): %+v, want banner %q", wk, i, dst, res, software(dst))
+			}
+		}
+	}
+}
+
+// TestKnownBannersAreInterned: the strings the simulated hosts serve come
+// back as the table's instances — no allocation, nothing pinning a parse
+// buffer — and an unknown one comes back as a copy.
+func TestKnownBannersAreInterned(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range []proto.Protocol{proto.HTTP, proto.SSH} {
+		d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(11)), proto: p}
+		g := newGrabber(d)
+		for i := 0; i < 200; i++ {
+			res := g.Grab(context.Background(), p, ip.AddrFrom4(0x0a000000+uint32(i)), 0)
+			if !res.Success {
+				t.Fatalf("grab failed: %+v", res)
+			}
+			if _, ok := knownBanners[res.Banner]; !ok {
+				t.Fatalf("%v banner %q is not in the interned table", p, res.Banner)
+			}
+			seen[res.Banner] = true
+		}
+	}
+	if len(seen) != len(knownBanners) {
+		t.Errorf("hosts served %d distinct banners, table has %d", len(seen), len(knownBanners))
+	}
+	view := []byte("nginx")
+	if n := testing.AllocsPerRun(100, func() { _ = banner(view) }); n != 0 {
+		t.Errorf("interned banner costs %v allocs", n)
+	}
+	unknown := []byte("thttpd/2.25b")
+	got := banner(unknown)
+	unknown[0] = 'X'
+	if got != "thttpd/2.25b" {
+		t.Errorf("unknown banner aliases its source: %q", got)
 	}
 }

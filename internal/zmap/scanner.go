@@ -708,45 +708,25 @@ func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(
 
 // validateResp checks a response packet against the probe's cookie, exactly
 // as ZMap validates: correct 4-tuple and ack == seq+1 for SYN-ACKs; RSTs
-// may ack either seq+0 or seq+1 (stacks differ).
+// may ack either seq+0 or seq+1 (stacks differ). Headers decode into stack
+// scratch for either family, so validating a reply allocates nothing.
 func (s *Scanner) validateResp(resp []byte, src, dst ip.Addr, srcPort uint16, seq uint32) (ok, rst bool) {
-	if !dst.Is4() {
-		return s.validateResp6(resp, src, dst, srcPort, seq)
-	}
-	iph, tcph, _, err := packet.DecodeTCP4(resp)
-	if err != nil {
-		return false, false
-	}
-	if iph.Src != dst || iph.Dst != src {
-		return false, false
-	}
-	if tcph.SrcPort != s.cfg.TargetPort || tcph.DstPort != srcPort {
-		return false, false
-	}
-	if tcph.HasFlag(packet.FlagRST) {
-		if tcph.Ack != seq && tcph.Ack != seq+1 {
+	var tcph packet.TCPHeader
+	var from, to ip.Addr
+	if dst.Is4() {
+		var iph packet.IPv4Header
+		if _, err := packet.DecodeTCP4Into(&iph, &tcph, resp); err != nil {
 			return false, false
 		}
-		return true, true
+		from, to = iph.Src, iph.Dst
+	} else {
+		var iph packet.IPv6Header
+		if _, err := packet.DecodeTCP6Into(&iph, &tcph, resp); err != nil {
+			return false, false
+		}
+		from, to = iph.Src, iph.Dst
 	}
-	if !tcph.HasFlag(packet.FlagSYN | packet.FlagACK) {
-		return false, false
-	}
-	if tcph.Ack != seq+1 {
-		return false, false
-	}
-	return true, false
-}
-
-// validateResp6 is validateResp for IPv6 probes: stack-decoded headers (the
-// zero-alloc v6 decode path), then the same flow and cookie checks.
-func (s *Scanner) validateResp6(resp []byte, src, dst ip.Addr, srcPort uint16, seq uint32) (ok, rst bool) {
-	var iph packet.IPv6Header
-	var tcph packet.TCPHeader
-	if _, err := packet.DecodeTCP6Into(&iph, &tcph, resp); err != nil {
-		return false, false
-	}
-	if iph.Src != dst || iph.Dst != src {
+	if from != dst || to != src {
 		return false, false
 	}
 	if tcph.SrcPort != s.cfg.TargetPort || tcph.DstPort != srcPort {
