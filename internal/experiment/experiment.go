@@ -606,6 +606,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 				size = len(replies)
 			}
 			window := make([]results.HostRecord, size)
+			poolWorkers := poolM.Workers()
 			// The fast path: a dialer that supports batched pre-dial
 			// evaluation gets its verdicts computed per window, up
 			// front, so the workers' grabs never touch connection setup
@@ -682,16 +683,22 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
-						var busyNS int64
+						// The worker's telemetry accumulates privately and is
+						// flushed once, when the window is done.
+						var gw *telemetry.GrabWorker
+						if poolM != nil {
+							gw = &poolWorkers[w]
+							defer gw.Flush()
+						}
 						for ctx.Err() == nil {
 							i := int(next.Add(1)) - 1
 							if i >= n {
 								break
 							}
 							var claimed time.Time
-							if poolM != nil {
+							if gw != nil {
 								claimed = time.Now()
-								poolM.QueueWait.Observe(claimed.Sub(windowStart).Seconds())
+								gw.Claimed(claimed.Sub(windowStart))
 							}
 							r := replies[base+i]
 							rec := results.HostRecord{
@@ -710,15 +717,9 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 								rec.Banner = g.Banner
 							}
 							win[i] = rec
-							if poolM != nil {
-								service := time.Since(claimed)
-								poolM.Service.Observe(service.Seconds())
-								busyNS += service.Nanoseconds()
-								poolM.HostsDone.Inc()
+							if gw != nil {
+								gw.Served(time.Since(claimed))
 							}
-						}
-						if poolM != nil {
-							poolM.WorkerBusyNS[w].Add(uint64(busyNS))
 						}
 					}(w)
 				}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
@@ -85,6 +86,39 @@ func BenchmarkFabricSend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hitlist-v6", benchSendHitlistV6)
+}
+
+// benchSendHitlistV6 is BenchmarkFabricSend's "hitlist-v6" class: the bench
+// hitlist workload's world (64 providers) under its calibrated
+// scenario — one block, set-block or fence rule for most providers plus the
+// global scatter, the largest rule list any scenario builds — with probes
+// walking the hitlist as a scan does (live hosts, stale and unrouted tails).
+// It is the unit number for what compiling the rule list per destination AS
+// buys: ns/probe here used to grow with the rule count.
+func benchSendHitlistV6(b *testing.B) {
+	w, err := world.BuildV6(context.Background(), world.V6Spec{Seed: 5, Providers: 64, IslandsPerProvider: 8, HostsPerIsland: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := scenario.New(w, scenario.Config{Trials: 1})
+	org := w.Origins.Get(origin.CEN)
+	fab := New(&Config{
+		World: w, Engine: sc.Engine, IDSes: policy.Detectors(sc.IDSes),
+		Loss: sc.Loss, Outages: sc.Outages[proto.HTTP], Churn: sc.Churn,
+		NumOrigins: 7, Hosts: sc.Hosts,
+	}, org, 0)
+	hitlist := w.Hitlist()
+	buf := make([]byte, 0, 2*packet.ReplyCap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst := hitlist[i%len(hitlist)]
+		src := origin.SourceFor(org.SourceIPs, dst)
+		buf = packet.MakeSYNInto(buf, src, dst, 40000, proto.HTTP.Port(), 0xdead0000, 0)
+		fab.Send(src, buf, time.Duration(i%len(hitlist))*time.Second)
+	}
+	b.ReportMetric(float64(len(sc.Engine.Rules())), "rules")
 }
 
 // benchGrabFabric builds the grab-stage benchmark fixture: a quiet fabric

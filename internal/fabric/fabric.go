@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asn"
 	"repro/internal/hostsim"
 	"repro/internal/ip"
 	"repro/internal/loss"
@@ -63,12 +62,23 @@ type Fabric struct {
 	// derived once here, not per SYN-ACK.
 	isnKey rng.Key
 
-	// queries recycles policy.Query scratch space: Send and Dial fill a
-	// pooled query, hand it to the rules, and release it on return, so
-	// probe evaluation allocates nothing. Rules must not retain queries
-	// (see policy.Rule). A pool rather than a single per-fabric query
-	// because sharded sweeps call Send concurrently.
+	// scan is the policy query with this scan's constant coordinates filled
+	// in (origin identity, trial, concurrency): the template each probe's
+	// query starts from and the gate plans are compiled against.
+	scan policy.Query
+	// queries recycles policy.Query scratch space: the kernel fills a pooled
+	// query, hands it to the plan's detectors and rules, and releases it
+	// before returning, so probe evaluation allocates nothing. Rules must
+	// not retain queries (see policy.Rule). A pool rather than a single
+	// per-fabric query because sharded sweeps call Send concurrently.
 	queries sync.Pool
+
+	// plans holds one lazily filled table of per-destination-AS plans per
+	// protocol (see plan.go). planMu serializes compilation and guards
+	// ruleBuf, the backing array the plans' rule sub-lists are carved from.
+	plans   [proto.N]atomic.Pointer[[]plan]
+	planMu  sync.Mutex
+	ruleBuf []policy.Rule
 
 	// preDests is PredialBatch's FIB resolution scratch. PredialBatch is
 	// single-caller by contract (the grab stage's window loop owns it),
@@ -87,40 +97,22 @@ type Fabric struct {
 // New returns a fabric for one (origin, trial) scan.
 func New(cfg *Config, org *origin.Origin, trial int) *Fabric {
 	return &Fabric{
-		cfg:     cfg,
-		org:     org,
-		trial:   trial,
-		fib:     cfg.World.FIB(),
-		isnKey:  cfg.World.Key.Derive("isn"),
+		cfg:    cfg,
+		org:    org,
+		trial:  trial,
+		fib:    cfg.World.FIB(),
+		isnKey: cfg.World.Key.Derive("isn"),
+		scan: policy.Query{
+			Origin:            org.ID,
+			SrcCountry:        org.Country,
+			NumSrcIPs:         len(org.SourceIPs),
+			Rep:               org.ScanReputation,
+			Trial:             trial,
+			ConcurrentOrigins: cfg.NumOrigins,
+		},
 		queries: sync.Pool{New: func() any { return new(policy.Query) }},
 	}
 }
-
-// query fills a pooled policy query for a destination already resolved
-// through the FIB. The query is valid until release; every field is
-// overwritten, so recycled queries carry no state between probes.
-func (f *Fabric) query(srcIP, dst ip.Addr, d world.Dest, p proto.Protocol, t time.Duration, attempt int) *policy.Query {
-	q := f.queries.Get().(*policy.Query)
-	*q = policy.Query{
-		Origin:            f.org.ID,
-		SrcIP:             srcIP,
-		SrcCountry:        f.org.Country,
-		NumSrcIPs:         len(f.org.SourceIPs),
-		Rep:               f.org.ScanReputation,
-		Dst:               dst,
-		DstAS:             d.AS.Number,
-		DstCountry:        d.Country,
-		Proto:             p,
-		Trial:             f.trial,
-		Time:              t,
-		Attempt:           attempt,
-		ConcurrentOrigins: f.cfg.NumOrigins,
-	}
-	return q
-}
-
-// release returns a query to the pool.
-func (f *Fabric) release(q *policy.Query) { f.queries.Put(q) }
 
 // Routed implements zmap.Routability: the scanner consults the FIB's routed
 // bit before paying for a probe's encode/decode round trip into unannounced
@@ -132,21 +124,12 @@ func (f *Fabric) Routed(dst ip.Addr) bool { return f.fib.Routed(dst) }
 // the FIB reuse its directory rank across same-/24 neighbors.
 func (f *Fabric) RoutedBatch(dst []ip.Addr, routed []bool) { f.fib.RoutedBatch(dst, routed) }
 
-// pathDown reports whether the origin→dst path is unusable at time t due to
-// a burst outage or a correlated loss episode. Both probes of a target and
-// the follow-up connection share this state — loss is not independent.
-func (f *Fabric) pathDown(path *loss.Path, dst ip.Addr, as *asn.AS, t time.Duration) bool {
-	if f.cfg.Outages != nil && f.cfg.Outages.Affected(f.trial, f.org.ID, as.Number, dst, t) {
-		return true
-	}
-	return path.EpisodeActive(dst)
-}
-
-// Send implements zmap.PacketSink: evaluate one SYN probe. The evaluation
-// path allocates nothing — headers decode into stack scratch, the FIB
-// resolves the destination with array reads, and the policy query comes
-// from the fabric's pool — so only an answered probe costs an allocation
-// (its response packet).
+// Send implements zmap.PacketSink: evaluate one SYN probe. Nothing on the
+// way allocates — headers decode into stack scratch, the FIB resolves the
+// destination with array reads, the plan for its AS is a table slot, the
+// policy query comes from the fabric's pool — and the answer, when there is
+// one, is built in the spare capacity behind the caller's probe (see
+// zmap.PacketSink; with no room there it costs one allocation).
 func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	var dst ip.Addr
 	var tcph packet.TCPHeader
@@ -176,119 +159,60 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	if !isProto {
 		return nil
 	}
-
-	if d.Host && f.cfg.Churn.Offline(dst, f.trial) {
-		// The machine is down this trial: silence, from every origin.
+	pl := f.planFor(p, &d)
+	if !d.Host && pl.darkSilent {
+		return nil // empty space nothing in this AS would answer for
+	}
+	verdict, through := f.decide(pl, true, src, dst, &d, p, t, int(probeIdx), 0)
+	// Independent per-packet loss on top of the shared path state: the
+	// probe and its response can each be dropped.
+	if !through || pl.path.ProbeLost(dst, probeIdx, t) {
 		return nil
 	}
-
-	q := f.query(src, dst, d, p, t, 0)
-	defer f.release(q)
-	q.Probe = int(probeIdx)
-
-	// IDSes observe every probe that reaches their AS, even ones that
-	// will go unanswered; a blocked source gets silence.
-	for _, ids := range f.cfg.IDSes {
-		if ids.RecordProbe(q) {
-			return nil
-		}
+	reply := pkt[len(pkt):]
+	switch {
+	case verdict == policy.RefuseTCP, d.Host && !d.Services.Has(p):
+		// A refusing firewall answers for the whole network; otherwise
+		// closed ports draw an RST only when a machine owns the address.
+		return packet.MakeRSTInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
+	case !d.Host:
+		return nil // empty space stays silent
 	}
-
-	verdict, _ := f.cfg.Engine.Evaluate(q)
-	if verdict == policy.Silent {
-		return nil
-	}
-
-	// Path conditions apply to everything beyond policy drops. The path's
-	// loss parameters are looked up once and shared by all three draws.
-	path := f.cfg.Loss.Path(f.org.ID, d.AS.Number, f.trial)
-	if f.pathDown(&path, dst, d.AS, t) {
-		return nil
-	}
-	// Independent per-packet loss: the probe (direction 0) and its
-	// response (direction 1) can each be dropped.
-	if path.PacketLost(dst, probeIdx*2, t) || path.PacketLost(dst, probeIdx*2+1, t) {
-		return nil
-	}
-
-	if verdict == policy.RefuseTCP {
-		return packet.MakeRST(dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
-	}
-	if !d.Host || !d.Services.Has(p) {
-		// Live networks answer closed ports with RST only when a
-		// machine owns the address; empty space stays silent.
-		if d.Host {
-			return packet.MakeRST(dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
-		}
-		return nil
-	}
-
 	// Host answers. ResetAfterAccept/CloseAfterAccept hosts still
 	// SYN-ACK (they kill the connection later, as Alibaba's SSH hosts
 	// do).
 	seq := f.isnKey.Uint64(dst.Word64(), uint64(t))
-	return packet.MakeSYNACK(dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
+	return packet.MakeSYNACKInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
 }
 
 // Dial implements zgrab.Dialer: attempt a full TCP connection for an
-// application-layer grab. A canceled context fails the dial immediately
-// with the context's error.
+// application-layer grab — Predial's verdict, materialized as a vconn pipe
+// with a server goroutine behind it. A canceled context fails the dial
+// immediately with the context's error.
 func (f *Fabric) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d := f.fib.Resolve(dst)
-	if !d.Routed {
+	v := f.Predial(dst, port, t, attempt)
+	switch v {
+	case zgrab.DialTimeout:
 		return nil, zgrab.ErrTimeout
-	}
-	p, isProto := proto.FromPort(port)
-	if !isProto {
+	case zgrab.DialRefused:
 		return nil, zgrab.ErrRefused
 	}
-	if d.Host && f.cfg.Churn.Offline(dst, f.trial) {
-		return nil, zgrab.ErrTimeout
-	}
-	src := origin.SourceFor(f.org.SourceIPs, dst)
-	q := f.query(src, dst, d, p, t, attempt)
-	defer f.release(q)
-
-	verdict, _ := f.cfg.Engine.Evaluate(q)
-	for _, ids := range f.cfg.IDSes {
-		if v, ok := ids.Evaluate(q); ok && v == policy.Silent {
-			return nil, zgrab.ErrTimeout
-		}
-	}
-	switch verdict {
-	case policy.Silent:
-		return nil, zgrab.ErrTimeout
-	case policy.RefuseTCP:
-		return nil, zgrab.ErrRefused
-	}
-	path := f.cfg.Loss.Path(f.org.ID, d.AS.Number, f.trial)
-	if f.pathDown(&path, dst, d.AS, t) {
-		return nil, zgrab.ErrTimeout
-	}
-	if !d.Host || !d.Services.Has(p) {
-		return nil, zgrab.ErrRefused
-	}
-	// Per-packet loss over the whole handshake exchange: on loss the
-	// connection times out mid-handshake.
-	if path.HandshakeFailed(dst, attempt) {
-		return nil, zgrab.ErrTimeout
-	}
-
-	client, server := vconn.Pipe(src, dst)
-	switch verdict {
+	client, server := vconn.Pipe(origin.SourceFor(f.org.SourceIPs, dst), dst)
+	switch v {
 	// Reset/close-after-accept tear down synchronously, before the client
 	// sees the conn: spawned teardown raced the grabber's first write
 	// (write-then-close → FIN/EOF, close-then-write → EPIPE/RST), making
 	// the recorded FailMode depend on goroutine scheduling. CloseAfterAccept
 	// is a half-close so the client's write is accepted either way.
-	case policy.ResetAfterAccept:
+	case zgrab.DialReset:
 		server.Abort()
-	case policy.CloseAfterAccept:
+	case zgrab.DialHalfClose:
 		server.CloseWrite()
 	default:
+		p, _ := proto.FromPort(port)
 		f.conns.Add(1)
 		f.active.Add(1)
 		f.opened.Add(1)

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -290,60 +291,97 @@ func TestDrainWaitsForConnTeardown(t *testing.T) {
 }
 
 // TestSendZeroAllocs is the probe-evaluation allocation guard, mirroring
-// the sweep guard in internal/zmap: Send must allocate nothing for probes
-// it answers with silence — unrouted space, routed-but-empty space, and a
-// churned-offline host — which is the overwhelming majority of a sweep's
-// positions. (An answered probe allocates exactly its response packet.)
+// the sweep guard in internal/zmap: Send must allocate nothing — not for
+// probes it answers with silence (unrouted space, routed-but-empty space, a
+// churned-offline host: the overwhelming majority of a sweep's positions),
+// and not for answered ones (SYN-ACK from an open port, RST from a closed
+// one) when the probe buffer has room for the reply behind the SYN, as the
+// scanner's does. Both address families.
 func TestSendZeroAllocs(t *testing.T) {
 	cfg, w := quietConfig(t)
-	cfg.Churn = world.NewChurn(rng.NewKey(7), 0.3, 3)
-	fab := New(cfg, w.Origins.Get(origin.US1), 0)
-	src := w.Origins.Get(origin.US1).SourceIPs[0]
-
-	var empty ip.Addr
-	for _, a := range w.Routes.All() {
-		pfx := a.Prefixes[0]
-		for i := uint64(0); i < pfx.NumAddrs() && empty == (ip.Addr{}); i++ {
-			if _, isHost := w.Lookup(pfx.Nth(i)); !isHost {
-				empty = pfx.Nth(i)
-			}
-		}
-		if empty != (ip.Addr{}) {
-			break
-		}
+	w6, err := world.BuildV6(context.Background(), world.TestV6Spec(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if empty == (ip.Addr{}) {
-		t.Fatal("no empty routed address")
-	}
-	var offline ip.Addr
-	for _, h := range w.Hosts() {
-		if cfg.Churn.Offline(h.Addr, 0) {
-			offline = h.Addr
-			break
-		}
-	}
-	if offline == (ip.Addr{}) {
-		t.Fatal("churn left every host online")
-	}
-	for _, tc := range []struct {
+	cfg6 := *cfg
+	cfg6.World = w6
+	for _, fam := range []struct {
 		name string
-		dst  ip.Addr
-	}{
-		{"unrouted", src.Add(1)},
-		{"routed-empty", empty},
-		{"churned-offline-host", offline},
-	} {
-		syn := packet.MakeSYN(src, tc.dst, 40000, 80, 1, 0)
-		// Warm the query pool outside the measured runs so the guard
-		// measures the steady state the sweep sees.
-		fab.Send(src, syn, time.Hour)
-		allocs := testing.AllocsPerRun(100, func() {
-			if fab.Send(src, syn, time.Hour) != nil {
-				t.Fatal("silent destination answered")
+		cfg  *Config
+		w    *world.World
+	}{{"v4", cfg, w}, {"v6", &cfg6, w6}} {
+		cfg, w := fam.cfg, fam.w
+		cfg.Churn = world.NewChurn(rng.NewKey(7), 0.3, 3)
+		fab := New(cfg, w.Origins.Get(origin.US1), 0)
+		src := w.Origins.Get(origin.US1).SourceIPs[0]
+
+		var empty ip.Addr
+		for _, a := range w.Routes.All() {
+			pfx := a.Prefixes[0]
+			for i := uint64(0); i < 4096 && i < pfx.NumAddrs() && empty == (ip.Addr{}); i++ {
+				if _, isHost := w.Lookup(pfx.Nth(i)); !isHost {
+					empty = pfx.Nth(i)
+				}
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Send allocates %.1f per probe, want 0", tc.name, allocs)
+			if empty != (ip.Addr{}) {
+				break
+			}
+		}
+		if empty == (ip.Addr{}) {
+			t.Fatal("no empty routed address")
+		}
+		var offline, open, closed ip.Addr
+		for _, h := range w.Hosts() {
+			switch {
+			case cfg.Churn.Offline(h.Addr, 0):
+				offline = h.Addr
+			case h.Services.Has(proto.HTTP):
+				open = h.Addr
+			default:
+				closed = h.Addr
+			}
+		}
+		if offline == (ip.Addr{}) || open == (ip.Addr{}) || closed == (ip.Addr{}) {
+			t.Fatalf("%s world lacks an offline, an open-port and a closed-port host", fam.name)
+		}
+		for _, tc := range []struct {
+			name  string
+			dst   ip.Addr
+			flags uint8 // of the expected reply; 0 for silence
+		}{
+			{"unrouted", src.Add(1), 0},
+			{"routed-empty", empty, 0},
+			{"churned-offline-host", offline, 0},
+			{"syn-ack", open, packet.FlagSYN | packet.FlagACK},
+			{"rst", closed, packet.FlagRST | packet.FlagACK},
+		} {
+			// The scanner's buffer shape: the SYN with room for the reply
+			// behind it.
+			syn := packet.MakeSYNInto(make([]byte, 0, 2*packet.ReplyCap), src, tc.dst, 40000, 80, 1, 0)
+			// Warm the query pool and compile the plan outside the
+			// measured runs so the guard measures the steady state the
+			// sweep sees.
+			if got := replyFlags(t, fab.Send(src, syn, time.Hour)); got != tc.flags {
+				t.Fatalf("%s/%s: reply flags %#x, want %#x", fam.name, tc.name, got, tc.flags)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if resp := fab.Send(src, syn, time.Hour); (resp != nil) != (tc.flags != 0) {
+					t.Fatal("answer changed between runs")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: Send allocates %.1f per probe, want 0", fam.name, tc.name, allocs)
+			}
+		}
+		// With no room behind the probe the reply is a fresh slice that
+		// leaves the caller's buffer alone.
+		tight := packet.MakeSYN(src, open, 40000, 80, 1, 0)
+		before := append([]byte(nil), tight[:cap(tight)]...)
+		if resp := fab.Send(src, tight, time.Hour); replyFlags(t, resp) != packet.FlagSYN|packet.FlagACK {
+			t.Errorf("%s: no SYN-ACK for a probe buffer without spare capacity", fam.name)
+		}
+		if !bytes.Equal(before, tight[:cap(tight)]) {
+			t.Errorf("%s: Send wrote into a probe buffer with no spare capacity", fam.name)
 		}
 	}
 }

@@ -4,13 +4,14 @@
 // at Scale=1.0 the grab stage performs ~53M L7 handshakes, so that
 // per-connection concurrency tax dominates study wall time. The fast path
 // splits the dial in two: Predial/PredialBatch run the entire decision
-// chain (routing, protocol, churn, policy, IDS, outages/episodes,
-// handshake loss) without touching connection setup — safe because every
-// decision is a keyed hash of the event coordinates and the grab-time IDS
-// view is read-only — and ConnectFast materializes accepting verdicts as
-// pooled fastConns whose server side runs inline in the grabber's
-// goroutine (hostsim.ServeInline). Dial remains the reference
-// implementation; differential tests pin the two paths bit-identical.
+// chain (the shared kernel of plan.go, then service presence and handshake
+// loss) without touching connection setup — safe because every decision is
+// a keyed hash of the event coordinates and the grab-time IDS view is
+// read-only — and ConnectFast materializes accepting verdicts as pooled
+// fastConns whose server side runs inline in the grabber's goroutine
+// (hostsim.ServeInline). Dial materializes the same verdicts as vconn pipes
+// with a server goroutine each: the reference the differential tests hold
+// the inline serving to.
 package fabric
 
 import (
@@ -29,12 +30,11 @@ import (
 )
 
 // Predial implements zgrab.FastDialer: evaluate one dial's verdict without
-// opening a connection. The decision sequence — including the order policy
-// and IDS verdicts, path conditions, and handshake loss are consulted —
-// replicates Dial exactly. Safe for concurrent use (pooled queries, no
-// shared scratch).
+// opening a connection — the verdict Dial materializes. Safe for concurrent
+// use (pooled queries, no shared scratch).
 func (f *Fabric) Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
-	return f.predialEval(dst, f.fib.Resolve(dst), port, t, attempt)
+	d := f.fib.Resolve(dst)
+	return f.predialEval(dst, &d, port, t, attempt)
 }
 
 // PredialBatch implements zgrab.FastDialer: evaluate attempt 0 for a whole
@@ -48,14 +48,15 @@ func (f *Fabric) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, o
 	dests := f.preDests[:len(dsts)]
 	f.fib.ResolveBatch(dsts, dests)
 	for i, dst := range dsts {
-		out[i] = f.predialEval(dst, dests[i], port, ts[i], 0)
+		out[i] = f.predialEval(dst, &dests[i], port, ts[i], 0)
 	}
 }
 
-// predialEval is the connectionless dial decision chain. Every branch
-// mirrors Dial line for line; the accepting verdicts defer their
-// connection effects (reset / half-close / serve) to ConnectFast.
-func (f *Fabric) predialEval(dst ip.Addr, d world.Dest, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
+// predialEval is the dial decision: the shared kernel, then what only a
+// connection meets — a closed port, loss over the handshake exchange — with
+// the accepting verdicts' connection effects (reset / half-close / serve)
+// left to whoever materializes them (Dial, ConnectFast).
+func (f *Fabric) predialEval(dst ip.Addr, d *world.Dest, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
 	if !d.Routed {
 		return zgrab.DialTimeout
 	}
@@ -63,33 +64,16 @@ func (f *Fabric) predialEval(dst ip.Addr, d world.Dest, port uint16, t time.Dura
 	if !isProto {
 		return zgrab.DialRefused
 	}
-	if d.Host && f.cfg.Churn.Offline(dst, f.trial) {
+	pl := f.planFor(p, d)
+	verdict, through := f.decide(pl, false, origin.SourceFor(f.org.SourceIPs, dst), dst, d, p, t, 0, attempt)
+	switch {
+	case !through:
 		return zgrab.DialTimeout
-	}
-	src := origin.SourceFor(f.org.SourceIPs, dst)
-	q := f.query(src, dst, d, p, t, attempt)
-	defer f.release(q)
-
-	verdict, _ := f.cfg.Engine.Evaluate(q)
-	for _, ids := range f.cfg.IDSes {
-		if v, ok := ids.Evaluate(q); ok && v == policy.Silent {
-			return zgrab.DialTimeout
-		}
-	}
-	switch verdict {
-	case policy.Silent:
-		return zgrab.DialTimeout
-	case policy.RefuseTCP:
+	case verdict == policy.RefuseTCP, !d.Host, !d.Services.Has(p):
 		return zgrab.DialRefused
-	}
-	path := f.cfg.Loss.Path(f.org.ID, d.AS.Number, f.trial)
-	if f.pathDown(&path, dst, d.AS, t) {
-		return zgrab.DialTimeout
-	}
-	if !d.Host || !d.Services.Has(p) {
-		return zgrab.DialRefused
-	}
-	if path.HandshakeFailed(dst, attempt) {
+	case pl.path.HandshakeFailed(dst, attempt):
+		// Per-packet loss over the whole handshake exchange: the
+		// connection times out mid-handshake.
 		return zgrab.DialTimeout
 	}
 	switch verdict {

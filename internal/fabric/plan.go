@@ -1,0 +1,158 @@
+// Plans and the decision kernel. What an origin misses is decided per
+// (origin, destination AS) path — blocking, path loss and burst outages are
+// all keyed that way — and a fabric serves one origin in one trial, so
+// everything about a probe's fate that does not depend on the destination
+// host, the time or the attempt is the same for every probe toward one AS.
+// The fabric compiles that part once per (protocol, AS), on first touch,
+// into a plan; Send, Dial and Predial then run one kernel (decide) over the
+// plan instead of each re-deriving path state and walking every rule.
+package fabric
+
+import (
+	"sync/atomic"
+	"time"
+
+	"repro/internal/asn"
+	"repro/internal/ip"
+	"repro/internal/loss"
+	"repro/internal/outage"
+	"repro/internal/policy"
+	"repro/internal/proto"
+	"repro/internal/world"
+)
+
+// plan is the decision chain compiled for this fabric's scan toward one
+// destination AS: the path's resolved loss state, the burst outages that can
+// cover it, the engine rules whose scan-constant gates can still hold, and
+// the detectors watching the AS. Checks keyed by the destination host or
+// country, the time, or the attempt stay dynamic inside those parts.
+//
+// A plan is written once, under Fabric.planMu, before ready is set, and only
+// read afterwards; it is compiled from scenario state (engine rules, loss
+// parameters, outage schedule, detector list) that must not change while a
+// scan runs.
+type plan struct {
+	ready atomic.Bool
+	// darkSilent: no detector watches the AS and no surviving rule can
+	// answer RefuseTCP, so a SYN to an address with no host behind it draws
+	// silence whatever policy and the path do, with no side effect to
+	// account for — Send answers it before any draw.
+	darkSilent bool
+	path       loss.Path
+	outages    outage.PathOutages
+	policy     policy.Plan
+	detectors  []policy.Detector
+}
+
+// planFor returns the plan for protocol p toward the AS of a routed
+// destination, compiling it on first touch. Safe for concurrent use: a
+// protocol's table is one slab indexed by the FIB's interned AS index,
+// published atomically, and each slot is published by its ready flag.
+func (f *Fabric) planFor(p proto.Protocol, d *world.Dest) *plan {
+	tab := f.plans[p].Load()
+	if tab == nil {
+		tab = f.newPlanTable(p)
+	}
+	pl := &(*tab)[d.ASIdx]
+	if !pl.ready.Load() {
+		f.compile(pl, p, d.AS.Number)
+	}
+	return pl
+}
+
+// newPlanTable allocates protocol p's slab (a scan uses one protocol, so a
+// fabric normally owns one).
+func (f *Fabric) newPlanTable(p proto.Protocol) *[]plan {
+	f.planMu.Lock()
+	defer f.planMu.Unlock()
+	if tab := f.plans[p].Load(); tab != nil {
+		return tab
+	}
+	tab := make([]plan, f.fib.NumASes())
+	f.plans[p].Store(&tab)
+	return &tab
+}
+
+// compile fills pl for (p, as). Rule sub-lists are carved from one backing
+// array shared by all of the fabric's plans, so compiling costs no
+// allocation per AS beyond that array's occasional growth (and a small
+// slice for the rare AS with an outage or a detector).
+func (f *Fabric) compile(pl *plan, p proto.Protocol, as asn.ASN) {
+	f.planMu.Lock()
+	defer f.planMu.Unlock()
+	if pl.ready.Load() {
+		return
+	}
+	gate := f.scan
+	gate.Proto, gate.DstAS = p, as
+
+	matrix := f.cfg.Loss
+	pl.path = matrix.Path(f.org.ID, as, f.trial)
+	if sched := f.cfg.Outages; sched != nil {
+		pl.outages = sched.Path(f.trial, f.org.ID, as)
+	}
+	pl.policy, f.ruleBuf = f.cfg.Engine.Plan(&gate, f.ruleBuf)
+	for _, det := range f.cfg.IDSes {
+		if g, ok := det.(policy.ScanGated); ok && !g.CanMatch(&gate) {
+			continue
+		}
+		pl.detectors = append(pl.detectors, det)
+	}
+	pl.darkSilent = len(pl.detectors) == 0 && !pl.policy.MayRefuse
+	pl.ready.Store(true)
+}
+
+// decide is the one decision chain under Send (l4) and Dial/Predial: host
+// churn, the detectors watching the AS, the plan's policy rules, then the
+// path's burst outages and loss episode. It returns the policy verdict and
+// whether packets get through at all; with through false (machine offline,
+// source blocked, Silent policy, path down) the caller answers with silence
+// or a timeout and the verdict is moot. What follows differs by layer —
+// per-packet loss and the reply packet at L4, handshake loss and connection
+// effects at L7 — and stays with the callers.
+//
+// The two layers differ inside the chain in two ways, both inherited:
+// detectors count an L4 probe (RecordProbe drops it once the source is
+// blocked, whatever the detector's action) but only render a verdict on an
+// L7 connection (and only Silent blocks it); and a refusing policy answers
+// an L7 connect before the path is consulted, while at L4 the RST still has
+// to survive the path.
+func (f *Fabric) decide(pl *plan, l4 bool, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probe, attempt int) (v policy.Verdict, through bool) {
+	if d.Host && f.cfg.Churn.Offline(dst, f.trial) {
+		// The machine is down this trial: silence, from every origin.
+		return policy.Allow, false
+	}
+	if len(pl.detectors) > 0 || pl.policy.Len() > 0 {
+		q := f.queries.Get().(*policy.Query)
+		*q = f.scan
+		q.SrcIP, q.Dst, q.DstAS, q.DstCountry, q.Proto = src, dst, d.AS.Number, d.Country, p
+		q.Time, q.Probe, q.Attempt = t, probe, attempt
+		blocked := false
+		for i := 0; i < len(pl.detectors) && !blocked; i++ {
+			if l4 {
+				// Detectors observe every probe that reaches their AS,
+				// even ones that will go unanswered.
+				blocked = pl.detectors[i].RecordProbe(q)
+			} else {
+				dv, ok := pl.detectors[i].Evaluate(q)
+				blocked = ok && dv == policy.Silent
+			}
+		}
+		if !blocked {
+			v, _ = pl.policy.Evaluate(q)
+		}
+		f.queries.Put(q)
+		if blocked || v == policy.Silent {
+			return v, false
+		}
+		if v == policy.RefuseTCP && !l4 {
+			return v, true
+		}
+	}
+	// Both probes of a target and the follow-up connection share the path's
+	// outage and episode state — loss is not independent.
+	if pl.outages.Affected(dst, t) || pl.path.EpisodeActive(dst) {
+		return v, false
+	}
+	return v, true
+}

@@ -289,10 +289,12 @@ func (m *Matrix) volatileEpisode(o origin.ID, as asn.ASN, trial int) float64 {
 }
 
 // Path is the loss state of one (origin, AS, trial) path, resolved once:
-// the fabric asks up to three loss questions per probe (episode, and a
-// packet draw per direction), and each used to repeat the parameter lookup.
-// Every draw is still a keyed hash of the same event coordinates, so
-// decisions do not depend on how a caller groups them.
+// the fabric keeps it in its plan for the AS and asks it the per-probe and
+// per-connection loss questions (episode, probe loss, handshake loss)
+// without repeating the parameter lookup. Every draw is still a keyed hash
+// of the same event coordinates, so decisions do not depend on how a caller
+// groups them. A Path reflects the matrix's overrides at the time it was
+// resolved.
 type Path struct {
 	m      *Matrix
 	params Params
@@ -350,6 +352,24 @@ func (p *Path) PacketLost(dst ip.Addr, pktIdx uint64, t time.Duration) bool {
 		return true
 	}
 	return p.m.pktKey.Bool(q*(1-c), uint64(p.origin), dst.Word64(), uint64(p.trial), pktIdx)
+}
+
+// ProbeLost reports whether probe probeIdx of a target elicits no response
+// because the probe (packet 2·probeIdx) or its response (2·probeIdx+1) is
+// dropped: PacketLost(2i) || PacketLost(2i+1), with the destination's drop
+// probability and the micro-burst draw — which does not depend on the packet
+// index — taken once instead of once per direction. PacketLost remains the
+// per-packet definition the tests hold this to.
+func (p *Path) ProbeLost(dst ip.Addr, probeIdx uint64, t time.Duration) bool {
+	q := p.DropFor(dst)
+	c := p.m.cfg.PairCorrelation
+	d, trial := dst.Word64(), uint64(p.trial)
+	if p.m.microKey.Bool(q*c, uint64(p.site)+siteKeyOffset, d, trial, uint64(t/MicroBurstWindow)) {
+		return true
+	}
+	ind := q * (1 - c)
+	return p.m.pktKey.Bool(ind, uint64(p.origin), d, trial, probeIdx*2) ||
+		p.m.pktKey.Bool(ind, uint64(p.origin), d, trial, probeIdx*2+1)
 }
 
 // siteKeyOffset separates site-keyed draws from origin-keyed draws so a

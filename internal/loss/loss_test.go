@@ -3,6 +3,7 @@ package loss
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/asn"
 	"repro/internal/ip"
@@ -343,5 +344,55 @@ func TestDelayedProbesEscapeMicroBursts(t *testing.T) {
 	fracDelay := float64(bothDelay) / float64(eitherDelay)
 	if fracBack < 2*fracDelay {
 		t.Errorf("delayed probes should decorrelate loss: back-to-back %v vs delayed %v", fracBack, fracDelay)
+	}
+}
+
+// TestProbeLostMatchesPacketLost pins the folded per-probe draw to the
+// per-packet definition: ProbeLost(i) == PacketLost(2i) || PacketLost(2i+1)
+// for probe indexes 0–2, across MicroBurstWindow boundaries (the instants
+// either side of one, and whole windows apart), on ordinary paths and on a
+// path whose bad-prefix /24s swap in a far higher drop. Loss is turned up so
+// every branch of the disjunction fires.
+func TestProbeLostMatchesPacketLost(t *testing.T) {
+	m := NewMatrix(rng.NewKey(42).Derive("loss"), Config{
+		BasePacketDrop: 0.08,
+		OriginFactor:   map[origin.ID]float64{origin.AU: 2.5},
+		SiteAlias:      map[origin.ID]origin.ID{origin.HE: origin.HE, origin.NTTC: origin.HE},
+	})
+	m.Override(origin.DE, 9, Params{PacketDrop: 0.02, BadPrefixFrac: 0.4, BadDrop: 0.45})
+	times := []time.Duration{
+		0, MicroBurstWindow - 1, MicroBurstWindow, MicroBurstWindow + 1,
+		2*MicroBurstWindow - 1, 2 * MicroBurstWindow, 7*time.Hour + 29*time.Second, 7*time.Hour + 30*time.Second,
+	}
+	lost, kept, badNets := 0, 0, 0
+	for _, o := range []origin.ID{origin.AU, origin.DE, origin.US1, origin.NTTC} {
+		for as := asn.ASN(1); as <= 12; as++ {
+			for trial := 0; trial < 2; trial++ {
+				p := m.Path(o, as, trial)
+				for h := uint32(0); h < 96; h++ {
+					dst := ip.AddrFrom4(uint32(as)<<16 | h*67) // spans several /24s per AS
+					if p.DropFor(dst) == 0.45 {
+						badNets++
+					}
+					for _, at := range times {
+						for i := uint64(0); i < 3; i++ {
+							got := p.ProbeLost(dst, i, at)
+							want := p.PacketLost(dst, 2*i, at) || p.PacketLost(dst, 2*i+1, at)
+							if got != want {
+								t.Fatalf("%v→AS%d trial %d %v probe %d at %v: ProbeLost %v, PacketLost pair %v", o, as, trial, dst, i, at, got, want)
+							}
+							if got {
+								lost++
+							} else {
+								kept++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if lost == 0 || kept == 0 || badNets == 0 {
+		t.Fatalf("differential is vacuous: %d lost, %d kept, %d bad-prefix hosts", lost, kept, badNets)
 	}
 }

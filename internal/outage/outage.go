@@ -87,7 +87,11 @@ type Schedule struct {
 	cfg    Config
 	events []Event
 	wide   []WideEvent
-	key    rng.Key
+	// Sub-keys of the schedule's key, derived once in Generate (Derive
+	// hashes its label on every call): the per-host severity draw of an
+	// ordinary event, a wide event's AS selection, and its per-host
+	// severity draw.
+	sevKey, wideASKey, wideSevKey rng.Key
 	// byTrialAS indexes ordinary events.
 	byTrialAS map[trialAS][]int
 }
@@ -103,7 +107,11 @@ type trialAS struct {
 // Amazon) appear in bursts.
 func Generate(key rng.Key, cfg Config, trials int, origins origin.Set, ases []asn.ASN, weights []uint64) *Schedule {
 	cfg = cfg.withDefaults()
-	s := &Schedule{cfg: cfg, key: key, byTrialAS: make(map[trialAS][]int)}
+	s := &Schedule{
+		cfg:    cfg,
+		sevKey: key.Derive("sev"), wideASKey: key.Derive("wide-as"), wideSevKey: key.Derive("wide-sev"),
+		byTrialAS: make(map[trialAS][]int),
+	}
 	if len(ases) == 0 {
 		return s
 	}
@@ -187,7 +195,7 @@ func (s *Schedule) Affected(trial int, o origin.ID, as asn.ASN, dst ip.Addr, t t
 		if !ev.Active(trial, t) || !ev.Origins.Contains(o) {
 			continue
 		}
-		if s.key.Derive("sev").Bool(ev.Severity, uint64(idx), dst.Word64()) {
+		if s.sevKey.Bool(ev.Severity, uint64(idx), dst.Word64()) {
 			return true
 		}
 	}
@@ -197,10 +205,61 @@ func (s *Schedule) Affected(trial int, o origin.ID, as asn.ASN, dst ip.Addr, t t
 			continue
 		}
 		// Is this AS in the affected fraction?
-		if !s.key.Derive("wide-as").Bool(w.ASFraction, uint64(i), uint64(as)) {
+		if !s.wideASKey.Bool(w.ASFraction, uint64(i), uint64(as)) {
 			continue
 		}
-		if s.key.Derive("wide-sev").Bool(w.Severity, uint64(i), dst.Word64()) {
+		if s.wideSevKey.Bool(w.Severity, uint64(i), dst.Word64()) {
+			return true
+		}
+	}
+	return false
+}
+
+// PathOutages is a Schedule narrowed to one (trial, origin, AS) path: only
+// the events that can cover it, with the trial, origin and wide-event AS
+// selection already applied, so the per-probe question left is "is t inside
+// one of these windows, and is this host in the affected share". Most paths
+// have none and the zero value answers false. Affected agrees with
+// Schedule.Affected for every (dst, t) on the path.
+type PathOutages struct {
+	events []pathEvent
+}
+
+// pathEvent is one event's window and per-host severity draw. id is the
+// event's index in its Schedule list, the coordinate the draw is keyed by.
+type pathEvent struct {
+	start, end time.Duration // active over [start, end)
+	severity   float64
+	key        rng.Key
+	id         uint64
+}
+
+// Path resolves the events that can cover origin o's path to AS as in a
+// trial. The schedule is immutable after Generate, so the result stays
+// valid for the schedule's lifetime. It allocates only when the path has
+// events.
+func (s *Schedule) Path(trial int, o origin.ID, as asn.ASN) PathOutages {
+	var p PathOutages
+	for _, idx := range s.byTrialAS[trialAS{trial, as}] {
+		if ev := &s.events[idx]; ev.Origins.Contains(o) {
+			p.events = append(p.events, pathEvent{ev.Start, ev.Start + ev.Duration, ev.Severity, s.sevKey, uint64(idx)})
+		}
+	}
+	for i := range s.wide {
+		w := &s.wide[i]
+		if w.Trial == trial && w.Origin == o && s.wideASKey.Bool(w.ASFraction, uint64(i), uint64(as)) {
+			p.events = append(p.events, pathEvent{w.Start, w.Start + w.Duration, w.Severity, s.wideSevKey, uint64(i)})
+		}
+	}
+	return p
+}
+
+// Affected reports whether host dst is inside one of the path's outages at
+// time t.
+func (p *PathOutages) Affected(dst ip.Addr, t time.Duration) bool {
+	for i := range p.events {
+		ev := &p.events[i]
+		if t >= ev.start && t < ev.end && ev.key.Bool(ev.severity, ev.id, dst.Word64()) {
 			return true
 		}
 	}

@@ -194,3 +194,108 @@ func TestLargeASesAttractMoreEvents(t *testing.T) {
 		t.Errorf("weighted sampling: large ASes got %d events vs small %d", countLarge, countSmall)
 	}
 }
+
+// TestPathOutagesMatchSchedule pins the per-path view the fabric's plans
+// hold to Schedule.Affected: for every trial × origin × AS of a schedule
+// with ordinary and wide events, the two agree on a host sample at every
+// event's window edges (t == Start is inside, t == Start+Duration is
+// outside), one tick either side of them, and a spread of times between.
+func TestPathOutagesMatchSchedule(t *testing.T) {
+	s := genSchedule(t, Config{
+		EventsPerTrial: 120,
+		WideEvents: []WideEvent{
+			{Trial: 2, Origin: origin.BR, Start: 9 * time.Hour, Duration: time.Hour, ASFraction: 0.39, Severity: 0.5},
+			{Trial: 0, Origin: origin.AU, Start: 0, Duration: 30 * time.Minute, ASFraction: 1, Severity: 1},
+		},
+	})
+	var times []time.Duration
+	edges := func(start, dur time.Duration) {
+		times = append(times, start-1, start, start+1, start+dur/2, start+dur-1, start+dur, start+dur+1)
+	}
+	for _, e := range s.Events() {
+		edges(e.Start, e.Duration)
+	}
+	for _, w := range s.wide {
+		edges(w.Start, w.Duration)
+	}
+	// Keep the grid affordable: every 7th edge plus an hourly sweep.
+	grid := make([]time.Duration, 0, len(times)/7+22)
+	for i := 0; i < len(times); i += 7 {
+		grid = append(grid, times[i])
+	}
+	for h := 0; h <= 21; h++ {
+		grid = append(grid, time.Duration(h)*time.Hour)
+	}
+	hosts := []ip.Addr{ip.AddrFrom4(7), ip.AddrFrom4(0x0a000001), ip.AddrFrom4(0xc0a80101), ip.AddrFrom4(0xfffffffe)}
+	affected, nonEmpty := 0, 0
+	for trial := 0; trial < 4; trial++ {
+		for _, o := range append(origin.StudySet(), origin.CARINET) {
+			for as := asn.ASN(1); as <= 51; as++ {
+				p := s.Path(trial, o, as)
+				if len(p.events) > 0 {
+					nonEmpty++
+				}
+				for _, at := range grid {
+					for _, dst := range hosts {
+						got, want := p.Affected(dst, at), s.Affected(trial, o, as, dst, at)
+						if got != want {
+							t.Fatalf("trial %d %v AS%d %v at %v: path says %v, schedule %v", trial, o, as, dst, at, got, want)
+						}
+						if got {
+							affected++
+						}
+					}
+				}
+			}
+		}
+	}
+	if affected == 0 || nonEmpty == 0 {
+		t.Fatalf("differential is vacuous: %d affected draws over %d non-empty paths", affected, nonEmpty)
+	}
+}
+
+// TestPathOutagesWindowEdges checks the half-open window [Start,
+// Start+Duration) by hand on full-severity events, one ordinary and one wide.
+func TestPathOutagesWindowEdges(t *testing.T) {
+	s := &Schedule{byTrialAS: make(map[trialAS][]int)}
+	s.add(Event{Trial: 1, Origins: origin.Set{origin.DE}, AS: 5, Start: time.Hour, Duration: time.Minute, Severity: 1})
+	s.wide = []WideEvent{{Trial: 1, Origin: origin.DE, Start: 2 * time.Hour, Duration: time.Hour, ASFraction: 1, Severity: 1}}
+	p := s.Path(1, origin.DE, 5)
+	dst := ip.AddrFrom4(99)
+	for _, tc := range []struct {
+		at   time.Duration
+		want bool
+	}{
+		{time.Hour - 1, false}, {time.Hour, true}, {time.Hour + time.Minute - 1, true}, {time.Hour + time.Minute, false},
+		{2*time.Hour - 1, false}, {2 * time.Hour, true}, {3*time.Hour - 1, true}, {3 * time.Hour, false},
+	} {
+		if got := p.Affected(dst, tc.at); got != tc.want || got != s.Affected(1, origin.DE, 5, dst, tc.at) {
+			t.Errorf("t=%v: path affected = %v, want %v (schedule %v)", tc.at, got, tc.want, s.Affected(1, origin.DE, 5, dst, tc.at))
+		}
+	}
+	for _, other := range []PathOutages{s.Path(0, origin.DE, 5), s.Path(1, origin.AU, 5)} {
+		if other.Affected(dst, time.Hour) || other.Affected(dst, 2*time.Hour) {
+			t.Error("an event leaked onto another trial's or origin's path")
+		}
+	}
+	if ordinary := s.Path(1, origin.DE, 6); ordinary.Affected(dst, time.Hour) || !ordinary.Affected(dst, 2*time.Hour) {
+		t.Error("AS 6 should see only the wide event")
+	}
+}
+
+// TestHoistedKeysMatchDerive pins the severity and wide-event draws to the
+// expressions they were before the sub-keys were derived once in Generate.
+func TestHoistedKeysMatchDerive(t *testing.T) {
+	s := genSchedule(t, Config{})
+	key := rng.NewKey(1).Derive("outage") // genSchedule's
+	for label, got := range map[string]rng.Key{"sev": s.sevKey, "wide-as": s.wideASKey, "wide-sev": s.wideSevKey} {
+		if want := key.Derive(label); got != want {
+			t.Errorf("hoisted %q key differs from key.Derive(%q)", label, label)
+		}
+		for i := uint64(0); i < 64; i++ {
+			if got.Float64(i, i*2654435761) != key.Derive(label).Float64(i, i*2654435761) {
+				t.Fatalf("%q draw %d differs", label, i)
+			}
+		}
+	}
+}

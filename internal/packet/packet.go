@@ -286,28 +286,45 @@ var mssOption = [4]byte{2, 4, 0x05, 0xb4}
 // MakeSYNACK builds the SYN-ACK a listening host answers with, in the
 // family of the addresses.
 func MakeSYNACK(src, dst ip.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
-	tcph := TCPHeader{
+	return MakeSYNACKInto(nil, src, dst, srcPort, dstPort, seq, ack)
+}
+
+// MakeSYNACKInto is MakeSYNACK reusing buf's storage (see
+// SerializeTCP4Into).
+func MakeSYNACKInto(buf []byte, src, dst ip.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
+	return serializeReply(buf, src, dst, &TCPHeader{
 		SrcPort: srcPort, DstPort: dstPort,
 		Seq: seq, Ack: ack, Flags: FlagSYN | FlagACK,
-		Options: []byte{2, 4, 0x05, 0xb4},
-	}
-	if dst.Is4() {
-		return SerializeTCP4(&IPv4Header{Src: src, Dst: dst, TTL: 64}, &tcph, nil)
-	}
-	return SerializeTCP6(&IPv6Header{Src: src, Dst: dst, HopLimit: 64}, &tcph, nil)
+		Options: mssOption[:],
+	})
 }
 
 // MakeRST builds the RST a closed port answers with, in the family of the
 // addresses.
 func MakeRST(src, dst ip.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
-	tcph := TCPHeader{
+	return MakeRSTInto(nil, src, dst, srcPort, dstPort, seq, ack)
+}
+
+// MakeRSTInto is MakeRST reusing buf's storage (see SerializeTCP4Into).
+func MakeRSTInto(buf []byte, src, dst ip.Addr, srcPort, dstPort uint16, seq, ack uint32) []byte {
+	return serializeReply(buf, src, dst, &TCPHeader{
 		SrcPort: srcPort, DstPort: dstPort,
 		Seq: seq, Ack: ack, Flags: FlagRST | FlagACK,
-	}
+	})
+}
+
+// ReplyCap is the largest packet MakeSYNACKInto or MakeRSTInto writes (an
+// IPv6 SYN-ACK with the MSS option): a probe buffer with this much spare
+// capacity after the SYN lets the sink answer without allocating.
+const ReplyCap = 40 + 20 + len(mssOption)
+
+// serializeReply serializes a host's payload-free answer in the family of
+// the addresses.
+func serializeReply(buf []byte, src, dst ip.Addr, tcph *TCPHeader) []byte {
 	if dst.Is4() {
-		return SerializeTCP4(&IPv4Header{Src: src, Dst: dst, TTL: 64}, &tcph, nil)
+		return SerializeTCP4Into(buf, &IPv4Header{Src: src, Dst: dst, TTL: 64}, tcph, nil)
 	}
-	return SerializeTCP6(&IPv6Header{Src: src, Dst: dst, HopLimit: 64}, &tcph, nil)
+	return SerializeTCP6Into(buf, &IPv6Header{Src: src, Dst: dst, HopLimit: 64}, tcph, nil)
 }
 
 // Summary formats a one-line description for diagnostics, sniffing the IP

@@ -59,6 +59,12 @@ func (d *IDS) Covers(q *Query) bool {
 	return q.DstAS == d.AS && d.Protos.Matches(q)
 }
 
+// CanMatch implements ScanGated: the protected AS and the monitored
+// protocols.
+func (d *IDS) CanMatch(q *Query) bool {
+	return q.DstAS == d.AS && d.Protos.canMatch(q)
+}
+
 func (d *IDS) blockKey(src ip.Addr, trial int) idsBlockKey {
 	if d.Persistent {
 		return idsBlockKey{src: src, trial: -1}

@@ -99,9 +99,87 @@ type Rule interface {
 	Evaluate(q *Query) (Verdict, bool)
 }
 
+// ScanGated is implemented by rules and detectors some of whose match
+// conditions are fixed for a whole scan toward one destination AS. CanMatch
+// reports whether the rule can have an opinion on any query that shares q's
+// scan coordinates — Origin, SrcCountry, NumSrcIPs, Rep, Proto, Trial and
+// DstAS; it must not consult any other field (the caller leaves them zero).
+// A false answer promises Evaluate (and RecordProbe) return "no opinion",
+// without side effects, for every destination, time and attempt of that
+// scan; a true answer promises nothing. Everything keyed by the destination
+// host or country, the time, or the attempt stays in Evaluate.
+type ScanGated interface {
+	CanMatch(q *Query) bool
+}
+
 // Engine composes rules; the first rule with an opinion wins.
 type Engine struct {
 	rules []Rule
+}
+
+// Plan is an Engine narrowed to one scan × destination AS: the rules whose
+// scan-constant gates can still hold, in priority order. The fabric compiles
+// one per (scan, AS) so a probe is evaluated against the two or three rules
+// that could decide it instead of the whole list. The zero Plan allows
+// everything.
+type Plan struct {
+	rules []Rule
+	// MayRefuse reports whether some surviving rule can answer RefuseTCP —
+	// the one verdict that makes an address with no host behind it answer a
+	// SYN (with the firewall's RST).
+	MayRefuse bool
+}
+
+// Plan appends to backing the rules that can have an opinion on queries
+// sharing q's scan coordinates (see ScanGated; rules that do not implement
+// it always survive) and returns the Plan over them along with the grown
+// backing array, so a caller compiling many plans carves their rule lists
+// out of one allocation. Plans stay valid when backing later reallocates.
+// The engine's rules must not change while plans compiled from it are in
+// use.
+func (e *Engine) Plan(q *Query, backing []Rule) (Plan, []Rule) {
+	start := len(backing)
+	var p Plan
+	for _, r := range e.rules {
+		if g, ok := r.(ScanGated); ok && !g.CanMatch(q) {
+			continue
+		}
+		backing = append(backing, r)
+		p.MayRefuse = p.MayRefuse || mayRefuse(r)
+	}
+	p.rules = backing[start:len(backing):len(backing)]
+	return p, backing
+}
+
+// Evaluate is Engine.Evaluate over the plan's rules: for any query of the
+// plan's scan it returns the engine's verdict and deciding rule.
+func (p *Plan) Evaluate(q *Query) (Verdict, string) {
+	for _, r := range p.rules {
+		if v, ok := r.Evaluate(q); ok {
+			return v, r.Name()
+		}
+	}
+	return Allow, ""
+}
+
+// Len returns how many rules survived into the plan.
+func (p *Plan) Len() int { return len(p.rules) }
+
+// mayRefuse reports whether r can answer RefuseTCP: the configured action
+// for the action-carrying rules, never for the two fixed-verdict ones, and
+// conservatively yes for a rule type this package does not know.
+func mayRefuse(r Rule) bool {
+	switch r := r.(type) {
+	case *StaticBlock:
+		return r.Action == RefuseTCP
+	case *GeoFence:
+		return r.Action == RefuseTCP
+	case *ReputationScatter:
+		return r.Action == RefuseTCP
+	case *TemporalRST, *MaxStartups:
+		return false
+	}
+	return true
 }
 
 // NewEngine returns an engine evaluating the given rules in order.
@@ -115,12 +193,8 @@ func (e *Engine) Add(r Rule) { e.rules = append(e.rules, r) }
 // Evaluate returns the effective verdict and the deciding rule's name
 // ("" when allowed by default).
 func (e *Engine) Evaluate(q *Query) (Verdict, string) {
-	for _, r := range e.rules {
-		if v, ok := r.Evaluate(q); ok {
-			return v, r.Name()
-		}
-	}
-	return Allow, ""
+	all := Plan{rules: e.rules}
+	return all.Evaluate(q)
 }
 
 // Rules returns the engine's rules in priority order.

@@ -509,3 +509,96 @@ func TestMaxStartupsOnlySSH(t *testing.T) {
 		t.Error("MaxStartups must only affect SSH")
 	}
 }
+
+// TestMaxStartupsHoistedKeysMatchDerive pins every MaxStartups draw to the
+// expression it was before the three sub-keys were derived once: host
+// selection by Key.Derive("hosts"), background load by Key.Derive("load"),
+// the per-attempt refusal by Key.Derive("draw").
+func TestMaxStartupsHoistedKeysMatchDerive(t *testing.T) {
+	m := &MaxStartups{
+		RuleName: "ms", HostFraction: 0.5,
+		Start: 3, Rate: 0.6, Full: 50, MeanLoad: 10,
+		Key: rng.NewKey(6).Derive("ms"),
+	}
+	q := baseQuery()
+	q.Proto = proto.SSH
+	refused, allowed := 0, 0
+	for h := uint32(0); h < 400; h++ {
+		q.Dst = ip.AddrFrom4(0x0b000000 + h*13)
+		for attempt := 0; attempt < 3; attempt++ {
+			q.Attempt, q.ConcurrentOrigins = attempt, 1+attempt*3
+			wantV, wantOK := Verdict(0), false
+			if hostFraction(m.Key.Derive("hosts"), q.Dst, m.HostFraction) {
+				load := m.Key.Derive("load").Float64(q.Dst.Word64()) * 2 * m.MeanLoad
+				pending := load + float64(q.ConcurrentOrigins)
+				p := 0.0
+				switch {
+				case pending >= float64(m.Full):
+					p = 1
+				case pending >= float64(m.Start):
+					p = m.Rate + (1-m.Rate)*(pending-float64(m.Start))/float64(m.Full-m.Start)
+				}
+				if m.Key.Derive("draw").Bool(p, q.Dst.Word64(), uint64(q.Origin), uint64(q.Trial), uint64(q.Attempt)) {
+					wantV, wantOK = CloseAfterAccept, true
+				}
+			}
+			gotV, gotOK := m.Evaluate(q)
+			if gotV != wantV || gotOK != wantOK {
+				t.Fatalf("%v attempt %d: Evaluate = (%v, %v), derive-per-call expression (%v, %v)", q.Dst, attempt, gotV, gotOK, wantV, wantOK)
+			}
+			if gotOK {
+				refused++
+			} else {
+				allowed++
+			}
+		}
+	}
+	if refused == 0 || allowed == 0 {
+		t.Fatalf("pin is vacuous: %d refused, %d allowed", refused, allowed)
+	}
+}
+
+// TestEnginePlanKeepsUngatedRules: a rule type that does not implement
+// ScanGated always survives into a plan and makes it MayRefuse; gated rules
+// whose scan-constant gates fail are dropped without changing the verdict.
+func TestEnginePlanKeepsUngatedRules(t *testing.T) {
+	e := NewEngine(
+		&StaticBlock{RuleName: "other-as", Dests: DestMatch{ASes: []asn.ASN{7}}, Action: RefuseTCP},
+		&StaticBlock{RuleName: "other-proto", Dests: DestMatch{Protocols: proto.Bit(proto.SSH)}, Action: Silent},
+		opaqueRule{},
+		&StaticBlock{RuleName: "this-as", Dests: DestMatch{ASes: []asn.ASN{100}}, Action: Silent},
+	)
+	q := baseQuery()
+	backing := make([]Rule, 0, 1)
+	p, backing := e.Plan(q, backing)
+	if p.Len() != 2 || len(backing) != 2 {
+		t.Fatalf("plan kept %d rules (backing %d), want the opaque rule and this-as", p.Len(), len(backing))
+	}
+	if !p.MayRefuse {
+		t.Error("a rule of unknown type must make the plan MayRefuse")
+	}
+	gotV, gotName := p.Evaluate(q)
+	wantV, wantName := e.Evaluate(q)
+	if gotV != wantV || gotName != wantName || gotName != "this-as" {
+		t.Errorf("plan = (%v, %q), engine = (%v, %q)", gotV, gotName, wantV, wantName)
+	}
+	// A second plan carved from the same backing must not disturb the first.
+	q2 := baseQuery()
+	q2.DstAS = 7
+	p2, backing := e.Plan(q2, backing)
+	if v, name := p2.Evaluate(q2); v != RefuseTCP || name != "other-as" {
+		t.Errorf("second plan = (%v, %q), want refuse-tcp by other-as", v, name)
+	}
+	if v, name := p.Evaluate(q); v != Silent || name != "this-as" {
+		t.Errorf("first plan changed after the backing grew: (%v, %q)", v, name)
+	}
+	if len(backing) != 4 {
+		t.Errorf("backing holds %d rules, want 4", len(backing))
+	}
+}
+
+// opaqueRule is a rule type the policy package knows nothing about.
+type opaqueRule struct{}
+
+func (opaqueRule) Name() string                    { return "opaque" }
+func (opaqueRule) Evaluate(*Query) (Verdict, bool) { return 0, false }

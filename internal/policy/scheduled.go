@@ -66,6 +66,11 @@ func (d *ScheduledIDS) covers(q *Query) bool {
 	return q.DstAS == d.AS && d.Protos.Matches(q)
 }
 
+// CanMatch implements ScanGated, as the live IDS does.
+func (d *ScheduledIDS) CanMatch(q *Query) bool {
+	return q.DstAS == d.AS && d.Protos.canMatch(q)
+}
+
 // RecordProbe implements Detector: the probe is dropped iff it lies at or
 // after the source's precomputed detection point. Query.Time includes the
 // probe's delay offset, so the target's base time is recovered first;

@@ -85,6 +85,16 @@ func (m *DestMatch) Matches(q *Query) bool {
 	return true
 }
 
+// canMatch is Matches restricted to the scan-constant gates (see
+// ScanGated): the AS list and the protocol mask. An AS can span countries,
+// so the country gate stays in Matches.
+func (m *DestMatch) canMatch(q *Query) bool {
+	if len(m.ASes) > 0 && !containsAS(m.ASes, q.DstAS) {
+		return false
+	}
+	return m.Protocols == 0 || m.Protocols.Has(q.Proto)
+}
+
 func containsAS(as []asn.ASN, a asn.ASN) bool {
 	for _, x := range as {
 		if x == a {
@@ -114,6 +124,11 @@ type StaticBlock struct {
 
 // Name implements Rule.
 func (b *StaticBlock) Name() string { return b.RuleName }
+
+// CanMatch implements ScanGated: the origin match is scan-constant in full.
+func (b *StaticBlock) CanMatch(q *Query) bool {
+	return b.Origins.Matches(q) && b.Dests.canMatch(q)
+}
 
 // Evaluate implements Rule.
 func (b *StaticBlock) Evaluate(q *Query) (Verdict, bool) {
@@ -145,6 +160,11 @@ type GeoFence struct {
 
 // Name implements Rule.
 func (g *GeoFence) Name() string { return g.RuleName }
+
+// CanMatch implements ScanGated: an allowed origin is never fenced.
+func (g *GeoFence) CanMatch(q *Query) bool {
+	return g.Dests.canMatch(q) && !g.Allowed.Matches(q)
+}
 
 // Evaluate implements Rule.
 func (g *GeoFence) Evaluate(q *Query) (Verdict, bool) {
@@ -178,6 +198,12 @@ type ReputationScatter struct {
 
 // Name implements Rule.
 func (r *ReputationScatter) Name() string { return r.RuleName }
+
+// CanMatch implements ScanGated: a reputation tier with no blocked share is
+// never scattered.
+func (r *ReputationScatter) CanMatch(q *Query) bool {
+	return r.Dests.canMatch(q) && r.FracByRep[q.Rep] > 0
+}
 
 // Evaluate implements Rule.
 func (r *ReputationScatter) Evaluate(q *Query) (Verdict, bool) {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/asn"
@@ -73,6 +74,13 @@ func (t *TemporalRST) Blocked(q *Query) bool {
 	return pos < t.BlockedWindow
 }
 
+// CanMatch implements ScanGated: protocol, AS, and the source-IP count that
+// lets an origin evade detection altogether.
+func (t *TemporalRST) CanMatch(q *Query) bool {
+	return q.Proto == t.Proto && containsAS(t.ASes, q.DstAS) &&
+		(t.MaxSrcIPs == 0 || q.NumSrcIPs <= t.MaxSrcIPs)
+}
+
 // Evaluate implements Rule.
 func (t *TemporalRST) Evaluate(q *Query) (Verdict, bool) {
 	if q.Proto != t.Proto || !containsAS(t.ASes, q.DstAS) {
@@ -108,24 +116,53 @@ type MaxStartups struct {
 	// affected hosts (per-host level drawn in [0, 2×MeanLoad]).
 	MeanLoad float64
 	Key      rng.Key
+
+	// sub holds Key's three sub-keys. Derive hashes its label on every
+	// call and Evaluate needs all three per query, so they are derived
+	// once, on first use (the rule is built as a struct literal).
+	sub atomic.Pointer[maxStartupsKeys]
+}
+
+// maxStartupsKeys are the derived keys of one MaxStartups rule: which hosts
+// run the restrictive config, each host's background load, and the
+// per-attempt refusal draw.
+type maxStartupsKeys struct {
+	hosts, load, draw rng.Key
+}
+
+// keys returns the rule's sub-keys, deriving them on first use. Racing first
+// uses derive identical values, so whichever store wins is the same.
+func (m *MaxStartups) keys() *maxStartupsKeys {
+	if k := m.sub.Load(); k != nil {
+		return k
+	}
+	m.sub.CompareAndSwap(nil, &maxStartupsKeys{
+		hosts: m.Key.Derive("hosts"), load: m.Key.Derive("load"), draw: m.Key.Derive("draw"),
+	})
+	return m.sub.Load()
 }
 
 // Name implements Rule.
 func (m *MaxStartups) Name() string { return m.RuleName }
+
+// CanMatch implements ScanGated: SSH only, within the covered ASes.
+func (m *MaxStartups) CanMatch(q *Query) bool {
+	return q.Proto == proto.SSH && m.Dests.canMatch(q)
+}
 
 // Affected reports whether dst is one of the restrictive-config hosts.
 func (m *MaxStartups) Affected(q *Query) bool {
 	if q.Proto != proto.SSH || !m.Dests.Matches(q) {
 		return false
 	}
-	return hostFraction(m.Key.Derive("hosts"), q.Dst, m.HostFraction)
+	return hostFraction(m.keys().hosts, q.Dst, m.HostFraction)
 }
 
 // RefusalProbability returns the probability this host refuses one more
 // unauthenticated connection given the query's concurrency.
 func (m *MaxStartups) RefusalProbability(q *Query) float64 {
 	// Per-host stable background load.
-	load := m.Key.Derive("load").Float64(q.Dst.Word64()) * 2 * m.MeanLoad
+	load := m.keys().load.Float64(q.Dst.Word64()) * 2 * m.MeanLoad
 	pending := load + float64(maxInt(q.ConcurrentOrigins, 1))
 	if pending < float64(m.Start) {
 		return 0
@@ -149,7 +186,7 @@ func (m *MaxStartups) Evaluate(q *Query) (Verdict, bool) {
 	if p <= 0 {
 		return 0, false
 	}
-	refuse := m.Key.Derive("draw").Bool(p,
+	refuse := m.keys().draw.Bool(p,
 		q.Dst.Word64(), uint64(q.Origin), uint64(q.Trial), uint64(q.Attempt))
 	if !refuse {
 		return 0, false

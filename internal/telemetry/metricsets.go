@@ -6,7 +6,10 @@
 // branches.
 package telemetry
 
-import "strconv"
+import (
+	"strconv"
+	"time"
+)
 
 // Metric family names shared between the instrumentation sites and the
 // sinks/progress line. Keeping them in one place is what lets the progress
@@ -221,6 +224,54 @@ func NewGrabPoolMetrics(r *Registry, workers int, labels ...Label) *GrabPoolMetr
 		m.WorkerBusyNS[w] = r.Counter(MetricGrabWorkerBusyNS, ls...)
 	}
 	return m
+}
+
+// GrabWorker is one pool worker's private side of GrabPoolMetrics: the
+// per-host observations (queue wait, service time, hosts done, busy time)
+// accumulate here without atomics, and Flush folds them into the shared
+// bundle — once per worker per grab window, where the busy-time counter was
+// already flushed. Per-host atomic updates from sixteen workers onto the
+// same few words cost 8–15 % of a grab-heavy run, outside the ≤5 % observer
+// contract; flushed, the scan-end totals are the same. Owned by one
+// goroutine at a time.
+type GrabWorker struct {
+	m             *GrabPoolMetrics
+	busy          *Counter
+	wait, service LocalHistogram
+	busyNS, done  uint64
+}
+
+// Workers returns one GrabWorker per worker the bundle was resolved for
+// (nil on a nil bundle).
+func (m *GrabPoolMetrics) Workers() []GrabWorker {
+	if m == nil {
+		return nil
+	}
+	ws := make([]GrabWorker, len(m.WorkerBusyNS))
+	for i := range ws {
+		ws[i] = GrabWorker{m: m, busy: m.WorkerBusyNS[i], wait: m.QueueWait.Local(), service: m.Service.Local()}
+	}
+	return ws
+}
+
+// Claimed records how long a host waited in the window before this worker
+// took it.
+func (w *GrabWorker) Claimed(wait time.Duration) { w.wait.Observe(wait.Seconds()) }
+
+// Served records one finished host and the time the worker spent on it.
+func (w *GrabWorker) Served(service time.Duration) {
+	w.service.Observe(service.Seconds())
+	w.busyNS += uint64(service.Nanoseconds())
+	w.done++
+}
+
+// Flush folds the worker's accumulated observations into the shared bundle.
+func (w *GrabWorker) Flush() {
+	w.wait.FlushInto(w.m.QueueWait)
+	w.service.FlushInto(w.m.Service)
+	w.m.HostsDone.Add(w.done)
+	w.busy.Add(w.busyNS)
+	w.busyNS, w.done = 0, 0
 }
 
 // IDSMetrics count one scan's IDS treatment: Activations is the number of

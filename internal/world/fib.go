@@ -87,6 +87,10 @@ type Dest struct {
 	AS *asn.AS
 	// Country is the geolocation ("" when the address has none).
 	Country geo.Country
+	// ASIdx is AS's position in the FIB's interned AS list, in
+	// [0, NumASes): a dense key for per-AS tables (the fabric's plans).
+	// Meaningful only when Routed.
+	ASIdx int32
 	// Services is the host's service mask (0 when no host lives here).
 	Services proto.Mask
 	// Host reports whether a live machine owns the address.
@@ -259,6 +263,7 @@ func (f *FIB) resolveIn(blk *fibBlock, a ip.Addr) Dest {
 	}
 	if ai >= 0 {
 		d.AS = f.ases[ai]
+		d.ASIdx = ai
 		d.Routed = true
 	}
 	if ci >= 0 {
@@ -353,6 +358,9 @@ func (f *FIB) RoutedBatch(dst []ip.Addr, routed []bool) {
 		routed[i] = lastRouted
 	}
 }
+
+// NumASes returns the length of the interned AS list Dest.ASIdx indexes.
+func (f *FIB) NumASes() int { return len(f.ases) }
 
 // NumBlocks returns the number of painted /24 blocks — the dense entries
 // behind the directory bitmap. By construction it equals the number of

@@ -49,6 +49,7 @@ func (f *FIB) resolve6(a ip.Addr) Dest {
 	}
 	d.Routed = true
 	d.AS = f.ases[sp.asIdx]
+	d.ASIdx = sp.asIdx
 	if sp.ctryIdx >= 0 {
 		d.Country = f.countries[sp.ctryIdx]
 	}

@@ -34,6 +34,12 @@ const sweepBatch = 4096
 // tees) must copy them. When a scan runs sharded (RunSharded), Send is
 // called from multiple goroutines concurrently and implementations must be
 // safe for concurrent use.
+//
+// The response may live in the probe buffer's spare capacity
+// (pkt[len(pkt):cap(pkt)]) — the fabric answers there when the room
+// suffices, so an answered probe allocates nothing — and is therefore valid
+// only until the caller next writes that buffer. A caller that must not have
+// its buffer's tail written passes a slice with no spare capacity.
 type PacketSink interface {
 	Send(src ip.Addr, pkt []byte, t time.Duration) []byte
 }
@@ -495,6 +501,11 @@ func (s *Scanner) probeTarget(sink PacketSink, dst ip.Addr, t time.Duration, st 
 	return reply, reply.ProbeMask != 0 || reply.RST
 }
 
+// newSynBuf returns a sweep goroutine's probe buffer: room for the SYN (as
+// large as a SYN-ACK: both carry only the MSS option) plus the sink's
+// response behind it (see PacketSink).
+func newSynBuf() []byte { return make([]byte, 0, 2*packet.ReplyCap) }
+
 // Run executes the scan against sink, invoking handler for every target
 // that sent at least one valid response. Probes for one target are sent
 // back-to-back, as ZMap does; the virtual clock advances linearly with scan
@@ -503,7 +514,7 @@ func (s *Scanner) probeTarget(sink PacketSink, dst ip.Addr, t time.Duration, st 
 // matches pipeline.ErrCanceled.
 func (s *Scanner) Run(ctx context.Context, sink PacketSink, handler func(Reply)) (Stats, error) {
 	var st Stats
-	var synBuf []byte
+	synBuf := newSynBuf()
 	var fl *statsFlusher
 	if s.cfg.Telemetry != nil {
 		fl = &statsFlusher{m: s.cfg.Telemetry}
@@ -588,7 +599,7 @@ func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(
 			defer wg.Done()
 			o := &outs[j]
 			o.replies = make([]Reply, 0, hint)
-			var synBuf []byte
+			synBuf := newSynBuf()
 			var fl *statsFlusher
 			if s.cfg.Telemetry != nil {
 				// Per-shard flusher: the delta snapshot is goroutine-local,
