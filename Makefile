@@ -35,14 +35,19 @@ test-v6:
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 
-# Ten seconds of each wire-parser fuzz target, differential against the
-# pre-rewrite parsers kept in the packages' oracle_test.go files: a hostile
-# simulated server must not panic a grabber or change its failure class.
+# Ten seconds of each decoder fuzz target, differential against the
+# pre-rewrite implementations kept in the packages' oracle_test.go files (for
+# ip.ParseAddr, in parse_test.go, with net/netip behind it): a hostile
+# simulated server must not panic a grabber or change its failure class, and
+# a hostile dataset file or address must not panic cmd/report or load as
+# something the Token-stream decoder would have refused.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadID -fuzztime 10s ./internal/sshwire/
 	$(GO) test -run xxx -fuzz FuzzHandshakeReader -fuzztime 10s ./internal/tlslite/
+	$(GO) test -run xxx -fuzz FuzzReadJSON -fuzztime 10s ./internal/results/
+	$(GO) test -run xxx -fuzz FuzzParseAddr -fuzztime 10s ./internal/ip/
 
 # The repository's benchmark (bench/README.md): four workloads, seven
 # end-to-end metrics, result in bench/out/result.json. To compare two

@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/origin"
 	"repro/internal/pipeline"
@@ -40,93 +38,92 @@ type MultiOriginLevel struct {
 // averaged across trials, for one protocol (Figures 15, 17, 18).
 // singleProbe selects the 1-probe simulation.
 //
-// The 2^n−1 combinations are evaluated on a worker pool (coverage of one
-// combo is independent of every other), but the reduction into min/max/
-// median/mean runs serially in lexicographic combination order, so the
-// output — including first-wins ties and float summation order — is
-// identical to a fully serial evaluation.
-//
-// Workers re-check ctx per combination claim; a canceled evaluation
-// returns the levels completed so far with pipeline.ErrCanceled.
+// One merge pass per origin and trial records which origins saw each
+// ground-truth host; a combination's coverage is then the share of hosts
+// whose origin mask meets its own — a column scan, where
+// Dataset.CoverageOfSet (the single-combination API the tests hold this
+// to) runs a k-cursor merge. Combinations are reduced in lexicographic
+// order, which fixes first-wins ties and float summation order. ctx is
+// checked once per level; a canceled evaluation returns the levels
+// completed so far with pipeline.ErrCanceled.
 func MultiOrigin(ctx context.Context, ds *results.Dataset, p proto.Protocol, origins origin.Set, singleProbe bool) ([]MultiOriginLevel, error) {
 	n := len(origins)
-	// Ground truth is lazily computed and cached inside the dataset; warm
-	// it serially so workers only read.
-	for t := 0; t < ds.Trials; t++ {
-		ds.GroundTruth(p, t)
-	}
-	var levels []MultiOriginLevel
-	for k := 1; k <= n; k++ {
-		// Materialize this level's combinations in lexicographic order.
-		var combos []origin.Set
-		forEachCombo(n, k, func(idx []int) {
-			combo := make(origin.Set, k)
-			for i, j := range idx {
-				combo[i] = origins[j]
-			}
-			combos = append(combos, combo)
-		})
-
-		// Fan the coverage evaluations out; covs is indexed by combo.
-		covs := make([]float64, len(combos))
-		ok := make([]bool, len(combos))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(combos) {
-			workers = len(combos)
-		}
-		var wg sync.WaitGroup
-		ci := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ci {
-					if ctx.Err() != nil {
-						continue // canceled: drain remaining combos
-					}
-					combo := combos[i]
-					var sum float64
-					trials := 0
-					for t := 0; t < ds.Trials; t++ {
-						if ds.Scan(combo[0], p, t) == nil {
-							continue
-						}
-						sum += ds.CoverageOfSet(combo, p, t, singleProbe)
-						trials++
-					}
-					if trials == 0 {
-						continue
-					}
-					covs[i] = sum / float64(trials)
-					ok[i] = true
-				}
-			}()
-		}
-		for i := range combos {
-			ci <- i
-		}
-		close(ci)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return levels, pipeline.Canceled(err)
-		}
-
-		// Serial reduction in combination order.
-		lvl := MultiOriginLevel{K: k, Min: 2, Max: -1}
-		var vals []float64
-		for i, combo := range combos {
-			if !ok[i] {
+	// seen[t][g] has bit i set when origins[i] completed a handshake with
+	// GroundTruth(p, t)[g], scanned[t] when origins[i] scanned trial t at
+	// all. 64 bits are enough: no wider set could be enumerated.
+	seen := make([][]uint64, ds.Trials)
+	scanned := make([]uint64, ds.Trials)
+	for t := range seen {
+		gt := ds.GroundTruth(p, t)
+		seen[t] = make([]uint64, len(gt))
+		for i, o := range origins {
+			s := ds.Scan(o, p, t)
+			if s == nil {
 				continue
 			}
-			cc := ComboCoverage{Origins: combo, Coverage: covs[i]}
+			scanned[t] |= 1 << i
+			addrs, j := s.Addrs(), 0
+			for g, a := range gt {
+				for j < len(addrs) && addrs[j].Less(a) {
+					j++
+				}
+				if j < len(addrs) && addrs[j] == a && s.SuccessAt(j, singleProbe) {
+					seen[t][g] |= 1 << i
+				}
+			}
+		}
+	}
+	// coverage averages a combination over the trials its first origin
+	// scanned (Carinet scanned one), as CoverageOfCombo does.
+	coverage := func(combo uint64, first int) (float64, bool) {
+		var sum float64
+		trials := 0
+		for t, masks := range seen {
+			if scanned[t]&(1<<first) == 0 {
+				continue
+			}
+			trials++
+			if len(masks) == 0 {
+				continue
+			}
+			hit := 0
+			for _, m := range masks {
+				if m&combo != 0 {
+					hit++
+				}
+			}
+			sum += float64(hit) / float64(len(masks))
+		}
+		return sum / float64(trials), trials > 0
+	}
+
+	var levels []MultiOriginLevel
+	for k := 1; k <= n; k++ {
+		lvl := MultiOriginLevel{K: k, Min: 2, Max: -1}
+		var vals []float64
+		forEachCombo(n, k, func(idx []int) {
+			combo := make(origin.Set, k)
+			var bits uint64
+			for i, j := range idx {
+				combo[i] = origins[j]
+				bits |= 1 << j
+			}
+			cov, ok := coverage(bits, idx[0])
+			if !ok {
+				return
+			}
+			cc := ComboCoverage{Origins: combo, Coverage: cov}
 			lvl.All = append(lvl.All, cc)
-			vals = append(vals, covs[i])
-			if covs[i] < lvl.Min {
-				lvl.Min, lvl.Worst = covs[i], cc
+			vals = append(vals, cov)
+			if cov < lvl.Min {
+				lvl.Min, lvl.Worst = cov, cc
 			}
-			if covs[i] > lvl.Max {
-				lvl.Max, lvl.Best = covs[i], cc
+			if cov > lvl.Max {
+				lvl.Max, lvl.Best = cov, cc
 			}
+		})
+		if err := ctx.Err(); err != nil {
+			return levels, pipeline.Canceled(err)
 		}
 		lvl.Median = stats.Median(vals)
 		lvl.Mean = stats.Mean(vals)

@@ -10,7 +10,8 @@
 // extra word of storage. The whole study manipulates hundreds of millions
 // of addresses, so Addr must stay a small comparable struct usable as a map
 // key with no heap footprint (net.IP / netip.Addr are deliberately not used
-// on hot paths; netip is borrowed only for cold-path v6 parse/format).
+// on hot paths; netip is borrowed only for v6 formatting and, in the tests,
+// as the oracle the parser is fuzzed against).
 package ip
 
 import (
@@ -142,38 +143,147 @@ func (a Addr) Sub(n uint64) Addr {
 
 // ParseAddr parses dotted-quad IPv4 or RFC 4291 IPv6 notation.
 func ParseAddr(s string) (Addr, error) {
-	if strings.IndexByte(s, ':') >= 0 {
-		na, err := netip.ParseAddr(s)
-		if err != nil || !na.Is6() || na.Zone() != "" {
-			return Addr{}, fmt.Errorf("ip: invalid address %q", s)
-		}
-		b := na.As16()
-		a := Addr{
-			hi: beUint64(b[0:8]),
-			lo: beUint64(b[8:16]),
-		}
-		return a, nil
+	a, ok := parseAddr(s)
+	if !ok {
+		return Addr{}, fmt.Errorf("ip: invalid address %q", s)
 	}
-	var parts [4]uint64
-	rest := s
-	for i := 0; i < 4; i++ {
-		var tok string
-		if i < 3 {
-			dot := strings.IndexByte(rest, '.')
-			if dot < 0 {
-				return Addr{}, fmt.Errorf("ip: invalid address %q", s)
+	return a, nil
+}
+
+// ParseAddrBytes is ParseAddr over text still sitting in a read buffer: it
+// accepts and rejects exactly the inputs ParseAddr does (both instantiate
+// one parser) and does not allocate on success.
+func ParseAddrBytes(b []byte) (Addr, error) {
+	a, ok := parseAddr(b)
+	if !ok {
+		return Addr{}, fmt.Errorf("ip: invalid address %q", b)
+	}
+	return a, nil
+}
+
+// parseAddr is the one address parser. Text holding a colon is IPv6 in the
+// grammar netip.ParseAddr accepts, minus zones; anything else is a dotted
+// quad whose octets may carry leading zeros ("010.0.0.1" is 10.0.0.1, as
+// strconv.ParseUint read it before this parser existed).
+func parseAddr[S string | []byte](s S) (Addr, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == ':' {
+			return parseAddr6(s)
+		}
+	}
+	v, end, ok := parseQuad(s, 0, false)
+	if !ok || end != len(s) {
+		return Addr{}, false
+	}
+	return AddrFrom4(v), true
+}
+
+// parseQuad parses four dot-separated decimal octets starting at s[i] and
+// returns their value and the index after the last digit. strict refuses
+// an octet with a leading zero, as RFC 4291's embedded form does.
+func parseQuad[S string | []byte](s S, i int, strict bool) (v uint32, end int, ok bool) {
+	for part := 0; part < 4; part++ {
+		if part > 0 {
+			if i == len(s) || s[i] != '.' {
+				return 0, i, false
 			}
-			tok, rest = rest[:dot], rest[dot+1:]
-		} else {
-			tok = rest
+			i++
 		}
-		v, err := strconv.ParseUint(tok, 10, 8)
-		if err != nil {
-			return Addr{}, fmt.Errorf("ip: invalid address %q", s)
+		start := i
+		var oct uint32
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			if strict && i == start+1 && oct == 0 {
+				return 0, i, false
+			}
+			if oct = oct*10 + uint32(s[i]-'0'); oct > 255 {
+				return 0, i, false
+			}
 		}
-		parts[i] = v
+		if i == start {
+			return 0, i, false
+		}
+		v = v<<8 | oct
 	}
-	return AddrFrom4(uint32(parts[0]<<24 | parts[1]<<16 | parts[2]<<8 | parts[3])), nil
+	return v, i, true
+}
+
+// parseAddr6 parses RFC 4291 text: up to eight colon-separated groups of
+// one to four hex digits, at most one "::" standing for one or more zero
+// groups, and optionally a strict dotted quad in place of the last two
+// groups. Zones ("%eth0") are refused.
+func parseAddr6[S string | []byte](s S) (Addr, bool) {
+	var g [8]uint16
+	n := 0         // groups parsed
+	ellipsis := -1 // index in g the "::" expands at
+	i := 0
+	if len(s) >= 2 && s[0] == ':' && s[1] == ':' {
+		ellipsis, i = 0, 2
+	}
+	for i < len(s) {
+		if n == len(g) {
+			return Addr{}, false
+		}
+		start := i
+		var acc uint32
+		for ; i < len(s); i++ {
+			h, ok := hexVal(s[i])
+			if !ok {
+				break
+			}
+			if i-start == 4 {
+				return Addr{}, false
+			}
+			acc = acc<<4 | h
+		}
+		if i == start {
+			return Addr{}, false
+		}
+		if i < len(s) && s[i] == '.' {
+			// Embedded IPv4: it must be the address's last 32 bits.
+			if (ellipsis < 0 && n != 6) || n > 6 {
+				return Addr{}, false
+			}
+			v, end, ok := parseQuad(s, start, true)
+			if !ok || end != len(s) {
+				return Addr{}, false
+			}
+			g[n], g[n+1] = uint16(v>>16), uint16(v)
+			n += 2
+			break
+		}
+		g[n] = uint16(acc)
+		n++
+		if i == len(s) {
+			break
+		}
+		// A group is followed by ":" and more text, or by a "::" that may
+		// end the address.
+		if s[i] != ':' || i+1 == len(s) {
+			return Addr{}, false
+		}
+		i++
+		if s[i] == ':' {
+			if ellipsis >= 0 {
+				return Addr{}, false
+			}
+			ellipsis = n
+			i++
+		}
+	}
+	switch {
+	case n < len(g) && ellipsis < 0, n == len(g) && ellipsis >= 0:
+		// Too short, or a "::" with no zero group left to stand for.
+		return Addr{}, false
+	case n < len(g):
+		copy(g[len(g)-(n-ellipsis):], g[ellipsis:n])
+		clear(g[ellipsis : len(g)-(n-ellipsis)])
+	}
+	var a Addr
+	for j := 0; j < 4; j++ {
+		a.hi = a.hi<<16 | uint64(g[j])
+		a.lo = a.lo<<16 | uint64(g[j+4])
+	}
+	return a, true
 }
 
 // MustParseAddr is ParseAddr that panics on error, for constants in tests
@@ -387,14 +497,19 @@ func (p Prefix) Nth(i uint64) Addr {
 	return p.Base.Add(i)
 }
 
-// beUint64 / bePutUint64 are local big-endian codecs so the cold parse and
-// format paths avoid an encoding/binary import in this leaf package.
-func beUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
+// hexVal returns the value of a hex digit of either case.
+func hexVal(c byte) (uint32, bool) {
+	switch {
+	case c-'0' <= 9:
+		return uint32(c - '0'), true
+	case (c|0x20)-'a' <= 5:
+		return uint32((c|0x20)-'a') + 10, true
+	}
+	return 0, false
 }
 
+// bePutUint64 is a local big-endian store so the v6 format path avoids an
+// encoding/binary import in this leaf package.
 func bePutUint64(b []byte, v uint64) {
 	_ = b[7]
 	b[0] = byte(v >> 56)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -20,9 +22,11 @@ import (
 // raw results and cmd/report can re-run analyses without re-scanning.
 //
 // Both directions stream over the columnar store: the encoder walks the
-// sealed columns and writes tuples straight to the output buffer, and the
-// decoder appends tokens straight into fresh columns — neither side
-// materializes per-row structs or an intermediate records slice. The bytes
+// sealed columns and writes tuples and banners straight to the output
+// buffer, and the decoder is a single-pass byte scanner over a fixed read
+// window that appends rows straight onto fresh columns — neither side
+// materializes per-row structs, an intermediate records slice, a scan's
+// banner column or the file (DESIGN.md § 5 "Wire format"). The bytes
 // produced are identical to the earlier reflection-based encoder
 // (json.Encoder over a dataset struct): field order, null vs [] for empty
 // slices, banners omitted when none captured, HTML-escaped strings, and
@@ -116,20 +120,20 @@ func (s *ScanResult) writeJSON(bw *bufio.Writer, num []byte) error {
 	if len(s.addrs) == 0 {
 		bw.WriteString("null")
 	} else {
-		bw.WriteByte('[')
+		// Each row, with its brackets and separator, is built in the
+		// scratch and handed to the writer in one call.
+		open := byte('[')
 		for i := range s.addrs {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteByte('[')
+			num = append(num[:0], open, '[')
+			open = ','
 			// IPv4 addresses keep the historical bare-integer encoding
 			// (byte-identity with every pre-dual-stack file); IPv6 is a
 			// JSON string in canonical text form.
 			if a := s.addrs[i]; a.Is4() {
-				num = strconv.AppendUint(num[:0], uint64(a.V4()), 10)
+				num = strconv.AppendUint(num, uint64(a.V4()), 10)
 			} else {
-				num = append(num[:0], '"')
-				num = append(num, a.String()...)
+				num = append(num, '"')
+				num = a.AppendTo(num)
 				num = append(num, '"')
 			}
 			num = append(num, ',')
@@ -142,8 +146,8 @@ func (s *ScanResult) writeJSON(bw *bufio.Writer, num []byte) error {
 			num = strconv.AppendUint(num, uint64(s.attempts[i]), 10)
 			num = append(num, ',')
 			num = strconv.AppendUint(num, uint64(s.t[i]), 10)
+			num = append(num, ']')
 			bw.Write(num)
-			bw.WriteByte(']')
 		}
 		bw.WriteByte(']')
 	}
@@ -155,297 +159,577 @@ func (s *ScanResult) writeJSON(bw *bufio.Writer, num []byte) error {
 		}
 	}
 	if hasBanner {
-		// json.Marshal keeps the default HTML escaping the old
-		// struct-based encoder applied to banner strings.
-		enc, err := json.Marshal(s.banner)
-		if err != nil {
-			return err
-		}
+		// One banner at a time through the same scratch, never the column
+		// marshalled whole: raw when json.Marshal would not change it,
+		// json.Marshal of that one string otherwise — which keeps the
+		// default HTML escaping the old struct-based encoder applied.
 		bw.WriteString(`,"banners":`)
-		bw.Write(enc)
+		open := byte('[')
+		for _, b := range s.banner {
+			num = append(num[:0], open)
+			open = ','
+			if rawBanner(b) {
+				num = append(num, '"')
+				num = append(num, b...)
+				num = append(num, '"')
+			} else {
+				enc, err := json.Marshal(b)
+				if err != nil {
+					return err
+				}
+				num = append(num, enc...)
+			}
+			bw.Write(num)
+		}
+		bw.WriteByte(']')
 	}
 	bw.WriteByte('}')
 	return nil
 }
 
-// ReadJSON deserializes a dataset written by WriteJSON, streaming tokens
-// straight into columnar scans. Unknown fields are ignored and records may
-// arrive unsorted (Seal at Put time sorts them).
+// rawBanner reports whether json.Marshal would write s between quotes as
+// it stands: printable ASCII with nothing JSON or HTML escaping touches.
+func rawBanner(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// ReadJSON deserializes a dataset written by WriteJSON in one pass over r,
+// appending rows straight onto columnar scans. Unknown fields are skipped
+// (with full syntax validation), records may arrive unsorted (Seal at Put
+// time sorts them), short tuples zero-fill and extra tuple elements are
+// ignored. What it will not do is load a value it cannot represent: a tuple
+// field wider than its column, or a scan the dataset's origins × protocols ×
+// trials grid would never show, is an error. Every error names the byte
+// offset it was found at.
 func ReadJSON(r io.Reader) (*Dataset, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
+	d := &decoder{r: r, buf: make([]byte, readWindow), mark: -1, intern: make(map[string]string)}
+	ds, err := d.dataset()
+	if err != nil {
+		return nil, fmt.Errorf("results: decoding dataset: %w", err)
+	}
+	return ds, nil
+}
+
+// readWindow is the decoder's refill unit. The window grows past it only
+// while a single token longer than the window — a string, or an unknown
+// field's number — is being scanned.
+const readWindow = 64 << 10
+
+// maxSkipDepth is encoding/json's nesting limit, applied to skipped values.
+const maxSkipDepth = 10000
+
+// decoder is a single-pass JSON scanner specialised to the dataset layout.
+// It reads r through a sliding window — buf[pos:end] is unread input, base
+// the stream offset of buf[0] — and never holds more of the file than that.
+type decoder struct {
+	r    io.Reader
+	buf  []byte
+	pos  int
+	end  int
+	base int64
+	// mark, when >= 0, is the start of a token still being scanned that
+	// must stay contiguous: fill keeps buf[mark:] instead of buf[pos:].
+	mark int
+	// err is the reader's terminal error (io.EOF at a clean end).
+	err error
+
+	// intern maps banner text to the one string every row carrying it
+	// shares; a repeated banner costs a lookup, not an allocation.
+	intern map[string]string
+	// key and unq are scratch reused across tokens: the current object key
+	// and the last escaped string's decoded bytes.
+	key []byte
+	unq []byte
+}
+
+// fill slides the unread input (or the marked token) to the front of the
+// window and reads more, reporting whether any bytes arrived.
+func (d *decoder) fill() bool {
+	if d.err != nil {
+		return false
+	}
+	keep := d.pos
+	if d.mark >= 0 {
+		keep = d.mark
+	}
+	if keep > 0 {
+		d.end = copy(d.buf, d.buf[keep:d.end])
+		d.pos -= keep
+		d.base += int64(keep)
+		if d.mark >= 0 {
+			d.mark = 0
+		}
+	}
+	if d.end == len(d.buf) {
+		d.buf = append(d.buf, make([]byte, len(d.buf))...)
+	}
+	// Like bufio, give a reader that returns (0, nil) a bounded number of
+	// chances before calling it stuck.
+	for tries := 0; tries < 100; tries++ {
+		n, err := d.r.Read(d.buf[d.end:])
+		d.end += n
+		if err != nil {
+			d.err = err
+		}
+		if n > 0 {
+			return true
+		}
+		if err != nil {
+			return false
+		}
+	}
+	d.err = io.ErrNoProgress
+	return false
+}
+
+// errAt reports a syntax error at the cursor: what the decoder wanted and
+// the byte it found, or the reader's error when the input ended there.
+func (d *decoder) errAt(want string) error {
+	off := d.base + int64(d.pos)
+	if d.pos < d.end {
+		return fmt.Errorf("byte %d: expected %s, found %q", off, want, d.buf[d.pos])
+	}
+	err := d.err
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("byte %d: expected %s: %w", off, want, err)
+}
+
+// next skips whitespace and returns the byte at the cursor without
+// consuming it; 0 when the input has ended (errAt then says why).
+func (d *decoder) next() byte {
+	for d.pos < d.end || d.fill() {
+		switch c := d.buf[d.pos]; c {
+		case ' ', '\t', '\r', '\n':
+			d.pos++
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// null consumes the literal null at the cursor.
+func (d *decoder) null() error {
+	for _, c := range []byte("null") {
+		if !(d.pos < d.end || d.fill()) || d.buf[d.pos] != c {
+			return d.errAt("null")
+		}
+		d.pos++
+	}
+	return nil
+}
+
+// uint consumes an unsigned integer of at most the given width. JSON's
+// other number forms are errors, as they were when strconv.ParseUint read
+// the token: a sign or a leading zero here, a fraction or an exponent at
+// the caller's check of what follows the digits.
+func (d *decoder) uint(bits uint) (uint64, error) {
+	c := d.next()
+	if c-'0' > 9 {
+		return 0, d.errAt("unsigned integer")
+	}
+	d.pos++
+	v := uint64(c - '0')
+	for d.pos < d.end || d.fill() {
+		c := d.buf[d.pos] - '0'
+		if c > 9 {
+			break
+		}
+		if v == 0 {
+			return 0, d.errAt("no digit after a leading zero")
+		}
+		if v >= math.MaxUint64/10 && (v > math.MaxUint64/10 || c > math.MaxUint64%10) {
+			return 0, d.errAt("integer below 2^64")
+		}
+		v = v*10 + uint64(c)
+		d.pos++
+	}
+	if v>>bits != 0 {
+		return 0, fmt.Errorf("byte %d: %d does not fit %d bits", d.base+int64(d.pos), v, bits)
+	}
+	return v, nil
+}
+
+// plainByte marks the bytes a string token carries verbatim: ASCII other
+// than the control bytes, the quote and the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str consumes the string token at the cursor (an opening quote) and
+// returns its contents. A token of plain bytes is returned as a view of
+// the window; one with an escape or a non-ASCII byte is decoded by
+// encoding/json, so escape handling, surrogate pairs and U+FFFD
+// replacement are its by construction. The result is valid until the next
+// decoder call.
+func (d *decoder) str() ([]byte, error) {
+	d.mark = d.pos
+	d.pos++
+	plain := true
+	for {
+		for d.pos < d.end && plainByte[d.buf[d.pos]] {
+			d.pos++
+		}
+		if d.pos == d.end {
+			if !d.fill() {
+				return nil, d.errAt("closing quote")
+			}
+			continue
+		}
+		switch c := d.buf[d.pos]; {
+		case c == '"':
+			d.pos++
+			tok := d.buf[d.mark:d.pos]
+			d.mark = -1
+			if plain {
+				return tok[1 : len(tok)-1], nil
+			}
+			var s string
+			if err := json.Unmarshal(tok, &s); err != nil {
+				return nil, fmt.Errorf("byte %d: %w", d.base+int64(d.pos-len(tok)), err)
+			}
+			d.unq = append(d.unq[:0], s...)
+			return d.unq, nil
+		case c < 0x20:
+			return nil, d.errAt("no control byte in string")
+		case c == '\\':
+			// Skip the escaped byte so an escaped quote does not end the
+			// token; encoding/json judges the escape itself.
+			d.pos++
+			if d.pos == d.end && !d.fill() {
+				return nil, d.errAt("closing quote")
+			}
+		}
+		plain = false
+		d.pos++
+	}
+}
+
+// tokenEnd marks the bytes that end a number or literal token.
+var tokenEnd = [256]bool{' ': true, '\t': true, '\r': true, '\n': true, ',': true, ']': true, '}': true}
+
+// skip consumes one value of any type — an unknown field — holding it to
+// the full JSON grammar and to encoding/json's nesting limit.
+func (d *decoder) skip(depth int) error {
+	switch c := d.next(); c {
+	case '"':
+		_, err := d.str()
+		return err
+	case '{', '[':
+		if depth == maxSkipDepth {
+			return d.errAt("at most 10000 nested values")
+		}
+		if c == '{' {
+			return d.object(func([]byte) error { return d.skip(depth + 1) })
+		}
+		return d.array(func() error { return d.skip(depth + 1) })
+	}
+	// A number or a literal runs to the next delimiter, and encoding/json
+	// says whether the token is one.
+	d.mark = d.pos
+	for (d.pos < d.end || d.fill()) && !tokenEnd[d.buf[d.pos]] {
+		d.pos++
+	}
+	tok := d.buf[d.mark:d.pos]
+	d.mark = -1
+	if !json.Valid(tok) {
+		d.pos -= len(tok)
+		return d.errAt("value")
+	}
+	return nil
+}
+
+// seq consumes a comma-separated sequence between open and shut, calling
+// elem with the cursor on each element: the one place that knows where
+// commas and brackets go.
+func (d *decoder) seq(open, shut byte, elem func() error) error {
+	if d.next() != open {
+		return d.errAt(strconv.QuoteRune(rune(open)))
+	}
+	d.pos++
+	if d.next() == shut {
+		d.pos++
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		switch d.next() {
+		case ',':
+			d.pos++
+		case shut:
+			d.pos++
+			return nil
+		default:
+			return d.errAt(`"," or ` + strconv.QuoteRune(rune(shut)))
+		}
+	}
+}
+
+// array consumes null or an array, calling elem on each element.
+func (d *decoder) array(elem func() error) error {
+	if d.next() == 'n' {
+		return d.null()
+	}
+	return d.seq('[', ']', elem)
+}
+
+// object consumes an object, calling field with each key (valid until
+// field's first decoder call) and the cursor past the colon.
+func (d *decoder) object(field func(key []byte) error) error {
+	return d.seq('{', '}', func() error {
+		if d.next() != '"' {
+			return d.errAt("object key")
+		}
+		key, err := d.str()
+		if err != nil {
+			return err
+		}
+		// The key may be a view of the window, which finding the colon
+		// can slide.
+		d.key = append(d.key[:0], key...)
+		if d.next() != ':' {
+			return d.errAt(`":" after object key`)
+		}
+		d.pos++
+		return field(d.key)
+	})
+}
+
+// dataset consumes the whole document.
+func (d *decoder) dataset() (*Dataset, error) {
 	var (
 		origins origin.Set
 		trials  int
 		scans   []*ScanResult
+		offsets []int64 // offsets[i] is where scans[i]'s object starts
+		trialAt int64   // where the trial count is
 	)
-	err := func() error {
-		if err := expectDelim(dec, '{'); err != nil {
+	err := d.object(func(key []byte) error {
+		switch string(key) {
+		case "origins":
+			// Byte slice on the wire: base64 string (or null).
+			if d.next() == 'n' {
+				return d.null()
+			}
+			if d.next() != '"' {
+				return d.errAt("base64 origins or null")
+			}
+			off := d.base + int64(d.pos)
+			b, err := d.str()
+			if err != nil {
+				return err
+			}
+			ids, err := base64.StdEncoding.AppendDecode(nil, b)
+			if err != nil {
+				return fmt.Errorf("byte %d: origins: %w", off, err)
+			}
+			for _, id := range ids {
+				origins = append(origins, origin.ID(id))
+			}
+		case "trials":
+			d.next()
+			trialAt = d.base + int64(d.pos)
+			u, err := d.uint(32)
+			trials = int(u)
 			return err
-		}
-		for dec.More() {
-			key, err := readKey(dec)
-			if err != nil {
-				return err
-			}
-			switch key {
-			case "origins":
-				// Byte slice on the wire: base64 string (or null).
-				var tok json.Token
-				tok, err = dec.Token()
+		case "scans":
+			return d.array(func() error {
+				d.next()
+				off := d.base + int64(d.pos)
+				s, err := d.scan()
 				if err != nil {
-					return err
+					return fmt.Errorf("scan %d: %w", len(scans), err)
 				}
-				if tok == nil {
-					break
-				}
-				str, ok := tok.(string)
-				if !ok {
-					return fmt.Errorf("expected base64 origins, got %v", tok)
-				}
-				var ids []byte
-				ids, err = base64.StdEncoding.DecodeString(str)
-				for _, id := range ids {
-					origins = append(origins, origin.ID(id))
-				}
-			case "trials":
-				var u uint64
-				u, err = readUint(dec, 32)
-				trials = int(u)
-			case "scans":
-				err = readArray(dec, func() error {
-					s, err := readScan(dec)
-					if err != nil {
-						return err
-					}
-					scans = append(scans, s)
-					return nil
-				})
-			default:
-				err = skipValue(dec)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		_, err := dec.Token() // closing '}'
-		return err
-	}()
-	if err != nil {
-		return nil, fmt.Errorf("results: decoding dataset: %w", err)
-	}
-	if trials <= 0 || trials > 64 {
-		return nil, fmt.Errorf("results: implausible trial count %d", trials)
-	}
-	d := NewDataset(origins, trials)
-	for _, s := range scans {
-		if err := d.Put(s); err != nil {
-			return nil, fmt.Errorf("results: decoding dataset: %w", err)
-		}
-	}
-	return d, nil
-}
-
-// readScan consumes one scan object, appending records directly onto the
-// columns of a fresh ScanResult.
-func readScan(dec *json.Decoder) (*ScanResult, error) {
-	if err := expectDelim(dec, '{'); err != nil {
-		return nil, err
-	}
-	s := &ScanResult{}
-	var banners []string
-	for dec.More() {
-		key, err := readKey(dec)
-		if err != nil {
-			return nil, err
-		}
-		switch key {
-		case "origin":
-			var u uint64
-			u, err = readUint(dec, 8)
-			s.Origin = origin.ID(u)
-		case "proto":
-			var u uint64
-			u, err = readUint(dec, 8)
-			s.Proto = proto.Protocol(u)
-		case "trial":
-			var u uint64
-			u, err = readUint(dec, 32)
-			s.Trial = int(u)
-		case "targets":
-			s.Targets, err = readUint(dec, 64)
-		case "probes":
-			s.ProbesSent, err = readUint(dec, 64)
-		case "synacks":
-			s.SynAcks, err = readUint(dec, 64)
-		case "rsts":
-			s.Rsts, err = readUint(dec, 64)
-		case "invalid":
-			s.Invalid, err = readUint(dec, 64)
-		case "records":
-			err = readArray(dec, func() error { return s.readRecord(dec) })
-		case "banners":
-			err = readArray(dec, func() error {
-				b, err := readString(dec)
-				if err != nil {
-					return err
-				}
-				banners = append(banners, b)
+				scans = append(scans, s)
+				offsets = append(offsets, off)
 				return nil
 			})
 		default:
-			err = skipValue(dec)
+			return d.skip(0)
 		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := dec.Token(); err != nil { // closing '}'
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for i := range s.banner {
-		if i < len(banners) {
-			s.banner[i] = banners[i]
+	if d.next() != 0 || d.pos < d.end || d.err != io.EOF {
+		return nil, d.errAt("end of input after the dataset object")
+	}
+	if trials <= 0 || trials > 64 {
+		return nil, fmt.Errorf("byte %d: implausible trial count %d", trialAt, trials)
+	}
+	ds := NewDataset(origins, trials)
+	for i, s := range scans {
+		// A scan outside origins × proto.All() × trials would load and
+		// then never be seen: WriteJSON and every analysis walk that grid.
+		var why string
+		switch {
+		case !origins.Contains(s.Origin):
+			why = "origin is not in the dataset's origins"
+		case !slices.Contains(proto.All(), s.Proto):
+			why = "unknown protocol"
+		case s.Trial >= trials:
+			why = fmt.Sprintf("dataset has %d trials", trials)
+		}
+		if why != "" {
+			return nil, fmt.Errorf("scan %d at byte %d (origin %d, proto %d, trial %d): %s",
+				i, offsets[i], s.Origin, s.Proto, s.Trial, why)
+		}
+		if err := ds.Put(s); err != nil {
+			return nil, fmt.Errorf("scan %d at byte %d: %w", i, offsets[i], err)
 		}
 	}
-	return s, nil
+	return ds, nil
 }
 
-// readRecord consumes one [addr, probeMask, flags, fail, attempts, tNanos]
-// tuple into the scan's columns. Like the former fixed-array decode, short
-// tuples zero-fill and extra elements are discarded.
-func (s *ScanResult) readRecord(dec *json.Decoder) error {
-	if err := expectDelim(dec, '['); err != nil {
-		return err
-	}
-	var addr ip.Addr
-	var rec [6]uint64
-	n := 0
-	for dec.More() {
-		if n == 0 {
-			// The address element is a bare uint32 for IPv4 (historical
-			// encoding) or a canonical-text JSON string for IPv6.
-			tok, err := dec.Token()
-			if err != nil {
-				return err
-			}
-			switch v := tok.(type) {
-			case json.Number:
-				u, err := strconv.ParseUint(v.String(), 10, 32)
-				if err != nil {
-					return fmt.Errorf("bad address %q: %w", v, err)
+// scan consumes one scan object, appending records directly onto the
+// columns of a fresh ScanResult.
+func (d *decoder) scan() (*ScanResult, error) {
+	s := &ScanResult{}
+	err := d.object(func(key []byte) (err error) {
+		var u uint64
+		switch string(key) {
+		case "origin":
+			u, err = d.uint(8)
+			s.Origin = origin.ID(u)
+		case "proto":
+			u, err = d.uint(8)
+			s.Proto = proto.Protocol(u)
+		case "trial":
+			u, err = d.uint(32)
+			s.Trial = int(u)
+		case "targets":
+			s.Targets, err = d.uint(64)
+		case "probes":
+			s.ProbesSent, err = d.uint(64)
+		case "synacks":
+			s.SynAcks, err = d.uint(64)
+		case "rsts":
+			s.Rsts, err = d.uint(64)
+		case "invalid":
+			s.Invalid, err = d.uint(64)
+		case "records":
+			err = d.array(func() error { return d.record(s) })
+		case "banners":
+			// Banners go straight onto their column, which the records —
+			// normally already read — have sized.
+			s.banner = slices.Grow(s.banner, max(0, len(s.addrs)-len(s.banner)))
+			err = d.array(func() error {
+				if d.next() != '"' {
+					return d.errAt("banner string")
 				}
-				addr = ip.AddrFrom4(uint32(u))
-			case string:
-				a, err := ip.ParseAddr(v)
+				b, err := d.str()
 				if err != nil {
 					return err
 				}
-				addr = a
-			default:
-				return fmt.Errorf("expected address, got %v", tok)
+				banner, ok := d.intern[string(b)]
+				if !ok {
+					banner = string(b)
+					d.intern[banner] = banner
+				}
+				s.banner = append(s.banner, banner)
+				return nil
+			})
+		default:
+			err = d.skip(0)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Banners pair with rows by position and either list may be the
+	// longer; the column ends with one entry per row, and the row columns
+	// with no spare capacity.
+	n := len(s.addrs)
+	if len(s.banner) > n {
+		s.banner = s.banner[:n]
+	}
+	s.banner = append(s.banner, make([]string, n-len(s.banner))...)
+	s.resizeRows(n)
+	return s, nil
+}
+
+// resizeRows moves the six per-row columns a decoded record appends to
+// into arrays of exactly n rows' capacity: doubled while a scan of unknown
+// length is read (so a scan costs a handful of allocations, not one per
+// append-doubling per column), then cut to size.
+func (s *ScanResult) resizeRows(n int) {
+	if n == cap(s.addrs) {
+		return
+	}
+	s.addrs = append(make(ip.AddrSlice, 0, n), s.addrs...)
+	s.probeMask = append(make([]uint8, 0, n), s.probeMask...)
+	s.flags = append(make([]uint8, 0, n), s.flags...)
+	s.fail = append(make([]zgrab.FailMode, 0, n), s.fail...)
+	s.attempts = append(make([]int32, 0, n), s.attempts...)
+	s.t = append(make([]time.Duration, 0, n), s.t...)
+}
+
+// recordFields names each tuple element after the address and gives its
+// column's width. Flags is read at full width because unknown flag bits
+// are masked off, not refused.
+var recordFields = [...]struct {
+	name string
+	bits uint
+}{1: {"probeMask", 8}, 2: {"flags", 64}, 3: {"fail", 8}, 4: {"attempts", 31}, 5: {"tNanos", 63}}
+
+// record consumes one [addr, probeMask, flags, fail, attempts, tNanos]
+// tuple into the scan's columns. Short tuples zero-fill; elements past the
+// sixth must be unsigned integers and are dropped.
+func (d *decoder) record(s *ScanResult) error {
+	var addr ip.Addr
+	var rec [len(recordFields)]uint64
+	n := 0
+	err := d.seq('[', ']', func() (err error) {
+		switch {
+		case n == 0 && d.next() == '"':
+			// IPv6: canonical text on the wire, any RFC 4291 text read.
+			var b []byte
+			if b, err = d.str(); err == nil {
+				if addr, err = ip.ParseAddrBytes(b); err != nil {
+					err = fmt.Errorf("byte %d: %w", d.base+int64(d.pos), err)
+				}
 			}
-			n++
-			continue
-		}
-		u, err := readUint(dec, 64)
-		if err != nil {
-			return err
-		}
-		if n < len(rec) {
-			rec[n] = u
+		case n == 0:
+			// IPv4 keeps the historical bare-integer encoding.
+			var u uint64
+			u, err = d.uint(32)
+			addr = ip.AddrFrom4(uint32(u))
+		case n < len(rec):
+			if rec[n], err = d.uint(recordFields[n].bits); err != nil {
+				err = fmt.Errorf("%s: %w", recordFields[n].name, err)
+			}
+		default:
+			_, err = d.uint(64)
 		}
 		n++
-	}
-	if _, err := dec.Token(); err != nil { // closing ']'
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("record %d: %w", len(s.addrs), err)
+	}
+	if len(s.addrs) == cap(s.addrs) {
+		s.resizeRows(max(1024, 2*len(s.addrs)))
 	}
 	s.addrs = append(s.addrs, addr)
 	s.probeMask = append(s.probeMask, uint8(rec[1]))
-	s.flags = append(s.flags, uint8(rec[2])&(flagRST|flagL7))
+	s.flags = append(s.flags, uint8(rec[2]&(flagRST|flagL7)))
 	s.fail = append(s.fail, zgrab.FailMode(rec[3]))
 	s.attempts = append(s.attempts, int32(rec[4]))
 	s.t = append(s.t, time.Duration(rec[5]))
-	s.banner = append(s.banner, "")
 	return nil
-}
-
-// Token-stream helpers.
-
-func expectDelim(dec *json.Decoder, want json.Delim) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != want {
-		return fmt.Errorf("expected %q, got %v", want, tok)
-	}
-	return nil
-}
-
-func readKey(dec *json.Decoder) (string, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return "", err
-	}
-	key, ok := tok.(string)
-	if !ok {
-		return "", fmt.Errorf("expected object key, got %v", tok)
-	}
-	return key, nil
-}
-
-func readUint(dec *json.Decoder, bits int) (uint64, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return 0, err
-	}
-	num, ok := tok.(json.Number)
-	if !ok {
-		return 0, fmt.Errorf("expected number, got %v", tok)
-	}
-	u, err := strconv.ParseUint(num.String(), 10, bits)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q: %w", num, err)
-	}
-	return u, nil
-}
-
-func readString(dec *json.Decoder) (string, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return "", err
-	}
-	str, ok := tok.(string)
-	if !ok {
-		return "", fmt.Errorf("expected string, got %v", tok)
-	}
-	return str, nil
-}
-
-// readArray consumes "null" or an array, calling elem before each element.
-func readArray(dec *json.Decoder, elem func() error) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if tok == nil {
-		return nil // JSON null: empty
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("expected array, got %v", tok)
-	}
-	for dec.More() {
-		if err := elem(); err != nil {
-			return err
-		}
-	}
-	_, err = dec.Token() // closing ']'
-	return err
-}
-
-// skipValue discards the next JSON value (unknown fields).
-func skipValue(dec *json.Decoder) error {
-	var raw json.RawMessage
-	return dec.Decode(&raw)
 }

@@ -581,9 +581,10 @@ func (d *Dataset) Coverage(o origin.ID, p proto.Protocol, trial int, singleProbe
 }
 
 // CoverageOfSet returns the fraction of the trial's ground truth seen by
-// any origin in the set — multi-origin coverage (§7, Figure 15). One merge
-// pass with a cursor per scan replaces the per-host hash probes of the map
-// store; it is the hot path of the 2^n-combination multi-origin analysis.
+// any origin in the set — multi-origin coverage (§7, Figure 15) of one
+// combination, in one merge pass with a cursor per scan. The
+// 2^n-combination analysis.MultiOrigin computes the same number from an
+// origin-mask column and is tested against this.
 func (d *Dataset) CoverageOfSet(origins origin.Set, p proto.Protocol, trial int, singleProbe bool) float64 {
 	gt := d.GroundTruth(p, trial)
 	if len(gt) == 0 {
