@@ -37,10 +37,14 @@ audit-fullscale:
 
 # Ten seconds of each decoder fuzz target, differential against the
 # pre-rewrite implementations kept in the packages' oracle_test.go files (for
-# ip.ParseAddr, in parse_test.go, with net/netip behind it): a hostile
-# simulated server must not panic a grabber or change its failure class, and
-# a hostile dataset file or address must not panic cmd/report or load as
-# something the Token-stream decoder would have refused.
+# ip.ParseAddr, in parse_test.go, with net/netip behind it; for the packet
+# decoder, the allocating form against the stack-scratch one plus an
+# independent checksum verifier): a hostile simulated server must not panic a
+# grabber or change its failure class, a hostile dataset file or address must
+# not panic cmd/report or load as something the Token-stream decoder would
+# have refused, and whatever bytes a sink hands the sweep back must not panic
+# packet.DecodeTCP4Into/6Into or be accepted with a checksum that does not
+# verify.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
@@ -48,6 +52,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzHandshakeReader -fuzztime 10s ./internal/tlslite/
 	$(GO) test -run xxx -fuzz FuzzReadJSON -fuzztime 10s ./internal/results/
 	$(GO) test -run xxx -fuzz FuzzParseAddr -fuzztime 10s ./internal/ip/
+	$(GO) test -run xxx -fuzz FuzzIsSorted -fuzztime 10s ./internal/ip/
+	$(GO) test -run xxx -fuzz FuzzDecodeTCP -fuzztime 10s ./internal/packet/
 
 # The repository's benchmark (bench/README.md): four workloads, seven
 # end-to-end metrics, result in bench/out/result.json. To compare two

@@ -439,6 +439,13 @@ func (st *Study) newScanResult(o origin.ID, p proto.Protocol, trial, hint int) (
 	return results.NewSpilledScanResult(o, p, trial, hint, spill)
 }
 
+// replyHint sizes one scan's reply log and zmap.Config.ExpectedReplies: only
+// hosts reply, so the world's host count bounds both. It is the count, not
+// len(Hosts()) — a StreamHosts world retains no host slice, and a log sized 0
+// regrows by append through the whole sweep (a 1.3 GB slice reaching its size
+// by 1.25× copies at Scale 1.0).
+func (st *Study) replyHint() int { return st.World.NumHosts() }
+
 // originRecord resolves the origin, applying the follow-up Censys IP swap.
 func (st *Study) originRecord(o origin.ID) *origin.Origin {
 	org := st.World.Origins.Get(o)
@@ -521,7 +528,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 	// starts every origin's ZMap with the same seed so scanners probe
 	// the same addresses at approximately the same time.
 	scanSeed := rng.NewKey(st.World.Spec.Seed).Derive("scan-seed").Uint64(uint64(p), uint64(trial))
-	numHosts := len(st.World.Hosts())
+	numHosts := st.replyHint()
 	sc, err := zmap.NewScanner(zmap.Config{
 		SourceIPs:       org.SourceIPs,
 		TargetPort:      p.Port(),

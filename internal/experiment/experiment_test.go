@@ -450,3 +450,31 @@ func TestChurnDisableable(t *testing.T) {
 	}
 	_ = ds
 }
+
+// TestReplyHintStreamingWorld pins the reply-log capacity on worlds built
+// with StreamHosts: Hosts() is nil there, and a hint taken from its length
+// sized the log (and zmap's per-shard reply buffers) at zero, so it regrew by
+// append through the whole sweep. A streamed build must get the hint the
+// retained build of the same spec gets — the host count.
+func TestReplyHintStreamingWorld(t *testing.T) {
+	spec := world.Spec{Seed: 9, Scale: 0.00005}
+	hint := func(spec world.Spec) (int, *Study) {
+		st, err := NewStudy(context.Background(), Config{WorldSpec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.replyHint(), st
+	}
+	retained, st := hint(spec)
+	if want := len(st.World.Hosts()); retained != want || want == 0 {
+		t.Fatalf("retained build: hint %d, want the %d hosts", retained, want)
+	}
+	spec.StreamHosts = true
+	streamed, st := hint(spec)
+	if st.World.Hosts() != nil {
+		t.Fatal("StreamHosts build retained its host slice")
+	}
+	if streamed != retained {
+		t.Errorf("streamed build: hint %d, retained build of the same spec %d", streamed, retained)
+	}
+}

@@ -205,9 +205,15 @@ func (st *Study) monitoredTargets(ctx context.Context, p proto.Protocol, trial i
 		return nil, fmt.Errorf("experiment: ids plan %v/trial %d: %w", p, trial, err)
 	}
 	var entries []walkEntry
+	fib := st.World.FIB()
 	err = sc.Targets(ctx, func(dst ip.Addr, t time.Duration) {
-		as, routed := st.World.ASOf(dst)
-		if !routed || !monitored[as.Number] {
+		// Targets visits dark space too, and most of a sweep is dark: ask
+		// the one-bit question first, not for a whole Dest.
+		if !fib.Routed(dst) {
+			return
+		}
+		as, _ := st.World.ASOf(dst)
+		if !monitored[as.Number] {
 			return
 		}
 		if _, isHost := st.World.Lookup(dst); isHost && st.Scenario.Churn.Offline(dst, trial) {

@@ -15,7 +15,7 @@ package results
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,16 +185,13 @@ func (s *ScanResult) Seal() {
 }
 
 // sealMem is the in-memory seal: one stable sort + keep-last dedup over
-// the columns, then the L7 cache. The spill store's Seal ends here too,
+// the columns (sortByAddr), then the L7 cache. The spill store's Seal ends here too,
 // after the external merge has already left the columns sorted.
 func (s *ScanResult) sealMem() {
 	if s.sealed {
 		return
 	}
-	if !s.addrs.IsSorted() {
-		sort.Stable((*byAddr)(s))
-		s.dedup()
-	}
+	s.sortByAddr()
 	n := 0
 	for _, f := range s.flags {
 		if f&flagL7 != 0 {
@@ -217,21 +214,49 @@ func (s *ScanResult) seal() {
 	}
 }
 
-// byAddr sorts all columns together by the address column. The sort must be
-// stable so that, of several Adds for one host, the latest stays last and
-// dedup can keep it (map-replacement semantics).
-type byAddr ScanResult
-
-func (s *byAddr) Len() int           { return len(s.addrs) }
-func (s *byAddr) Less(i, j int) bool { return s.addrs[i].Less(s.addrs[j]) }
-func (s *byAddr) Swap(i, j int) {
-	s.addrs[i], s.addrs[j] = s.addrs[j], s.addrs[i]
-	s.probeMask[i], s.probeMask[j] = s.probeMask[j], s.probeMask[i]
-	s.flags[i], s.flags[j] = s.flags[j], s.flags[i]
-	s.fail[i], s.fail[j] = s.fail[j], s.fail[i]
-	s.attempts[i], s.attempts[j] = s.attempts[j], s.attempts[i]
-	s.t[i], s.t[j] = s.t[j], s.t[i]
-	s.banner[i], s.banner[j] = s.banner[j], s.banner[i]
+// sortByAddr puts the columns in sealed form: sorted by address, repeated
+// Adds of one host resolved keep-last (map-replacement semantics). Columns
+// already strictly ascending — decoded datasets, merged spill output — are
+// left alone.
+//
+// The sort is over an int32 row index, ordered by (address, arrival index):
+// a total order, so the result is the stable one whatever algorithm sorts it,
+// and of several Adds for one host the latest stays last for dedup to keep.
+// The permutation is then applied to the seven columns in place, cycle by
+// cycle — hold the row a cycle starts at, pull each row of the cycle from
+// where the index says it comes, drop the held row into the last hole — so
+// every row moves once and the only allocation is the 4 B/row index. (An
+// in-place stable sort of the columns themselves pays a seven-column swap
+// per element move of its merges, O(n log² n) of them.)
+func (s *ScanResult) sortByAddr() {
+	if s.addrs.IsSorted() {
+		return
+	}
+	addrs := s.addrs
+	idx := make([]int32, len(addrs))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := addrs[a].Compare(addrs[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	for i := range idx {
+		if int(idx[i]) == i {
+			continue
+		}
+		held, hole := s.rowAt(i), i
+		for src := int(idx[hole]); src != i; src = int(idx[hole]) {
+			s.setRow(hole, s.rowAt(src))
+			idx[hole] = int32(hole)
+			hole = src
+		}
+		s.setRow(hole, held)
+		idx[hole] = int32(hole)
+	}
+	s.dedup()
 }
 
 // dedup compacts sorted columns, keeping the last row of each address run.
@@ -244,13 +269,7 @@ func (s *ScanResult) dedup() {
 			j++
 		}
 		if out != j {
-			s.addrs[out] = s.addrs[j]
-			s.probeMask[out] = s.probeMask[j]
-			s.flags[out] = s.flags[j]
-			s.fail[out] = s.fail[j]
-			s.attempts[out] = s.attempts[j]
-			s.t[out] = s.t[j]
-			s.banner[out] = s.banner[j]
+			s.setRow(out, s.rowAt(j))
 		}
 		out++
 		i = j + 1

@@ -1,0 +1,170 @@
+package results
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/ip"
+	"repro/internal/origin"
+	"repro/internal/proto"
+	"repro/internal/zgrab"
+)
+
+// byAddr sorts all columns together by the address column: the in-place
+// stable sort sortByAddr replaced, kept as its oracle. The sort must be
+// stable so that, of several Adds for one host, the latest stays last and
+// dedup can keep it (map-replacement semantics).
+type byAddr ScanResult
+
+func (s *byAddr) Len() int           { return len(s.addrs) }
+func (s *byAddr) Less(i, j int) bool { return s.addrs[i].Less(s.addrs[j]) }
+func (s *byAddr) Swap(i, j int) {
+	s.addrs[i], s.addrs[j] = s.addrs[j], s.addrs[i]
+	s.probeMask[i], s.probeMask[j] = s.probeMask[j], s.probeMask[i]
+	s.flags[i], s.flags[j] = s.flags[j], s.flags[i]
+	s.fail[i], s.fail[j] = s.fail[j], s.fail[i]
+	s.attempts[i], s.attempts[j] = s.attempts[j], s.attempts[i]
+	s.t[i], s.t[j] = s.t[j], s.t[i]
+	s.banner[i], s.banner[j] = s.banner[j], s.banner[i]
+}
+
+// sortByAddrOracle is what every seal and flush site ran before sortByAddr.
+func (s *ScanResult) sortByAddrOracle() {
+	if !s.addrs.IsSorted() {
+		sort.Stable((*byAddr)(s))
+		s.dedup()
+	}
+}
+
+// sortFixture appends n rows whose addresses come from addr(i); every other
+// column is a function of the arrival index i, so a row that ends up in the
+// wrong place, or a duplicate resolved to the wrong Add, shows in every
+// column.
+func sortFixture(n int, addr func(i int) ip.Addr) *ScanResult {
+	s := NewScanResult(origin.US1, proto.HTTP, 1)
+	for i := 0; i < n; i++ {
+		s.Add(HostRecord{
+			Addr:      addr(i),
+			ProbeMask: uint8(i % 4),
+			RST:       i%3 == 0,
+			L7:        i%2 == 0,
+			Fail:      zgrab.FailMode(i % 5),
+			Attempts:  i,
+			T:         time.Duration(i) * time.Millisecond,
+			Banner:    fmt.Sprintf("row-%d", i),
+		})
+	}
+	return s
+}
+
+func columnsOf(s *ScanResult) []any {
+	return []any{s.addrs, s.probeMask, s.flags, s.fail, s.attempts, s.t, s.banner, s.dedupDropped}
+}
+
+// TestSortByAddrMatchesStableOracle pins sortByAddr — index sort by
+// (address, arrival), in-place cycle application, keep-last dedup — to the
+// sort.Stable + dedup it replaced: identical columns and an identical
+// dedupDropped count, over both families, duplicate-heavy and duplicate-free
+// inputs, and the shapes where the permutation is the identity, one long
+// cycle, or many short ones.
+func TestSortByAddrMatchesStableOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	v4 := func(pool int) func(int) ip.Addr {
+		return func(int) ip.Addr { return ip.AddrFrom4(uint32(rng.Intn(pool))) }
+	}
+	v6 := func(pool int) func(int) ip.Addr {
+		return func(int) ip.Addr {
+			return ip.AddrFrom128(0x20010db8<<32|uint64(rng.Intn(4)), uint64(rng.Intn(pool)))
+		}
+	}
+	cases := []struct {
+		name string
+		n    int
+		addr func(int) ip.Addr
+	}{
+		{"empty", 0, v4(1)},
+		{"single", 1, v4(1)},
+		{"sorted", 500, func(i int) ip.Addr { return ip.AddrFrom4(uint32(2 * i)) }},
+		{"reversed", 500, func(i int) ip.Addr { return ip.AddrFrom4(uint32(1000 - i)) }},
+		{"rotated", 500, func(i int) ip.Addr { return ip.AddrFrom4(uint32((i + 1) % 500)) }},
+		{"sorted-with-duplicates", 500, func(i int) ip.Addr { return ip.AddrFrom4(uint32(i / 3)) }},
+		{"all-one-address", 100, v4(1)},
+		{"v4-duplicate-heavy", 2000, v4(64)},
+		{"v4-sparse", 2000, v4(1 << 30)},
+		{"v6-duplicate-heavy", 2000, v6(16)},
+		{"v6-sparse", 2000, v6(1 << 40)},
+		{"mixed-families", 2000, func(i int) ip.Addr {
+			if rng.Intn(2) == 0 {
+				return ip.AddrFrom4(uint32(rng.Intn(200)))
+			}
+			return ip.AddrFrom128(0x20010db8<<32, uint64(rng.Intn(200)))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := sortFixture(tc.n, tc.addr)
+			want := &ScanResult{
+				addrs:     append(ip.AddrSlice(nil), got.addrs...),
+				probeMask: append([]uint8(nil), got.probeMask...),
+				flags:     append([]uint8(nil), got.flags...),
+				fail:      append([]zgrab.FailMode(nil), got.fail...),
+				attempts:  append([]int32(nil), got.attempts...),
+				t:         append([]time.Duration(nil), got.t...),
+				banner:    append([]string(nil), got.banner...),
+			}
+			got.sortByAddr()
+			want.sortByAddrOracle()
+			if !got.addrs.IsSorted() {
+				t.Fatal("columns not strictly ascending after sortByAddr")
+			}
+			g, w := columnsOf(got), columnsOf(want)
+			for i := range g {
+				if !reflect.DeepEqual(g[i], w[i]) {
+					t.Errorf("column %d differs from the stable-sort oracle:\n got %v\nwant %v", i, g[i], w[i])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSealSort prices sealing one scan's columns in arrival order — the
+// grab hand-off's reply order, which is the permutation's: scattered, with
+// no duplicates. 10k-v6 is a hitlist scan's size, 100k-v4 a spill-store
+// study's live run.
+func BenchmarkSealSort(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		n    int
+		addr func(i int) ip.Addr
+	}{
+		{"10k-v6", 10_000, func(i int) ip.Addr { return ip.AddrFrom128(0x20010db8<<32|uint64(i%64), uint64(i)*0x9e3779b97f4a7c15) }},
+		{"100k-v4", 100_000, func(i int) ip.Addr { return ip.AddrFrom4(uint32(i) * 2654435761) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			src := sortFixture(bc.n, bc.addr)
+			s := &ScanResult{
+				addrs: make(ip.AddrSlice, bc.n), probeMask: make([]uint8, bc.n), flags: make([]uint8, bc.n),
+				fail: make([]zgrab.FailMode, bc.n), attempts: make([]int32, bc.n),
+				t: make([]time.Duration, bc.n), banner: make([]string, bc.n),
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(s.addrs, src.addrs)
+				copy(s.probeMask, src.probeMask)
+				copy(s.flags, src.flags)
+				copy(s.fail, src.fail)
+				copy(s.attempts, src.attempts)
+				copy(s.t, src.t)
+				copy(s.banner, src.banner)
+				b.StartTimer()
+				s.sortByAddr()
+			}
+		})
+	}
+}

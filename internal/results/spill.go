@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/ip"
@@ -282,10 +281,7 @@ func (s *ScanResult) flushRun() error {
 		}
 		sp.dir = dir
 	}
-	if !s.addrs.IsSorted() {
-		sort.Stable((*byAddr)(s))
-		s.dedup()
-	}
+	s.sortByAddr()
 	path := filepath.Join(sp.dir, fmt.Sprintf("run-%06d.seg", sp.stats.Segments))
 	flushBegin := time.Now()
 	n, bytes, err := writeSegment(path, func(emit func(spillRow)) {
@@ -342,6 +338,16 @@ func (s *ScanResult) rowAt(i int) spillRow {
 	}
 }
 
+func (s *ScanResult) setRow(i int, r spillRow) {
+	s.addrs[i] = r.addr
+	s.probeMask[i] = r.probeMask
+	s.flags[i] = r.flags
+	s.fail[i] = r.fail
+	s.attempts[i] = r.attempts
+	s.t[i] = r.t
+	s.banner[i] = r.banner
+}
+
 func (s *ScanResult) appendRow(r spillRow) {
 	s.addrs = append(s.addrs, r.addr)
 	s.probeMask = append(s.probeMask, r.probeMask)
@@ -360,10 +366,7 @@ func (s *ScanResult) mergeSpilled() error {
 	sp := s.spill
 	begin := time.Now()
 	// The live run becomes the newest sorted run, in memory.
-	if !s.addrs.IsSorted() {
-		sort.Stable((*byAddr)(s))
-		s.dedup()
-	}
+	s.sortByAddr()
 	live := *s // snapshot of the live columns for the memory reader
 	s.addrs, s.probeMask, s.flags, s.fail = nil, nil, nil, nil
 	s.attempts, s.t, s.banner = nil, nil, nil

@@ -319,43 +319,40 @@ func (f *FIB) Routed(a ip.Addr) bool {
 		return f.routed6(a)
 	}
 	idx := f.blockIndex(uint64(a.V4()) >> 8)
-	if idx < 0 {
-		return false
-	}
-	blk := &f.blocks[idx]
+	return idx >= 0 && f.routedIn(&f.blocks[idx], a.V4())
+}
+
+// routedIn answers Routed for a v4 address within its already-located block.
+func (f *FIB) routedIn(blk *fibBlock, v4 uint32) bool {
 	if blk.asIdx == fibMixed {
-		return f.mixed[uint32(blk.mixedOff)+a.V4()&0xff].as >= 0
+		return f.mixed[uint32(blk.mixedOff)+v4&0xff].as >= 0
 	}
 	return blk.asIdx >= 0
 }
 
 // RoutedBatch implements zmap.BatchRoutability's contract for the fabric:
-// fill routed[i] with Routed(dst[i]) for the whole batch, caching the last
-// block decode so consecutive same-/24 addresses cost one bit test.
+// fill routed[i] with Routed(dst[i]) for the whole batch, nothing carried
+// from one address to the next. The sweep hands it addresses in permuted
+// order, where consecutive ones share a /24 about as often as chance allows,
+// so there is no block decode worth keeping between them; and most of them
+// are dark, so the loop tests the directory bit first and by itself — an
+// absent bit is the answer, from a table that is cache-resident (2 MiB at
+// SpaceBits=32) — and only painted blocks go on to the rank and the block
+// load. (Asking blockIndex and testing its result for -1 is the same
+// decision a nanosecond slower per dark address: 2.7 against 1.6.)
 func (f *FIB) RoutedBatch(dst []ip.Addr, routed []bool) {
-	lastBi := uint64(1) << 63 // sentinel: no block cached
-	lastRouted := false
-	var lastBlk *fibBlock
+	routed = routed[:len(dst)]
 	for i, a := range dst {
 		if !a.Is4() {
 			routed[i] = f.routed6(a)
 			continue
 		}
 		bi := uint64(a.V4()) >> 8
-		if bi != lastBi {
-			lastBi = bi
-			lastBlk = nil
-			lastRouted = false
-			if idx := f.blockIndex(bi); idx >= 0 {
-				lastBlk = &f.blocks[idx]
-				lastRouted = lastBlk.asIdx >= 0
-			}
-		}
-		if lastBlk != nil && lastBlk.asIdx == fibMixed {
-			routed[i] = f.mixed[uint32(lastBlk.mixedOff)+a.V4()&0xff].as >= 0
+		if word := bi >> 6; word >= uint64(len(f.dir)) || f.dir[word]>>(bi&63)&1 == 0 {
+			routed[i] = false
 			continue
 		}
-		routed[i] = lastRouted
+		routed[i] = f.routedIn(&f.blocks[f.blockIndex(bi)], a.V4())
 	}
 }
 

@@ -98,3 +98,63 @@ func TestChurnOfflineNilReceiver(t *testing.T) {
 		t.Error("zero-rate churn reported a host offline")
 	}
 }
+
+// TestRoutedBatchMatchesRouted pins RoutedBatch — directory bit first, no
+// state carried between addresses — to the per-address Routed answer for
+// answer: over every address of a space forced well past the allocation (so
+// most directory words are dark and some blocks are mixed), every prefix
+// boundary ± 1, addresses past the end of the directory, and both families'
+// addresses against both families' worlds. The batch is handed over in
+// scattered order, as the sweep hands it, and the output starts as the
+// complement of the truth so an entry the loop failed to write shows.
+func TestRoutedBatchMatchesRouted(t *testing.T) {
+	spec := TestSpec(7) // an odd number of painted /24s: the last one's directory-bit neighbour is dark
+	spec.SpaceBits = 18
+	w, err := Build(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.FIB().mixed) == 0 {
+		t.Fatal("test world has no mixed /24: the per-address overflow path is not exercised")
+	}
+	var addrs []ip.Addr
+	for a := uint64(0); a < w.SpaceSize(); a++ {
+		addrs = append(addrs, ip.AddrFrom4(uint32(a)))
+	}
+	for _, as := range w.Routes.All() {
+		for _, pfx := range as.Prefixes {
+			for _, edge := range []ip.Addr{pfx.First(), pfx.Last()} {
+				addrs = append(addrs, edge.Sub(1), edge, edge.Add(1))
+			}
+		}
+	}
+	for _, beyond := range []uint64{0, 1, 255, 256, 1 << 14, w.SpaceSize() + 12345} {
+		addrs = append(addrs, ip.AddrFrom4(uint32(w.SpaceSize()+beyond)))
+	}
+	addrs = append(addrs, ip.AddrFrom4(^uint32(0)), ip.Addr{}, ip.AddrFrom128(0x20010db8<<32, 1))
+	w6 := buildV6(t, TestV6Spec(5))
+	addrs = append(addrs, w6.Hitlist()...)
+
+	stream := rng.NewKey(3).Derive("routed-batch-order").Stream(0)
+	for i := len(addrs) - 1; i > 0; i-- {
+		j := stream.Uint64n(uint64(i + 1))
+		addrs[i], addrs[j] = addrs[j], addrs[i]
+	}
+	for name, f := range map[string]*FIB{"v4 world": w.FIB(), "v6 world": w6.FIB()} {
+		routed := make([]bool, len(addrs))
+		for i, a := range addrs {
+			routed[i] = !f.Routed(a)
+		}
+		f.RoutedBatch(addrs, routed)
+		sawRouted := false
+		for i, a := range addrs {
+			if want := f.Routed(a); routed[i] != want {
+				t.Fatalf("%s: RoutedBatch[%d] (%v) = %v, Routed = %v", name, i, a, routed[i], want)
+			}
+			sawRouted = sawRouted || routed[i]
+		}
+		if !sawRouted {
+			t.Errorf("%s: no address routed; the painted path is not exercised", name)
+		}
+	}
+}

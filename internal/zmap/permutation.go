@@ -31,6 +31,8 @@ type Permutation struct {
 	first     uint64 // starting element for this shard
 	step      uint64 // g^shards: stride between this shard's elements
 	stepShoup uint64 // floor(step<<64 / p): Shoup factor for the walk stride
+	step4     uint64 // step⁴ mod p: the stride of each of walkBatch's four lanes
+	step4Shp  uint64 // Shoup factor of step4
 	space     uint64 // number of valid addresses [0, space)
 	shardLen  uint64 // group elements this shard owns
 	shard     uint64
@@ -82,8 +84,10 @@ func NewPermutationN(key rng.Key, n uint64, shard, shards int) (*Permutation, er
 	if uint64(shard) < total%uint64(shards) {
 		max++
 	}
+	step4 := mulmodPow(step, 4, p)
 	return &Permutation{
 		p: p, g: g, r: r, first: first, step: step, stepShoup: shoupFactor(step, p),
+		step4: step4, step4Shp: shoupFactor(step4, p),
 		space: space, shardLen: max, shard: uint64(shard), shards: uint64(shards),
 	}, nil
 }
@@ -136,88 +140,100 @@ func (it *Iterator) NextIndexed() (addr uint32, elem uint64, ok bool) {
 // NextBatch fills buf with the next addresses of the shard's walk and
 // returns how many it wrote: len(buf) until the walk nears exhaustion, then
 // one final partial batch, then 0. The sequence is exactly the one repeated
-// Next calls yield — batching only amortizes the per-address call overhead
-// so the sweep's permutation walk, context check, and telemetry flush run
-// once per batch. The buffer is caller-owned and reused across calls.
-func (it *Iterator) NextBatch(buf []uint32) int {
-	pm := it.pm
-	cur, emitted := it.current, it.emitted
-	step, shoup, p, space, max := pm.step, pm.stepShoup, pm.p, pm.space, it.max
-	n := 0
-	for n < len(buf) && emitted < max {
-		v := cur
-		cur = mulmodShoup(cur, step, shoup, p)
-		emitted++
-		if a := v - 1; a < space {
-			buf[n] = uint32(a)
-			n++
-		}
-	}
-	it.current, it.emitted = cur, emitted
-	return n
-}
+// Next calls yield — batching amortizes the per-address call overhead (the
+// sweep's context check and telemetry flush run once per batch) and lets the
+// walk run four multiply chains at once (see walkBatch). The buffer is
+// caller-owned and reused across calls.
+func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf, nil) }
 
 // NextBatch64 is NextBatch emitting full-width walk values — the form
 // hitlist iteration uses, where a value is an index into a target list
 // rather than an IPv4 address.
-func (it *Iterator) NextBatch64(buf []uint64) int {
-	pm := it.pm
-	cur, emitted := it.current, it.emitted
-	step, shoup, p, space, max := pm.step, pm.stepShoup, pm.p, pm.space, it.max
-	n := 0
-	for n < len(buf) && emitted < max {
-		v := cur
-		cur = mulmodShoup(cur, step, shoup, p)
-		emitted++
-		if a := v - 1; a < space {
-			buf[n] = a
-			n++
-		}
-	}
-	it.current, it.emitted = cur, emitted
-	return n
-}
-
-// NextIndexedBatch64 is NextIndexedBatch with full-width walk values (see
-// NextBatch64). vals and elems must be the same length.
-func (it *Iterator) NextIndexedBatch64(vals, elems []uint64) int {
-	pm := it.pm
-	cur, emitted := it.current, it.emitted
-	step, shoup, p, space, max := pm.step, pm.stepShoup, pm.p, pm.space, it.max
-	n := 0
-	for n < len(vals) && emitted < max {
-		v := cur
-		cur = mulmodShoup(cur, step, shoup, p)
-		e := emitted
-		emitted++
-		if a := v - 1; a < space {
-			vals[n] = a
-			elems[n] = e
-			n++
-		}
-	}
-	it.current, it.emitted = cur, emitted
-	return n
-}
+func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf, nil) }
 
 // NextIndexedBatch is NextBatch also recording each address's element index
 // within this shard's walk in elems (the NextIndexed batch form). addrs and
 // elems must be the same length.
 func (it *Iterator) NextIndexedBatch(addrs []uint32, elems []uint64) int {
+	return walkBatch(it, addrs, elems[:len(addrs)])
+}
+
+// NextIndexedBatch64 is NextIndexedBatch with full-width walk values (see
+// NextBatch64). vals and elems must be the same length.
+func (it *Iterator) NextIndexedBatch64(vals, elems []uint64) int {
+	return walkBatch(it, vals, elems[:len(vals)])
+}
+
+// walkBatch is the one batch walker under the four Next*Batch methods: it
+// fills vals (and elems, when non-nil, with each value's walk element index)
+// and advances the iterator exactly as len(vals) successful Next calls would.
+//
+// A scalar walk is one serially dependent multiply chain, x ← x·step, so its
+// cost is the multiplier's latency, not its throughput. But the walk is a
+// geometric sequence, x_{i+k} = x_i·step^k, so four lanes seeded
+// cur·step^{0..3} and each advanced by step⁴ visit the same elements, and a
+// round that emits lanes 0‥3 in that order — four stores when, as almost
+// always, no lane maps outside the space; lane by lane with the skip applied
+// in turn otherwise — emits them in the scalar walk's order with the four
+// chains overlapped in the pipeline. Rounds run while at least four buffer
+// slots and four walk elements remain (a round fills at most four slots and
+// consumes exactly four elements, so neither bound is overrun); then lane 0,
+// the next unemitted element, becomes the scalar cursor again and a scalar
+// tail finishes the buffer or the walk. The state persisted between calls is
+// therefore the scalar one whatever the buffer size: every resume point,
+// shard stride and final partial batch yields the sequence repeated Next
+// yields.
+func walkBatch[V uint32 | uint64](it *Iterator, vals []V, elems []uint64) int {
 	pm := it.pm
-	cur, emitted := it.current, it.emitted
-	step, shoup, p, space, max := pm.step, pm.stepShoup, pm.p, pm.space, it.max
+	cur, emitted, max := it.current, it.emitted, it.max
+	step, shoup, p, space := pm.step, pm.stepShoup, pm.p, pm.space
 	n := 0
-	for n < len(addrs) && emitted < max {
+	if len(vals) >= 4 && max-emitted >= 4 {
+		step4, shoup4 := pm.step4, pm.step4Shp
+		c0 := cur
+		c1 := mulmodShoup(c0, step, shoup, p)
+		c2 := mulmodShoup(c1, step, shoup, p)
+		c3 := mulmodShoup(c2, step, shoup, p)
+		for n+4 <= len(vals) && max-emitted >= 4 {
+			a0, a1, a2, a3 := c0-1, c1-1, c2-1, c3-1
+			c0 = mulmodShoup(c0, step4, shoup4, p)
+			c1 = mulmodShoup(c1, step4, shoup4, p)
+			c2 = mulmodShoup(c2, step4, shoup4, p)
+			c3 = mulmodShoup(c3, step4, shoup4, p)
+			if a0 < space && a1 < space && a2 < space && a3 < space {
+				out := vals[n : n+4 : n+4]
+				out[0], out[1], out[2], out[3] = V(a0), V(a1), V(a2), V(a3)
+				if elems != nil {
+					e := elems[n : n+4 : n+4]
+					e[0], e[1], e[2], e[3] = emitted, emitted+1, emitted+2, emitted+3
+				}
+				n += 4
+			} else {
+				for lane, a := range [4]uint64{a0, a1, a2, a3} {
+					if a < space {
+						vals[n] = V(a)
+						if elems != nil {
+							elems[n] = emitted + uint64(lane)
+						}
+						n++
+					}
+				}
+			}
+			emitted += 4
+		}
+		cur = c0
+	}
+	for n < len(vals) && emitted < max {
 		v := cur
 		cur = mulmodShoup(cur, step, shoup, p)
-		e := emitted
-		emitted++
 		if a := v - 1; a < space {
-			addrs[n] = uint32(a)
-			elems[n] = e
+			vals[n] = V(a)
+			if elems != nil {
+				elems[n] = emitted
+			}
 			n++
 		}
+		emitted++
 	}
 	it.current, it.emitted = cur, emitted
 	return n

@@ -61,9 +61,11 @@ type Routability interface {
 }
 
 // BatchRoutability is the batch form of Routability: fill routed[i] with
-// Routed(dst[i]) for a whole sweep batch in one call, letting the sink reuse
-// lookup state across consecutive addresses (the FIB keeps its last block
-// decode hot). len(routed) == len(dst); both slices are caller-owned and
+// Routed(dst[i]) for a whole sweep batch in one call, so the question costs
+// one interface call per batch and the sink answers in a loop of its own
+// (the FIB's tests the directory bit inline). The batch step asks it before
+// anything else is computed for a target: an unrouted address never gets a
+// probe time. len(routed) == len(dst); both slices are caller-owned and
 // only valid for the duration of the call. Implementations must be safe for
 // concurrent use and must agree with Routed answer-for-answer — the sweep
 // treats the two as interchangeable.
@@ -267,208 +269,229 @@ func (s *Scanner) srcFor(dst ip.Addr) ip.Addr {
 	return origin.SourceFor(s.cfg.SourceIPs, dst)
 }
 
-// emitTarget applies the allow/blocklists and the virtual clock for the
-// address at the given 1-based scan position, invoking emit for targets
-// that will be probed. This is the reference definition of the scan
-// schedule — one address, one position, one decision. The batched
-// filterBatch must agree with it answer-for-answer (the differential tests
-// replay sweeps through this function), and the virtual-clock expression
-// here and in filterBatch must stay textually identical: float64 rounding
-// is part of the schedule's bit-identity contract.
-func (s *Scanner) emitTarget(a uint32, position uint64, st *Stats, emit func(ip.Addr, time.Duration)) {
-	dst := ip.AddrFrom4(a)
-	if s.cfg.Allowlist != nil && !s.cfg.Allowlist.Contains(dst) {
-		st.Blocked++
-		return
-	}
-	if s.cfg.Blocklist != nil && s.cfg.Blocklist.Contains(dst) {
-		st.Blocked++
-		return
-	}
-	st.Targets++
-	t := time.Duration(float64(position) / float64(s.perm.Space()) * float64(s.cfg.ScanDuration))
-	emit(dst, t)
-}
-
-// sweepKernel is the caller-owned batch state for one sweep goroutine: the
-// permutation fills addrs (and, sharded, elems), filterBatch compacts the
-// surviving targets into dsts/times via pos, and the routability pass fills
-// routed. One kernel is a single ~130 KiB allocation reused for the whole
-// sweep, so the per-address cost is array writes — no per-batch allocation,
-// no interface calls inside the batch.
+// sweepKernel is one sweep goroutine's state: where its targets go (the sink
+// and its routability, the per-reply or per-target callback), what it has
+// counted, and the caller-owned batch arrays the walk, the lists, the
+// routability call and the clock stamp work in. One kernel is a single
+// ~210 KiB allocation reused for the whole sweep, so the per-address cost is
+// array writes — no per-batch allocation, no interface call per address.
 type sweepKernel struct {
-	idxs   [sweepBatch]uint64
-	raw    [sweepBatch]ip.Addr
-	addrs  [sweepBatch]uint32
-	elems  [sweepBatch]uint64
-	pos    [sweepBatch]uint64
+	s *Scanner
+	// sink receives the probes; reply is invoked for every target that
+	// answered. A nil sink makes the kernel a schedule enumerator (Targets):
+	// nothing is sent and visit is invoked for every target instead.
+	sink  PacketSink
+	rt    Routability
+	brt   BatchRoutability
+	reply func(Reply)
+	visit func(ip.Addr, time.Duration)
+
+	st       Stats
+	unrouted uint64
+	fl       *statsFlusher
+	bt       *telemetry.ChildTracer
+	synBuf   []byte
+
+	addrs  [sweepBatch]uint32 // space sweep: the walk's offsets
+	idxs   [sweepBatch]uint64 // hitlist scan: the walk's list indices
+	elems  [sweepBatch]uint64 // sharded: each target's walk element index
+	pos    [sweepBatch]uint64 // 1-based serial scan positions, when explicit
 	dsts   [sweepBatch]ip.Addr
 	times  [sweepBatch]time.Duration
 	routed [sweepBatch]bool
 }
 
-// filterBatch is emitTarget over a batch: it applies the allow/blocklists
-// to addrs, assigns each survivor its virtual probe time from the 1-based
-// scan position in pos, and compacts survivors into k.dsts/k.times,
-// returning how many survived. The list checks, counter updates, and clock
-// expression are exactly emitTarget's, just unrolled across the batch so
-// the Set lookups and float math run without closure dispatch per address.
-func (s *Scanner) filterBatch(addrs []uint32, pos []uint64, st *Stats, k *sweepKernel) int {
-	allow, block := s.cfg.Allowlist, s.cfg.Blocklist
-	space, dur := float64(s.perm.Space()), float64(s.cfg.ScanDuration)
-	kept := 0
-	for i, a := range addrs {
-		dst := ip.AddrFrom4(a)
-		if allow != nil && !allow.Contains(dst) {
-			st.Blocked++
-			continue
+// newKernel returns a sweep goroutine's kernel over sink (nil for Targets),
+// reporting batch exemplars through bt and, when the scan has telemetry,
+// flushing its counters per batch through a flusher of its own.
+func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
+	k := &sweepKernel{s: s, sink: sink, bt: bt}
+	if sink != nil {
+		k.rt, _ = sink.(Routability)
+		k.brt, _ = sink.(BatchRoutability)
+		// Room for the SYN (as large as a SYN-ACK: both carry only the MSS
+		// option) plus the sink's response behind it (see PacketSink).
+		k.synBuf = make([]byte, 0, 2*packet.ReplyCap)
+		if s.cfg.Telemetry != nil {
+			// The delta snapshot is goroutine-local; the destination
+			// counters are atomic and shared between shards.
+			k.fl = &statsFlusher{m: s.cfg.Telemetry}
 		}
-		if block != nil && block.Contains(dst) {
-			st.Blocked++
-			continue
-		}
-		st.Targets++
-		k.dsts[kept] = dst
-		k.times[kept] = time.Duration(float64(pos[i]) / space * dur)
-		kept++
 	}
-	return kept
+	return k
 }
 
-// filterAddrBatch is filterBatch over targets that are already full
-// addresses — the hitlist path, where the iterator hands out list entries
-// instead of v4 space offsets. Checks, counters, and the virtual-clock
-// expression are exactly filterBatch's; for a hitlist scan perm.Space() is
-// the list length, so the clock spreads the scan over the list.
-func (s *Scanner) filterAddrBatch(dsts []ip.Addr, pos []uint64, st *Stats, k *sweepKernel) int {
-	allow, block := s.cfg.Allowlist, s.cfg.Blocklist
-	space, dur := float64(s.perm.Space()), float64(s.cfg.ScanDuration)
-	kept := 0
-	for i, dst := range dsts {
-		if allow != nil && !allow.Contains(dst) {
-			st.Blocked++
-			continue
-		}
-		if block != nil && block.Contains(dst) {
-			st.Blocked++
-			continue
-		}
-		st.Targets++
-		k.dsts[kept] = dst
-		k.times[kept] = time.Duration(float64(pos[i]) / space * dur)
-		kept++
+// sweep walks pm — the scanner's own permutation, or one sub-shard of it —
+// through the batch step. The permutation walk, context check and telemetry
+// flush all amortize to once per sweepBatch addresses; a canceled sweep
+// returns pipeline.ErrCanceled with the walk stopped at a batch boundary.
+//
+// A serial sweep (of == 1) numbers its targets as it goes. Sub-shard sub of
+// of walks every of-th element of the parent's walk, so it recovers each
+// target's serial position from the target's walk element index and skips,
+// the parent's sorted out-of-space element indices: the elements before it
+// in the parent walk minus those the serial walk would have skipped. Parent
+// indices increase strictly within a sub-shard, so a linear cursor into
+// skips replaces a binary search per address.
+func (k *sweepKernel) sweep(ctx context.Context, pm *Permutation, skips []uint64, sub, of int) error {
+	defer func() { k.fl.flush(&k.st) }()
+	// How a batch is fetched is the only thing a hitlist scan and a space
+	// sweep differ in: list entries by permuted index, or permuted offsets.
+	var it *Iterator
+	var hit *HitlistIterator
+	if k.s.hitlist != nil {
+		hit = pm.IterateHitlist(k.s.hitlist)
+	} else {
+		it = pm.Iterate()
 	}
-	return kept
+	var position, skipCur uint64
+	for {
+		if err := ctx.Err(); err != nil {
+			return pipeline.Canceled(err)
+		}
+		k.fl.flush(&k.st)
+		var n int
+		switch {
+		case hit != nil && of > 1:
+			n = hit.NextIndexedBatch(k.dsts[:], k.idxs[:], k.elems[:])
+		case hit != nil:
+			n = hit.NextBatch(k.dsts[:], k.idxs[:])
+		case of > 1:
+			n = it.NextIndexedBatch(k.addrs[:], k.elems[:])
+		default:
+			n = it.NextBatch(k.addrs[:])
+		}
+		if hit == nil {
+			for i, a := range k.addrs[:n] {
+				k.dsts[i] = ip.AddrFrom4(a)
+			}
+		}
+		var pos []uint64 // nil: consecutive from position+1
+		if of > 1 {
+			pos = k.pos[:n]
+			for i, e := range k.elems[:n] {
+				parent := uint64(sub) + uint64(of)*e
+				for skipCur < uint64(len(skips)) && skips[skipCur] < parent {
+					skipCur++
+				}
+				pos[i] = parent + 1 - skipCur
+			}
+		}
+		k.step(n, position, pos)
+		position += uint64(n)
+		if n < sweepBatch {
+			// Partial (or empty) batch: the walk is exhausted. Cancellation
+			// is only ever observed at exact sweepBatch boundaries, so finish
+			// without another check.
+			return nil
+		}
+	}
 }
 
-// routedBatch fills k.routed for the first kept destinations from whatever
-// routability the sink offers: the batch interface when available, the
-// per-address one otherwise, all-routed when the sink has neither.
-func routedBatch(brt BatchRoutability, rt Routability, k *sweepKernel, kept int) {
+// step is the sweep's one batch step, over the n targets the walk left in
+// k.dsts; target i sits at serial scan position pos[i], or base+i+1 when pos
+// is nil. In order: the allow/blocklists; one routability call for the
+// batch; the virtual-clock stamp, for routed survivors only, compacting them
+// to the front; the unrouted remainder counted in bulk; the probes, over
+// the dense routed slice. Most of a real sweep is dark, so everything before
+// the compaction is a pass of array writes with no per-address decision but
+// the one it exists to make, and nothing after it runs for unrouted space.
+//
+// The clock expression is the schedule: target k of the scan is probed at
+// k/space × ScanDuration, and its float64 rounding is part of every
+// dataset's bytes.
+func (k *sweepKernel) step(n int, base uint64, pos []uint64) {
+	s := k.s
+	if allow, block := s.cfg.Allowlist, s.cfg.Blocklist; allow != nil || block != nil {
+		if pos == nil {
+			pos = k.pos[:n]
+			for i := range pos {
+				pos[i] = base + uint64(i) + 1
+			}
+		}
+		kept := 0
+		for i, dst := range k.dsts[:n] {
+			if allow != nil && !allow.Contains(dst) || block != nil && block.Contains(dst) {
+				continue
+			}
+			k.dsts[kept], pos[kept] = dst, pos[i]
+			kept++
+		}
+		k.st.Blocked += uint64(n - kept)
+		n = kept
+	}
+	if n == 0 {
+		return
+	}
+	k.st.Targets += uint64(n)
+	k.bt.Begin()
+	dsts, routed := k.dsts[:n], k.routed[:n]
 	switch {
-	case brt != nil:
-		brt.RoutedBatch(k.dsts[:kept], k.routed[:kept])
-	case rt != nil:
-		for i := 0; i < kept; i++ {
-			k.routed[i] = rt.Routed(k.dsts[i])
+	case k.brt != nil:
+		k.brt.RoutedBatch(dsts, routed)
+	case k.rt != nil:
+		for i, dst := range dsts {
+			routed[i] = k.rt.Routed(dst)
 		}
 	default:
-		for i := 0; i < kept; i++ {
-			k.routed[i] = true
+		for i := range routed {
+			routed[i] = true
 		}
 	}
-}
-
-// sweep walks this scanner's whole shard through the batched kernel,
-// invoking emit once per batch with the compacted targets and probe times.
-// The permutation walk, context check, and telemetry flush all amortize to
-// once per sweepBatch addresses; a canceled sweep returns
-// pipeline.ErrCanceled with the walk stopped at a batch boundary — the same
-// boundaries the old per-address loop checked at, so cancellation is
-// observably identical.
-func (s *Scanner) sweep(ctx context.Context, st *Stats, fl *statsFlusher, k *sweepKernel, emit func(dsts []ip.Addr, times []time.Duration)) error {
-	if s.hitlist != nil {
-		return s.sweepHitlist(ctx, st, fl, k, emit)
+	space, dur := float64(s.perm.Space()), float64(s.cfg.ScanDuration)
+	kept := 0
+	for i, ok := range routed {
+		if !ok {
+			continue
+		}
+		p := base + uint64(i) + 1
+		if pos != nil {
+			p = pos[i]
+		}
+		k.dsts[kept] = dsts[i]
+		k.times[kept] = time.Duration(float64(p) / space * dur)
+		kept++
 	}
-	it := s.perm.Iterate()
-	var position uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			fl.flush(st)
-			return pipeline.Canceled(err)
-		}
-		fl.flush(st)
-		n := it.NextBatch(k.addrs[:])
-		if n == 0 {
-			fl.flush(st)
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			k.pos[i] = position + uint64(i) + 1
-		}
-		position += uint64(n)
-		if kept := s.filterBatch(k.addrs[:n], k.pos[:n], st, k); kept > 0 {
-			emit(k.dsts[:kept], k.times[:kept])
-		}
-		if n < sweepBatch {
-			// Partial batch: the walk is exhausted. The per-address loop
-			// only re-checked ctx at exact sweepBatch boundaries, so finish
-			// without another check to keep cancellation bit-identical.
-			fl.flush(st)
-			return nil
+	if u := uint64(n - kept); u > 0 {
+		// Unrouted space: count the probes as sent and lost without the
+		// encode/Send round trip — exactly what sending them would have
+		// produced.
+		k.st.ProbesSent += uint64(s.cfg.Probes) * u
+		k.unrouted += u
+		if s.cfg.Telemetry != nil {
+			s.cfg.Telemetry.Unrouted.Add(u)
 		}
 	}
-}
-
-// sweepHitlist is sweep over a hitlist: identical batching, positions,
-// cancellation, and telemetry cadence, with the permutation walking list
-// indices instead of space offsets.
-func (s *Scanner) sweepHitlist(ctx context.Context, st *Stats, fl *statsFlusher, k *sweepKernel, emit func(dsts []ip.Addr, times []time.Duration)) error {
-	it := s.perm.IterateHitlist(s.hitlist)
-	var position uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			fl.flush(st)
-			return pipeline.Canceled(err)
+	if k.sink == nil {
+		for i, dst := range k.dsts[:kept] {
+			k.visit(dst, k.times[i])
 		}
-		fl.flush(st)
-		n := it.NextBatch(k.raw[:], k.idxs[:])
-		if n == 0 {
-			fl.flush(st)
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			k.pos[i] = position + uint64(i) + 1
-		}
-		position += uint64(n)
-		if kept := s.filterAddrBatch(k.raw[:n], k.pos[:n], st, k); kept > 0 {
-			emit(k.dsts[:kept], k.times[:kept])
-		}
-		if n < sweepBatch {
-			fl.flush(st)
-			return nil
+	} else {
+		for i, dst := range k.dsts[:kept] {
+			if r, ok := s.probeTarget(k.sink, dst, k.times[i], &k.st, &k.synBuf); ok {
+				k.reply(r)
+			}
 		}
 	}
+	k.bt.End(telemetry.A("targets", int64(n)), telemetry.A("unrouted", int64(n-kept)))
 }
 
 // Targets invokes fn for every address the scan will probe, in scan order,
 // with its base virtual probe time — the scan's schedule without sending a
 // packet. The deterministic parallel engine uses this to precompute IDS
-// detection points before scans of the same seed run concurrently.
+// detection points before scans of the same seed run concurrently. With no
+// sink there is no routability to consult, so every listed-in target is
+// visited, dark space included.
 func (s *Scanner) Targets(ctx context.Context, fn func(dst ip.Addr, t time.Duration)) error {
-	var st Stats
-	k := new(sweepKernel)
-	return s.sweep(ctx, &st, nil, k, func(dsts []ip.Addr, times []time.Duration) {
-		for i := range dsts {
-			fn(dsts[i], times[i])
-		}
-	})
+	k := s.newKernel(nil, nil)
+	k.visit = fn
+	return k.sweep(ctx, s.perm, nil, 0, 1)
 }
 
 // probeTarget sends the configured probes for one target, validates the
 // responses, and reports the target's reply. synBuf is reused across calls
 // to keep the per-probe hot path allocation-free. Routedness is evaluated
-// per batch before this runs; callers count unrouted targets as
+// per batch before this runs; the batch step counts unrouted targets as
 // sent-and-lost without calling it.
 func (s *Scanner) probeTarget(sink PacketSink, dst ip.Addr, t time.Duration, st *Stats, synBuf *[]byte) (Reply, bool) {
 	reply := Reply{Dst: dst, T: t}
@@ -501,11 +524,6 @@ func (s *Scanner) probeTarget(sink PacketSink, dst ip.Addr, t time.Duration, st 
 	return reply, reply.ProbeMask != 0 || reply.RST
 }
 
-// newSynBuf returns a sweep goroutine's probe buffer: room for the SYN (as
-// large as a SYN-ACK: both carry only the MSS option) plus the sink's
-// response behind it (see PacketSink).
-func newSynBuf() []byte { return make([]byte, 0, 2*packet.ReplyCap) }
-
 // Run executes the scan against sink, invoking handler for every target
 // that sent at least one valid response. Probes for one target are sent
 // back-to-back, as ZMap does; the virtual clock advances linearly with scan
@@ -513,48 +531,14 @@ func newSynBuf() []byte { return make([]byte, 0, 2*packet.ReplyCap) }
 // statistics then cover only the probes actually sent, and the error
 // matches pipeline.ErrCanceled.
 func (s *Scanner) Run(ctx context.Context, sink PacketSink, handler func(Reply)) (Stats, error) {
-	var st Stats
-	synBuf := newSynBuf()
-	var fl *statsFlusher
-	if s.cfg.Telemetry != nil {
-		fl = &statsFlusher{m: s.cfg.Telemetry}
-	}
-	rt, _ := sink.(Routability)
-	brt, _ := sink.(BatchRoutability)
-	k := new(sweepKernel)
-	probes := uint64(s.cfg.Probes)
-	var unrouted uint64
-	bt := s.trace.ChildTracer("sweep_batch")
-	err := s.sweep(ctx, &st, fl, k, func(dsts []ip.Addr, times []time.Duration) {
-		bt.Begin()
-		routedBatch(brt, rt, k, len(dsts))
-		var u uint64
-		for i := range dsts {
-			if !k.routed[i] {
-				// Unrouted space: count the probes as sent and lost
-				// without the encode/Send round trip — exactly what
-				// sending them would have produced.
-				st.ProbesSent += probes
-				u++
-				continue
-			}
-			if r, ok := s.probeTarget(sink, dsts[i], times[i], &st, &synBuf); ok {
-				handler(r)
-			}
-		}
-		if u > 0 {
-			unrouted += u
-			if s.cfg.Telemetry != nil {
-				s.cfg.Telemetry.Unrouted.Add(u)
-			}
-		}
-		bt.End(telemetry.A("targets", int64(len(dsts))), telemetry.A("unrouted", int64(u)))
-	})
+	k := s.newKernel(sink, s.trace.ChildTracer("sweep_batch"))
+	k.reply = handler
+	err := k.sweep(ctx, s.perm, nil, 0, 1)
 	if s.trace != nil {
-		s.trace.SetAttr("targets", int64(st.Targets))
-		s.trace.SetAttr("unrouted", int64(unrouted))
+		s.trace.SetAttr("targets", int64(k.st.Targets))
+		s.trace.SetAttr("unrouted", int64(k.unrouted))
 	}
-	return st, err
+	return k.st, err
 }
 
 // RunSharded executes the scan as n concurrent goroutine shards over
@@ -563,8 +547,8 @@ func (s *Scanner) Run(ctx context.Context, sink PacketSink, handler func(Reply))
 // (and therefore the same loss, outage, and IDS treatment) as under Run:
 // sub-shard j of n walks the cosets g^(shard + shards·j) with stride
 // g^(shards·n), and each element's serial scan position is recovered from
-// its walk index and the permutation's out-of-space skip table. handler is
-// invoked sequentially, in the serial scan's emission order.
+// its walk index and the permutation's out-of-space skip table (see sweep).
+// handler is invoked sequentially, in the serial scan's emission order.
 //
 // Cancellation lands within one sweep batch per shard: each shard checks
 // ctx every sweepBatch walk positions and stops; the merged handler pass is
@@ -582,100 +566,22 @@ func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(
 		}
 		subs[j] = sub
 	}
-	type shardOut struct {
-		st       Stats
-		unrouted uint64
-		replies  []Reply
-	}
-	outs := make([]shardOut, n)
+	kernels := make([]*sweepKernel, n)
+	replies := make([][]Reply, n)
 	hint := s.cfg.ExpectedReplies/n + 64
-	rt, _ := sink.(Routability)
-	brt, _ := sink.(BatchRoutability)
-	probes := uint64(s.cfg.Probes)
 	var wg sync.WaitGroup
 	for j := range subs {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			o := &outs[j]
-			o.replies = make([]Reply, 0, hint)
-			synBuf := newSynBuf()
-			var fl *statsFlusher
-			if s.cfg.Telemetry != nil {
-				// Per-shard flusher: the delta snapshot is goroutine-local,
-				// the destination counters are atomic and shared.
-				fl = &statsFlusher{m: s.cfg.Telemetry}
-				defer func() { fl.flush(&o.st) }()
-			}
 			// Per-shard exemplar tracer (single-goroutine state, like the
-			// flusher); the shard label keeps shard timelines apart.
-			bt := s.trace.ChildTracer("sweep_batch", telemetry.L("shard", strconv.Itoa(j)))
-			k := new(sweepKernel)
-			it := subs[j].Iterate()
-			var hit *HitlistIterator
-			if s.hitlist != nil {
-				hit = subs[j].IterateHitlist(s.hitlist)
-			}
-			// Parent walk indices increase strictly within a sub-shard, so
-			// a linear cursor into the sorted skip table replaces the
-			// per-address binary search of skipsBefore.
-			skipCur := uint64(0)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				fl.flush(&o.st)
-				var bn int
-				if hit != nil {
-					bn = hit.NextIndexedBatch(k.raw[:], k.idxs[:], k.elems[:])
-				} else {
-					bn = it.NextIndexedBatch(k.addrs[:], k.elems[:])
-				}
-				if bn == 0 {
-					return
-				}
-				for i := 0; i < bn; i++ {
-					// The element's index in the parent (unsplit) walk, and
-					// from it the serial scan position: elements before it
-					// minus those the serial walk would have skipped.
-					parent := uint64(j) + uint64(n)*k.elems[i]
-					for skipCur < uint64(len(skips)) && skips[skipCur] < parent {
-						skipCur++
-					}
-					k.pos[i] = parent + 1 - skipCur
-				}
-				var kept int
-				if hit != nil {
-					kept = s.filterAddrBatch(k.raw[:bn], k.pos[:bn], &o.st, k)
-				} else {
-					kept = s.filterBatch(k.addrs[:bn], k.pos[:bn], &o.st, k)
-				}
-				bt.Begin()
-				routedBatch(brt, rt, k, kept)
-				var u uint64
-				for i := 0; i < kept; i++ {
-					if !k.routed[i] {
-						o.st.ProbesSent += probes
-						u++
-						continue
-					}
-					if r, ok := s.probeTarget(sink, k.dsts[i], k.times[i], &o.st, &synBuf); ok {
-						o.replies = append(o.replies, r)
-					}
-				}
-				if u > 0 {
-					o.unrouted += u
-					if s.cfg.Telemetry != nil {
-						s.cfg.Telemetry.Unrouted.Add(u)
-					}
-				}
-				bt.End(telemetry.A("targets", int64(kept)), telemetry.A("unrouted", int64(u)))
-				if bn < sweepBatch {
-					// Partial batch: walk exhausted; match the per-address
-					// loop, which only re-checked ctx at exact boundaries.
-					return
-				}
-			}
+			// kernel's flusher); the shard label keeps shard timelines apart.
+			k := s.newKernel(sink, s.trace.ChildTracer("sweep_batch", telemetry.L("shard", strconv.Itoa(j))))
+			out := make([]Reply, 0, hint)
+			k.reply = func(r Reply) { out = append(out, r) }
+			// A canceled shard just stops; the ctx check below reports it.
+			_ = k.sweep(ctx, subs[j], skips, j, n)
+			kernels[j], replies[j] = k, out
 		}(j)
 	}
 	wg.Wait()
@@ -683,10 +589,10 @@ func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(
 	var st Stats
 	total := 0
 	var unrouted uint64
-	for i := range outs {
-		st.add(outs[i].st)
-		unrouted += outs[i].unrouted
-		total += len(outs[i].replies)
+	for j, k := range kernels {
+		st.add(k.st)
+		unrouted += k.unrouted
+		total += len(replies[j])
 	}
 	if s.trace != nil {
 		s.trace.SetAttr("targets", int64(st.Targets))
@@ -700,8 +606,8 @@ func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(
 		return st, pipeline.Canceled(err)
 	}
 	merged := make([]Reply, 0, total)
-	for i := range outs {
-		merged = append(merged, outs[i].replies...)
+	for _, out := range replies {
+		merged = append(merged, out...)
 	}
 	// Probe times increase strictly with scan position, so sorting by
 	// (T, Dst) reproduces the serial emission order exactly.
