@@ -7,11 +7,7 @@
 //	    go run ./cmd/benchjson -command "..." -note "..." -out BENCH_telemetry.json
 //
 // With -benchmem output the B/op and allocs/op columns are captured too.
-// The -before flag names a file holding raw `go test -bench` output from a
-// prior run (e.g. the pre-optimisation tree); when given, each benchmark is
-// emitted as {"before": ..., "after": ...} so a BENCH file records the
-// perf delta the way BENCH_columnar.json does. Without -before the legacy
-// flat results_ns_per_op map is emitted — unless a benchmark line carries
+// The flat results_ns_per_op map is emitted unless a benchmark line carries
 // b.ReportMetric columns (peak-rss-MiB, rows, spill counters …), in which
 // case the rich per-benchmark form is used so the proof metrics land in
 // the JSON instead of being dropped with the flat map.
@@ -49,11 +45,9 @@ type metrics struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-// diff pairs a benchmark's current measurement with the prior run it is
-// being compared against.
-type diff struct {
-	Before *metrics `json:"before,omitempty"`
-	After  metrics  `json:"after"`
+// rich is one benchmark's entry in the per-benchmark form.
+type rich struct {
+	After metrics `json:"after"`
 }
 
 type record struct {
@@ -61,11 +55,10 @@ type record struct {
 	Machine machine `json:"machine"`
 	Command string  `json:"command"`
 	Note    string  `json:"note,omitempty"`
-	// Flat is the legacy ns/op-only map, emitted when no -before file is
-	// given (matches the oldest BENCH files).
+	// Flat is the ns/op-only map.
 	Flat map[string]float64 `json:"results_ns_per_op,omitempty"`
-	// Results is the before/after form, emitted with -before.
-	Results map[string]diff `json:"results,omitempty"`
+	// Results is the per-benchmark form, carrying every captured column.
+	Results map[string]rich `json:"results,omitempty"`
 }
 
 func main() {
@@ -73,7 +66,6 @@ func main() {
 		command = flag.String("command", "", "benchmark command line to record")
 		note    = flag.String("note", "", "free-form note about the run")
 		out     = flag.String("out", "", "output file (default stdout)")
-		before  = flag.String("before", "", "file of raw benchmark output from a prior run to diff against")
 		gateNum = flag.String("gate-num", "", "gate: benchmark whose ns/op is the numerator")
 		gateDen = flag.String("gate-den", "", "gate: benchmark whose ns/op is the denominator")
 		gateMax = flag.Float64("gate-max", 0, "gate: fail (exit 1) when num/den exceeds this ratio")
@@ -100,43 +92,22 @@ func main() {
 		fatalf("no benchmark results found on stdin")
 	}
 
-	if *before != "" {
-		f, err := os.Open(*before)
-		if err != nil {
-			fatalf("%v", err)
+	hasExtra := false
+	for _, m := range after {
+		if len(m.Extra) > 0 {
+			hasExtra = true
+			break
 		}
-		prior, err := parseBench(f, false)
-		f.Close()
-		if err != nil {
-			fatalf("reading %s: %v", *before, err)
-		}
-		rec.Results = map[string]diff{}
+	}
+	if hasExtra {
+		rec.Results = map[string]rich{}
 		for name, m := range after {
-			d := diff{After: m}
-			if b, ok := prior[name]; ok {
-				bc := b
-				d.Before = &bc
-			}
-			rec.Results[name] = d
+			rec.Results[name] = rich{After: m}
 		}
 	} else {
-		hasExtra := false
-		for _, m := range after {
-			if len(m.Extra) > 0 {
-				hasExtra = true
-				break
-			}
-		}
-		if hasExtra {
-			rec.Results = map[string]diff{}
-			for name, m := range after {
-				rec.Results[name] = diff{After: m}
-			}
-		} else {
-			rec.Flat = map[string]float64{}
-			for name, m := range after {
-				rec.Flat[name] = m.NsPerOp
-			}
+		rec.Flat = map[string]float64{}
+		for name, m := range after {
+			rec.Flat[name] = m.NsPerOp
 		}
 	}
 

@@ -20,7 +20,7 @@
 // address per line) instead of sweeping an address space, and the run
 // prints per-origin coverage and exclusivity over the hitlist targets in
 // place of the paper's IPv4 report (whose figures are calibrated against
-// v4 profile networks). See DESIGN.md § 12.
+// v4 profile networks). See DESIGN.md § 11.
 //
 // At -scale 0.1 and above the in-memory result columns dominate the
 // process footprint; -spill-dir routes each scan's records through the

@@ -11,6 +11,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -21,31 +22,39 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: flags in args, the inventory on stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("worldgen", flag.ExitOnError)
 	var (
-		seed      = flag.Uint64("seed", 2020, "world seed")
-		scale     = flag.Float64("scale", 0.001, "world scale")
-		top       = flag.Int("top", 15, "number of top ASes to list")
-		countries = flag.Bool("countries", true, "print country populations")
-		profiles  = flag.Bool("profiles", true, "print the paper's profile networks")
+		seed      = fs.Uint64("seed", 2020, "world seed")
+		scale     = fs.Float64("scale", 0.001, "world scale")
+		top       = fs.Int("top", 15, "number of top ASes to list")
+		countries = fs.Bool("countries", true, "print country populations")
+		profiles  = fs.Bool("profiles", true, "print the paper's profile networks")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: does not return on a bad flag
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	w, err := world.Build(ctx, world.Spec{Seed: *seed, Scale: *scale})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "worldgen: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("seed %d, scale %g → %d hosts over 2^%d addresses, %d ASes\n",
+	fmt.Fprintf(stdout, "seed %d, scale %g → %d hosts over 2^%d addresses, %d ASes\n",
 		*seed, *scale, w.NumHosts(), w.SpaceBits, w.Routes.Len())
 	for _, p := range proto.All() {
-		fmt.Printf("  %-6s %d hosts\n", p, w.HostCount(p))
+		fmt.Fprintf(stdout, "  %-6s %d hosts\n", p, w.HostCount(p))
 	}
 
 	if *countries {
-		fmt.Println("\ncountry populations (HTTP hosts):")
+		fmt.Fprintln(stdout, "\ncountry populations (HTTP hosts):")
 		type row struct {
 			c geo.Country
 			n int
@@ -58,11 +67,11 @@ func main() {
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
 		for _, r := range rows {
-			fmt.Printf("  %-3s %7d\n", r.c, r.n)
+			fmt.Fprintf(stdout, "  %-3s %7d\n", r.c, r.n)
 		}
 	}
 
-	fmt.Printf("\ntop %d ASes by host count:\n", *top)
+	fmt.Fprintf(stdout, "\ntop %d ASes by host count:\n", *top)
 	type asRow struct {
 		name  string
 		num   uint32
@@ -77,16 +86,17 @@ func main() {
 		if i >= *top {
 			break
 		}
-		fmt.Printf("  AS%-7d %-40s %7d hosts\n", a.num, a.name, a.hosts)
+		fmt.Fprintf(stdout, "  AS%-7d %-40s %7d hosts\n", a.num, a.name, a.hosts)
 	}
 
 	if *profiles {
-		fmt.Println("\npaper profile networks:")
+		fmt.Fprintln(stdout, "\npaper profile networks:")
 		for _, name := range w.ProfileNames() {
 			n := w.MustProfileASN(name)
 			a, _ := w.Routes.Get(n)
-			fmt.Printf("  AS%-7d %-40s %-3s %-11s %6d hosts\n",
+			fmt.Fprintf(stdout, "  AS%-7d %-40s %-3s %-11s %6d hosts\n",
 				n, name, a.Country, a.Kind, len(w.HostsInAS(n)))
 		}
 	}
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -32,30 +33,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, pipeline.ErrCanceled) {
+			exitf(130, "interrupted")
+		}
+		exitf(1, "%v", err)
+	}
+}
+
+// run is the command: flags in args, the report on stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("zmapsim", flag.ExitOnError)
 	var (
-		seed      = flag.Uint64("seed", 2020, "study seed")
-		scale     = flag.Float64("scale", 0.0002, "world scale")
-		originStr = flag.String("origin", "US1", "scan origin (AU, BR, DE, JP, US1, US64, CEN)")
-		protoStr  = flag.String("proto", "http", "protocol (http, https, ssh)")
-		trial     = flag.Int("trial", 0, "trial index (0-based)")
-		probes    = flag.Int("probes", 2, "SYN probes per target")
-		retries   = flag.Int("retries", 0, "application-handshake retry budget")
-		verbose   = flag.Bool("v", false, "print every responsive host")
-		pcapPath  = flag.String("pcap", "", "write probe/response packets to this pcap file")
-		blocklist = flag.String("blocklist", "", "ZMap-style blocklist file (CIDRs, # comments)")
-		banners   = flag.Bool("banners", false, "print the top captured banners")
-		shard     = flag.Int("shard", 0, "this scanner's shard index (0-based)")
-		shards    = flag.Int("shards", 1, "total cooperating shards")
+		seed      = fs.Uint64("seed", 2020, "study seed")
+		scale     = fs.Float64("scale", 0.0002, "world scale")
+		originStr = fs.String("origin", "US1", "scan origin (AU, BR, DE, JP, US1, US64, CEN)")
+		protoStr  = fs.String("proto", "http", "protocol (http, https, ssh)")
+		trial     = fs.Int("trial", 0, "trial index (0-based)")
+		probes    = fs.Int("probes", 2, "SYN probes per target")
+		retries   = fs.Int("retries", 0, "application-handshake retry budget")
+		verbose   = fs.Bool("v", false, "print every responsive host")
+		pcapPath  = fs.String("pcap", "", "write probe/response packets to this pcap file")
+		blocklist = fs.String("blocklist", "", "ZMap-style blocklist file (CIDRs, # comments)")
+		banners   = fs.Bool("banners", false, "print the top captured banners")
+		shard     = fs.Int("shard", 0, "this scanner's shard index (0-based)")
+		shards    = fs.Int("shards", 1, "total cooperating shards")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: does not return on a bad flag
 
 	o, ok := parseOrigin(*originStr)
 	if !ok {
-		fatalf("unknown origin %q", *originStr)
+		return fmt.Errorf("unknown origin %q", *originStr)
 	}
 	p, ok := parseProto(*protoStr)
 	if !ok {
-		fatalf("unknown protocol %q", *protoStr)
+		return fmt.Errorf("unknown protocol %q", *protoStr)
 	}
 
 	cfg := experiment.Config{
@@ -69,26 +81,26 @@ func main() {
 	if *blocklist != "" {
 		f, err := os.Open(*blocklist)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		set, err := ip.ParseBlocklist(f)
 		f.Close()
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		cfg.Blocklist = set
-		fmt.Printf("blocklist: %d prefixes covering %d addresses\n", set.Len(), set.NumAddrs())
+		fmt.Fprintf(stdout, "blocklist: %d prefixes covering %d addresses\n", set.Len(), set.NumAddrs())
 	}
 	var capture *pcap.Writer
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		defer f.Close()
 		capture, err = pcap.NewWriter(f, pcap.LinkTypeRaw)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		cfg.SinkWrapper = func(inner zmap.PacketSink) zmap.PacketSink {
 			return pcap.NewSink(inner, capture)
@@ -98,33 +110,28 @@ func main() {
 	defer stop()
 	st, err := experiment.NewStudy(ctx, cfg)
 	if err != nil {
-		if errors.Is(err, pipeline.ErrCanceled) {
-			exitf(130, "interrupted")
-		}
-		fatalf("%v", err)
+		return err
 	}
 	w := st.World
-	fmt.Printf("zmapsim: scanning %s (port %d) from %s over 2^%d addresses\n",
+	fmt.Fprintf(stdout, "zmapsim: scanning %s (port %d) from %s over 2^%d addresses\n",
 		p, p.Port(), w.Origins.Get(o).Name, w.SpaceBits)
 
 	res, err := st.ScanOne(ctx, o, p, *trial)
 	if err != nil {
-		if errors.Is(err, pipeline.ErrCanceled) {
-			exitf(130, "interrupted")
-		}
-		fatalf("%v", err)
+		return err
 	}
-	printScan(res, w, *verbose)
+	printScan(stdout, res, w, *verbose)
 	if capture != nil {
-		fmt.Printf("pcap: %d packets written to %s\n", capture.Count(), *pcapPath)
+		fmt.Fprintf(stdout, "pcap: %d packets written to %s\n", capture.Count(), *pcapPath)
 	}
 	if *banners {
-		printBanners(res)
+		printBanners(stdout, res)
 	}
+	return nil
 }
 
 // printBanners tallies the captured banners of one scan.
-func printBanners(res *results.ScanResult) {
+func printBanners(stdout io.Writer, res *results.ScanResult) {
 	counts := map[string]int{}
 	res.Each(func(r results.HostRecord) {
 		if r.L7 && r.Banner != "" {
@@ -140,12 +147,12 @@ func printBanners(res *results.ScanResult) {
 		kvs = append(kvs, kv{b, n})
 	}
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].n > kvs[j].n })
-	fmt.Println("top banners:")
+	fmt.Fprintln(stdout, "top banners:")
 	for i, e := range kvs {
 		if i >= 10 {
 			break
 		}
-		fmt.Printf("  %-40s %6d\n", e.b, e.n)
+		fmt.Fprintf(stdout, "  %-40s %6d\n", e.b, e.n)
 	}
 }
 
@@ -167,7 +174,7 @@ func parseProto(s string) (proto.Protocol, bool) {
 	return 0, false
 }
 
-func printScan(res *results.ScanResult, w *world.World, verbose bool) {
+func printScan(stdout io.Writer, res *results.ScanResult, w *world.World, verbose bool) {
 	l4, l7, rstOnly := 0, 0, 0
 	failCounts := map[zgrab.FailMode]int{}
 	res.Each(func(r results.HostRecord) {
@@ -190,29 +197,25 @@ func printScan(res *results.ScanResult, w *world.World, verbose bool) {
 			if a, okAS := w.ASOf(r.Addr); okAS {
 				as = fmt.Sprintf("AS%d %s", a.Number, a.Name)
 			}
-			fmt.Printf("  %-15s probes=%02b %-8s %s\n", r.Addr, r.ProbeMask, status, as)
+			fmt.Fprintf(stdout, "  %-15s probes=%02b %-8s %s\n", r.Addr, r.ProbeMask, status, as)
 		}
 	})
-	fmt.Printf("targets probed:    %d\n", res.Targets)
-	fmt.Printf("probes sent:       %d\n", res.ProbesSent)
-	fmt.Printf("SYN-ACKs (valid):  %d\n", res.SynAcks)
-	fmt.Printf("RSTs (valid):      %d\n", res.Rsts)
-	fmt.Printf("invalid responses: %d\n", res.Invalid)
-	fmt.Printf("hosts L4-alive:    %d\n", l4)
-	fmt.Printf("hosts RST-only:    %d\n", rstOnly)
-	fmt.Printf("handshakes OK:     %d\n", l7)
+	fmt.Fprintf(stdout, "targets probed:    %d\n", res.Targets)
+	fmt.Fprintf(stdout, "probes sent:       %d\n", res.ProbesSent)
+	fmt.Fprintf(stdout, "SYN-ACKs (valid):  %d\n", res.SynAcks)
+	fmt.Fprintf(stdout, "RSTs (valid):      %d\n", res.Rsts)
+	fmt.Fprintf(stdout, "invalid responses: %d\n", res.Invalid)
+	fmt.Fprintf(stdout, "hosts L4-alive:    %d\n", l4)
+	fmt.Fprintf(stdout, "hosts RST-only:    %d\n", rstOnly)
+	fmt.Fprintf(stdout, "handshakes OK:     %d\n", l7)
 	for mode, n := range failCounts {
-		fmt.Printf("  grab failed (%s): %d\n", mode, n)
+		fmt.Fprintf(stdout, "  grab failed (%s): %d\n", mode, n)
 	}
 	hitRate := 0.0
 	if res.Targets > 0 {
 		hitRate = float64(l7) / float64(res.Targets)
 	}
-	fmt.Printf("hit rate:          %.4f%%\n", 100*hitRate)
-}
-
-func fatalf(format string, args ...any) {
-	exitf(1, format, args...)
+	fmt.Fprintf(stdout, "hit rate:          %.4f%%\n", 100*hitRate)
 }
 
 func exitf(code int, format string, args ...any) {

@@ -122,6 +122,22 @@ func TestEveryAccessorProducesData(t *testing.T) {
 	if s.Probes(proto.HTTP, origin.AU, 0).Coverage2Probe <= 0 {
 		t.Error("probe stats empty")
 	}
+	if len(s.Bursts(proto.HTTP).PerOriginTrial) == 0 {
+		t.Error("bursts empty")
+	}
+	if top, distinct := s.Banners(proto.HTTP, origin.US1, 0, 5); len(top) == 0 || distinct == 0 {
+		t.Errorf("banners: %d rows, %d distinct", len(top), distinct)
+	}
+	if a := s.Agreement(proto.HTTP, 0); a.Blocks == 0 || len(a.PerPair) == 0 {
+		t.Errorf("agreement over %d blocks, %d pairs", a.Blocks, len(a.PerPair))
+	}
+	// The two accessors that scan again come last.
+	if curves, err := s.Fig13SSHRetry(context.Background(), 3, 8); err != nil || len(curves) == 0 || len(curves[0].Success) != 9 {
+		t.Errorf("Fig13 curves = %v (err %v)", curves, err)
+	}
+	if pts, err := s.ProbeSweep(context.Background(), origin.US1, proto.HTTP, 0, 3, 0); err != nil || len(pts) != 3 || pts[2].Coverage <= 0 {
+		t.Errorf("probe sweep = %v (err %v)", pts, err)
+	}
 }
 
 func sum(xs []int) int {

@@ -57,8 +57,6 @@ type Config struct {
 	ProbeDelay time.Duration
 	// Retries is the ZGrab connection retry budget (0 in the main study).
 	Retries int
-	// GrabWorkers sizes the L7 worker pool (default 16).
-	GrabWorkers int
 	// IncludeCarinet adds the Carinet origin in trial 0 only, as in the
 	// paper.
 	IncludeCarinet bool
@@ -76,16 +74,13 @@ type Config struct {
 	// wrapper must be safe for concurrent Sends when ScanShards > 1.
 	SinkWrapper func(zmap.PacketSink) zmap.PacketSink
 	// DialWrapper, when set, wraps the L7 dialer of every scan — the grab
-	// counterpart of SinkWrapper. A wrapper must be safe for concurrent
-	// Dials (the grab worker pool dials concurrently). Wrapped dialers
-	// automatically take the reference grab path: the wrapper sees every
-	// Dial.
-	DialWrapper func(zgrab.Dialer) zgrab.Dialer
-	// GrabReference forces the goroutine-per-connection reference grab
-	// path even when the scan's dialer supports the batched fast path
-	// (zgrab.FastDialer). The fast path is bit-identical — this knob
-	// exists for the differential tests and benchmarks that prove it.
-	GrabReference bool
+	// counterpart of SinkWrapper and the fault-injection seam of the grab
+	// stage. A wrapper embeds the dialer it is given and overrides what it
+	// wants to observe: PredialBatch runs once per grab window on the
+	// stage's goroutine; Predial (retry attempts) and ConnectFast (every
+	// accepted connection) run on the grab workers, so they must be safe
+	// for concurrent use.
+	DialWrapper func(zgrab.FastDialer) zgrab.FastDialer
 	// Hooks observe lifecycle stage transitions of every scan and of
 	// world generation (instrumentation, progress reporting, tests).
 	Hooks pipeline.Hooks
@@ -129,6 +124,9 @@ type Config struct {
 // enough that the per-window barrier is amortized away.
 const grabWindow = 4096
 
+// grabWorkers is how many goroutines share one grab window.
+const grabWorkers = 16
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Trials == 0 {
@@ -143,10 +141,15 @@ func (c *Config) withDefaults() Config {
 	if out.Probes == 0 {
 		out.Probes = 2
 	}
-	if out.GrabWorkers == 0 {
-		out.GrabWorkers = 16
-	}
 	return out
+}
+
+// parallelism is how many scans run at once: Parallelism, or GOMAXPROCS.
+func (c *Config) parallelism() int {
+	if c.Parallelism > 0 {
+		return c.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Study is a prepared experiment: world plus behaviour models.
@@ -222,80 +225,18 @@ func (st *Study) Run(ctx context.Context) (*results.Dataset, error) {
 // every scan.
 func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.Dataset, error) {
 	cfg := st.Config
-	origins := cfg.Origins
-	dsOrigins := origins
-	if cfg.IncludeCarinet && !origins.Contains(origin.CARINET) {
-		dsOrigins = append(append(origin.Set{}, origins...), origin.CARINET)
+	dsOrigins := cfg.Origins
+	if cfg.IncludeCarinet && !dsOrigins.Contains(origin.CARINET) {
+		dsOrigins = append(append(origin.Set{}, dsOrigins...), origin.CARINET)
 	}
 	ds := results.NewDataset(dsOrigins, cfg.Trials)
 
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := cfg.parallelism()
 	shards := cfg.ScanShards
 	if shards <= 0 {
 		shards = 1
 	}
-	// Orchestration metrics: totals for the progress line, the queue-depth
-	// gauge, and per-worker utilization. All instruments are nil-safe, so a
-	// run without a registry takes the same code path.
-	reg := cfg.Telemetry
-	numScans := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
-		for range cfg.Protocols {
-			for _, o := range dsOrigins {
-				if o == origin.CARINET && trial != 0 {
-					continue
-				}
-				numScans++
-			}
-		}
-	}
-	reg.Gauge(telemetry.MetricScansTotal).Set(int64(numScans))
-	scansDone := reg.Counter(telemetry.MetricScansDone)
-	queueDepth := reg.Gauge(telemetry.MetricQueueDepth)
-
-	var scanErrs []error
-	if par == 1 && shards == 1 {
-		// Serial reference path: the live stateful IDSes observe probes
-		// in study order, exactly as the paper's scans unfolded. The
-		// parallel engine below must match this bit-for-bit.
-		queueDepth.Set(int64(numScans))
-		for trial := 0; trial < cfg.Trials; trial++ {
-			for _, p := range cfg.Protocols {
-				for _, o := range dsOrigins {
-					if o == origin.CARINET && trial != 0 {
-						continue
-					}
-					queueDepth.Add(-1)
-					res, err := st.scanOne(ctx, o, p, trial, policy.Detectors(st.Scenario.IDSes), 1, studySpan)
-					if err != nil {
-						serr := &pipeline.ScanError{Origin: o, Proto: p, Trial: trial, Err: err}
-						if errors.Is(err, pipeline.ErrCanceled) {
-							// The interrupted scan is discarded; the
-							// dataset keeps every scan sealed before it.
-							return ds, serr
-						}
-						scansDone.Inc()
-						scanErrs = append(scanErrs, serr)
-						continue
-					}
-					scansDone.Inc()
-					if err := ds.Put(res); err != nil {
-						scanErrs = append(scanErrs, &pipeline.ScanError{Origin: o, Proto: p, Trial: trial, Err: err})
-					}
-				}
-			}
-		}
-		if len(scanErrs) > 0 {
-			return ds, pipeline.Tag(pipeline.ErrScanFailed, errors.Join(scanErrs...))
-		}
-		return ds, nil
-	}
-
-	// Canonical task order: trial-major, then protocol, then origin — the
-	// order the serial loop commits in.
+	// Canonical task order: trial-major, then protocol, then origin.
 	var tasks []scanKey
 	for trial := 0; trial < cfg.Trials; trial++ {
 		for _, p := range cfg.Protocols {
@@ -307,69 +248,83 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 			}
 		}
 	}
+	// Orchestration metrics: totals for the progress line, the queue-depth
+	// gauge, and per-worker utilization. All instruments are nil-safe, so a
+	// run without a registry takes the same code path.
+	reg := cfg.Telemetry
+	reg.Gauge(telemetry.MetricScansTotal).Set(int64(len(tasks)))
+	scansDone := reg.Counter(telemetry.MetricScansDone)
+	queueDepth := reg.Gauge(telemetry.MetricQueueDepth)
 
-	plan, err := st.planIDS(ctx, dsOrigins)
-	if err != nil {
-		return ds, err
+	// One worker on one shard scans against the live stateful IDSes, which
+	// observe probes in study order, exactly as the paper's scans unfolded.
+	// Anything wider runs each scan against its precomputed view of that
+	// order, which must match the live one bit for bit.
+	live := policy.Detectors(st.Scenario.IDSes)
+	var plan *idsPlan
+	if par > 1 || shards > 1 {
+		var err error
+		if plan, err = st.planIDS(ctx, dsOrigins); err != nil {
+			return ds, err
+		}
 	}
 
 	outs := make([]*results.ScanResult, len(tasks))
 	errs := make([]error, len(tasks))
-	idx := make(chan int)
-	queueDepth.Set(int64(len(tasks)))
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wl := telemetry.L("worker", strconv.Itoa(w))
-			busyNS := reg.Counter(telemetry.MetricWorkerBusyNS, wl)
-			workerScans := reg.Counter(telemetry.MetricWorkerScans, wl)
-			for i := range idx {
-				queueDepth.Add(-1)
-				if ctx.Err() != nil {
-					continue // canceled: drain remaining indices
-				}
-				t := tasks[i]
-				begin := time.Now()
-				res, err := st.scanOne(ctx, t.o, t.p, t.trial, plan.detectors(t), shards, studySpan)
-				busyNS.Add(uint64(time.Since(begin).Nanoseconds()))
-				workerScans.Inc()
-				if err != nil {
-					if !errors.Is(err, pipeline.ErrCanceled) {
-						scansDone.Inc()
-					}
-					errs[i] = err
-					continue
-				}
-				scansDone.Inc()
-				outs[i] = res
-			}
-		}(w)
-	}
+	idx := make(chan int, len(tasks))
 	for i := range tasks {
 		idx <- i
 	}
 	close(idx)
-	wg.Wait()
-
-	// Seal every completed scan into the dataset before classifying the
-	// outcome: partial results survive both cancellation and failure.
-	for i, res := range outs {
-		if res == nil {
-			continue
-		}
-		if err := ds.Put(res); err != nil {
-			errs[i] = errors.Join(errs[i], err)
+	queueDepth.Set(int64(len(tasks)))
+	worker := func(w int) {
+		wl := telemetry.L("worker", strconv.Itoa(w))
+		busyNS := reg.Counter(telemetry.MetricWorkerBusyNS, wl)
+		workerScans := reg.Counter(telemetry.MetricWorkerScans, wl)
+		for i := range idx {
+			queueDepth.Add(-1)
+			if ctx.Err() != nil {
+				continue // canceled: drain remaining indices
+			}
+			t := tasks[i]
+			detectors := live
+			if plan != nil {
+				detectors = plan.detectors(t)
+			}
+			begin := time.Now()
+			res, err := st.scanOne(ctx, t.o, t.p, t.trial, detectors, shards, studySpan)
+			busyNS.Add(uint64(time.Since(begin).Nanoseconds()))
+			workerScans.Inc()
+			if !errors.Is(err, pipeline.ErrCanceled) {
+				scansDone.Inc()
+			}
+			outs[i], errs[i] = res, err
 		}
 	}
+	// The caller is worker 0, so a one-worker run starts no goroutine here.
+	var wg sync.WaitGroup
+	for w := 1; w < par; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			worker(w)
+		}(w)
+	}
+	worker(0)
+	wg.Wait()
 
+	// Every completed scan goes into the dataset before the outcome is
+	// classified: partial results survive both cancellation and failure.
+	var scanErrs []error
 	var canceledErr error
-	for i, err := range errs {
+	for i, t := range tasks {
+		err := errs[i]
+		if outs[i] != nil {
+			err = ds.Put(outs[i])
+		}
 		if err == nil {
 			continue
 		}
-		t := tasks[i]
 		serr := &pipeline.ScanError{Origin: t.o, Proto: t.p, Trial: t.trial, Err: err}
 		if errors.Is(err, pipeline.ErrCanceled) {
 			if canceledErr == nil {
@@ -385,13 +340,15 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 	case canceledErr != nil:
 		return ds, canceledErr
 	case ctx.Err() != nil:
-		// Canceled after the last scan completed but before commit.
+		// Canceled after the last scan completed.
 		return ds, pipeline.Canceled(ctx.Err())
 	}
-	// Leave the live IDSes in the exact state a serial run would have:
-	// sub-experiments (SSH retry, multi-probe sweeps) read it. Only a
-	// fully successful run commits.
-	plan.commit(st.Scenario.IDSes)
+	if plan != nil {
+		// Leave the live IDSes in the exact state the live-detector run
+		// leaves them in: sub-experiments (SSH retry, multi-probe sweeps)
+		// read it. Only a fully successful run commits.
+		plan.commit(st.Scenario.IDSes)
+	}
 	return ds, nil
 }
 
@@ -430,11 +387,7 @@ func (st *Study) newScanResult(o origin.ID, p proto.Protocol, trial, hint int) (
 	}
 	spill := results.SpillConfig{Dir: cfg.SpillDir}
 	if cfg.MemBudget > 0 {
-		par := cfg.Parallelism
-		if par <= 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
-		spill.Budget = cfg.MemBudget / int64(par)
+		spill.Budget = cfg.MemBudget / int64(cfg.parallelism())
 	}
 	return results.NewSpilledScanResult(o, p, trial, hint, spill)
 }
@@ -460,6 +413,28 @@ func (st *Study) originRecord(o origin.ID) *origin.Origin {
 	return org
 }
 
+// sweepConfig is the part of a scan's ZMap configuration that (protocol,
+// trial) fixes — shared by every origin's scan and by the IDS planner's
+// walk, which must visit what the scans will send. All origins share the
+// scan seed per (protocol, trial): the paper starts every origin's ZMap with
+// the same seed so scanners probe the same addresses at approximately the
+// same time.
+func (st *Study) sweepConfig(p proto.Protocol, trial int) zmap.Config {
+	cfg := st.Config
+	return zmap.Config{
+		TargetPort:   p.Port(),
+		Probes:       cfg.Probes,
+		ProbeDelay:   cfg.ProbeDelay,
+		SpaceBits:    st.World.SpaceBits,
+		Hitlist:      st.hitlist(),
+		Seed:         rng.NewKey(st.World.Spec.Seed).Derive("scan-seed").Uint64(uint64(p), uint64(trial)),
+		Shard:        cfg.Shard,
+		Shards:       cfg.Shards,
+		ScanDuration: scenario.ScanDuration,
+		Blocklist:    cfg.Blocklist,
+	}
+}
+
 // ScanOne runs a single origin's ZMap+ZGrab scan of one protocol in one
 // trial: the building block of the study. The live IDSes observe the scan's
 // probes directly (the serial reference behaviour).
@@ -479,11 +454,11 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 // scanOne runs one scan with the given IDS views (live or scheduled) and
 // number of sweep shards. The scan is a three-stage pipeline — Sweep (L4
 // probe sweep), Grab (L7 handshakes on the worker pool), Seal (commit the
-// sorted columns and drain the fabric's connection goroutines) — run
-// through a pipeline.Runner so cfg.Hooks observe the transitions and any
-// interruption reports its stage. A canceled scan returns nil (the partial
-// result is not well-defined mid-stage); the fabric is always drained
-// before return so no connection goroutine outlives the scan.
+// sorted columns) — run through a pipeline.Runner so cfg.Hooks observe the
+// transitions and any interruption reports its stage. A canceled scan
+// returns nil (the partial result is not well-defined mid-stage). Grab
+// connections are served inline on the worker that opened them, so the
+// only goroutines a scan starts are the ones its stages wait for.
 func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, detectors []policy.Detector, shards int, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)
@@ -494,7 +469,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 	labels := scanLabels(st.World.Family, o, p, trial)
 	sweepM := telemetry.NewSweepMetrics(cfg.Telemetry, labels...)
 	grabM := telemetry.NewGrabMetrics(cfg.Telemetry, labels...)
-	poolM := telemetry.NewGrabPoolMetrics(cfg.Telemetry, cfg.GrabWorkers, labels...)
+	poolM := telemetry.NewGrabPoolMetrics(cfg.Telemetry, grabWorkers, labels...)
 	sealM := telemetry.NewSealMetrics(cfg.Telemetry, labels...)
 	var spillM *telemetry.SpillMetrics
 	if cfg.SpillDir != "" {
@@ -515,35 +490,13 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 		NumOrigins: len(cfg.Origins),
 		Hosts:      st.Scenario.Hosts,
 	}, org, trial)
-	// Teardown safety net: even when a stage fails or the run is
-	// canceled, wait (bounded, off the canceled ctx) for the fabric's
-	// per-connection goroutines so an aborted scan leaks nothing.
-	defer func() {
-		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = fab.Drain(drainCtx)
-	}()
 
-	// All origins share the scan seed per (protocol, trial): the paper
-	// starts every origin's ZMap with the same seed so scanners probe
-	// the same addresses at approximately the same time.
-	scanSeed := rng.NewKey(st.World.Spec.Seed).Derive("scan-seed").Uint64(uint64(p), uint64(trial))
 	numHosts := st.replyHint()
-	sc, err := zmap.NewScanner(zmap.Config{
-		SourceIPs:       org.SourceIPs,
-		TargetPort:      p.Port(),
-		Probes:          cfg.Probes,
-		ProbeDelay:      cfg.ProbeDelay,
-		SpaceBits:       st.World.SpaceBits,
-		Hitlist:         st.hitlist(),
-		Seed:            scanSeed,
-		Shard:           cfg.Shard,
-		Shards:          cfg.Shards,
-		ScanDuration:    scenario.ScanDuration,
-		Blocklist:       cfg.Blocklist,
-		ExpectedReplies: numHosts,
-		Telemetry:       sweepM,
-	})
+	zcfg := st.sweepConfig(p, trial)
+	zcfg.SourceIPs = org.SourceIPs
+	zcfg.ExpectedReplies = numHosts
+	zcfg.Telemetry = sweepM
+	sc, err := zmap.NewScanner(zcfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %v/%v/trial %d: %w", o, p, trial, err)
 	}
@@ -552,7 +505,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 	if cfg.SinkWrapper != nil {
 		sink = cfg.SinkWrapper(fab)
 	}
-	var dialer zgrab.Dialer = fab
+	var dialer zgrab.FastDialer = fab
 	if cfg.DialWrapper != nil {
 		dialer = cfg.DialWrapper(fab)
 	}
@@ -574,30 +527,27 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			return err
 		}},
 		pipeline.StageFunc{Stage: pipeline.StageGrab, Run: func(ctx context.Context) error {
-			// Windowed grab hand-off through the ResultSink: workers
-			// claim reply indices inside a bounded window, writing
-			// records into matching slots — no channel per record — and
-			// each window barrier appends its records through the sink
-			// in reply order, so the columns build deterministically
-			// (identical to the old whole-scan record buffer). Handing
-			// records over per window instead of buffering the entire
-			// scan is what lets a spill-backed store bound memory: the
-			// sink may flush sorted runs to disk mid-scan. Workers
-			// re-check ctx per claim (a pure read: uncancelled runs are
-			// unaffected), so a canceled grab stops within one claim per
-			// worker, and a partially grabbed window is never appended.
+			// Windowed grab hand-off: workers claim reply indices inside
+			// a bounded window, writing records into matching slots — no
+			// channel per record — and each window barrier appends its
+			// records to the store in reply order, so the columns build
+			// deterministically. Handing records over per window instead
+			// of buffering the entire scan is what lets a spill-backed
+			// store bound memory: it may flush sorted runs to disk
+			// mid-scan. Workers re-check ctx per claim (a pure read:
+			// uncancelled runs are unaffected), so a canceled grab stops
+			// within one claim per worker, and a partially grabbed window
+			// is never appended.
 			var err error
 			res, err = st.newScanResult(o, p, trial, len(replies))
 			if err != nil {
 				return err
 			}
-			var sink results.ResultSink = res
 			grabber := &zgrab.Grabber{
-				Dialer:    dialer,
-				Retries:   cfg.Retries,
-				Key:       rng.NewKey(st.World.Spec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
-				IOTimeout: 10 * time.Second,
-				Metrics:   grabM,
+				Dialer:  dialer,
+				Retries: cfg.Retries,
+				Key:     rng.NewKey(st.World.Spec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
+				Metrics: grabM,
 			}
 			gspan := tr.Span(pipeline.StageGrab)
 			gspan.SetAttr("hosts", int64(len(replies)))
@@ -608,73 +558,42 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			// sampling) under the grab stage span; Hooks run the stage in
 			// this goroutine, so the tracer's state is single-owner.
 			wt := gspan.ChildTracer("grab_window")
-			size := grabWindow
-			if size > len(replies) {
-				size = len(replies)
-			}
+			size := min(grabWindow, len(replies))
 			window := make([]results.HostRecord, size)
 			poolWorkers := poolM.Workers()
-			// The fast path: a dialer that supports batched pre-dial
-			// evaluation gets its verdicts computed per window, up
-			// front, so the workers' grabs never touch connection setup
-			// for L4 failures and serve accepted exchanges inline (zero
-			// goroutines). Wrapped dialers (DialWrapper) don't satisfy
-			// the interface and fall back to the reference path, as
-			// does Config.GrabReference. preIdx maps a window slot to
-			// its verdict (-1: no L4 response, never grabbed).
-			fd, fastPath := dialer.(zgrab.FastDialer)
-			if cfg.GrabReference {
-				fastPath = false
-			}
-			var (
-				preDst []ip.Addr
-				preT   []time.Duration
-				pre    []zgrab.DialVerdict
-				preIdx []int32
-			)
-			if fastPath {
-				preDst = make([]ip.Addr, size)
-				preT = make([]time.Duration, size)
-				pre = make([]zgrab.DialVerdict, size)
-				preIdx = make([]int32, size)
-			}
-			var fastAttr int64
-			if fastPath {
-				fastAttr = 1
-			}
-			gspan.SetAttr("fast_path", fastAttr)
+			// Every window's attempt-0 verdicts are computed up front, in
+			// one batch, so the workers' grabs never touch connection
+			// setup for L4 failures and serve accepted exchanges inline.
+			// preIdx maps a window slot to its verdict (-1: no L4
+			// response, never grabbed).
+			preDst := make([]ip.Addr, size)
+			preT := make([]time.Duration, size)
+			pre := make([]zgrab.DialVerdict, size)
+			preIdx := make([]int32, size)
 			for base := 0; base < len(replies); base += size {
-				n := len(replies) - base
-				if n > size {
-					n = size
-				}
+				n := min(size, len(replies)-base)
 				win := window[:n]
-				if fastPath {
-					m := 0
-					for i := 0; i < n; i++ {
-						r := &replies[base+i]
-						if r.ProbeMask == 0 {
-							preIdx[i] = -1
-							continue
-						}
-						preDst[m] = r.Dst
-						preT[m] = r.T
-						preIdx[i] = int32(m)
-						m++
+				m := 0
+				for i := 0; i < n; i++ {
+					r := &replies[base+i]
+					if r.ProbeMask == 0 {
+						preIdx[i] = -1
+						continue
 					}
-					var predialStart time.Time
-					if poolM != nil {
-						predialStart = time.Now()
-					}
-					fd.PredialBatch(preDst[:m], preT[:m], p.Port(), pre[:m])
-					if poolM != nil {
-						poolM.Predial.ObserveDuration(time.Since(predialStart))
-					}
+					preDst[m] = r.Dst
+					preT[m] = r.T
+					preIdx[i] = int32(m)
+					m++
 				}
-				workers := cfg.GrabWorkers
-				if workers > n {
-					workers = n
+				var predialStart time.Time
+				if poolM != nil {
+					predialStart = time.Now()
 				}
+				dialer.PredialBatch(preDst[:m], preT[:m], p.Port(), pre[:m])
+				if poolM != nil {
+					poolM.Predial.ObserveDuration(time.Since(predialStart))
+				}
+				workers := min(grabWorkers, n)
 				wt.Begin()
 				// windowStart anchors the queue-wait measurement: how long
 				// a reply sat in the window before a worker claimed it.
@@ -712,12 +631,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 								Addr: r.Dst, ProbeMask: r.ProbeMask, RST: r.RST, T: r.T,
 							}
 							if r.ProbeMask != 0 {
-								var g zgrab.Result
-								if fastPath {
-									g = grabber.GrabFast(ctx, p, r.Dst, r.T, pre[preIdx[i]])
-								} else {
-									g = grabber.Grab(ctx, p, r.Dst, r.T)
-								}
+								g := grabber.GrabFast(ctx, p, r.Dst, r.T, pre[preIdx[i]])
 								rec.L7 = g.Success
 								rec.Fail = g.Fail
 								rec.Attempts = g.Attempts
@@ -741,7 +655,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 				if poolM != nil {
 					appendStart = time.Now()
 				}
-				sink.AddBatch(win)
+				res.AddBatch(win)
 				if poolM != nil {
 					poolM.WindowAppend.ObserveDuration(time.Since(appendStart))
 				}
@@ -756,8 +670,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			// segments plus the live run for a spill-backed store (the
 			// segments are deleted as the merge consumes them). Either
 			// way the stored scan is an immutable sorted view before any
-			// analysis touches it. The fabric drain guarantees every
-			// per-connection goroutine exited before the scan commits.
+			// analysis touches it.
 			res.Targets = stats.Targets
 			res.ProbesSent = stats.ProbesSent
 			res.SynAcks = stats.SynAcks
@@ -766,17 +679,15 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			if err := res.SealErr(); err != nil {
 				return err
 			}
+			// Span attributes are no-ops on the nil span of an untraced run.
 			sspan := tr.Span(pipeline.StageSeal)
+			rows, deduped := res.SealStats()
 			if sealM != nil {
-				rows, deduped := res.SealStats()
 				sealM.Rows.Add(uint64(rows))
 				sealM.Deduped.Add(uint64(deduped))
 			}
-			if sspan != nil {
-				rows, deduped := res.SealStats()
-				sspan.SetAttr("rows", int64(rows))
-				sspan.SetAttr("deduped", int64(deduped))
-			}
+			sspan.SetAttr("rows", int64(rows))
+			sspan.SetAttr("deduped", int64(deduped))
 			if spillM != nil {
 				sst := res.SpillStats()
 				spillM.Segments.Add(uint64(sst.Segments))
@@ -785,23 +696,18 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 				spillM.Passes.Set(int64(sst.MergePasses))
 				spillM.Merge.ObserveDuration(sst.MergeDuration)
 				spillM.Flush.ObserveDuration(sst.FlushDuration)
-				if sspan != nil {
-					sspan.SetAttr("spill_segments", int64(sst.Segments))
-					sspan.SetAttr("spill_bytes", sst.SpilledBytes)
-					sspan.SetAttr("merge_fanin", int64(sst.MergeFanIn))
-					sspan.SetAttr("merge_passes", int64(sst.MergePasses))
-					sspan.SetAttr("merge_ns", sst.MergeDuration.Nanoseconds())
-					sspan.SetAttr("flush_ns", sst.FlushDuration.Nanoseconds())
-				}
+				sspan.SetAttr("spill_segments", int64(sst.Segments))
+				sspan.SetAttr("spill_bytes", sst.SpilledBytes)
+				sspan.SetAttr("merge_fanin", int64(sst.MergeFanIn))
+				sspan.SetAttr("merge_passes", int64(sst.MergePasses))
+				sspan.SetAttr("merge_ns", sst.MergeDuration.Nanoseconds())
+				sspan.SetAttr("flush_ns", sst.FlushDuration.Nanoseconds())
 			}
-			// Fabric connection totals land on the seal span (with the
-			// still-active count before the drain): the routed/unrouted
-			// split lives on the sweep span, the L7 connection volume here.
-			if sspan != nil {
-				sspan.SetAttr("conns_opened", int64(fab.ConnsOpened()))
-				sspan.SetAttr("conns_active_predrain", int64(fab.ActiveConns()))
-			}
-			return fab.Drain(ctx)
+			// The fabric's served-connection total lands on the seal span:
+			// the routed/unrouted split lives on the sweep span, the L7
+			// connection volume here.
+			sspan.SetAttr("conns_opened", int64(fab.ConnsOpened()))
+			return nil
 		}},
 	)
 	if err != nil {

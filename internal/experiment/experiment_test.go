@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -278,9 +279,15 @@ func TestSSHCausesIncludeProbabilisticBlocking(t *testing.T) {
 func TestSSHRetryCurvesIncrease(t *testing.T) {
 	// §6 / Figure 13: retrying the SSH handshake raises success.
 	st, ds := fixture(t)
+	before := runtime.NumGoroutine()
 	curves, err := st.SSHRetry(context.Background(), ds, 5, 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The retry grabs are served inline: nothing to wait for, so the count
+	// is checked at once, with no settling time.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("SSHRetry left goroutines behind: %d before, %d after", before, after)
 	}
 	if len(curves) == 0 {
 		t.Fatal("no retry curves")

@@ -3,26 +3,29 @@ package experiment
 import (
 	"context"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/ip"
 	"repro/internal/origin"
+	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/results"
+	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
 
-// grabPathStudy runs the equivalence-shaped study (mixed IDS-relevant
+// grabPathConfig is the equivalence-shaped study: mixed IDS-relevant
 // origins, HTTP+SSH so both banner families and the MaxStartups retry path
-// are exercised, Carinet's trial-0 edge) with the grab path and execution
-// mode under test. Retries > 0 makes the per-attempt Predial re-evaluation
-// load-bearing.
-func grabPathStudy(t *testing.T, reference bool, par, shards int) *results.Dataset {
-	t.Helper()
-	st, err := NewStudy(context.Background(), Config{
+// are exercised, Carinet's trial-0 edge. Retries > 0 makes the per-attempt
+// Predial re-evaluation load-bearing.
+func grabPathConfig(par, shards int) Config {
+	return Config{
 		WorldSpec:      world.Spec{Seed: 11, Scale: 0.00005},
 		Trials:         2,
 		Protocols:      []proto.Protocol{proto.HTTP, proto.SSH},
@@ -31,8 +34,12 @@ func grabPathStudy(t *testing.T, reference bool, par, shards int) *results.Datas
 		Retries:        2,
 		Parallelism:    par,
 		ScanShards:     shards,
-		GrabReference:  reference,
-	})
+	}
+}
+
+func grabPathStudy(t *testing.T, par, shards int) *results.Dataset {
+	t.Helper()
+	st, err := NewStudy(context.Background(), grabPathConfig(par, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,74 +50,209 @@ func grabPathStudy(t *testing.T, reference bool, par, shards int) *results.Datas
 	return ds
 }
 
-// TestGrabFastStudyMatchesReference is the sealed-dataset differential for
-// the grab fast path: the same study run through the goroutine+vconn
-// reference path and through the batched/inline fast path — serial and
-// parallel+sharded — must seal bit-identical datasets.
+// referenceFabric builds a second fabric over the study's scenario — the
+// same models and the same live detectors the engine's fabric for
+// (o, p, trial) is given — for driving the goroutine + vconn path by hand.
+func referenceFabric(st *Study, o origin.ID, p proto.Protocol, trial int) *fabric.Fabric {
+	return fabric.New(&fabric.Config{
+		World:      st.World,
+		Engine:     st.Scenario.Engine,
+		IDSes:      policy.Detectors(st.Scenario.IDSes),
+		Loss:       st.Scenario.Loss,
+		Outages:    st.Scenario.Outages[p],
+		Churn:      st.Scenario.Churn,
+		NumOrigins: len(st.Config.Origins),
+		Hosts:      st.Scenario.Hosts,
+	}, st.originRecord(o), trial)
+}
+
+// drained fails the test unless every server goroutine behind fab's
+// reference-path connections has exited.
+func drained(t *testing.T, fab *fabric.Fabric) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := fab.Drain(ctx); err != nil {
+		t.Errorf("reference fabric did not drain: %v", err)
+	}
+}
+
+// TestGrabFastStudyMatchesReference is the study-level differential for the
+// grab stage: every L4-responsive row a scan sealed (PredialBatch + GrabFast
+// on the worker pool) must equal what the goroutine + vconn path —
+// Grabber.Grab over fabric.Dial — answers for the same (destination, time),
+// and the parallel + sharded engine must seal the serial engine's bytes.
 func TestGrabFastStudyMatchesReference(t *testing.T) {
-	ref := grabPathStudy(t, true, 1, 1)
-	if ref.Len() == 0 {
-		t.Fatal("reference study produced no scans")
+	ctx := context.Background()
+	cfg := grabPathConfig(1, 1)
+	failed := 0
+	for _, o := range []origin.ID{origin.US1, origin.CEN} {
+		for _, p := range cfg.Protocols {
+			// A fresh study per scan: the live detectors start empty and
+			// end the sweep in the state the grab stage read.
+			st, err := NewStudy(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := st.ScanOne(ctx, o, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := referenceFabric(st, o, p, 0)
+			ref := &zgrab.Grabber{
+				Dialer:  fab,
+				Retries: cfg.Retries,
+				Key:     rng.NewKey(cfg.WorldSpec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
+			}
+			grabbed, l7 := 0, 0
+			res.Each(func(row results.HostRecord) {
+				if !row.L4() {
+					return
+				}
+				grabbed++
+				g := ref.Grab(ctx, p, row.Addr, row.T)
+				if g.Success {
+					l7++
+				}
+				if row.L7 != g.Success || row.Fail != g.Fail || row.Attempts != g.Attempts || row.Banner != g.Banner {
+					t.Errorf("%v/%v %v: sealed (l7=%v fail=%v attempts=%d banner=%q), reference (l7=%v fail=%v attempts=%d banner=%q)",
+						o, p, row.Addr, row.L7, row.Fail, row.Attempts, row.Banner, g.Success, g.Fail, g.Attempts, g.Banner)
+				}
+			})
+			drained(t, fab)
+			if l7 == 0 {
+				t.Errorf("%v/%v: %d grabbed, none completed", o, p, grabbed)
+			}
+			failed += grabbed - l7
+		}
 	}
-	fast := grabPathStudy(t, false, 1, 1)
-	if diff := ref.Diff(fast); diff != "" {
-		t.Errorf("fast path differs from reference (serial): %s", diff)
+	if failed == 0 {
+		t.Error("no grab failed in any scan: the comparison needs both outcomes")
 	}
-	fastPar := grabPathStudy(t, false, 8, 4)
-	if diff := ref.Diff(fastPar); diff != "" {
-		t.Errorf("fast path differs from reference (parallel+sharded): %s", diff)
+
+	serial := grabPathStudy(t, 1, 1)
+	if serial.Len() == 0 {
+		t.Fatal("study produced no scans")
+	}
+	if diff := serial.Diff(grabPathStudy(t, 8, 4)); diff != "" {
+		t.Errorf("parallel+sharded differs from serial: %s", diff)
 	}
 }
 
-// TestDialWrapperForcesReferencePath pins the fallback rule: a wrapped
-// dialer does not satisfy zgrab.FastDialer, so every grab goes through the
-// wrapper's Dial — wrappers observe the complete dial stream, and the
-// wrapped run still seals the identical dataset.
-func TestDialWrapperForcesReferencePath(t *testing.T) {
-	var dials atomic.Int64
-	st, err := NewStudy(context.Background(), Config{
-		WorldSpec: world.Spec{Seed: 11, Scale: 0.00005},
-		Trials:    1,
-		Protocols: []proto.Protocol{proto.HTTP},
-		Origins:   origin.Set{origin.US1},
-		DialWrapper: func(d zgrab.Dialer) zgrab.Dialer {
-			return countingDialer{inner: d, n: &dials}
-		},
-	})
+// TestSSHRetryMatchesReferenceGrab holds the retry sub-experiment's
+// Predial + GrabFast loop to the same loop over Grabber.Grab: identical
+// curves for every AS and retry budget.
+func TestSSHRetryMatchesReferenceGrab(t *testing.T) {
+	st, ds := fixture(t)
+	ctx := context.Background()
+	const topASes, maxRetries = 5, 8
+	curves, err := st.SSHRetry(ctx, ds, topASes, maxRetries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := st.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+
+	fab := fabric.New(&fabric.Config{
+		World:      st.World,
+		Engine:     st.Scenario.Engine,
+		IDSes:      policy.Detectors(st.Scenario.IDSes),
+		Loss:       st.Scenario.Loss,
+		Outages:    st.Scenario.Outages[proto.SSH],
+		NumOrigins: 1,
+		Hosts:      st.Scenario.Hosts,
+	}, st.World.Origins.Get(origin.US1), st.Config.Trials)
+	var want []RetryCurve
+	for _, sp := range st.retryCandidates(ds, topASes) {
+		hosts := st.sshHostsOfBusiest24(sp.AS)
+		if len(hosts) == 0 {
+			continue
+		}
+		curve := RetryCurve{AS: sp.AS, ASName: sp.ASName, Hosts: len(hosts)}
+		for r := 0; r <= maxRetries; r++ {
+			ref := &zgrab.Grabber{
+				Dialer:  fab,
+				Retries: r,
+				Key:     rng.NewKey(st.World.Spec.Seed).Derive("ssh-retry").DeriveN("r", uint64(r)),
+			}
+			succ := 0
+			for _, h := range hosts {
+				if ref.Grab(ctx, proto.SSH, h, sshRetryTime).Success {
+					succ++
+				}
+			}
+			curve.Success = append(curve.Success, float64(succ)/float64(len(hosts)))
+		}
+		want = append(want, curve)
 	}
-	if dials.Load() == 0 {
-		t.Error("wrapped dialer saw no Dials: fast path bypassed the wrapper")
+	drained(t, fab)
+	if len(want) == 0 {
+		t.Fatal("no retry curves")
 	}
-	st2, err := NewStudy(context.Background(), Config{
-		WorldSpec: world.Spec{Seed: 11, Scale: 0.00005},
-		Trials:    1,
-		Protocols: []proto.Protocol{proto.HTTP},
-		Origins:   origin.Set{origin.US1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := st2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := ds.Diff(ds2); diff != "" {
-		t.Errorf("wrapped (reference-path) run differs from fast-path run: %s", diff)
+	if !reflect.DeepEqual(curves, want) {
+		t.Errorf("SSHRetry curves differ from the reference grab's:\n got %+v\nwant %+v", curves, want)
 	}
 }
 
+// countingDialer counts the connections the grab stage materializes.
 type countingDialer struct {
-	inner zgrab.Dialer
-	n     *atomic.Int64
+	zgrab.FastDialer
+	n *atomic.Int64
 }
 
-func (c countingDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
+func (c countingDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
 	c.n.Add(1)
-	return c.inner.Dial(ctx, dst, port, t, attempt)
+	return c.FastDialer.ConnectFast(dst, port, v)
+}
+
+// TestDialWrapperObservesEveryConnection pins the wrapper seam: the engine
+// drives the wrapped dialer, so a wrapper sees one ConnectFast per accepted
+// connection (served, reset or half-closed), and a wrapped run seals the
+// dataset an unwrapped one does.
+func TestDialWrapperObservesEveryConnection(t *testing.T) {
+	cfg := Config{
+		WorldSpec: world.Spec{Seed: 11, Scale: 0.00005},
+		Trials:    1,
+		Protocols: []proto.Protocol{proto.HTTP},
+		Origins:   origin.Set{origin.US1},
+	}
+	plain, err := NewStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var connects atomic.Int64
+	cfg.Telemetry = telemetry.New()
+	cfg.DialWrapper = func(d zgrab.FastDialer) zgrab.FastDialer {
+		return countingDialer{FastDialer: d, n: &connects}
+	}
+	wrapped, err := NewStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := wrapped.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := want.Diff(ds); diff != "" {
+		t.Errorf("wrapped run differs from unwrapped run: %s", diff)
+	}
+	// conns_opened counts served connections only; reset and half-closed
+	// ones go through ConnectFast too.
+	opened := int64(-1)
+	for _, sp := range cfg.Telemetry.Spans() {
+		for _, a := range sp.Attrs {
+			if a.Key == "conns_opened" {
+				opened = a.Value
+			}
+		}
+	}
+	if opened <= 0 {
+		t.Fatalf("conns_opened = %d on the seal span, want > 0", opened)
+	}
+	if got := connects.Load(); got < opened {
+		t.Errorf("wrapper saw %d ConnectFast calls, fabric opened %d served connections", got, opened)
+	}
 }

@@ -33,10 +33,9 @@ func waitNoLeak(t *testing.T, before int, what string) {
 	t.Errorf("goroutines before=%d after=%d: leaked %s", before, runtime.NumGoroutine(), what)
 }
 
-// TestNoGoroutineLeak verifies that a complete study — thousands of virtual
-// connections served by per-connection goroutines — leaves no goroutines
-// behind: every hostsim server must terminate when its grab closes or
-// aborts the pipe.
+// TestNoGoroutineLeak verifies that a complete study — a scan worker and,
+// per 4,096-host grab window, sixteen grab workers serving thousands of
+// virtual connections inline — leaves no goroutines behind.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, err := NewStudy(context.Background(), Config{
@@ -50,7 +49,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 	if _, err := st.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitNoLeak(t, before, "servers")
+	waitNoLeak(t, before, "workers")
 }
 
 // TestNoGoroutineLeakParallel is the same check against the parallel engine:
@@ -114,36 +113,36 @@ func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 	waitNoLeak(t, before, "sweep shards or workers after cancellation")
 }
 
-// leakCancelDialer cancels the run after a fixed number of L7 dials.
+// leakCancelDialer cancels the run after a fixed number of L7 connections.
 type leakCancelDialer struct {
-	inner  zgrab.Dialer
-	dials  *atomic.Int64
+	zgrab.FastDialer
+	conns  *atomic.Int64
 	after  int64
 	cancel context.CancelFunc
 }
 
-func (c leakCancelDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if c.dials.Add(1) == c.after {
+func (c leakCancelDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
+	if c.conns.Add(1) == c.after {
 		c.cancel()
 	}
-	return c.inner.Dial(ctx, dst, port, t, attempt)
+	return c.FastDialer.ConnectFast(dst, port, v)
 }
 
 // TestNoGoroutineLeakCancelMidGrab cancels the study while the grab worker
-// pool is mid-pass: grab workers and the per-connection hostsim server
-// goroutines behind in-flight dials must all terminate.
+// pool is mid-window, from inside a worker's connection setup: every grab
+// worker must terminate and the interrupted window is never appended.
 func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var dials atomic.Int64
+	var conns atomic.Int64
 	st, err := NewStudy(ctx, Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP},
 		Origins:     origin.Set{origin.US1, origin.CEN},
 		Parallelism: 1,
-		DialWrapper: func(inner zgrab.Dialer) zgrab.Dialer {
-			return leakCancelDialer{inner: inner, dials: &dials, after: 5, cancel: cancel}
+		DialWrapper: func(inner zgrab.FastDialer) zgrab.FastDialer {
+			return leakCancelDialer{FastDialer: inner, conns: &conns, after: 5, cancel: cancel}
 		},
 	})
 	if err != nil {
@@ -156,5 +155,5 @@ func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 	if stage, ok := pipeline.InterruptedStage(err); !ok || stage != pipeline.StageGrab {
 		t.Errorf("interrupted stage = %v (found=%v), want grab", stage, ok)
 	}
-	waitNoLeak(t, before, "grab workers or servers after cancellation")
+	waitNoLeak(t, before, "grab workers after cancellation")
 }

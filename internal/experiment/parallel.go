@@ -29,8 +29,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/rng"
-	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/zmap"
 )
@@ -186,21 +184,9 @@ func (st *Study) planIDS(ctx context.Context, dsOrigins origin.Set) (*idsPlan, e
 // monitored ASes for one (protocol, trial), using the scanner's own sweep
 // so the planner cannot diverge from what the scan will actually send.
 func (st *Study) monitoredTargets(ctx context.Context, p proto.Protocol, trial int, monitored map[asn.ASN]bool) ([]walkEntry, error) {
-	cfg := st.Config
-	scanSeed := rng.NewKey(st.World.Spec.Seed).Derive("scan-seed").Uint64(uint64(p), uint64(trial))
-	sc, err := zmap.NewScanner(zmap.Config{
-		SourceIPs:    []ip.Addr{ip.AddrFrom4(1)}, // unused: Targets never sends
-		TargetPort:   p.Port(),
-		Probes:       cfg.Probes,
-		ProbeDelay:   cfg.ProbeDelay,
-		SpaceBits:    st.World.SpaceBits,
-		Hitlist:      st.hitlist(),
-		Seed:         scanSeed,
-		Shard:        cfg.Shard,
-		Shards:       cfg.Shards,
-		ScanDuration: scenario.ScanDuration,
-		Blocklist:    cfg.Blocklist,
-	})
+	zcfg := st.sweepConfig(p, trial)
+	zcfg.SourceIPs = []ip.Addr{ip.AddrFrom4(1)} // unused: Targets never sends
+	sc, err := zmap.NewScanner(zcfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: ids plan %v/trial %d: %w", p, trial, err)
 	}

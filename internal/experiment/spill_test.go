@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/ip"
 	"repro/internal/origin"
@@ -119,21 +118,21 @@ func TestSpillStudyMatchesMemStudy(t *testing.T) {
 	}
 }
 
-// spillCancelDialer cancels the run after a fixed number of L7 dials once
-// armed — the deterministic stand-in for SIGINT landing mid-grab.
+// spillCancelDialer cancels the run after a fixed number of L7 connections
+// once armed — the deterministic stand-in for SIGINT landing mid-grab.
 type spillCancelDialer struct {
-	inner  zgrab.Dialer
+	zgrab.FastDialer
 	armed  *atomic.Bool
-	dials  *atomic.Int64
+	conns  *atomic.Int64
 	after  int64
 	cancel context.CancelFunc
 }
 
-func (c spillCancelDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if c.armed.Load() && c.dials.Add(1) == c.after {
+func (c spillCancelDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
+	if c.armed.Load() && c.conns.Add(1) == c.after {
 		c.cancel()
 	}
-	return c.inner.Dial(ctx, dst, port, t, attempt)
+	return c.FastDialer.ConnectFast(dst, port, v)
 }
 
 // TestSpillCancelMidGrabSealsPartialDataset preserves PR 3's cancellation
@@ -147,7 +146,7 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 	defer cancel()
 	dir := t.TempDir()
 	var armed atomic.Bool
-	var dials atomic.Int64
+	var conns atomic.Int64
 	cfg := Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP},
@@ -162,8 +161,8 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 				}
 			},
 		},
-		DialWrapper: func(inner zgrab.Dialer) zgrab.Dialer {
-			return spillCancelDialer{inner: inner, armed: &armed, dials: &dials, after: 5, cancel: cancel}
+		DialWrapper: func(inner zgrab.FastDialer) zgrab.FastDialer {
+			return spillCancelDialer{FastDialer: inner, armed: &armed, conns: &conns, after: 5, cancel: cancel}
 		},
 	}
 	st, err := NewStudy(ctx, cfg)

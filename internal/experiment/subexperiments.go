@@ -28,25 +28,16 @@ type RetryCurve struct {
 	Success []float64 // Success[r]: success fraction with r retries allowed
 }
 
+// sshRetryTime is the virtual time of every retry-experiment grab: mid-scan,
+// away from temporal-blocking windows' detection edges.
+const sshRetryTime = 5 * time.Hour
+
 // SSHRetry reproduces the §6 retry experiment: from US1, iteratively grab
 // all SSH hosts in a candidate sub-network of each of the top ASes by
 // transiently missed SSH hosts, increasing the retry budget each pass.
 // Cancellation is checked between retry-budget passes; a canceled run
 // returns the curves completed so far with pipeline.ErrCanceled.
 func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int, maxRetries int) ([]RetryCurve, error) {
-	cls := analysis.NewClassifier(ds, proto.SSH)
-	topo := analysis.WorldTopo{W: st.World}
-	spreads := analysis.TransientLossSpread(cls, topo, 3)
-	// Rank ASes by transiently missed SSH hosts from US1.
-	sort.Slice(spreads, func(i, j int) bool {
-		ti := spreads[i].Rate[origin.US1] * float64(spreads[i].Hosts)
-		tj := spreads[j].Rate[origin.US1] * float64(spreads[j].Hosts)
-		return ti > tj
-	})
-	if topASes > len(spreads) {
-		topASes = len(spreads)
-	}
-
 	org := st.World.Origins.Get(origin.US1)
 	// The sub-experiment runs after the main study; use a fresh trial
 	// index past the main trials so the draws are independent.
@@ -62,7 +53,7 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 	}, org, trial)
 
 	var curves []RetryCurve
-	for _, sp := range spreads[:topASes] {
+	for _, sp := range st.retryCandidates(ds, topASes) {
 		// Candidate sub-network: the AS's busiest /24 by SSH hosts.
 		hosts := st.sshHostsOfBusiest24(sp.AS)
 		if len(hosts) == 0 {
@@ -80,9 +71,8 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 			}
 			succ := 0
 			for _, h := range hosts {
-				// Mid-scan probe time, away from temporal-blocking
-				// windows' detection edges.
-				if g := grabber.Grab(ctx, proto.SSH, h, 5*time.Hour); g.Success {
+				v := fab.Predial(h, proto.SSH.Port(), sshRetryTime, 0)
+				if g := grabber.GrabFast(ctx, proto.SSH, h, sshRetryTime, v); g.Success {
 					succ++
 				}
 			}
@@ -91,6 +81,23 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 		curves = append(curves, curve)
 	}
 	return curves, nil
+}
+
+// retryCandidates ranks ASes by transiently missed SSH hosts from US1 and
+// returns the top n; ties go by AS number, so the same dataset always yields
+// the same curves in the same order.
+func (st *Study) retryCandidates(ds *results.Dataset, n int) []analysis.ASLossSpread {
+	cls := analysis.NewClassifier(ds, proto.SSH)
+	spreads := analysis.TransientLossSpread(cls, analysis.WorldTopo{W: st.World}, 3)
+	sort.Slice(spreads, func(i, j int) bool {
+		ti := spreads[i].Rate[origin.US1] * float64(spreads[i].Hosts)
+		tj := spreads[j].Rate[origin.US1] * float64(spreads[j].Hosts)
+		if ti != tj {
+			return ti > tj
+		}
+		return spreads[i].AS < spreads[j].AS
+	})
+	return spreads[:min(n, len(spreads))]
 }
 
 // sshHostsOfBusiest24 returns the SSH hosts of the AS's /24 with the most

@@ -150,38 +150,12 @@ func benchGrabFabric(b *testing.B) (*Fabric, *zgrab.Grabber, []ip.Addr) {
 	return fab, g, hosts
 }
 
-// grabBenchWindow mirrors the experiment layer's grab window size so both
-// grab benchmarks walk identical per-window target sequences.
+// grabBenchWindow mirrors the experiment layer's grab window size.
 const grabBenchWindow = 4096
-
-// BenchmarkGrabReference measures ns/grab on the reference path: per-dial
-// policy evaluation, a vconn pipe and a dedicated server goroutine per
-// accepted connection. This is the "before" of the grab fast-path gate.
-func BenchmarkGrabReference(b *testing.B) {
-	fab, g, hosts := benchGrabFabric(b)
-	ps := proto.All()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for base := 0; base < b.N; base += grabBenchWindow {
-		n := grabBenchWindow
-		if base+n > b.N {
-			n = b.N - base
-		}
-		p := ps[(base/grabBenchWindow)%len(ps)]
-		for i := 0; i < n; i++ {
-			g.Grab(ctx, p, hosts[(base+i)%len(hosts)], time.Hour)
-		}
-	}
-	b.StopTimer()
-	if err := fab.Drain(ctx); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkGrabFast measures ns/grab on the fast path: batched pre-dial
 // verdicts per 4096-target window, pooled inline-served connections, zero
-// goroutines. The bench-grab gate requires fast/reference <= 0.5 (>= 2x).
+// goroutines.
 func BenchmarkGrabFast(b *testing.B) {
 	fab, g, hosts := benchGrabFabric(b)
 	ps := proto.All()
@@ -214,7 +188,8 @@ func BenchmarkGrabFast(b *testing.B) {
 
 // BenchmarkGrabByVerdict prices one GrabFast per protocol × verdict
 // (the verdict is forced, so every iteration takes the same path); with
-// -benchmem it is the source of DESIGN.md § 13's allocation budget table.
+// -benchmem it prints the per-verdict table behind DESIGN.md § 8.3's
+// allocation budget.
 func BenchmarkGrabByVerdict(b *testing.B) {
 	_, g, hosts := benchGrabFabric(b)
 	ctx := context.Background()

@@ -351,7 +351,7 @@ func raceBuild() bool {
 	return false
 }
 
-// grabAllocBudget is DESIGN.md § 13's allocation budget per GrabFast, for
+// grabAllocBudget is DESIGN.md § 8.3's allocation budget per GrabFast, for
 // every protocol and verdict: nothing, once the pools (fastConn, the
 // grabber's scratch, the host's exchange) are warm and the scratch has grown
 // to flight size. The L4 rejects never reach a pool at all.

@@ -47,7 +47,7 @@ func ParseFamily(s string) (Family, error) {
 // notion of covering a scan space: announced space is a handful of routed
 // /32s whose hosts cluster into dense /64 islands, mirroring how real v6
 // deployments concentrate into subnets that hitlists discover (Richter et
-// al.; see DESIGN.md § 12). The zero value is not valid; use DefaultV6Spec
+// al.; see DESIGN.md § 11). The zero value is not valid; use DefaultV6Spec
 // or TestV6Spec.
 type V6Spec struct {
 	// Seed drives all randomness in the world.

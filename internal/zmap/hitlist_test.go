@@ -1,9 +1,12 @@
 package zmap
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/ip"
+	"repro/internal/packet"
 	"repro/internal/rng"
 )
 
@@ -151,4 +154,79 @@ func TestHitlistLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	pm.IterateHitlist(testHitlist(9))
+}
+
+// probedSink records the destination of every v6 SYN it is sent.
+type probedSink map[ip.Addr]int
+
+func (s probedSink) Send(_ ip.Addr, pkt []byte, _ time.Duration) []byte {
+	if iph, _, _, err := packet.DecodeTCP6(pkt); err == nil {
+		s[iph.Dst]++
+	}
+	return nil
+}
+
+// TestTinySpaces pins the smallest scan spaces: a one- or two-entry target
+// list (whose natural moduli, 2 and 3, the generator search cannot serve)
+// is walked like any other — the shards together emit every index exactly
+// once, one at a time and in batches, and a scan probes every entry.
+func TestTinySpaces(t *testing.T) {
+	for n := uint64(1); n <= 3; n++ {
+		for shards := 1; shards <= 2; shards++ {
+			next := make([]int, n)
+			batch := make([]int, n)
+			for shard := 0; shard < shards; shard++ {
+				pm, err := NewPermutationN(rng.NewKey(7).Derive("scan"), n, shard, shards)
+				if err != nil {
+					t.Fatalf("n=%d shard %d/%d: %v", n, shard, shards, err)
+				}
+				for it := pm.Iterate(); ; {
+					a, ok := it.Next()
+					if !ok {
+						break
+					}
+					next[a]++
+				}
+				buf := make([]uint64, 8)
+				for it := pm.Iterate(); ; {
+					k := it.NextBatch64(buf)
+					if k == 0 {
+						break
+					}
+					for _, v := range buf[:k] {
+						batch[v]++
+					}
+				}
+			}
+			for i := range next {
+				if next[i] != 1 || batch[i] != 1 {
+					t.Errorf("n=%d shards=%d: index %d emitted %d times by Next, %d by NextBatch64, want once each",
+						n, shards, i, next[i], batch[i])
+				}
+			}
+		}
+	}
+
+	for n := 1; n <= 2; n++ {
+		cfg := testConfig()
+		cfg.SourceIPs = []ip.Addr{ip.MustParseAddr("2001:db8:ffff::1")}
+		cfg.Hitlist = testHitlist(n)
+		s, err := NewScanner(cfg)
+		if err != nil {
+			t.Fatalf("%d-entry hitlist: %v", n, err)
+		}
+		sink := probedSink{}
+		st, err := s.Run(context.Background(), sink, func(Reply) {})
+		if err != nil {
+			t.Fatalf("%d-entry hitlist: %v", n, err)
+		}
+		if st.Targets != uint64(n) {
+			t.Errorf("%d-entry hitlist: %d targets", n, st.Targets)
+		}
+		for _, a := range cfg.Hitlist {
+			if sink[a] != cfg.Probes {
+				t.Errorf("%d-entry hitlist: %v got %d probes, want %d", n, a, sink[a], cfg.Probes)
+			}
+		}
+	}
 }

@@ -69,6 +69,12 @@ func NewPermutationN(key rng.Key, n uint64, shard, shards int) (*Permutation, er
 	}
 	space := n
 	p := nextPrime(space + 1)
+	if p < 5 {
+		// Spaces of 1 and 2 would get p = 2 and 3, which have no element in
+		// the generator search's range [2, p-1); they walk Z_5^* and skip
+		// its out-of-space elements like any other space does.
+		p = 5
+	}
 	g, err := findGenerator(key, p)
 	if err != nil {
 		return nil, err
