@@ -33,16 +33,18 @@ race:
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 
-# Ten seconds of each decoder fuzz target, differential against the
-# pre-rewrite implementations kept in the packages' oracle_test.go files (for
-# ip.ParseAddr, in parse_test.go, with net/netip behind it; for the packet
-# decoder, the allocating form against the stack-scratch one plus an
-# independent checksum verifier): a hostile simulated server must not panic a
-# grabber or change its failure class, a hostile dataset file or address must
-# not panic cmd/report or load as something the Token-stream decoder would
-# have refused, and whatever bytes a sink hands the sweep back must not panic
-# packet.DecodeTCP4Into/6Into or be accepted with a checksum that does not
-# verify.
+# Ten seconds of each of the nine fuzz targets. Eight are decoders,
+# differential against the pre-rewrite implementations kept in the packages'
+# oracle_test.go files (for ip.ParseAddr, in parse_test.go, with net/netip
+# behind it; for the packet decoder, the allocating form against the
+# stack-scratch one plus an independent checksum verifier): a hostile
+# simulated server must not panic a grabber or change its failure class, a
+# hostile dataset file or address must not panic cmd/report or load as
+# something the Token-stream decoder would have refused, and whatever bytes a
+# sink hands the sweep back must not panic packet.DecodeTCP4Into/6Into or be
+# accepted with a checksum that does not verify. The ninth holds the fabric's
+# typed probe path to its byte path: whatever target, time, probe count and
+# scan a sweep hands ProbeBatch, it answers as the Send loop does.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseAddr -fuzztime 10s ./internal/ip/
 	$(GO) test -run xxx -fuzz FuzzIsSorted -fuzztime 10s ./internal/ip/
 	$(GO) test -run xxx -fuzz FuzzDecodeTCP -fuzztime 10s ./internal/packet/
+	$(GO) test -run xxx -fuzz FuzzProbeBatchMatchesSend -fuzztime 10s ./internal/fabric/
 
 # The repository's benchmark (bench/README.md): four workloads, seven
 # end-to-end metrics, result in bench/out/result.json. To compare two

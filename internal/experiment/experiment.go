@@ -616,15 +616,21 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 							gw = &poolWorkers[w]
 							defer gw.Flush()
 						}
+						// One clock read per claim: a worker's serve-end is its next
+						// claim (claimed stays zero when telemetry is off).
+						var claimed time.Time
 						for ctx.Err() == nil {
 							i := int(next.Add(1)) - 1
 							if i >= n {
 								break
 							}
-							var claimed time.Time
 							if gw != nil {
-								claimed = time.Now()
-								gw.Claimed(claimed.Sub(windowStart))
+								now := time.Now()
+								if !claimed.IsZero() {
+									gw.Served(now.Sub(claimed))
+								}
+								gw.Claimed(now.Sub(windowStart))
+								claimed = now
 							}
 							r := replies[base+i]
 							rec := results.HostRecord{
@@ -638,9 +644,9 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 								rec.Banner = g.Banner
 							}
 							win[i] = rec
-							if gw != nil {
-								gw.Served(time.Since(claimed))
-							}
+						}
+						if !claimed.IsZero() {
+							gw.Served(time.Since(claimed))
 						}
 					}(w)
 				}

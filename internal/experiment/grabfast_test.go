@@ -256,3 +256,54 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 		t.Errorf("wrapper saw %d ConnectFast calls, fabric opened %d served connections", got, opened)
 	}
 }
+
+// TestGrabWorkerClockAccounting pins the grab workers' telemetry now that a
+// worker reads the clock once per claim (its serve-end is its next claim):
+// every claimed host is served exactly once — hosts done, queue-wait and
+// service observations all equal the rows the study sealed — and the busy
+// time is time the workers actually had: no more than grabWorkers × the
+// run's wall time (a service interval measured from the wrong instant,
+// such as the window's start, overshoots that by orders of magnitude).
+func TestGrabWorkerClockAccounting(t *testing.T) {
+	reg := telemetry.New()
+	cfg := grabPathConfig(1, 1)
+	cfg.Telemetry = reg
+	st, err := NewStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	ds, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	var rows uint64
+	for _, o := range ds.Origins {
+		for _, p := range cfg.Protocols {
+			for trial := 0; trial < ds.Trials; trial++ {
+				if sr := ds.Scan(o, p, trial); sr != nil {
+					rows += uint64(sr.Len())
+				}
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("study sealed no rows")
+	}
+	if got := reg.CounterSum(telemetry.MetricGrabHostsDone); got != rows {
+		t.Errorf("hosts done = %d, want the %d sealed rows", got, rows)
+	}
+	counts := map[string]uint64{}
+	for _, h := range reg.Snapshot().Histograms {
+		counts[h.Name] += h.Count
+	}
+	for _, name := range []string{telemetry.MetricGrabQueueWait, telemetry.MetricGrabService} {
+		if counts[name] != rows {
+			t.Errorf("%s has %d observations, want one per sealed row (%d)", name, counts[name], rows)
+		}
+	}
+	if busy := time.Duration(reg.CounterSum(telemetry.MetricGrabWorkerBusyNS)); busy <= 0 || busy > grabWorkers*wall {
+		t.Errorf("workers were busy %v in a run of %v × %d workers", busy, wall, grabWorkers)
+	}
+}

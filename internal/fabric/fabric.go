@@ -1,7 +1,8 @@
 // Package fabric is the simulated network connecting scanners to the
 // synthetic Internet. It implements zmap.PacketSink (L4: evaluates real SYN
 // packet bytes against routing, policy, outages, and loss, answering with
-// real SYN-ACK/RST bytes) and zgrab.Dialer (L7: hands out virtual
+// real SYN-ACK/RST bytes), zmap.BatchProber (the same decisions for a whole
+// batch, typed, without the packets) and zgrab.Dialer (L7: hands out virtual
 // connections served by hostsim, subject to the same path conditions).
 //
 // Every probabilistic decision is a keyed hash of the event coordinates, so
@@ -163,26 +164,77 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	if !d.Host && pl.darkSilent {
 		return nil // empty space nothing in this AS would answer for
 	}
-	verdict, through := f.decide(pl, true, src, dst, &d, p, t, int(probeIdx), 0)
+	reply := pkt[len(pkt):]
+	switch f.probe(pl, src, dst, &d, p, t, probeIdx) {
+	case answerRST:
+		return packet.MakeRSTInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
+	case answerSYNACK:
+		seq := f.isnKey.Uint64(dst.Word64(), uint64(t))
+		return packet.MakeSYNACKInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
+	}
+	return nil
+}
+
+// What probe returns: one SYN's answer, before either encoding.
+const (
+	answerNone uint8 = iota
+	answerSYNACK
+	answerRST
+)
+
+// probe is the one per-probe L4 decision: Send encodes its answer as packet
+// bytes, ProbeBatch as mask bits. The callers have resolved dst, taken its
+// plan and answered darkSilent empty space.
+func (f *Fabric) probe(pl *plan, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probeIdx uint64) uint8 {
+	verdict, through := f.decide(pl, true, src, dst, d, p, t, int(probeIdx), 0)
 	// Independent per-packet loss on top of the shared path state: the
 	// probe and its response can each be dropped.
 	if !through || pl.path.ProbeLost(dst, probeIdx, t) {
-		return nil
+		return answerNone
 	}
-	reply := pkt[len(pkt):]
 	switch {
 	case verdict == policy.RefuseTCP, d.Host && !d.Services.Has(p):
 		// A refusing firewall answers for the whole network; otherwise
 		// closed ports draw an RST only when a machine owns the address.
-		return packet.MakeRSTInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
+		return answerRST
 	case !d.Host:
-		return nil // empty space stays silent
+		return answerNone // empty space stays silent
 	}
 	// Host answers. ResetAfterAccept/CloseAfterAccept hosts still
 	// SYN-ACK (they kill the connection later, as Alibaba's SSH hosts
 	// do).
-	seq := f.isnKey.Uint64(dst.Word64(), uint64(t))
-	return packet.MakeSYNACKInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
+	return answerSYNACK
+}
+
+// ProbeBatch implements zmap.BatchProber: Send's decisions for a batch
+// without the packets — the FIB resolved in bulk, one plan per target, then
+// probe per SYN, target-major so live detectors count the sequence Send
+// would show them. The resolve scratch lives on the stack: sharded sweeps
+// call this concurrently on one fabric.
+func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
+	p, isProto := proto.FromPort(port)
+	var dests [256]world.Dest
+	for base := 0; base < len(dsts); base += len(dests) {
+		chunk := dsts[base:min(base+len(dests), len(dsts))]
+		f.fib.ResolveBatch(chunk, dests[:len(chunk)])
+		for i, dst := range chunk {
+			var sa, rst uint8
+			if d := &dests[i]; d.Routed && isProto {
+				if pl := f.planFor(p, d); d.Host || !pl.darkSilent {
+					src := origin.SourceFor(srcs, dst)
+					for j := 0; j < probes; j++ {
+						switch f.probe(pl, src, dst, d, p, ts[base+i]+time.Duration(j)*delay, uint64(j)) {
+						case answerSYNACK:
+							sa |= 1 << j
+						case answerRST:
+							rst |= 1 << j
+						}
+					}
+				}
+			}
+			synAcks[base+i], rsts[base+i] = sa, rst
+		}
+	}
 }
 
 // Dial implements zgrab.Dialer: attempt a full TCP connection for an

@@ -296,7 +296,8 @@ func TestDrainWaitsForConnTeardown(t *testing.T) {
 // churned-offline host: the overwhelming majority of a sweep's positions),
 // and not for answered ones (SYN-ACK from an open port, RST from a closed
 // one) when the probe buffer has room for the reply behind the SYN, as the
-// scanner's does. Both address families.
+// scanner's does — and neither must ProbeBatch, for a whole sweep batch. Both
+// address families.
 func TestSendZeroAllocs(t *testing.T) {
 	cfg, w := quietConfig(t)
 	w6, err := world.BuildV6(context.Background(), world.TestV6Spec(5))
@@ -344,7 +345,7 @@ func TestSendZeroAllocs(t *testing.T) {
 		if offline == (ip.Addr{}) || open == (ip.Addr{}) || closed == (ip.Addr{}) {
 			t.Fatalf("%s world lacks an offline, an open-port and a closed-port host", fam.name)
 		}
-		for _, tc := range []struct {
+		cases := []struct {
 			name  string
 			dst   ip.Addr
 			flags uint8 // of the expected reply; 0 for silence
@@ -354,7 +355,8 @@ func TestSendZeroAllocs(t *testing.T) {
 			{"churned-offline-host", offline, 0},
 			{"syn-ack", open, packet.FlagSYN | packet.FlagACK},
 			{"rst", closed, packet.FlagRST | packet.FlagACK},
-		} {
+		}
+		for _, tc := range cases {
 			// The scanner's buffer shape: the SYN with room for the reply
 			// behind it.
 			syn := packet.MakeSYNInto(make([]byte, 0, 2*packet.ReplyCap), src, tc.dst, 40000, 80, 1, 0)
@@ -372,6 +374,33 @@ func TestSendZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s/%s: Send allocates %.1f per probe, want 0", fam.name, tc.name, allocs)
 			}
+		}
+		// The typed path: one sweep batch of the same five destination
+		// classes, two probes each, allocates nothing after first touch —
+		// the resolve scratch is on ProbeBatch's stack.
+		const batch = 4096
+		dsts, ts := make([]ip.Addr, batch), make([]time.Duration, batch)
+		synAcks, rsts := make([]uint8, batch), make([]uint8, batch)
+		for i := range dsts {
+			dsts[i], ts[i] = cases[i%len(cases)].dst, time.Hour
+		}
+		srcs := []ip.Addr{src}
+		probeBatch := func() { fab.ProbeBatch(srcs, 80, 2, 0, dsts, ts, synAcks, rsts) }
+		probeBatch()
+		for i := range dsts {
+			var wantSA, wantRST uint8
+			switch cases[i%len(cases)].flags {
+			case packet.FlagSYN | packet.FlagACK:
+				wantSA = 0b11
+			case packet.FlagRST | packet.FlagACK:
+				wantRST = 0b11
+			}
+			if synAcks[i] != wantSA || rsts[i] != wantRST {
+				t.Fatalf("%s/%s: ProbeBatch answered %02b/%02b, want %02b/%02b", fam.name, cases[i%len(cases)].name, synAcks[i], rsts[i], wantSA, wantRST)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, probeBatch); allocs != 0 {
+			t.Errorf("%s: ProbeBatch allocates %.1f per %d-target batch, want 0", fam.name, allocs, batch)
 		}
 		// With no room behind the probe the reply is a fresh slice that
 		// leaves the caller's buffer alone.

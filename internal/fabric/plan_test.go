@@ -283,7 +283,7 @@ func (o *oracleChain) predial(dst ip.Addr, port uint16, t time.Duration, attempt
 }
 
 // replyFlags decodes the TCP flags of a Send response (0 for nil).
-func replyFlags(t *testing.T, resp []byte) uint8 {
+func replyFlags(t testing.TB, resp []byte) uint8 {
 	t.Helper()
 	if resp == nil {
 		return 0

@@ -1,0 +1,305 @@
+package fabric
+
+// The typed L4 path against the byte path. ProbeBatch answers a batch of
+// targets with mask bits; Send answers one packet with packet bytes; both run
+// the same per-probe decision (probe). These tests drive the two encodings
+// side by side — real MakeSYNInto → Send → decoded reply on one fabric,
+// ProbeBatch on its twin, live detectors cloned per side — and fail if the
+// batch path drifts from Send by one probe.
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/asn"
+	"repro/internal/ip"
+	"repro/internal/origin"
+	"repro/internal/packet"
+	"repro/internal/policy"
+	"repro/internal/proto"
+	"repro/internal/scenario"
+	"repro/internal/zmap"
+)
+
+// batchWorld is a planWorld with a scan-order schedule over it: every target
+// of a sweep of the v4 space (dark space included) or of the v6 hitlist, with
+// its probe time. engine, when set, replaces the scenario's rule set.
+type batchWorld struct {
+	planWorld
+	engine *policy.Engine
+	order  []ip.Addr
+	ts     []time.Duration
+}
+
+func (bw *batchWorld) config(p proto.Protocol, idses []*policy.IDS) *Config {
+	cfg := bw.planWorld.config(p, policy.Detectors(idses))
+	if bw.engine != nil {
+		cfg.Engine = bw.engine
+	}
+	return cfg
+}
+
+// batchWorlds returns the two calibrated worlds of planWorlds under their
+// scenarios (lossy paths, outage schedules, churn, live IDSes), plus the v4
+// world with one AS refusing every connection — the RefuseTCP verdict the
+// scenarios never produce, and the only way routed-empty space answers.
+func batchWorlds(t testing.TB) []batchWorld {
+	t.Helper()
+	var out []batchWorld
+	for _, pw := range planWorlds(t) {
+		bw := batchWorld{planWorld: pw}
+		s, err := zmap.NewScanner(zmap.Config{
+			SourceIPs: pw.w.Origins.Get(origin.US1).SourceIPs, Probes: 1, TargetPort: 80,
+			SpaceBits: pw.w.SpaceBits, Hitlist: pw.w.Hitlist(),
+			Seed: 23, ScanDuration: scenario.ScanDuration,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Targets(context.Background(), func(dst ip.Addr, at time.Duration) {
+			bw.order = append(bw.order, dst)
+			bw.ts = append(bw.ts, at)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, bw)
+	}
+	refusing := out[0]
+	refusing.name = "v4-refusing-as"
+	watched := map[asn.ASN]bool{}
+	for _, ids := range refusing.sc.IDSes {
+		watched[ids.AS] = true
+	}
+	for _, h := range refusing.w.Hosts() {
+		if as, ok := refusing.w.ASOf(h.Addr); ok && !watched[as.Number] {
+			// One plain AS, and one a detector watches: there the RSTs stop
+			// when the source is blocked.
+			rule := &policy.StaticBlock{RuleName: "refuse-as", Action: policy.RefuseTCP,
+				Dests: policy.DestMatch{ASes: []asn.ASN{as.Number, refusing.sc.IDSes[0].AS}}}
+			refusing.engine = policy.NewEngine(append([]policy.Rule{rule}, refusing.sc.Engine.Rules()...)...)
+			break
+		}
+	}
+	if refusing.engine == nil {
+		t.Fatal("no unwatched AS with a host to refuse from")
+	}
+	return append(out, refusing)
+}
+
+// sendMasks is the byte path for one target: probes real SYNs through Send,
+// each reply decoded, folded into the masks ProbeBatch reports.
+func sendMasks(t testing.TB, fab *Fabric, buf *[]byte, srcs []ip.Addr, port uint16, probes int, delay time.Duration, dst ip.Addr, at time.Duration) (synAcks, rsts uint8) {
+	src := origin.SourceFor(srcs, dst)
+	for j := 0; j < probes; j++ {
+		*buf = packet.MakeSYNInto(*buf, src, dst, 40000+uint16(j), port, 7, uint16(j))
+		switch flags := replyFlags(t, fab.Send(src, *buf, at+time.Duration(j)*delay)); flags {
+		case 0:
+		case packet.FlagSYN | packet.FlagACK:
+			synAcks |= 1 << j
+		case packet.FlagRST | packet.FlagACK:
+			rsts |= 1 << j
+		default:
+			t.Fatalf("Send answered %v with flags %#x", dst, flags)
+		}
+	}
+	return synAcks, rsts
+}
+
+// probeBatchIn calls ProbeBatch over dsts in windows of size window, into
+// answer arrays pre-filled with garbage: every entry must be written.
+func probeBatchIn(fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, window int) (synAcks, rsts []uint8) {
+	synAcks, rsts = make([]uint8, len(dsts)), make([]uint8, len(dsts))
+	for i := range synAcks {
+		synAcks[i], rsts[i] = 0xff, 0xff
+	}
+	for base := 0; base < len(dsts); base += window {
+		end := min(base+window, len(dsts))
+		fab.ProbeBatch(srcs, port, probes, delay, dsts[base:end], ts[base:end], synAcks[base:end], rsts[base:end])
+	}
+	return synAcks, rsts
+}
+
+// TestProbeBatchMatchesSend: for {US1, CEN, US64 (64 source IPs)} × every
+// protocol × trials {0, 1} × Probes {1, 2, 3} × ProbeDelay {0, 30 s}, every
+// target of the scan order through the byte path and through ProbeBatch.
+// Per-target masks must be equal, and afterwards each live detector must
+// hold the same blocked sources on both sides — which it only does if the
+// batch shows detectors the probes in Send's order. A port no protocol owns
+// must draw silence from both.
+func TestProbeBatchMatchesSend(t *testing.T) {
+	for _, bw := range batchWorlds(t) {
+		t.Run(bw.name, func(t *testing.T) {
+			var synAcks, rsts, blocked, delayed int
+			buf := make([]byte, 0, 2*packet.ReplyCap)
+			diff := func(org *origin.Origin, p proto.Protocol, port uint16, trial, probes int, delay time.Duration, window int) {
+				idsA, idsB := cloneIDSes(bw.sc.IDSes), cloneIDSes(bw.sc.IDSes)
+				byBytes, typed := New(bw.config(p, idsA), org, trial), New(bw.config(p, idsB), org, trial)
+				gotSA, gotRST := probeBatchIn(typed, org.SourceIPs, port, probes, delay, bw.order, bw.ts, window)
+				for i, dst := range bw.order {
+					wantSA, wantRST := sendMasks(t, byBytes, &buf, org.SourceIPs, port, probes, delay, dst, bw.ts[i])
+					if gotSA[i] != wantSA || gotRST[i] != wantRST {
+						t.Fatalf("%v %v:%d trial %d probes %d delay %v → %v (target %d) at %v: ProbeBatch SYN-ACKs %03b RSTs %03b, Send loop %03b / %03b",
+							org.ID, p, port, trial, probes, delay, dst, i, bw.ts[i], gotSA[i], gotRST[i], wantSA, wantRST)
+					}
+					if wantSA != 0 {
+						synAcks++
+					}
+					if wantRST != 0 {
+						rsts++
+					}
+					if delay > 0 && probes > 1 && wantSA|wantRST != 0 && wantSA|wantRST != 1<<probes-1 {
+						delayed++ // the probes of one target fared differently
+					}
+				}
+				for i := range idsA {
+					for _, src := range org.SourceIPs {
+						a, b := idsA[i].BlockedState(src, trial), idsB[i].BlockedState(src, trial)
+						if a != b {
+							t.Fatalf("%v %v trial %d probes %d: detector %s blocks %v after the Send loop: %v, after ProbeBatch: %v",
+								org.ID, p, trial, probes, idsA[i].RuleName, src, a, b)
+						}
+						if a {
+							blocked++
+						}
+					}
+				}
+			}
+			// The comparison is single-goroutine, so under the race detector
+			// (≈ 15× slower here) one trial is enough.
+			trials := 2
+			if raceBuild() {
+				trials = 1
+			}
+			for _, id := range []origin.ID{origin.US1, origin.CEN, origin.US64} {
+				org := bw.w.Origins.Get(id)
+				for _, p := range proto.All() {
+					for trial := 0; trial < trials; trial++ {
+						for probes := 1; probes <= 3; probes++ {
+							// Two window sizes: the sweep kernel's, and one
+							// that ends inside a resolve chunk.
+							window := 4096
+							if probes == 2 {
+								window = 1096
+							}
+							for _, delay := range []time.Duration{0, 30 * time.Second} {
+								diff(org, p, p.Port(), trial, probes, delay, window)
+							}
+						}
+					}
+				}
+			}
+			if synAcks == 0 || rsts == 0 || delayed == 0 {
+				t.Fatalf("vacuous differential: %d SYN-ACK targets, %d RST targets, %d split by the probe delay", synAcks, rsts, delayed)
+			}
+			if bw.name != "v6" && blocked == 0 {
+				t.Fatal("no detector blocked a source: the probe order is not under test")
+			}
+			before := synAcks + rsts
+			diff(bw.w.Origins.Get(origin.US1), proto.HTTP, 8080, 0, 2, 0, 4096)
+			if synAcks+rsts != before {
+				t.Fatal("a port no protocol owns was answered")
+			}
+			t.Logf("%d targets: %d SYN-ACK and %d RST target answers compared, %d blocked sources, %d targets split by the delay",
+				len(bw.order), synAcks, rsts, blocked, delayed)
+		})
+	}
+}
+
+// TestProbeBatchConcurrent is the sharded-sweep shape: four goroutines call
+// ProbeBatch on one fabric over disjoint slices of the schedule, and the
+// answers must equal one serial call's. The resolve scratch is per call, not
+// per fabric (PredialBatch's is per fabric: it is single-caller by contract;
+// this is not) — run with -race. No detectors: their counts depend on the
+// interleaving, which is why sharded sweeps run on planned ones.
+func TestProbeBatchConcurrent(t *testing.T) {
+	bw := batchWorlds(t)[0]
+	org := bw.w.Origins.Get(origin.US64)
+	p := proto.SSH
+	want := New(bw.config(p, nil), org, 1)
+	wantSA, wantRST := probeBatchIn(want, org.SourceIPs, p.Port(), 2, 0, bw.order, bw.ts, 4096)
+
+	const shards = 4
+	fab := New(bw.config(p, nil), org, 1)
+	gotSA, gotRST := make([]uint8, len(bw.order)), make([]uint8, len(bw.order))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		lo, hi := g*len(bw.order)/shards, (g+1)*len(bw.order)/shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			// Small windows, so the goroutines' calls interleave.
+			for base := lo; base < hi; base += 300 {
+				end := min(base+300, hi)
+				fab.ProbeBatch(org.SourceIPs, p.Port(), 2, 0, bw.order[base:end], bw.ts[base:end], gotSA[base:end], gotRST[base:end])
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	answered := 0
+	for i := range wantSA {
+		if gotSA[i] != wantSA[i] || gotRST[i] != wantRST[i] {
+			t.Fatalf("target %d (%v): concurrent answer %02b/%02b, serial %02b/%02b", i, bw.order[i], gotSA[i], gotRST[i], wantSA[i], wantRST[i])
+		}
+		if wantSA[i]|wantRST[i] != 0 {
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Fatal("nothing answered: the comparison is vacuous")
+	}
+}
+
+// FuzzProbeBatchMatchesSend fuzzes one target's coordinates — destination,
+// probe time, probe count, delay, origin, trial, protocol or a port no
+// protocol owns — against the refusing-AS world, and requires ProbeBatch's
+// answer to equal the Send loop's. The destination word is either a raw v4
+// address (inside or outside the space, routed or not) or, with its top bit
+// set, an index into the world's hosts and their neighbours, so the fuzzer
+// reaches hosts, routed-empty space and the refusing AS quickly.
+func FuzzProbeBatchMatchesSend(f *testing.F) {
+	bw := batchWorlds(f)[2]
+	hosts := bw.w.Hosts()
+	origins := bw.w.Origins.All()
+	ports := []uint16{80, 443, 22, 8080}
+	f.Add(uint64(1)<<63, int64(time.Hour), uint8(1), int64(0), uint8(0), uint8(0))
+	f.Add(uint64(1)<<63|7, int64(9*time.Hour), uint8(7), int64(30*time.Second), uint8(2), uint8(2))
+	f.Add(uint64(1)<<63|1<<62|11, int64(0), uint8(2), int64(time.Second), uint8(1), uint8(1))
+	f.Add(uint64(0x08080808), int64(time.Minute), uint8(1), int64(0), uint8(3), uint8(3)) // outside the space
+	f.Add(uint64(bw.w.Origins.Get(origin.US1).SourceIPs[0].Add(1).V4()), int64(5), uint8(3), int64(9), uint8(0), uint8(2))
+	for i, dst := range bw.dsts {
+		if dst.Is4() && i%16 == 0 {
+			f.Add(uint64(dst.V4()), int64(i)*int64(time.Minute), uint8(i), int64(i)*int64(time.Second), uint8(i/16), uint8(i/7))
+		}
+	}
+	f.Fuzz(func(t *testing.T, word uint64, at int64, probes uint8, delay int64, orgIdx, portIdx uint8) {
+		dst := ip.AddrFrom4(uint32(word))
+		if word>>63 != 0 {
+			dst = hosts[int(word&0xffffffff)%len(hosts)].Addr
+			if word>>62&1 != 0 {
+				dst = dst.Add(1) // often routed-empty space beside the host
+			}
+		}
+		org := origins[int(orgIdx&0x0f)%len(origins)]
+		trial := int(orgIdx >> 4 & 1)
+		port := ports[int(portIdx)%len(ports)]
+		p, _ := proto.FromPort(port)
+		n := 1 + int(probes%8)
+		when := time.Duration(uint64(at) % uint64(scenario.ScanDuration))
+		gap := time.Duration(uint64(delay) % uint64(2*time.Minute))
+
+		byBytes := New(bw.config(p, cloneIDSes(bw.sc.IDSes)), org, trial)
+		typed := New(bw.config(p, cloneIDSes(bw.sc.IDSes)), org, trial)
+		buf := make([]byte, 0, 2*packet.ReplyCap)
+		wantSA, wantRST := sendMasks(t, byBytes, &buf, org.SourceIPs, port, n, gap, dst, when)
+		gotSA, gotRST := probeBatchIn(typed, org.SourceIPs, port, n, gap, []ip.Addr{dst}, []time.Duration{when}, 1)
+		if gotSA[0] != wantSA || gotRST[0] != wantRST {
+			t.Fatalf("%v → %v:%d trial %d, %d probes %v apart at %v: ProbeBatch %08b/%08b, Send loop %08b/%08b",
+				org.ID, dst, port, trial, n, gap, when, gotSA[0], gotRST[0], wantSA, wantRST)
+		}
+	})
+}

@@ -207,10 +207,10 @@ func TestIntersectAllEmpty(t *testing.T) {
 // re-implementation over raw 128-bit words, seeding the corpus with the
 // family boundary and both word-order edge cases.
 func FuzzIsSorted(f *testing.F) {
-	f.Add(uint64(0), uint64(0xffff00000001), uint64(0), uint64(0xffff00000002))  // v4 pair, sorted
-	f.Add(uint64(0), uint64(0xffffffffffff), uint64(0x2001), uint64(0))          // v4 then v6
-	f.Add(uint64(2), uint64(0), uint64(1), uint64(^uint64(0)))                   // hi word reversed
-	f.Add(uint64(1), uint64(1), uint64(1), uint64(1))                            // duplicate
+	f.Add(uint64(0), uint64(0xffff00000001), uint64(0), uint64(0xffff00000002)) // v4 pair, sorted
+	f.Add(uint64(0), uint64(0xffffffffffff), uint64(0x2001), uint64(0))         // v4 then v6
+	f.Add(uint64(2), uint64(0), uint64(1), uint64(^uint64(0)))                  // hi word reversed
+	f.Add(uint64(1), uint64(1), uint64(1), uint64(1))                           // duplicate
 	f.Fuzz(func(t *testing.T, hi1, lo1, hi2, lo2 uint64) {
 		s := AddrSlice{AddrFrom128(hi1, lo1), AddrFrom128(hi2, lo2)}
 		want := hi1 < hi2 || (hi1 == hi2 && lo1 < lo2)

@@ -45,10 +45,10 @@ func A(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 // SpanRecord is one completed span, as exposed by Spans, the JSON sink,
 // and the flight-recorder journal.
 type SpanRecord struct {
-	ID     SpanID `json:"id,omitempty"`
-	Parent SpanID `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	Labels string `json:"labels,omitempty"`
+	ID     SpanID    `json:"id,omitempty"`
+	Parent SpanID    `json:"parent,omitempty"`
+	Name   string    `json:"name"`
+	Labels string    `json:"labels,omitempty"`
 	Start  time.Time `json:"start"`
 	// StartNS is the span's start as monotonic nanoseconds since the
 	// registry epoch (Registry.Start). Unlike the wall-clock Start it is

@@ -235,7 +235,6 @@ func TestSlash24sHaveMultipleHosts(t *testing.T) {
 	}
 }
 
-
 func TestCountryPopulationsFollowWeights(t *testing.T) {
 	w, err := Build(context.Background(), Spec{Seed: 1, Scale: 0.0002})
 	if err != nil {

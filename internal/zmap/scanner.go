@@ -3,6 +3,7 @@ package zmap
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -73,6 +74,18 @@ type BatchRoutability interface {
 	RoutedBatch(dst []ip.Addr, routed []bool)
 }
 
+// BatchProber is an optional PacketSink capability: a sink that is the
+// network (the in-process fabric) answers a routed batch in one typed call
+// instead of a packet round trip per probe. Target i gets probes (≤ 8) SYNs
+// from origin.SourceFor(srcs, dsts[i]) to port, probe j at ts[i]+j·delay;
+// the sink writes every synAcks[i] and rsts[i], bit j set when probe j drew
+// that answer. It must decide each probe as its Send decides the packet
+// MakeSYNInto builds for it, target-major and probe-minor, and be safe for
+// concurrent use. Sinks that speak bytes (pcap tee, raw socket) lack it.
+type BatchProber interface {
+	ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8)
+}
+
 // Config configures one scan.
 type Config struct {
 	// SourceIPs are the scanner's source addresses; probes rotate over
@@ -131,8 +144,9 @@ func (c *Config) validate() error {
 	if len(c.SourceIPs) == 0 {
 		return pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("zmap: no source IPs"))
 	}
-	if c.Probes <= 0 {
-		return pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("zmap: probes must be positive"))
+	if c.Probes <= 0 || c.Probes > 8 {
+		// Reply.ProbeMask and the batch answer masks are eight bits wide.
+		return pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("zmap: probes must be in 1..8, got %d", c.Probes))
 	}
 	if c.ScanDuration <= 0 {
 		return pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("zmap: scan duration must be positive"))
@@ -273,7 +287,7 @@ func (s *Scanner) srcFor(dst ip.Addr) ip.Addr {
 // and its routability, the per-reply or per-target callback), what it has
 // counted, and the caller-owned batch arrays the walk, the lists, the
 // routability call and the clock stamp work in. One kernel is a single
-// ~210 KiB allocation reused for the whole sweep, so the per-address cost is
+// ~220 KiB allocation reused for the whole sweep, so the per-address cost is
 // array writes — no per-batch allocation, no interface call per address.
 type sweepKernel struct {
 	s *Scanner
@@ -283,6 +297,7 @@ type sweepKernel struct {
 	sink  PacketSink
 	rt    Routability
 	brt   BatchRoutability
+	bp    BatchProber
 	reply func(Reply)
 	visit func(ip.Addr, time.Duration)
 
@@ -299,6 +314,8 @@ type sweepKernel struct {
 	dsts   [sweepBatch]ip.Addr
 	times  [sweepBatch]time.Duration
 	routed [sweepBatch]bool
+	// The batch prober's answers for the compacted routed slice.
+	synAcks, rsts [sweepBatch]uint8
 }
 
 // newKernel returns a sweep goroutine's kernel over sink (nil for Targets),
@@ -309,6 +326,7 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 	if sink != nil {
 		k.rt, _ = sink.(Routability)
 		k.brt, _ = sink.(BatchRoutability)
+		k.bp, _ = sink.(BatchProber)
 		// Room for the SYN (as large as a SYN-ACK: both carry only the MSS
 		// option) plus the sink's response behind it (see PacketSink).
 		k.synBuf = make([]byte, 0, 2*packet.ReplyCap)
@@ -393,7 +411,8 @@ func (k *sweepKernel) sweep(ctx context.Context, pm *Permutation, skips []uint64
 // is nil. In order: the allow/blocklists; one routability call for the
 // batch; the virtual-clock stamp, for routed survivors only, compacting them
 // to the front; the unrouted remainder counted in bulk; the probes, over
-// the dense routed slice. Most of a real sweep is dark, so everything before
+// the dense routed slice (one BatchProber call, or a packet round trip per
+// probe). Most of a real sweep is dark, so everything before
 // the compaction is a pass of array writes with no per-address decision but
 // the one it exists to make, and nothing after it runs for unrouted space.
 //
@@ -462,11 +481,30 @@ func (k *sweepKernel) step(n int, base uint64, pos []uint64) {
 			s.cfg.Telemetry.Unrouted.Add(u)
 		}
 	}
-	if k.sink == nil {
+	switch {
+	case k.sink == nil:
 		for i, dst := range k.dsts[:kept] {
 			k.visit(dst, k.times[i])
 		}
-	} else {
+	case k.bp != nil:
+		// Typed answers, counted as probeTarget counts validated packets
+		// (Invalid stays 0: no answer can arrive on the wrong flow).
+		sa, rst := k.synAcks[:kept], k.rsts[:kept]
+		k.bp.ProbeBatch(s.cfg.SourceIPs, s.cfg.TargetPort, s.cfg.Probes, s.cfg.ProbeDelay, k.dsts[:kept], k.times[:kept], sa, rst)
+		k.st.ProbesSent += uint64(s.cfg.Probes) * uint64(kept)
+		for i, m := range sa {
+			if m|rst[i] == 0 {
+				continue
+			}
+			acks := uint64(bits.OnesCount8(m))
+			k.st.SynAcks += acks
+			k.st.Rsts += uint64(bits.OnesCount8(rst[i]))
+			if acks > 1 {
+				k.st.Duplicates += acks - 1
+			}
+			k.reply(Reply{Dst: k.dsts[i], ProbeMask: m, RST: rst[i] != 0, T: k.times[i]})
+		}
+	default:
 		for i, dst := range k.dsts[:kept] {
 			if r, ok := s.probeTarget(k.sink, dst, k.times[i], &k.st, &k.synBuf); ok {
 				k.reply(r)

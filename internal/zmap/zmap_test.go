@@ -831,6 +831,48 @@ func TestScannerConfigValidation(t *testing.T) {
 	}
 }
 
+// lastProbeSink is a host at every address that answers one probe index only.
+type lastProbeSink struct{ probe uint16 }
+
+func (l lastProbeSink) Send(src ip.Addr, pkt []byte, _ time.Duration) []byte {
+	iph, tcph, _, err := packet.DecodeTCP4(pkt)
+	if err != nil || iph.ID != l.probe {
+		return nil
+	}
+	return packet.MakeSYNACK(iph.Dst, src, tcph.DstPort, tcph.SrcPort, 1000, tcph.Seq+1)
+}
+
+// TestConfigRejectsTooManyProbes: Reply.ProbeMask (like the batch prober's
+// answer masks) is eight bits wide, so a host that answered only a ninth SYN
+// used to be counted in Stats.SynAcks and never reported (1 << 8 into a uint8
+// is 0). NewScanner refuses more than eight probes; with eight, the last
+// probe's answer is still reported.
+func TestConfigRejectsTooManyProbes(t *testing.T) {
+	cfg := testConfig()
+	cfg.Probes = 9
+	if _, err := NewScanner(cfg); !errors.Is(err, pipeline.ErrBadConfig) {
+		t.Fatalf("NewScanner with 9 probes: err = %v, want ErrBadConfig", err)
+	}
+	cfg.Probes = 8
+	s, err := NewScanner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	st, err := s.Run(context.Background(), lastProbeSink{probe: 7}, func(r Reply) {
+		replies++
+		if r.ProbeMask != 1<<7 {
+			t.Fatalf("%v answered probe 7 only, reported with mask %08b", r.Dst, r.ProbeMask)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(replies) != st.Targets || st.SynAcks != st.Targets {
+		t.Errorf("%d targets: %d reported, %d SYN-ACKs counted — an answered host went unreported", st.Targets, replies, st.SynAcks)
+	}
+}
+
 func BenchmarkPermutationIterate(b *testing.B) {
 	pm, err := NewPermutation(rng.NewKey(1), 20, 0, 1)
 	if err != nil {
