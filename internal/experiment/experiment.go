@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fabric"
@@ -76,13 +75,17 @@ type Config struct {
 	// DialWrapper, when set, wraps the L7 dialer of every scan — the grab
 	// counterpart of SinkWrapper and the fault-injection seam of the grab
 	// stage. A wrapper embeds the dialer it is given and overrides what it
-	// wants to observe: PredialBatch runs once per grab window on the
-	// stage's goroutine; Predial (retry attempts) and ConnectFast (every
-	// accepted connection) run on the grab workers, so they must be safe
-	// for concurrent use.
+	// wants to observe: PredialBatch runs once per grab slot on the stage's
+	// coordinator goroutine (never concurrently with itself); Predial (retry
+	// attempts) and ConnectFast (every accepted connection) run on the grab
+	// workers, so they must be safe for concurrent use. All three run while
+	// the scan's sweep is still walking, on other goroutines than the sink.
 	DialWrapper func(zgrab.FastDialer) zgrab.FastDialer
 	// Hooks observe lifecycle stage transitions of every scan and of
-	// world generation (instrumentation, progress reporting, tests).
+	// world generation (instrumentation, progress reporting, tests). A
+	// scan's stages fire in order on the scan's goroutine, but L7 work is
+	// not confined to Grab: Sweep spans the walk and the grabbing under it,
+	// Grab the drain of the ring and the held-back tail (see scanOne).
 	Hooks pipeline.Hooks
 	// Telemetry, when set, receives live metrics from every layer of the
 	// run: sweep and grab counters labeled per (origin, proto, trial),
@@ -94,7 +97,9 @@ type Config struct {
 	// Parallelism is how many (origin, protocol, trial) scans run
 	// concurrently (0 = GOMAXPROCS). The parallel engine precomputes IDS
 	// detection schedules so results are bit-identical to a serial run;
-	// set 1 to force the serial reference path.
+	// set 1 to force the serial reference path, on the live detectors. A
+	// scan in flight is more than one goroutine either way: its grab stage
+	// (a coordinator and grabWorkers workers) runs beside its sweep.
 	Parallelism int
 	// ScanShards splits each scan's permutation sweep across N goroutine
 	// shards (0 or 1 = unsharded). Deterministic: shard results merge
@@ -116,16 +121,6 @@ type Config struct {
 	// ScenarioConfig tweaks behaviour models (ablations).
 	ScenarioConfig scenario.Config
 }
-
-// grabWindow is the windowed grab hand-off's batch size: workers claim
-// indices inside one window, and each completed window appends through the
-// ResultSink in reply order. Matches the sweep kernel's 4096-address batch
-// — small enough that the in-flight record buffer is negligible, large
-// enough that the per-window barrier is amortized away.
-const grabWindow = 4096
-
-// grabWorkers is how many goroutines share one grab window.
-const grabWorkers = 16
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -157,6 +152,9 @@ type Study struct {
 	Config   Config
 	World    *world.World
 	Scenario *scenario.Scenario
+
+	// grabShape is zero outside tests (see grabstage.go).
+	grabShape grabShape
 }
 
 // NewStudy builds the world and scenario for a config. World generation
@@ -392,11 +390,10 @@ func (st *Study) newScanResult(o origin.ID, p proto.Protocol, trial, hint int) (
 	return results.NewSpilledScanResult(o, p, trial, hint, spill)
 }
 
-// replyHint sizes one scan's reply log and zmap.Config.ExpectedReplies: only
-// hosts reply, so the world's host count bounds both. It is the count, not
-// len(Hosts()) — a StreamHosts world retains no host slice, and a log sized 0
-// regrows by append through the whole sweep (a 1.3 GB slice reaching its size
-// by 1.25× copies at Scale 1.0).
+// replyHint sizes one scan's result store, the grab stage's slots and
+// zmap.Config.ExpectedReplies: only hosts reply, so the world's host count
+// bounds all three. It is the count, not len(Hosts()) — a StreamHosts world
+// retains no host slice.
 func (st *Study) replyHint() int { return st.World.NumHosts() }
 
 // originRecord resolves the origin, applying the follow-up Censys IP swap.
@@ -452,31 +449,30 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 }
 
 // scanOne runs one scan with the given IDS views (live or scheduled) and
-// number of sweep shards. The scan is a three-stage pipeline — Sweep (L4
-// probe sweep), Grab (L7 handshakes on the worker pool), Seal (commit the
-// sorted columns) — run through a pipeline.Runner so cfg.Hooks observe the
-// transitions and any interruption reports its stage. A canceled scan
-// returns nil (the partial result is not well-defined mid-stage). Grab
-// connections are served inline on the worker that opened them, so the
-// only goroutines a scan starts are the ones its stages wait for.
+// number of sweep shards. The scan is a three-stage pipeline run through a
+// pipeline.Runner, so cfg.Hooks observe the transitions, sequentially and on
+// this goroutine, and any interruption reports its stage — but the L7 work is
+// not confined to the middle one. Sweep is the L4 walk with the grabStage
+// grabbing under it (see grabstage.go); Grab is what is left when the walk
+// returns: draining the ring and grabbing the held-back tail; Seal commits
+// the sorted columns. A cancellation is reported against the stage whose
+// hook was open when it was observed, whatever raised it: a cancel raised
+// from a ConnectFast while the walk is still going is a sweep interruption.
+// A canceled scan returns nil (the partial result is not well-defined
+// mid-stage) and leaves no spill file. Grab connections are served inline on
+// the worker that opened them, so the only goroutines a scan starts are the
+// stage's coordinator and workers and the sweep's shards, all gone when it
+// returns.
 func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, detectors []policy.Detector, shards int, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)
-	// Per-scan telemetry: metric children are resolved once here, labeled
-	// by the scan's identity, and the hot paths below touch only the
-	// pre-resolved atomic counters. With no registry every bundle is nil
-	// and the instruments no-op.
+	// Per-scan telemetry: metric children are resolved once here (and in
+	// newGrabStage), labeled by the scan's identity, and the hot paths touch
+	// only the pre-resolved atomic counters. With no registry every bundle
+	// is nil and the instruments no-op.
 	labels := scanLabels(st.World.Family, o, p, trial)
-	sweepM := telemetry.NewSweepMetrics(cfg.Telemetry, labels...)
-	grabM := telemetry.NewGrabMetrics(cfg.Telemetry, labels...)
-	poolM := telemetry.NewGrabPoolMetrics(cfg.Telemetry, grabWorkers, labels...)
-	sealM := telemetry.NewSealMetrics(cfg.Telemetry, labels...)
-	var spillM *telemetry.SpillMetrics
-	if cfg.SpillDir != "" {
-		spillM = telemetry.NewSpillMetrics(cfg.Telemetry, labels...)
-	}
-	// One scan = one span under the study root; its children are the
-	// stage spans, which in turn own the sweep-batch and grab-window
+	// One scan = one span under the study root; its children are the stage
+	// spans and the grab-slot exemplars, the sweep span owns the sweep-batch
 	// exemplars.
 	scanSpan := spanUnder(cfg.Telemetry, studySpan, "scan", labels...)
 	defer func() { scanSpan.End(err) }()
@@ -491,192 +487,50 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 		Hosts:      st.Scenario.Hosts,
 	}, org, trial)
 
-	numHosts := st.replyHint()
 	zcfg := st.sweepConfig(p, trial)
 	zcfg.SourceIPs = org.SourceIPs
-	zcfg.ExpectedReplies = numHosts
-	zcfg.Telemetry = sweepM
+	zcfg.ExpectedReplies = st.replyHint()
+	zcfg.Telemetry = telemetry.NewSweepMetrics(cfg.Telemetry, labels...)
 	sc, err := zmap.NewScanner(zcfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %v/%v/trial %d: %w", o, p, trial, err)
 	}
-
 	var sink zmap.PacketSink = fab
 	if cfg.SinkWrapper != nil {
 		sink = cfg.SinkWrapper(fab)
 	}
-	var dialer zgrab.FastDialer = fab
-	if cfg.DialWrapper != nil {
-		dialer = cfg.DialWrapper(fab)
-	}
 
-	// State threaded between stages.
-	replies := make([]zmap.Reply, 0, numHosts)
+	var grab *grabStage
 	var stats zmap.Stats
-
 	tr := telemetry.NewStageTrace(cfg.Telemetry, scanSpan, labels...)
 	runner := pipeline.Runner{Hooks: tr.Hooks(cfg.Hooks)}
 	err = runner.Run(ctx,
 		pipeline.StageFunc{Stage: pipeline.StageSweep, Run: func(ctx context.Context) error {
-			// L4 sweep: collect replies. Only hosts reply, so the
-			// world's host count bounds the reply slice. The stage span
-			// receives the sweep's batch exemplars and target totals.
-			sc.SetTraceSpan(tr.Span(pipeline.StageSweep))
+			// The stage span receives the sweep's batch exemplars and
+			// target totals, and how many slots the walk handed the grab.
+			span := tr.Span(pipeline.StageSweep)
+			sc.SetTraceSpan(span)
 			var err error
-			stats, err = sc.RunSharded(ctx, sink, func(r zmap.Reply) { replies = append(replies, r) }, shards)
-			return err
-		}},
-		pipeline.StageFunc{Stage: pipeline.StageGrab, Run: func(ctx context.Context) error {
-			// Windowed grab hand-off: workers claim reply indices inside
-			// a bounded window, writing records into matching slots — no
-			// channel per record — and each window barrier appends its
-			// records to the store in reply order, so the columns build
-			// deterministically. Handing records over per window instead
-			// of buffering the entire scan is what lets a spill-backed
-			// store bound memory: it may flush sorted runs to disk
-			// mid-scan. Workers re-check ctx per claim (a pure read:
-			// uncancelled runs are unaffected), so a canceled grab stops
-			// within one claim per worker, and a partially grabbed window
-			// is never appended.
-			var err error
-			res, err = st.newScanResult(o, p, trial, len(replies))
-			if err != nil {
+			if grab, err = st.newGrabStage(ctx, o, p, trial, fab, scanSpan, labels); err != nil {
 				return err
 			}
-			grabber := &zgrab.Grabber{
-				Dialer:  dialer,
-				Retries: cfg.Retries,
-				Key:     rng.NewKey(st.World.Spec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
-				Metrics: grabM,
-			}
-			gspan := tr.Span(pipeline.StageGrab)
-			gspan.SetAttr("hosts", int64(len(replies)))
-			if poolM != nil {
-				poolM.Hosts.Set(int64(len(replies)))
-			}
-			// The window tracer records per-window exemplars (bounded
-			// sampling) under the grab stage span; Hooks run the stage in
-			// this goroutine, so the tracer's state is single-owner.
-			wt := gspan.ChildTracer("grab_window")
-			size := min(grabWindow, len(replies))
-			window := make([]results.HostRecord, size)
-			poolWorkers := poolM.Workers()
-			// Every window's attempt-0 verdicts are computed up front, in
-			// one batch, so the workers' grabs never touch connection
-			// setup for L4 failures and serve accepted exchanges inline.
-			// preIdx maps a window slot to its verdict (-1: no L4
-			// response, never grabbed).
-			preDst := make([]ip.Addr, size)
-			preT := make([]time.Duration, size)
-			pre := make([]zgrab.DialVerdict, size)
-			preIdx := make([]int32, size)
-			for base := 0; base < len(replies); base += size {
-				n := min(size, len(replies)-base)
-				win := window[:n]
-				m := 0
-				for i := 0; i < n; i++ {
-					r := &replies[base+i]
-					if r.ProbeMask == 0 {
-						preIdx[i] = -1
-						continue
-					}
-					preDst[m] = r.Dst
-					preT[m] = r.T
-					preIdx[i] = int32(m)
-					m++
-				}
-				var predialStart time.Time
-				if poolM != nil {
-					predialStart = time.Now()
-				}
-				dialer.PredialBatch(preDst[:m], preT[:m], p.Port(), pre[:m])
-				if poolM != nil {
-					poolM.Predial.ObserveDuration(time.Since(predialStart))
-				}
-				workers := min(grabWorkers, n)
-				wt.Begin()
-				// windowStart anchors the queue-wait measurement: how long
-				// a reply sat in the window before a worker claimed it.
-				// Clock reads are gated on a live pool bundle, so disabled
-				// telemetry costs one nil check per window and per claim.
-				var windowStart time.Time
-				if poolM != nil {
-					windowStart = time.Now()
-				}
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						// The worker's telemetry accumulates privately and is
-						// flushed once, when the window is done.
-						var gw *telemetry.GrabWorker
-						if poolM != nil {
-							gw = &poolWorkers[w]
-							defer gw.Flush()
-						}
-						// One clock read per claim: a worker's serve-end is its next
-						// claim (claimed stays zero when telemetry is off).
-						var claimed time.Time
-						for ctx.Err() == nil {
-							i := int(next.Add(1)) - 1
-							if i >= n {
-								break
-							}
-							if gw != nil {
-								now := time.Now()
-								if !claimed.IsZero() {
-									gw.Served(now.Sub(claimed))
-								}
-								gw.Claimed(now.Sub(windowStart))
-								claimed = now
-							}
-							r := replies[base+i]
-							rec := results.HostRecord{
-								Addr: r.Dst, ProbeMask: r.ProbeMask, RST: r.RST, T: r.T,
-							}
-							if r.ProbeMask != 0 {
-								g := grabber.GrabFast(ctx, p, r.Dst, r.T, pre[preIdx[i]])
-								rec.L7 = g.Success
-								rec.Fail = g.Fail
-								rec.Attempts = g.Attempts
-								rec.Banner = g.Banner
-							}
-							win[i] = rec
-						}
-						if !claimed.IsZero() {
-							gw.Served(time.Since(claimed))
-						}
-					}(w)
-				}
-				wg.Wait()
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				// The window hand-off: AddBatch may sort, dedup, and spill
-				// — WindowAppend is where result-store back-pressure on
-				// the grab path becomes visible.
-				var appendStart time.Time
-				if poolM != nil {
-					appendStart = time.Now()
-				}
-				res.AddBatch(win)
-				if poolM != nil {
-					poolM.WindowAppend.ObserveDuration(time.Since(appendStart))
-				}
-				wt.End(telemetry.A("hosts", int64(n)), telemetry.A("workers", int64(workers)))
-			}
-			return ctx.Err()
+			stats, err = sc.RunSharded(ctx, sink, grab.offer, shards)
+			span.SetAttr("grab_slots", int64(grab.handed))
+			return err
 		}},
-		pipeline.StageFunc{Stage: pipeline.StageSeal, Run: func(ctx context.Context) error {
-			// Records appended in deterministic (T, Dst) reply order;
-			// Seal commits the sorted columns — one in-memory sort for
-			// the fast path, or the keep-last external merge of on-disk
-			// segments plus the live run for a spill-backed store (the
-			// segments are deleted as the merge consumes them). Either
-			// way the stored scan is an immutable sorted view before any
-			// analysis touches it.
+		pipeline.StageFunc{Stage: pipeline.StageGrab, Run: func(context.Context) error {
+			var err error
+			res, err = grab.finish(tr.Span(pipeline.StageGrab))
+			return err
+		}},
+		pipeline.StageFunc{Stage: pipeline.StageSeal, Run: func(context.Context) error {
+			// Records were appended slot by slot in hand-off order; Seal
+			// commits the sorted columns — one in-memory sort for the fast
+			// path, or the keep-last external merge of on-disk segments
+			// plus the live run for a spill-backed store (the segments are
+			// deleted as the merge consumes them). Either way the stored
+			// scan is an immutable sorted view before any analysis touches
+			// it.
 			res.Targets = stats.Targets
 			res.ProbesSent = stats.ProbesSent
 			res.SynAcks = stats.SynAcks
@@ -685,44 +539,54 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			if err := res.SealErr(); err != nil {
 				return err
 			}
-			// Span attributes are no-ops on the nil span of an untraced run.
-			sspan := tr.Span(pipeline.StageSeal)
-			rows, deduped := res.SealStats()
-			if sealM != nil {
-				sealM.Rows.Add(uint64(rows))
-				sealM.Deduped.Add(uint64(deduped))
-			}
-			sspan.SetAttr("rows", int64(rows))
-			sspan.SetAttr("deduped", int64(deduped))
-			if spillM != nil {
-				sst := res.SpillStats()
-				spillM.Segments.Add(uint64(sst.Segments))
-				spillM.Bytes.Add(uint64(sst.SpilledBytes))
-				spillM.FanIn.Set(int64(sst.MergeFanIn))
-				spillM.Passes.Set(int64(sst.MergePasses))
-				spillM.Merge.ObserveDuration(sst.MergeDuration)
-				spillM.Flush.ObserveDuration(sst.FlushDuration)
-				sspan.SetAttr("spill_segments", int64(sst.Segments))
-				sspan.SetAttr("spill_bytes", sst.SpilledBytes)
-				sspan.SetAttr("merge_fanin", int64(sst.MergeFanIn))
-				sspan.SetAttr("merge_passes", int64(sst.MergePasses))
-				sspan.SetAttr("merge_ns", sst.MergeDuration.Nanoseconds())
-				sspan.SetAttr("flush_ns", sst.FlushDuration.Nanoseconds())
-			}
-			// The fabric's served-connection total lands on the seal span:
-			// the routed/unrouted split lives on the sweep span, the L7
-			// connection volume here.
-			sspan.SetAttr("conns_opened", int64(fab.ConnsOpened()))
+			st.observeSeal(res, tr.Span(pipeline.StageSeal), fab.ConnsOpened(), labels)
 			return nil
 		}},
 	)
 	if err != nil {
-		// An interrupted or failed scan's partial store is abandoned:
-		// delete any spilled segments so a canceled study leaks no disk.
-		if res != nil {
-			_ = res.Discard()
+		// An interrupted or failed scan's partial store is abandoned, once
+		// nothing writes to it any more: delete any spilled segments so a
+		// canceled study leaks no disk.
+		if grab != nil {
+			grab.stop()
+			_ = grab.res.Discard()
 		}
 		return nil, err
 	}
 	return res, nil
+}
+
+// observeSeal records a sealed scan's store statistics on its seal span and
+// metric bundles. Span attributes are no-ops on the nil span of an untraced
+// run.
+func (st *Study) observeSeal(res *results.ScanResult, span *telemetry.Span, connsOpened uint64, labels []telemetry.Label) {
+	reg := st.Config.Telemetry
+	rows, deduped := res.SealStats()
+	if sealM := telemetry.NewSealMetrics(reg, labels...); sealM != nil {
+		sealM.Rows.Add(uint64(rows))
+		sealM.Deduped.Add(uint64(deduped))
+	}
+	span.SetAttr("rows", int64(rows))
+	span.SetAttr("deduped", int64(deduped))
+	if st.Config.SpillDir != "" {
+		sst := res.SpillStats()
+		if spillM := telemetry.NewSpillMetrics(reg, labels...); spillM != nil {
+			spillM.Segments.Add(uint64(sst.Segments))
+			spillM.Bytes.Add(uint64(sst.SpilledBytes))
+			spillM.FanIn.Set(int64(sst.MergeFanIn))
+			spillM.Passes.Set(int64(sst.MergePasses))
+			spillM.Merge.ObserveDuration(sst.MergeDuration)
+			spillM.Flush.ObserveDuration(sst.FlushDuration)
+		}
+		span.SetAttr("spill_segments", int64(sst.Segments))
+		span.SetAttr("spill_bytes", sst.SpilledBytes)
+		span.SetAttr("merge_fanin", int64(sst.MergeFanIn))
+		span.SetAttr("merge_passes", int64(sst.MergePasses))
+		span.SetAttr("merge_ns", sst.MergeDuration.Nanoseconds())
+		span.SetAttr("flush_ns", sst.FlushDuration.Nanoseconds())
+	}
+	// The fabric's served-connection total lands on the seal span: the
+	// routed/unrouted split lives on the sweep span, the L7 connection
+	// volume here.
+	span.SetAttr("conns_opened", int64(connsOpened))
 }

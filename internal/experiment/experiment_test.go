@@ -458,11 +458,11 @@ func TestChurnDisableable(t *testing.T) {
 	_ = ds
 }
 
-// TestReplyHintStreamingWorld pins the reply-log capacity on worlds built
-// with StreamHosts: Hosts() is nil there, and a hint taken from its length
-// sized the log (and zmap's per-shard reply buffers) at zero, so it regrew by
-// append through the whole sweep. A streamed build must get the hint the
-// retained build of the same spec gets — the host count.
+// TestReplyHintStreamingWorld pins the reply-count hint on worlds built with
+// StreamHosts: Hosts() is nil there, and a hint taken from its length sized
+// the result store (and zmap's per-shard reply buffers) at zero, so they
+// regrew by append through the whole sweep. A streamed build must get the
+// hint the retained build of the same spec gets — the host count.
 func TestReplyHintStreamingWorld(t *testing.T) {
 	spec := world.Spec{Seed: 9, Scale: 0.00005}
 	hint := func(spec world.Spec) (int, *Study) {

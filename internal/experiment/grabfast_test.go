@@ -259,8 +259,9 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 
 // TestGrabWorkerClockAccounting pins the grab workers' telemetry now that a
 // worker reads the clock once per claim (its serve-end is its next claim):
-// every claimed host is served exactly once — hosts done, queue-wait and
-// service observations all equal the rows the study sealed — and the busy
+// every claimed host is served exactly once — hosts offered, hosts done,
+// queue-wait and service observations all equal the rows the study sealed,
+// with queue wait measured from the slot's hand-off — and the busy
 // time is time the workers actually had: no more than grabWorkers × the
 // run's wall time (a service interval measured from the wrong instant,
 // such as the window's start, overshoots that by orders of magnitude).
@@ -294,14 +295,26 @@ func TestGrabWorkerClockAccounting(t *testing.T) {
 	if got := reg.CounterSum(telemetry.MetricGrabHostsDone); got != rows {
 		t.Errorf("hosts done = %d, want the %d sealed rows", got, rows)
 	}
-	counts := map[string]uint64{}
+	// The hosts gauge is raised slot by slot as replies reach the workers;
+	// at scan end it has caught up with hosts done (the progress line's
+	// backlog is their difference).
+	if got := reg.GaugeSum(telemetry.MetricGrabHosts); got != int64(rows) {
+		t.Errorf("hosts offered = %d, want the %d sealed rows", got, rows)
+	}
+	counts, sums := map[string]uint64{}, map[string]float64{}
 	for _, h := range reg.Snapshot().Histograms {
 		counts[h.Name] += h.Count
+		sums[h.Name] += h.Sum
 	}
 	for _, name := range []string{telemetry.MetricGrabQueueWait, telemetry.MetricGrabService} {
 		if counts[name] != rows {
 			t.Errorf("%s has %d observations, want one per sealed row (%d)", name, counts[name], rows)
 		}
+	}
+	// Queue wait runs from a slot's hand-off to the workers, so no host
+	// waited longer than the run took.
+	if wait := sums[telemetry.MetricGrabQueueWait]; wait < 0 || wait > float64(rows)*wall.Seconds() {
+		t.Errorf("hosts queued for %.3f s in total, in a run of %v with %d hosts", wait, wall, rows)
 	}
 	if busy := time.Duration(reg.CounterSum(telemetry.MetricGrabWorkerBusyNS)); busy <= 0 || busy > grabWorkers*wall {
 		t.Errorf("workers were busy %v in a run of %v × %d workers", busy, wall, grabWorkers)

@@ -34,7 +34,7 @@ func waitNoLeak(t *testing.T, before int, what string) {
 }
 
 // TestNoGoroutineLeak verifies that a complete study — a scan worker and,
-// per 4,096-host grab window, sixteen grab workers serving thousands of
+// per scan, a grab coordinator and sixteen grab workers serving thousands of
 // virtual connections inline — leaves no goroutines behind.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -113,47 +113,99 @@ func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 	waitNoLeak(t, before, "sweep shards or workers after cancellation")
 }
 
-// leakCancelDialer cancels the run after a fixed number of L7 connections.
+// leakCancelDialer cancels the run at the after-th L7 connection opened
+// while armed (always, with no armed flag).
 type leakCancelDialer struct {
 	zgrab.FastDialer
+	armed  *atomic.Bool
 	conns  *atomic.Int64
 	after  int64
 	cancel context.CancelFunc
 }
 
 func (c leakCancelDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
-	if c.conns.Add(1) == c.after {
+	if (c.armed == nil || c.armed.Load()) && c.conns.Add(1) == c.after {
 		c.cancel()
 	}
 	return c.FastDialer.ConnectFast(dst, port, v)
 }
 
-// TestNoGoroutineLeakCancelMidGrab cancels the study while the grab worker
-// pool is mid-window, from inside a worker's connection setup: every grab
-// worker must terminate and the interrupted window is never appended.
-func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var conns atomic.Int64
-	st, err := NewStudy(ctx, Config{
-		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
-		Protocols:   []proto.Protocol{proto.HTTP},
-		Origins:     origin.Set{origin.US1, origin.CEN},
-		Parallelism: 1,
-		DialWrapper: func(inner zgrab.FastDialer) zgrab.FastDialer {
-			return leakCancelDialer{FastDialer: inner, conns: &conns, after: 5, cancel: cancel}
+// armInGrab returns hooks that keep armed set while a scan's Grab stage is
+// open: the walk is over, and what the workers dial is the drained ring, the
+// partial last slot and the held-back tail.
+func armInGrab(armed *atomic.Bool) pipeline.Hooks {
+	return pipeline.Hooks{
+		Before: func(_ context.Context, s pipeline.Stage) {
+			if s == pipeline.StageGrab {
+				armed.Store(true)
+			}
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
+		After: func(_ context.Context, s pipeline.Stage, _ error) {
+			if s == pipeline.StageGrab {
+				armed.Store(false)
+			}
+		},
 	}
-	_, err = st.Run(ctx)
-	if !errors.Is(err, pipeline.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+}
+
+// TestNoGoroutineLeakCancelMidGrab cancels the study from inside a worker's
+// connection setup, in both places a worker can be: in the Grab stage, while
+// the last slots and the tail drain (the interruption is a grab one), and
+// under the walk (the cancel is observed by the sweep, at its next batch
+// boundary, and the interruption is a sweep one — the stage whose hook was
+// open). Either way every worker and the coordinator must terminate, within
+// a bounded time, and the interrupted slot is never appended.
+func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stage pipeline.Stage
+	}{{"tail", pipeline.StageGrab}, {"during-walk", pipeline.StageSweep}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var conns atomic.Int64
+			var armed *atomic.Bool
+			cfg := Config{
+				WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
+				Protocols:   []proto.Protocol{proto.HTTP},
+				Origins:     origin.Set{origin.US1, origin.CEN},
+				Parallelism: 1,
+			}
+			shape := grabShape{}
+			if tc.stage == pipeline.StageGrab {
+				armed = new(atomic.Bool)
+				cfg.Hooks = armInGrab(armed)
+			} else {
+				// Slots small enough that the walk hands several off (and
+				// then blocks on the ring) long before it ends.
+				shape = grabShape{slot: 16, ring: 2}
+			}
+			cfg.DialWrapper = func(inner zgrab.FastDialer) zgrab.FastDialer {
+				return leakCancelDialer{FastDialer: inner, armed: armed, conns: &conns, after: 5, cancel: cancel}
+			}
+			st, err := NewStudy(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.grabShape = shape
+			returned := make(chan error, 1)
+			go func() {
+				_, err := st.Run(ctx)
+				returned <- err
+			}()
+			select {
+			case err = <-returned:
+			case <-time.After(30 * time.Second):
+				t.Fatal("canceled study did not return: the sweep is blocked on the ring or a worker on its barrier")
+			}
+			if !errors.Is(err, pipeline.ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if stage, ok := pipeline.InterruptedStage(err); !ok || stage != tc.stage {
+				t.Errorf("interrupted stage = %v (found=%v), want %v", stage, ok, tc.stage)
+			}
+			waitNoLeak(t, before, "grab workers or coordinator after cancellation")
+		})
 	}
-	if stage, ok := pipeline.InterruptedStage(err); !ok || stage != pipeline.StageGrab {
-		t.Errorf("interrupted stage = %v (found=%v), want grab", stage, ok)
-	}
-	waitNoLeak(t, before, "grab workers after cancellation")
 }

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/pipeline"
 	"repro/internal/proto"
@@ -118,91 +116,106 @@ func TestSpillStudyMatchesMemStudy(t *testing.T) {
 	}
 }
 
-// spillCancelDialer cancels the run after a fixed number of L7 connections
-// once armed — the deterministic stand-in for SIGINT landing mid-grab.
-type spillCancelDialer struct {
-	zgrab.FastDialer
-	armed  *atomic.Bool
-	conns  *atomic.Int64
-	after  int64
-	cancel context.CancelFunc
-}
-
-func (c spillCancelDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
-	if c.armed.Load() && c.conns.Add(1) == c.after {
-		c.cancel()
-	}
-	return c.FastDialer.ConnectFast(dst, port, v)
-}
-
 // TestSpillCancelMidGrabSealsPartialDataset preserves PR 3's cancellation
-// contract under the spill store: a cancellation landing mid-grab (after
-// the first scan sealed — and spilled — normally) discards the interrupted
-// scan's segments, keeps every previously sealed scan in the dataset, and
-// the flushed partial dataset round-trips through the JSON codec. No
-// segment file may outlive the run.
+// contract under the spill store: a cancellation raised from a grab worker
+// (after the first scan sealed — and spilled — normally) discards the
+// interrupted scan's segments, keeps exactly the previously sealed scans in
+// the dataset, and the flushed partial dataset round-trips through the JSON
+// codec. No segment file may outlive the run. Two cases, by where the
+// worker is when it cancels: in the second scan's Grab stage (drained ring
+// and tail), and under its walk, late enough that the interrupted store has
+// already spilled — there the sweep observes the cancel and the
+// interruption is a sweep one.
 func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	dir := t.TempDir()
-	var armed atomic.Bool
-	var conns atomic.Int64
-	cfg := Config{
-		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
-		Protocols:   []proto.Protocol{proto.HTTP},
-		Origins:     origin.Set{origin.US1, origin.CEN},
-		Parallelism: 1,
-		SpillDir:    dir,
-		MemBudget:   spillStudyBudget(t),
-		Hooks: pipeline.Hooks{
-			After: func(_ context.Context, stage pipeline.Stage, err error) {
-				if stage == pipeline.StageSeal && err == nil {
-					armed.Store(true) // first scan committed: cancel in the next grab
-				}
-			},
-		},
-		DialWrapper: func(inner zgrab.FastDialer) zgrab.FastDialer {
-			return spillCancelDialer{FastDialer: inner, armed: &armed, conns: &conns, after: 5, cancel: cancel}
-		},
-	}
-	st, err := NewStudy(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := st.Run(ctx)
-	if !errors.Is(err, pipeline.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if stage, ok := pipeline.InterruptedStage(err); !ok || stage != pipeline.StageGrab {
-		t.Errorf("interrupted stage = %v (found=%v), want grab", stage, ok)
-	}
-	if ds == nil {
-		t.Fatal("canceled run returned no dataset")
-	}
-	if ds.Len() != 1 {
-		t.Fatalf("partial dataset has %d scans, want 1", ds.Len())
-	}
-	sealed := ds.Scan(origin.US1, proto.HTTP, 0)
-	if sealed == nil {
-		t.Fatal("the scan sealed before cancellation is missing from the dataset")
-	}
-	if sealed.SpillStats().Segments == 0 {
-		t.Fatal("test did not exercise spilling: the sealed scan never flushed a segment")
-	}
-	// The partial dataset must be flushable and re-readable — the SIGINT
-	// path in cmd/originscan writes exactly this.
-	var buf bytes.Buffer
-	if err := ds.WriteJSON(&buf); err != nil {
-		t.Fatalf("flushing partial dataset: %v", err)
-	}
-	back, err := results.ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("re-reading partial dataset: %v", err)
-	}
-	if diff := ds.Diff(back); diff != "" {
-		t.Fatalf("partial dataset did not round-trip: %s", diff)
-	}
-	if n := countSpillFiles(t, dir); n != 0 {
-		t.Fatalf("%d segment files leaked (the interrupted scan's segments must be discarded)", n)
+	for _, tc := range []struct {
+		name  string
+		stage pipeline.Stage
+		after int64
+	}{{"tail", pipeline.StageGrab, 5}, {"during-walk", pipeline.StageSweep, 600}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			dir := t.TempDir()
+			var sealed, armed atomic.Bool
+			var conns atomic.Int64
+			filesAtCancel := -1
+			inGrab := armInGrab(&armed)
+			cfg := Config{
+				WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
+				Protocols:   []proto.Protocol{proto.HTTP},
+				Origins:     origin.Set{origin.US1, origin.CEN},
+				Parallelism: 1,
+				SpillDir:    dir,
+				MemBudget:   spillStudyBudget(t),
+				Hooks: pipeline.Hooks{
+					Before: func(ctx context.Context, stage pipeline.Stage) {
+						if tc.stage == pipeline.StageGrab && sealed.Load() {
+							inGrab.Before(ctx, stage)
+						}
+					},
+					After: func(_ context.Context, stage pipeline.Stage, err error) {
+						if stage == pipeline.StageSeal && err == nil {
+							// First scan committed: cancel in the next one.
+							sealed.Store(true)
+							armed.Store(tc.stage == pipeline.StageSweep)
+						}
+					},
+				},
+				DialWrapper: func(inner zgrab.FastDialer) zgrab.FastDialer {
+					return leakCancelDialer{FastDialer: inner, armed: &armed, conns: &conns, after: tc.after, cancel: func() {
+						filesAtCancel = countSpillFiles(t, dir)
+						cancel()
+					}}
+				},
+			}
+			st, err := NewStudy(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.stage == pipeline.StageSweep {
+				// Slots well below the 8 KiB budget's ≈200 rows, so the
+				// store flushes between hand-offs while the walk goes on.
+				st.grabShape = grabShape{slot: 64, ring: 2}
+			}
+			ds, err := st.Run(ctx)
+			if !errors.Is(err, pipeline.ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if stage, ok := pipeline.InterruptedStage(err); !ok || stage != tc.stage {
+				t.Errorf("interrupted stage = %v (found=%v), want %v", stage, ok, tc.stage)
+			}
+			if filesAtCancel <= 0 {
+				t.Errorf("%d segment files on disk when the cancel was raised: the interrupted scan had nothing to discard", filesAtCancel)
+			}
+			if ds == nil {
+				t.Fatal("canceled run returned no dataset")
+			}
+			if ds.Len() != 1 {
+				t.Fatalf("partial dataset has %d scans, want 1", ds.Len())
+			}
+			sealedScan := ds.Scan(origin.US1, proto.HTTP, 0)
+			if sealedScan == nil {
+				t.Fatal("the scan sealed before cancellation is missing from the dataset")
+			}
+			if sealedScan.SpillStats().Segments == 0 {
+				t.Fatal("test did not exercise spilling: the sealed scan never flushed a segment")
+			}
+			// The partial dataset must be flushable and re-readable — the
+			// SIGINT path in cmd/originscan writes exactly this.
+			var buf bytes.Buffer
+			if err := ds.WriteJSON(&buf); err != nil {
+				t.Fatalf("flushing partial dataset: %v", err)
+			}
+			back, err := results.ReadJSON(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("re-reading partial dataset: %v", err)
+			}
+			if diff := ds.Diff(back); diff != "" {
+				t.Fatalf("partial dataset did not round-trip: %s", diff)
+			}
+			if n := countSpillFiles(t, dir); n != 0 {
+				t.Fatalf("%d segment files leaked (the interrupted scan's segments must be discarded)", n)
+			}
+		})
 	}
 }

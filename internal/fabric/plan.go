@@ -102,6 +102,17 @@ func (f *Fabric) compile(pl *plan, p proto.Protocol, as asn.ASN) {
 	pl.ready.Store(true)
 }
 
+// Watched reports whether any detector watches dst's AS in a scan of
+// protocol p — the slice decide iterates, so a plan-time fact, fixed before
+// the scan's first probe. It is the one thing the grab stage needs to know
+// to run under the sweep: a dial toward a watched AS reads detector state
+// the walk is still writing, and has to wait for the walk to end; every
+// other dial is a function of its own coordinates. Safe for concurrent use.
+func (f *Fabric) Watched(p proto.Protocol, dst ip.Addr) bool {
+	d := f.fib.Resolve(dst)
+	return d.Routed && len(f.planFor(p, &d).detectors) > 0
+}
+
 // decide is the one decision chain under Send (l4) and Dial/Predial: host
 // churn, the detectors watching the AS, the plan's policy rules, then the
 // path's burst outages and loss episode. It returns the policy verdict and

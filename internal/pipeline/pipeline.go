@@ -28,9 +28,12 @@ type Stage uint8
 const (
 	// StageWorldgen generates the synthetic Internet.
 	StageWorldgen Stage = iota
-	// StageSweep is the L4 ZMap sweep of one scan.
+	// StageSweep is the L4 ZMap sweep of one scan, with the L7 handshakes
+	// on its replies running under it (ZMap piped into ZGrab).
 	StageSweep
-	// StageGrab is the L7 ZGrab handshake pass over the sweep's replies.
+	// StageGrab is what is left of the L7 ZGrab pass when the sweep
+	// returns: the replies still queued, and those held back because a
+	// detector watches their network.
 	StageGrab
 	// StageSeal commits the scan's columns (sort + dedup; for a
 	// spill-backed store, the external merge of on-disk segments plus
@@ -79,7 +82,7 @@ type StageFunc struct {
 // at every stage boundary, so cancellation between stages costs nothing and
 // is reported against the stage that never started; cancellation inside a
 // stage is the stage's own responsibility (the sweep checks per batch, the
-// grab pool per claimed reply).
+// grab workers per claimed reply).
 type Runner struct {
 	Hooks Hooks
 }
@@ -119,7 +122,13 @@ func normalize(err error) error {
 	return err
 }
 
-// InterruptedStage extracts the stage a failed or canceled run stopped in.
+// InterruptedStage extracts the stage a failed or canceled run stopped in:
+// the stage whose hooks were open when the error was observed (or, for a
+// cancellation seen at a stage boundary, the stage that never started) —
+// not the layer that raised it. Work may run under a stage that is not its
+// namesake: a scan grabs while it sweeps, so a cancellation raised from a
+// grab worker's dial during the walk is observed by the sweep and reported
+// as StageSweep; raised while the Grab stage drains, as StageGrab.
 func InterruptedStage(err error) (Stage, bool) {
 	var se *StageError
 	if errors.As(err, &se) {

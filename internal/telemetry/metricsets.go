@@ -44,13 +44,16 @@ const (
 	MetricGrabRetrySeconds     = "zgrab_retry_seconds"
 
 	// Grab worker pool (internal/experiment), labeled origin/proto/trial.
-	// QueueWait is how long a host's reply sat in the window before a
-	// worker claimed it; Service is the worker's grab wall time; the
+	// QueueWait is how long a host's reply sat in its slot, from the
+	// slot's hand-off to the workers until one claimed it; Service is the
+	// worker's grab wall time; the
 	// split tells batching work whether the pool is starved (service-
 	// bound) or clogged (queue-bound). WorkerBusyNS carries a worker
-	// label; WindowAppend times the sink's window hand-off.
+	// label; WindowAppend times the sink's per-slot hand-off.
 	// Predial times the fast path's batched pre-dial evaluation — one
-	// observation per grab window, covering every destination's verdict.
+	// observation per grab slot, covering every destination's verdict.
+	// Hosts counts replies as their slots reach the workers (it grows
+	// through the walk: the scan's total is not known before it ends).
 	MetricGrabPredial      = "zgrab_predial_seconds"
 	MetricGrabQueueWait    = "zgrab_queue_wait_seconds"
 	MetricGrabService      = "zgrab_service_seconds"
@@ -193,7 +196,7 @@ type GrabPoolMetrics struct {
 	QueueWait    *Histogram
 	Service      *Histogram
 	WindowAppend *Histogram
-	// Predial times the fast path's per-window batched verdict
+	// Predial times the fast path's per-slot batched verdict
 	// evaluation, so the dial work moved out of the workers stays
 	// attributable.
 	Predial   *Histogram
@@ -226,35 +229,48 @@ func NewGrabPoolMetrics(r *Registry, workers int, labels ...Label) *GrabPoolMetr
 	return m
 }
 
-// GrabWorker is one pool worker's private side of GrabPoolMetrics: the
-// per-host observations (queue wait, service time, hosts done, busy time)
+// GrabWorker is one pool worker's private side of GrabPoolMetrics and of the
+// grabber's two per-attempt latency histograms: the per-host observations
+// (queue wait, service time, dial and handshake time, hosts done, busy time)
 // accumulate here without atomics, and Flush folds them into the shared
-// bundle — once per worker per grab window, where the busy-time counter was
+// bundles — once per worker per grab slot, where the busy-time counter was
 // already flushed. Per-host atomic updates from sixteen workers onto the
 // same few words cost 8–15 % of a grab-heavy run, outside the ≤5 % observer
 // contract; flushed, the scan-end totals are the same. Owned by one
 // goroutine at a time.
 type GrabWorker struct {
-	m             *GrabPoolMetrics
-	busy          *Counter
-	wait, service LocalHistogram
-	busyNS, done  uint64
+	m               *GrabPoolMetrics
+	busy            *Counter
+	wait, service   LocalHistogram
+	dial, handshake LocalHistogram
+	// dialTo and handshakeTo are the grabber bundle's histograms dial and
+	// handshake flush into (nil without one: the observations are dropped).
+	dialTo, handshakeTo *Histogram
+	busyNS, done        uint64
 }
 
 // Workers returns one GrabWorker per worker the bundle was resolved for
-// (nil on a nil bundle).
-func (m *GrabPoolMetrics) Workers() []GrabWorker {
+// (nil on a nil bundle). grab is the scan's grabber bundle, whose dial and
+// handshake histograms the workers observe into.
+func (m *GrabPoolMetrics) Workers(grab *GrabMetrics) []GrabWorker {
 	if m == nil {
 		return nil
 	}
+	var dial, handshake *Histogram
+	if grab != nil {
+		dial, handshake = grab.DialSeconds, grab.HandshakeSeconds
+	}
 	ws := make([]GrabWorker, len(m.WorkerBusyNS))
 	for i := range ws {
-		ws[i] = GrabWorker{m: m, busy: m.WorkerBusyNS[i], wait: m.QueueWait.Local(), service: m.Service.Local()}
+		ws[i] = GrabWorker{
+			m: m, busy: m.WorkerBusyNS[i], wait: m.QueueWait.Local(), service: m.Service.Local(),
+			dial: dial.Local(), handshake: handshake.Local(), dialTo: dial, handshakeTo: handshake,
+		}
 	}
 	return ws
 }
 
-// Claimed records how long a host waited in the window before this worker
+// Claimed records how long a host waited in the slot before this worker
 // took it.
 func (w *GrabWorker) Claimed(wait time.Duration) { w.wait.Observe(wait.Seconds()) }
 
@@ -265,10 +281,19 @@ func (w *GrabWorker) Served(service time.Duration) {
 	w.done++
 }
 
-// Flush folds the worker's accumulated observations into the shared bundle.
+// Dialed records one connection attempt's dial time (GrabMetrics.DialSeconds).
+func (w *GrabWorker) Dialed(d time.Duration) { w.dial.Observe(d.Seconds()) }
+
+// Handshook records one application exchange's time
+// (GrabMetrics.HandshakeSeconds).
+func (w *GrabWorker) Handshook(d time.Duration) { w.handshake.Observe(d.Seconds()) }
+
+// Flush folds the worker's accumulated observations into the shared bundles.
 func (w *GrabWorker) Flush() {
 	w.wait.FlushInto(w.m.QueueWait)
 	w.service.FlushInto(w.m.Service)
+	w.dial.FlushInto(w.dialTo)
+	w.handshake.FlushInto(w.handshakeTo)
 	w.m.HostsDone.Add(w.done)
 	w.busy.Add(w.busyNS)
 	w.busyNS, w.done = 0, 0

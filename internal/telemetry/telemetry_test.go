@@ -386,7 +386,8 @@ func (b *syncBuffer) String() string {
 
 // TestGrabWorkerFlushMatchesPerObserve: the grab pool's worker-local
 // accumulators, flushed once per worker per window, must leave the scan-end
-// /metrics.json with the same histogram counts and bucket totals, the same
+// /metrics.json with the same histogram counts and bucket totals — queue
+// wait, service, and the grabber's dial and handshake latencies — the same
 // hosts-done count and the same per-worker busy time as observing every host
 // on the shared instruments did.
 func TestGrabWorkerFlushMatchesPerObserve(t *testing.T) {
@@ -394,7 +395,8 @@ func TestGrabWorkerFlushMatchesPerObserve(t *testing.T) {
 	direct, flushed := New(), New()
 	dm := NewGrabPoolMetrics(direct, workers, L("origin", "US1"))
 	fm := NewGrabPoolMetrics(flushed, workers, L("origin", "US1"))
-	gws := fm.Workers()
+	dg := NewGrabMetrics(direct, L("origin", "US1"))
+	gws := fm.Workers(NewGrabMetrics(flushed, L("origin", "US1")))
 	if len(gws) != workers {
 		t.Fatalf("Workers() = %d, want %d", len(gws), workers)
 	}
@@ -412,6 +414,8 @@ func TestGrabWorkerFlushMatchesPerObserve(t *testing.T) {
 					wait, service := lat(win*perWindow+i), lat(win*perWindow+i+11)
 					gw.Claimed(wait)
 					gw.Served(service)
+					gw.Dialed(wait / 3)
+					gw.Handshook(service / 5)
 				}
 			}(w)
 		}
@@ -420,6 +424,8 @@ func TestGrabWorkerFlushMatchesPerObserve(t *testing.T) {
 			wait, service := lat(win*perWindow+i), lat(win*perWindow+i+11)
 			dm.QueueWait.Observe(wait.Seconds())
 			dm.Service.Observe(service.Seconds())
+			dg.DialSeconds.ObserveDuration(wait / 3)
+			dg.HandshakeSeconds.ObserveDuration(service / 5)
 			dm.HostsDone.Inc()
 			dm.WorkerBusyNS[i%workers].Add(uint64(service.Nanoseconds()))
 		}
@@ -456,10 +462,24 @@ func TestGrabWorkerFlushMatchesPerObserve(t *testing.T) {
 	if got := flushed.CounterSum(MetricGrabHostsDone); got != windows*perWindow {
 		t.Errorf("hosts done = %d, want %d", got, windows*perWindow)
 	}
-	// A nil bundle has no workers, and the zero LocalHistogram is inert.
-	if (*GrabPoolMetrics)(nil).Workers() != nil {
+	counts := map[string]uint64{}
+	for _, h := range sb.Histograms {
+		counts[h.Name] += h.Count
+	}
+	for _, name := range []string{MetricGrabDialSeconds, MetricGrabHandshakeSeconds} {
+		if counts[name] != windows*perWindow {
+			t.Errorf("%s has %d observations after the flushes, want %d", name, counts[name], windows*perWindow)
+		}
+	}
+	// A nil bundle has no workers, a worker without a grabber bundle drops
+	// the two latencies, and the zero LocalHistogram is inert.
+	if (*GrabPoolMetrics)(nil).Workers(nil) != nil {
 		t.Error("nil bundle returned workers")
 	}
+	bare := &fm.Workers(nil)[0]
+	bare.Dialed(time.Millisecond)
+	bare.Handshook(time.Millisecond)
+	bare.Flush()
 	var zero LocalHistogram
 	zero.Observe(1)
 	zero.FlushInto(dm.Service)

@@ -134,6 +134,30 @@ type Grabber struct {
 	// modes for this grabber's scan. The grab path is per-host, so each
 	// attempt updates the (atomic, nil-safe) counters directly.
 	Metrics *telemetry.GrabMetrics
+	// Timing, when set beside Metrics, takes the dial and handshake latency
+	// observations in place of Metrics' shared histograms: a grab worker's
+	// private accumulator, flushed by the worker. A Grabber with Timing set
+	// belongs to that one goroutine (the grab stage copies the scan's
+	// Grabber per worker).
+	Timing *telemetry.GrabWorker
+}
+
+// dialed and handshook record one attempt's two latencies, privately when
+// the grabber has a worker accumulator. Callers have checked Metrics.
+func (g *Grabber) dialed(since time.Time) {
+	if d := time.Since(since); g.Timing != nil {
+		g.Timing.Dialed(d)
+	} else {
+		g.Metrics.DialSeconds.ObserveDuration(d)
+	}
+}
+
+func (g *Grabber) handshook(since time.Time) {
+	if d := time.Since(since); g.Timing != nil {
+		g.Timing.Handshook(d)
+	} else {
+		g.Metrics.HandshakeSeconds.ObserveDuration(d)
+	}
 }
 
 // count records one attempt's outcome into the grabber's metric bundle.
@@ -173,8 +197,10 @@ func (g *Grabber) count(res *Result, attempt int) {
 func (g *Grabber) Grab(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration) Result {
 	var last Result
 	for attempt := 0; attempt <= g.Retries; attempt++ {
+		// The clock is read only when a retry can follow: the main study
+		// runs Retries = 0 and never observes RetrySeconds.
 		var began time.Time
-		if g.Metrics != nil {
+		if g.Metrics != nil && attempt < g.Retries {
 			began = time.Now()
 		}
 		last = g.grabOnce(ctx, p, dst, t, attempt)
@@ -204,7 +230,7 @@ func (g *Grabber) grabOnce(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 	}
 	conn, err := g.Dialer.Dial(ctx, dst, p.Port(), t, attempt)
 	if g.Metrics != nil {
-		g.Metrics.DialSeconds.ObserveDuration(time.Since(dialStart))
+		g.dialed(dialStart)
 	}
 	if err != nil {
 		res.Fail = classifyDialError(err)
@@ -255,7 +281,7 @@ func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Re
 	sc.rd.Reset(nil) // the pool must not pin the connection
 	scratches.Put(sc)
 	if g.Metrics != nil {
-		g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(hsStart))
+		g.handshook(hsStart)
 	}
 }
 
@@ -270,8 +296,10 @@ func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 	fd := g.Dialer.(FastDialer)
 	var last Result
 	for attempt := 0; attempt <= g.Retries; attempt++ {
+		// The clock is read only when a retry can follow: the main study
+		// runs Retries = 0 and never observes RetrySeconds.
 		var began time.Time
-		if g.Metrics != nil {
+		if g.Metrics != nil && attempt < g.Retries {
 			began = time.Now()
 		}
 		last = g.grabOnceFast(ctx, fd, p, dst, t, attempt, v)
@@ -299,7 +327,7 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 	if ctx.Err() != nil {
 		res.Fail = FailTimeout
 		if g.Metrics != nil {
-			g.Metrics.DialSeconds.ObserveDuration(time.Since(dialStart))
+			g.dialed(dialStart)
 		}
 		return res
 	}
@@ -313,13 +341,13 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 			res.Fail = FailRefused
 		}
 		if g.Metrics != nil {
-			g.Metrics.DialSeconds.ObserveDuration(time.Since(dialStart))
+			g.dialed(dialStart)
 		}
 		return res
 	}
 	conn := fd.ConnectFast(dst, p.Port(), v)
 	if g.Metrics != nil {
-		g.Metrics.DialSeconds.ObserveDuration(time.Since(dialStart))
+		g.dialed(dialStart)
 	}
 	defer conn.Close()
 	// No deadline: fast-path connections are fully in-memory, reads never

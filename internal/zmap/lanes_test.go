@@ -106,6 +106,23 @@ func drainHitlist(pm *Permutation, size int, indexed bool) walked {
 	}
 }
 
+// TestPermutationTinySpaces pins the fix for one- and two-entry hitlists:
+// a space of 2 used to panic in the generator search (p = 3) and a space of
+// 1 emitted nothing; spaces 1–4 each emit every value exactly once.
+func TestPermutationTinySpaces(t *testing.T) {
+	for n := uint64(1); n <= 4; n++ {
+		pm, err := NewPermutationN(rng.NewKey(11), n, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := serialWalk(pm.Iterate()).vals
+		slices.Sort(got)
+		if want := []uint64{0, 1, 2, 3}[:n]; !slices.Equal(got, want) {
+			t.Errorf("space %d walks %v, want %v", n, got, want)
+		}
+	}
+}
+
 // laneSpaces are walk spaces chosen for how they meet the four-lane rounds:
 // 3–8 are a round or two long; 5, 7, 8, 1024, 4096 and 16384 have
 // p − 1 ≡ 2 (mod 4), so the walk cannot end on a round boundary; 7, 8, 14,
