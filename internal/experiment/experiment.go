@@ -77,9 +77,10 @@ type Config struct {
 	// stage. A wrapper embeds the dialer it is given and overrides what it
 	// wants to observe: PredialBatch runs once per grab slot on the stage's
 	// coordinator goroutine (never concurrently with itself); Predial (retry
-	// attempts) and ConnectFast (every accepted connection) run on the grab
-	// workers, so they must be safe for concurrent use. All three run while
-	// the scan's sweep is still walking, on other goroutines than the sink.
+	// attempts) and Handshake (every accepted connection, served, reset or
+	// half-closed) run on the grab workers, so they must be safe for
+	// concurrent use. All three run while the scan's sweep is still walking,
+	// on other goroutines than the sink.
 	DialWrapper func(zgrab.FastDialer) zgrab.FastDialer
 	// Hooks observe lifecycle stage transitions of every scan and of
 	// world generation (instrumentation, progress reporting, tests). A
@@ -457,12 +458,12 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 // returns: draining the ring and grabbing the held-back tail; Seal commits
 // the sorted columns. A cancellation is reported against the stage whose
 // hook was open when it was observed, whatever raised it: a cancel raised
-// from a ConnectFast while the walk is still going is a sweep interruption.
+// from a Handshake while the walk is still going is a sweep interruption.
 // A canceled scan returns nil (the partial result is not well-defined
-// mid-stage) and leaves no spill file. Grab connections are served inline on
-// the worker that opened them, so the only goroutines a scan starts are the
-// stage's coordinator and workers and the sweep's shards, all gone when it
-// returns.
+// mid-stage) and leaves no spill file. A grab's handshake is a typed answer
+// on the worker that asked for it, with no connection behind it, so the only
+// goroutines a scan starts are the stage's coordinator and workers and the
+// sweep's shards, all gone when it returns.
 func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, detectors []policy.Detector, shards int, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)

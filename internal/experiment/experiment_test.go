@@ -284,7 +284,7 @@ func TestSSHRetryCurvesIncrease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The retry grabs are served inline: nothing to wait for, so the count
+	// The retry grabs are typed handshakes: nothing to wait for, so the count
 	// is checked at once, with no settling time.
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("SSHRetry left goroutines behind: %d before, %d after", before, after)

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"net"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -198,13 +197,13 @@ type countingDialer struct {
 	n *atomic.Int64
 }
 
-func (c countingDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
+func (c countingDialer) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
 	c.n.Add(1)
-	return c.FastDialer.ConnectFast(dst, port, v)
+	return c.FastDialer.Handshake(dst, p, v)
 }
 
 // TestDialWrapperObservesEveryConnection pins the wrapper seam: the engine
-// drives the wrapped dialer, so a wrapper sees one ConnectFast per accepted
+// drives the wrapped dialer, so a wrapper sees one Handshake per accepted
 // connection (served, reset or half-closed), and a wrapped run seals the
 // dataset an unwrapped one does.
 func TestDialWrapperObservesEveryConnection(t *testing.T) {
@@ -240,7 +239,7 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 		t.Errorf("wrapped run differs from unwrapped run: %s", diff)
 	}
 	// conns_opened counts served connections only; reset and half-closed
-	// ones go through ConnectFast too.
+	// ones go through Handshake too.
 	opened := int64(-1)
 	for _, sp := range cfg.Telemetry.Spans() {
 		for _, a := range sp.Attrs {
@@ -253,7 +252,7 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 		t.Fatalf("conns_opened = %d on the seal span, want > 0", opened)
 	}
 	if got := connects.Load(); got < opened {
-		t.Errorf("wrapper saw %d ConnectFast calls, fabric opened %d served connections", got, opened)
+		t.Errorf("wrapper saw %d Handshake calls, fabric opened %d served connections", got, opened)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -440,11 +439,11 @@ func (l goroutineLog) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint
 	l.FastDialer.PredialBatch(dsts, ts, port, out)
 }
 
-func (l goroutineLog) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
+func (l goroutineLog) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
 	l.mu.Lock()
 	l.connects[goid()]++
 	l.mu.Unlock()
-	return l.FastDialer.ConnectFast(dst, port, v)
+	return l.FastDialer.Handshake(dst, p, v)
 }
 
 // TestGrabStageWorkersLiveForTheScan: over a scan of many slots, connections

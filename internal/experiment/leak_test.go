@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -123,11 +122,11 @@ type leakCancelDialer struct {
 	cancel context.CancelFunc
 }
 
-func (c leakCancelDialer) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
+func (c leakCancelDialer) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
 	if (c.armed == nil || c.armed.Load()) && c.conns.Add(1) == c.after {
 		c.cancel()
 	}
-	return c.FastDialer.ConnectFast(dst, port, v)
+	return c.FastDialer.Handshake(dst, p, v)
 }
 
 // armInGrab returns hooks that keep armed set while a scan's Grab stage is

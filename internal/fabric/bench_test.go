@@ -154,8 +154,7 @@ func benchGrabFabric(b *testing.B) (*Fabric, *zgrab.Grabber, []ip.Addr) {
 const grabBenchWindow = 4096
 
 // BenchmarkGrabFast measures ns/grab on the fast path: batched pre-dial
-// verdicts per 4096-target window, pooled inline-served connections, zero
-// goroutines.
+// verdicts per 4096-target window, typed handshakes, zero goroutines.
 func BenchmarkGrabFast(b *testing.B) {
 	fab, g, hosts := benchGrabFabric(b)
 	ps := proto.All()

@@ -1,30 +1,24 @@
-// The grab fast path: batched pre-dial evaluation plus inline-served,
-// pooled connections. Dial pays per connection for a vconn pipe (two
-// windowed buffers, two conn wrappers) and a dedicated server goroutine;
-// at Scale=1.0 the grab stage performs ~53M L7 handshakes, so that
-// per-connection concurrency tax dominates study wall time. The fast path
-// splits the dial in two: Predial/PredialBatch run the entire decision
-// chain (the shared kernel of plan.go, then service presence and handshake
-// loss) without touching connection setup — safe because every decision is
-// a keyed hash of the event coordinates and the grab-time IDS view is
-// read-only — and ConnectFast materializes accepting verdicts as pooled
-// fastConns whose server side runs inline in the grabber's goroutine
-// (hostsim.ServeInline). Dial materializes the same verdicts as vconn pipes
-// with a server goroutine each: the reference the differential tests hold
-// the inline serving to.
+// The grab fast path: batched pre-dial evaluation plus a typed handshake.
+// Dial pays per connection for a vconn pipe, a server goroutine, and the
+// encoding and parsing of a whole HTTP, TLS or SSH flight; at Scale=1.0 the
+// grab stage performs ~53M L7 handshakes. The fast path splits the dial in
+// two: Predial/PredialBatch run the entire decision chain (the shared kernel
+// of plan.go, then service presence and handshake loss) without touching
+// connection setup — safe because every decision is a keyed hash of the
+// event coordinates and the grab-time IDS view is read-only — and Handshake
+// answers an accepting verdict with the grab's outcome, which is a keyed
+// function of (host, protocol). Dial materializes the same verdicts as vconn
+// pipes with a server goroutine each: the byte-level reference the
+// differential tests hold the typed outcome to.
 package fabric
 
 import (
-	"io"
-	"net"
-	"sync"
 	"time"
 
 	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/vconn"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
@@ -55,7 +49,7 @@ func (f *Fabric) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, o
 // predialEval is the dial decision: the shared kernel, then what only a
 // connection meets — a closed port, loss over the handshake exchange — with
 // the accepting verdicts' connection effects (reset / half-close / serve)
-// left to whoever materializes them (Dial, ConnectFast).
+// left to whoever materializes them (Dial, Handshake).
 func (f *Fabric) predialEval(dst ip.Addr, d *world.Dest, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
 	if !d.Routed {
 		return zgrab.DialTimeout
@@ -85,139 +79,19 @@ func (f *Fabric) predialEval(dst ip.Addr, d *world.Dest, port uint16, t time.Dur
 	return zgrab.DialConnect
 }
 
-// ConnectFast implements zgrab.FastDialer: turn an accepting verdict into
-// a pooled connection. Only served connections count toward ConnsOpened,
-// matching Dial (reset/half-closed conns never spawned a server there
-// either); nothing counts toward ActiveConns — there is no goroutine.
-func (f *Fabric) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
-	p, _ := proto.FromPort(port)
-	c := fastConns.Get().(*fastConn)
-	c.fab = f
-	c.host = dst
-	c.prot = p
-	c.served = false
-	c.closed = false
-	c.in, c.out, c.off = c.in[:0], c.out[:0], 0
+// Handshake implements zgrab.FastDialer: an accepting verdict's grab
+// outcome, with no connection behind it. Reset and half-close are what the
+// grabber meets on Dial's synchronously torn-down pipe (an RST on its first
+// write, a FIN before any banner); a served connection is the host's keyed
+// software, the banner the served bytes carry. Only served connections count
+// toward ConnsOpened, matching Dial; nothing counts toward ActiveConns.
+func (f *Fabric) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
 	switch v {
 	case zgrab.DialReset:
-		c.state = fastReset
+		return zgrab.FailReset, ""
 	case zgrab.DialHalfClose:
-		c.state = fastHalfClosed
-	default:
-		c.state = fastServe
-		f.opened.Add(1)
+		return zgrab.FailClosed, ""
 	}
-	return c
+	f.opened.Add(1)
+	return zgrab.FailNone, f.cfg.Hosts.Software(dst, p)
 }
-
-// fastConns recycles fastConn objects (and their grown in/out buffers)
-// across grabs; Close returns the conn to the pool.
-var fastConns = sync.Pool{New: func() any { return new(fastConn) }}
-
-const (
-	// fastServe: accepted; the host serves inline on the first read.
-	fastServe uint8 = iota
-	// fastReset: accepted then reset before the client saw the conn
-	// (policy.ResetAfterAccept) — reads and writes see vconn.ErrReset,
-	// exactly what the reference's synchronous server.Abort produces.
-	fastReset
-	// fastHalfClosed: accepted then FIN (policy.CloseAfterAccept) —
-	// writes are accepted, reads see io.EOF, like the reference's
-	// server.CloseWrite.
-	fastHalfClosed
-)
-
-// fastConn is an inline-served client connection: client writes accumulate
-// in `in`; the first read runs the host's whole response flight via
-// hostsim.ServeInline and then drains it, followed by io.EOF (the server's
-// orderly close). That is byte-identical to the goroutine path for the
-// turn-based grabbers, which write their complete opening flight before
-// reading — a client that interleaved reads into an unfinished flight
-// would see EOF where the goroutine path would block, which no grabber
-// does (the experiment layer routes wrapped/unknown dialers to the
-// reference path).
-type fastConn struct {
-	fab    *Fabric
-	host   ip.Addr
-	prot   proto.Protocol
-	state  uint8
-	served bool
-	closed bool
-	in     []byte // the client's flight so far
-	out    []byte // the host's response flight
-	off    int    // out[off:] is not yet read
-}
-
-var _ net.Conn = (*fastConn)(nil)
-
-// Read implements net.Conn. The one-shot inline serve runs on the first
-// read of an accepted conn; once the response flight drains, io.EOF.
-func (c *fastConn) Read(p []byte) (int, error) {
-	if c.closed {
-		return 0, net.ErrClosed
-	}
-	switch c.state {
-	case fastReset:
-		return 0, vconn.ErrReset
-	case fastHalfClosed:
-		return 0, io.EOF
-	}
-	if !c.served {
-		c.served = true
-		c.out = c.fab.cfg.Hosts.ServeInline(c.out, c.in, c.host, c.prot)
-	}
-	if c.off >= len(c.out) {
-		return 0, io.EOF
-	}
-	n := copy(p, c.out[c.off:])
-	c.off += n
-	return n, nil
-}
-
-// Write implements net.Conn.
-func (c *fastConn) Write(p []byte) (int, error) {
-	if c.closed {
-		return 0, net.ErrClosed
-	}
-	switch c.state {
-	case fastReset:
-		return 0, vconn.ErrReset
-	case fastHalfClosed:
-		// The server half-closed only its direction: client writes are
-		// accepted (and, with no reader left, discarded).
-		return len(p), nil
-	}
-	if c.served {
-		// The inline server already ran its single flight and closed;
-		// writing to a closed reader is an RST, as on the vconn path.
-		return 0, vconn.ErrReset
-	}
-	c.in = append(c.in, p...)
-	return len(p), nil
-}
-
-// Close returns the conn to the pool. Idempotent, like vconn.Conn.Close.
-func (c *fastConn) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.fab = nil
-	fastConns.Put(c)
-	return nil
-}
-
-// LocalAddr implements net.Conn; the source is derived lazily — grabbers
-// never read connection addresses.
-func (c *fastConn) LocalAddr() net.Addr {
-	return vconn.Addr{IP: origin.SourceFor(c.fab.org.SourceIPs, c.host)}
-}
-
-// RemoteAddr implements net.Conn.
-func (c *fastConn) RemoteAddr() net.Addr { return vconn.Addr{IP: c.host} }
-
-// SetDeadline implements net.Conn: inline reads never block, so deadlines
-// are no-ops.
-func (c *fastConn) SetDeadline(time.Time) error      { return nil }
-func (c *fastConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *fastConn) SetWriteDeadline(time.Time) error { return nil }

@@ -3,17 +3,21 @@ package fabric
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/hostsim"
 	"repro/internal/ip"
 	"repro/internal/loss"
 	"repro/internal/origin"
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
@@ -144,10 +148,10 @@ func grabPair(t *testing.T, retries int, lossCfg *loss.Config, rules ...policy.R
 }
 
 // TestGrabFastMatchesReference is the end-to-end differential: for every
-// policy treatment and protocol, the fast path's zgrab.Result (success,
-// failure mode, banner bytes, attempts) must equal the goroutine+vconn
-// reference grab for every host in the world, with zero goroutines live on
-// the fast path and identical ConnsOpened accounting.
+// policy treatment and protocol, the typed path's zgrab.Result (success,
+// failure mode, banner, attempts) must equal the byte exchange's over a
+// goroutine-served vconn pipe for every host in the world, with zero
+// goroutines live on the typed path and identical ConnsOpened accounting.
 func TestGrabFastMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range fastCases() {
@@ -209,9 +213,9 @@ func TestGrabFastMatchesReferenceLossy(t *testing.T) {
 
 // TestGrabFastParallelWindow drives the fast path the way the grab stage
 // does — PredialBatch over a window, concurrent workers grabbing with the
-// precomputed verdicts, conns recycled through the pool — and requires the
-// exact serial reference results, zero goroutines throughout, and matching
-// ConnsOpened. Run under -race this is also the pool-safety proof.
+// precomputed verdicts — and requires the exact serial reference results,
+// zero goroutines throughout, and matching ConnsOpened. Run under -race this
+// is also the proof that Handshake is safe for concurrent use.
 func TestGrabFastParallelWindow(t *testing.T) {
 	ctx := context.Background()
 	fabR, fabF, gR, gF, w := grabPair(t, 1, nil)
@@ -352,17 +356,13 @@ func raceBuild() bool {
 }
 
 // grabAllocBudget is DESIGN.md § 8.3's allocation budget per GrabFast, for
-// every protocol and verdict: nothing, once the pools (fastConn, the
-// grabber's scratch, the host's exchange) are warm and the scratch has grown
-// to flight size. The L4 rejects never reach a pool at all.
+// every protocol and verdict: nothing. The typed handshake answers from the
+// host's interned software tables; no connection, buffer or pool is touched.
 const grabAllocBudget = 0
 
 // TestGrabAllocBudget holds GrabFast to the budget for every protocol ×
 // verdict, over hosts whose banners cover the interned table.
 func TestGrabAllocBudget(t *testing.T) {
-	if raceBuild() {
-		t.Skip("sync.Pool sheds entries under the race detector")
-	}
 	ctx := context.Background()
 	_, fab, _, g, w := grabPair(t, 0, nil)
 	for _, p := range proto.All() {
@@ -395,4 +395,106 @@ func TestGrabAllocBudget(t *testing.T) {
 	if n := fab.ActiveConns(); n != 0 {
 		t.Errorf("%d goroutines live", n)
 	}
+}
+
+// grabCounts is a GrabMetrics bundle's observable state: every counter, then
+// the dial, handshake and retry histograms' observation counts.
+func grabCounts(m *telemetry.GrabMetrics) [11]uint64 {
+	_, _, dials := m.DialSeconds.Snapshot()
+	_, _, handshakes := m.HandshakeSeconds.Snapshot()
+	_, _, retries := m.RetrySeconds.Snapshot()
+	return [11]uint64{
+		m.Dials.Value(), m.Handshakes.Value(), m.Retries.Value(), m.Refused.Value(),
+		m.Resets.Value(), m.Timeouts.Value(), m.Closed.Value(), m.ProtoErrs.Value(),
+		dials, handshakes, retries,
+	}
+}
+
+// FuzzGrabTypedMatchesExchange holds the typed grab to the byte exchange it
+// replaces. The fuzzer picks a world (its seed), a destination (a host by
+// index, or with the top bit set the address beside it), a protocol, a
+// policy treatment from fastCases (allow, silent, refuse, reset or close
+// after accept, MaxStartups), a retry budget of 0–3, handshake loss, a
+// trial, a grab time and a canceled context; GrabFast over Predial +
+// Handshake must return Grab-over-Dial's Result and leave equal ConnsOpened
+// and equal GrabMetrics counts.
+func FuzzGrabTypedMatchesExchange(f *testing.F) {
+	cases := fastCases()
+	worlds := map[uint8]*world.World{}
+	for c := range cases {
+		for p := range proto.All() {
+			f.Add(uint8(c), uint32(c*7+p), uint8(p), uint8(c), uint8(c%4), c%2 == 1, false, int64(time.Hour))
+		}
+	}
+	f.Add(uint8(1), uint32(3), uint8(2), uint8(5), uint8(3), true, false, int64(5*time.Hour))
+	f.Add(uint8(2), uint32(1)<<31|9, uint8(0), uint8(0), uint8(1), false, false, int64(0))
+	f.Add(uint8(0), uint32(4), uint8(1), uint8(0), uint8(3), false, true, int64(time.Minute))
+	f.Fuzz(func(t *testing.T, seed uint8, hostIdx uint32, protoIdx, caseIdx, retries uint8, lossy, canceled bool, at int64) {
+		w := worlds[seed%3]
+		if w == nil {
+			var err error
+			if w, err = world.Build(context.Background(), world.Spec{Seed: 5 + uint64(seed%3), Scale: 0.00002}); err != nil {
+				t.Fatal(err)
+			}
+			worlds[seed%3] = w
+		}
+		hosts := w.Hosts()
+		dst := hosts[int(hostIdx&^(1<<31))%len(hosts)].Addr
+		if hostIdx>>31 != 0 {
+			dst = dst.Add(1)
+		}
+		p := proto.All()[int(protoIdx)%proto.N]
+		tc := cases[int(caseIdx)%len(cases)]
+		lossCfg := loss.Config{
+			BasePacketDrop: 1e-9, VolatileMax: 1e-9,
+			VolatileSpreadFrac: 1e-9, VolatileModerateFrac: 1e-9,
+		}
+		if lossy {
+			lossCfg = loss.Config{
+				BasePacketDrop: 0.15, VolatileMax: 0.4,
+				VolatileSpreadFrac: 0.5, VolatileModerateFrac: 0.3,
+				StableAlpha: 1,
+			}
+		}
+		cfg := &Config{
+			World:      w,
+			Engine:     policy.NewEngine(tc.rules...),
+			Loss:       loss.NewMatrix(rng.NewKey(1).Derive("t"), lossCfg),
+			Churn:      world.NewChurn(rng.NewKey(7), 0.2, 3),
+			NumOrigins: 1,
+			Hosts:      hostsim.NewServer(rng.NewKey(2)),
+		}
+		trial := int(seed>>2) % 3
+		when := time.Duration(uint64(at) % uint64(scenario.ScanDuration))
+		ctx := context.Background()
+		if canceled {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(ctx)
+			cancel()
+		}
+
+		fabR := New(cfg, w.Origins.Get(origin.US1), trial)
+		fabF := New(cfg, w.Origins.Get(origin.US1), trial)
+		mR := telemetry.NewGrabMetrics(telemetry.New())
+		mF := telemetry.NewGrabMetrics(telemetry.New())
+		n := int(retries % 4)
+		gR := &zgrab.Grabber{Dialer: fabR, Retries: n, Key: rng.NewKey(3), IOTimeout: 5 * time.Second, Metrics: mR}
+		gF := &zgrab.Grabber{Dialer: fabF, Retries: n, Key: rng.NewKey(3), Metrics: mF}
+
+		ref := gR.Grab(ctx, p, dst, when)
+		fast := gF.GrabFast(ctx, p, dst, when, fabF.Predial(dst, p.Port(), when, 0))
+		if err := fabR.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		where := fmt.Sprintf("%v %v, %s, trial %d, %d retries, lossy %v, canceled %v, at %v", dst, p, tc.name, trial, n, lossy, canceled, when)
+		if fast != ref {
+			t.Fatalf("%s: typed %+v, exchange %+v", where, fast, ref)
+		}
+		if r, f := fabR.ConnsOpened(), fabF.ConnsOpened(); r != f {
+			t.Fatalf("%s: ConnsOpened typed %d, exchange %d", where, f, r)
+		}
+		if r, f := grabCounts(mR), grabCounts(mF); r != f {
+			t.Fatalf("%s: metric counts typed %v, exchange %v", where, f, r)
+		}
+	})
 }

@@ -1,8 +1,9 @@
 // Package hostsim implements the simulated edge hosts: small servers that
 // speak genuine HTTP/1.1, TLS 1.2, and SSH transport bytes over a net.Conn.
-// The simulation fabric spawns one of these per accepted connection; the
-// ZGrab grabbers on the other end of the pipe cannot tell them from real
-// servers, which is the point — the grab code path is fully exercised.
+// The simulation fabric's Dial spawns one of these per accepted connection;
+// the ZGrab grabbers on the other end of the pipe cannot tell them from real
+// servers, which is the point — the byte-level grab path is fully exercised.
+// The engine's typed grab reads the same personality through Software.
 package hostsim
 
 import (
@@ -40,7 +41,7 @@ func NewServer(key rng.Key) *Server {
 // the serve call.
 type exchange struct {
 	rd   wirebuf.Reader
-	w    io.Writer // where flush sends out; nil for an inline exchange
+	w    io.Writer // where flush sends out
 	out  []byte    // response flight not yet flushed
 	tmp  []byte    // staging: HTTP body, certificate blob, KEXINIT payload
 	addr [48]byte  // the host's address text, formatted once per exchange
@@ -51,19 +52,14 @@ type exchange struct {
 
 var exchanges = sync.Pool{New: func() any { return new(exchange) }}
 
-// flush hands the flight built so far to the peer. An inline exchange keeps
-// it in out, which is the caller's buffer.
+// flush hands the flight built so far to the peer.
 func (x *exchange) flush() error {
-	if x.w == nil {
-		return nil
-	}
 	_, err := x.w.Write(x.out)
 	x.out = x.out[:0]
 	return err
 }
 
-// release returns x to the pool, which must not pin the connection or the
-// caller's flight.
+// release returns x to the pool, which must not pin the connection.
 func (x *exchange) release() {
 	x.w = nil
 	x.rd.Reset(nil)
@@ -82,30 +78,6 @@ func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol) {
 	x.release()
 }
 
-// ServeInline handles one connection's exchange synchronously in the
-// caller's goroutine: in holds every byte the client has written so far,
-// and the server's whole response flight is appended to out. All three
-// protocols are turn-based single-flight exchanges — the client writes its
-// complete opening flight before reading, and the server's flight depends
-// only on that flight (SSH's server ID/KEXINIT not even on that) — so
-// reads past the client bytes see io.EOF exactly where a Serve goroutine
-// would see the client's half-close, and the bytes appended to out are
-// identical to what Serve would have streamed through a vconn pipe. This
-// is the grab fast path's server side: zero goroutines, zero
-// synchronization, the request parsed in place in in, and no allocation
-// beyond out's growth.
-func (s *Server) ServeInline(out, in []byte, host ip.Addr, p proto.Protocol) []byte {
-	x := exchanges.Get().(*exchange)
-	x.rd.ResetBytes(in)
-	kept := x.out
-	x.out = out
-	s.serve(x, host, p)
-	out = x.out
-	x.out = kept
-	x.release()
-	return out
-}
-
 func (s *Server) serve(x *exchange, host ip.Addr, p proto.Protocol) {
 	switch p {
 	case proto.HTTP:
@@ -122,12 +94,37 @@ var httpServers = []string{
 	"Microsoft-IIS/10.0", "lighttpd/1.4.45", "openresty",
 }
 
+var sshVersions = []string{
+	"OpenSSH_7.4", "OpenSSH_7.9p1", "OpenSSH_8.2p1", "dropbear_2019.78",
+	"OpenSSH_6.6.1", "OpenSSH_8.0",
+}
+
+// tlsSuite is the suite serveTLS negotiates with a Chrome-shaped client:
+// the first one offered, as a server honoring client preference picks.
+var tlsSuite = tlslite.SuiteName(tlslite.ChromeTLS12Suites[0])
+
+// Software is what a grab records of host's service p: the HTTP Server
+// header, the negotiated TLS suite's name, or the SSH software version. The
+// keyed choice serving reads too, so a typed grab outcome built from it is
+// the one the served bytes carry.
+func (s *Server) Software(host ip.Addr, p proto.Protocol) string {
+	switch p {
+	case proto.HTTP:
+		return httpServers[s.key.Uint64(host.Word64(), 1)%uint64(len(httpServers))]
+	case proto.HTTPS:
+		return tlsSuite
+	case proto.SSH:
+		return sshVersions[s.key.Uint64(host.Word64(), 4)%uint64(len(sshVersions))]
+	}
+	return ""
+}
+
 // serveHTTP answers one GET with a small page.
 func (s *Server) serveHTTP(x *exchange, host ip.Addr) {
 	if err := httpwire.ReadRequest(&x.rd, &x.req); err != nil {
 		return
 	}
-	software := httpServers[int(s.key.Uint64(host.Word64(), 1)%uint64(len(httpServers)))]
+	software := s.Software(host, proto.HTTP)
 	addr := host.AppendTo(x.addr[:0])
 	body := append(x.tmp[:0], "<html><head><title>"...)
 	body = append(body, addr...)
@@ -203,18 +200,12 @@ func (s *Server) appendCertBlob(dst []byte, host ip.Addr) []byte {
 	return dst
 }
 
-var sshVersions = []string{
-	"OpenSSH_7.4", "OpenSSH_7.9p1", "OpenSSH_8.2p1", "dropbear_2019.78",
-	"OpenSSH_6.6.1", "OpenSSH_8.0",
-}
-
 // serveSSH performs the identification exchange and sends KEXINIT, then
 // reads the client's ID and KEXINIT before closing. The grab terminates
 // after the version exchange per the paper's methodology.
 func (s *Server) serveSSH(x *exchange, host ip.Addr) {
-	version := sshVersions[int(s.key.Uint64(host.Word64(), 4)%uint64(len(sshVersions)))]
 	// A fixed-size ID and KEXINIT: neither length limit can trip.
-	x.out, _ = sshwire.AppendID(x.out, "2.0", version, "")
+	x.out, _ = sshwire.AppendID(x.out, "2.0", s.Software(host, proto.SSH), "")
 	kex := sshwire.DefaultKexInit(s.kexKey.DeriveN("host", host.Word64()))
 	x.tmp = sshwire.AppendKexInit(x.tmp[:0], &kex)
 	x.out, _ = sshwire.AppendPacket(x.out, x.tmp)

@@ -230,6 +230,31 @@ func TestCertBlobStablePerHost(t *testing.T) {
 	}
 }
 
+// ServeInline handles one connection's exchange synchronously in the
+// caller's goroutine: in holds every byte the client has written, and the
+// server's whole response flight is appended to out. All three protocols are
+// turn-based single-flight exchanges — the client writes its complete
+// opening flight before reading — so reads past the client bytes see io.EOF
+// exactly where a Serve goroutine would see the client's half-close.
+func (s *Server) ServeInline(out, in []byte, host ip.Addr, p proto.Protocol) []byte {
+	x := exchanges.Get().(*exchange)
+	x.rd.ResetBytes(in)
+	w := appendWriter{b: out}
+	x.w = &w
+	x.out = x.out[:0]
+	s.serve(x, host, p)
+	x.release()
+	return w.b
+}
+
+// appendWriter appends what is written to b.
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
 // TestServeInlineMatchesGoroutineServe is the inline-serve byte proof: for
 // each protocol, the response flight ServeInline appends for a complete
 // client opening flight must be byte-identical to what a goroutine Serve

@@ -56,6 +56,21 @@ var ChromeTLS12Suites = []uint16{
 	0x0035, // RSA-AES256-CBC-SHA
 }
 
+// SuiteName is the name a grab records for a negotiated cipher suite.
+func SuiteName(cs uint16) string {
+	switch cs {
+	case 0xc02b:
+		return "ECDHE-ECDSA-AES128-GCM-SHA256"
+	case 0xc02f:
+		return "ECDHE-RSA-AES128-GCM-SHA256"
+	case 0xcca8:
+		return "ECDHE-RSA-CHACHA20-POLY1305"
+	default:
+		const hex = "0123456789abcdef"
+		return "suite-" + string([]byte{hex[cs>>12&0xf], hex[cs>>8&0xf], hex[cs>>4&0xf], hex[cs&0xf]})
+	}
+}
+
 // Limits on untrusted input.
 const (
 	MaxRecordLen    = 1<<14 + 2048

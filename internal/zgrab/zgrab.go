@@ -59,7 +59,7 @@ type Result struct {
 }
 
 // Dialer abstracts the transport: the simulation fabric implements it, and
-// netDialer adapts real TCP for tests/tools.
+// any dialer of real TCP can be adapted to it.
 type Dialer interface {
 	// Dial opens a connection to dst:port for the attempt-th try at
 	// virtual time t. Implementations must respect ctx cancellation: a
@@ -99,10 +99,11 @@ const (
 
 // FastDialer is the batched fast path a Dialer may additionally support:
 // verdicts are precomputed per window (PredialBatch) or per retry attempt
-// (Predial), and ConnectFast turns a would-accept verdict into a pooled,
-// inline-served connection with no goroutine behind it. Implementations
-// must guarantee Predial+ConnectFast observe exactly the decision sequence
-// Dial observes, so GrabFast results are bit-identical to Grab.
+// (Predial), and Handshake answers a would-accept verdict with the
+// application handshake's outcome directly — no connection, no bytes.
+// Implementations must guarantee Predial+Handshake observe exactly the
+// decision sequence Dial observes and answer what the host would say over
+// the Dial connection, so GrabFast results are bit-identical to Grab.
 type FastDialer interface {
 	Dialer
 	// Predial evaluates one dial without connecting. Safe for concurrent
@@ -113,9 +114,10 @@ type FastDialer interface {
 	// lets the implementation resolve routing in bulk. NOT safe for
 	// concurrent use with itself — one caller owns the window.
 	PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []DialVerdict)
-	// ConnectFast materializes a connection for an accepting verdict
-	// (DialReset, DialHalfClose, or DialConnect).
-	ConnectFast(dst ip.Addr, port uint16, v DialVerdict) net.Conn
+	// Handshake is the grab's outcome for an accepting verdict (DialReset,
+	// DialHalfClose, or DialConnect): FailNone and the banner the grabber
+	// would record, or the failure mode the exchange would end in.
+	Handshake(dst ip.Addr, p proto.Protocol, v DialVerdict) (FailMode, string)
 }
 
 // Grabber runs grabs through a Dialer with a retry budget.
@@ -127,8 +129,9 @@ type Grabber struct {
 	Retries int
 	// Key derives the client randoms for TLS.
 	Key rng.Key
-	// IOTimeout bounds each read/write on real connections (default 10s;
-	// virtual connections complete instantly so it rarely matters).
+	// IOTimeout bounds each Grab exchange on its connection (default 10s
+	// when zero or negative; virtual connections complete instantly so it
+	// rarely matters). GrabFast opens no connection and ignores it.
 	IOTimeout time.Duration
 	// Metrics, when set, counts dials, handshakes, retries, and failure
 	// modes for this grabber's scan. The grab path is per-host, so each
@@ -144,12 +147,16 @@ type Grabber struct {
 
 // dialed and handshook record one attempt's two latencies, privately when
 // the grabber has a worker accumulator. Callers have checked Metrics.
-func (g *Grabber) dialed(since time.Time) {
-	if d := time.Since(since); g.Timing != nil {
+// dialed returns the clock reading that ended the dial, where a handshake
+// that follows begins.
+func (g *Grabber) dialed(since time.Time) time.Time {
+	now := time.Now()
+	if d := now.Sub(since); g.Timing != nil {
 		g.Timing.Dialed(d)
 	} else {
 		g.Metrics.DialSeconds.ObserveDuration(d)
 	}
+	return now
 }
 
 func (g *Grabber) handshook(since time.Time) {
@@ -237,12 +244,17 @@ func (g *Grabber) grabOnce(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 		return res
 	}
 	defer conn.Close()
-	if g.IOTimeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(g.IOTimeout))
+	timeout := g.IOTimeout
+	if timeout <= 0 {
+		timeout = defaultIOTimeout
 	}
+	_ = conn.SetDeadline(time.Now().Add(timeout))
 	g.exchange(conn, p, dst, &res)
 	return res
 }
+
+// defaultIOTimeout is IOTimeout's documented default.
+const defaultIOTimeout = 10 * time.Second
 
 // scratch is what one exchange runs on: the client flight is built in out,
 // the server flight accumulates in rd's arena, and the parsed messages are
@@ -262,7 +274,7 @@ type scratch struct {
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // exchange runs the application-layer handshake on an established
-// connection, shared by the reference and fast grab paths.
+// connection: Grab's byte path.
 func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Result) {
 	var hsStart time.Time
 	if g.Metrics != nil {
@@ -288,10 +300,12 @@ func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Re
 // GrabFast performs the grab for p against dst on the batched fast path:
 // v is attempt 0's verdict, precomputed by PredialBatch over the grab
 // window; retry attempts re-evaluate through Predial (verdicts depend on
-// the attempt number — MaxStartups hosts admit immediate retries). The
-// retry loop, metric accounting, and failure classification mirror Grab
-// exactly; the Dialer must implement FastDialer. Results are bit-identical
-// to Grab (enforced by the fabric and experiment differential tests).
+// the attempt number — MaxStartups hosts admit immediate retries), and an
+// accepted attempt's outcome is the dialer's typed Handshake, not an
+// exchange of bytes. The retry loop, metric accounting, and failure
+// classification mirror Grab exactly; the Dialer must implement FastDialer.
+// Results are bit-identical to Grab (enforced by the fabric and experiment
+// differential tests).
 func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, v DialVerdict) Result {
 	fd := g.Dialer.(FastDialer)
 	var last Result
@@ -345,14 +359,15 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 		}
 		return res
 	}
-	conn := fd.ConnectFast(dst, p.Port(), v)
+	var hsStart time.Time
 	if g.Metrics != nil {
-		g.dialed(dialStart)
+		hsStart = g.dialed(dialStart)
 	}
-	defer conn.Close()
-	// No deadline: fast-path connections are fully in-memory, reads never
-	// block, so the IOTimeout clock reads would be pure overhead.
-	g.exchange(conn, p, dst, &res)
+	res.Fail, res.Banner = fd.Handshake(dst, p, v)
+	res.Success = res.Fail == FailNone
+	if g.Metrics != nil {
+		g.handshook(hsStart)
+	}
 	return res
 }
 
@@ -457,7 +472,7 @@ func grabTLS(sc *scratch, conn net.Conn, dst ip.Addr, key rng.Key, res *Result) 
 		return
 	}
 	res.Success = true
-	res.Banner = cipherName(sh.CipherSuite)
+	res.Banner = tlslite.SuiteName(sh.CipherSuite)
 	// Drain the rest of the server flight (Certificate, HelloDone) so
 	// the server sees an orderly close; errors here don't matter.
 	for i := 0; i < 4; i++ {
@@ -465,24 +480,6 @@ func grabTLS(sc *scratch, conn net.Conn, dst ip.Addr, key rng.Key, res *Result) 
 			break
 		}
 	}
-}
-
-func cipherName(cs uint16) string {
-	switch cs {
-	case 0xc02b:
-		return "ECDHE-ECDSA-AES128-GCM-SHA256"
-	case 0xc02f:
-		return "ECDHE-RSA-AES128-GCM-SHA256"
-	case 0xcca8:
-		return "ECDHE-RSA-CHACHA20-POLY1305"
-	default:
-		return "suite-" + itoa16(cs)
-	}
-}
-
-func itoa16(v uint16) string {
-	const hex = "0123456789abcdef"
-	return string([]byte{hex[v>>12&0xf], hex[v>>8&0xf], hex[v>>4&0xf], hex[v&0xf]})
 }
 
 // grabSSH performs the version exchange: write our ID, read the server's.

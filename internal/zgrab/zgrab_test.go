@@ -325,3 +325,52 @@ func TestKnownBannersAreInterned(t *testing.T) {
 		t.Errorf("unknown banner aliases its source: %q", got)
 	}
 }
+
+// deadlineConn records the deadlines a grabber sets on its connection.
+type deadlineConn struct {
+	net.Conn
+	deadlines []time.Time
+}
+
+func (c *deadlineConn) SetDeadline(t time.Time) error {
+	c.deadlines = append(c.deadlines, t)
+	return c.Conn.SetDeadline(t)
+}
+
+// deadlineDialer serves every dial like pipeDialer and keeps the last conn.
+type deadlineDialer struct {
+	pipeDialer
+	conn *deadlineConn
+}
+
+func (d *deadlineDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
+	c, err := d.pipeDialer.Dial(ctx, dst, port, t, attempt)
+	if err != nil {
+		return nil, err
+	}
+	d.conn = &deadlineConn{Conn: c}
+	return d.conn, nil
+}
+
+// TestGrabDefaultIOTimeout: a Grabber without IOTimeout still bounds its
+// exchange, by the documented 10 s, so a real peer that never answers
+// cannot hold it forever; a set IOTimeout is used as given.
+func TestGrabDefaultIOTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		timeout, want time.Duration
+	}{{0, 10 * time.Second}, {-time.Second, 10 * time.Second}, {3 * time.Second, 3 * time.Second}} {
+		d := &deadlineDialer{pipeDialer: pipeDialer{server: hostsim.NewServer(rng.NewKey(1)), proto: proto.HTTP}}
+		g := &Grabber{Dialer: d, IOTimeout: tc.timeout}
+		before := time.Now()
+		if res := g.Grab(context.Background(), proto.HTTP, ip.MustParseAddr("10.0.0.1"), 0); !res.Success {
+			t.Fatalf("IOTimeout %v: grab failed: %+v", tc.timeout, res)
+		}
+		after := time.Now()
+		if len(d.conn.deadlines) != 1 {
+			t.Fatalf("IOTimeout %v: %d deadlines set, want 1", tc.timeout, len(d.conn.deadlines))
+		}
+		if dl := d.conn.deadlines[0]; dl.Before(before.Add(tc.want)) || dl.After(after.Add(tc.want)) {
+			t.Errorf("IOTimeout %v: deadline %v after the grab began, want %v", tc.timeout, dl.Sub(before), tc.want)
+		}
+	}
+}
