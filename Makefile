@@ -33,7 +33,7 @@ race:
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 
-# Ten seconds of each of the ten fuzz targets. Eight are decoders,
+# Ten seconds of each of the eleven fuzz targets. Eight are decoders,
 # differential against the pre-rewrite implementations kept in the packages'
 # oracle_test.go files (for ip.ParseAddr, in parse_test.go, with net/netip
 # behind it; for the packet decoder, the allocating form against the
@@ -47,7 +47,10 @@ audit-fullscale:
 # scan a sweep hands ProbeBatch, it answers as the Send loop does. The tenth
 # does the same for the grab: whatever host, protocol, policy verdict, retry
 # budget and context, GrabFast's typed handshake returns the Result, the
-# ConnsOpened and the metric counts of Grab's byte exchange over Dial.
+# ConnsOpened and the metric counts of Grab's byte exchange over Dial. The
+# eleventh holds the spill store's segment reader to its contract: whatever
+# bytes a segment file holds, the merge gets rows or an error, never a panic,
+# and a segment the writer produced decodes to the rows it was written from.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeTCP -fuzztime 10s ./internal/packet/
 	$(GO) test -run xxx -fuzz FuzzProbeBatchMatchesSend -fuzztime 10s ./internal/fabric/
 	$(GO) test -run xxx -fuzz FuzzGrabTypedMatchesExchange -fuzztime 10s ./internal/fabric/
+	$(GO) test -run xxx -fuzz FuzzSegmentReader -fuzztime 10s ./internal/results/
 
 # The repository's benchmark (bench/README.md): four workloads, seven
 # end-to-end metrics, result in bench/out/result.json. To compare two

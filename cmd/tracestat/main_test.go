@@ -1,15 +1,21 @@
 package main
 
 import (
+	"context"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
+	"repro/internal/origin"
+	"repro/internal/proto"
 	"repro/internal/telemetry"
+	"repro/internal/world"
 )
 
 // stdout runs fn with os.Stdout redirected into a pipe and returns what it
@@ -189,5 +195,70 @@ func TestSlowest(t *testing.T) {
 	}
 	if got := stdout(t, func() { slowest(studySpans(), 0) }); got != "" {
 		t.Errorf("top 0: printed %q", got)
+	}
+}
+
+// TestGrabAttributionFromJournal reads a real journal: a tiny study runs
+// with a flight recorder attached, and the final snapshot read back from
+// the file counts one queue wait and one service time per sealed row and
+// attributes the grab path's queue-wait, service, dial and handshake time.
+func TestGrabAttributionFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.New()
+	rec, err := telemetry.NewRecorder(filepath.Join(dir, telemetry.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.AttachRecorder(rec)
+	cfg := experiment.Config{
+		WorldSpec: world.Spec{Seed: 6, Scale: 0.00003}, Trials: 1,
+		Protocols:   []proto.Protocol{proto.HTTP, proto.SSH},
+		Origins:     origin.Set{origin.US1},
+		Parallelism: 1,
+		Telemetry:   reg,
+	}
+	st, err := experiment.NewStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.CloseRecorder(); err != nil {
+		t.Fatal(err)
+	}
+	var rows uint64
+	for _, p := range cfg.Protocols {
+		rows += uint64(ds.Scan(origin.US1, p, 0).Len())
+	}
+	if rows == 0 {
+		t.Fatal("study sealed no rows")
+	}
+
+	evs, err := telemetry.ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := telemetry.JournalSnapshot(evs)
+	if snap == nil {
+		t.Fatal("journal has no final snapshot")
+	}
+	for _, family := range []string{telemetry.MetricGrabQueueWait, telemetry.MetricGrabService} {
+		if h := mergeHistogram(snap, family); h == nil || h.Count != rows {
+			t.Errorf("%s in the journal = %+v, want %d observations, one per sealed row", family, h, rows)
+		}
+	}
+	out := stdout(t, func() { grabAttribution(snap) })
+	for _, phase := range []string{"queue-wait", "service", "dial", "handshake"} {
+		found := false
+		for _, l := range strings.Split(out, "\n") {
+			if f := strings.Fields(l); len(f) == 7 && f[0] == phase {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no %s row in the attribution:\n%s", phase, out)
+		}
 	}
 }

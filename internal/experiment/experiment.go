@@ -75,12 +75,11 @@ type Config struct {
 	// DialWrapper, when set, wraps the L7 dialer of every scan — the grab
 	// counterpart of SinkWrapper and the fault-injection seam of the grab
 	// stage. A wrapper embeds the dialer it is given and overrides what it
-	// wants to observe: PredialBatch runs once per grab slot on the stage's
-	// coordinator goroutine (never concurrently with itself); Predial (retry
-	// attempts) and Handshake (every accepted connection, served, reset or
-	// half-closed) run on the grab workers, so they must be safe for
-	// concurrent use. All three run while the scan's sweep is still walking,
-	// on other goroutines than the sink.
+	// wants to observe: PredialBatch once per grab slot, Predial per retry
+	// attempt, Handshake per accepted connection (served, reset or
+	// half-closed). All three run on the grab stage's one goroutine, never
+	// concurrently within a scan, while the scan's sweep is still walking
+	// on another goroutine, the sink's.
 	DialWrapper func(zgrab.FastDialer) zgrab.FastDialer
 	// Hooks observe lifecycle stage transitions of every scan and of
 	// world generation (instrumentation, progress reporting, tests). A
@@ -99,8 +98,8 @@ type Config struct {
 	// concurrently (0 = GOMAXPROCS). The parallel engine precomputes IDS
 	// detection schedules so results are bit-identical to a serial run;
 	// set 1 to force the serial reference path, on the live detectors. A
-	// scan in flight is more than one goroutine either way: its grab stage
-	// (a coordinator and grabWorkers workers) runs beside its sweep.
+	// scan in flight is more than one goroutine either way: its grab
+	// stage's goroutine runs beside its sweep.
 	Parallelism int
 	// ScanShards splits each scan's permutation sweep across N goroutine
 	// shards (0 or 1 = unsharded). Deterministic: shard results merge
@@ -461,9 +460,9 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 // from a Handshake while the walk is still going is a sweep interruption.
 // A canceled scan returns nil (the partial result is not well-defined
 // mid-stage) and leaves no spill file. A grab's handshake is a typed answer
-// on the worker that asked for it, with no connection behind it, so the only
-// goroutines a scan starts are the stage's coordinator and workers and the
-// sweep's shards, all gone when it returns.
+// on the goroutine that asked for it, with no connection behind it, so the
+// only goroutines a scan starts are the grab stage's one and the sweep's
+// shards, all gone when it returns.
 func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, detectors []policy.Detector, shards int, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)

@@ -256,14 +256,15 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 	}
 }
 
-// TestGrabWorkerClockAccounting pins the grab workers' telemetry now that a
-// worker reads the clock once per claim (its serve-end is its next claim):
-// every claimed host is served exactly once — hosts offered, hosts done,
-// queue-wait and service observations all equal the rows the study sealed,
-// with queue wait measured from the slot's hand-off — and the busy
-// time is time the workers actually had: no more than grabWorkers × the
-// run's wall time (a service interval measured from the wrong instant,
-// such as the window's start, overshoots that by orders of magnitude).
+// TestGrabWorkerClockAccounting pins the grab stage's telemetry now that
+// its one goroutine reads the clock once per host (a host's service ends
+// where the next one's begins): every offered host is served exactly once —
+// hosts offered, hosts done, queue-wait and service observations all equal
+// the rows the study sealed, with queue wait measured from the end of the
+// slot's PredialBatch — and the service time is time the stage actually
+// had: no more than the run's wall time (a service interval measured from
+// the wrong instant, such as the slot's start, overshoots that by orders of
+// magnitude).
 func TestGrabWorkerClockAccounting(t *testing.T) {
 	reg := telemetry.New()
 	cfg := grabPathConfig(1, 1)
@@ -294,7 +295,7 @@ func TestGrabWorkerClockAccounting(t *testing.T) {
 	if got := reg.CounterSum(telemetry.MetricGrabHostsDone); got != rows {
 		t.Errorf("hosts done = %d, want the %d sealed rows", got, rows)
 	}
-	// The hosts gauge is raised slot by slot as replies reach the workers;
+	// The hosts gauge is raised slot by slot as replies reach the grabber;
 	// at scan end it has caught up with hosts done (the progress line's
 	// backlog is their difference).
 	if got := reg.GaugeSum(telemetry.MetricGrabHosts); got != int64(rows) {
@@ -310,12 +311,12 @@ func TestGrabWorkerClockAccounting(t *testing.T) {
 			t.Errorf("%s has %d observations, want one per sealed row (%d)", name, counts[name], rows)
 		}
 	}
-	// Queue wait runs from a slot's hand-off to the workers, so no host
+	// Queue wait runs from the end of a slot's PredialBatch, so no host
 	// waited longer than the run took.
 	if wait := sums[telemetry.MetricGrabQueueWait]; wait < 0 || wait > float64(rows)*wall.Seconds() {
 		t.Errorf("hosts queued for %.3f s in total, in a run of %v with %d hosts", wait, wall, rows)
 	}
-	if busy := time.Duration(reg.CounterSum(telemetry.MetricGrabWorkerBusyNS)); busy <= 0 || busy > grabWorkers*wall {
-		t.Errorf("workers were busy %v in a run of %v × %d workers", busy, wall, grabWorkers)
+	if service := sums[telemetry.MetricGrabService]; service <= 0 || service > wall.Seconds() {
+		t.Errorf("hosts were served for %.3f s in total, in a run of %v", service, wall)
 	}
 }

@@ -420,11 +420,11 @@ func TestGrabStageBoundedInFlight(t *testing.T) {
 	}
 }
 
-// goroutineLog records which goroutines call into the dialer.
+// goroutineLog records which goroutines call into the dialer and the sink.
 type goroutineLog struct {
 	zgrab.FastDialer
-	mu                 *sync.Mutex
-	predials, connects map[string]int
+	mu                    *sync.Mutex
+	dials, sends, methods map[string]int
 }
 
 func goid() string {
@@ -432,31 +432,52 @@ func goid() string {
 	return string(bytes.Fields(b[:runtime.Stack(b[:], false)])[1])
 }
 
-func (l goroutineLog) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []zgrab.DialVerdict) {
+func (l goroutineLog) record(m map[string]int, method string) {
 	l.mu.Lock()
-	l.predials[goid()]++
+	m[goid()]++
+	l.methods[method]++
 	l.mu.Unlock()
+}
+
+func (l goroutineLog) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []zgrab.DialVerdict) {
+	l.record(l.dials, "PredialBatch")
 	l.FastDialer.PredialBatch(dsts, ts, port, out)
 }
 
+func (l goroutineLog) Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
+	l.record(l.dials, "Predial")
+	return l.FastDialer.Predial(dst, port, t, attempt)
+}
+
 func (l goroutineLog) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
-	l.mu.Lock()
-	l.connects[goid()]++
-	l.mu.Unlock()
+	l.record(l.dials, "Handshake")
 	return l.FastDialer.Handshake(dst, p, v)
 }
 
-// TestGrabStageWorkersLiveForTheScan: over a scan of many slots, connections
-// are opened from at most grabWorkers goroutines and every PredialBatch comes
-// from one other goroutine — the stage starts its workers and its
-// coordinator once, not per slot.
+// sendLog records the goroutines the sweep probes the sink from.
+type sendLog struct {
+	zmap.PacketSink
+	log goroutineLog
+}
+
+func (s sendLog) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
+	s.log.record(s.log.sends, "Send")
+	return s.PacketSink.Send(src, pkt, t)
+}
+
+// TestGrabStageWorkersLiveForTheScan: over a scan of many slots, with a
+// retry so Predial runs too, every PredialBatch, Predial and Handshake comes
+// from one goroutine, and not from the one probing the sink — the stage
+// grabs on the goroutine it starts once per scan, beside the walk.
 func TestGrabStageWorkersLiveForTheScan(t *testing.T) {
-	log := goroutineLog{mu: new(sync.Mutex), predials: map[string]int{}, connects: map[string]int{}}
+	log := goroutineLog{mu: new(sync.Mutex), dials: map[string]int{}, sends: map[string]int{}, methods: map[string]int{}}
 	st, err := NewStudy(context.Background(), Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00003}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP},
 		Origins:     origin.Set{origin.US1},
 		Parallelism: 1,
+		Retries:     1,
+		SinkWrapper: func(s zmap.PacketSink) zmap.PacketSink { return sendLog{s, log} },
 		DialWrapper: func(d zgrab.FastDialer) zgrab.FastDialer {
 			log.FastDialer = d
 			return log
@@ -469,22 +490,20 @@ func TestGrabStageWorkersLiveForTheScan(t *testing.T) {
 	if _, err := st.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	slots := 0
-	for _, n := range log.predials {
-		slots += n
+	if slots := log.methods["PredialBatch"]; slots < 32 {
+		t.Fatalf("only %d slots: too few to tell one grabbing goroutine from many", slots)
 	}
-	if slots < 2*grabWorkers {
-		t.Fatalf("only %d slots: too few to tell per-scan workers from per-slot ones", slots)
+	for _, m := range []string{"Predial", "Handshake", "Send"} {
+		if log.methods[m] == 0 {
+			t.Fatalf("no %s call: the test observes nothing of it", m)
+		}
 	}
-	if len(log.predials) != 1 {
-		t.Errorf("PredialBatch was called from %d goroutines, want the one coordinator", len(log.predials))
+	if len(log.dials) != 1 {
+		t.Errorf("the dialer was called from %d goroutines, want the grab stage's one", len(log.dials))
 	}
-	if len(log.connects) == 0 || len(log.connects) > grabWorkers {
-		t.Errorf("connections were opened from %d goroutines over %d slots, want 1..%d", len(log.connects), slots, grabWorkers)
-	}
-	for id := range log.predials {
-		if log.connects[id] != 0 {
-			t.Errorf("goroutine %s both coordinated and grabbed", id)
+	for id := range log.dials {
+		if log.sends[id] != 0 {
+			t.Errorf("goroutine %s both probed the sink and grabbed", id)
 		}
 	}
 }
@@ -534,5 +553,5 @@ func TestGrabStageCancelWakesBlockedSweep(t *testing.T) {
 	if stage, ok := pipeline.InterruptedStage(err); !ok || stage != pipeline.StageSweep {
 		t.Errorf("err = %v, interrupted stage = %v (found=%v), want a canceled sweep", err, stage, ok)
 	}
-	waitNoLeak(t, before, "coordinator or workers after cancellation")
+	waitNoLeak(t, before, "grab goroutine after cancellation")
 }

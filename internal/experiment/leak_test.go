@@ -33,8 +33,8 @@ func waitNoLeak(t *testing.T, before int, what string) {
 }
 
 // TestNoGoroutineLeak verifies that a complete study — a scan worker and,
-// per scan, a grab coordinator and sixteen grab workers serving thousands of
-// virtual connections inline — leaves no goroutines behind.
+// per scan, a grab goroutine serving thousands of virtual connections
+// inline — leaves no goroutines behind.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, err := NewStudy(context.Background(), Config{
@@ -52,8 +52,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 }
 
 // TestNoGoroutineLeakParallel is the same check against the parallel engine:
-// the scan worker pool, per-scan sweep shards, and batched grab workers must
-// all drain when the study completes.
+// the scan worker pool, per-scan sweep shards, and per-scan grab goroutines
+// must all drain when the study completes.
 func TestNoGoroutineLeakParallel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, err := NewStudy(context.Background(), Config{
@@ -130,7 +130,7 @@ func (c leakCancelDialer) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialV
 }
 
 // armInGrab returns hooks that keep armed set while a scan's Grab stage is
-// open: the walk is over, and what the workers dial is the drained ring, the
+// open: the walk is over, and what the stage dials is the drained ring, the
 // partial last slot and the held-back tail.
 func armInGrab(armed *atomic.Bool) pipeline.Hooks {
 	return pipeline.Hooks{
@@ -147,13 +147,13 @@ func armInGrab(armed *atomic.Bool) pipeline.Hooks {
 	}
 }
 
-// TestNoGoroutineLeakCancelMidGrab cancels the study from inside a worker's
-// connection setup, in both places a worker can be: in the Grab stage, while
-// the last slots and the tail drain (the interruption is a grab one), and
-// under the walk (the cancel is observed by the sweep, at its next batch
-// boundary, and the interruption is a sweep one — the stage whose hook was
-// open). Either way every worker and the coordinator must terminate, within
-// a bounded time, and the interrupted slot is never appended.
+// TestNoGoroutineLeakCancelMidGrab cancels the study from inside the grab
+// stage's connection setup, in both places a grab can be: in the Grab
+// stage, while the last slots and the tail drain (the interruption is a grab
+// one), and under the walk (the cancel is observed by the sweep, at its next
+// batch boundary, and the interruption is a sweep one — the stage whose hook
+// was open). Either way the stage's goroutine must terminate, within a
+// bounded time, and the interrupted slot is never appended.
 func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -204,7 +204,7 @@ func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 			if stage, ok := pipeline.InterruptedStage(err); !ok || stage != tc.stage {
 				t.Errorf("interrupted stage = %v (found=%v), want %v", stage, ok, tc.stage)
 			}
-			waitNoLeak(t, before, "grab workers or coordinator after cancellation")
+			waitNoLeak(t, before, "grab goroutine after cancellation")
 		})
 	}
 }

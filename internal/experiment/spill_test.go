@@ -117,12 +117,12 @@ func TestSpillStudyMatchesMemStudy(t *testing.T) {
 }
 
 // TestSpillCancelMidGrabSealsPartialDataset preserves PR 3's cancellation
-// contract under the spill store: a cancellation raised from a grab worker
+// contract under the spill store: a cancellation raised from the grab stage
 // (after the first scan sealed — and spilled — normally) discards the
 // interrupted scan's segments, keeps exactly the previously sealed scans in
 // the dataset, and the flushed partial dataset round-trips through the JSON
 // codec. No segment file may outlive the run. Two cases, by where the
-// worker is when it cancels: in the second scan's Grab stage (drained ring
+// grab is when it cancels: in the second scan's Grab stage (drained ring
 // and tail), and under its walk, late enough that the interrupted store has
 // already spilled — there the sweep observes the cancel and the
 // interruption is a sweep one.

@@ -82,7 +82,7 @@ type Fabric struct {
 	ruleBuf []policy.Rule
 
 	// preDests is PredialBatch's FIB resolution scratch. PredialBatch is
-	// single-caller by contract (the grab stage's coordinator owns it),
+	// single-caller by contract (the grab stage's goroutine owns it),
 	// so one slice per fabric suffices.
 	preDests []world.Dest
 

@@ -82,7 +82,7 @@ type StageFunc struct {
 // at every stage boundary, so cancellation between stages costs nothing and
 // is reported against the stage that never started; cancellation inside a
 // stage is the stage's own responsibility (the sweep checks per batch, the
-// grab workers per claimed reply).
+// grab stage per host).
 type Runner struct {
 	Hooks Hooks
 }
@@ -127,7 +127,7 @@ func normalize(err error) error {
 // cancellation seen at a stage boundary, the stage that never started) —
 // not the layer that raised it. Work may run under a stage that is not its
 // namesake: a scan grabs while it sweeps, so a cancellation raised from a
-// grab worker's dial during the walk is observed by the sweep and reported
+// grab stage's dial during the walk is observed by the sweep and reported
 // as StageSweep; raised while the Grab stage drains, as StageGrab.
 func InterruptedStage(err error) (Stage, bool) {
 	var se *StageError

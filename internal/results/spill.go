@@ -50,6 +50,11 @@ import (
 //	        rows×u8 probeMask, rows×u8 flags, rows×u8 fail,
 //	        rows×u32 attempts, rows×u64 t, rows×u32 bannerLen, bannerData
 //
+// A frame's declared sizes are checked before anything is allocated for
+// it: the frame must fit in what is left of the file, and the banner
+// lengths must add up to bannerBytes. A segment that fails either is an
+// error from the merge, never a panic or a short result.
+//
 // A reader refuses other magics — including the retired 32-bit ORSEG001 —
 // and other widths loudly: a spill directory can survive a binary upgrade,
 // and decoding a 4-byte address column as 16-byte keys would corrupt every
@@ -70,6 +75,9 @@ const (
 	// spillFrameRows caps rows per segment frame: the unit of reader
 	// memory and writer buffering.
 	spillFrameRows = 4096
+	// segFrameRowBytes is one row's share of a frame's fixed-width columns
+	// (addrHi, addrLo, probeMask, flags, fail, attempts, t, bannerLen).
+	segFrameRowBytes = 8 + 8 + 1 + 1 + 1 + 4 + 8 + 4
 	// spillMergeFanIn caps segments merged in one pass (bounds open file
 	// handles and reader buffers); more segments merge hierarchically,
 	// oldest group first, which preserves run ordering.
@@ -644,6 +652,9 @@ type segmentReader struct {
 	br  *bufio.Reader
 	buf []spillRow
 	i   int
+	// left is how many of the file's bytes no frame has claimed yet: the
+	// ceiling on what the next frame may declare.
+	left int64
 }
 
 func openSegment(path string) (*segmentReader, error) {
@@ -669,7 +680,12 @@ func openSegment(path string) (*segmentReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("results: %s: segment address width %d, want %d", path, width, segAddrWidth)
 	}
-	return &segmentReader{f: f, br: br}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("results: %s: sizing segment: %w", path, err)
+	}
+	return &segmentReader{f: f, br: br, left: fi.Size() - int64(len(segMagic)) - 1}, nil
 }
 
 func (r *segmentReader) next(row *spillRow) (bool, error) {
@@ -697,6 +713,11 @@ func (r *segmentReader) readFrame() (bool, error) {
 	if rows <= 0 || rows > spillFrameRows {
 		return false, fmt.Errorf("results: corrupt segment frame (%d rows)", rows)
 	}
+	size := int64(len(hdr)) + int64(rows)*segFrameRowBytes + int64(bannerBytes)
+	if size > r.left {
+		return false, fmt.Errorf("results: corrupt segment frame (%d bytes declared, %d left in the file)", size, r.left)
+	}
+	r.left -= size
 	if cap(r.buf) < rows {
 		r.buf = make([]spillRow, rows)
 	}
@@ -759,14 +780,18 @@ func (r *segmentReader) readFrame() (bool, error) {
 	if err == nil {
 		data := make([]byte, bannerBytes)
 		if _, err = io.ReadFull(r.br, data); err == nil {
-			off := uint32(0)
+			off := 0
 			for i := 0; i < rows; i++ {
-				if int(off+lens[i]) > len(data) {
+				end := off + int(lens[i])
+				if end > len(data) {
 					err = fmt.Errorf("banner lengths exceed frame data")
 					break
 				}
-				r.buf[i].banner = string(data[off : off+lens[i]])
-				off += lens[i]
+				r.buf[i].banner = string(data[off:end])
+				off = end
+			}
+			if err == nil && off != len(data) {
+				err = fmt.Errorf("banner lengths add up to %d of the frame's %d banner bytes", off, len(data))
 			}
 		}
 	}

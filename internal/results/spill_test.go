@@ -2,9 +2,12 @@ package results
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -294,4 +297,130 @@ func TestSpilledConstructorRejectsBadDir(t *testing.T) {
 	if _, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{}); err == nil {
 		t.Fatal("expected error for empty dir")
 	}
+}
+
+// segmentFrame encodes an ORSEG002 segment holding one frame of rows
+// zero-valued records whose header declares bannerBytes and whose banner
+// lengths are lens, followed by data — a frame the writer would never
+// produce.
+func segmentFrame(bannerBytes uint32, lens []uint32, data string) []byte {
+	b := append([]byte(segMagic), segAddrWidth)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(lens)))
+	b = binary.LittleEndian.AppendUint32(b, bannerBytes)
+	b = append(b, make([]byte, len(lens)*(segFrameRowBytes-4))...)
+	for _, l := range lens {
+		b = binary.LittleEndian.AppendUint32(b, l)
+	}
+	return append(b, data...)
+}
+
+// wrappedBannerFrame is a frame whose second banner length wraps a 32-bit
+// offset back to zero.
+func wrappedBannerFrame() []byte { return segmentFrame(1, []uint32{1, 0xFFFFFFFF}, "x") }
+
+// TestSpillCorruptSegmentFailsMerge: a segment whose frame lies about its
+// sizes fails the merge with an error from SealErr — not a panic, not a
+// short result, and not a 4 GiB allocation on the frame's word.
+func TestSpillCorruptSegmentFailsMerge(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"wrapped-banner-offset", wrappedBannerFrame()},
+		{"banner-lengths-short-of-data", segmentFrame(3, []uint32{1, 1}, "xyz")},
+		{"banner-bytes-past-eof", segmentFrame(0xFFFFFFFF, []uint32{1}, "x")},
+		{"rows-past-eof", segmentFrame(0, []uint32{0, 0, 0}, "")[:len(segMagic)+1+8+10]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{Dir: t.TempDir(), Budget: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 8; i++ {
+				sp.Add(spillRandRecord(rng))
+			}
+			if len(sp.spill.segments) == 0 {
+				t.Fatal("no segment was flushed")
+			}
+			if err := os.WriteFile(sp.spill.segments[0].path, tc.frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = sp.SealErr()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "segment frame") {
+				t.Errorf("SealErr = %v, want a corrupt segment frame error", err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+				t.Errorf("the merge allocated %d MiB for a %d-byte segment", n>>20, len(tc.frame))
+			}
+		})
+	}
+}
+
+// FuzzSegmentReader: whatever bytes a segment file holds, opening it and
+// draining its rows returns rows or an error, never a panic, and never more
+// rows than the file has bytes for. The segment flushRun writes decodes to
+// the rows it was written from.
+func FuzzSegmentReader(f *testing.F) {
+	dir := f.TempDir()
+	sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{Dir: dir, Budget: 1 << 40})
+	if err != nil {
+		f.Fatal(err)
+	}
+	mem := NewScanResult(origin.US1, proto.HTTP, 0)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 16; i++ {
+		r := spillRandRecord(rng)
+		sp.Add(r)
+		mem.Add(r)
+	}
+	if err := sp.flushRun(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(sp.spill.segments[0].path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mem.sortByAddr()
+	want := make([]spillRow, len(mem.addrs))
+	for i := range want {
+		want[i] = mem.rowAt(i)
+	}
+	f.Add(valid)
+	f.Add(wrappedBannerFrame())
+	// One file per fuzzing process, rewritten per input: the inputs of a
+	// process run one at a time.
+	path := filepath.Join(dir, "fuzz.seg")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := openSegment(path)
+		if err != nil {
+			return
+		}
+		defer r.close()
+		var got []spillRow
+		for {
+			var row spillRow
+			ok, err := r.next(&row)
+			if err != nil {
+				got = nil
+				break
+			}
+			if !ok {
+				break
+			}
+			got = append(got, row)
+		}
+		if len(got)*segFrameRowBytes > len(data) {
+			t.Fatalf("decoded %d rows from %d bytes", len(got), len(data))
+		}
+		if bytes.Equal(data, valid) && !reflect.DeepEqual(got, want) {
+			t.Fatalf("the written segment decoded to %d rows, want the %d it was written from", len(got), len(want))
+		}
+	})
 }

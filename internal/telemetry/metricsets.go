@@ -6,11 +6,6 @@
 // branches.
 package telemetry
 
-import (
-	"strconv"
-	"time"
-)
-
 // Metric family names shared between the instrumentation sites and the
 // sinks/progress line. Keeping them in one place is what lets the progress
 // line aggregate across scans without the experiment layer threading
@@ -43,24 +38,21 @@ const (
 	MetricGrabHandshakeSeconds = "zgrab_handshake_seconds"
 	MetricGrabRetrySeconds     = "zgrab_retry_seconds"
 
-	// Grab worker pool (internal/experiment), labeled origin/proto/trial.
-	// QueueWait is how long a host's reply sat in its slot, from the
-	// slot's hand-off to the workers until one claimed it; Service is the
-	// worker's grab wall time; the
-	// split tells batching work whether the pool is starved (service-
-	// bound) or clogged (queue-bound). WorkerBusyNS carries a worker
-	// label; WindowAppend times the sink's per-slot hand-off.
-	// Predial times the fast path's batched pre-dial evaluation — one
-	// observation per grab slot, covering every destination's verdict.
-	// Hosts counts replies as their slots reach the workers (it grows
+	// Grab stage (internal/experiment), labeled origin/proto/trial.
+	// QueueWait is how long a host's reply sat in its slot, from the end of
+	// the slot's PredialBatch until its grab began; Service is the grab's
+	// wall time; the split tells batching work whether the stage is
+	// service-bound or queue-bound. WindowAppend times the sink's per-slot
+	// hand-off. Predial times the fast path's batched pre-dial evaluation —
+	// one observation per grab slot, covering every destination's verdict.
+	// Hosts counts replies as their slots reach the grabber (it grows
 	// through the walk: the scan's total is not known before it ends).
-	MetricGrabPredial      = "zgrab_predial_seconds"
-	MetricGrabQueueWait    = "zgrab_queue_wait_seconds"
-	MetricGrabService      = "zgrab_service_seconds"
-	MetricGrabWorkerBusyNS = "zgrab_worker_busy_ns_total"
-	MetricGrabHosts        = "zgrab_hosts_total"
-	MetricGrabHostsDone    = "zgrab_hosts_done_total"
-	MetricWindowAppend     = "results_window_append_seconds"
+	MetricGrabPredial   = "zgrab_predial_seconds"
+	MetricGrabQueueWait = "zgrab_queue_wait_seconds"
+	MetricGrabService   = "zgrab_service_seconds"
+	MetricGrabHosts     = "zgrab_hosts_total"
+	MetricGrabHostsDone = "zgrab_hosts_done_total"
+	MetricWindowAppend  = "results_window_append_seconds"
 
 	// IDS detection (internal/policy), labeled ids/origin/proto/trial.
 	MetricIDSActivations = "ids_activations_total"
@@ -188,115 +180,36 @@ func NewGrabMetrics(r *Registry, labels ...Label) *GrabMetrics {
 	}
 }
 
-// GrabPoolMetrics observe one scan's grab worker pool: the queue-wait vs
-// service-time split, the window hand-off to the result sink, per-worker
-// busy time, and host progress (the progress line's grab-phase rate
-// source). Resolved once per scan; nil when telemetry is off.
+// GrabPoolMetrics observe one scan's grab stage: the queue-wait vs
+// service-time split, the window hand-off to the result sink, and host
+// progress (the progress line's grab-phase rate source). Resolved once per
+// scan and written by the stage's one goroutine; nil when telemetry is off.
 type GrabPoolMetrics struct {
 	QueueWait    *Histogram
 	Service      *Histogram
 	WindowAppend *Histogram
 	// Predial times the fast path's per-slot batched verdict
-	// evaluation, so the dial work moved out of the workers stays
+	// evaluation, so the dial work done ahead of the grabs stays
 	// attributable.
 	Predial   *Histogram
 	Hosts     *Gauge
 	HostsDone *Counter
-	// WorkerBusyNS is indexed by worker id; each child carries a worker
-	// label so utilization is visible per worker in the exposition.
-	WorkerBusyNS []*Counter
 }
 
-// NewGrabPoolMetrics resolves the grab-pool instruments for one scan's
-// labels and worker count. Returns nil (a no-op bundle) when r is nil.
-func NewGrabPoolMetrics(r *Registry, workers int, labels ...Label) *GrabPoolMetrics {
+// NewGrabPoolMetrics resolves the grab-stage instruments for one scan's
+// labels. Returns nil (a no-op bundle) when r is nil.
+func NewGrabPoolMetrics(r *Registry, labels ...Label) *GrabPoolMetrics {
 	if r == nil {
 		return nil
 	}
-	m := &GrabPoolMetrics{
+	return &GrabPoolMetrics{
 		QueueWait:    r.Histogram(MetricGrabQueueWait, LatencyBuckets, labels...),
 		Service:      r.Histogram(MetricGrabService, LatencyBuckets, labels...),
 		WindowAppend: r.Histogram(MetricWindowAppend, LatencyBuckets, labels...),
 		Predial:      r.Histogram(MetricGrabPredial, LatencyBuckets, labels...),
 		Hosts:        r.Gauge(MetricGrabHosts, labels...),
 		HostsDone:    r.Counter(MetricGrabHostsDone, labels...),
-		WorkerBusyNS: make([]*Counter, workers),
 	}
-	for w := range m.WorkerBusyNS {
-		ls := append(append(make([]Label, 0, len(labels)+1), labels...), L("worker", strconv.Itoa(w)))
-		m.WorkerBusyNS[w] = r.Counter(MetricGrabWorkerBusyNS, ls...)
-	}
-	return m
-}
-
-// GrabWorker is one pool worker's private side of GrabPoolMetrics and of the
-// grabber's two per-attempt latency histograms: the per-host observations
-// (queue wait, service time, dial and handshake time, hosts done, busy time)
-// accumulate here without atomics, and Flush folds them into the shared
-// bundles — once per worker per grab slot, where the busy-time counter was
-// already flushed. Per-host atomic updates from sixteen workers onto the
-// same few words cost 8–15 % of a grab-heavy run, outside the ≤5 % observer
-// contract; flushed, the scan-end totals are the same. Owned by one
-// goroutine at a time.
-type GrabWorker struct {
-	m               *GrabPoolMetrics
-	busy            *Counter
-	wait, service   LocalHistogram
-	dial, handshake LocalHistogram
-	// dialTo and handshakeTo are the grabber bundle's histograms dial and
-	// handshake flush into (nil without one: the observations are dropped).
-	dialTo, handshakeTo *Histogram
-	busyNS, done        uint64
-}
-
-// Workers returns one GrabWorker per worker the bundle was resolved for
-// (nil on a nil bundle). grab is the scan's grabber bundle, whose dial and
-// handshake histograms the workers observe into.
-func (m *GrabPoolMetrics) Workers(grab *GrabMetrics) []GrabWorker {
-	if m == nil {
-		return nil
-	}
-	var dial, handshake *Histogram
-	if grab != nil {
-		dial, handshake = grab.DialSeconds, grab.HandshakeSeconds
-	}
-	ws := make([]GrabWorker, len(m.WorkerBusyNS))
-	for i := range ws {
-		ws[i] = GrabWorker{
-			m: m, busy: m.WorkerBusyNS[i], wait: m.QueueWait.Local(), service: m.Service.Local(),
-			dial: dial.Local(), handshake: handshake.Local(), dialTo: dial, handshakeTo: handshake,
-		}
-	}
-	return ws
-}
-
-// Claimed records how long a host waited in the slot before this worker
-// took it.
-func (w *GrabWorker) Claimed(wait time.Duration) { w.wait.Observe(wait.Seconds()) }
-
-// Served records one finished host and the time the worker spent on it.
-func (w *GrabWorker) Served(service time.Duration) {
-	w.service.Observe(service.Seconds())
-	w.busyNS += uint64(service.Nanoseconds())
-	w.done++
-}
-
-// Dialed records one connection attempt's dial time (GrabMetrics.DialSeconds).
-func (w *GrabWorker) Dialed(d time.Duration) { w.dial.Observe(d.Seconds()) }
-
-// Handshook records one application exchange's time
-// (GrabMetrics.HandshakeSeconds).
-func (w *GrabWorker) Handshook(d time.Duration) { w.handshake.Observe(d.Seconds()) }
-
-// Flush folds the worker's accumulated observations into the shared bundles.
-func (w *GrabWorker) Flush() {
-	w.wait.FlushInto(w.m.QueueWait)
-	w.service.FlushInto(w.m.Service)
-	w.dial.FlushInto(w.dialTo)
-	w.handshake.FlushInto(w.handshakeTo)
-	w.m.HostsDone.Add(w.done)
-	w.busy.Add(w.busyNS)
-	w.busyNS, w.done = 0, 0
 }
 
 // IDSMetrics count one scan's IDS treatment: Activations is the number of

@@ -174,57 +174,6 @@ func (h *Histogram) addSum(v float64) {
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// LocalHistogram is a plain, single-goroutine accumulator over a Histogram's
-// buckets. A worker that observes once per host folds into its own local
-// and flushes once per batch, so the shared histogram's words take a few
-// atomic adds per flush instead of three contended updates per observation
-// — Observe on a histogram shared by sixteen workers was the grab pool's
-// largest telemetry cost. After the last flush the shared histogram's
-// bucket counts and count equal what per-observation updates would have
-// left (the sum may differ in the last bits: float addition regroups).
-// The zero value, and the local of a nil histogram, ignore everything.
-type LocalHistogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1
-	sum    float64
-	count  uint64
-}
-
-// Local returns an empty accumulator with h's buckets.
-func (h *Histogram) Local() LocalHistogram {
-	if h == nil {
-		return LocalHistogram{}
-	}
-	return LocalHistogram{bounds: h.bounds, counts: make([]uint64, len(h.counts))}
-}
-
-// Observe records one value locally.
-func (l *LocalHistogram) Observe(v float64) {
-	if l.counts == nil {
-		return
-	}
-	l.counts[sort.SearchFloat64s(l.bounds, v)]++
-	l.count++
-	l.sum += v
-}
-
-// FlushInto adds everything observed since the last flush to h — which must
-// be the histogram l came from, or one with the same bounds — and empties l.
-func (l *LocalHistogram) FlushInto(h *Histogram) {
-	if h == nil || l.count == 0 {
-		return
-	}
-	for i, n := range l.counts {
-		if n != 0 {
-			h.counts[i].Add(n)
-			l.counts[i] = 0
-		}
-	}
-	h.count.Add(l.count)
-	h.addSum(l.sum)
-	l.sum, l.count = 0, 0
-}
-
 // Snapshot returns the bucket counts (one per bound, plus +Inf last), the
 // running sum, and the total count.
 func (h *Histogram) Snapshot() (buckets []uint64, sum float64, count uint64) {

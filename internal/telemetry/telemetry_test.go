@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -382,105 +380,4 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// TestGrabWorkerFlushMatchesPerObserve: the grab pool's worker-local
-// accumulators, flushed once per worker per window, must leave the scan-end
-// /metrics.json with the same histogram counts and bucket totals — queue
-// wait, service, and the grabber's dial and handshake latencies — the same
-// hosts-done count and the same per-worker busy time as observing every host
-// on the shared instruments did.
-func TestGrabWorkerFlushMatchesPerObserve(t *testing.T) {
-	const workers, windows, perWindow = 4, 3, 257
-	direct, flushed := New(), New()
-	dm := NewGrabPoolMetrics(direct, workers, L("origin", "US1"))
-	fm := NewGrabPoolMetrics(flushed, workers, L("origin", "US1"))
-	dg := NewGrabMetrics(direct, L("origin", "US1"))
-	gws := fm.Workers(NewGrabMetrics(flushed, L("origin", "US1")))
-	if len(gws) != workers {
-		t.Fatalf("Workers() = %d, want %d", len(gws), workers)
-	}
-	// Latencies spread over every bucket of LatencyBuckets, +Inf included.
-	lat := func(i int) time.Duration { return time.Duration(1) << (uint(i*7) % 37) }
-	for win := 0; win < windows; win++ {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				gw := &gws[w]
-				defer gw.Flush()
-				for i := w; i < perWindow; i += workers {
-					wait, service := lat(win*perWindow+i), lat(win*perWindow+i+11)
-					gw.Claimed(wait)
-					gw.Served(service)
-					gw.Dialed(wait / 3)
-					gw.Handshook(service / 5)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for i := 0; i < perWindow; i++ {
-			wait, service := lat(win*perWindow+i), lat(win*perWindow+i+11)
-			dm.QueueWait.Observe(wait.Seconds())
-			dm.Service.Observe(service.Seconds())
-			dg.DialSeconds.ObserveDuration(wait / 3)
-			dg.HandshakeSeconds.ObserveDuration(service / 5)
-			dm.HostsDone.Inc()
-			dm.WorkerBusyNS[i%workers].Add(uint64(service.Nanoseconds()))
-		}
-	}
-	var a, b bytes.Buffer
-	if err := direct.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := flushed.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var sa, sb Snapshot
-	if err := json.Unmarshal(a.Bytes(), &sa); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b.Bytes(), &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sa.Counters, sb.Counters) {
-		t.Errorf("counters differ:\nper-observe %+v\nflushed     %+v", sa.Counters, sb.Counters)
-	}
-	if len(sa.Histograms) != len(sb.Histograms) || len(sa.Histograms) == 0 {
-		t.Fatalf("histogram sets differ: %d vs %d", len(sa.Histograms), len(sb.Histograms))
-	}
-	for i, ha := range sa.Histograms {
-		hb := sb.Histograms[i]
-		if ha.Name != hb.Name || ha.Count != hb.Count || !reflect.DeepEqual(ha.Buckets, hb.Buckets) {
-			t.Errorf("%s: per-observe count %d buckets %v, flushed count %d buckets %v", ha.Name, ha.Count, ha.Buckets, hb.Count, hb.Buckets)
-		}
-		if math.Abs(ha.Sum-hb.Sum) > 1e-9*math.Max(1, math.Abs(ha.Sum)) {
-			t.Errorf("%s: sums differ beyond rounding: %v vs %v", ha.Name, ha.Sum, hb.Sum)
-		}
-	}
-	if got := flushed.CounterSum(MetricGrabHostsDone); got != windows*perWindow {
-		t.Errorf("hosts done = %d, want %d", got, windows*perWindow)
-	}
-	counts := map[string]uint64{}
-	for _, h := range sb.Histograms {
-		counts[h.Name] += h.Count
-	}
-	for _, name := range []string{MetricGrabDialSeconds, MetricGrabHandshakeSeconds} {
-		if counts[name] != windows*perWindow {
-			t.Errorf("%s has %d observations after the flushes, want %d", name, counts[name], windows*perWindow)
-		}
-	}
-	// A nil bundle has no workers, a worker without a grabber bundle drops
-	// the two latencies, and the zero LocalHistogram is inert.
-	if (*GrabPoolMetrics)(nil).Workers(nil) != nil {
-		t.Error("nil bundle returned workers")
-	}
-	bare := &fm.Workers(nil)[0]
-	bare.Dialed(time.Millisecond)
-	bare.Handshook(time.Millisecond)
-	bare.Flush()
-	var zero LocalHistogram
-	zero.Observe(1)
-	zero.FlushInto(dm.Service)
 }

@@ -222,21 +222,6 @@ func (r *Registry) commitSpan(rec SpanRecord) {
 	}
 }
 
-// recordSpan keeps the flat-span commit path used before the trace tree
-// existed: one metrics+ring commit with no ID linkage. Retained for
-// callers that time an operation without wanting a node in the tree.
-func (r *Registry) recordSpan(name string, labels []Label, start time.Time, d time.Duration, err error) {
-	if r == nil {
-		return
-	}
-	r.observeSpan(name, labels, d, err)
-	rec := SpanRecord{Name: name, Labels: labelKey(labels), Start: start, StartNS: int64(start.Sub(r.start)), Duration: d}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	r.commitSpan(rec)
-}
-
 // Spans returns the retained completed spans, oldest first (nil on a nil
 // registry).
 func (r *Registry) Spans() []SpanRecord {

@@ -106,8 +106,8 @@ const (
 // the Dial connection, so GrabFast results are bit-identical to Grab.
 type FastDialer interface {
 	Dialer
-	// Predial evaluates one dial without connecting. Safe for concurrent
-	// use (the grab worker pool retries concurrently).
+	// Predial evaluates one dial without connecting — a grab's retry
+	// attempts, one call each. Safe for concurrent use.
 	Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) DialVerdict
 	// PredialBatch evaluates attempt 0 for a whole window of
 	// destinations into out (len(out) == len(dsts) == len(ts)). Batching
@@ -137,34 +137,19 @@ type Grabber struct {
 	// modes for this grabber's scan. The grab path is per-host, so each
 	// attempt updates the (atomic, nil-safe) counters directly.
 	Metrics *telemetry.GrabMetrics
-	// Timing, when set beside Metrics, takes the dial and handshake latency
-	// observations in place of Metrics' shared histograms: a grab worker's
-	// private accumulator, flushed by the worker. A Grabber with Timing set
-	// belongs to that one goroutine (the grab stage copies the scan's
-	// Grabber per worker).
-	Timing *telemetry.GrabWorker
 }
 
-// dialed and handshook record one attempt's two latencies, privately when
-// the grabber has a worker accumulator. Callers have checked Metrics.
-// dialed returns the clock reading that ended the dial, where a handshake
-// that follows begins.
+// dialed and handshook record one attempt's two latencies. Callers have
+// checked Metrics. dialed returns the clock reading that ended the dial,
+// where a handshake that follows begins.
 func (g *Grabber) dialed(since time.Time) time.Time {
 	now := time.Now()
-	if d := now.Sub(since); g.Timing != nil {
-		g.Timing.Dialed(d)
-	} else {
-		g.Metrics.DialSeconds.ObserveDuration(d)
-	}
+	g.Metrics.DialSeconds.ObserveDuration(now.Sub(since))
 	return now
 }
 
 func (g *Grabber) handshook(since time.Time) {
-	if d := time.Since(since); g.Timing != nil {
-		g.Timing.Handshook(d)
-	} else {
-		g.Metrics.HandshakeSeconds.ObserveDuration(d)
-	}
+	g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(since))
 }
 
 // count records one attempt's outcome into the grabber's metric bundle.
@@ -219,7 +204,7 @@ func (g *Grabber) Grab(ctx context.Context, p proto.Protocol, dst ip.Addr, t tim
 		// Refused and timed-out connections are retried like any
 		// other failure: §6 shows immediate retries recover
 		// MaxStartups hosts. RetrySeconds attributes the wall time
-		// those extra attempts cost a grab worker.
+		// those extra attempts cost the grab stage.
 		if g.Metrics != nil && attempt < g.Retries {
 			g.Metrics.RetrySeconds.ObserveDuration(time.Since(began))
 		}
