@@ -304,7 +304,12 @@ func fmtOriginCounts(m map[origin.ID]int) string {
 	for o, n := range m {
 		kvs = append(kvs, kv{o, n})
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].n > kvs[j].n })
+	sort.Slice(kvs, func(i, j int) bool {
+		if kvs[i].n != kvs[j].n {
+			return kvs[i].n > kvs[j].n
+		}
+		return kvs[i].o < kvs[j].o
+	})
 	var b strings.Builder
 	for _, e := range kvs {
 		fmt.Fprintf(&b, "%v:%d ", e.o, e.n)
