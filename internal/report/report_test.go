@@ -1,7 +1,10 @@
 package report
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"sync"
 	"testing"
@@ -156,5 +159,59 @@ func TestCSVExporters(t *testing.T) {
 		if !strings.Contains(header, ",") {
 			t.Errorf("%s: no CSV header: %q", c.name, header)
 		}
+	}
+}
+
+// render writes report.All and every CSV exporter into one buffer.
+func render(t *testing.T, s *core.Study) []byte {
+	t.Helper()
+	ctx := context.Background()
+	var b bytes.Buffer
+	for _, fn := range []func() error{
+		func() error { return All(ctx, &b, s) },
+		func() error { return CSVCoverage(&b, s) },
+		func() error { return CSVMissingBreakdown(&b, s) },
+		func() error { return CSVSpreadCDF(&b, s) },
+		func() error { return CSVMultiOrigin(ctx, &b, s) },
+		func() error { return CSVTimeline(&b, s, []origin.ID{origin.US1, origin.US64}, 0) },
+		func() error { return CSVCountryTable(&b, s) },
+	} {
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestAllDeterministic: a report is a function of its dataset. Ties in
+// every ranking are broken by a total order, never by map iteration, so
+// rendering the same dataset again — with the per-protocol caches dropped
+// by UseDataset in between — gives the same bytes.
+func TestAllDeterministic(t *testing.T) {
+	s := study(t)
+	want := render(t, s)
+	for i := 1; i < 5; i++ {
+		s.UseDataset(s.DS)
+		if got := render(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("render %d differs from the first (%d vs %d bytes)", i+1, len(got), len(want))
+		}
+	}
+}
+
+// allGoldenSHA256 is the digest of report.All over the TestSpec(42) study.
+// A change to any analysis or rendering that moves a single byte of the
+// report must update it deliberately.
+const allGoldenSHA256 = "ae8868fa3248eafa351e0b42298141ec495c1886565b74b46bdd6d7f71b73b32"
+
+func TestAllGolden(t *testing.T) {
+	s := study(t)
+	s.UseDataset(s.DS)
+	var b bytes.Buffer
+	if err := All(context.Background(), &b, s); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != allGoldenSHA256 {
+		t.Errorf("report.All digest %s, want %s", got, allGoldenSHA256)
 	}
 }
