@@ -48,35 +48,3 @@ func BannerCensus(ds *results.Dataset, p proto.Protocol, o origin.ID, trial, top
 	}
 	return out, total
 }
-
-// BannerDisagreement counts ground-truth hosts whose banner differs between
-// two origins in the same trial — a data-integrity check (synchronized
-// scans of the same host should capture the same software).
-func BannerDisagreement(ds *results.Dataset, p proto.Protocol, a, b origin.ID, trial int) (differ, both int) {
-	sa, sb := ds.Scan(a, p, trial), ds.Scan(b, p, trial)
-	if sa == nil || sb == nil {
-		return 0, 0
-	}
-	aAddrs, bAddrs := sa.Addrs(), sb.Addrs()
-	ai, bi := 0, 0
-	for _, h := range ds.GroundTruth(p, trial) {
-		for ai < len(aAddrs) && aAddrs[ai].Less(h) {
-			ai++
-		}
-		for bi < len(bAddrs) && bAddrs[bi].Less(h) {
-			bi++
-		}
-		if ai >= len(aAddrs) || aAddrs[ai] != h || bi >= len(bAddrs) || bAddrs[bi] != h {
-			continue
-		}
-		ra, rb := sa.RecordAt(ai), sb.RecordAt(bi)
-		if !ra.L7 || !rb.L7 || ra.Banner == "" || rb.Banner == "" {
-			continue
-		}
-		both++
-		if ra.Banner != rb.Banner {
-			differ++
-		}
-	}
-	return differ, both
-}

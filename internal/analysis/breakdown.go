@@ -95,64 +95,44 @@ func (b *Breakdown) TotalMissing() int {
 // behavior" requirement).
 func MissingBreakdown(c *Classifier) []Breakdown {
 	ds := c.DS
-	// Precompute /24 membership over the union of live hosts, as indices
-	// into the sorted union spine.
-	by24 := map[ip.Prefix][]int{}
-	for i, a := range c.Union() {
-		k := a.Slash24()
-		by24[k] = append(by24[k], i)
-	}
-
-	// netClass[origin][/24] = class when the /24 behaves as one unit:
-	// at least two hosts with a consistent classification (§3). Hosts
-	// classified unknown (present in a single trial, usually churn)
-	// carry no signal about the network's policy and are ignored when
-	// judging consistency.
-	netUnit := map[origin.ID]map[ip.Prefix]Class{}
+	var out []Breakdown
 	for _, o := range ds.Origins {
-		m := map[ip.Prefix]Class{}
-		for k, hosts := range by24 {
+		cls := c.class[o]
+		// net marks the hosts whose /24 behaves as one unit from o: at
+		// least two hosts with a consistent classification (§3). Hosts
+		// classified unknown (present in a single trial, usually churn)
+		// carry no signal about the network's policy and are ignored
+		// when judging consistency.
+		net := newBitset(len(c.union))
+		slash24Runs(c.union, func(lo, hi int) {
 			informative := 0
 			var cl Class
-			same := true
-			for _, h := range hosts {
-				hc := c.OfAt(o, h)
+			for i := lo; i < hi; i++ {
+				hc := cls[i]
 				if hc == ClassUnknown {
 					continue
 				}
 				if informative == 0 {
 					cl = hc
 				} else if hc != cl {
-					same = false
-					break
+					return
 				}
 				informative++
 			}
-			if same && informative >= 2 {
-				m[k] = cl
+			if informative >= 2 {
+				for i := lo; i < hi; i++ {
+					net.set(i)
+				}
 			}
-		}
-		netUnit[o] = m
-	}
-
-	var out []Breakdown
-	for _, o := range ds.Origins {
+		})
 		for t := 0; t < ds.Trials; t++ {
-			if ds.Scan(o, c.Proto, t) == nil {
+			if c.ok[o][t] == nil {
 				continue
 			}
 			b := Breakdown{Origin: o, Trial: t, GroundTruth: len(ds.GroundTruth(c.Proto, t))}
-			// Missed hosts come back sorted, so a cursor on the
-			// union spine resolves each class without searching.
-			union := c.union
-			ui := 0
-			for _, a := range c.MissedInTrial(o, t) {
-				for union[ui].Less(a) {
-					ui++
-				}
-				cl := c.OfAt(o, ui)
-				_, isNet := netUnit[o][a.Slash24()]
-				switch cl {
+			c.eachMissed(o, t, func(i int) {
+				isNet := net.has(i)
+				switch cls[i] {
 				case ClassTransient:
 					if isNet {
 						b.Counts[CatTransientNet]++
@@ -168,11 +148,25 @@ func MissingBreakdown(c *Classifier) []Breakdown {
 				default:
 					b.Counts[CatUnknown]++
 				}
-			}
+			})
 			out = append(out, b)
 		}
 	}
 	return out
+}
+
+// slash24Runs calls fn with the bounds [lo, hi) of every run of sorted
+// addresses that share a /24 (an IPv6 /64): in address order a block's
+// hosts are contiguous.
+func slash24Runs(addrs []ip.Addr, fn func(lo, hi int)) {
+	for lo := 0; lo < len(addrs); {
+		k, hi := addrs[lo].Slash24(), lo+1
+		for hi < len(addrs) && addrs[hi].Slash24() == k {
+			hi++
+		}
+		fn(lo, hi)
+		lo = hi
+	}
 }
 
 // OverlapHistogram computes Figures 3 and 8: for hosts of the given class,
@@ -181,15 +175,17 @@ func MissingBreakdown(c *Classifier) []Breakdown {
 // origins from the denominator (the paper excludes Censys in Figure 3's
 // headline number).
 func OverlapHistogram(c *Classifier, cl Class, exclude origin.Set) []int {
-	n := len(c.DS.Origins)
-	hist := make([]int, n)
-	for i := range c.Union() {
+	var classes [][]Class
+	for _, o := range c.DS.Origins {
+		if !exclude.Contains(o) {
+			classes = append(classes, c.class[o])
+		}
+	}
+	hist := make([]int, len(c.DS.Origins))
+	for i := range c.union {
 		count := 0
-		for _, o := range c.DS.Origins {
-			if exclude.Contains(o) {
-				continue
-			}
-			if c.OfAt(o, i) == cl {
+		for _, cls := range classes {
+			if cls[i] == cl {
 				count++
 			}
 		}

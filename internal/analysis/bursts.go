@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/asn"
-	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/stats"
 )
@@ -59,36 +58,27 @@ func Bursts(c *Classifier, topo Topology, scanHours int) BurstReport {
 		rep.PerOriginTrial[o] = make([]float64, ds.Trials)
 	}
 
-	hostAS := map[ip.Addr]asn.ASN{}
-	for _, a := range c.Union() {
-		if n, ok := topo.ASOf(a); ok {
-			hostAS[a] = n
-		}
-	}
-
+	st := c.spine(topo)
+	// firstT[t][i] is when union[i] was probed in trial t, from the first
+	// origin (in dataset order) that recorded it; built on first need.
+	firstT := make([][]time.Duration, ds.Trials)
 	for _, o := range ds.Origins {
+		cls := c.class[o]
 		for t := 0; t < ds.Trials; t++ {
 			s := ds.Scan(o, c.Proto, t)
 			if s == nil {
 				continue
 			}
-			// Missed hosts are sorted, so one cursor pair over the
-			// union spine and the scan's address column resolves class
-			// and probe time without per-host searches.
+			// Missed hosts come in address order, so one cursor into the
+			// scan's address column finds each one's own record.
 			addrs := s.Addrs()
-			union := c.union
-			ui, j := 0, 0
-			for _, a := range c.MissedInTrial(o, t) {
-				for union[ui].Less(a) {
-					ui++
+			j := 0
+			c.eachMissed(o, t, func(i int) {
+				g := st.group[i]
+				if cls[i] != ClassTransient || g < 0 {
+					return
 				}
-				if c.OfAt(o, ui) != ClassTransient {
-					continue
-				}
-				as, ok := hostAS[a]
-				if !ok {
-					continue
-				}
+				as, a := st.groups[g].AS, c.union[i]
 				transientASes[as] = true
 				k := key{o, as, t}
 				if series[k] == nil {
@@ -100,17 +90,22 @@ func Bursts(c *Classifier, topo Topology, scanHours int) BurstReport {
 				h := 0
 				if j < len(addrs) && addrs[j] == a {
 					h = hourOf(s.RecordAt(j).T)
-				} else if pt, okp := probeTime(c, a, t); okp {
+				} else {
 					// Scans are synchronized: another origin's
 					// record of the host gives the probe hour.
-					h = hourOf(pt)
+					if firstT[t] == nil {
+						firstT[t] = c.firstProbeTimes(t)
+					}
+					if pt := firstT[t][i]; pt >= 0 {
+						h = hourOf(pt)
+					}
 				}
 				if h >= scanHours {
 					h = scanHours - 1
 				}
 				series[k][h]++
 				missed[o][t]++
-			}
+			})
 		}
 	}
 
@@ -175,16 +170,29 @@ func Bursts(c *Classifier, topo Topology, scanHours int) BurstReport {
 	return rep
 }
 
-// probeTime finds when the host was probed in the trial from any origin
-// that recorded it (scans are seed-synchronized, so all origins probe a
-// target at the same virtual time).
-func probeTime(c *Classifier, a ip.Addr, trial int) (time.Duration, bool) {
+// firstProbeTimes returns, per spine host, when it was probed in the trial
+// according to the first origin (in dataset order) that recorded it, or -1
+// (scans are seed-synchronized, so all origins probe a target at the same
+// virtual time). One merge walk per origin's scan against the spine.
+func (c *Classifier) firstProbeTimes(trial int) []time.Duration {
+	out := make([]time.Duration, len(c.union))
+	for i := range out {
+		out[i] = -1
+	}
 	for _, o := range c.DS.Origins {
-		if s := c.DS.Scan(o, c.Proto, trial); s != nil {
-			if r, ok := s.Get(a); ok {
-				return r.T, true
+		s := c.DS.Scan(o, c.Proto, trial)
+		if s == nil {
+			continue
+		}
+		ui := 0
+		for j, a := range s.Addrs() {
+			for ui < len(c.union) && c.union[ui].Less(a) {
+				ui++
+			}
+			if ui < len(c.union) && c.union[ui] == a && out[ui] < 0 {
+				out[ui] = s.RecordAt(j).T
 			}
 		}
 	}
-	return 0, false
+	return out
 }

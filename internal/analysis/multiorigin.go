@@ -40,7 +40,8 @@ type MultiOriginLevel struct {
 //
 // One merge pass per origin and trial records which origins saw each
 // ground-truth host; a combination's coverage is then the share of hosts
-// whose origin mask meets its own — a column scan, where
+// whose origin mask meets its own, counted over a histogram of the
+// trial's distinct masks (at most 2^n, however many hosts), where
 // Dataset.CoverageOfSet (the single-combination API the tests hold this
 // to) runs a k-cursor merge. Combinations are reduced in lexicographic
 // order, which fixes first-wins ties and float summation order. ctx is
@@ -73,6 +74,19 @@ func MultiOrigin(ctx context.Context, ds *results.Dataset, p proto.Protocol, ori
 			}
 		}
 	}
+	// Hosts with the same origin mask count alike: hist[t] holds each
+	// distinct mask of trial t once, as (mask, hosts).
+	hist := make([][][2]uint64, ds.Trials)
+	for t, masks := range seen {
+		at := map[uint64]int{}
+		for _, m := range masks {
+			if _, ok := at[m]; !ok {
+				at[m] = len(hist[t])
+				hist[t] = append(hist[t], [2]uint64{m, 0})
+			}
+			hist[t][at[m]][1]++
+		}
+	}
 	// coverage averages a combination over the trials its first origin
 	// scanned (Carinet scanned one), as CoverageOfCombo does.
 	coverage := func(combo uint64, first int) (float64, bool) {
@@ -87,9 +101,9 @@ func MultiOrigin(ctx context.Context, ds *results.Dataset, p proto.Protocol, ori
 				continue
 			}
 			hit := 0
-			for _, m := range masks {
-				if m&combo != 0 {
-					hit++
+			for _, mh := range hist[t] {
+				if mh[0]&combo != 0 {
+					hit += int(mh[1])
 				}
 			}
 			sum += float64(hit) / float64(len(masks))

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/asn"
+	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
@@ -26,20 +27,50 @@ type PacketLossEstimate struct {
 
 // PacketLoss computes the estimator for one (origin, protocol, trial).
 func PacketLoss(ds *results.Dataset, topo Topology, p proto.Protocol, o origin.ID, trial int, minHosts int) PacketLossEstimate {
-	if minHosts < 1 {
-		minHosts = 5
-	}
-	est := PacketLossEstimate{Origin: o, Trial: trial, PerAS: map[asn.ASN]float64{}}
 	s := ds.Scan(o, p, trial)
 	if s == nil {
-		return est
+		return lossTally{}.estimate(o, trial, minHosts)
 	}
-	type counts struct{ one, responding int }
-	perAS := map[asn.ASN]*counts{}
-	var one, responding int
+	return tallyLoss(s, ds.GroundTruth(p, trial), topo.ASOf).estimate(o, trial, minHosts)
+}
+
+// PacketLoss is the package's PacketLoss for the classifier's protocol,
+// read from tallies counted once per (origin, trial) and shared by every
+// caller.
+func (c *Classifier) PacketLoss(topo Topology, o origin.ID, trial int, minHosts int) PacketLossEstimate {
+	lts := c.lossTallies(topo)[o]
+	if trial < 0 || trial >= len(lts) || lts[trial] == nil {
+		return lossTally{}.estimate(o, trial, minHosts)
+	}
+	return lts[trial].estimate(o, trial, minHosts)
+}
+
+// lossTally is §5.2's count for one (origin, trial), globally and per AS:
+// responsive hosts, and those that answered one probe only.
+type lossTally struct {
+	all   lossCount
+	perAS map[asn.ASN]*lossCount
+}
+
+type lossCount struct{ one, responding int }
+
+func (c *lossCount) add(one bool) {
+	c.responding++
+	if one {
+		c.one++
+	}
+}
+
+func (c *lossCount) rate() float64 { return float64(c.one) / float64(c.responding) }
+
+// tallyLoss walks the trial's ground truth against the scan. RST-only and
+// unresponsive hosts are excluded per §5.2; asOf resolves each counted
+// host's AS, in address order.
+func tallyLoss(s *results.ScanResult, gt []ip.Addr, asOf func(ip.Addr) (asn.ASN, bool)) *lossTally {
+	lt := &lossTally{perAS: map[asn.ASN]*lossCount{}}
 	addrs := s.Addrs()
 	j := 0
-	for _, h := range ds.GroundTruth(p, trial) {
+	for _, h := range gt {
 		for j < len(addrs) && addrs[j].Less(h) {
 			j++
 		}
@@ -48,34 +79,60 @@ func PacketLoss(ds *results.Dataset, topo Topology, p proto.Protocol, o origin.I
 		}
 		r := s.RecordAt(j)
 		if r.ProbeMask == 0 || r.RST {
-			continue // unresponsive or RST: excluded per §5.2
+			continue
 		}
-		responding++
-		isOne := r.ProbeMask != 0b11
-		if isOne {
-			one++
-		}
-		if as, okAS := topo.ASOf(h); okAS {
-			c := perAS[as]
+		one := r.ProbeMask != 0b11
+		lt.all.add(one)
+		if as, ok := asOf(h); ok {
+			c := lt.perAS[as]
 			if c == nil {
-				c = &counts{}
-				perAS[as] = c
+				c = &lossCount{}
+				lt.perAS[as] = c
 			}
-			c.responding++
-			if isOne {
-				c.one++
-			}
+			c.add(one)
 		}
 	}
-	if responding > 0 {
-		est.Rate = float64(one) / float64(responding)
+	return lt
+}
+
+func (lt lossTally) estimate(o origin.ID, trial, minHosts int) PacketLossEstimate {
+	if minHosts < 1 {
+		minHosts = 5
 	}
-	for as, c := range perAS {
+	est := PacketLossEstimate{Origin: o, Trial: trial, PerAS: map[asn.ASN]float64{}}
+	if lt.all.responding > 0 {
+		est.Rate = lt.all.rate()
+	}
+	for as, c := range lt.perAS {
 		if c.responding >= minHosts {
-			est.PerAS[as] = float64(c.one) / float64(c.responding)
+			est.PerAS[as] = c.rate()
 		}
 	}
 	return est
+}
+
+// lossTallies counts every (origin, trial) once per classifier, reading
+// each host's AS from the spine; a trial the origin did not scan is nil.
+func (c *Classifier) lossTallies(topo Topology) map[origin.ID][]*lossTally {
+	c.lossOnce.Do(func() {
+		st := c.spine(topo)
+		c.loss = make(map[origin.ID][]*lossTally, len(c.DS.Origins))
+		for _, o := range c.DS.Origins {
+			c.loss[o] = make([]*lossTally, c.DS.Trials)
+			for t := range c.loss[o] {
+				if s := c.DS.Scan(o, c.Proto, t); s != nil {
+					ui := 0
+					c.loss[o][t] = tallyLoss(s, c.DS.GroundTruth(c.Proto, t), func(h ip.Addr) (asn.ASN, bool) {
+						for c.union[ui].Less(h) {
+							ui++
+						}
+						return st.asOf(ui)
+					})
+				}
+			}
+		}
+	})
+	return c.loss
 }
 
 // DropVsTransient correlates, per AS, the origin's packet-loss estimate
@@ -89,10 +146,10 @@ func DropVsTransient(c *Classifier, topo Topology, minHosts int) map[origin.ID]s
 		acc := map[asn.ASN]float64{}
 		n := 0
 		for t := 0; t < c.DS.Trials; t++ {
-			if c.DS.Scan(o, c.Proto, t) == nil {
+			if c.ok[o][t] == nil {
 				continue
 			}
-			est := PacketLoss(c.DS, topo, c.Proto, o, t, minHosts)
+			est := c.PacketLoss(topo, o, t, minHosts)
 			for as, r := range est.PerAS {
 				acc[as] += r
 			}
@@ -124,32 +181,25 @@ type OriginASPoint struct {
 
 // LossVsDropForAS extracts Figure 10's per-origin points for one AS.
 func LossVsDropForAS(c *Classifier, topo Topology, as asn.ASN) []OriginASPoint {
-	var hosts []int
-	for i, a := range c.Union() {
-		if n, ok := topo.ASOf(a); ok && n == as {
-			hosts = append(hosts, i)
-		}
-	}
-	if len(hosts) == 0 {
+	st := c.spine(topo)
+	g := sort.Search(len(st.groups), func(g int) bool { return st.groups[g].AS >= as })
+	if g == len(st.groups) || st.groups[g].AS != as {
 		return nil
 	}
+	hosts := st.groups[g].hosts
 	var pts []OriginASPoint
 	for _, o := range c.DS.Origins {
 		tr := 0
 		for _, i := range hosts {
-			if c.OfAt(o, i) == ClassTransient {
+			if c.class[o][i] == ClassTransient {
 				tr++
 			}
 		}
 		var dropSum float64
 		n := 0
-		for t := 0; t < c.DS.Trials; t++ {
-			if c.DS.Scan(o, c.Proto, t) == nil {
-				continue
-			}
-			est := PacketLoss(c.DS, topo, c.Proto, o, t, 2)
-			if r, ok := est.PerAS[as]; ok {
-				dropSum += r
+		for _, lt := range c.lossTallies(topo)[o] {
+			if lt != nil && lt.perAS[as] != nil && lt.perAS[as].responding >= 2 {
+				dropSum += lt.perAS[as].rate()
 				n++
 			}
 		}

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"repro/internal/ip"
+	"math"
+
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
@@ -31,62 +32,62 @@ type PairAgreement struct {
 // and trial. Blocks need at least minHosts live hosts; tolerance is the
 // absolute response-rate difference treated as agreement (0.05 in both
 // papers).
+//
+// A block is a run of the sorted ground truth, so each origin's rate for
+// every block comes from one merge walk of the ground truth against its
+// scan, and an origin pair compares two rate slices.
 func AgreementWithin(ds *results.Dataset, p proto.Protocol, trial int, minHosts int, tolerance float64) Slash24Agreement {
 	if minHosts < 1 {
 		minHosts = 2
 	}
 	gt := ds.GroundTruth(p, trial)
-	blocks := map[ip.Prefix][]ip.Addr{}
-	for _, a := range gt {
-		k := a.Slash24()
-		blocks[k] = append(blocks[k], a)
-	}
-	var usable []([]ip.Addr)
-	for _, hosts := range blocks {
-		if len(hosts) >= minHosts {
-			usable = append(usable, hosts)
+	var blocks [][2]int // [lo, hi) into gt
+	slash24Runs(gt, func(lo, hi int) {
+		if hi-lo >= minHosts {
+			blocks = append(blocks, [2]int{lo, hi})
 		}
-	}
-
-	var origins origin.Set
-	for _, o := range ds.Origins {
-		if ds.Scan(o, p, trial) != nil {
-			origins = append(origins, o)
-		}
-	}
-	// Response rate per (origin, block).
-	rate := func(o origin.ID, hosts []ip.Addr) float64 {
-		s := ds.MustScan(o, p, trial)
-		n := 0
-		for _, a := range hosts {
-			if s.Success(a, false) {
-				n++
-			}
-		}
-		return float64(n) / float64(len(hosts))
-	}
-
-	out := Slash24Agreement{Blocks: len(usable)}
-	if len(usable) == 0 {
+	})
+	out := Slash24Agreement{Blocks: len(blocks)}
+	if len(blocks) == 0 {
 		return out
+	}
+	// rates[k][b] is the k-th scanning origin's response rate in block b.
+	var origins origin.Set
+	var rates [][]float64
+	for _, o := range ds.Origins {
+		s := ds.Scan(o, p, trial)
+		if s == nil {
+			continue
+		}
+		addrs, j := s.Addrs(), 0
+		r := make([]float64, len(blocks))
+		for b, blk := range blocks {
+			n := 0
+			for _, a := range gt[blk[0]:blk[1]] {
+				for j < len(addrs) && addrs[j].Less(a) {
+					j++
+				}
+				if j < len(addrs) && addrs[j] == a && s.SuccessAt(j, false) {
+					n++
+				}
+			}
+			r[b] = float64(n) / float64(blk[1]-blk[0])
+		}
+		origins = append(origins, o)
+		rates = append(rates, r)
 	}
 	var sum float64
 	for i := 0; i < len(origins); i++ {
 		for j := i + 1; j < len(origins); j++ {
 			agree := 0
-			for _, hosts := range usable {
-				ra, rb := rate(origins[i], hosts), rate(origins[j], hosts)
-				d := ra - rb
-				if d < 0 {
-					d = -d
-				}
-				if d <= tolerance {
+			for b := range blocks {
+				if math.Abs(rates[i][b]-rates[j][b]) <= tolerance {
 					agree++
 				}
 			}
 			pa := PairAgreement{
 				A: origins[i], B: origins[j],
-				Agreement: float64(agree) / float64(len(usable)),
+				Agreement: float64(agree) / float64(len(blocks)),
 			}
 			out.PerPair = append(out.PerPair, pa)
 			sum += pa.Agreement

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/asn"
-	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
@@ -46,10 +45,10 @@ type SSHBreakdown struct {
 	Missing int
 }
 
-// SSHCauses computes Figure 14. temporalASes lists the Alibaba-style
-// networks (from the scenario).
+// SSHCauses computes Figure 14 from an SSH classifier. temporalASes lists
+// the Alibaba-style networks (from the scenario).
 func SSHCauses(c *Classifier, topo Topology, temporalASes []asn.ASN) []SSHBreakdown {
-	ds := c.DS
+	ds, st := c.DS, c.spine(topo)
 	isTemporal := map[asn.ASN]bool{}
 	for _, a := range temporalASes {
 		isTemporal[a] = true
@@ -58,13 +57,14 @@ func SSHCauses(c *Classifier, topo Topology, temporalASes []asn.ASN) []SSHBreakd
 	for _, o := range ds.Origins {
 		b := SSHBreakdown{Origin: o}
 		for t := 0; t < ds.Trials; t++ {
-			s := ds.Scan(o, proto.SSH, t)
+			s := ds.Scan(o, c.Proto, t)
 			if s == nil {
 				continue
 			}
 			addrs := s.Addrs()
 			j := 0
-			for _, a := range c.MissedInTrial(o, t) {
+			c.eachMissed(o, t, func(i int) {
+				a := c.union[i]
 				b.Missing++
 				for j < len(addrs) && addrs[j].Less(a) {
 					j++
@@ -74,11 +74,11 @@ func SSHCauses(c *Classifier, topo Topology, temporalASes []asn.ASN) []SSHBreakd
 				if ok {
 					r = s.RecordAt(j)
 				}
-				as, _ := topo.ASOf(a)
+				as, _ := st.asOf(i)
 				switch {
 				case isTemporal[as] && ok && r.Fail == zgrab.FailReset:
 					b.Counts[CauseAlibabaTemporal]++
-				case ok && (r.Fail == zgrab.FailClosed || r.Fail == zgrab.FailReset) && seenByOther(ds, o, a, t):
+				case ok && (r.Fail == zgrab.FailClosed || r.Fail == zgrab.FailReset) && c.seenByOther(o, i, t):
 					// §6: "any IP that closes the connection after a
 					// TCP handshake with at least one origin and
 					// successfully completes an SSH handshake with
@@ -87,75 +87,22 @@ func SSHCauses(c *Classifier, topo Topology, temporalASes []asn.ASN) []SSHBreakd
 				default:
 					b.Counts[CauseOther]++
 				}
-			}
+			})
 		}
 		out = append(out, b)
 	}
 	return out
 }
 
-func seenByOther(ds *results.Dataset, self origin.ID, a ip.Addr, trial int) bool {
-	for _, o := range ds.Origins {
-		if o == self {
-			continue
-		}
-		if s := ds.Scan(o, proto.SSH, trial); s != nil && s.Success(a, false) {
+// seenByOther reports whether an origin other than self completed a
+// handshake with union[i] in the trial.
+func (c *Classifier) seenByOther(self origin.ID, i, trial int) bool {
+	for _, o := range c.DS.Origins {
+		if o != self && c.ok[o][trial].has(i) {
 			return true
 		}
 	}
 	return false
-}
-
-// CloseVsDrop computes §6's observation that transiently missed SSH hosts
-// explicitly close connections (RST/FIN after the TCP handshake) more often
-// than HTTP(S) hosts, which mostly drop. Returns the fraction of
-// transiently missed hosts (with an L4 response) that explicitly closed.
-func CloseVsDrop(c *Classifier, excludeASes []asn.ASN, topo Topology) float64 {
-	skip := map[asn.ASN]bool{}
-	for _, a := range excludeASes {
-		skip[a] = true
-	}
-	closed, total := 0, 0
-	for _, o := range c.DS.Origins {
-		for t := 0; t < c.DS.Trials; t++ {
-			s := c.DS.Scan(o, c.Proto, t)
-			if s == nil {
-				continue
-			}
-			addrs := s.Addrs()
-			union := c.union
-			ui, j := 0, 0
-			for _, a := range c.MissedInTrial(o, t) {
-				for union[ui].Less(a) {
-					ui++
-				}
-				if c.OfAt(o, ui) != ClassTransient {
-					continue
-				}
-				if as, ok := topo.ASOf(a); ok && skip[as] {
-					continue
-				}
-				for j < len(addrs) && addrs[j].Less(a) {
-					j++
-				}
-				if j >= len(addrs) || addrs[j] != a {
-					continue // no TCP handshake at all
-				}
-				r := s.RecordAt(j)
-				if r.ProbeMask == 0 {
-					continue // no TCP handshake at all
-				}
-				total++
-				if r.Fail == zgrab.FailClosed || r.Fail == zgrab.FailReset {
-					closed++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(closed) / float64(total)
 }
 
 // HourlyOutcome is one bucket of Figure 12's Alibaba timeline.
@@ -186,8 +133,10 @@ func TemporalTimeline(ds *results.Dataset, topo Topology, ases []asn.ASN, o orig
 		return out
 	}
 	s.Each(func(r results.HostRecord) {
-		as, ok := topo.ASOf(r.Addr)
-		if !ok || !want[as] || r.ProbeMask == 0 {
+		if r.ProbeMask == 0 {
+			return
+		}
+		if as, ok := topo.ASOf(r.Addr); !ok || !want[as] {
 			return
 		}
 		h := int(r.T / time.Hour)

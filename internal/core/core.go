@@ -22,8 +22,11 @@ type Study struct {
 	Exp *experiment.Study
 	DS  *results.Dataset
 
-	complete    bool
+	complete bool
+	// The per-protocol index and Table 4a, computed once per dataset:
+	// Run and UseDataset drop them.
 	classifiers map[proto.Protocol]*analysis.Classifier
+	coverage    map[proto.Protocol]analysis.CoverageTable
 }
 
 // New prepares a study from an experiment config. World generation honours
@@ -33,7 +36,9 @@ func New(ctx context.Context, cfg experiment.Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{Exp: exp, classifiers: map[proto.Protocol]*analysis.Classifier{}}, nil
+	s := &Study{Exp: exp}
+	s.reset()
+	return s, nil
 }
 
 // Run executes all scans. It is idempotent: a second call after a complete
@@ -46,7 +51,7 @@ func (s *Study) Run(ctx context.Context) error {
 	}
 	ds, err := s.Exp.Run(ctx)
 	s.DS = ds
-	s.classifiers = map[proto.Protocol]*analysis.Classifier{}
+	s.reset()
 	if err != nil {
 		return err
 	}
@@ -59,7 +64,12 @@ func (s *Study) Run(ctx context.Context) error {
 func (s *Study) UseDataset(ds *results.Dataset) {
 	s.DS = ds
 	s.complete = true
+	s.reset()
+}
+
+func (s *Study) reset() {
 	s.classifiers = map[proto.Protocol]*analysis.Classifier{}
+	s.coverage = map[proto.Protocol]analysis.CoverageTable{}
 }
 
 // World returns the study's synthetic Internet.
@@ -91,9 +101,13 @@ func (s *Study) OriginCountries() map[origin.ID]geo.Country {
 
 // --- one accessor per table/figure ---
 
-// Fig1Coverage returns per-origin mean coverage (Figure 1).
+// Fig1Coverage returns per-origin mean coverage (Figure 1, Table 4a).
+// The table is shared by its callers; they must not modify it.
 func (s *Study) Fig1Coverage(p proto.Protocol) analysis.CoverageTable {
-	return analysis.Coverage(s.DS, p)
+	if _, ok := s.coverage[p]; !ok {
+		s.coverage[p] = analysis.Coverage(s.DS, p)
+	}
+	return s.coverage[p]
 }
 
 // Fig2MissingBreakdown returns the missing-host breakdown (Figure 2).
@@ -193,7 +207,7 @@ func (s *Study) CountryCorrelation(p proto.Protocol) stats.SpearmanResult {
 
 // PacketLoss returns the §5.2 estimator for one origin and trial.
 func (s *Study) PacketLoss(p proto.Protocol, o origin.ID, trial int) analysis.PacketLossEstimate {
-	return analysis.PacketLoss(s.DS, s.Topo(), p, o, trial, 5)
+	return s.Classifier(p).PacketLoss(s.Topo(), o, trial, 5)
 }
 
 // DropVsTransient returns §5.2's per-origin correlation between packet
