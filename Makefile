@@ -33,7 +33,7 @@ race:
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 
-# Ten seconds of each of the eleven fuzz targets. Eight are decoders,
+# Ten seconds of each of the thirteen fuzz targets. Eight are decoders,
 # differential against the pre-rewrite implementations kept in the packages'
 # oracle_test.go files (for ip.ParseAddr, in parse_test.go, with net/netip
 # behind it; for the packet decoder, the allocating form against the
@@ -51,6 +51,11 @@ audit-fullscale:
 # eleventh holds the spill store's segment reader to its contract: whatever
 # bytes a segment file holds, the merge gets rows or an error, never a panic,
 # and a segment the writer produced decodes to the rows it was written from.
+# The twelfth holds the seal's radix sort to the stable-sort oracle on
+# fuzzed address columns (duplicates, mixed families, keys differing in one
+# byte). The thirteenth feeds cmd/originscan's -hitlist loader hostile
+# target files: no panic, every target round-trips through String(), and an
+# error names the line it failed on.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
@@ -63,6 +68,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzProbeBatchMatchesSend -fuzztime 10s ./internal/fabric/
 	$(GO) test -run xxx -fuzz FuzzGrabTypedMatchesExchange -fuzztime 10s ./internal/fabric/
 	$(GO) test -run xxx -fuzz FuzzSegmentReader -fuzztime 10s ./internal/results/
+	$(GO) test -run xxx -fuzz FuzzSortByAddr -fuzztime 10s ./internal/results/
+	$(GO) test -run xxx -fuzz FuzzReadHitlist -fuzztime 10s ./cmd/originscan/
 
 # The repository's benchmark (bench/README.md): four workloads, seven
 # end-to-end metrics, result in bench/out/result.json. To compare two

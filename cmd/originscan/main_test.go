@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/ip"
+)
 
 func TestParseByteSize(t *testing.T) {
 	cases := []struct {
@@ -34,4 +42,68 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("parseByteSize(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
+}
+
+// FuzzReadHitlist feeds readHitlist hostile target files through a temp
+// file. It must never panic. On success every target re-parses from its
+// String() form to the same address, and there is one target per line that
+// is neither blank nor a # comment. On failure the error names the file
+// and, unless no line holds a target, the 1-based number of the first line
+// that does not parse.
+func FuzzReadHitlist(f *testing.F) {
+	for _, seed := range []string{
+		"2001:db8::1\n# comment\n\n10.0.0.1\n",
+		"  2a00:100::5  \r\n2a00:100:0:0:0:0:0:ff\n",
+		"::ffff:1.2.3.4\n::\n",
+		"# only comments\n\n",
+		"2001:db8::1\nnot-an-address\n",
+		"1.2.3.256\n",
+		"2001:db8::1%eth0\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	path := filepath.Join(f.TempDir(), "hitlist.txt")
+	f.Fuzz(func(t *testing.T, content string) {
+		if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		targets, err := readHitlist(path)
+		lines := strings.Split(content, "\n")
+		if err == nil {
+			var want int
+			for _, line := range lines {
+				if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+					want++
+				}
+			}
+			if len(targets) != want {
+				t.Fatalf("%d targets from %d address lines", len(targets), want)
+			}
+			for _, a := range targets {
+				if back, perr := ip.ParseAddr(a.String()); perr != nil || back != a {
+					t.Fatalf("target %v re-parses to %v, %v", a, back, perr)
+				}
+			}
+			return
+		}
+		if !strings.HasPrefix(err.Error(), path+":") {
+			t.Fatalf("error %q does not name the file", err)
+		}
+		for n, line := range lines {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			if _, perr := ip.ParseAddr(line); perr != nil {
+				if want := fmt.Sprintf("%s:%d: ", path, n+1); !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("error %q, want it to name line %d", err, n+1)
+				}
+				return
+			}
+		}
+		if err.Error() != path+": no targets" {
+			t.Fatalf("every address line parses, yet %v", err)
+		}
+	})
 }

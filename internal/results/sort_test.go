@@ -1,6 +1,7 @@
 package results
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -133,8 +134,10 @@ func TestSortByAddrMatchesStableOracle(t *testing.T) {
 
 // BenchmarkSealSort prices sealing one scan's columns in arrival order — the
 // grab hand-off's reply order, which is the permutation's: scattered, with
-// no duplicates. 10k-v6 is a hitlist scan's size, 100k-v4 a spill-store
-// study's live run.
+// no duplicates. 10k-v6 is a hitlist scan's size with keys that vary in every
+// byte, 12k-hitlist the same size shaped as a hitlist scan's replies are (64
+// provider /32s, 8 /64 islands each, interface IDs ≤ 192, in a scattered
+// order), and 100k-v4 a spill-store study's live run.
 func BenchmarkSealSort(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -142,6 +145,12 @@ func BenchmarkSealSort(b *testing.B) {
 		addr func(i int) ip.Addr
 	}{
 		{"10k-v6", 10_000, func(i int) ip.Addr { return ip.AddrFrom128(0x20010db8<<32|uint64(i%64), uint64(i)*0x9e3779b97f4a7c15) }},
+		{"12k-hitlist", 64 * 8 * 24, func(i int) ip.Addr {
+			k := i * 7919 % (64 * 8 * 24) // a scattered visit of every (provider, island, host)
+			prov, island, host := k/(8*24), k/24%8, k%24
+			subnet := uint64(uint32(prov*8+island) * 2654435761)
+			return ip.AddrFrom128(uint64(0x2a00_0000|prov<<8)<<32|subnet, uint64(1+8*host))
+		}},
 		{"100k-v4", 100_000, func(i int) ip.Addr { return ip.AddrFrom4(uint32(i) * 2654435761) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -167,4 +176,73 @@ func BenchmarkSealSort(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzSortByAddr holds sortByAddr to the stable-sort oracle on fuzzed
+// address columns: identical columns and dedupDropped. mode picks how data
+// becomes addresses — raw 16-byte addresses, a handful of addresses
+// repeated (dedup, and runs with no byte left to sort on), IPv4-mapped and
+// IPv6 mixed, or keys that differ only in the top byte of the high word or
+// only in byte pos of the low word (one radix digit, everything else equal).
+func FuzzSortByAddr(f *testing.F) {
+	seq := make([]byte, 600)
+	for i := range seq {
+		seq[i] = byte(i * 97)
+	}
+	for mode := uint8(0); mode < 5; mode++ {
+		f.Add(mode, uint8(0), seq)
+		f.Add(mode, uint8(7), seq[:40])
+	}
+	f.Add(uint8(1), uint8(3), []byte{2, 2, 2, 1, 1, 0, 3, 2})
+	f.Fuzz(func(t *testing.T, mode, pos uint8, data []byte) {
+		base := ip.AddrFrom128(0x2a00_1234_5678_9abc, 0xdef0_1234_5678_9abc)
+		var addrs []ip.Addr
+		switch mode % 5 {
+		case 0:
+			for ; len(data) >= 16; data = data[16:] {
+				addrs = append(addrs, ip.AddrFrom128(binary.BigEndian.Uint64(data), binary.BigEndian.Uint64(data[8:])))
+			}
+		case 1:
+			pool := []ip.Addr{base, base.Add(1), ip.AddrFrom4(uint32(pos)), base.Add(1 << 40)}
+			for _, b := range data {
+				addrs = append(addrs, pool[b%4])
+			}
+		case 2:
+			for ; len(data) >= 5; data = data[5:] {
+				v := binary.BigEndian.Uint32(data[1:])
+				if data[0]&1 == 0 {
+					addrs = append(addrs, ip.AddrFrom4(v))
+				} else {
+					addrs = append(addrs, ip.AddrFrom128(base.Hi(), uint64(v)))
+				}
+			}
+		case 3:
+			for _, b := range data {
+				addrs = append(addrs, ip.AddrFrom128(base.Hi()&^(0xff<<56)|uint64(b)<<56, base.Lo()))
+			}
+		case 4:
+			shift := 8 * uint(pos%8)
+			for _, b := range data {
+				addrs = append(addrs, ip.AddrFrom128(base.Hi(), base.Lo()&^(0xff<<shift)|uint64(b)<<shift))
+			}
+		}
+		got := sortFixture(len(addrs), func(i int) ip.Addr { return addrs[i] })
+		want := &ScanResult{
+			addrs:     append(ip.AddrSlice(nil), got.addrs...),
+			probeMask: append([]uint8(nil), got.probeMask...),
+			flags:     append([]uint8(nil), got.flags...),
+			fail:      append([]zgrab.FailMode(nil), got.fail...),
+			attempts:  append([]int32(nil), got.attempts...),
+			t:         append([]time.Duration(nil), got.t...),
+			banner:    append([]string(nil), got.banner...),
+		}
+		got.sortByAddr()
+		want.sortByAddrOracle()
+		g, w := columnsOf(got), columnsOf(want)
+		for i := range g {
+			if !reflect.DeepEqual(g[i], w[i]) {
+				t.Fatalf("column %d differs from the stable-sort oracle:\n got %v\nwant %v", i, g[i], w[i])
+			}
+		}
+	})
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/asn"
+	"repro/internal/geo"
+	"repro/internal/ip"
 	"repro/internal/proto"
 )
 
@@ -129,5 +132,134 @@ func TestParseFamily(t *testing.T) {
 	}
 	if _, err := ParseFamily("ipv5"); err == nil {
 		t.Error("ParseFamily accepted ipv5")
+	}
+}
+
+// checkFIB6 holds the v6 FIB to the reference structures (Routes radix,
+// Countries radix, host index: ValidateAddr) at every address in addrs, and
+// holds ResolveBatch and Routed to Resolve at the same addresses.
+func checkFIB6(t *testing.T, name string, w *World, addrs []ip.Addr) {
+	t.Helper()
+	f := w.FIB()
+	batch := make([]Dest, len(addrs))
+	f.ResolveBatch(addrs, batch)
+	for i, a := range addrs {
+		if err := f.ValidateAddr(w, a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d := f.Resolve(a)
+		if batch[i] != d {
+			t.Fatalf("%s: ResolveBatch(%v) = %+v, Resolve = %+v", name, a, batch[i], d)
+		}
+		if f.Routed(a) != d.Routed {
+			t.Fatalf("%s: Routed(%v) = %v, Resolve.Routed = %v", name, a, !d.Routed, d.Routed)
+		}
+	}
+}
+
+// hostProbes returns the addresses where a /120 block index can go wrong:
+// every host, its neighbours, and both edges of its /120.
+func hostProbes(w *World) []ip.Addr {
+	var addrs []ip.Addr
+	for _, h := range w.Hosts() {
+		base := ip.AddrFrom128(h.Addr.Hi(), h.Addr.Lo()&^0xff)
+		addrs = append(addrs, h.Addr, h.Addr.Sub(1), h.Addr.Add(1), base, base.Add(255))
+	}
+	return addrs
+}
+
+// TestFIB6MatchesReference is the v6 FIB's differential proof: the hashed
+// /120-block index (with its span-search fallback) must agree with the radix
+// routing and geolocation tables and the host index on every hitlist entry
+// (live, stale and unrouted), every host and its neighbours, and both edges
+// of every host's /120. The generated worlds cover the unit-test world, the
+// bench hitlist world (64 × 8 × 24) and islands spread over two /120s; the
+// hand-built ones cover what the generator never makes: a prefix longer than
+// /120 that splits a host block between two ASes and leaves part of another
+// unannounced, and a prefix with no country.
+func TestFIB6MatchesReference(t *testing.T) {
+	for name, spec := range map[string]V6Spec{
+		"test-spec":          TestV6Spec(42),
+		"bench-spec":         {Seed: 5, Providers: 64, IslandsPerProvider: 8, HostsPerIsland: 24},
+		"two-blocks-per-/64": {Seed: 9, Providers: 4, IslandsPerProvider: 3, HostsPerIsland: 100},
+	} {
+		w := buildV6(t, spec)
+		checkFIB6(t, name, w, append(hostProbes(w), w.Hitlist()...))
+	}
+	if n := buildV6(t, V6Spec{Seed: 9, Providers: 4, IslandsPerProvider: 3, HostsPerIsland: 100}).FIB().NumBlocks(); n <= 4*3 {
+		t.Errorf("HostsPerIsland 100 gave %d host blocks for 12 islands; want islands spanning two /120s", n)
+	}
+
+	w := handBuiltV6(t, []handPrefix{
+		{200001, "2a01:0:0:1::/121", "US"},
+		{200002, "2a01:0:0:1::80/121", "DE"},
+		{200003, "2a01:0:0:2::10/124", "FR"},
+		{200004, "2a02::/48", ""},
+	}, []string{
+		"2a01:0:0:1::5", "2a01:0:0:1::7f", "2a01:0:0:1::80", "2a01:0:0:1::ff",
+		"2a01:0:0:2::10", "2a01:0:0:2::1f",
+		"2a02::1", "2a02::100", "2a02:0:0:5::ab",
+	})
+	if len(w.FIB().mixed) != 2*256 {
+		t.Errorf("hand-built world has %d per-address entries, want two split /120s", len(w.FIB().mixed))
+	}
+	addrs := hostProbes(w)
+	for _, blk := range []string{"2a01:0:0:1::", "2a01:0:0:2::", "2a02::"} {
+		base := ip.MustParseAddr(blk)
+		for off := uint64(0); off < 512; off++ {
+			addrs = append(addrs, base.Add(off))
+		}
+	}
+	checkFIB6(t, "hand-built", w, addrs)
+	if d := w.FIB().Resolve(ip.MustParseAddr("2a02::1")); !d.Host || !d.Routed || d.Country != "" {
+		t.Errorf("country-less host resolves to %+v", d)
+	}
+}
+
+// handPrefix is one announcement of a hand-built v6 world: an AS number, its
+// prefix, and the prefix's country ("" for none).
+type handPrefix struct {
+	as      asn.ASN
+	prefix  string
+	country geo.Country
+}
+
+// handBuiltV6 assembles a v6 world from explicit announcements and hosts,
+// the way BuildV6 does from generated ones.
+func handBuiltV6(t *testing.T, prefixes []handPrefix, hosts []string) *World {
+	t.Helper()
+	w := &World{
+		Family:    FamilyIPv6,
+		Countries: geo.NewRegistry(geo.DefaultCountries()),
+		Routes:    asn.NewTable(),
+	}
+	for _, hp := range prefixes {
+		pfx := ip.MustParsePrefix(hp.prefix)
+		if err := w.Routes.Register(&asn.AS{Number: hp.as, Name: hp.prefix, Prefixes: []ip.Prefix{pfx}}); err != nil {
+			t.Fatal(err)
+		}
+		if hp.country != "" {
+			if err := w.Countries.Assign(pfx, hp.country); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, h := range hosts {
+		w.addHost(ip.MustParseAddr(h), proto.Mask(1+i%7))
+	}
+	w.fib = buildFIB6(w, w.hosts)
+	return w
+}
+
+// TestFIB6MemFootprint pins that a v6 FIB's footprint counts what it holds:
+// non-zero, and growing with the host count but no faster than it (islands
+// of 4× the hosts: 4× the masks, twice the blocks, the same spans).
+func TestFIB6MemFootprint(t *testing.T) {
+	spec := TestV6Spec(3)
+	one := buildV6(t, spec).FIB().MemFootprint()
+	spec.HostsPerIsland *= 4
+	four := buildV6(t, spec).FIB().MemFootprint()
+	if one == 0 || four <= one || four > 4*one {
+		t.Fatalf("footprint %d B at 1× hosts, %d B at 4×: want 0 < 1× < 4× ≤ 4·(1×)", one, four)
 	}
 }

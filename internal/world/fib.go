@@ -1,7 +1,6 @@
 package world
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -28,9 +27,9 @@ import (
 // country, no host — with no struct behind it.
 //
 // The radix tables (World.Routes, World.Countries) and the host slice
-// remain the reference representation; Validate proves the FIB agrees with
-// them for every address in the space, and the world accessors (ASOf,
-// CountryOf, Lookup) answer from the FIB.
+// remain the reference representation; the tests' Validate proves the FIB
+// agrees with them for every address in the space, and the world accessors
+// (ASOf, CountryOf, Lookup) answer from the FIB.
 type FIB struct {
 	dir       []uint64      // directory: bit b set when /24 block b is painted
 	dirRank   []uint32      // exclusive prefix popcount of dir per word
@@ -41,13 +40,10 @@ type FIB struct {
 	masks     []proto.Mask  // service masks of all hosts, in address order
 	spaceBits uint8
 
-	// IPv6 side: announced space is a handful of variable-length prefixes
-	// over a 2^128 universe, so instead of per-/24 blocks the v6 resolver
-	// binary-searches sorted disjoint spans and a sorted host column. See
-	// fib6.go.
+	// IPv6 side (fib6.go): table6 finds the /120 blocks holding hosts;
+	// other addresses search spans6, the sorted announced prefixes.
+	table6 []fib6Slot
 	spans6 []fib6Span
-	hosts6 ip.AddrSlice
-	masks6 []proto.Mask
 }
 
 // Sentinel values for fibBlock.asIdx.
@@ -243,22 +239,23 @@ func (f *FIB) blockIndex(bi uint64) int32 {
 // host is present. Addresses outside the scan space — and inside it but in
 // unpainted blocks — resolve to the zero Dest.
 func (f *FIB) Resolve(a ip.Addr) Dest {
+	var d Dest
 	if !a.Is4() {
-		return f.resolve6(a)
+		f.resolve6(a, &d)
+	} else if idx := f.blockIndex(uint64(a.V4()) >> 8); idx >= 0 {
+		f.resolveIn(&f.blocks[idx], a.V4()&0xff, &d)
 	}
-	idx := f.blockIndex(uint64(a.V4()) >> 8)
-	if idx < 0 {
-		return Dest{}
-	}
-	return f.resolveIn(&f.blocks[idx], a)
+	return d
 }
 
-// resolveIn resolves an address within its already-located block.
-func (f *FIB) resolveIn(blk *fibBlock, a ip.Addr) Dest {
-	var d Dest
+// resolveIn resolves the address at offset off of an already-located block
+// (a v4 /24 or a v6 /120) into d, which must be the zero Dest. (Filling the
+// caller's Dest in place, not returning one, spares the batch loop a copy
+// of the struct per address.)
+func (f *FIB) resolveIn(blk *fibBlock, off uint32, d *Dest) {
 	ai, ci := blk.asIdx, blk.ctryIdx
 	if ai == fibMixed {
-		e := &f.mixed[uint32(blk.mixedOff)+a.V4()&0xff]
+		e := &f.mixed[uint32(blk.mixedOff)+off]
 		ai, ci = e.as, e.ctry
 	}
 	if ai >= 0 {
@@ -269,18 +266,16 @@ func (f *FIB) resolveIn(blk *fibBlock, a ip.Addr) Dest {
 	if ci >= 0 {
 		d.Country = f.countries[ci]
 	}
-	lo := uint(a.V4()) & 0xff
-	word := lo >> 6
-	bit := uint64(1) << (lo & 63)
+	word := off >> 6
+	bit := uint64(1) << (off & 63)
 	if blk.present[word]&bit != 0 {
 		rank := bits.OnesCount64(blk.present[word] & (bit - 1))
-		for w := uint(0); w < word; w++ {
+		for w := uint32(0); w < word; w++ {
 			rank += bits.OnesCount64(blk.present[w])
 		}
 		d.Services = f.masks[blk.maskOff+uint32(rank)]
 		d.Host = true
 	}
-	return d
 }
 
 // ResolveBatch resolves a whole batch of destinations into out
@@ -291,8 +286,9 @@ func (f *FIB) ResolveBatch(dst []ip.Addr, out []Dest) {
 	lastBi := uint64(1) << 63 // sentinel: no block cached
 	var lastBlk *fibBlock
 	for i, a := range dst {
+		out[i] = Dest{}
 		if !a.Is4() {
-			out[i] = f.resolve6(a)
+			f.resolve6(a, &out[i])
 			continue
 		}
 		bi := uint64(a.V4()) >> 8
@@ -303,11 +299,9 @@ func (f *FIB) ResolveBatch(dst []ip.Addr, out []Dest) {
 				lastBlk = &f.blocks[idx]
 			}
 		}
-		if lastBlk == nil {
-			out[i] = Dest{}
-			continue
+		if lastBlk != nil {
+			f.resolveIn(lastBlk, a.V4()&0xff, &out[i])
 		}
-		out[i] = f.resolveIn(lastBlk, a)
 	}
 }
 
@@ -319,13 +313,14 @@ func (f *FIB) Routed(a ip.Addr) bool {
 		return f.routed6(a)
 	}
 	idx := f.blockIndex(uint64(a.V4()) >> 8)
-	return idx >= 0 && f.routedIn(&f.blocks[idx], a.V4())
+	return idx >= 0 && f.routedIn(&f.blocks[idx], a.V4()&0xff)
 }
 
-// routedIn answers Routed for a v4 address within its already-located block.
-func (f *FIB) routedIn(blk *fibBlock, v4 uint32) bool {
+// routedIn answers Routed for the address at offset off of an
+// already-located block.
+func (f *FIB) routedIn(blk *fibBlock, off uint32) bool {
 	if blk.asIdx == fibMixed {
-		return f.mixed[uint32(blk.mixedOff)+v4&0xff].as >= 0
+		return f.mixed[uint32(blk.mixedOff)+off].as >= 0
 	}
 	return blk.asIdx >= 0
 }
@@ -352,7 +347,7 @@ func (f *FIB) RoutedBatch(dst []ip.Addr, routed []bool) {
 			routed[i] = false
 			continue
 		}
-		routed[i] = f.routedIn(&f.blocks[f.blockIndex(bi)], a.V4())
+		routed[i] = f.routedIn(&f.blocks[f.blockIndex(bi)], a.V4()&0xff)
 	}
 }
 
@@ -368,9 +363,11 @@ func (f *FIB) NumBlocks() int { return len(f.blocks) }
 // MemFootprint returns the FIB's resident size in bytes by component sum —
 // the number the ≤2 GiB full-IPv4 budget in DESIGN.md is checked against.
 // At SpaceBits=32 the directory and rank arrays are 2 MiB + 1 MiB fixed;
-// everything else scales with painted blocks, not with the space.
+// everything else scales with painted blocks, not with the space. A v6
+// FIB's blocks are its host /120s, plus the table that finds them.
 func (f *FIB) MemFootprint() uint64 {
 	const blockBytes = 48 // [4]uint64 + 4×4-byte fields
+	const slotBytes = 24  // a 16-byte Addr + an int32 index, padded
 	const spanBytes = 40  // two 16-byte Addrs + 2×4-byte indices
 	return uint64(len(f.dir))*8 +
 		uint64(len(f.dirRank))*4 +
@@ -378,55 +375,6 @@ func (f *FIB) MemFootprint() uint64 {
 		uint64(len(f.mixed))*8 +
 		uint64(len(f.ases))*8 +
 		uint64(len(f.masks)) +
-		uint64(len(f.spans6))*spanBytes +
-		uint64(len(f.hosts6))*16 +
-		uint64(len(f.masks6))
-}
-
-// Validate walks the whole scan space comparing the FIB against the radix
-// and map structures it was built from: Routes.Lookup for routedness and
-// AS, Countries.Lookup for geolocation, and the host index for service
-// masks. Any disagreement is a world-construction bug.
-func (f *FIB) Validate(w *World) error {
-	for a := uint64(0); a < w.SpaceSize(); a++ {
-		if err := f.ValidateAddr(w, ip.AddrFrom4(uint32(a))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ValidateAddr checks the FIB against the reference structures for one
-// address.
-func (f *FIB) ValidateAddr(w *World, addr ip.Addr) error {
-	d := f.Resolve(addr)
-	as, routed := w.Routes.Lookup(addr)
-	if d.Routed != routed {
-		return fmt.Errorf("world: fib %v routed=%v, radix routed=%v", addr, d.Routed, routed)
-	}
-	if routed && d.AS != as {
-		return fmt.Errorf("world: fib %v AS=%v, radix AS=%v", addr, d.AS.Number, as.Number)
-	}
-	country, hasCountry := w.Countries.Lookup(addr)
-	if (d.Country != "") != hasCountry || d.Country != country && hasCountry {
-		return fmt.Errorf("world: fib %v country=%q, radix country=%q (present=%v)", addr, d.Country, country, hasCountry)
-	}
-	if w.hosts == nil {
-		// Streaming build: the host slice was not retained, so the FIB's
-		// presence bits are the only host record and there is no reference
-		// to differ from.
-		return nil
-	}
-	i := sort.Search(len(w.hosts), func(i int) bool { return !w.hosts[i].Addr.Less(addr) })
-	isHost := i < len(w.hosts) && w.hosts[i].Addr == addr
-	if d.Host != isHost {
-		return fmt.Errorf("world: fib %v host=%v, index host=%v", addr, d.Host, isHost)
-	}
-	if isHost && d.Services != w.hosts[i].Services {
-		return fmt.Errorf("world: fib %v services=%v, index services=%v", addr, d.Services, w.hosts[i].Services)
-	}
-	if !isHost && d.Services != 0 {
-		return fmt.Errorf("world: fib %v services=%v for a non-host", addr, d.Services)
-	}
-	return nil
+		uint64(len(f.table6))*slotBytes +
+		uint64(len(f.spans6))*spanBytes
 }
