@@ -7,7 +7,7 @@
 // Usage:
 //
 //	originscan [-seed N] [-scale F] [-trials N] [-dataset out.json]
-//	           [-parallelism N] [-scan-shards N] [-skip-followup]
+//	           [-parallelism N] [-skip-followup]
 //	           [-spill-dir DIR] [-mem-budget SIZE]
 //	           [-family ipv4|ipv6] [-hitlist FILE]
 //	           [-telemetry-addr host:port] [-trace-dir DIR] [-quiet]
@@ -42,7 +42,7 @@
 // written to DIR/trace.json (load it in chrome://tracing or Perfetto).
 // Analyze the journal offline with cmd/tracestat.
 //
-// SIGINT/SIGTERM cancel the run: scans stop at the next shard batch, every
+// SIGINT/SIGTERM cancel the run: scans stop at the next sweep batch, every
 // scan completed before the interruption is flushed to -dataset (when set),
 // and the process exits with code 130. Other failures exit with code 1.
 package main
@@ -89,8 +89,7 @@ func main() {
 		carinet      = flag.Bool("carinet", true, "include the Carinet origin in trial 1")
 		csvDir       = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		blocklist    = flag.String("blocklist", "", "ZMap-style blocklist file applied to every scan")
-		parallelism  = flag.Int("parallelism", 0, "concurrent (origin, protocol, trial) scans (0 = serial)")
-		scanShards   = flag.Int("scan-shards", 0, "goroutine shards per ZMap sweep (0 = unsharded)")
+		parallelism  = flag.Int("parallelism", 0, "concurrent (origin, protocol, trial) scans (0 = GOMAXPROCS)")
 		spillDir     = flag.String("spill-dir", "", "spill scan results to segment files in this directory")
 		memBudget    = flag.String("mem-budget", "", "live result memory cap, e.g. 256MiB or 2GiB (requires -spill-dir)")
 		telemAddr    = flag.String("telemetry-addr", "", "serve live metrics, pprof, and expvar on this address")
@@ -148,7 +147,6 @@ func main() {
 		Trials:         *trials,
 		IncludeCarinet: *carinet,
 		Parallelism:    *parallelism,
-		ScanShards:     *scanShards,
 		SpillDir:       *spillDir,
 		Telemetry:      reg,
 	}

@@ -98,7 +98,7 @@ func TestCancelParallelRunReturnsPartial(t *testing.T) {
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 2,
 		Protocols:   []proto.Protocol{proto.HTTP},
 		Origins:     origin.Set{origin.US1, origin.US64, origin.CEN},
-		Parallelism: 2, ScanShards: 2,
+		Parallelism: 2,
 		Hooks: pipeline.Hooks{
 			After: func(_ context.Context, stage pipeline.Stage, err error) {
 				if stage == pipeline.StageSeal && err == nil && sealed.Add(1) == 2 {

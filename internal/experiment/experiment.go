@@ -69,8 +69,7 @@ type Config struct {
 	// Censys scans with a fresh, unblocked identity.
 	FreshCensysIP bool
 	// SinkWrapper, when set, wraps the packet sink of every scan — the
-	// seam for packet capture (pcap tee) or custom instrumentation. A
-	// wrapper must be safe for concurrent Sends when ScanShards > 1.
+	// seam for packet capture (pcap tee) or custom instrumentation.
 	SinkWrapper func(zmap.PacketSink) zmap.PacketSink
 	// DialWrapper, when set, wraps the L7 dialer of every scan — the grab
 	// counterpart of SinkWrapper and the fault-injection seam of the grab
@@ -94,16 +93,15 @@ type Config struct {
 	// observer — a run with a registry produces a bit-identical dataset
 	// to a run without one.
 	Telemetry *telemetry.Registry
-	// Parallelism is how many (origin, protocol, trial) scans run
-	// concurrently (0 = GOMAXPROCS). The parallel engine precomputes IDS
-	// detection schedules so results are bit-identical to a serial run;
-	// set 1 to force the serial reference path, on the live detectors. A
-	// scan in flight is more than one goroutine either way: its grab
-	// stage's goroutine runs beside its sweep.
+	// Parallelism is how many workers take (origin, protocol, trial) scans
+	// off the study's task list (0 = GOMAXPROCS). Scans of different origins
+	// run concurrently; the scans of one origin run one after another, in
+	// study order, so every width produces the same dataset and leaves the
+	// IDSes in the same state. A scan in flight is two goroutines: its grab
+	// stage's runs beside its sweep.
 	Parallelism int
-	// ScanShards splits each scan's permutation sweep across N goroutine
-	// shards (0 or 1 = unsharded). Deterministic: shard results merge
-	// back into the serial emission order.
+	// Deprecated: ScanShards is ignored; every scan sweeps on one
+	// goroutine. Config.Shard/Shards is the one way to split a scan.
 	ScanShards int
 	// SpillDir, when set, backs every scan's result store with the
 	// spill-to-disk strategy: records buffer up to a per-scan budget,
@@ -196,18 +194,18 @@ func NewStudy(ctx context.Context, cfg Config) (*Study, error) {
 	return &Study{Config: cfg, World: w, Scenario: sc}, nil
 }
 
-// Run executes all trials and returns the dataset. With Parallelism > 1
-// (or by default, GOMAXPROCS > 1) the scans run concurrently on a bounded
-// worker pool; IDS detection schedules are precomputed so the dataset is
-// bit-identical to a serial run.
+// Run executes all trials and returns the dataset. The scans run on a
+// bounded worker pool of Parallelism workers; the scans of one origin run one
+// at a time, in study order, against IDS clones of their own, so the dataset
+// and the IDSes' end state are bit-identical at every width.
 //
 // Cancellation and failure both return the partial dataset alongside the
 // error: every scan that completed before the interruption is sealed and
-// present, so callers can flush what was collected. A canceled run's error
-// matches pipeline.ErrCanceled and carries the interrupted stage
-// (pipeline.InterruptedStage); a failed run's error matches
-// pipeline.ErrScanFailed and joins a *pipeline.ScanError per failed
-// (origin, protocol, trial) tuple — all of them, not just the first.
+// present, so callers can flush what was collected; the live IDSes are left
+// as they were. A canceled run's error matches pipeline.ErrCanceled and
+// carries the interrupted stage (pipeline.InterruptedStage); a failed run's
+// error matches pipeline.ErrScanFailed and joins a *pipeline.ScanError per
+// failed (origin, protocol, trial) tuple — all of them, not just the first.
 func (st *Study) Run(ctx context.Context) (*results.Dataset, error) {
 	// The study span is the trace tree's root: every scan span is its
 	// child, so a flight-recorder journal reconstructs the whole run from
@@ -229,20 +227,35 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 	}
 	ds := results.NewDataset(dsOrigins, cfg.Trials)
 
-	par := cfg.parallelism()
-	shards := cfg.ScanShards
-	if shards <= 0 {
-		shards = 1
+	// Canonical task order: trial-major, then protocol, then origin. The
+	// IDSes are the only state one scan leaves for another, and they detect
+	// per source IP, which no two origins share: a scan can only affect the
+	// later scans of its own origin. So each origin scans against IDS clones
+	// of its own, and its scans form a chain in task order — each waits for
+	// the one before it — while scans of different origins run side by side.
+	live := st.Scenario.IDSes
+	clones := make([][]*policy.IDS, len(dsOrigins))
+	last := make([]chan struct{}, len(dsOrigins))
+	started := make(chan struct{})
+	close(started)
+	for oi := range dsOrigins {
+		clones[oi] = make([]*policy.IDS, len(live))
+		for i, d := range live {
+			clones[oi][i] = d.CloneEmpty()
+		}
+		last[oi] = started
 	}
-	// Canonical task order: trial-major, then protocol, then origin.
-	var tasks []scanKey
+	var tasks []chainTask
 	for trial := 0; trial < cfg.Trials; trial++ {
 		for _, p := range cfg.Protocols {
-			for _, o := range dsOrigins {
+			for oi, o := range dsOrigins {
 				if o == origin.CARINET && trial != 0 {
 					continue
 				}
-				tasks = append(tasks, scanKey{o: o, p: p, trial: trial})
+				t := chainTask{scanKey: scanKey{o: o, p: p, trial: trial},
+					idses: clones[oi], after: last[oi], done: make(chan struct{})}
+				last[oi] = t.done
+				tasks = append(tasks, t)
 			}
 		}
 	}
@@ -253,19 +266,6 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 	reg.Gauge(telemetry.MetricScansTotal).Set(int64(len(tasks)))
 	scansDone := reg.Counter(telemetry.MetricScansDone)
 	queueDepth := reg.Gauge(telemetry.MetricQueueDepth)
-
-	// One worker on one shard scans against the live stateful IDSes, which
-	// observe probes in study order, exactly as the paper's scans unfolded.
-	// Anything wider runs each scan against its precomputed view of that
-	// order, which must match the live one bit for bit.
-	live := policy.Detectors(st.Scenario.IDSes)
-	var plan *idsPlan
-	if par > 1 || shards > 1 {
-		var err error
-		if plan, err = st.planIDS(ctx, dsOrigins); err != nil {
-			return ds, err
-		}
-	}
 
 	outs := make([]*results.ScanResult, len(tasks))
 	errs := make([]error, len(tasks))
@@ -281,27 +281,27 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 		workerScans := reg.Counter(telemetry.MetricWorkerScans, wl)
 		for i := range idx {
 			queueDepth.Add(-1)
-			if ctx.Err() != nil {
-				continue // canceled: drain remaining indices
+			t := &tasks[i]
+			// The predecessor was dequeued earlier, so it is running or
+			// done: the lowest task in flight never waits.
+			<-t.after
+			// A canceled run drains the remaining tasks without scanning.
+			if ctx.Err() == nil {
+				t.observe(st, reg)
+				begin := time.Now()
+				outs[i], errs[i] = st.scanOne(ctx, t.o, t.p, t.trial, t.idses, studySpan)
+				busyNS.Add(uint64(time.Since(begin).Nanoseconds()))
+				workerScans.Inc()
+				if !errors.Is(errs[i], pipeline.ErrCanceled) {
+					scansDone.Inc()
+				}
 			}
-			t := tasks[i]
-			detectors := live
-			if plan != nil {
-				detectors = plan.detectors(t)
-			}
-			begin := time.Now()
-			res, err := st.scanOne(ctx, t.o, t.p, t.trial, detectors, shards, studySpan)
-			busyNS.Add(uint64(time.Since(begin).Nanoseconds()))
-			workerScans.Inc()
-			if !errors.Is(err, pipeline.ErrCanceled) {
-				scansDone.Inc()
-			}
-			outs[i], errs[i] = res, err
+			close(t.done)
 		}
 	}
 	// The caller is worker 0, so a one-worker run starts no goroutine here.
 	var wg sync.WaitGroup
-	for w := 1; w < par; w++ {
+	for w := 1; w < cfg.parallelism(); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -341,13 +341,47 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 		// Canceled after the last scan completed.
 		return ds, pipeline.Canceled(ctx.Err())
 	}
-	if plan != nil {
-		// Leave the live IDSes in the exact state the live-detector run
-		// leaves them in: sub-experiments (SSH retry, multi-probe sweeps)
-		// read it. Only a fully successful run commits.
-		plan.commit(st.Scenario.IDSes)
+	// Leave the live IDSes in the state one scan at a time against them
+	// would: sub-experiments (SSH retry, multi-probe sweeps) read it. The
+	// clones hold disjoint sources, so the merge order is immaterial. Only
+	// a fully successful run commits; any other leaves them untouched.
+	for i, d := range live {
+		d.Reset()
+		for _, c := range clones {
+			d.MergeStateFrom(c[i])
+		}
 	}
 	return ds, nil
+}
+
+// scanKey identifies one (origin, protocol, trial) scan of the study.
+type scanKey struct {
+	o     origin.ID
+	p     proto.Protocol
+	trial int
+}
+
+// chainTask is one scan of the study's task list, linked into its origin's
+// chain: it scans against the origin's IDS clones once after — the previous
+// scan of the origin in task order — is closed, and closes done when it
+// ends, on success, failure and cancel alike.
+type chainTask struct {
+	scanKey
+	idses []*policy.IDS
+	after <-chan struct{}
+	done  chan struct{}
+}
+
+// observe points the origin's IDS clones at this scan's activation and drop
+// counters. The chain makes it safe: no other scan uses the clones now.
+func (t *chainTask) observe(st *Study, reg *telemetry.Registry) {
+	if reg == nil {
+		return
+	}
+	labels := scanLabels(st.World.Family, t.o, t.p, t.trial)
+	for _, d := range t.idses {
+		d.Metrics = telemetry.NewIDSMetrics(reg, append(labels[:len(labels):len(labels)], telemetry.L("ids", d.RuleName))...)
+	}
 }
 
 // scanLabels are the telemetry labels identifying one scan's metrics.
@@ -411,11 +445,10 @@ func (st *Study) originRecord(o origin.ID) *origin.Origin {
 }
 
 // sweepConfig is the part of a scan's ZMap configuration that (protocol,
-// trial) fixes — shared by every origin's scan and by the IDS planner's
-// walk, which must visit what the scans will send. All origins share the
-// scan seed per (protocol, trial): the paper starts every origin's ZMap with
-// the same seed so scanners probe the same addresses at approximately the
-// same time.
+// trial) fixes, shared by every origin's scan. All origins share the scan
+// seed per (protocol, trial): the paper starts every origin's ZMap with the
+// same seed so scanners probe the same addresses at approximately the same
+// time.
 func (st *Study) sweepConfig(p proto.Protocol, trial int) zmap.Config {
 	cfg := st.Config
 	return zmap.Config{
@@ -434,9 +467,9 @@ func (st *Study) sweepConfig(p proto.Protocol, trial int) zmap.Config {
 
 // ScanOne runs a single origin's ZMap+ZGrab scan of one protocol in one
 // trial: the building block of the study. The live IDSes observe the scan's
-// probes directly (the serial reference behaviour).
+// probes directly, as they do in sub-experiments.
 func (st *Study) ScanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int) (*results.ScanResult, error) {
-	return st.scanOne(ctx, o, p, trial, policy.Detectors(st.Scenario.IDSes), 1, nil)
+	return st.scanOne(ctx, o, p, trial, st.Scenario.IDSes, nil)
 }
 
 // spanUnder starts a child of parent, or a root span when the scan runs
@@ -448,8 +481,8 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 	return reg.StartSpan(name, labels...)
 }
 
-// scanOne runs one scan with the given IDS views (live or scheduled) and
-// number of sweep shards. The scan is a three-stage pipeline run through a
+// scanOne runs one scan against the given IDSes (the live ones, or its
+// origin's clones). The scan is a three-stage pipeline run through a
 // pipeline.Runner, so cfg.Hooks observe the transitions, sequentially and on
 // this goroutine, and any interruption reports its stage — but the L7 work is
 // not confined to the middle one. Sweep is the L4 walk with the grabStage
@@ -461,9 +494,8 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 // A canceled scan returns nil (the partial result is not well-defined
 // mid-stage) and leaves no spill file. A grab's handshake is a typed answer
 // on the goroutine that asked for it, with no connection behind it, so the
-// only goroutines a scan starts are the grab stage's one and the sweep's
-// shards, all gone when it returns.
-func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, detectors []policy.Detector, shards int, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
+// only goroutine a scan starts is the grab stage's one, gone when it returns.
+func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, idses []*policy.IDS, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)
 	// Per-scan telemetry: metric children are resolved once here (and in
@@ -479,7 +511,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 	fab := fabric.New(&fabric.Config{
 		World:      st.World,
 		Engine:     st.Scenario.Engine,
-		IDSes:      detectors,
+		IDSes:      policy.Detectors(idses),
 		Loss:       st.Scenario.Loss,
 		Outages:    st.Scenario.Outages[p],
 		Churn:      st.Scenario.Churn,
@@ -514,7 +546,7 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			if grab, err = st.newGrabStage(ctx, o, p, trial, fab, scanSpan, labels); err != nil {
 				return err
 			}
-			stats, err = sc.RunSharded(ctx, sink, grab.offer, shards)
+			stats, err = sc.Run(ctx, sink, grab.offer)
 			span.SetAttr("grab_slots", int64(grab.handed))
 			return err
 		}},

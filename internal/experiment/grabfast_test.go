@@ -23,7 +23,7 @@ import (
 // origins, HTTP+SSH so both banner families and the MaxStartups retry path
 // are exercised, Carinet's trial-0 edge. Retries > 0 makes the per-attempt
 // Predial re-evaluation load-bearing.
-func grabPathConfig(par, shards int) Config {
+func grabPathConfig(par int) Config {
 	return Config{
 		WorldSpec:      world.Spec{Seed: 11, Scale: 0.00005},
 		Trials:         2,
@@ -32,13 +32,12 @@ func grabPathConfig(par, shards int) Config {
 		IncludeCarinet: true,
 		Retries:        2,
 		Parallelism:    par,
-		ScanShards:     shards,
 	}
 }
 
-func grabPathStudy(t *testing.T, par, shards int) *results.Dataset {
+func grabPathStudy(t *testing.T, par int) *results.Dataset {
 	t.Helper()
-	st, err := NewStudy(context.Background(), grabPathConfig(par, shards))
+	st, err := NewStudy(context.Background(), grabPathConfig(par))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +79,10 @@ func drained(t *testing.T, fab *fabric.Fabric) {
 // grab stage: every L4-responsive row a scan sealed (PredialBatch + GrabFast
 // on the worker pool) must equal what the goroutine + vconn path —
 // Grabber.Grab over fabric.Dial — answers for the same (destination, time),
-// and the parallel + sharded engine must seal the serial engine's bytes.
+// and eight workers must seal one worker's bytes.
 func TestGrabFastStudyMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	cfg := grabPathConfig(1, 1)
+	cfg := grabPathConfig(1)
 	failed := 0
 	for _, o := range []origin.ID{origin.US1, origin.CEN} {
 		for _, p := range cfg.Protocols {
@@ -129,12 +128,12 @@ func TestGrabFastStudyMatchesReference(t *testing.T) {
 		t.Error("no grab failed in any scan: the comparison needs both outcomes")
 	}
 
-	serial := grabPathStudy(t, 1, 1)
+	serial := grabPathStudy(t, 1)
 	if serial.Len() == 0 {
 		t.Fatal("study produced no scans")
 	}
-	if diff := serial.Diff(grabPathStudy(t, 8, 4)); diff != "" {
-		t.Errorf("parallel+sharded differs from serial: %s", diff)
+	if diff := serial.Diff(grabPathStudy(t, 8)); diff != "" {
+		t.Errorf("parallel differs from serial: %s", diff)
 	}
 }
 
@@ -267,7 +266,7 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 // magnitude).
 func TestGrabWorkerClockAccounting(t *testing.T) {
 	reg := telemetry.New()
-	cfg := grabPathConfig(1, 1)
+	cfg := grabPathConfig(1)
 	cfg.Telemetry = reg
 	st, err := NewStudy(context.Background(), cfg)
 	if err != nil {

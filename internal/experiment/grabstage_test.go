@@ -32,7 +32,7 @@ import (
 func stagedStudy(t *testing.T, cfg Config, prepare func(*Study)) (*Study, *results.Dataset) {
 	t.Helper()
 	ctx := context.Background()
-	cfg.Parallelism, cfg.ScanShards, cfg.SpillDir, cfg.Telemetry = 1, 0, "", nil
+	cfg.Parallelism, cfg.SpillDir, cfg.Telemetry = 1, "", nil
 	st, err := NewStudy(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +190,8 @@ func blockedSources(st *Study) []string {
 
 // TestGrabStageMatchesStagedOracle: the study through the overlapped grab
 // stage seals the staged oracle's dataset and leaves its detector state, over
-// {live, planned detectors} × {memory, spilling store} × {v4 sweep, v6
-// hitlist} × Retries {0, 2} × ScanShards {1, 4}, and under degenerate slot
-// and ring shapes. The world is built so the comparison can fail: a detector
+// {one worker, two} × {memory, spilling store} × {v4 sweep, v6 hitlist} ×
+// Retries {0, 2}, and under degenerate slot and ring shapes. The world is built so the comparison can fail: a detector
 // watches the busiest AS and the single-IP origin crosses its threshold
 // mid-walk, so hosts of that AS that answered before the crossing are served
 // if grabbed under the walk and time out if grabbed after it — the hold-back
@@ -250,10 +249,10 @@ func TestGrabStageMatchesStagedOracle(t *testing.T) {
 				t.Fatalf("%s: the oracle's detector blocked nobody", family)
 			}
 
-			run := func(name string, par, shards int, spill bool, shape grabShape) {
+			run := func(name string, par int, spill bool, shape grabShape) {
 				t.Run(fmt.Sprintf("%s/retries=%d/%s", family, retries, name), func(t *testing.T) {
 					cfg := cfg
-					cfg.Parallelism, cfg.ScanShards = par, shards
+					cfg.Parallelism = par
 					cfg.Telemetry = telemetry.New()
 					if spill {
 						// A handful of segments per scan in either world.
@@ -312,22 +311,20 @@ func TestGrabStageMatchesStagedOracle(t *testing.T) {
 			for _, eng := range []struct {
 				name string
 				par  int
-			}{{"live", 1}, {"planned", 2}} {
-				for _, shards := range []int{1, 4} {
-					for _, spill := range []bool{false, true} {
-						store := map[bool]string{false: "mem", true: "spill"}[spill]
-						run(fmt.Sprintf("%s/%s/shards=%d", eng.name, store, shards), eng.par, shards, spill, grabShape{})
-					}
+			}{{"serial", 1}, {"parallel", 2}} {
+				for _, spill := range []bool{false, true} {
+					store := map[bool]string{false: "mem", true: "spill"}[spill]
+					run(fmt.Sprintf("%s/%s", eng.name, store), eng.par, spill, grabShape{})
 				}
 			}
-			// Degenerate shapes, on the live detectors: a slot of 1 in a
-			// ring of 1 grabs every reply before the walk may move on.
+			// Degenerate shapes, on one worker: a slot of 1 in a ring of 1
+			// grabs every reply before the walk may move on.
 			if retries != 0 {
 				continue
 			}
 			for _, slot := range []int{1, 7, 4096} {
 				for _, ring := range []int{1, 4} {
-					run(fmt.Sprintf("live/slot=%d/ring=%d", slot, ring), 1, 1, v6, grabShape{slot: slot, ring: ring})
+					run(fmt.Sprintf("serial/slot=%d/ring=%d", slot, ring), 1, v6, grabShape{slot: slot, ring: ring})
 				}
 			}
 		}

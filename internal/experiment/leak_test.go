@@ -51,16 +51,16 @@ func TestNoGoroutineLeak(t *testing.T) {
 	waitNoLeak(t, before, "workers")
 }
 
-// TestNoGoroutineLeakParallel is the same check against the parallel engine:
-// the scan worker pool, per-scan sweep shards, and per-scan grab goroutines
-// must all drain when the study completes.
+// TestNoGoroutineLeakParallel is the same check with four workers: the scan
+// worker pool and the per-scan grab goroutines must all drain when the study
+// completes.
 func TestNoGoroutineLeakParallel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, err := NewStudy(context.Background(), Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP, proto.SSH},
 		Origins:     origin.Set{origin.US1, origin.CEN},
-		Parallelism: 4, ScanShards: 2,
+		Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +86,11 @@ func (c leakCancelSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	return c.inner.Send(src, pkt, t)
 }
 
-// TestNoGoroutineLeakCancelMidSweep cancels the study while a sharded sweep
-// is mid-space under the parallel engine: the scan worker pool, the sweep
-// shard goroutines, and any live hostsim servers must all drain.
+// TestNoGoroutineLeakCancelMidSweep cancels the study while its first sweeps
+// are mid-space with eight workers, two of them holding the origins' second
+// scans: a worker waiting on a canceled predecessor must return, and the
+// worker pool, the grab goroutines and any live hostsim servers must all
+// drain.
 func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -98,7 +100,7 @@ func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP, proto.SSH},
 		Origins:     origin.Set{origin.US1, origin.CEN},
-		Parallelism: 4, ScanShards: 2,
+		Parallelism: 8,
 		SinkWrapper: func(inner zmap.PacketSink) zmap.PacketSink {
 			return leakCancelSink{inner: inner, sends: &sends, after: 200, cancel: cancel}
 		},
@@ -106,10 +108,20 @@ func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Run(ctx); !errors.Is(err, pipeline.ErrCanceled) {
+	returned := make(chan error, 1)
+	go func() {
+		_, err := st.Run(ctx)
+		returned <- err
+	}()
+	select {
+	case err = <-returned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("canceled study did not return: a worker is still waiting on its predecessor")
+	}
+	if !errors.Is(err, pipeline.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	waitNoLeak(t, before, "sweep shards or workers after cancellation")
+	waitNoLeak(t, before, "workers after cancellation")
 }
 
 // leakCancelDialer cancels the run at the after-th L7 connection opened

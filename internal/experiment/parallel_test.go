@@ -2,23 +2,43 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/fabric"
+	"repro/internal/ip"
 	"repro/internal/origin"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/results"
 	"repro/internal/telemetry"
 	"repro/internal/world"
+	"repro/internal/zmap"
 )
 
-// equivalenceStudy runs one full study at the given parallelism and shard
-// count. The origin set deliberately mixes the IDS-relevant identities:
-// single-IP origins that cross detection thresholds, the 64-IP origin that
-// evades them, and Carinet's trial-0-only scan (an ordering edge case).
+// equivalenceConfig is the study the width differentials run. The origin
+// set deliberately mixes the IDS-relevant identities: single-IP origins that
+// cross detection thresholds, the 64-IP origin that evades them, and
+// Carinet's trial-0-only scan (an ordering edge case).
+func equivalenceConfig(par int) Config {
+	return Config{
+		WorldSpec:      world.Spec{Seed: 11, Scale: 0.00005},
+		Trials:         2,
+		Protocols:      []proto.Protocol{proto.HTTP, proto.SSH},
+		Origins:        origin.Set{origin.US1, origin.US64, origin.CEN},
+		IncludeCarinet: true,
+		Parallelism:    par,
+	}
+}
+
+// equivalenceStudy runs the equivalence study at the given parallelism.
 // Every run carries a telemetry registry, so the equivalence it proves
 // covers instrumented scans: telemetry must not perturb any result.
-func equivalenceStudy(t *testing.T, par, shards int) (*Study, *results.Dataset) {
+func equivalenceStudy(t *testing.T, par int) (*Study, *results.Dataset) {
 	t.Helper()
 	// Tracing runs at full tilt — hierarchy, batch exemplars, and a live
 	// flight recorder streaming spans to disk — so the equivalence also
@@ -34,16 +54,9 @@ func equivalenceStudy(t *testing.T, par, shards int) (*Study, *results.Dataset) 
 			t.Errorf("closing flight recorder: %v", err)
 		}
 	})
-	st, err := NewStudy(context.Background(), Config{
-		WorldSpec:      world.Spec{Seed: 11, Scale: 0.00005},
-		Trials:         2,
-		Protocols:      []proto.Protocol{proto.HTTP, proto.SSH},
-		Origins:        origin.Set{origin.US1, origin.US64, origin.CEN},
-		IncludeCarinet: true,
-		Parallelism:    par,
-		ScanShards:     shards,
-		Telemetry:      reg,
-	})
+	cfg := equivalenceConfig(par)
+	cfg.Telemetry = reg
+	st, err := NewStudy(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,15 +67,13 @@ func equivalenceStudy(t *testing.T, par, shards int) (*Study, *results.Dataset) 
 	return st, ds
 }
 
-// TestParallelMatchesSerial is the parallel engine's core invariant: the
-// same study config run serially (live stateful IDSes, one scan at a time,
-// unsharded sweeps) and in parallel (precomputed IDS schedules, concurrent
-// scans, sharded sweeps) must produce bit-for-bit identical datasets, and
-// must leave the live IDS machines in identical end states.
+// TestParallelMatchesSerial is the engine's core invariant: the same study
+// config run by one worker and by eight must produce bit-for-bit identical
+// datasets, leave the live IDS machines in identical end states, and count
+// the same IDS activations and drops.
 func TestParallelMatchesSerial(t *testing.T) {
-	stSerial, serial := equivalenceStudy(t, 1, 1)
-	stPar, par := equivalenceStudy(t, 8, 1)
-	_, sharded := equivalenceStudy(t, 8, 4)
+	stSerial, serial := equivalenceStudy(t, 1)
+	stPar, par := equivalenceStudy(t, 8)
 
 	if serial.Len() == 0 {
 		t.Fatal("serial study produced no scans")
@@ -70,23 +81,220 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if diff := serial.Diff(par); diff != "" {
 		t.Errorf("Parallelism 8 differs from serial: %s", diff)
 	}
-	if diff := serial.Diff(sharded); diff != "" {
-		t.Errorf("Parallelism 8 + ScanShards 4 differs from serial: %s", diff)
-	}
 
-	// Sub-experiments read the live IDS state after Run; the parallel
-	// engine's committed state must match the serially-mutated one.
+	// Sub-experiments read the live IDS state after Run.
+	blocked := 0
 	for i, ser := range stSerial.Scenario.IDSes {
 		parIDS := stPar.Scenario.IDSes[i]
 		for _, o := range stSerial.World.Origins.All() {
 			for _, src := range o.SourceIPs {
 				for trial := 0; trial < stSerial.Config.Trials; trial++ {
-					if got, want := parIDS.BlockedState(src, trial), ser.BlockedState(src, trial); got != want {
+					got, want := parIDS.BlockedState(src, trial), ser.BlockedState(src, trial)
+					if got != want {
 						t.Errorf("IDS %s: blocked(%v, trial %d) = %v after parallel run, %v after serial",
 							ser.RuleName, src, trial, got, want)
 					}
+					if want {
+						blocked++
+					}
 				}
 			}
+		}
+	}
+	if blocked == 0 {
+		t.Error("no IDS blocked any source: the end-state comparison is vacuous")
+	}
+
+	for _, m := range []string{telemetry.MetricIDSActivations, telemetry.MetricIDSDrops} {
+		s, p := stSerial.Config.Telemetry.CounterSum(m), stPar.Config.Telemetry.CounterSum(m)
+		if s == 0 || s != p {
+			t.Errorf("%s: %d at Parallelism 1, %d at Parallelism 8; want equal and non-zero", m, s, p)
+		}
+	}
+	// An activation drops its own probe, and a blocked source's later
+	// probes are dropped too.
+	reg := stSerial.Config.Telemetry
+	if a, d := reg.CounterSum(telemetry.MetricIDSActivations), reg.CounterSum(telemetry.MetricIDSDrops); d <= a {
+		t.Errorf("%d drops for %d activations: probes from blocked sources are not counted", d, a)
+	}
+}
+
+// keySink forwards to the scan's fabric and reports the source and first
+// destination of every non-empty probe batch.
+type keySink struct {
+	*fabric.Fabric
+	note func(src, dst ip.Addr, port uint16)
+}
+
+func (k keySink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
+	if len(dsts) > 0 {
+		k.note(srcs[0], dsts[0], port)
+	}
+	k.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts)
+}
+
+// TestChainsSerializeEachOrigin watches eight workers through Hooks: a scan
+// is in flight from its Sweep stage's Before hook to its Seal stage's After
+// hook, and no two scans of one origin may ever be in flight together; each
+// origin's scans must start in study order. The hooks and the sweep run on
+// the scan's goroutine, which ties the two together (goid); a scan is
+// identified from its sink: the origin by its source address, the
+// (protocol, trial) by the port and the first routed target, which the
+// per-(protocol, trial) seed fixes.
+func TestChainsSerializeEachOrigin(t *testing.T) {
+	ctx := context.Background()
+	cfg := equivalenceConfig(8)
+	st, err := NewStudy(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pt struct {
+		p     proto.Protocol
+		trial int
+	}
+	first := map[ip.Addr]pt{}
+	for trial := 0; trial < cfg.Trials; trial++ {
+		for _, p := range cfg.Protocols {
+			zcfg := st.sweepConfig(p, trial)
+			zcfg.SourceIPs = []ip.Addr{ip.AddrFrom4(1)}
+			sc, err := zmap.NewScanner(zcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dst ip.Addr
+			found := false
+			err = sc.Targets(ctx, func(a ip.Addr, _ time.Duration) {
+				if !found && st.World.FIB().Routed(a) {
+					dst, found = a, true
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first[dst] = pt{p, trial}
+		}
+	}
+	if len(first) != cfg.Trials*len(cfg.Protocols) {
+		t.Fatalf("%d distinct first targets for %d (protocol, trial) pairs", len(first), cfg.Trials*len(cfg.Protocols))
+	}
+	srcOrigin := map[ip.Addr]origin.ID{}
+	for _, o := range st.World.Origins.All() {
+		for _, src := range o.SourceIPs {
+			srcOrigin[src] = o.ID
+		}
+	}
+
+	type scan struct {
+		key        scanKey
+		known      bool
+		start, end int // positions in the hook event sequence
+	}
+	var mu sync.Mutex
+	seq := 0
+	current := map[string]*scan{} // goroutine → the scan it runs
+	var scans []*scan
+	st.Config.Hooks = pipeline.Hooks{
+		Before: func(_ context.Context, s pipeline.Stage) {
+			if s != pipeline.StageSweep {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			seq++
+			sc := &scan{start: seq}
+			current[goid()] = sc
+			scans = append(scans, sc)
+		},
+		After: func(_ context.Context, s pipeline.Stage, _ error) {
+			if s != pipeline.StageSeal {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			seq++
+			current[goid()].end = seq
+			delete(current, goid())
+		},
+	}
+	st.Config.SinkWrapper = func(inner zmap.PacketSink) zmap.PacketSink {
+		return keySink{Fabric: inner.(*fabric.Fabric), note: func(src, dst ip.Addr, port uint16) {
+			mu.Lock()
+			defer mu.Unlock()
+			sc := current[goid()]
+			if sc == nil || sc.known {
+				return
+			}
+			id, ok := first[dst]
+			if !ok || id.p.Port() != port {
+				t.Errorf("a scan's first routed target %v (port %d) is no (protocol, trial)'s", dst, port)
+				return
+			}
+			sc.key, sc.known = scanKey{o: srcOrigin[src], p: id.p, trial: id.trial}, true
+		}}
+	}
+	ds, err := st.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scans) != ds.Len() {
+		t.Fatalf("hooks saw %d scans, the dataset holds %d", len(scans), ds.Len())
+	}
+	byOrigin := map[origin.ID][]*scan{}
+	for _, sc := range scans {
+		if !sc.known {
+			t.Fatal("a scan sent no probe batch: it cannot be identified")
+		}
+		byOrigin[sc.key.o] = append(byOrigin[sc.key.o], sc)
+	}
+	for o, chain := range byOrigin {
+		// scans is in start order, so chain is too.
+		for i, sc := range chain {
+			want := scanKey{o: o, p: cfg.Protocols[i%len(cfg.Protocols)], trial: i / len(cfg.Protocols)}
+			if sc.key != want {
+				t.Errorf("%v: scan %d to start was %v/%v/trial %d, want %v/%v/trial %d",
+					o, i, sc.key.o, sc.key.p, sc.key.trial, want.o, want.p, want.trial)
+			}
+			if i > 0 && sc.start < chain[i-1].end {
+				t.Errorf("%v: %v/trial %d started before %v/trial %d sealed",
+					o, sc.key.p, sc.key.trial, chain[i-1].key.p, chain[i-1].key.trial)
+			}
+		}
+	}
+}
+
+// equivalenceTasks is how many scans equivalenceConfig lists: three origins
+// × two protocols × two trials, and Carinet's two trial-0 scans.
+const equivalenceTasks = 3*2*2 + 2
+
+// TestInterruptedRunLeavesLiveIDSes cancels the equivalence study as its
+// last scan starts, at one worker and at eight: by then its single-IP
+// origins have been detected (a complete run blocks them, see
+// TestParallelMatchesSerial), but only a fully successful run may commit
+// detection state, so the live IDSes must still block nobody.
+func TestInterruptedRunLeavesLiveIDSes(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int64
+		cfg := equivalenceConfig(par)
+		cfg.Hooks = pipeline.Hooks{Before: func(_ context.Context, s pipeline.Stage) {
+			if s == pipeline.StageSweep && started.Add(1) == equivalenceTasks {
+				cancel()
+			}
+		}}
+		st, err := NewStudy(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := st.Run(ctx)
+		cancel()
+		if !errors.Is(err, pipeline.ErrCanceled) {
+			t.Fatalf("Parallelism %d: err = %v, want ErrCanceled", par, err)
+		}
+		if par == 1 && ds.Len() != equivalenceTasks-1 {
+			t.Errorf("Parallelism 1: %d scans sealed, want every one before the last", ds.Len())
+		}
+		if got := blockedSources(st); len(got) != 0 {
+			t.Errorf("Parallelism %d: an interrupted run left the live IDSes blocking %v", par, got)
 		}
 	}
 }

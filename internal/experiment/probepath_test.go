@@ -24,15 +24,14 @@ func bytesOnly(inner zmap.PacketSink) zmap.PacketSink {
 
 // TestStudyTypedProbePathMatchesPackets: a 2-origin × 3-protocol study swept
 // through the fabric's typed batch path seals the dataset the same study
-// seals when every probe is a packet — serially on live detectors, and pooled
-// + sharded on planned ones.
+// seals when every probe is a packet, on one worker and on GOMAXPROCS.
 func TestStudyTypedProbePathMatchesPackets(t *testing.T) {
-	run := func(par, shards int, wrap func(zmap.PacketSink) zmap.PacketSink) *results.Dataset {
+	run := func(par int, wrap func(zmap.PacketSink) zmap.PacketSink) *results.Dataset {
 		st, err := NewStudy(context.Background(), Config{
 			WorldSpec:   world.Spec{Seed: 11, Scale: 0.00005},
 			Trials:      2,
 			Origins:     origin.Set{origin.US1, origin.US64},
-			Parallelism: par, ScanShards: shards,
+			Parallelism: par,
 			SinkWrapper: wrap,
 		})
 		if err != nil {
@@ -45,10 +44,10 @@ func TestStudyTypedProbePathMatchesPackets(t *testing.T) {
 		return ds
 	}
 	for _, eng := range []struct {
-		name        string
-		par, shards int
-	}{{"serial", 1, 1}, {"pooled-sharded", 0, 4}} {
-		typed, packets := run(eng.par, eng.shards, nil), run(eng.par, eng.shards, bytesOnly)
+		name string
+		par  int
+	}{{"serial", 1}, {"pooled", 0}} {
+		typed, packets := run(eng.par, nil), run(eng.par, bytesOnly)
 		if typed.Len() != 2*len(proto.All())*2 {
 			t.Fatalf("%s: %d scans, want 2 origins × 3 protocols × 2 trials", eng.name, typed.Len())
 		}

@@ -104,13 +104,12 @@ func TestV6StudyDeterministic(t *testing.T) {
 }
 
 // TestV6ParallelMatchesSerial is the v6 variant of the parallel-engine
-// differential: the precomputed-schedule concurrent run must be
-// bit-identical to the serial reference over the hitlist walk.
+// differential: four workers must seal one worker's bytes over the hitlist
+// walk.
 func TestV6ParallelMatchesSerial(t *testing.T) {
 	_, serialDS := v6Fixture(t)
 	cfg := v6Config(99)
 	cfg.Parallelism = 4
-	cfg.ScanShards = 3
 	stu, err := NewStudy(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

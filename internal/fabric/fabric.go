@@ -36,9 +36,8 @@ import (
 type Config struct {
 	World  *world.World
 	Engine *policy.Engine
-	// IDSes are the detectors observing this scan's probes: the live
-	// stateful *policy.IDS machines when scans run serially, or read-only
-	// per-scan *policy.ScheduledIDS views when scans run concurrently.
+	// IDSes are the stateful detectors observing this scan's probes: the
+	// live *policy.IDS machines, or a study origin's clones of them.
 	IDSes   []policy.Detector
 	Loss    *loss.Matrix
 	Outages *outage.Schedule
@@ -71,7 +70,8 @@ type Fabric struct {
 	// query, hands it to the plan's detectors and rules, and releases it
 	// before returning, so probe evaluation allocates nothing. Rules must
 	// not retain queries (see policy.Rule). A pool rather than a single
-	// per-fabric query because sharded sweeps call Send concurrently.
+	// per-fabric query because the scan's grab stage dials while its sweep
+	// is still probing.
 	queries sync.Pool
 
 	// plans holds one lazily filled table of per-destination-AS plans per
@@ -209,8 +209,8 @@ func (f *Fabric) probe(pl *plan, src, dst ip.Addr, d *world.Dest, p proto.Protoc
 // ProbeBatch implements zmap.BatchProber: Send's decisions for a batch
 // without the packets — the FIB resolved in bulk, one plan per target, then
 // probe per SYN, target-major so live detectors count the sequence Send
-// would show them. The resolve scratch lives on the stack: sharded sweeps
-// call this concurrently on one fabric.
+// would show them. The resolve scratch lives on the stack, so concurrent
+// calls on one fabric share nothing.
 func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
 	p, isProto := proto.FromPort(port)
 	var dests [256]world.Dest

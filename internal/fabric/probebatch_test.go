@@ -207,12 +207,12 @@ func TestProbeBatchMatchesSend(t *testing.T) {
 	}
 }
 
-// TestProbeBatchConcurrent is the sharded-sweep shape: four goroutines call
-// ProbeBatch on one fabric over disjoint slices of the schedule, and the
-// answers must equal one serial call's. The resolve scratch is per call, not
-// per fabric (PredialBatch's is per fabric: it is single-caller by contract;
-// this is not) — run with -race. No detectors: their counts depend on the
-// interleaving, which is why sharded sweeps run on planned ones.
+// TestProbeBatchConcurrent: four goroutines call ProbeBatch on one fabric
+// over disjoint slices of the schedule, and the answers must equal one
+// serial call's. The resolve scratch is per call, not per fabric
+// (PredialBatch's is per fabric: it is single-caller by contract; this is
+// not) — run with -race. No detectors: their counts depend on the
+// interleaving.
 func TestProbeBatchConcurrent(t *testing.T) {
 	bw := batchWorlds(t)[0]
 	org := bw.w.Origins.Get(origin.US64)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asn"
 	"repro/internal/ip"
+	"repro/internal/telemetry"
 )
 
 // IDS models a destination network's intrusion detection system that counts
@@ -33,6 +34,10 @@ type IDS struct {
 	Persistent bool
 	// Action is the treatment of blocked sources (typically Silent).
 	Action Verdict
+	// Metrics, when set, counts block activations (a source crossing the
+	// threshold) and dropped probes in RecordProbe. Nil-safe; set it only
+	// while no probe is being recorded.
+	Metrics *telemetry.IDSMetrics
 
 	mu      sync.Mutex
 	counts  map[idsKey]int
@@ -53,8 +58,7 @@ type idsBlockKey struct {
 func (d *IDS) Name() string { return d.RuleName }
 
 // Covers reports whether the query targets this IDS's protected AS with a
-// protocol the IDS monitors. RecordProbe, Evaluate, and the parallel
-// engine's detection planner all share this gate.
+// protocol the IDS monitors. RecordProbe and Evaluate share this gate.
 func (d *IDS) Covers(q *Query) bool {
 	return q.DstAS == d.AS && d.Protos.Matches(q)
 }
@@ -88,12 +92,19 @@ func (d *IDS) RecordProbe(q *Query) bool {
 	}
 	bk := d.blockKey(q.SrcIP, q.Trial)
 	if d.blocked[bk] {
+		if m := d.Metrics; m != nil {
+			m.Drops.Inc()
+		}
 		return true
 	}
 	k := idsKey{src: q.SrcIP, trial: q.Trial}
 	d.counts[k]++
 	if d.counts[k] >= d.Threshold {
 		d.blocked[bk] = true
+		if m := d.Metrics; m != nil {
+			m.Activations.Inc()
+			m.Drops.Inc()
+		}
 		return true
 	}
 	return false
@@ -123,18 +134,16 @@ func (d *IDS) Reset() {
 }
 
 // BlockedState reports whether src is currently blocked for trial, without
-// counting anything. The detection planner uses it to snapshot state at the
-// start of a simulated scan.
+// counting anything.
 func (d *IDS) BlockedState(src ip.Addr, trial int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.blocked[d.blockKey(src, trial)]
 }
 
-// CloneEmpty returns an IDS with the same rule parameters and no detection
-// state. The detection planner drives clones through simulated scans so the
-// live IDS's counting logic — not a reimplementation — decides when each
-// source crosses the threshold.
+// CloneEmpty returns an IDS with the same rule parameters, no detection
+// state and no Metrics. A study scans each origin against clones of its
+// own, so scans of different origins never share detector state.
 func (d *IDS) CloneEmpty() *IDS {
 	return &IDS{
 		RuleName:   d.RuleName,
@@ -147,9 +156,9 @@ func (d *IDS) CloneEmpty() *IDS {
 }
 
 // MergeStateFrom folds other's counts and blocks into d. Sources are
-// disjoint across the planner's per-origin simulations (detection is
-// per-source-IP and origins never share addresses), so merging the
-// simulations reproduces the exact state a serial run would have left.
+// disjoint across a study's per-origin clones (detection is per source IP
+// and origins never share addresses), so merging the clones reproduces the
+// exact state scanning one IDS with every origin would have left.
 func (d *IDS) MergeStateFrom(other *IDS) {
 	other.mu.Lock()
 	defer other.mu.Unlock()
@@ -170,10 +179,7 @@ func (d *IDS) MergeStateFrom(other *IDS) {
 }
 
 // Detector is the fabric's view of an IDS: something that counts L4 probes
-// and renders verdicts on L7 connections. The live *IDS implements it by
-// mutating shared state; ScheduledIDS implements it from a precomputed
-// per-scan detection schedule, which is what lets scans sharing an IDS run
-// concurrently yet behave exactly as if they had run serially.
+// and renders verdicts on L7 connections. *IDS implements it.
 type Detector interface {
 	Name() string
 	// RecordProbe observes one L4 probe and reports whether the source is

@@ -94,17 +94,6 @@ type ScanResult struct {
 	l7Addrs ip.AddrSlice
 }
 
-// ResultSink is the append half of a result store: the interface the grab
-// hand-off writes records through, so the experiment layer is agnostic to
-// whether the store behind it is the in-memory fast path or the
-// spill-to-disk store. Appends must arrive in deterministic order (the grab
-// stage appends each slot of its ring in reply order, slot by slot); the
-// store may flush to disk mid-batch without changing the sealed bytes.
-type ResultSink interface {
-	Add(HostRecord)
-	AddBatch([]HostRecord)
-}
-
 // NewScanResult returns an empty in-memory result set.
 func NewScanResult(o origin.ID, p proto.Protocol, trial int) *ScanResult {
 	return NewScanResultSized(o, p, trial, 0)

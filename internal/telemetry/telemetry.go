@@ -24,6 +24,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,14 +39,21 @@ type Label struct{ Key, Value string }
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // labelKey canonicalizes a label set: sorted by key, rendered k="v",...
-// The result doubles as the Prometheus exposition form.
+// The result doubles as the Prometheus exposition form. Every scan resolves
+// dozens of labeled children, so the key is sized up front and sorted
+// without reflection.
 func labelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
 	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	n := 0
+	for _, l := range ls {
+		n += len(l.Key) + len(l.Value) + 4
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')

@@ -78,17 +78,6 @@ func (w *World) ProfileNames() []string {
 // for a streaming build (no host slice, no index).
 func (w *World) HostsInAS(n asn.ASN) []int32 { return w.byAS[n] }
 
-// ASHostCount returns the number of hosts in the AS running p.
-func (w *World) ASHostCount(n asn.ASN, p proto.Protocol) int {
-	c := 0
-	for _, i := range w.byAS[n] {
-		if w.hosts[i].Services.Has(p) {
-			c++
-		}
-	}
-	return c
-}
-
 // ASWeights returns all AS numbers and their total host counts, in AS
 // order; used to weight burst-outage sampling and analyses. The counts
 // come from placement-time counters, so streaming builds answer too.

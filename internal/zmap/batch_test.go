@@ -6,13 +6,14 @@ package zmap
 // the sink sees, and cancellation behavior — identical to a per-address
 // reference that replays the pre-batching loop through emitTarget. Every
 // sweep configuration runs against every kind of sink the kernel
-// distinguishes. CI runs them under -race (the fullspace job); they are the
+// distinguishes. CI runs them under -race; they are the
 // contract that lets the kernel change freely without moving the scan
 // schedule.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -310,7 +311,7 @@ func TestSweepBatchedMatchesSerialReference(t *testing.T) {
 
 // TestTargetsMatchesSerialReference pins Targets — the kernel with no sink —
 // to the reference schedule: every address the lists admit, routed or not,
-// in scan order with its probe time. The IDS planner consumes exactly this.
+// in scan order with its probe time.
 func TestTargetsMatchesSerialReference(t *testing.T) {
 	type target struct {
 		dst ip.Addr
@@ -340,21 +341,68 @@ func TestTargetsMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestShardedBatchedMatchesSerialReference runs the batched RunSharded at
-// several shard counts against the per-address serial reference: identical
-// merged statistics and an identical, identically-ordered reply stream.
+// TestShardedBatchedMatchesSerialReference splits every case across 2, 4
+// and 7 cooperating scanners (Config.Shard/Shards, ZMap's sharding) and
+// holds each shard's batched sweep to the per-address reference over the
+// same shard — identical statistics, reply stream and Sends — and the
+// shards together to the unsharded scan: statistics and Sends that add up
+// to it, and every reply it got, from exactly one shard.
 func TestShardedBatchedMatchesSerialReference(t *testing.T) {
 	forEachDiffCase(t, func(t *testing.T, s *Scanner, newSink func() (PacketSink, *diffSink), stRef Stats, repRef []Reply, sendsRef int64) {
+		ctx := context.Background()
 		for _, n := range []int{2, 4, 7} {
-			sink, d := newSink()
-			var repGot []Reply
-			stGot, err := s.RunSharded(context.Background(), sink, func(r Reply) { repGot = append(repGot, r) }, n)
-			if err != nil {
-				t.Fatal(err)
+			var sum Stats
+			var sends int64
+			got := map[ip.Addr]Reply{}
+			for k := 0; k < n; k++ {
+				cfg := s.cfg
+				cfg.Shard, cfg.Shards = k, n
+				sh, err := NewScanner(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func(exec func(PacketSink, func(Reply)) (Stats, error)) (Stats, []Reply, int64) {
+					sink, d := newSink()
+					var replies []Reply
+					st, err := exec(sink, func(r Reply) { replies = append(replies, r) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st, replies, d.sends.Load()
+				}
+				stWant, repWant, sendsWant := run(func(sink PacketSink, h func(Reply)) (Stats, error) { return referenceRun(ctx, sh, sink, h) })
+				stGot, repGot, sendsGot := run(func(sink PacketSink, h func(Reply)) (Stats, error) { return sh.Run(ctx, sink, h) })
+				compareRuns(t, fmt.Sprintf("shard %d/%d", k, n), stGot, stWant, repGot, repWant)
+				if sendsGot != sendsWant {
+					t.Errorf("shard %d/%d: sink saw %d Sends, reference %d", k, n, sendsGot, sendsWant)
+				}
+				sum.Targets += stGot.Targets
+				sum.Blocked += stGot.Blocked
+				sum.ProbesSent += stGot.ProbesSent
+				sum.SynAcks += stGot.SynAcks
+				sum.Rsts += stGot.Rsts
+				sum.Invalid += stGot.Invalid
+				sum.Duplicates += stGot.Duplicates
+				sends += sendsGot
+				for _, r := range repGot {
+					if _, dup := got[r.Dst]; dup {
+						t.Fatalf("%d shards: %v answered in two shards", n, r.Dst)
+					}
+					got[r.Dst] = r
+				}
 			}
-			compareRuns(t, "RunSharded", stGot, stRef, repGot, repRef)
-			if got := d.sends.Load(); got != sendsRef {
-				t.Errorf("%d shards: sink saw %d Sends, reference %d", n, got, sendsRef)
+			if sum != stRef || sends != sendsRef {
+				t.Errorf("%d shards add up to %+v and %d Sends, the unsharded scan %+v and %d", n, sum, sends, stRef, sendsRef)
+			}
+			if len(got) != len(repRef) {
+				t.Fatalf("%d shards: %d replies, the unsharded scan %d", n, len(got), len(repRef))
+			}
+			for _, want := range repRef {
+				// A shard numbers its own walk, so only the probe time moves.
+				r := got[want.Dst]
+				if r.ProbeMask != want.ProbeMask || r.RST != want.RST {
+					t.Errorf("%d shards: %v answered %+v, unsharded %+v", n, want.Dst, r, want)
+				}
 			}
 		}
 	})

@@ -9,9 +9,8 @@ import (
 // sweep is meaningless (IPv6's 2^128), implementing the same batched
 // iterator seam the space sweep drives. The permutation is built over the
 // list length (NewPermutationN), so every list entry is visited exactly
-// once, order is seed-determined, and sharding/position-recovery work
-// unchanged — a shard's walk values are list indices instead of v4
-// addresses.
+// once, order is seed-determined, and sharding works unchanged — a shard's
+// walk values are list indices instead of v4 addresses.
 type HitlistIterator struct {
 	it   *Iterator
 	list []ip.Addr
@@ -32,17 +31,6 @@ func (pm *Permutation) IterateHitlist(list []ip.Addr) *HitlistIterator {
 // same length receiving the raw list indices.
 func (h *HitlistIterator) NextBatch(dsts []ip.Addr, idxs []uint64) int {
 	n := h.it.NextBatch64(idxs[:len(dsts)])
-	for i := 0; i < n; i++ {
-		dsts[i] = h.list[idxs[i]]
-	}
-	return n
-}
-
-// NextIndexedBatch is NextBatch also recording each target's element index
-// within this shard's walk in elems — what sharded hitlist scans use to
-// recover serial scan positions, exactly as the space sweep does.
-func (h *HitlistIterator) NextIndexedBatch(dsts []ip.Addr, idxs, elems []uint64) int {
-	n := h.it.NextIndexedBatch64(idxs[:len(dsts)], elems[:len(dsts)])
 	for i := 0; i < n; i++ {
 		dsts[i] = h.list[idxs[i]]
 	}

@@ -95,8 +95,7 @@ func TestHitlistIteratorDeterministic(t *testing.T) {
 }
 
 // TestHitlistShardsPartitionList checks sharded walks partition the list:
-// disjoint shards whose union is the whole hitlist, with NextIndexedBatch
-// element indices recovering each target's serial scan position.
+// disjoint shards whose union is the whole hitlist.
 func TestHitlistShardsPartitionList(t *testing.T) {
 	const n, shards = 1111, 4
 	list := testHitlist(n)
@@ -112,21 +111,13 @@ func TestHitlistShardsPartitionList(t *testing.T) {
 		h := pm.IterateHitlist(list)
 		dsts := make([]ip.Addr, 48)
 		idxs := make([]uint64, 48)
-		elems := make([]uint64, 48)
-		last := -1
 		for {
-			k := h.NextIndexedBatch(dsts, idxs, elems)
+			k := h.NextBatch(dsts, idxs)
 			if k == 0 {
 				break
 			}
-			for i := 0; i < k; i++ {
-				seen[dsts[i]]++
-				// Element indices count the shard's walk over the
-				// group (skips included): strictly increasing.
-				if int(elems[i]) <= last {
-					t.Fatalf("shard %d element index %d not increasing (last %d)", s, elems[i], last)
-				}
-				last = int(elems[i])
+			for _, d := range dsts[:k] {
+				seen[d]++
 			}
 			total += k
 		}

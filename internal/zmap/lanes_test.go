@@ -8,38 +8,29 @@ import (
 	"repro/internal/rng"
 )
 
-// walked is one drained walk: the in-space values and their walk element
-// indices (nil from an entry point that does not report them).
-type walked struct{ vals, elems []uint64 }
-
-// serialWalk is the oracle: repeated NextIndexed (Next is a thin call into
-// it) until exhaustion.
-func serialWalk(it *Iterator) walked {
-	var w walked
+// serialWalk is the oracle: repeated Next until exhaustion.
+func serialWalk(it *Iterator) []uint64 {
+	var w []uint64
 	for {
-		a, e, ok := it.NextIndexed()
+		a, ok := it.Next()
 		if !ok {
 			return w
 		}
-		w.vals = append(w.vals, uint64(a))
-		w.elems = append(w.elems, e)
+		w = append(w, uint64(a))
 	}
 }
 
 // drain calls next with a size-long buffer until it returns 0.
-func drain[V uint32 | uint64](size int, indexed bool, next func(vals []V, elems []uint64) int) walked {
-	var w walked
-	vals, elems := make([]V, size), make([]uint64, size)
+func drain[V uint32 | uint64](size int, next func(vals []V) int) []uint64 {
+	var w []uint64
+	vals := make([]V, size)
 	for {
-		n := next(vals, elems)
+		n := next(vals)
 		if n == 0 {
 			return w
 		}
 		for _, v := range vals[:n] {
-			w.vals = append(w.vals, uint64(v))
-		}
-		if indexed {
-			w.elems = append(w.elems, elems[:n]...)
+			w = append(w, uint64(v))
 		}
 	}
 }
@@ -48,51 +39,30 @@ func drain[V uint32 | uint64](size int, indexed bool, next func(vals []V, elems 
 // drained with one buffer size and reported as full-width values.
 var batchEntryPoints = []struct {
 	name  string
-	drain func(pm *Permutation, size int) walked
+	drain func(pm *Permutation, size int) []uint64
 }{
-	{"NextBatch", func(pm *Permutation, size int) walked {
-		it := pm.Iterate()
-		return drain(size, false, func(v []uint32, _ []uint64) int { return it.NextBatch(v) })
+	{"NextBatch", func(pm *Permutation, size int) []uint64 {
+		return drain(size, pm.Iterate().NextBatch)
 	}},
-	{"NextBatch64", func(pm *Permutation, size int) walked {
-		it := pm.Iterate()
-		return drain(size, false, func(v []uint64, _ []uint64) int { return it.NextBatch64(v) })
+	{"NextBatch64", func(pm *Permutation, size int) []uint64 {
+		return drain(size, pm.Iterate().NextBatch64)
 	}},
-	{"NextIndexedBatch", func(pm *Permutation, size int) walked {
-		it := pm.Iterate()
-		return drain(size, true, it.NextIndexedBatch)
-	}},
-	{"NextIndexedBatch64", func(pm *Permutation, size int) walked {
-		it := pm.Iterate()
-		return drain(size, true, it.NextIndexedBatch64)
-	}},
-	{"HitlistIterator.NextBatch", func(pm *Permutation, size int) walked {
-		return drainHitlist(pm, size, false)
-	}},
-	{"HitlistIterator.NextIndexedBatch", func(pm *Permutation, size int) walked {
-		return drainHitlist(pm, size, true)
-	}},
+	{"HitlistIterator.NextBatch", drainHitlist},
 }
 
 // drainHitlist walks the identity list — entry i is address i — so a wrong
 // list index, or a destination that is not the entry its index names, shows
 // as a wrong value.
-func drainHitlist(pm *Permutation, size int, indexed bool) walked {
+func drainHitlist(pm *Permutation, size int) []uint64 {
 	list := make([]ip.Addr, pm.Space())
 	for i := range list {
 		list[i] = ip.AddrFrom4(uint32(i))
 	}
 	hit := pm.IterateHitlist(list)
-	dsts, idxs, elems := make([]ip.Addr, size), make([]uint64, size), make([]uint64, size)
-	var w walked
+	dsts, idxs := make([]ip.Addr, size), make([]uint64, size)
+	var w []uint64
 	for {
-		var n int
-		if indexed {
-			n = hit.NextIndexedBatch(dsts, idxs, elems)
-			w.elems = append(w.elems, elems[:n]...)
-		} else {
-			n = hit.NextBatch(dsts, idxs)
-		}
+		n := hit.NextBatch(dsts, idxs)
 		if n == 0 {
 			return w
 		}
@@ -101,9 +71,22 @@ func drainHitlist(pm *Permutation, size int, indexed bool) walked {
 			if v != idxs[i] {
 				v = ^uint64(0)
 			}
-			w.vals = append(w.vals, v)
+			w = append(w, v)
 		}
 	}
+}
+
+// skipLanes reports which of the four lanes the walk's out-of-space
+// elements fall in, walking the group element by element.
+func skipLanes(pm *Permutation) (lanes [4]bool) {
+	x := pm.first
+	for e := uint64(0); e < pm.shardLen; e++ {
+		if x-1 >= pm.space {
+			lanes[e%4] = true
+		}
+		x = mulmod(x, pm.step, pm.p)
+	}
+	return lanes
 }
 
 // TestPermutationTinySpaces pins the fix for one- and two-entry hitlists:
@@ -115,7 +98,7 @@ func TestPermutationTinySpaces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := serialWalk(pm.Iterate()).vals
+		got := serialWalk(pm.Iterate())
 		slices.Sort(got)
 		if want := []uint64{0, 1, 2, 3}[:n]; !slices.Equal(got, want) {
 			t.Errorf("space %d walks %v, want %v", n, got, want)
@@ -135,12 +118,11 @@ var laneSpaces = []uint64{3, 4, 5, 7, 8, 14, 24, 1000, 1024, 4096, 8192, 13000, 
 // TestNextBatchLanesMatchNext pins the lane-interleaved batch walker to the
 // scalar walk it replaced: every batch entry point, at every buffer size
 // around the round and sweep-batch boundaries, for every shard of several
-// shard counts, must emit exactly the values — and, indexed, exactly the
-// element indices — repeated NextIndexed emits, including the final partial
-// batch.
+// shard counts, must emit exactly the values repeated Next emits, including
+// the final partial batch.
 func TestNextBatchLanesMatchNext(t *testing.T) {
 	key := rng.NewKey(11)
-	var skipLanes [4]bool
+	var lanes [4]bool
 	modTwo := false
 	for _, space := range laneSpaces {
 		for _, shards := range []int{1, 2, 3, 7} {
@@ -151,29 +133,24 @@ func TestNextBatchLanesMatchNext(t *testing.T) {
 				}
 				if shards == 1 {
 					modTwo = modTwo || (pm.p-1)%4 != 0
-					for _, e := range pm.SkipIndices() {
-						skipLanes[e%4] = true
+					for i, skip := range skipLanes(pm) {
+						lanes[i] = lanes[i] || skip
 					}
 				}
 				want := serialWalk(pm.Iterate())
 				for _, size := range []int{1, 2, 3, 4, 5, 7, 4095, 4096, 4097} {
 					for _, ep := range batchEntryPoints {
-						got := ep.drain(pm, size)
-						if !slices.Equal(got.vals, want.vals) {
+						if got := ep.drain(pm, size); !slices.Equal(got, want) {
 							t.Fatalf("space %d shard %d/%d buffer %d: %s values differ from repeated Next\n got %v\nwant %v",
-								space, shard, shards, size, ep.name, head(got.vals), head(want.vals))
-						}
-						if got.elems != nil && !slices.Equal(got.elems, want.elems) {
-							t.Fatalf("space %d shard %d/%d buffer %d: %s element indices differ from repeated NextIndexed\n got %v\nwant %v",
-								space, shard, shards, size, ep.name, head(got.elems), head(want.elems))
+								space, shard, shards, size, ep.name, head(got), head(want))
 						}
 					}
 				}
 			}
 		}
 	}
-	if skipLanes != [4]bool{true, true, true, true} {
-		t.Errorf("out-of-space elements fell in lanes %v only; pick spaces covering all four", skipLanes)
+	if lanes != [4]bool{true, true, true, true} {
+		t.Errorf("out-of-space elements fell in lanes %v only; pick spaces covering all four", lanes)
 	}
 	if !modTwo {
 		t.Error("no space with p − 1 ≢ 0 (mod 4)")
@@ -199,29 +176,28 @@ func TestNextBatchLanesResumeAnywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := serialWalk(pm.Iterate())
-		for prefix := 0; prefix <= len(want.vals); prefix++ {
+		for prefix := 0; prefix <= len(want); prefix++ {
 			it := pm.Iterate()
-			var got walked
+			var got []uint64
 			take := func(size int) int {
-				vals, elems := make([]uint32, size), make([]uint64, size)
-				n := it.NextIndexedBatch(vals, elems)
+				vals := make([]uint32, size)
+				n := it.NextBatch(vals)
 				for _, v := range vals[:n] {
-					got.vals = append(got.vals, uint64(v))
+					got = append(got, uint64(v))
 				}
-				got.elems = append(got.elems, elems[:n]...)
 				return n
 			}
 			if n := take(prefix); n != prefix {
 				t.Fatalf("space %d: prefix batch of %d returned %d", space, prefix, n)
 			}
 			// One scalar step between the batches, then the rest.
-			if a, e, ok := it.NextIndexed(); ok {
-				got.vals, got.elems = append(got.vals, uint64(a)), append(got.elems, e)
+			if a, ok := it.Next(); ok {
+				got = append(got, uint64(a))
 			}
 			for take(sweepBatch) > 0 {
 			}
-			if !slices.Equal(got.vals, want.vals) || !slices.Equal(got.elems, want.elems) {
-				t.Fatalf("space %d: walk resumed after a %d-prefix differs from repeated NextIndexed", space, prefix)
+			if !slices.Equal(got, want) {
+				t.Fatalf("space %d: walk resumed after a %d-prefix differs from repeated Next", space, prefix)
 			}
 		}
 	}
@@ -231,24 +207,27 @@ func TestNextBatchLanesResumeAnywhere(t *testing.T) {
 // identity the lanes rest on, and that Mazel & Strullu use to recover a
 // scanner's position from its traffic: the walk is a geometric sequence, so
 // elements k apart satisfy x_{i+k} ≡ x_i·g^k (mod p) — here with g^shards as
-// the ratio, i the walk element index the indexed batch reports, and the
-// emitted value x − 1.
+// the ratio and the emitted value x − 1. The space is 13000 (p = 13001): no
+// element maps outside it, so the i-th value emitted is walk element i.
 func TestNextBatchLanesGeometricIdentity(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		pm, err := NewPermutationN(rng.NewKey(11), 16384, shards-1, shards)
+		pm, err := NewPermutationN(rng.NewKey(11), 13000, shards-1, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := batchEntryPoints[3].drain(pm, sweepBatch) // NextIndexedBatch64
-		if len(w.vals) <= 4097 {
-			t.Fatalf("walk emitted %d values: too short for the strides below", len(w.vals))
+		if pm.p-1 != pm.space {
+			t.Fatalf("modulus %d: the walk has out-of-space elements", pm.p)
+		}
+		w := batchEntryPoints[1].drain(pm, sweepBatch) // NextBatch64
+		if len(w) <= 4097 {
+			t.Fatalf("walk emitted %d values: too short for the strides below", len(w))
 		}
 		for _, k := range []int{1, 2, 3, 4, 5, 7, 64, 4095, 4096, 4097} {
-			for i := 0; i+k < len(w.vals); i++ {
-				ratio := mulmodPow(pm.step, w.elems[i+k]-w.elems[i], pm.p)
-				if got, want := w.vals[i+k]+1, mulmod(w.vals[i]+1, ratio, pm.p); got != want {
+			ratio := mulmodPow(pm.step, uint64(k), pm.p)
+			for i := 0; i+k < len(w); i++ {
+				if got, want := w[i+k]+1, mulmod(w[i]+1, ratio, pm.p); got != want {
 					t.Fatalf("shards %d: x[%d] = %d, want x[%d]·g^%d = %d (mod %d)",
-						shards, w.elems[i+k], got, w.elems[i], w.elems[i+k]-w.elems[i], want, pm.p)
+						shards, i+k, got, i, k, want, pm.p)
 				}
 			}
 		}

@@ -11,10 +11,7 @@ package zmap
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"sort"
-	"sync"
 
 	"repro/internal/rng"
 )
@@ -26,20 +23,13 @@ import (
 // the 2^32 space, generalized to any space size).
 type Permutation struct {
 	p         uint64 // group modulus (prime)
-	g         uint64 // generator of the full group
-	r         uint64 // key-derived starting offset (first = g^(r+shard))
-	first     uint64 // starting element for this shard
+	first     uint64 // this shard's first element: g^(r+shard), g the generator, r the key's offset
 	step      uint64 // g^shards: stride between this shard's elements
 	stepShoup uint64 // floor(step<<64 / p): Shoup factor for the walk stride
 	step4     uint64 // step⁴ mod p: the stride of each of walkBatch's four lanes
 	step4Shp  uint64 // Shoup factor of step4
 	space     uint64 // number of valid addresses [0, space)
 	shardLen  uint64 // group elements this shard owns
-	shard     uint64
-	shards    uint64
-
-	skipOnce sync.Once
-	skips    []uint64 // sorted walk indices of out-of-space elements
 }
 
 // NewPermutation builds the permutation for a space of 2^spaceBits
@@ -92,9 +82,9 @@ func NewPermutationN(key rng.Key, n uint64, shard, shards int) (*Permutation, er
 	}
 	step4 := mulmodPow(step, 4, p)
 	return &Permutation{
-		p: p, g: g, r: r, first: first, step: step, stepShoup: shoupFactor(step, p),
+		p: p, first: first, step: step, stepShoup: shoupFactor(step, p),
 		step4: step4, step4Shp: shoupFactor(step4, p),
-		space: space, shardLen: max, shard: uint64(shard), shards: uint64(shards),
+		space: space, shardLen: max,
 	}, nil
 }
 
@@ -120,27 +110,16 @@ func (pm *Permutation) Iterate() *Iterator {
 // Next returns the next address in the shard, or ok=false when exhausted.
 // Group elements mapping outside the space are transparently skipped.
 func (it *Iterator) Next() (addr uint32, ok bool) {
-	a, _, ok := it.NextIndexed()
-	return a, ok
-}
-
-// NextIndexed is Next also reporting the address's element index within
-// this shard's walk, counting the transparently skipped out-of-space
-// elements. Sub-shard iteration uses the index to recover the position a
-// single full walk would have assigned the address (see SkipIndices).
-func (it *Iterator) NextIndexed() (addr uint32, elem uint64, ok bool) {
 	pm := it.pm
 	for it.emitted < it.max {
 		v := it.current
 		it.current = mulmodShoup(it.current, pm.step, pm.stepShoup, pm.p)
-		e := it.emitted
 		it.emitted++
-		a := v - 1
-		if a < pm.space {
-			return uint32(a), e, true
+		if a := v - 1; a < pm.space {
+			return uint32(a), true
 		}
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // NextBatch fills buf with the next addresses of the shard's walk and
@@ -150,29 +129,16 @@ func (it *Iterator) NextIndexed() (addr uint32, elem uint64, ok bool) {
 // sweep's context check and telemetry flush run once per batch) and lets the
 // walk run four multiply chains at once (see walkBatch). The buffer is
 // caller-owned and reused across calls.
-func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf, nil) }
+func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf) }
 
 // NextBatch64 is NextBatch emitting full-width walk values — the form
 // hitlist iteration uses, where a value is an index into a target list
 // rather than an IPv4 address.
-func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf, nil) }
+func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf) }
 
-// NextIndexedBatch is NextBatch also recording each address's element index
-// within this shard's walk in elems (the NextIndexed batch form). addrs and
-// elems must be the same length.
-func (it *Iterator) NextIndexedBatch(addrs []uint32, elems []uint64) int {
-	return walkBatch(it, addrs, elems[:len(addrs)])
-}
-
-// NextIndexedBatch64 is NextIndexedBatch with full-width walk values (see
-// NextBatch64). vals and elems must be the same length.
-func (it *Iterator) NextIndexedBatch64(vals, elems []uint64) int {
-	return walkBatch(it, vals, elems[:len(vals)])
-}
-
-// walkBatch is the one batch walker under the four Next*Batch methods: it
-// fills vals (and elems, when non-nil, with each value's walk element index)
-// and advances the iterator exactly as len(vals) successful Next calls would.
+// walkBatch is the one batch walker under both NextBatch methods: it fills
+// vals and advances the iterator exactly as len(vals) successful Next calls
+// would.
 //
 // A scalar walk is one serially dependent multiply chain, x ← x·step, so its
 // cost is the multiplier's latency, not its throughput. But the walk is a
@@ -189,7 +155,7 @@ func (it *Iterator) NextIndexedBatch64(vals, elems []uint64) int {
 // therefore the scalar one whatever the buffer size: every resume point,
 // shard stride and final partial batch yields the sequence repeated Next
 // yields.
-func walkBatch[V uint32 | uint64](it *Iterator, vals []V, elems []uint64) int {
+func walkBatch[V uint32 | uint64](it *Iterator, vals []V) int {
 	pm := it.pm
 	cur, emitted, max := it.current, it.emitted, it.max
 	step, shoup, p, space := pm.step, pm.stepShoup, pm.p, pm.space
@@ -209,18 +175,11 @@ func walkBatch[V uint32 | uint64](it *Iterator, vals []V, elems []uint64) int {
 			if a0 < space && a1 < space && a2 < space && a3 < space {
 				out := vals[n : n+4 : n+4]
 				out[0], out[1], out[2], out[3] = V(a0), V(a1), V(a2), V(a3)
-				if elems != nil {
-					e := elems[n : n+4 : n+4]
-					e[0], e[1], e[2], e[3] = emitted, emitted+1, emitted+2, emitted+3
-				}
 				n += 4
 			} else {
-				for lane, a := range [4]uint64{a0, a1, a2, a3} {
+				for _, a := range [4]uint64{a0, a1, a2, a3} {
 					if a < space {
 						vals[n] = V(a)
-						if elems != nil {
-							elems[n] = emitted + uint64(lane)
-						}
 						n++
 					}
 				}
@@ -234,68 +193,12 @@ func walkBatch[V uint32 | uint64](it *Iterator, vals []V, elems []uint64) int {
 		cur = mulmodShoup(cur, step, shoup, p)
 		if a := v - 1; a < space {
 			vals[n] = V(a)
-			if elems != nil {
-				elems[n] = emitted
-			}
 			n++
 		}
 		emitted++
 	}
 	it.current, it.emitted = cur, emitted
 	return n
-}
-
-// SkipIndices returns the sorted element indices within this shard's walk
-// whose group value maps outside the address space (the values Next skips).
-// A sub-shard walker combines these with its parent element index to
-// reconstruct the exact scan position — and therefore the exact virtual
-// probe time — the serial walk assigns each address, which is what keeps a
-// sharded sweep bit-identical to a serial one.
-//
-// The out-of-space values are the few integers in [space+1, p), located in
-// the walk by a baby-step/giant-step discrete log; the cost is
-// O(√p + gap·√p) once per permutation, negligible next to the scan itself.
-func (pm *Permutation) SkipIndices() []uint64 {
-	pm.skipOnce.Do(func() {
-		n := pm.p - 1
-		if n == pm.space {
-			return // p = space+1: every group value maps in-space
-		}
-		// Baby table: g^j -> j for j in [0, mb).
-		mb := uint64(math.Sqrt(float64(n))) + 1
-		baby := make(map[uint64]uint64, mb)
-		acc := uint64(1)
-		for j := uint64(0); j < mb; j++ {
-			baby[acc] = j
-			acc = mulmod(acc, pm.g, pm.p)
-		}
-		giant := mulmodPow(pm.g, n-mb, pm.p) // g^(-mb)
-		dlog := func(v uint64) uint64 {
-			gamma := v
-			for i := uint64(0); i <= n/mb; i++ {
-				if j, ok := baby[gamma]; ok {
-					return i*mb + j
-				}
-				gamma = mulmod(gamma, giant, pm.p)
-			}
-			panic("zmap: discrete log not found (g is not a generator)")
-		}
-		for v := pm.space + 1; v < pm.p; v++ {
-			// Global walk index m of value g^((r+m) mod n).
-			e := dlog(v)
-			m := (e + n - pm.r%n) % n
-			if m%pm.shards == pm.shard {
-				pm.skips = append(pm.skips, (m-pm.shard)/pm.shards)
-			}
-		}
-		sort.Slice(pm.skips, func(i, j int) bool { return pm.skips[i] < pm.skips[j] })
-	})
-	return pm.skips
-}
-
-// skipsBefore returns how many of the sorted skip indices are < elem.
-func skipsBefore(skips []uint64, elem uint64) uint64 {
-	return uint64(sort.Search(len(skips), func(i int) bool { return skips[i] >= elem }))
 }
 
 // mulmod computes a*b mod m without overflow using the 128-bit multiply

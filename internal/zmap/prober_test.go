@@ -38,14 +38,12 @@ func (c *countingSink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay
 	c.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts)
 }
 
-// TestRunBatchProberMatchesPacketSink runs Scanner.Run and RunSharded(…, 4)
-// over the fabric and over the fabric behind
-// struct{ zmap.PacketSink; zmap.BatchRoutability }, which hides the
-// capability: identical Stats and an identical reply sequence, for a v4 space
-// sweep with a blocklist (from single-IP US1) and a v6 hitlist scan (from
-// US64's 64 source IPs), three probes 30 s apart. Serial runs count into live
-// detectors (a clone per side); sharded runs carry none, as in the engine,
-// where only planned detectors run sharded.
+// TestRunBatchProberMatchesPacketSink runs Scanner.Run over the fabric and
+// over the fabric behind struct{ zmap.PacketSink; zmap.BatchRoutability },
+// which hides the capability: identical Stats and an identical reply
+// sequence, for a v4 space sweep with a blocklist (from single-IP US1) and a
+// v6 hitlist scan (from US64's 64 source IPs), three probes 30 s apart. Both
+// sides count into detectors of their own (a clone of each IDS per side).
 func TestRunBatchProberMatchesPacketSink(t *testing.T) {
 	ctx := context.Background()
 	w4, err := world.Build(ctx, world.TestSpec(3))
@@ -77,57 +75,53 @@ func TestRunBatchProberMatchesPacketSink(t *testing.T) {
 			cfg.SourceIPs, cfg.TargetPort = org.SourceIPs, p.Port()
 			cfg.Probes, cfg.ProbeDelay = 3, 30*time.Second
 			cfg.Seed, cfg.ScanDuration = 77, scenario.ScanDuration
-			newSink := func(live bool) *countingSink {
+			newSink := func() *countingSink {
 				var dets []policy.Detector
-				if live {
-					for _, ids := range sc.IDSes {
-						dets = append(dets, ids.CloneEmpty())
-					}
+				for _, ids := range sc.IDSes {
+					dets = append(dets, ids.CloneEmpty())
 				}
 				return &countingSink{Fabric: fabric.New(&fabric.Config{
 					World: tc.w, Engine: sc.Engine, IDSes: dets, Loss: sc.Loss,
 					Outages: sc.Outages[p], Churn: sc.Churn, NumOrigins: 7, Hosts: sc.Hosts,
 				}, org, 1)}
 			}
-			for _, shards := range []int{1, 4} {
-				run := func(sink zmap.PacketSink) (zmap.Stats, []zmap.Reply) {
-					s, err := zmap.NewScanner(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var replies []zmap.Reply
-					st, err := s.RunSharded(ctx, sink, func(r zmap.Reply) { replies = append(replies, r) }, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return st, replies
+			run := func(sink zmap.PacketSink) (zmap.Stats, []zmap.Reply) {
+				s, err := zmap.NewScanner(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				typed, hidden := newSink(shards == 1), newSink(shards == 1)
-				stT, repT := run(typed)
-				stB, repB := run(struct {
-					zmap.PacketSink
-					zmap.BatchRoutability
-				}{hidden, hidden})
-				if typed.sends.Load() != 0 || typed.batches.Load() == 0 {
-					t.Fatalf("shards %d: the fabric was swept with %d Sends and %d ProbeBatch calls: the kernel did not take the typed path",
-						shards, typed.sends.Load(), typed.batches.Load())
+				var replies []zmap.Reply
+				st, err := s.Run(ctx, sink, func(r zmap.Reply) { replies = append(replies, r) })
+				if err != nil {
+					t.Fatal(err)
 				}
-				if hidden.batches.Load() != 0 || hidden.sends.Load() == 0 {
-					t.Fatalf("shards %d: the capability-hiding sink saw %d ProbeBatch calls and %d Sends", shards, hidden.batches.Load(), hidden.sends.Load())
-				}
-				if stT != stB {
-					t.Fatalf("shards %d: stats over the typed path %+v, over packets %+v", shards, stT, stB)
-				}
-				if stT.SynAcks == 0 || stT.Rsts == 0 || stT.Duplicates == 0 || stT.ProbesSent <= 3*uint64(len(repT)) {
-					t.Fatalf("shards %d: vacuous comparison: %+v", shards, stT)
-				}
-				if len(repT) != len(repB) {
-					t.Fatalf("shards %d: %d replies over the typed path, %d over packets", shards, len(repT), len(repB))
-				}
-				for i := range repT {
-					if repT[i] != repB[i] {
-						t.Fatalf("shards %d: reply %d over the typed path %+v, over packets %+v", shards, i, repT[i], repB[i])
-					}
+				return st, replies
+			}
+			typed, hidden := newSink(), newSink()
+			stT, repT := run(typed)
+			stB, repB := run(struct {
+				zmap.PacketSink
+				zmap.BatchRoutability
+			}{hidden, hidden})
+			if typed.sends.Load() != 0 || typed.batches.Load() == 0 {
+				t.Fatalf("the fabric was swept with %d Sends and %d ProbeBatch calls: the kernel did not take the typed path",
+					typed.sends.Load(), typed.batches.Load())
+			}
+			if hidden.batches.Load() != 0 || hidden.sends.Load() == 0 {
+				t.Fatalf("the capability-hiding sink saw %d ProbeBatch calls and %d Sends", hidden.batches.Load(), hidden.sends.Load())
+			}
+			if stT != stB {
+				t.Fatalf("stats over the typed path %+v, over packets %+v", stT, stB)
+			}
+			if stT.SynAcks == 0 || stT.Rsts == 0 || stT.Duplicates == 0 || stT.ProbesSent <= 3*uint64(len(repT)) {
+				t.Fatalf("vacuous comparison: %+v", stT)
+			}
+			if len(repT) != len(repB) {
+				t.Fatalf("%d replies over the typed path, %d over packets", len(repT), len(repB))
+			}
+			for i := range repT {
+				if repT[i] != repB[i] {
+					t.Fatalf("reply %d over the typed path %+v, over packets %+v", i, repT[i], repB[i])
 				}
 			}
 		})

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/ip"
@@ -18,9 +15,9 @@ import (
 )
 
 // sweepBatch is how many scan positions a sweep advances between context
-// checks. Cancellation therefore lands within one batch per goroutine: a
-// canceled sweep stops after at most sweepBatch further targets instead of
-// walking the rest of the address space. The check is a pure read, so an
+// checks. Cancellation therefore lands within one batch: a canceled sweep
+// stops after at most sweepBatch further targets instead of walking the rest
+// of the address space. The check is a pure read, so an
 // uncancelled sweep emits a bit-identical schedule.
 const sweepBatch = 4096
 
@@ -32,9 +29,7 @@ const sweepBatch = 4096
 //
 // The probe buffer is reused between Send calls: pkt is only valid for the
 // duration of the call, and implementations that keep packet bytes (pcap
-// tees) must copy them. When a scan runs sharded (RunSharded), Send is
-// called from multiple goroutines concurrently and implementations must be
-// safe for concurrent use.
+// tees) must copy them.
 //
 // The response may live in the probe buffer's spare capacity
 // (pkt[len(pkt):cap(pkt)]) — the fabric answers there when the room
@@ -80,8 +75,8 @@ type BatchRoutability interface {
 // from origin.SourceFor(srcs, dsts[i]) to port, probe j at ts[i]+j·delay;
 // the sink writes every synAcks[i] and rsts[i], bit j set when probe j drew
 // that answer. It must decide each probe as its Send decides the packet
-// MakeSYNInto builds for it, target-major and probe-minor, and be safe for
-// concurrent use. Sinks that speak bytes (pcap tee, raw socket) lack it.
+// MakeSYNInto builds for it, target-major and probe-minor. Sinks that speak
+// bytes (pcap tee, raw socket) lack it.
 type BatchProber interface {
 	ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8)
 }
@@ -135,8 +130,7 @@ type Config struct {
 	// accumulates into its private Stats as always and flushes deltas
 	// into these counters once per sweepBatch positions (and once at
 	// sweep end), so the per-probe hot path is unchanged and a nil
-	// bundle costs one pointer check per batch. Counters are atomic:
-	// sharded sweeps flush concurrently into the same bundle.
+	// bundle costs one pointer check per batch.
 	Telemetry *telemetry.SweepMetrics
 }
 
@@ -184,11 +178,8 @@ type Stats struct {
 }
 
 // statsFlusher pushes Stats deltas into a scan's telemetry counters at
-// sweep-batch granularity. Each sweep goroutine owns one flusher (the
-// `last` snapshot is goroutine-local); the counters themselves are atomic,
-// so concurrent shard flushes into one SweepMetrics bundle are safe. A nil
-// flusher or bundle is a no-op, keeping the disabled-telemetry sweep free
-// of per-event work.
+// sweep-batch granularity. A nil flusher or bundle is a no-op, keeping the
+// disabled-telemetry sweep free of per-event work.
 type statsFlusher struct {
 	m    *telemetry.SweepMetrics
 	last Stats
@@ -215,29 +206,17 @@ func (f *statsFlusher) flush(st *Stats) {
 	f.last = d
 }
 
-// add accumulates another shard's counters.
-func (s *Stats) add(o Stats) {
-	s.Targets += o.Targets
-	s.Blocked += o.Blocked
-	s.ProbesSent += o.ProbesSent
-	s.SynAcks += o.SynAcks
-	s.Rsts += o.Rsts
-	s.Invalid += o.Invalid
-	s.Duplicates += o.Duplicates
-}
-
 // Scanner performs one scan per Run call.
 type Scanner struct {
 	cfg      Config
 	perm     *Permutation
-	hitlist  []ip.Addr // non-nil for hitlist scans
-	key      rng.Key
+	hitlist  []ip.Addr  // non-nil for hitlist scans
 	validate rng.SipKey // cookie key, derived once (hot path)
 	trace    *telemetry.Span
 }
 
-// SetTraceSpan attaches the sweep-stage trace span the next Run/RunSharded
-// reports into: per-batch "sweep_batch" exemplars become its children
+// SetTraceSpan attaches the sweep-stage trace span the next Run reports
+// into: per-batch "sweep_batch" exemplars become its children
 // (bounded sampling) and the sweep's target/unrouted totals its
 // attributes. A nil span (tracing off) keeps the sweep untraced at the
 // cost of nil checks at batch granularity. Not safe to call mid-Run.
@@ -259,7 +238,7 @@ func NewScanner(cfg Config) (*Scanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scanner{cfg: cfg, perm: perm, hitlist: cfg.Hitlist, key: key,
+	return &Scanner{cfg: cfg, perm: perm, hitlist: cfg.Hitlist,
 		validate: key.Derive("validate").Sip()}, nil
 }
 
@@ -283,11 +262,11 @@ func (s *Scanner) srcFor(dst ip.Addr) ip.Addr {
 	return origin.SourceFor(s.cfg.SourceIPs, dst)
 }
 
-// sweepKernel is one sweep goroutine's state: where its targets go (the sink
+// sweepKernel is one sweep's state: where its targets go (the sink
 // and its routability, the per-reply or per-target callback), what it has
 // counted, and the caller-owned batch arrays the walk, the lists, the
 // routability call and the clock stamp work in. One kernel is a single
-// ~220 KiB allocation reused for the whole sweep, so the per-address cost is
+// ~190 KiB allocation reused for the whole sweep, so the per-address cost is
 // array writes — no per-batch allocation, no interface call per address.
 type sweepKernel struct {
 	s *Scanner
@@ -309,8 +288,7 @@ type sweepKernel struct {
 
 	addrs  [sweepBatch]uint32 // space sweep: the walk's offsets
 	idxs   [sweepBatch]uint64 // hitlist scan: the walk's list indices
-	elems  [sweepBatch]uint64 // sharded: each target's walk element index
-	pos    [sweepBatch]uint64 // 1-based serial scan positions, when explicit
+	pos    [sweepBatch]uint64 // 1-based scan positions of list survivors
 	dsts   [sweepBatch]ip.Addr
 	times  [sweepBatch]time.Duration
 	routed [sweepBatch]bool
@@ -318,7 +296,7 @@ type sweepKernel struct {
 	synAcks, rsts [sweepBatch]uint8
 }
 
-// newKernel returns a sweep goroutine's kernel over sink (nil for Targets),
+// newKernel returns a sweep's kernel over sink (nil for Targets),
 // reporting batch exemplars through bt and, when the scan has telemetry,
 // flushing its counters per batch through a flusher of its own.
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
@@ -331,71 +309,43 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 		// option) plus the sink's response behind it (see PacketSink).
 		k.synBuf = make([]byte, 0, 2*packet.ReplyCap)
 		if s.cfg.Telemetry != nil {
-			// The delta snapshot is goroutine-local; the destination
-			// counters are atomic and shared between shards.
 			k.fl = &statsFlusher{m: s.cfg.Telemetry}
 		}
 	}
 	return k
 }
 
-// sweep walks pm — the scanner's own permutation, or one sub-shard of it —
-// through the batch step. The permutation walk, context check and telemetry
+// sweep walks the scanner's permutation through the batch step, numbering
+// its targets as it goes. The permutation walk, context check and telemetry
 // flush all amortize to once per sweepBatch addresses; a canceled sweep
 // returns pipeline.ErrCanceled with the walk stopped at a batch boundary.
-//
-// A serial sweep (of == 1) numbers its targets as it goes. Sub-shard sub of
-// of walks every of-th element of the parent's walk, so it recovers each
-// target's serial position from the target's walk element index and skips,
-// the parent's sorted out-of-space element indices: the elements before it
-// in the parent walk minus those the serial walk would have skipped. Parent
-// indices increase strictly within a sub-shard, so a linear cursor into
-// skips replaces a binary search per address.
-func (k *sweepKernel) sweep(ctx context.Context, pm *Permutation, skips []uint64, sub, of int) error {
+func (k *sweepKernel) sweep(ctx context.Context) error {
 	defer func() { k.fl.flush(&k.st) }()
 	// How a batch is fetched is the only thing a hitlist scan and a space
 	// sweep differ in: list entries by permuted index, or permuted offsets.
 	var it *Iterator
 	var hit *HitlistIterator
 	if k.s.hitlist != nil {
-		hit = pm.IterateHitlist(k.s.hitlist)
+		hit = k.s.perm.IterateHitlist(k.s.hitlist)
 	} else {
-		it = pm.Iterate()
+		it = k.s.perm.Iterate()
 	}
-	var position, skipCur uint64
+	var position uint64
 	for {
 		if err := ctx.Err(); err != nil {
 			return pipeline.Canceled(err)
 		}
 		k.fl.flush(&k.st)
 		var n int
-		switch {
-		case hit != nil && of > 1:
-			n = hit.NextIndexedBatch(k.dsts[:], k.idxs[:], k.elems[:])
-		case hit != nil:
+		if hit != nil {
 			n = hit.NextBatch(k.dsts[:], k.idxs[:])
-		case of > 1:
-			n = it.NextIndexedBatch(k.addrs[:], k.elems[:])
-		default:
+		} else {
 			n = it.NextBatch(k.addrs[:])
-		}
-		if hit == nil {
 			for i, a := range k.addrs[:n] {
 				k.dsts[i] = ip.AddrFrom4(a)
 			}
 		}
-		var pos []uint64 // nil: consecutive from position+1
-		if of > 1 {
-			pos = k.pos[:n]
-			for i, e := range k.elems[:n] {
-				parent := uint64(sub) + uint64(of)*e
-				for skipCur < uint64(len(skips)) && skips[skipCur] < parent {
-					skipCur++
-				}
-				pos[i] = parent + 1 - skipCur
-			}
-		}
-		k.step(n, position, pos)
+		k.step(n, position)
 		position += uint64(n)
 		if n < sweepBatch {
 			// Partial (or empty) batch: the walk is exhausted. Cancellation
@@ -407,8 +357,7 @@ func (k *sweepKernel) sweep(ctx context.Context, pm *Permutation, skips []uint64
 }
 
 // step is the sweep's one batch step, over the n targets the walk left in
-// k.dsts; target i sits at serial scan position pos[i], or base+i+1 when pos
-// is nil. In order: the allow/blocklists; one routability call for the
+// k.dsts; target i sits at scan position base+i+1. In order: the allow/blocklists; one routability call for the
 // batch; the virtual-clock stamp, for routed survivors only, compacting them
 // to the front; the unrouted remainder counted in bulk; the probes, over
 // the dense routed slice (one BatchProber call, or a packet round trip per
@@ -419,14 +368,13 @@ func (k *sweepKernel) sweep(ctx context.Context, pm *Permutation, skips []uint64
 // The clock expression is the schedule: target k of the scan is probed at
 // k/space × ScanDuration, and its float64 rounding is part of every
 // dataset's bytes.
-func (k *sweepKernel) step(n int, base uint64, pos []uint64) {
+func (k *sweepKernel) step(n int, base uint64) {
 	s := k.s
+	var pos []uint64 // nil: consecutive from base+1
 	if allow, block := s.cfg.Allowlist, s.cfg.Blocklist; allow != nil || block != nil {
-		if pos == nil {
-			pos = k.pos[:n]
-			for i := range pos {
-				pos[i] = base + uint64(i) + 1
-			}
+		pos = k.pos[:n]
+		for i := range pos {
+			pos[i] = base + uint64(i) + 1
 		}
 		kept := 0
 		for i, dst := range k.dsts[:n] {
@@ -516,14 +464,12 @@ func (k *sweepKernel) step(n int, base uint64, pos []uint64) {
 
 // Targets invokes fn for every address the scan will probe, in scan order,
 // with its base virtual probe time — the scan's schedule without sending a
-// packet. The deterministic parallel engine uses this to precompute IDS
-// detection points before scans of the same seed run concurrently. With no
-// sink there is no routability to consult, so every listed-in target is
-// visited, dark space included.
+// packet. With no sink there is no routability to consult, so every
+// listed-in target is visited, dark space included.
 func (s *Scanner) Targets(ctx context.Context, fn func(dst ip.Addr, t time.Duration)) error {
 	k := s.newKernel(nil, nil)
 	k.visit = fn
-	return k.sweep(ctx, s.perm, nil, 0, 1)
+	return k.sweep(ctx)
 }
 
 // probeTarget sends the configured probes for one target, validates the
@@ -571,94 +517,12 @@ func (s *Scanner) probeTarget(sink PacketSink, dst ip.Addr, t time.Duration, st 
 func (s *Scanner) Run(ctx context.Context, sink PacketSink, handler func(Reply)) (Stats, error) {
 	k := s.newKernel(sink, s.trace.ChildTracer("sweep_batch"))
 	k.reply = handler
-	err := k.sweep(ctx, s.perm, nil, 0, 1)
+	err := k.sweep(ctx)
 	if s.trace != nil {
 		s.trace.SetAttr("targets", int64(k.st.Targets))
 		s.trace.SetAttr("unrouted", int64(k.unrouted))
 	}
 	return k.st, err
-}
-
-// RunSharded executes the scan as n concurrent goroutine shards over
-// disjoint slices of the permutation, then merges the shards' statistics
-// and replies deterministically. Each address receives the same probe time
-// (and therefore the same loss, outage, and IDS treatment) as under Run:
-// sub-shard j of n walks the cosets g^(shard + shards·j) with stride
-// g^(shards·n), and each element's serial scan position is recovered from
-// its walk index and the permutation's out-of-space skip table (see sweep).
-// handler is invoked sequentially, in the serial scan's emission order.
-//
-// Cancellation lands within one sweep batch per shard: each shard checks
-// ctx every sweepBatch walk positions and stops; the merged handler pass is
-// skipped and the error matches pipeline.ErrCanceled.
-func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(Reply), n int) (Stats, error) {
-	if n <= 1 {
-		return s.Run(ctx, sink, handler)
-	}
-	skips := s.perm.SkipIndices()
-	subs := make([]*Permutation, n)
-	for j := range subs {
-		sub, err := NewPermutationN(s.key, s.perm.Space(), s.cfg.Shard+s.cfg.Shards*j, s.cfg.Shards*n)
-		if err != nil {
-			return Stats{}, fmt.Errorf("zmap: sub-shard %d/%d: %w", j, n, err)
-		}
-		subs[j] = sub
-	}
-	kernels := make([]*sweepKernel, n)
-	replies := make([][]Reply, n)
-	hint := s.cfg.ExpectedReplies/n + 64
-	var wg sync.WaitGroup
-	for j := range subs {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			// Per-shard exemplar tracer (single-goroutine state, like the
-			// kernel's flusher); the shard label keeps shard timelines apart.
-			k := s.newKernel(sink, s.trace.ChildTracer("sweep_batch", telemetry.L("shard", strconv.Itoa(j))))
-			out := make([]Reply, 0, hint)
-			k.reply = func(r Reply) { out = append(out, r) }
-			// A canceled shard just stops; the ctx check below reports it.
-			_ = k.sweep(ctx, subs[j], skips, j, n)
-			kernels[j], replies[j] = k, out
-		}(j)
-	}
-	wg.Wait()
-
-	var st Stats
-	total := 0
-	var unrouted uint64
-	for j, k := range kernels {
-		st.add(k.st)
-		unrouted += k.unrouted
-		total += len(replies[j])
-	}
-	if s.trace != nil {
-		s.trace.SetAttr("targets", int64(st.Targets))
-		s.trace.SetAttr("unrouted", int64(unrouted))
-		s.trace.SetAttr("shards", int64(n))
-	}
-	if err := ctx.Err(); err != nil {
-		// The shards stopped at different positions; a partial merge would
-		// not reproduce any serial prefix, so the canceled sweep reports
-		// its statistics but hands the caller no replies.
-		return st, pipeline.Canceled(err)
-	}
-	merged := make([]Reply, 0, total)
-	for _, out := range replies {
-		merged = append(merged, out...)
-	}
-	// Probe times increase strictly with scan position, so sorting by
-	// (T, Dst) reproduces the serial emission order exactly.
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].T != merged[j].T {
-			return merged[i].T < merged[j].T
-		}
-		return merged[i].Dst.Less(merged[j].Dst)
-	})
-	for _, r := range merged {
-		handler(r)
-	}
-	return st, nil
 }
 
 // validateResp checks a response packet against the probe's cookie, exactly

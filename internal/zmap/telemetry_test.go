@@ -2,27 +2,12 @@ package zmap
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ip"
 	"repro/internal/telemetry"
 )
-
-// lockedSink serializes a fakeSink so RunSharded's concurrent shards can
-// share it (the production fabric sink is internally synchronized;
-// fakeSink is not).
-type lockedSink struct {
-	mu sync.Mutex
-	s  *fakeSink
-}
-
-func (l *lockedSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.s.Send(src, pkt, t)
-}
 
 // sweepCounterValues reads the bundle back as a Stats for comparison.
 func sweepCounterValues(m *telemetry.SweepMetrics) Stats {
@@ -62,26 +47,6 @@ func TestSweepTelemetryCountersMatchStats(t *testing.T) {
 	wantLost := st.ProbesSent - st.SynAcks - st.Rsts - st.Invalid
 	if got := m.Lost.Value(); got != wantLost {
 		t.Errorf("Lost = %d, want %d", got, wantLost)
-	}
-}
-
-func TestShardedSweepTelemetryCountersMatchStats(t *testing.T) {
-	reg := telemetry.New()
-	m := telemetry.NewSweepMetrics(reg)
-	cfg := testConfig()
-	cfg.SpaceBits = 14 // several batches per shard
-	cfg.Telemetry = m
-	sink := &lockedSink{s: &fakeSink{live: map[ip.Addr]bool{a4(5): true, a4(300): true, a4(9000): true}}}
-	s, err := NewScanner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.RunSharded(context.Background(), sink, func(Reply) {}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sweepCounterValues(m); got != st {
-		t.Errorf("telemetry counters %+v, want merged stats %+v", got, st)
 	}
 }
 

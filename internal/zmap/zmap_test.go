@@ -3,8 +3,6 @@ package zmap
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,10 +105,9 @@ func TestPermutationDeterministicAndSeedSensitive(t *testing.T) {
 
 // TestPermutationNextBatchMatchesNext pins the batched walk to the serial
 // one: for every shard of several shard counts, NextBatch (at an awkward
-// batch size that never divides the shard length evenly) and
-// NextIndexedBatch must emit byte-for-byte the sequence repeated
-// Next/NextIndexed calls produce, including the final partial batch, and
-// the element indices must agree with SkipIndices position recovery.
+// batch size that never divides the shard length evenly) must emit
+// byte-for-byte the sequence repeated Next calls produce, including the
+// final partial batch.
 func TestPermutationNextBatchMatchesNext(t *testing.T) {
 	key := rng.NewKey(11)
 	for _, shards := range []int{1, 3, 7} {
@@ -120,15 +117,13 @@ func TestPermutationNextBatchMatchesNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wantAddrs []uint32
-			var wantElems []uint64
 			it := pm.Iterate()
 			for {
-				a, e, ok := it.NextIndexed()
+				a, ok := it.Next()
 				if !ok {
 					break
 				}
 				wantAddrs = append(wantAddrs, a)
-				wantElems = append(wantElems, e)
 			}
 
 			const batch = 37 // awkward size: forces a partial final batch
@@ -153,38 +148,6 @@ func TestPermutationNextBatchMatchesNext(t *testing.T) {
 				}
 			}
 
-			var gotAddrs2 []uint32
-			var gotElems []uint64
-			elems := make([]uint64, batch)
-			it = pm.Iterate()
-			for {
-				n := it.NextIndexedBatch(buf, elems)
-				if n == 0 {
-					break
-				}
-				gotAddrs2 = append(gotAddrs2, buf[:n]...)
-				gotElems = append(gotElems, elems[:n]...)
-			}
-			if len(gotElems) != len(wantElems) {
-				t.Fatalf("shard %d/%d: NextIndexedBatch emitted %d, want %d",
-					shard, shards, len(gotElems), len(wantElems))
-			}
-			skips := pm.SkipIndices()
-			for i := range gotElems {
-				if gotAddrs2[i] != wantAddrs[i] || gotElems[i] != wantElems[i] {
-					t.Fatalf("shard %d/%d: NextIndexedBatch[%d] = (%d, %d), want (%d, %d)",
-						shard, shards, i, gotAddrs2[i], gotElems[i], wantAddrs[i], wantElems[i])
-				}
-				// Position recovery: the in-space ordinal of this element is
-				// its walk index minus the skips before it — for a full walk
-				// that ordinal is exactly i.
-				if shards == 1 {
-					pos := gotElems[i] - skipsBefore(skips, gotElems[i])
-					if pos != uint64(i) {
-						t.Fatalf("elem %d: recovered position %d, want %d", gotElems[i], pos, i)
-					}
-				}
-			}
 		}
 	}
 }
@@ -655,26 +618,6 @@ func TestScannerCancelMidSweepStopsWithinOneBatch(t *testing.T) {
 	}
 }
 
-func TestScannerRunShardedCanceled(t *testing.T) {
-	cfg := testConfig()
-	cfg.SpaceBits = 14
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sink := &fakeSink{live: map[ip.Addr]bool{a4(5): true}}
-	s, err := NewScanner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	handled := 0
-	_, err = s.RunSharded(ctx, sink, func(Reply) { handled++ }, 4)
-	if !errors.Is(err, pipeline.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if handled != 0 {
-		t.Errorf("handler saw %d replies after cancellation", handled)
-	}
-}
-
 // routedSink is a fakeSink that also knows which space is routed,
 // implementing Routability. Every host lives in routed space (as in the
 // fabric, where the FIB only places hosts inside announced prefixes), so
@@ -743,74 +686,6 @@ func TestScannerRoutabilityShortCircuit(t *testing.T) {
 	if want := 2 * ((1 << 10) - limit); skipped != int(want) {
 		t.Errorf("short-circuit skipped %d Sends, want %d", skipped, want)
 	}
-}
-
-// TestScannerRoutabilityShortCircuitSharded is the same invariant for the
-// sharded sweep, where shard goroutines consult Routability concurrently.
-func TestScannerRoutabilityShortCircuitSharded(t *testing.T) {
-	live := map[ip.Addr]bool{a4(5): true, a4(100): true, a4(499): true}
-	const limit = 512
-
-	s, err := NewScanner(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := &fakeSink{live: live}
-	plainGot := map[ip.Addr]uint8{}
-	plainStats, err := s.Run(context.Background(), plain, func(r Reply) { plainGot[r.Dst] = r.ProbeMask })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fast := &shardedRoutedSink{live: live, limit: a4(limit)}
-	fastGot := map[ip.Addr]uint8{}
-	var mu sync.Mutex
-	fastStats, err := s.RunSharded(context.Background(), fast, func(r Reply) {
-		mu.Lock()
-		fastGot[r.Dst] = r.ProbeMask
-		mu.Unlock()
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fastStats != plainStats {
-		t.Errorf("stats diverge:\nsharded %+v\nserial  %+v", fastStats, plainStats)
-	}
-	if len(fastGot) != len(plainGot) {
-		t.Fatalf("reply counts diverge: %d vs %d", len(fastGot), len(plainGot))
-	}
-	for dst, mask := range plainGot {
-		if fastGot[dst] != mask {
-			t.Errorf("reply for %v diverges: %#b vs %#b", dst, fastGot[dst], mask)
-		}
-	}
-	if n := fast.unroutedSends.Load(); n != 0 {
-		t.Errorf("%d unrouted probes reached Send despite Routability", n)
-	}
-}
-
-// shardedRoutedSink is a concurrency-safe Routability sink for RunSharded.
-type shardedRoutedSink struct {
-	live          map[ip.Addr]bool
-	limit         ip.Addr
-	unroutedSends atomic.Int64
-}
-
-func (r *shardedRoutedSink) Routed(dst ip.Addr) bool { return dst.Less(r.limit) }
-
-func (r *shardedRoutedSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
-	iph, tcph, _, err := packet.DecodeTCP4(pkt)
-	if err != nil {
-		return nil
-	}
-	if !r.Routed(iph.Dst) {
-		r.unroutedSends.Add(1)
-	}
-	if r.live[iph.Dst] {
-		return packet.MakeSYNACK(iph.Dst, src, tcph.DstPort, tcph.SrcPort, 1000, tcph.Seq+1)
-	}
-	return nil
 }
 
 func TestScannerConfigValidation(t *testing.T) {
