@@ -13,8 +13,9 @@ import (
 	"repro/internal/zmap"
 )
 
-// bytesOnly hides a sink's zmap.BatchProber capability (and nothing else the
-// sweep uses), so the engine probes it with real packets through Send.
+// bytesOnly hides a sink's zmap.BatchProber and zmap.BlockRoutability
+// capabilities, so the engine asks RoutedBatch about every target and probes
+// the routed ones with real packets through Send.
 func bytesOnly(inner zmap.PacketSink) zmap.PacketSink {
 	return struct {
 		zmap.PacketSink
@@ -23,8 +24,9 @@ func bytesOnly(inner zmap.PacketSink) zmap.PacketSink {
 }
 
 // TestStudyTypedProbePathMatchesPackets: a 2-origin × 3-protocol study swept
-// through the fabric's typed batch path seals the dataset the same study
-// seals when every probe is a packet, on one worker and on GOMAXPROCS.
+// through the fabric's directory prefilter and typed batch path seals the
+// dataset the same study seals when every target is asked RoutedBatch and
+// every probe is a packet, on one worker and on GOMAXPROCS.
 func TestStudyTypedProbePathMatchesPackets(t *testing.T) {
 	run := func(par int, wrap func(zmap.PacketSink) zmap.PacketSink) *results.Dataset {
 		st, err := NewStudy(context.Background(), Config{

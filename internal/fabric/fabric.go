@@ -125,6 +125,10 @@ func (f *Fabric) Routed(dst ip.Addr) bool { return f.fib.Routed(dst) }
 // the FIB reuse its directory rank across same-/24 neighbors.
 func (f *Fabric) RoutedBatch(dst []ip.Addr, routed []bool) { f.fib.RoutedBatch(dst, routed) }
 
+// RoutedBlocks implements zmap.BlockRoutability: the FIB's /24 directory,
+// which the space sweep tests on raw offsets before asking RoutedBatch.
+func (f *Fabric) RoutedBlocks() []uint64 { return f.fib.RoutedBlocks() }
+
 // Send implements zmap.PacketSink: evaluate one SYN probe. Nothing on the
 // way allocates — headers decode into stack scratch, the FIB resolves the
 // destination with array reads, the plan for its AS is a table slot, the

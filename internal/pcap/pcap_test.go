@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -133,4 +134,79 @@ func TestSinkTee(t *testing.T) {
 	if !bytes.Equal(p1.Data, probe) || !bytes.Equal(p2.Data, resp) {
 		t.Error("captured bytes differ from wire bytes")
 	}
+}
+
+// FuzzPcapReader feeds NewReader and Next hostile captures: whatever the
+// bytes, the reader returns packets and then io.EOF or an error, never
+// panics, never yields a packet longer than MaxSnapLen or more bytes than
+// the input held, and what it did read survives a trip back through the
+// Writer unchanged. The seeds are the package's own writer output, whole
+// and cut short.
+func FuzzPcapReader(f *testing.F) {
+	for _, n := range []int{0, 1, 3} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, LinkTypeRaw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			syn := packet.MakeSYN(ip.AddrFrom4(uint32(i)), ip.AddrFrom4(2), 40000, 80, uint32(i), 0)
+			if err := w.WritePacket(time.Duration(i)*time.Hour+time.Microsecond, syn); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-1])
+	}
+	f.Add([]byte("hello world, not a pcap!"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var pkts []Packet
+		read := 24
+		for {
+			p, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return
+			}
+			if len(p.Data) > MaxSnapLen {
+				t.Fatalf("packet of %d bytes, over MaxSnapLen", len(p.Data))
+			}
+			read += 16 + len(p.Data)
+			pkts = append(pkts, p)
+		}
+		if read != len(data) {
+			t.Fatalf("read %d bytes of packets and headers from %d bytes to io.EOF", read, len(data))
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, r.LinkType)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			if err := w.WritePacket(p.TS, p.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range pkts {
+			got, err := again.Next()
+			if err != nil {
+				t.Fatalf("packet %d of the rewritten capture: %v", i, err)
+			}
+			// The writer stores whole seconds in 32 bits; a hostile
+			// microsecond field can carry a timestamp past that.
+			if !bytes.Equal(got.Data, want.Data) || got.TS != want.TS && want.TS/time.Second <= math.MaxUint32 {
+				t.Fatalf("packet %d rewritten as %+v, read as %+v", i, got, want)
+			}
+		}
+	})
 }

@@ -351,6 +351,14 @@ func (f *FIB) RoutedBatch(dst []ip.Addr, routed []bool) {
 	}
 }
 
+// RoutedBlocks implements zmap.BlockRoutability: the directory itself, one
+// bit per painted /24, read-only. Every routed address lies in an announced
+// prefix and so in a painted /24; a painted /24 may still hold unrouted
+// addresses (a mixed block's gaps), which RoutedBatch then answers. A v6
+// FIB's directory is empty — its v4 side routes nothing — and hitlist scans,
+// the only scans a v6 world gets, never consult it.
+func (f *FIB) RoutedBlocks() []uint64 { return f.dir }
+
 // NumASes returns the length of the interned AS list Dest.ASIdx indexes.
 func (f *FIB) NumASes() int { return len(f.ases) }
 

@@ -2,6 +2,7 @@ package world
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 
 	"repro/internal/ip"
@@ -155,6 +156,54 @@ func TestRoutedBatchMatchesRouted(t *testing.T) {
 		}
 		if !sawRouted {
 			t.Errorf("%s: no address routed; the painted path is not exercised", name)
+		}
+	}
+}
+
+// TestRoutedBlocksCoverRouted pins the contract the sweep's directory
+// prefilter stands on (zmap.BlockRoutability): a clear bit, or a word past
+// the end, means the whole /24 is unrouted. For every address of the three
+// differential seeds' spaces, and past their ends, Routed implies the
+// address's /24 bit; and every set bit is a painted block. A v6 FIB's
+// directory is empty — a space sweep over it would find nothing — and every
+// v6 host must still be Routed: the hitlist scan never tests its targets
+// against the directory (the zmap kernel differential's dir/empty sink over
+// a v6 hitlist holds the scan side of this).
+func TestRoutedBlocksCoverRouted(t *testing.T) {
+	bit := func(dir []uint64, a uint32) bool {
+		b := a >> 8
+		return int(b/64) < len(dir) && dir[b/64]&(1<<(b%64)) != 0
+	}
+	for _, seed := range []uint64{3, 7, 2020} {
+		w := buildTest(t, seed)
+		f := w.FIB()
+		dir := f.RoutedBlocks()
+		routed := 0
+		for a := uint64(0); a < w.SpaceSize()+1024; a++ {
+			if f.Routed(ip.AddrFrom4(uint32(a))) {
+				routed++
+				if !bit(dir, uint32(a)) {
+					t.Fatalf("seed %d: %v is routed but its /24 bit is clear", seed, ip.AddrFrom4(uint32(a)))
+				}
+			}
+		}
+		painted := 0
+		for _, wd := range dir {
+			painted += bits.OnesCount64(wd)
+		}
+		if painted != f.NumBlocks() || routed == 0 {
+			t.Errorf("seed %d: %d directory bits for %d painted blocks, %d routed addresses", seed, painted, f.NumBlocks(), routed)
+		}
+	}
+
+	w6 := buildV6(t, TestV6Spec(5))
+	f6 := w6.FIB()
+	if n := len(f6.RoutedBlocks()); n != 0 {
+		t.Errorf("v6 FIB directory has %d words, want none", n)
+	}
+	for _, h := range w6.Hosts() {
+		if !f6.Routed(h.Addr) {
+			t.Fatalf("v6 host %v is not routed", h.Addr)
 		}
 	}
 }

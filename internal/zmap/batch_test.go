@@ -71,7 +71,8 @@ func referenceWalk(ctx context.Context, s *Scanner, st *Stats, emit func(ip.Addr
 
 // referenceRun is the pre-batching serial sweep: referenceWalk with a
 // per-address routability short-circuit from whichever capability the sink
-// has. This is the semantics the batched kernel must reproduce exactly.
+// has — for a space sweep, the /24 directory's bit and then the per-address
+// answer. This is the semantics the batched kernel must reproduce exactly.
 func referenceRun(ctx context.Context, s *Scanner, sink PacketSink, handler func(Reply)) (Stats, error) {
 	var st Stats
 	var synBuf []byte
@@ -83,6 +84,13 @@ func referenceRun(ctx context.Context, s *Scanner, sink PacketSink, handler func
 			var out [1]bool
 			brt.RoutedBatch([]ip.Addr{dst}, out[:])
 			return out[0]
+		}
+	}
+	if br, ok := sink.(BlockRoutability); ok && s.hitlist == nil {
+		dir, each := br.RoutedBlocks(), routed
+		routed = func(dst ip.Addr) bool {
+			b := dst.V4() >> 8
+			return int(b/64) < len(dir) && dir[b/64]&(1<<(b%64)) != 0 && each(dst)
 		}
 	}
 	err := referenceWalk(ctx, s, &st, func(dst ip.Addr, t time.Duration) {
@@ -180,13 +188,65 @@ type bothSink struct {
 
 func (b bothSink) RoutedBatch(dst []ip.Addr, routed []bool) { b.batch.RoutedBatch(dst, routed) }
 
+// The directory wrappers add a /24 directory (BlockRoutability) to the
+// capabilities of the sink they embed.
+type dirSink struct {
+	PacketSink
+	dir []uint64
+}
+
+func (d dirSink) RoutedBlocks() []uint64 { return d.dir }
+
+type dirBatchSink struct {
+	batchOnlySink
+	dir []uint64
+}
+
+func (d dirBatchSink) RoutedBlocks() []uint64 { return d.dir }
+
+type dirRoutedSink struct {
+	routedOnlySink
+	dir []uint64
+}
+
+func (d dirRoutedSink) RoutedBlocks() []uint64 { return d.dir }
+
+// diffSpace is the widest differential space: 2^15 addresses, 128 /24s,
+// two directory words.
+const diffSpace = 1 << 15
+
+// exactDir returns the directory of routed over the differential space: a
+// bit set exactly for the /24s holding a routed address.
+func exactDir(routed func(ip.Addr) bool) []uint64 {
+	dir := make([]uint64, diffSpace>>8>>6)
+	for a := uint32(0); a < diffSpace; a++ {
+		if routed(ip.AddrFrom4(a)) {
+			dir[a>>14] |= 1 << (a >> 8 % 64)
+		}
+	}
+	return dir
+}
+
 // diffSinks returns a constructor per sink kind: each call yields a fresh
-// sink (fresh Send counter) of the same behavior.
+// sink (fresh Send counter) of the same behavior. The dir/ kinds expose a
+// /24 directory: exact; a strict superset (every /24 of the space painted,
+// one of them wholly unrouted, routability varying inside every other); cut
+// short after its first word; empty, over a sink that routes no v4 address
+// but routes v6 hitlist entries, which a hitlist scan must not test against
+// it; over a Routability-only sink; and alone, as the sink's only
+// routability.
 func diffSinks() map[string]func() (PacketSink, *diffSink) {
 	quarter := func(a ip.Addr) bool { return ordinal(a) < 768 }   // upper quarter of the 2^10 space unrouted
 	mixed := func(a ip.Addr) bool { return ordinal(a)>>3%3 != 1 } // 8-address chunks: no /24 is uniform
 	dark := func(ip.Addr) bool { return false }
 	all := func(ip.Addr) bool { return true }
+	gapped := func(a ip.Addr) bool { return mixed(a) && ordinal(a)>>8 != 1 } // /24 number 1 painted but dark
+	v6only := func(a ip.Addr) bool { return !a.Is4() && quarter(a) }
+	painted := []uint64{^uint64(0), ^uint64(0)}
+	short := exactDir(quarter)[:1]
+	if short[0] != 0b111 {
+		panic("quarter's routed /24s are not the first three")
+	}
 	mk := func(routed func(ip.Addr) bool, wrap func(*diffSink) PacketSink) func() (PacketSink, *diffSink) {
 		return func() (PacketSink, *diffSink) {
 			d := &diffSink{routed: routed}
@@ -203,6 +263,12 @@ func diffSinks() map[string]func() (PacketSink, *diffSink) {
 		"both":               mk(quarter, asBoth),
 		"both/mixed-slash24": mk(mixed, asBoth),
 		"batch-only/dark":    mk(dark, asBatch),
+		"dir/exact":          mk(quarter, func(d *diffSink) PacketSink { return dirBatchSink{batchOnlySink{d}, exactDir(quarter)} }),
+		"dir/superset":       mk(gapped, func(d *diffSink) PacketSink { return dirBatchSink{batchOnlySink{d}, painted} }),
+		"dir/short":          mk(quarter, func(d *diffSink) PacketSink { return dirBatchSink{batchOnlySink{d}, short} }),
+		"dir/empty":          mk(v6only, func(d *diffSink) PacketSink { return dirBatchSink{batchOnlySink{d}, nil} }),
+		"dir/routed-only":    mk(quarter, func(d *diffSink) PacketSink { return dirRoutedSink{routedOnlySink{d}, exactDir(quarter)} }),
+		"dir/alone":          mk(quarter, func(d *diffSink) PacketSink { return dirSink{d, exactDir(quarter)} }),
 	}
 }
 
@@ -210,7 +276,8 @@ func diffSinks() map[string]func() (PacketSink, *diffSink) {
 // cover: plain; list-filtered; lists that reject addresses the quarter
 // sinks leave unrouted, so a target the lists drop and a target nobody
 // routes must be told apart (Blocked vs Targets + lost probes); a space of
-// several full batches plus a partial one; and a v6 hitlist longer than one
+// several full batches plus a partial one; a space two directory words
+// wide; a space smaller than one /24; and a v6 hitlist longer than one
 // batch whose entries are partly unrouted and partly blocklisted.
 func batchDiffConfigs() map[string]Config {
 	plain := testConfig()
@@ -232,6 +299,12 @@ func batchDiffConfigs() map[string]Config {
 	multi.SpaceBits = 14 // 4 full batches + skip-tail
 	multi.ProbeDelay = time.Second
 
+	wide := testConfig()
+	wide.SpaceBits = 15 // the whole differential space: two directory words
+
+	tiny := testConfig()
+	tiny.SpaceBits = 6 // a quarter of one /24
+
 	hitlist := testConfig()
 	hitlist.SourceIPs = []ip.Addr{ip.MustParseAddr("2001:db8:ffff::1")}
 	for i := 0; i < 5000; i++ {
@@ -241,7 +314,7 @@ func batchDiffConfigs() map[string]Config {
 	hitlist.Blocklist.Add(ip.MakePrefix(ip.AddrFrom128(0x20010db8<<32, 5<<32), 96))
 
 	return map[string]Config{"plain": plain, "listed": listed, "listed-dark": listedDark,
-		"multibatch": multi, "hitlist": hitlist}
+		"multibatch": multi, "wide": wide, "tiny": tiny, "hitlist": hitlist}
 }
 
 func compareRuns(t *testing.T, name string, stGot, stWant Stats, repGot, repWant []Reply) {
@@ -458,10 +531,12 @@ func errorsMatch(a, b error) bool {
 	return errors.Is(a, pipeline.ErrCanceled) == errors.Is(b, pipeline.ErrCanceled)
 }
 
-// darkSink reports every destination unrouted, at the cost of a memclr.
-type darkSink struct{}
+// darkSink routes nothing: its directory, sized to the space, has every
+// bit clear, so the sweep rules each target out on the raw offset.
+type darkSink struct{ dir []uint64 }
 
 func (darkSink) Send(ip.Addr, []byte, time.Duration) []byte { return nil }
+func (d darkSink) RoutedBlocks() []uint64                   { return d.dir }
 func (darkSink) RoutedBatch(_ []ip.Addr, routed []bool) {
 	for i := range routed {
 		routed[i] = false
@@ -469,25 +544,31 @@ func (darkSink) RoutedBatch(_ []ip.Addr, routed []bool) {
 }
 
 // BenchmarkSweepDark prices the kernel over dark space, which is most of any
-// real sweep: one full 2^24 walk per iteration against a sink that routes
-// nothing, so ns/target is the permutation walk, the address materialization
-// and the batch step's routed scan — everything a target costs before
-// anybody lives there.
+// real sweep: one full walk per iteration against a sink whose directory
+// routes nothing, so ns/target is the permutation walk and the directory
+// test — everything a target costs before anybody lives there. At 24 bits
+// the directory is 8 KiB; at 32 it is 2 MiB, no longer L1-resident, and the
+// number is the full-IPv4 one (each iteration walks 2^32 targets).
 func BenchmarkSweepDark(b *testing.B) {
-	cfg := testConfig()
-	cfg.SpaceBits = 24
-	s, err := NewScanner(cfg)
-	if err != nil {
-		b.Fatal(err)
+	for _, bits := range []uint8{24, 32} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			cfg := testConfig()
+			cfg.SpaceBits = bits
+			s, err := NewScanner(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink := darkSink{dir: make([]uint64, 1<<bits>>8>>6)}
+			var targets uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := s.Run(context.Background(), sink, func(Reply) {})
+				if err != nil {
+					b.Fatal(err)
+				}
+				targets += st.Targets
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(targets), "ns/target")
+		})
 	}
-	var targets uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := s.Run(context.Background(), darkSink{}, func(Reply) {})
-		if err != nil {
-			b.Fatal(err)
-		}
-		targets += st.Targets
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(targets), "ns/target")
 }

@@ -69,6 +69,20 @@ type BatchRoutability interface {
 	RoutedBatch(dst []ip.Addr, routed []bool)
 }
 
+// BlockRoutability is an optional PacketSink capability: the sink's
+// routing table at /24 granularity, one bit per /24 of v4 space (block
+// b = addr>>8 is bit b&63 of word b>>6). A clear bit, or a word past the
+// end of the slice, means every address of that /24 is unrouted, with the
+// same promise Routability makes about Send; a set bit promises nothing
+// (the sweep still asks RoutedBatch about each address under it). The
+// space sweep tests the bit on the walk's raw offsets, before any ip.Addr
+// exists, so a dark address costs one bit test; hitlist scans never
+// consult it. The slice is read-only and must not change while a scan
+// runs; a v6-only sink returns an empty one.
+type BlockRoutability interface {
+	RoutedBlocks() []uint64
+}
+
 // BatchProber is an optional PacketSink capability: a sink that is the
 // network (the in-process fabric) answers a routed batch in one typed call
 // instead of a packet round trip per probe. Target i gets probes (≤ 8) SYNs
@@ -274,12 +288,13 @@ type sweepKernel struct {
 	// answered. A nil sink makes the kernel a schedule enumerator (Targets):
 	// nothing is sent and visit is invoked for every target instead.
 	sink  PacketSink
-	rt    Routability
-	brt   BatchRoutability
+	brt   BatchRoutability // nil: every candidate is routed
+	dir   []uint64         // the sink's /24 directory, when hasDir
 	bp    BatchProber
 	reply func(Reply)
 	visit func(ip.Addr, time.Duration)
 
+	hasDir   bool
 	st       Stats
 	unrouted uint64
 	fl       *statsFlusher
@@ -288,12 +303,22 @@ type sweepKernel struct {
 
 	addrs  [sweepBatch]uint32 // space sweep: the walk's offsets
 	idxs   [sweepBatch]uint64 // hitlist scan: the walk's list indices
-	pos    [sweepBatch]uint64 // 1-based scan positions of list survivors
+	pos    [sweepBatch]uint64 // 1-based scan positions of the candidates
 	dsts   [sweepBatch]ip.Addr
 	times  [sweepBatch]time.Duration
 	routed [sweepBatch]bool
 	// The batch prober's answers for the compacted routed slice.
 	synAcks, rsts [sweepBatch]uint8
+}
+
+// routedEach adapts a Routability-only sink to the batch form, so the
+// kernel asks one question per batch whatever the sink offers.
+type routedEach struct{ Routability }
+
+func (r routedEach) RoutedBatch(dst []ip.Addr, routed []bool) {
+	for i, a := range dst {
+		routed[i] = r.Routed(a)
+	}
 }
 
 // newKernel returns a sweep's kernel over sink (nil for Targets),
@@ -302,8 +327,14 @@ type sweepKernel struct {
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
 	k := &sweepKernel{s: s, sink: sink, bt: bt}
 	if sink != nil {
-		k.rt, _ = sink.(Routability)
-		k.brt, _ = sink.(BatchRoutability)
+		if brt, ok := sink.(BatchRoutability); ok {
+			k.brt = brt
+		} else if rt, ok := sink.(Routability); ok {
+			k.brt = routedEach{rt}
+		}
+		if br, ok := sink.(BlockRoutability); ok {
+			k.dir, k.hasDir = br.RoutedBlocks(), true
+		}
 		k.bp, _ = sink.(BatchProber)
 		// Room for the SYN (as large as a SYN-ACK: both carry only the MSS
 		// option) plus the sink's response behind it (see PacketSink).
@@ -322,7 +353,8 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 func (k *sweepKernel) sweep(ctx context.Context) error {
 	defer func() { k.fl.flush(&k.st) }()
 	// How a batch is fetched is the only thing a hitlist scan and a space
-	// sweep differ in: list entries by permuted index, or permuted offsets.
+	// sweep differ in: list entries by permuted index, or permuted offsets
+	// (which the directory can rule out before they become addresses).
 	var it *Iterator
 	var hit *HitlistIterator
 	if k.s.hitlist != nil {
@@ -336,16 +368,16 @@ func (k *sweepKernel) sweep(ctx context.Context) error {
 			return pipeline.Canceled(err)
 		}
 		k.fl.flush(&k.st)
-		var n int
+		var n, targets, cands int
 		if hit != nil {
 			n = hit.NextBatch(k.dsts[:], k.idxs[:])
+			targets = k.admitListed(n, position)
+			cands = targets
 		} else {
 			n = it.NextBatch(k.addrs[:])
-			for i, a := range k.addrs[:n] {
-				k.dsts[i] = ip.AddrFrom4(a)
-			}
+			targets, cands = k.admitSpace(n, position)
 		}
-		k.step(n, position)
+		k.step(targets, cands)
 		position += uint64(n)
 		if n < sweepBatch {
 			// Partial (or empty) batch: the walk is exhausted. Cancellation
@@ -356,51 +388,78 @@ func (k *sweepKernel) sweep(ctx context.Context) error {
 	}
 }
 
-// step is the sweep's one batch step, over the n targets the walk left in
-// k.dsts; target i sits at scan position base+i+1. In order: the allow/blocklists; one routability call for the
-// batch; the virtual-clock stamp, for routed survivors only, compacting them
-// to the front; the unrouted remainder counted in bulk; the probes, over
-// the dense routed slice (one BatchProber call, or a packet round trip per
-// probe). Most of a real sweep is dark, so everything before
-// the compaction is a pass of array writes with no per-address decision but
-// the one it exists to make, and nothing after it runs for unrouted space.
+// listed reports whether the allow/blocklists let dst be probed.
+func (k *sweepKernel) listed(dst ip.Addr) bool {
+	allow, block := k.s.cfg.Allowlist, k.s.cfg.Blocklist
+	return (allow == nil || allow.Contains(dst)) && (block == nil || !block.Contains(dst))
+}
+
+// admitListed runs the allow/blocklists over the n hitlist entries in
+// k.dsts (scan positions base+1…), compacting the survivors to the front of
+// k.dsts with their positions in k.pos, counts the rest Blocked, and returns
+// how many survived: every one of them is a candidate.
+func (k *sweepKernel) admitListed(n int, base uint64) int {
+	kept := 0
+	for i, dst := range k.dsts[:n] {
+		if !k.listed(dst) {
+			continue
+		}
+		k.dsts[kept], k.pos[kept] = dst, base+uint64(i)+1
+		kept++
+	}
+	k.st.Blocked += uint64(n - kept)
+	return kept
+}
+
+// admitSpace turns the n walk offsets in k.addrs (scan positions base+1…)
+// into the batch's candidates: the lists first, when configured, counting
+// what they drop Blocked (DESIGN § 8.1: a dropped address is Blocked even
+// when dark); then the sink's /24 directory, on the raw offset. Only
+// survivors of both become addresses, in k.dsts with their positions in
+// k.pos. It returns how many targets the lists left and how many of them
+// are candidates; the difference is unrouted for certain.
+func (k *sweepKernel) admitSpace(n int, base uint64) (targets, cands int) {
+	lists := k.s.cfg.Allowlist != nil || k.s.cfg.Blocklist != nil
+	dir, hasDir := k.dir, k.hasDir
+	for i, a := range k.addrs[:n] {
+		if lists && !k.listed(ip.AddrFrom4(a)) {
+			continue
+		}
+		targets++
+		if b := a >> 8; hasDir && (int(b>>6) >= len(dir) || dir[b>>6]>>(b&63)&1 == 0) {
+			continue
+		}
+		k.dsts[cands], k.pos[cands] = ip.AddrFrom4(a), base+uint64(i)+1
+		cands++
+	}
+	k.st.Blocked += uint64(n - targets)
+	return targets, cands
+}
+
+// step is the sweep's one batch step, over targets the lists left, of which
+// the first cands sit in k.dsts with their scan positions in k.pos (the
+// rest are unrouted for certain). In order: one routability call for the
+// candidates; the virtual-clock stamp, for routed candidates only,
+// compacting them to the front; the unrouted remainder counted in bulk; the
+// probes, over the dense routed slice (one BatchProber call, or a packet
+// round trip per probe). Most of a real sweep is dark, and the directory
+// has dropped most of it before this runs, so nothing here runs for dark
+// /24s but the counting.
 //
 // The clock expression is the schedule: target k of the scan is probed at
 // k/space × ScanDuration, and its float64 rounding is part of every
 // dataset's bytes.
-func (k *sweepKernel) step(n int, base uint64) {
-	s := k.s
-	var pos []uint64 // nil: consecutive from base+1
-	if allow, block := s.cfg.Allowlist, s.cfg.Blocklist; allow != nil || block != nil {
-		pos = k.pos[:n]
-		for i := range pos {
-			pos[i] = base + uint64(i) + 1
-		}
-		kept := 0
-		for i, dst := range k.dsts[:n] {
-			if allow != nil && !allow.Contains(dst) || block != nil && block.Contains(dst) {
-				continue
-			}
-			k.dsts[kept], pos[kept] = dst, pos[i]
-			kept++
-		}
-		k.st.Blocked += uint64(n - kept)
-		n = kept
-	}
-	if n == 0 {
+func (k *sweepKernel) step(targets, cands int) {
+	if targets == 0 {
 		return
 	}
-	k.st.Targets += uint64(n)
+	s := k.s
+	k.st.Targets += uint64(targets)
 	k.bt.Begin()
-	dsts, routed := k.dsts[:n], k.routed[:n]
-	switch {
-	case k.brt != nil:
+	dsts, routed := k.dsts[:cands], k.routed[:cands]
+	if k.brt != nil {
 		k.brt.RoutedBatch(dsts, routed)
-	case k.rt != nil:
-		for i, dst := range dsts {
-			routed[i] = k.rt.Routed(dst)
-		}
-	default:
+	} else {
 		for i := range routed {
 			routed[i] = true
 		}
@@ -411,15 +470,11 @@ func (k *sweepKernel) step(n int, base uint64) {
 		if !ok {
 			continue
 		}
-		p := base + uint64(i) + 1
-		if pos != nil {
-			p = pos[i]
-		}
 		k.dsts[kept] = dsts[i]
-		k.times[kept] = time.Duration(float64(p) / space * dur)
+		k.times[kept] = time.Duration(float64(k.pos[i]) / space * dur)
 		kept++
 	}
-	if u := uint64(n - kept); u > 0 {
+	if u := uint64(targets - kept); u > 0 {
 		// Unrouted space: count the probes as sent and lost without the
 		// encode/Send round trip — exactly what sending them would have
 		// produced.
@@ -459,7 +514,7 @@ func (k *sweepKernel) step(n int, base uint64) {
 			}
 		}
 	}
-	k.bt.End(telemetry.A("targets", int64(n)), telemetry.A("unrouted", int64(n-kept)))
+	k.bt.End(telemetry.A("targets", int64(targets)), telemetry.A("unrouted", int64(targets-kept)))
 }
 
 // Targets invokes fn for every address the scan will probe, in scan order,
