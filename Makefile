@@ -33,7 +33,7 @@ race:
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 
-# Ten seconds of each of the fourteen fuzz targets. Eight are decoders,
+# Ten seconds of each of the fifteen fuzz targets. Eight are decoders,
 # differential against the pre-rewrite implementations kept in the packages'
 # oracle_test.go files (for ip.ParseAddr, in parse_test.go, with net/netip
 # behind it; for the packet decoder, the allocating form against the
@@ -58,7 +58,9 @@ audit-fullscale:
 # error names the line it failed on. The fourteenth feeds the pcap reader
 # (zmapsim -pcap's capture format) hostile files: packets then io.EOF or an
 # error, never a panic, and what it read rewrites through the Writer
-# unchanged.
+# unchanged. The fifteenth feeds cmd/tracestat hostile flight-recorder
+# journals: the reader fails or every pass returns, with no panic and no
+# endless walk down a cyclic span tree.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSortByAddr -fuzztime 10s ./internal/results/
 	$(GO) test -run xxx -fuzz FuzzReadHitlist -fuzztime 10s ./cmd/originscan/
 	$(GO) test -run xxx -fuzz FuzzPcapReader -fuzztime 10s ./internal/pcap/
+	$(GO) test -run xxx -fuzz FuzzJournal -fuzztime 10s ./cmd/tracestat/
 
 # The repository's benchmark (bench/README.md): four workloads, seven
 # end-to-end metrics, result in bench/out/result.json. To compare two

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -60,12 +61,12 @@ func main() {
 		fmt.Printf("Chrome trace (%d spans) written to %s\n\n", len(spans), *chrome)
 	}
 
-	header(evs, spans, snap)
-	stageBreakdown(spans)
-	originBreakdown(spans)
-	criticalPath(spans)
-	slowest(spans, *topN)
-	grabAttribution(snap)
+	header(os.Stdout, evs, spans, snap)
+	stageBreakdown(os.Stdout, spans)
+	originBreakdown(os.Stdout, spans)
+	criticalPath(os.Stdout, spans)
+	slowest(os.Stdout, spans, *topN)
+	grabAttribution(os.Stdout, snap)
 }
 
 func fatalf(format string, args ...any) {
@@ -75,15 +76,15 @@ func fatalf(format string, args ...any) {
 
 // header summarizes the journal itself: event and span counts, whether the
 // run sealed cleanly (a final snapshot exists), and the trace's wall span.
-func header(evs []telemetry.JournalEvent, spans []telemetry.SpanRecord, snap *telemetry.Snapshot) {
+func header(w io.Writer, evs []telemetry.JournalEvent, spans []telemetry.SpanRecord, snap *telemetry.Snapshot) {
 	state := "no final snapshot (run did not close cleanly)"
 	if snap != nil {
 		state = "final snapshot present"
 	}
-	fmt.Printf("journal: %d events, %d spans, %s\n", len(evs), len(spans), state)
+	fmt.Fprintf(w, "journal: %d events, %d spans, %s\n", len(evs), len(spans), state)
 	for _, ev := range evs {
 		if ev.Ev == "meta" && ev.Meta != nil {
-			fmt.Printf("run: pid %d, started %s\n", ev.Meta.PID, ev.Meta.Start.Format(time.RFC3339))
+			fmt.Fprintf(w, "run: pid %d, started %s\n", ev.Meta.PID, ev.Meta.Start.Format(time.RFC3339))
 			break
 		}
 	}
@@ -98,9 +99,9 @@ func header(evs []telemetry.JournalEvent, spans []telemetry.SpanRecord, snap *te
 				hi = end
 			}
 		}
-		fmt.Printf("trace window: %s\n", time.Duration(hi-lo).Round(time.Millisecond))
+		fmt.Fprintf(w, "trace window: %s\n", time.Duration(hi-lo).Round(time.Millisecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // agg accumulates wall time for one grouping key.
@@ -112,7 +113,7 @@ type agg struct {
 
 // stageBreakdown sums the "scan_stage" spans by their stage label: the
 // study-wide answer to "which lifecycle stage costs the wall time".
-func stageBreakdown(spans []telemetry.SpanRecord) {
+func stageBreakdown(w io.Writer, spans []telemetry.SpanRecord) {
 	byStage := map[string]*agg{}
 	var order []string
 	var grand time.Duration
@@ -132,23 +133,23 @@ func stageBreakdown(spans []telemetry.SpanRecord) {
 		grand += s.Duration
 	}
 	if grand == 0 {
-		fmt.Println("no scan_stage spans in journal")
+		fmt.Fprintln(w, "no scan_stage spans in journal")
 		return
 	}
-	fmt.Println("Per-stage wall time (scan_stage spans, all scans)")
-	fmt.Printf("%-10s %6s %12s %12s %7s\n", "stage", "spans", "total", "mean", "share")
+	fmt.Fprintln(w, "Per-stage wall time (scan_stage spans, all scans)")
+	fmt.Fprintf(w, "%-10s %6s %12s %12s %7s\n", "stage", "spans", "total", "mean", "share")
 	for _, k := range order {
 		a := byStage[k]
-		fmt.Printf("%-10s %6d %12s %12s %6.1f%%\n", a.key, a.n,
+		fmt.Fprintf(w, "%-10s %6d %12s %12s %6.1f%%\n", a.key, a.n,
 			a.total.Round(time.Millisecond), (a.total / time.Duration(a.n)).Round(time.Microsecond),
 			100*float64(a.total)/float64(grand))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // originBreakdown crosses origin × stage: the per-vantage-point cost
 // matrix, which is the study's own unit of comparison.
-func originBreakdown(spans []telemetry.SpanRecord) {
+func originBreakdown(w io.Writer, spans []telemetry.SpanRecord) {
 	type cell struct{ total time.Duration }
 	rows := map[string]map[string]*cell{}
 	var origins, stages []string
@@ -181,14 +182,14 @@ func originBreakdown(spans []telemetry.SpanRecord) {
 	if len(origins) == 0 {
 		return
 	}
-	fmt.Println("Per-origin wall time by stage")
-	fmt.Printf("%-10s", "origin")
+	fmt.Fprintln(w, "Per-origin wall time by stage")
+	fmt.Fprintf(w, "%-10s", "origin")
 	for _, st := range stages {
-		fmt.Printf(" %12s", st)
+		fmt.Fprintf(w, " %12s", st)
 	}
-	fmt.Printf(" %12s\n", "total")
+	fmt.Fprintf(w, " %12s\n", "total")
 	for _, o := range origins {
-		fmt.Printf("%-10s", o)
+		fmt.Fprintf(w, "%-10s", o)
 		var tot time.Duration
 		for _, st := range stages {
 			var d time.Duration
@@ -196,17 +197,19 @@ func originBreakdown(spans []telemetry.SpanRecord) {
 				d = c.total
 			}
 			tot += d
-			fmt.Printf(" %12s", d.Round(time.Millisecond))
+			fmt.Fprintf(w, " %12s", d.Round(time.Millisecond))
 		}
-		fmt.Printf(" %12s\n", tot.Round(time.Millisecond))
+		fmt.Fprintf(w, " %12s\n", tot.Round(time.Millisecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // criticalPath walks the trace tree from its root, descending into the
 // longest child at each level: the chain of spans that bounded the run's
-// wall time.
-func criticalPath(spans []telemetry.SpanRecord) {
+// wall time. A hostile journal can make the "tree" cyclic (a span its own
+// parent, or two spans each other's), so the walk stops at an ID it has
+// already printed.
+func criticalPath(w io.Writer, spans []telemetry.SpanRecord) {
 	children := map[telemetry.SpanID][]telemetry.SpanRecord{}
 	var roots []telemetry.SpanRecord
 	for _, s := range spans {
@@ -229,9 +232,11 @@ func criticalPath(spans []telemetry.SpanRecord) {
 			root = r
 		}
 	}
-	fmt.Println("Critical path (longest child at each level)")
+	fmt.Fprintln(w, "Critical path (longest child at each level)")
 	cur, depth := root, 0
-	for {
+	visited := map[telemetry.SpanID]bool{}
+	for !visited[cur.ID] {
+		visited[cur.ID] = true
 		name := cur.Name
 		if cur.Labels != "" {
 			name += "{" + cur.Labels + "}"
@@ -240,7 +245,7 @@ func criticalPath(spans []telemetry.SpanRecord) {
 		if cur.Dropped > 0 {
 			note = fmt.Sprintf("  (%d of %d children sampled)", cur.Children-cur.Dropped, cur.Children)
 		}
-		fmt.Printf("%s%-*s %12s%s\n", strings.Repeat("  ", depth), 60-2*depth, name,
+		fmt.Fprintf(w, "%s%-*s %12s%s\n", strings.Repeat("  ", depth), 60-2*depth, name,
 			cur.Duration.Round(time.Microsecond), note)
 		kids := children[cur.ID]
 		if len(kids) == 0 {
@@ -255,12 +260,12 @@ func criticalPath(spans []telemetry.SpanRecord) {
 		cur = next
 		depth++
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // slowest prints the top-N slowest sampled batch/window exemplars — the
 // concrete units to stare at when a stage's mean looks wrong.
-func slowest(spans []telemetry.SpanRecord, n int) {
+func slowest(w io.Writer, spans []telemetry.SpanRecord, n int) {
 	var ex []telemetry.SpanRecord
 	for _, s := range spans {
 		if s.Name == "sweep_batch" || s.Name == "grab_window" {
@@ -275,24 +280,24 @@ func slowest(spans []telemetry.SpanRecord, n int) {
 	if len(ex) > n {
 		ex = ex[:n]
 	}
-	fmt.Printf("Slowest batch/window exemplars (top %d of %d sampled)\n", len(ex), total)
+	fmt.Fprintf(w, "Slowest batch/window exemplars (top %d of %d sampled)\n", len(ex), total)
 	for _, s := range ex {
 		line := s.Name
 		if s.Labels != "" {
 			line += "{" + s.Labels + "}"
 		}
-		fmt.Printf("  %-40s %12s  %s\n", line, s.Duration.Round(time.Microsecond), attrString(s.Attrs))
+		fmt.Fprintf(w, "  %-40s %12s  %s\n", line, s.Duration.Round(time.Microsecond), attrString(s.Attrs))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // grabAttribution prints the grab path's latency split from the journal's
 // final snapshot: how long hosts waited for a worker (queue) vs how long
 // the worker spent on them (service), and where service time went
 // (dial/handshake/retry).
-func grabAttribution(snap *telemetry.Snapshot) {
+func grabAttribution(w io.Writer, snap *telemetry.Snapshot) {
 	if snap == nil {
-		fmt.Println("grab-path attribution unavailable: journal has no final snapshot")
+		fmt.Fprintln(w, "grab-path attribution unavailable: journal has no final snapshot")
 		return
 	}
 	rows := []struct{ label, family string }{
@@ -304,8 +309,8 @@ func grabAttribution(snap *telemetry.Snapshot) {
 		{"window-append", telemetry.MetricWindowAppend},
 		{"spill-flush", telemetry.MetricSpillFlushSeconds},
 	}
-	fmt.Println("Grab-path attribution (final snapshot histograms, all scans merged)")
-	fmt.Printf("%-14s %10s %12s %10s %10s %10s %10s\n",
+	fmt.Fprintln(w, "Grab-path attribution (final snapshot histograms, all scans merged)")
+	fmt.Fprintf(w, "%-14s %10s %12s %10s %10s %10s %10s\n",
 		"phase", "count", "total", "mean", "p50", "p90", "p99")
 	any := false
 	for _, row := range rows {
@@ -315,11 +320,11 @@ func grabAttribution(snap *telemetry.Snapshot) {
 		}
 		any = true
 		mean := h.Sum / float64(h.Count)
-		fmt.Printf("%-14s %10d %12s %10s %10s %10s %10s\n", row.label, h.Count,
+		fmt.Fprintf(w, "%-14s %10d %12s %10s %10s %10s %10s\n", row.label, h.Count,
 			secs(h.Sum), secs(mean), secs(quantile(h, 0.5)), secs(quantile(h, 0.9)), secs(quantile(h, 0.99)))
 	}
 	if !any {
-		fmt.Println("  (no grab-path histograms in snapshot)")
+		fmt.Fprintln(w, "  (no grab-path histograms in snapshot)")
 	}
 }
 

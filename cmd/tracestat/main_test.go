@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -18,25 +19,11 @@ import (
 	"repro/internal/world"
 )
 
-// stdout runs fn with os.Stdout redirected into a pipe and returns what it
-// printed.
-func stdout(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- string(b)
-	}()
-	old := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
-	fn()
-	w.Close()
-	return <-out
+// printed returns what fn writes.
+func printed(fn func(w io.Writer)) string {
+	var b strings.Builder
+	fn(&b)
+	return b.String()
 }
 
 func TestQuantile(t *testing.T) {
@@ -126,7 +113,7 @@ func studySpans() []telemetry.SpanRecord {
 }
 
 func TestCriticalPath(t *testing.T) {
-	out := stdout(t, func() { criticalPath(studySpans()) })
+	out := printed(func(w io.Writer) { criticalPath(w, studySpans()) })
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	want := []string{"Critical path", "study", `scan{origin="US1"}`, `scan_stage{origin="US1",stage="sweep"}`, "sweep_batch"}
 	if len(lines) != len(want) {
@@ -146,13 +133,43 @@ func TestCriticalPath(t *testing.T) {
 	if strings.Contains(out, "legacy") {
 		t.Error("a record without an ID anchored the path")
 	}
-	if got := stdout(t, func() { criticalPath(studySpans()[:1]) }); got != "" {
+	if got := printed(func(w io.Writer) { criticalPath(w, studySpans()[:1]) }); got != "" {
 		t.Errorf("no tree: printed %q", got)
+	}
+	// Cycles in a hostile journal end the descent at the first repeated ID.
+	for name, tc := range map[string]struct {
+		spans []telemetry.SpanRecord
+		want  int // lines, the header included
+	}{
+		"self-parented": {selfParented(), 2},
+		"2-cycle":       {twoCycle(), 4},
+	} {
+		out := printed(func(w io.Writer) { criticalPath(w, tc.spans) })
+		if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != tc.want {
+			t.Errorf("%s: critical path has %d lines, want %d:\n%s", name, len(lines), tc.want, out)
+		}
+	}
+}
+
+// selfParented is a journal's worth of spans whose only child is its own
+// parent.
+func selfParented() []telemetry.SpanRecord {
+	return []telemetry.SpanRecord{{ID: 1, Name: "study"}, {ID: 1, Parent: 1, Name: "study"}}
+}
+
+// twoCycle is a tree whose root leads into two spans that are each other's
+// parent.
+func twoCycle() []telemetry.SpanRecord {
+	return []telemetry.SpanRecord{
+		{ID: 1, Name: "study", Duration: 3},
+		{ID: 2, Parent: 1, Name: "scan", Duration: 2},
+		{ID: 3, Parent: 2, Name: "scan_stage", Duration: 1},
+		{ID: 2, Parent: 3, Name: "scan", Duration: 2},
 	}
 }
 
 func TestStageBreakdown(t *testing.T) {
-	out := stdout(t, func() { stageBreakdown(studySpans()) })
+	out := printed(func(w io.Writer) { stageBreakdown(w, studySpans()) })
 	rows := map[string][]string{}
 	for _, l := range strings.Split(out, "\n") {
 		if f := strings.Fields(l); len(f) == 5 {
@@ -172,13 +189,13 @@ func TestStageBreakdown(t *testing.T) {
 	if len(rows) != 3 { // the header, sweep and grab
 		t.Errorf("%d table rows, want 3:\n%s", len(rows), out)
 	}
-	if got := stdout(t, func() { stageBreakdown(nil) }); !strings.Contains(got, "no scan_stage spans") {
+	if got := printed(func(w io.Writer) { stageBreakdown(w, nil) }); !strings.Contains(got, "no scan_stage spans") {
 		t.Errorf("no stages: printed %q", got)
 	}
 }
 
 func TestSlowest(t *testing.T) {
-	out := stdout(t, func() { slowest(studySpans(), 2) })
+	out := printed(func(w io.Writer) { slowest(w, studySpans(), 2) })
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 || !strings.Contains(lines[0], "top 2 of 3 sampled") {
 		t.Fatalf("slowest printed:\n%s", out)
@@ -189,11 +206,11 @@ func TestSlowest(t *testing.T) {
 	if !strings.Contains(lines[2], "grab_window") || !strings.HasSuffix(lines[2], "hosts=12") {
 		t.Errorf("second exemplar = %q, want the 4ms grab_window with its attrs", lines[2])
 	}
-	all := stdout(t, func() { slowest(studySpans(), 10) })
+	all := printed(func(w io.Writer) { slowest(w, studySpans(), 10) })
 	if !strings.Contains(all, "targets=4096") || strings.Contains(all, "targets=1 ") {
 		t.Errorf("duplicate attribute keys must keep the last write:\n%s", all)
 	}
-	if got := stdout(t, func() { slowest(studySpans(), 0) }); got != "" {
+	if got := printed(func(w io.Writer) { slowest(w, studySpans(), 0) }); got != "" {
 		t.Errorf("top 0: printed %q", got)
 	}
 }
@@ -203,35 +220,7 @@ func TestSlowest(t *testing.T) {
 // the file counts one queue wait and one service time per sealed row and
 // attributes the grab path's queue-wait, service, dial and handshake time.
 func TestGrabAttributionFromJournal(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.New()
-	rec, err := telemetry.NewRecorder(filepath.Join(dir, telemetry.JournalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.AttachRecorder(rec)
-	cfg := experiment.Config{
-		WorldSpec: world.Spec{Seed: 6, Scale: 0.00003}, Trials: 1,
-		Protocols:   []proto.Protocol{proto.HTTP, proto.SSH},
-		Origins:     origin.Set{origin.US1},
-		Parallelism: 1,
-		Telemetry:   reg,
-	}
-	st, err := experiment.NewStudy(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := st.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.CloseRecorder(); err != nil {
-		t.Fatal(err)
-	}
-	var rows uint64
-	for _, p := range cfg.Protocols {
-		rows += uint64(ds.Scan(origin.US1, p, 0).Len())
-	}
+	dir, rows := studyJournal(t)
 	if rows == 0 {
 		t.Fatal("study sealed no rows")
 	}
@@ -249,7 +238,7 @@ func TestGrabAttributionFromJournal(t *testing.T) {
 			t.Errorf("%s in the journal = %+v, want %d observations, one per sealed row", family, h, rows)
 		}
 	}
-	out := stdout(t, func() { grabAttribution(snap) })
+	out := printed(func(w io.Writer) { grabAttribution(w, snap) })
 	for _, phase := range []string{"queue-wait", "service", "dial", "handshake"} {
 		found := false
 		for _, l := range strings.Split(out, "\n") {
@@ -261,4 +250,88 @@ func TestGrabAttributionFromJournal(t *testing.T) {
 			t.Errorf("no %s row in the attribution:\n%s", phase, out)
 		}
 	}
+}
+
+// studyJournal runs a tiny study with a flight recorder attached and
+// returns the directory holding its journal and the rows the study sealed.
+func studyJournal(tb testing.TB) (string, uint64) {
+	tb.Helper()
+	dir := tb.TempDir()
+	reg := telemetry.New()
+	rec, err := telemetry.NewRecorder(filepath.Join(dir, telemetry.JournalFile))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reg.AttachRecorder(rec)
+	cfg := experiment.Config{
+		WorldSpec: world.Spec{Seed: 6, Scale: 0.00003}, Trials: 1,
+		Protocols:   []proto.Protocol{proto.HTTP, proto.SSH},
+		Origins:     origin.Set{origin.US1},
+		Parallelism: 1,
+		Telemetry:   reg,
+	}
+	st, err := experiment.NewStudy(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ds, err := st.Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := reg.CloseRecorder(); err != nil {
+		tb.Fatal(err)
+	}
+	var rows uint64
+	for _, p := range cfg.Protocols {
+		rows += uint64(ds.Scan(origin.US1, p, 0).Len())
+	}
+	return dir, rows
+}
+
+// journalOf encodes spans as journal lines.
+func journalOf(tb testing.TB, spans []telemetry.SpanRecord) []byte {
+	tb.Helper()
+	var b []byte
+	for i := range spans {
+		line, err := json.Marshal(telemetry.JournalEvent{Ev: "span", Span: &spans[i]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b = append(append(b, line...), '\n')
+	}
+	return b
+}
+
+// FuzzJournal feeds tracestat hostile journals: whatever a journal file
+// holds, reading it either fails or every pass over it returns — no panic,
+// no endless descent through a cyclic span tree. Seeded with a real study's
+// journal and the two cycle shapes.
+func FuzzJournal(f *testing.F) {
+	dir, _ := studyJournal(f)
+	seed, err := os.ReadFile(filepath.Join(dir, telemetry.JournalFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(journalOf(f, selfParented()))
+	f.Add(journalOf(f, twoCycle()))
+
+	path := filepath.Join(f.TempDir(), telemetry.JournalFile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := telemetry.ReadJournal(path)
+		if err != nil {
+			return
+		}
+		spans := telemetry.JournalSpans(evs)
+		snap := telemetry.JournalSnapshot(evs)
+		header(io.Discard, evs, spans, snap)
+		stageBreakdown(io.Discard, spans)
+		originBreakdown(io.Discard, spans)
+		criticalPath(io.Discard, spans)
+		slowest(io.Discard, spans, 10)
+		grabAttribution(io.Discard, snap)
+	})
 }

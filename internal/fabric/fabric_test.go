@@ -245,17 +245,18 @@ func TestIDSBlocksAfterProbeVolume(t *testing.T) {
 
 func TestEpisodeKillsProbesAndDial(t *testing.T) {
 	cfg, w := quietConfig(t)
-	// Rebuild loss with a certain episode everywhere.
+	host, _ := pickHost(t, w, proto.HTTP)
+	as, _ := w.ASOf(host)
+	// Rebuild loss with no loss anywhere but a certain episode (a 100%
+	// episode rate) on the host's path.
 	cfg.Loss = loss.NewMatrix(rng.NewKey(9).Derive("t"), loss.Config{
 		BasePacketDrop: 1e-9, VolatileMax: 1e-9,
 		VolatileSpreadFrac: 1e-9, VolatileModerateFrac: 1e-9,
 		StableAlpha: 1,
+		Overrides: map[loss.Pair]loss.Params{
+			{Origin: origin.US1, AS: as.Number}: {PacketDrop: 1e-9, EpisodeRate: 0.9999999},
+		},
 	})
-	host, _ := pickHost(t, w, proto.HTTP)
-	as, _ := w.ASOf(host)
-	cfg.Loss.Override(origin.US1, as.Number, loss.Params{PacketDrop: 1e-9, EpisodeRate: 0})
-	// Force the episode via a 100% episode rate.
-	cfg.Loss.Override(origin.US1, as.Number, loss.Params{PacketDrop: 1e-9, EpisodeRate: 0.9999999})
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	src, syn, _ := synTo(w, origin.US1, host, 80)
 	if fab.Send(src, syn, time.Hour) != nil {

@@ -26,8 +26,6 @@
 package loss
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/asn"
@@ -91,6 +89,16 @@ type Config struct {
 	// Tier-1 transits in one data center form the worst triad because
 	// their paths converge.
 	SiteAlias map[origin.ID]origin.ID
+	// Overrides pins the stable parameters of named paths, e.g.
+	// Germany→Telecom Italia at 40% packet drop. Overridden paths still
+	// receive the volatile per-trial episode component.
+	Overrides map[Pair]Params
+}
+
+// Pair names one (origin, destination AS) path.
+type Pair struct {
+	Origin origin.ID
+	AS     asn.ASN
 }
 
 func (c *Config) withDefaults() Config {
@@ -118,9 +126,9 @@ func (c *Config) withDefaults() Config {
 
 // Matrix derives loss parameters for every (origin, AS, trial) path from a
 // key, with explicit overrides for the pathological paths the paper names.
-// All methods are safe for concurrent use.
+// A Matrix is immutable once NewMatrix returns, which is what makes all of
+// its methods safe for concurrent use.
 type Matrix struct {
-	key rng.Key
 	cfg Config
 
 	// Derived sub-keys, computed once: Derive hashes its label string on
@@ -133,30 +141,12 @@ type Matrix struct {
 	pktKey      rng.Key
 	episodeKey  rng.Key
 	hsKey       rng.Key
-
-	mu        sync.RWMutex
-	overrides map[pairKey]Params
-
-	// cache holds precomputed Params per (origin, AS) and trial — the
-	// per-packet hot path reads it lock-free. Override invalidates it;
-	// lookups outside the precomputed set fall back to derivation.
-	cache atomic.Pointer[paramsCache]
-}
-
-type pairKey struct {
-	o  origin.ID
-	as asn.ASN
-}
-
-type paramsCache struct {
-	trials int
-	params map[pairKey][]Params // indexed by trial
 }
 
 // NewMatrix returns a loss matrix deriving from key with the given config.
+// The matrix owns cfg's maps: the caller must not modify them afterwards.
 func NewMatrix(key rng.Key, cfg Config) *Matrix {
 	return &Matrix{
-		key:         key,
 		cfg:         cfg.withDefaults(),
 		packetKey:   key.Derive("packet"),
 		classKey:    key.Derive("class"),
@@ -166,39 +156,7 @@ func NewMatrix(key rng.Key, cfg Config) *Matrix {
 		pktKey:      key.Derive("pkt"),
 		episodeKey:  key.Derive("episode"),
 		hsKey:       key.Derive("hs"),
-		overrides:   make(map[pairKey]Params),
 	}
-}
-
-// Override pins the stable parameters of one path, e.g. Germany→Telecom
-// Italia at 40% packet drop. Overridden paths still receive the volatile
-// per-trial episode component.
-func (m *Matrix) Override(o origin.ID, as asn.ASN, p Params) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.overrides[pairKey{o, as}] = p
-	m.cache.Store(nil)
-}
-
-// Precompute derives and caches Params for every (origin, AS) pair and
-// trial in [0, trials), so the per-packet hot path never takes the override
-// lock or re-derives parameters. Call after all Overrides are installed;
-// a later Override invalidates the cache.
-func (m *Matrix) Precompute(origins []origin.ID, ases []asn.ASN, trials int) {
-	c := &paramsCache{
-		trials: trials,
-		params: make(map[pairKey][]Params, len(origins)*len(ases)),
-	}
-	for _, o := range origins {
-		for _, as := range ases {
-			ps := make([]Params, trials)
-			for trial := 0; trial < trials; trial++ {
-				ps[trial] = m.deriveParams(o, as, trial)
-			}
-			c.params[pairKey{o, as}] = ps
-		}
-	}
-	m.cache.Store(c)
 }
 
 // originFactor returns the per-origin packet-drop scale.
@@ -216,27 +174,10 @@ func (m *Matrix) trialMultiplier(o origin.ID, trial int) float64 {
 	return 1.0
 }
 
-// Params returns the loss parameters of the (origin, AS) path in a trial.
+// Params derives the loss parameters of the (origin, AS) path in a trial.
 func (m *Matrix) Params(o origin.ID, as asn.ASN, trial int) Params {
-	if c := m.cache.Load(); c != nil && trial >= 0 && trial < c.trials {
-		if ps, ok := c.params[pairKey{o, as}]; ok {
-			return ps[trial]
-		}
-	}
-	return m.deriveParams(o, as, trial)
-}
-
-// deriveParams computes Params from scratch (the Precompute cache holds its
-// results; the derivation itself is unchanged by caching).
-func (m *Matrix) deriveParams(o origin.ID, as asn.ASN, trial int) Params {
-	m.mu.RLock()
-	ov, hasOverride := m.overrides[pairKey{o, as}]
-	m.mu.RUnlock()
-
-	var p Params
-	if hasOverride {
-		p = ov
-	} else {
+	p, overridden := m.cfg.Overrides[Pair{o, as}]
+	if !overridden {
 		// Stable per-path packet drop: lognormal-ish around the base,
 		// scaled by the origin's connectivity factor.
 		u := m.packetKey.Float64(uint64(o), uint64(as))
@@ -293,8 +234,7 @@ func (m *Matrix) volatileEpisode(o origin.ID, as asn.ASN, trial int) float64 {
 // per-connection loss questions (episode, probe loss, handshake loss)
 // without repeating the parameter lookup. Every draw is still a keyed hash
 // of the same event coordinates, so decisions do not depend on how a caller
-// groups them. A Path reflects the matrix's overrides at the time it was
-// resolved.
+// groups them.
 type Path struct {
 	m      *Matrix
 	params Params

@@ -11,9 +11,13 @@ import (
 	"repro/internal/rng"
 )
 
-func testMatrix() *Matrix {
+func testMatrix() *Matrix { return overriddenMatrix(nil) }
+
+// overriddenMatrix is testMatrix with the given paths pinned.
+func overriddenMatrix(ov map[Pair]Params) *Matrix {
 	return NewMatrix(rng.NewKey(42).Derive("loss"), Config{
 		OriginFactor: map[origin.ID]float64{origin.AU: 3.0},
+		Overrides:    ov,
 	})
 }
 
@@ -56,8 +60,7 @@ func TestOriginFactorRaisesDrop(t *testing.T) {
 }
 
 func TestOverridePinsPath(t *testing.T) {
-	m := testMatrix()
-	m.Override(origin.DE, 3269, Params{PacketDrop: 0.40})
+	m := overriddenMatrix(map[Pair]Params{{origin.DE, 3269}: {PacketDrop: 0.40}})
 	p := m.Params(origin.DE, 3269, 1)
 	if p.PacketDrop != 0.40 {
 		t.Errorf("override drop = %v", p.PacketDrop)
@@ -250,8 +253,7 @@ func TestConnFailProbShape(t *testing.T) {
 }
 
 func TestBadPrefixOverride(t *testing.T) {
-	m := testMatrix()
-	m.Override(origin.DE, 3269, Params{PacketDrop: 0.16, BadPrefixFrac: 0.38, BadDrop: 0.55})
+	m := overriddenMatrix(map[Pair]Params{{origin.DE, 3269}: {PacketDrop: 0.16, BadPrefixFrac: 0.38, BadDrop: 0.55}})
 	de := m.Path(origin.DE, 3269, 0)
 	bad, good := 0, 0
 	for i := 0; i < 2000; i++ {
@@ -358,8 +360,8 @@ func TestProbeLostMatchesPacketLost(t *testing.T) {
 		BasePacketDrop: 0.08,
 		OriginFactor:   map[origin.ID]float64{origin.AU: 2.5},
 		SiteAlias:      map[origin.ID]origin.ID{origin.HE: origin.HE, origin.NTTC: origin.HE},
+		Overrides:      map[Pair]Params{{origin.DE, 9}: {PacketDrop: 0.02, BadPrefixFrac: 0.4, BadDrop: 0.45}},
 	})
-	m.Override(origin.DE, 9, Params{PacketDrop: 0.02, BadPrefixFrac: 0.4, BadDrop: 0.45})
 	times := []time.Duration{
 		0, MicroBurstWindow - 1, MicroBurstWindow, MicroBurstWindow + 1,
 		2*MicroBurstWindow - 1, 2 * MicroBurstWindow, 7*time.Hour + 29*time.Second, 7*time.Hour + 30*time.Second,

@@ -92,21 +92,16 @@ func New(w *world.World, cfg Config) *Scenario {
 		s.buildPolicies(key.Derive("policy"), cfg)
 	}
 	s.buildOutages(key.Derive("outage"), cfg)
-	// All Overrides are in: cache every path's Params so the per-packet
-	// hot path is lock-free. +1 trial covers the SSH retry sub-experiment,
-	// which runs at trial index Trials.
-	ases, _ := w.ASWeights()
-	s.Loss.Precompute(allOrigins(), ases, cfg.Trials+1)
 	return s
 }
 
 func asnOf(w *world.World, name string) asn.ASN { return w.MustProfileASN(name) }
 
-// buildLoss configures the loss matrix: global defaults plus the named
-// pathological paths.
-func (s *Scenario) buildLoss(key rng.Key, cfg Config) {
-	w := s.World
-	lcfg := loss.Config{
+// originLoss is the loss configuration of the origins themselves — their
+// connectivity, trial-to-trial swings and shared sites — which v4 and v6
+// studies share.
+func originLoss() loss.Config {
+	return loss.Config{
 		OriginFactor: map[origin.ID]float64{
 			// Australia has the worst connectivity (§5.2: highest
 			// global packet loss, 0.44–1.6% band's top).
@@ -126,10 +121,22 @@ func (s *Scenario) buildLoss(key rng.Key, cfg Config) {
 			origin.HE: origin.HE, origin.NTTC: origin.HE, origin.TELIA: origin.HE,
 		},
 	}
-	s.Loss = loss.NewMatrix(key, lcfg)
-	if cfg.DisableLossOverrides {
-		return
+}
+
+// buildLoss configures the loss matrix: global defaults plus the named
+// pathological paths.
+func (s *Scenario) buildLoss(key rng.Key, cfg Config) {
+	lcfg := originLoss()
+	if !cfg.DisableLossOverrides {
+		lcfg.Overrides = pathOverrides(s.World, key)
 	}
+	s.Loss = loss.NewMatrix(key, lcfg)
+}
+
+// pathOverrides pins the pathological paths the paper names.
+func pathOverrides(w *world.World, key rng.Key) map[loss.Pair]loss.Params {
+	ov := make(map[loss.Pair]loss.Params)
+	set := func(o origin.ID, as asn.ASN, p loss.Params) { ov[loss.Pair{Origin: o, AS: as}] = p }
 
 	ti := asnOf(w, world.ProfTelecomIT)
 	sparkle := asnOf(w, world.ProfSparkle)
@@ -137,18 +144,18 @@ func (s *Scenario) buildLoss(key rng.Key, cfg Config) {
 		switch o {
 		case origin.BR:
 			// TIM Brasil is a Telecom Italia subsidiary: clean paths.
-			s.Loss.Override(o, ti, loss.Params{PacketDrop: 0.003})
-			s.Loss.Override(o, sparkle, loss.Params{PacketDrop: 0.004})
+			set(o, ti, loss.Params{PacketDrop: 0.003})
+			set(o, sparkle, loss.Params{PacketDrop: 0.004})
 		case origin.DE:
 			// Germany: persistent lack of connectivity to a large,
 			// stable subset of both networks (40%+ loss there).
-			s.Loss.Override(o, ti, loss.Params{PacketDrop: 0.16, BadPrefixFrac: 0.36, BadDrop: 0.55})
-			s.Loss.Override(o, sparkle, loss.Params{PacketDrop: 0.20, BadPrefixFrac: 0.46, BadDrop: 0.60})
+			set(o, ti, loss.Params{PacketDrop: 0.16, BadPrefixFrac: 0.36, BadDrop: 0.55})
+			set(o, sparkle, loss.Params{PacketDrop: 0.20, BadPrefixFrac: 0.46, BadDrop: 0.60})
 		default:
 			// Everyone else: very lossy (µ=16%) but TCP completes;
 			// shows up as ZMap probe loss, i.e. transient.
-			s.Loss.Override(o, ti, loss.Params{PacketDrop: 0.16})
-			s.Loss.Override(o, sparkle, loss.Params{PacketDrop: 0.20})
+			set(o, ti, loss.Params{PacketDrop: 0.16})
+			set(o, sparkle, loss.Params{PacketDrop: 0.20})
 		}
 	}
 
@@ -162,7 +169,7 @@ func (s *Scenario) buildLoss(key rng.Key, cfg Config) {
 	for _, as := range cnASes {
 		for _, o := range allOrigins() {
 			q := 0.03 + 0.06*cnKey.Float64(uint64(o), uint64(as))
-			s.Loss.Override(o, as, loss.Params{PacketDrop: q})
+			set(o, as, loss.Params{PacketDrop: q})
 		}
 	}
 
@@ -171,15 +178,16 @@ func (s *Scenario) buildLoss(key rng.Key, cfg Config) {
 	for _, as := range []asn.ASN{
 		asnOf(w, world.ProfRostelecom), asnOf(w, world.ProfRUNet2), asnOf(w, world.ProfKazTel),
 	} {
-		s.Loss.Override(origin.AU, as, loss.Params{PacketDrop: 0.045})
+		set(origin.AU, as, loss.Params{PacketDrop: 0.045})
 	}
 
 	// ABCDE Group: huge transient spread across origins (Table 3: Δ62%,
 	// flip-prone). High stable drop from a couple of origins plus a large
 	// volatile component handled by the generic model.
 	abcde := asnOf(w, world.ProfABCDE)
-	s.Loss.Override(origin.AU, abcde, loss.Params{PacketDrop: 0.06})
-	s.Loss.Override(origin.DE, abcde, loss.Params{PacketDrop: 0.04})
+	set(origin.AU, abcde, loss.Params{PacketDrop: 0.06})
+	set(origin.DE, abcde, loss.Params{PacketDrop: 0.04})
+	return ov
 }
 
 // buildPolicies assembles the rule set in priority order.

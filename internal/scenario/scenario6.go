@@ -19,33 +19,26 @@ import (
 	"repro/internal/origin"
 	"repro/internal/policy"
 	"repro/internal/rng"
+	"repro/internal/world"
 )
 
 // buildLoss6 configures the v6 loss matrix: the same origin-level factors
 // as v4 (they model the origins' connectivity, not the destinations), plus
 // keyed per-provider lossy paths standing in for the profile overrides.
 func (s *Scenario) buildLoss6(key rng.Key, cfg Config) {
-	lcfg := loss.Config{
-		OriginFactor: map[origin.ID]float64{
-			origin.AU: 2.6,
-			origin.BR: 1.3,
-		},
-		TrialMultiplier: map[origin.ID][]float64{
-			origin.AU:  {1.0, 2.75, 1.4},
-			origin.CEN: {1.5, 1.4, 0.6},
-		},
-		SiteAlias: map[origin.ID]origin.ID{
-			origin.HE: origin.HE, origin.NTTC: origin.HE, origin.TELIA: origin.HE,
-		},
+	lcfg := originLoss()
+	if !cfg.DisableLossOverrides {
+		lcfg.Overrides = pathOverrides6(s.World, key)
 	}
 	s.Loss = loss.NewMatrix(key, lcfg)
-	if cfg.DisableLossOverrides {
-		return
-	}
-	// About a third of providers sit behind persistently lossy transit,
-	// with a stable per-(origin, AS) drop — the v6 analog of the China
-	// and Russia path overrides.
-	ases, _ := s.World.ASWeights()
+}
+
+// pathOverrides6 puts about a third of providers behind persistently lossy
+// transit, with a stable per-(origin, AS) drop — the v6 analog of the China
+// and Russia path overrides.
+func pathOverrides6(w *world.World, key rng.Key) map[loss.Pair]loss.Params {
+	ov := make(map[loss.Pair]loss.Params)
+	ases, _ := w.ASWeights()
 	pkey := key.Derive("v6paths")
 	dkey := pkey.Derive("drop")
 	for _, as := range ases {
@@ -54,9 +47,10 @@ func (s *Scenario) buildLoss6(key rng.Key, cfg Config) {
 		}
 		for _, o := range allOrigins() {
 			q := 0.01 + 0.07*dkey.Float64(uint64(as), uint64(o))
-			s.Loss.Override(o, as, loss.Params{PacketDrop: q})
+			ov[loss.Pair{Origin: o, AS: as}] = loss.Params{PacketDrop: q}
 		}
 	}
+	return ov
 }
 
 // buildPolicies6 assembles the v6 rule set: each provider AS draws at most

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -260,5 +261,32 @@ func TestScenarioDeterministic(t *testing.T) {
 				t.Fatal("scenario loss params not deterministic")
 			}
 		}
+	}
+}
+
+// TestScenarioHeapPerAS bounds what a built scenario retains beyond its
+// world: the behaviour models are a handful of rules, schedules and path
+// overrides, so the heap must not grow with origins × ASes × trials. A
+// Scale 0.001 world has 2,295 ASes; the bound is 256 B per AS.
+func TestScenarioHeapPerAS(t *testing.T) {
+	w, err := world.Build(context.Background(), world.Spec{Seed: 2020, Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	s := New(w, Config{Trials: 3})
+	retained := int64(heap()) - int64(before)
+	runtime.KeepAlive(s)
+	ases := w.Routes.Len()
+	perAS := float64(retained) / float64(ases)
+	t.Logf("scenario retains %d B over %d ASes (%.0f B/AS)", retained, ases, perAS)
+	if perAS >= 256 {
+		t.Errorf("scenario.New retains %.0f B per AS, want < 256", perAS)
 	}
 }
