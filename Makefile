@@ -45,10 +45,10 @@ audit-fullscale:
 # accepted with a checksum that does not verify. The ninth holds the fabric's
 # typed probe path to its byte path: whatever target, time, probe count and
 # scan a sweep hands ProbeBatch, it answers as the Send loop does. The tenth
-# does the same for the grab: whatever host, protocol, policy verdict, retry
-# budget and context, GrabFast's typed handshake returns the Result, the
-# ConnsOpened and the metric counts of Grab's byte exchange over Dial. The
-# eleventh holds the spill store's segment reader to its contract: whatever
+# holds the grab's typed handshake to the bytes it is read from: whatever
+# host-server key, IPv4 or IPv6 host, protocol, accepting verdict and TLS
+# client key, one fresh byte exchange with that host ends in the table entry
+# Handshake answers for the host's software class. The eleventh holds the spill store's segment reader to its contract: whatever
 # bytes a segment file holds, the merge gets rows or an error, never a panic,
 # and a segment the writer produced decodes to the rows it was written from.
 # The twelfth holds the seal's radix sort to the stable-sort oracle on

@@ -146,7 +146,12 @@ func printBanners(stdout io.Writer, res *results.ScanResult) {
 	for b, n := range counts {
 		kvs = append(kvs, kv{b, n})
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].n > kvs[j].n })
+	sort.Slice(kvs, func(i, j int) bool {
+		if kvs[i].n != kvs[j].n {
+			return kvs[i].n > kvs[j].n
+		}
+		return kvs[i].b < kvs[j].b
+	})
 	fmt.Fprintln(stdout, "top banners:")
 	for i, e := range kvs {
 		if i >= 10 {
@@ -176,7 +181,7 @@ func parseProto(s string) (proto.Protocol, bool) {
 
 func printScan(stdout io.Writer, res *results.ScanResult, w *world.World, verbose bool) {
 	l4, l7, rstOnly := 0, 0, 0
-	failCounts := map[zgrab.FailMode]int{}
+	var failCounts [zgrab.FailProto + 1]int
 	res.Each(func(r results.HostRecord) {
 		if r.L4() {
 			l4++
@@ -209,7 +214,9 @@ func printScan(stdout io.Writer, res *results.ScanResult, w *world.World, verbos
 	fmt.Fprintf(stdout, "hosts RST-only:    %d\n", rstOnly)
 	fmt.Fprintf(stdout, "handshakes OK:     %d\n", l7)
 	for mode, n := range failCounts {
-		fmt.Fprintf(stdout, "  grab failed (%s): %d\n", mode, n)
+		if n > 0 {
+			fmt.Fprintf(stdout, "  grab failed (%s): %d\n", zgrab.FailMode(mode), n)
+		}
 	}
 	hitRate := 0.0
 	if res.Targets > 0 {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/pcap"
+	"repro/internal/zgrab"
 )
 
 // stat reads the count zmapsim printed after label.
@@ -77,5 +78,61 @@ func TestRunCapturesEveryPacket(t *testing.T) {
 	if syns != sent || replies != answers {
 		t.Errorf("capture holds %d SYNs and %d replies, scan reported %d probes sent and %d valid answers",
 			syns, replies, sent, answers)
+	}
+}
+
+// TestRunStdoutDeterministic: the same scan prints the same bytes every
+// run. The grab-failure lines come in FailMode order and banners with equal
+// counts in name order, not in map order.
+func TestRunStdoutDeterministic(t *testing.T) {
+	args := []string{"-proto", "ssh", "-origin", "CEN", "-banners", "-scale", "0.00002"}
+	var first string
+	for i := 0; i < 8; i++ {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, out.String(), first)
+		}
+	}
+
+	modes, lastMode := 0, -1
+	var lastBanner string
+	lastCount := -1
+	inBanners := false
+	for _, line := range strings.Split(first, "\n") {
+		if _, rest, ok := strings.Cut(line, "grab failed ("); ok {
+			name, _, _ := strings.Cut(rest, ")")
+			mode := -1
+			for m := zgrab.FailNone; m <= zgrab.FailProto; m++ {
+				if m.String() == name {
+					mode = int(m)
+				}
+			}
+			if mode <= lastMode {
+				t.Errorf("fail mode %q printed after a later one:\n%s", name, first)
+			}
+			lastMode = mode
+			modes++
+			continue
+		}
+		if line == "top banners:" {
+			inBanners = true
+			continue
+		}
+		if fields := strings.Fields(line); inBanners && len(fields) == 2 {
+			var n int
+			fmt.Sscan(fields[1], &n)
+			if lastCount >= 0 && (n > lastCount || n == lastCount && fields[0] < lastBanner) {
+				t.Errorf("banner %s (%d) printed after %s (%d)", fields[0], n, lastBanner, lastCount)
+			}
+			lastBanner, lastCount = fields[0], n
+		}
+	}
+	if modes < 2 || lastCount < 0 {
+		t.Fatalf("scan shows %d fail modes and no banner table, nothing to order:\n%s", modes, first)
 	}
 }

@@ -79,7 +79,7 @@ type Config struct {
 	// half-closed). All three run on the grab stage's one goroutine, never
 	// concurrently within a scan, while the scan's sweep is still walking
 	// on another goroutine, the sink's.
-	DialWrapper func(zgrab.FastDialer) zgrab.FastDialer
+	DialWrapper func(zgrab.Dialer) zgrab.Dialer
 	// Hooks observe lifecycle stage transitions of every scan and of
 	// world generation (instrumentation, progress reporting, tests). A
 	// scan's stages fire in order on the scan's goroutine, but L7 work is
@@ -492,9 +492,11 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 // hook was open when it was observed, whatever raised it: a cancel raised
 // from a Handshake while the walk is still going is a sweep interruption.
 // A canceled scan returns nil (the partial result is not well-defined
-// mid-stage) and leaves no spill file. A grab's handshake is a typed answer
-// on the goroutine that asked for it, with no connection behind it, so the
-// only goroutine a scan starts is the grab stage's one, gone when it returns.
+// mid-stage) and leaves no spill file. A grab's handshake is a table read
+// on the goroutine that asked for it, with no connection behind it (the
+// first in a process builds the table and joins every goroutine it starts),
+// so the only goroutine a scan leaves running is the grab stage's one, gone
+// when it returns.
 func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, idses []*policy.IDS, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/results"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/world"
 	"repro/internal/zgrab"
@@ -50,7 +48,7 @@ func grabPathStudy(t *testing.T, par int) *results.Dataset {
 
 // referenceFabric builds a second fabric over the study's scenario — the
 // same models and the same live detectors the engine's fabric for
-// (o, p, trial) is given — for driving the goroutine + vconn path by hand.
+// (o, p, trial) is given — for driving a scan's layers by hand.
 func referenceFabric(st *Study, o origin.ID, p proto.Protocol, trial int) *fabric.Fabric {
 	return fabric.New(&fabric.Config{
 		World:      st.World,
@@ -64,141 +62,15 @@ func referenceFabric(st *Study, o origin.ID, p proto.Protocol, trial int) *fabri
 	}, st.originRecord(o), trial)
 }
 
-// drained fails the test unless every server goroutine behind fab's
-// reference-path connections has exited.
-func drained(t *testing.T, fab *fabric.Fabric) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := fab.Drain(ctx); err != nil {
-		t.Errorf("reference fabric did not drain: %v", err)
-	}
-}
-
-// TestGrabFastStudyMatchesReference is the study-level differential for the
-// grab stage: every L4-responsive row a scan sealed (PredialBatch + GrabFast
-// on the worker pool) must equal what the goroutine + vconn path —
-// Grabber.Grab over fabric.Dial — answers for the same (destination, time),
-// and eight workers must seal one worker's bytes.
-func TestGrabFastStudyMatchesReference(t *testing.T) {
-	ctx := context.Background()
-	cfg := grabPathConfig(1)
-	failed := 0
-	for _, o := range []origin.ID{origin.US1, origin.CEN} {
-		for _, p := range cfg.Protocols {
-			// A fresh study per scan: the live detectors start empty and
-			// end the sweep in the state the grab stage read.
-			st, err := NewStudy(ctx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := st.ScanOne(ctx, o, p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fab := referenceFabric(st, o, p, 0)
-			ref := &zgrab.Grabber{
-				Dialer:  fab,
-				Retries: cfg.Retries,
-				Key:     rng.NewKey(cfg.WorldSpec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
-			}
-			grabbed, l7 := 0, 0
-			res.Each(func(row results.HostRecord) {
-				if !row.L4() {
-					return
-				}
-				grabbed++
-				g := ref.Grab(ctx, p, row.Addr, row.T)
-				if g.Success {
-					l7++
-				}
-				if row.L7 != g.Success || row.Fail != g.Fail || row.Attempts != g.Attempts || row.Banner != g.Banner {
-					t.Errorf("%v/%v %v: sealed (l7=%v fail=%v attempts=%d banner=%q), reference (l7=%v fail=%v attempts=%d banner=%q)",
-						o, p, row.Addr, row.L7, row.Fail, row.Attempts, row.Banner, g.Success, g.Fail, g.Attempts, g.Banner)
-				}
-			})
-			drained(t, fab)
-			if l7 == 0 {
-				t.Errorf("%v/%v: %d grabbed, none completed", o, p, grabbed)
-			}
-			failed += grabbed - l7
-		}
-	}
-	if failed == 0 {
-		t.Error("no grab failed in any scan: the comparison needs both outcomes")
-	}
-
-	serial := grabPathStudy(t, 1)
-	if serial.Len() == 0 {
-		t.Fatal("study produced no scans")
-	}
-	if diff := serial.Diff(grabPathStudy(t, 8)); diff != "" {
-		t.Errorf("parallel differs from serial: %s", diff)
-	}
-}
-
-// TestSSHRetryMatchesReferenceGrab holds the retry sub-experiment's
-// Predial + GrabFast loop to the same loop over Grabber.Grab: identical
-// curves for every AS and retry budget.
-func TestSSHRetryMatchesReferenceGrab(t *testing.T) {
-	st, ds := fixture(t)
-	ctx := context.Background()
-	const topASes, maxRetries = 5, 8
-	curves, err := st.SSHRetry(ctx, ds, topASes, maxRetries)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fab := fabric.New(&fabric.Config{
-		World:      st.World,
-		Engine:     st.Scenario.Engine,
-		IDSes:      policy.Detectors(st.Scenario.IDSes),
-		Loss:       st.Scenario.Loss,
-		Outages:    st.Scenario.Outages[proto.SSH],
-		NumOrigins: 1,
-		Hosts:      st.Scenario.Hosts,
-	}, st.World.Origins.Get(origin.US1), st.Config.Trials)
-	var want []RetryCurve
-	for _, sp := range st.retryCandidates(ds, topASes) {
-		hosts := st.sshHostsOfBusiest24(sp.AS)
-		if len(hosts) == 0 {
-			continue
-		}
-		curve := RetryCurve{AS: sp.AS, ASName: sp.ASName, Hosts: len(hosts)}
-		for r := 0; r <= maxRetries; r++ {
-			ref := &zgrab.Grabber{
-				Dialer:  fab,
-				Retries: r,
-				Key:     rng.NewKey(st.World.Spec.Seed).Derive("ssh-retry").DeriveN("r", uint64(r)),
-			}
-			succ := 0
-			for _, h := range hosts {
-				if ref.Grab(ctx, proto.SSH, h, sshRetryTime).Success {
-					succ++
-				}
-			}
-			curve.Success = append(curve.Success, float64(succ)/float64(len(hosts)))
-		}
-		want = append(want, curve)
-	}
-	drained(t, fab)
-	if len(want) == 0 {
-		t.Fatal("no retry curves")
-	}
-	if !reflect.DeepEqual(curves, want) {
-		t.Errorf("SSHRetry curves differ from the reference grab's:\n got %+v\nwant %+v", curves, want)
-	}
-}
-
 // countingDialer counts the connections the grab stage materializes.
 type countingDialer struct {
-	zgrab.FastDialer
+	zgrab.Dialer
 	n *atomic.Int64
 }
 
 func (c countingDialer) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
 	c.n.Add(1)
-	return c.FastDialer.Handshake(dst, p, v)
+	return c.Dialer.Handshake(dst, p, v)
 }
 
 // TestDialWrapperObservesEveryConnection pins the wrapper seam: the engine
@@ -223,8 +95,8 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 
 	var connects atomic.Int64
 	cfg.Telemetry = telemetry.New()
-	cfg.DialWrapper = func(d zgrab.FastDialer) zgrab.FastDialer {
-		return countingDialer{FastDialer: d, n: &connects}
+	cfg.DialWrapper = func(d zgrab.Dialer) zgrab.Dialer {
+		return countingDialer{Dialer: d, n: &connects}
 	}
 	wrapped, err := NewStudy(context.Background(), cfg)
 	if err != nil {
@@ -317,5 +189,9 @@ func TestGrabWorkerClockAccounting(t *testing.T) {
 	}
 	if service := sums[telemetry.MetricGrabService]; service <= 0 || service > wall.Seconds() {
 		t.Errorf("hosts were served for %.3f s in total, in a run of %v", service, wall)
+	}
+	// Eight workers seal one worker's bytes.
+	if diff := ds.Diff(grabPathStudy(t, 8)); diff != "" {
+		t.Errorf("parallel differs from serial: %s", diff)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/zgrab"
 	"repro/internal/zmap"
@@ -59,7 +58,7 @@ type grabStage struct {
 	ctx     context.Context
 	p       proto.Protocol
 	fab     *fabric.Fabric
-	dialer  zgrab.FastDialer
+	dialer  zgrab.Dialer
 	grabber zgrab.Grabber
 	res     *results.ScanResult
 	pool    *telemetry.GrabPoolMetrics
@@ -98,7 +97,7 @@ func (st *Study) newGrabStage(ctx context.Context, o origin.ID, p proto.Protocol
 	if err != nil {
 		return nil, err
 	}
-	var dialer zgrab.FastDialer = fab
+	var dialer zgrab.Dialer = fab
 	if cfg.DialWrapper != nil {
 		dialer = cfg.DialWrapper(fab)
 	}
@@ -116,7 +115,6 @@ func (st *Study) newGrabStage(ctx context.Context, o origin.ID, p proto.Protocol
 		grabber: zgrab.Grabber{
 			Dialer:  dialer,
 			Retries: cfg.Retries,
-			Key:     rng.NewKey(st.World.Spec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
 			Metrics: telemetry.NewGrabMetrics(cfg.Telemetry, labels...),
 		},
 		pool:   telemetry.NewGrabPoolMetrics(cfg.Telemetry, labels...),

@@ -17,7 +17,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/results"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/world"
 	"repro/internal/zgrab"
@@ -64,11 +63,7 @@ func stagedStudy(t *testing.T, cfg Config, prepare func(*Study)) (*Study, *resul
 				}
 				pre := make([]zgrab.DialVerdict, len(dsts))
 				fab.PredialBatch(dsts, ts, p.Port(), pre)
-				grabber := &zgrab.Grabber{
-					Dialer:  fab,
-					Retries: cfg.Retries,
-					Key:     rng.NewKey(cfg.WorldSpec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
-				}
+				grabber := &zgrab.Grabber{Dialer: fab, Retries: cfg.Retries}
 				recs := make([]results.HostRecord, 0, len(log))
 				for _, r := range log {
 					rec := results.HostRecord{Addr: r.Dst, ProbeMask: r.ProbeMask, RST: r.RST, T: r.T}
@@ -334,7 +329,7 @@ func TestGrabStageMatchesStagedOracle(t *testing.T) {
 // stallDialer blocks the coordinator in its first PredialBatch until
 // released.
 type stallDialer struct {
-	zgrab.FastDialer
+	zgrab.Dialer
 	entered, release chan struct{}
 }
 
@@ -344,7 +339,7 @@ func (d stallDialer) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint1
 		<-d.release
 	default:
 	}
-	d.FastDialer.PredialBatch(dsts, ts, port, out)
+	d.Dialer.PredialBatch(dsts, ts, port, out)
 }
 
 // answerCounter counts the probes the fabric answered.
@@ -375,8 +370,8 @@ func TestGrabStageBoundedInFlight(t *testing.T) {
 		Origins:     origin.Set{origin.US1},
 		Parallelism: 1,
 		SinkWrapper: func(s zmap.PacketSink) zmap.PacketSink { return answerCounter{s, &answered} },
-		DialWrapper: func(d zgrab.FastDialer) zgrab.FastDialer {
-			stall.FastDialer = d
+		DialWrapper: func(d zgrab.Dialer) zgrab.Dialer {
+			stall.Dialer = d
 			return stall
 		},
 	})
@@ -419,7 +414,7 @@ func TestGrabStageBoundedInFlight(t *testing.T) {
 
 // goroutineLog records which goroutines call into the dialer and the sink.
 type goroutineLog struct {
-	zgrab.FastDialer
+	zgrab.Dialer
 	mu                    *sync.Mutex
 	dials, sends, methods map[string]int
 }
@@ -438,17 +433,17 @@ func (l goroutineLog) record(m map[string]int, method string) {
 
 func (l goroutineLog) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []zgrab.DialVerdict) {
 	l.record(l.dials, "PredialBatch")
-	l.FastDialer.PredialBatch(dsts, ts, port, out)
+	l.Dialer.PredialBatch(dsts, ts, port, out)
 }
 
 func (l goroutineLog) Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
 	l.record(l.dials, "Predial")
-	return l.FastDialer.Predial(dst, port, t, attempt)
+	return l.Dialer.Predial(dst, port, t, attempt)
 }
 
 func (l goroutineLog) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialVerdict) (zgrab.FailMode, string) {
 	l.record(l.dials, "Handshake")
-	return l.FastDialer.Handshake(dst, p, v)
+	return l.Dialer.Handshake(dst, p, v)
 }
 
 // sendLog records the goroutines the sweep probes the sink from.
@@ -475,8 +470,8 @@ func TestGrabStageWorkersLiveForTheScan(t *testing.T) {
 		Parallelism: 1,
 		Retries:     1,
 		SinkWrapper: func(s zmap.PacketSink) zmap.PacketSink { return sendLog{s, log} },
-		DialWrapper: func(d zgrab.FastDialer) zgrab.FastDialer {
-			log.FastDialer = d
+		DialWrapper: func(d zgrab.Dialer) zgrab.Dialer {
+			log.Dialer = d
 			return log
 		},
 	})
@@ -521,8 +516,8 @@ func TestGrabStageCancelWakesBlockedSweep(t *testing.T) {
 		Protocols:   []proto.Protocol{proto.HTTP},
 		Origins:     origin.Set{origin.US1},
 		Parallelism: 1,
-		DialWrapper: func(d zgrab.FastDialer) zgrab.FastDialer {
-			stall.FastDialer = d
+		DialWrapper: func(d zgrab.Dialer) zgrab.Dialer {
+			stall.Dialer = d
 			return stall
 		},
 	})

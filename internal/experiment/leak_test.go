@@ -127,7 +127,7 @@ func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 // leakCancelDialer cancels the run at the after-th L7 connection opened
 // while armed (always, with no armed flag).
 type leakCancelDialer struct {
-	zgrab.FastDialer
+	zgrab.Dialer
 	armed  *atomic.Bool
 	conns  *atomic.Int64
 	after  int64
@@ -138,7 +138,7 @@ func (c leakCancelDialer) Handshake(dst ip.Addr, p proto.Protocol, v zgrab.DialV
 	if (c.armed == nil || c.armed.Load()) && c.conns.Add(1) == c.after {
 		c.cancel()
 	}
-	return c.FastDialer.Handshake(dst, p, v)
+	return c.Dialer.Handshake(dst, p, v)
 }
 
 // armInGrab returns hooks that keep armed set while a scan's Grab stage is
@@ -192,8 +192,8 @@ func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 				// then blocks on the ring) long before it ends.
 				shape = grabShape{slot: 16, ring: 2}
 			}
-			cfg.DialWrapper = func(inner zgrab.FastDialer) zgrab.FastDialer {
-				return leakCancelDialer{FastDialer: inner, armed: armed, conns: &conns, after: 5, cancel: cancel}
+			cfg.DialWrapper = func(inner zgrab.Dialer) zgrab.Dialer {
+				return leakCancelDialer{Dialer: inner, armed: armed, conns: &conns, after: 5, cancel: cancel}
 			}
 			st, err := NewStudy(ctx, cfg)
 			if err != nil {

@@ -161,8 +161,8 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 						}
 					},
 				},
-				DialWrapper: func(inner zgrab.FastDialer) zgrab.FastDialer {
-					return leakCancelDialer{FastDialer: inner, armed: &armed, conns: &conns, after: tc.after, cancel: func() {
+				DialWrapper: func(inner zgrab.Dialer) zgrab.Dialer {
+					return leakCancelDialer{Dialer: inner, armed: &armed, conns: &conns, after: tc.after, cancel: func() {
 						filesAtCancel = countSpillFiles(t, dir)
 						cancel()
 					}}

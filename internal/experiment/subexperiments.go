@@ -14,7 +14,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/results"
-	"repro/internal/rng"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
@@ -67,7 +66,6 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 			grabber := &zgrab.Grabber{
 				Dialer:  fab,
 				Retries: r,
-				Key:     rng.NewKey(st.World.Spec.Seed).Derive("ssh-retry").DeriveN("r", uint64(r)),
 			}
 			succ := 0
 			for _, h := range hosts {

@@ -2,8 +2,10 @@
 // synthetic Internet. It implements zmap.PacketSink (L4: evaluates real SYN
 // packet bytes against routing, policy, outages, and loss, answering with
 // real SYN-ACK/RST bytes), zmap.BatchProber (the same decisions for a whole
-// batch, typed, without the packets) and zgrab.Dialer (L7: hands out virtual
-// connections served by hostsim, subject to the same path conditions).
+// batch, typed, without the packets) and zgrab.Dialer (L7: a dial's verdict
+// under the same path conditions, and for an accepted connection the Result
+// of one real byte exchange with hostsim's server for the host's software
+// class, run once per process; see grab.go).
 //
 // Every probabilistic decision is a keyed hash of the event coordinates, so
 // a scan through the fabric is deterministic and independent of goroutine
@@ -11,8 +13,6 @@
 package fabric
 
 import (
-	"context"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,13 +23,10 @@ import (
 	"repro/internal/origin"
 	"repro/internal/outage"
 	"repro/internal/packet"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/rng"
-	"repro/internal/vconn"
 	"repro/internal/world"
-	"repro/internal/zgrab"
 )
 
 // Config assembles a fabric for one study.
@@ -86,12 +83,8 @@ type Fabric struct {
 	// so one slice per fabric suffices.
 	preDests []world.Dest
 
-	// conns tracks the per-connection server goroutines this fabric
-	// spawned, so a scan can Drain them before sealing results.
-	conns  sync.WaitGroup
-	active atomic.Int64
 	// opened counts served connections over the fabric's lifetime (the
-	// grab stage's span attribute; active is the instantaneous view).
+	// grab stage's span attribute).
 	opened atomic.Uint64
 }
 
@@ -241,67 +234,7 @@ func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.
 	}
 }
 
-// Dial implements zgrab.Dialer: attempt a full TCP connection for an
-// application-layer grab — Predial's verdict, materialized as a vconn pipe
-// with a server goroutine behind it. A canceled context fails the dial
-// immediately with the context's error.
-func (f *Fabric) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	v := f.Predial(dst, port, t, attempt)
-	switch v {
-	case zgrab.DialTimeout:
-		return nil, zgrab.ErrTimeout
-	case zgrab.DialRefused:
-		return nil, zgrab.ErrRefused
-	}
-	client, server := vconn.Pipe(origin.SourceFor(f.org.SourceIPs, dst), dst)
-	switch v {
-	// Reset/close-after-accept tear down synchronously, before the client
-	// sees the conn: spawned teardown raced the grabber's first write
-	// (write-then-close → FIN/EOF, close-then-write → EPIPE/RST), making
-	// the recorded FailMode depend on goroutine scheduling. CloseAfterAccept
-	// is a half-close so the client's write is accepted either way.
-	case zgrab.DialReset:
-		server.Abort()
-	case zgrab.DialHalfClose:
-		server.CloseWrite()
-	default:
-		p, _ := proto.FromPort(port)
-		f.conns.Add(1)
-		f.active.Add(1)
-		f.opened.Add(1)
-		go func() {
-			defer f.active.Add(-1)
-			defer f.conns.Done()
-			f.cfg.Hosts.Serve(server, dst, p)
-		}()
-	}
-	return client, nil
-}
-
-// Drain blocks until every per-connection server goroutine this fabric
-// spawned has exited, or ctx is done. A scan seals its results only after a
-// successful drain, so no goroutine outlives its scan.
-func (f *Fabric) Drain(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		f.conns.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return pipeline.Canceled(ctx.Err())
-	}
-}
-
-// ActiveConns reports how many per-connection server goroutines are live.
-func (f *Fabric) ActiveConns() int { return int(f.active.Load()) }
-
 // ConnsOpened reports how many served connections the fabric has opened in
 // total (connections refused, reset, or half-closed before serving are not
-// counted — they never spawned a server goroutine).
+// counted — no server ever answered on them).
 func (f *Fabric) ConnsOpened() uint64 { return f.opened.Load() }

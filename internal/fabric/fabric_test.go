@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/loss"
 	"repro/internal/origin"
 	"repro/internal/packet"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -162,17 +160,25 @@ func TestSendSilentPolicy(t *testing.T) {
 	}
 }
 
+// grab is one grab of p against dst through fab: Predial, then GrabFast.
+func grab(fab *Fabric, p proto.Protocol, dst ip.Addr) zgrab.Result {
+	g := &zgrab.Grabber{Dialer: fab}
+	return g.GrabFast(context.Background(), p, dst, time.Hour, fab.Predial(dst, p.Port(), time.Hour, 0))
+}
+
 func TestDialAndGrabThroughFabric(t *testing.T) {
 	cfg, w := quietConfig(t)
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	host, _ := pickHost(t, w, proto.HTTP)
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(3), IOTimeout: 5 * time.Second}
-	res := g.Grab(context.Background(), proto.HTTP, host, time.Hour)
+	res := grab(fab, proto.HTTP, host)
 	if !res.Success {
 		t.Fatalf("grab failed: %+v", res)
 	}
 	if res.Banner == "" {
 		t.Error("no banner")
+	}
+	if n := fab.ConnsOpened(); n != 1 {
+		t.Errorf("ConnsOpened = %d after one served grab", n)
 	}
 }
 
@@ -180,9 +186,11 @@ func TestDialRefusedForClosedPort(t *testing.T) {
 	cfg, w := quietConfig(t)
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	_, hostWithoutSSH := pickHost(t, w, proto.SSH)
-	_, err := fab.Dial(context.Background(), hostWithoutSSH, 22, time.Hour, 0)
-	if !errors.Is(err, zgrab.ErrRefused) {
-		t.Errorf("err = %v, want ErrRefused", err)
+	if v := fab.Predial(hostWithoutSSH, 22, time.Hour, 0); v != zgrab.DialRefused {
+		t.Errorf("verdict = %d, want DialRefused", v)
+	}
+	if res := grab(fab, proto.SSH, hostWithoutSSH); res.Fail != zgrab.FailRefused {
+		t.Errorf("grab = %+v, want FailRefused", res)
 	}
 }
 
@@ -197,8 +205,7 @@ func TestDialResetAfterAcceptBehaviour(t *testing.T) {
 	if fab.Send(src, syn, time.Hour) == nil {
 		t.Fatal("ResetAfterAccept host must still SYN-ACK")
 	}
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(4), IOTimeout: 5 * time.Second}
-	res := g.Grab(context.Background(), proto.SSH, host, time.Hour)
+	res := grab(fab, proto.SSH, host)
 	if res.Success || res.Fail != zgrab.FailReset {
 		t.Errorf("grab = %+v, want FailReset", res)
 	}
@@ -210,10 +217,12 @@ func TestDialCloseAfterAcceptBehaviour(t *testing.T) {
 	})
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	host, _ := pickHost(t, w, proto.SSH)
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(5), IOTimeout: 5 * time.Second}
-	res := g.Grab(context.Background(), proto.SSH, host, time.Hour)
+	res := grab(fab, proto.SSH, host)
 	if res.Success || res.Fail != zgrab.FailClosed {
 		t.Errorf("grab = %+v, want FailClosed", res)
+	}
+	if n := fab.ConnsOpened(); n != 0 {
+		t.Errorf("ConnsOpened = %d after a half-closed grab", n)
 	}
 }
 
@@ -238,8 +247,8 @@ func TestIDSBlocksAfterProbeVolume(t *testing.T) {
 		t.Fatalf("IDS transition not observed: answered=%d silent=%d", answered, silent)
 	}
 	// Once detected, dialing also fails.
-	if _, err := fab.Dial(context.Background(), host, 80, time.Hour, 0); !errors.Is(err, zgrab.ErrTimeout) {
-		t.Errorf("dial after detection = %v, want timeout", err)
+	if res := grab(fab, proto.HTTP, host); res.Fail != zgrab.FailTimeout {
+		t.Errorf("grab after detection = %+v, want timeout", res)
 	}
 }
 
@@ -262,32 +271,8 @@ func TestEpisodeKillsProbesAndDial(t *testing.T) {
 	if fab.Send(src, syn, time.Hour) != nil {
 		t.Error("probe survived a full-loss episode")
 	}
-	if _, err := fab.Dial(context.Background(), host, 80, time.Hour, 0); !errors.Is(err, zgrab.ErrTimeout) {
-		t.Errorf("dial during episode = %v, want timeout", err)
-	}
-}
-
-func TestDrainWaitsForConnTeardown(t *testing.T) {
-	cfg, w := quietConfig(t)
-	fab := New(cfg, w.Origins.Get(origin.US1), 0)
-	host, _ := pickHost(t, w, proto.HTTP)
-	conn, err := fab.Dial(context.Background(), host, 80, time.Hour, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// While the client half is open, the server goroutine is live and a
-	// bounded Drain must give up with ErrCanceled rather than hang.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := fab.Drain(ctx); !errors.Is(err, pipeline.ErrCanceled) {
-		t.Errorf("Drain with open conn = %v, want ErrCanceled", err)
-	}
-	conn.Close()
-	if err := fab.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain after close: %v", err)
-	}
-	if n := fab.ActiveConns(); n != 0 {
-		t.Errorf("ActiveConns = %d after drain, want 0", n)
+	if res := grab(fab, proto.HTTP, host); res.Fail != zgrab.FailTimeout {
+		t.Errorf("grab during episode = %+v, want timeout", res)
 	}
 }
 

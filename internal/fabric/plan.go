@@ -4,7 +4,7 @@
 // everything about a probe's fate that does not depend on the destination
 // host, the time or the attempt is the same for every probe toward one AS.
 // The fabric compiles that part once per (protocol, AS), on first touch,
-// into a plan; Send, Dial and Predial then run one kernel (decide) over the
+// into a plan; Send and Predial then run one kernel (decide) over the
 // plan instead of each re-deriving path state and walking every rule.
 package fabric
 
@@ -113,7 +113,7 @@ func (f *Fabric) Watched(p proto.Protocol, dst ip.Addr) bool {
 	return d.Routed && len(f.planFor(p, &d).detectors) > 0
 }
 
-// decide is the one decision chain under Send (l4) and Dial/Predial: host
+// decide is the one decision chain under Send (l4) and Predial: host
 // churn, the detectors watching the AS, the plan's policy rules, then the
 // path's burst outages and loss episode. It returns the policy verdict and
 // whether packets get through at all; with through false (machine offline,

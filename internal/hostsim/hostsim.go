@@ -1,15 +1,14 @@
 // Package hostsim implements the simulated edge hosts: small servers that
 // speak genuine HTTP/1.1, TLS 1.2, and SSH transport bytes over a net.Conn.
-// The simulation fabric's Dial spawns one of these per accepted connection;
-// the ZGrab grabbers on the other end of the pipe cannot tell them from real
-// servers, which is the point — the byte-level grab path is fully exercised.
-// The engine's typed grab reads the same personality through Software.
+// Each host runs one software class per protocol (Class, a keyed pick stable
+// across trials). The fabric serves every class once per process to the ZGrab
+// grabbers over a vconn pipe — they cannot tell these servers from real ones
+// — and answers every accepted grab with what that exchange ended in.
 package hostsim
 
 import (
 	"io"
 	"net"
-	"sync"
 
 	"repro/internal/httpwire"
 	"repro/internal/ip"
@@ -34,11 +33,9 @@ func NewServer(key rng.Key) *Server {
 	return &Server{key: key, kexKey: key.Derive("kex")}
 }
 
-// exchange is the scratch one served connection runs on: the client's
-// flight is parsed in place in rd's arena, the response flight is built in
-// out, and everything the parsers and encoders need in between lives here,
-// so serving a connection allocates nothing. Pooled; nothing in it outlives
-// the serve call.
+// exchange is the state one served connection runs on: the client's flight
+// is parsed in place in rd's arena, the response flight is built in out, and
+// everything the parsers and encoders need in between lives here.
 type exchange struct {
 	rd   wirebuf.Reader
 	w    io.Writer // where flush sends out
@@ -50,8 +47,6 @@ type exchange struct {
 	ch   tlslite.ClientHello
 }
 
-var exchanges = sync.Pool{New: func() any { return new(exchange) }}
-
 // flush hands the flight built so far to the peer.
 func (x *exchange) flush() error {
 	_, err := x.w.Write(x.out)
@@ -59,33 +54,24 @@ func (x *exchange) flush() error {
 	return err
 }
 
-// release returns x to the pool, which must not pin the connection.
-func (x *exchange) release() {
-	x.w = nil
-	x.rd.Reset(nil)
-	exchanges.Put(x)
-}
-
-// Serve handles one accepted connection to host for the given protocol and
-// closes conn when done. It is designed to run in its own goroutine.
-func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol) {
+// Serve handles one accepted connection to host for the given protocol,
+// running software class (0 ≤ class < Classes(p)), and closes conn when
+// done. It is designed to run in its own goroutine.
+func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol, class int) {
 	defer conn.Close()
-	x := exchanges.Get().(*exchange)
+	x := &exchange{w: conn}
 	x.rd.Reset(conn)
-	x.w = conn
-	x.out = x.out[:0]
-	s.serve(x, host, p)
-	x.release()
+	s.serve(x, host, p, class)
 }
 
-func (s *Server) serve(x *exchange, host ip.Addr, p proto.Protocol) {
+func (s *Server) serve(x *exchange, host ip.Addr, p proto.Protocol, class int) {
 	switch p {
 	case proto.HTTP:
-		s.serveHTTP(x, host)
+		s.serveHTTP(x, host, httpServers[class])
 	case proto.HTTPS:
 		s.serveTLS(x, host)
 	case proto.SSH:
-		s.serveSSH(x, host)
+		s.serveSSH(x, host, sshVersions[class])
 	}
 }
 
@@ -99,32 +85,35 @@ var sshVersions = []string{
 	"OpenSSH_6.6.1", "OpenSSH_8.0",
 }
 
-// tlsSuite is the suite serveTLS negotiates with a Chrome-shaped client:
-// the first one offered, as a server honoring client preference picks.
-var tlsSuite = tlslite.SuiteName(tlslite.ChromeTLS12Suites[0])
-
-// Software is what a grab records of host's service p: the HTTP Server
-// header, the negotiated TLS suite's name, or the SSH software version. The
-// keyed choice serving reads too, so a typed grab outcome built from it is
-// the one the served bytes carry.
-func (s *Server) Software(host ip.Addr, p proto.Protocol) string {
+// Classes is how many software classes hosts run for p: one per HTTP
+// Server header and per SSH software version, and one for TLS, whose
+// negotiated suite is the client's first offer whatever the host.
+func Classes(p proto.Protocol) int {
 	switch p {
 	case proto.HTTP:
-		return httpServers[s.key.Uint64(host.Word64(), 1)%uint64(len(httpServers))]
-	case proto.HTTPS:
-		return tlsSuite
+		return len(httpServers)
 	case proto.SSH:
-		return sshVersions[s.key.Uint64(host.Word64(), 4)%uint64(len(sshVersions))]
+		return len(sshVersions)
 	}
-	return ""
+	return 1
+}
+
+// Class is host's software class for p: a keyed pick, stable across trials.
+func (s *Server) Class(host ip.Addr, p proto.Protocol) int {
+	switch p {
+	case proto.HTTP:
+		return int(s.key.Uint64(host.Word64(), 1) % uint64(len(httpServers)))
+	case proto.SSH:
+		return int(s.key.Uint64(host.Word64(), 4) % uint64(len(sshVersions)))
+	}
+	return 0
 }
 
 // serveHTTP answers one GET with a small page.
-func (s *Server) serveHTTP(x *exchange, host ip.Addr) {
+func (s *Server) serveHTTP(x *exchange, host ip.Addr, software string) {
 	if err := httpwire.ReadRequest(&x.rd, &x.req); err != nil {
 		return
 	}
-	software := s.Software(host, proto.HTTP)
 	addr := host.AppendTo(x.addr[:0])
 	body := append(x.tmp[:0], "<html><head><title>"...)
 	body = append(body, addr...)
@@ -203,9 +192,9 @@ func (s *Server) appendCertBlob(dst []byte, host ip.Addr) []byte {
 // serveSSH performs the identification exchange and sends KEXINIT, then
 // reads the client's ID and KEXINIT before closing. The grab terminates
 // after the version exchange per the paper's methodology.
-func (s *Server) serveSSH(x *exchange, host ip.Addr) {
+func (s *Server) serveSSH(x *exchange, host ip.Addr, software string) {
 	// A fixed-size ID and KEXINIT: neither length limit can trip.
-	x.out, _ = sshwire.AppendID(x.out, "2.0", s.Software(host, proto.SSH), "")
+	x.out, _ = sshwire.AppendID(x.out, "2.0", software, "")
 	kex := sshwire.DefaultKexInit(s.kexKey.DeriveN("host", host.Word64()))
 	x.tmp = sshwire.AppendKexInit(x.tmp[:0], &kex)
 	x.out, _ = sshwire.AppendPacket(x.out, x.tmp)

@@ -21,15 +21,15 @@ import (
 	"repro/internal/zgrab"
 )
 
-// serve runs the host end of a pipe and returns the client side plus a
-// waiter for server completion.
+// serve runs the host end of a pipe, as host's own software class, and
+// returns the client side plus a waiter for server completion.
 func serve(s *Server, host ip.Addr, p proto.Protocol) (client *vconn.Conn, wait func()) {
 	client, server := vconn.PipeLabeled("client", host.String())
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Serve(server, host, p)
+		s.Serve(server, host, p, s.Class(host, p))
 	}()
 	return client, wg.Wait
 }
@@ -237,13 +237,10 @@ func TestCertBlobStablePerHost(t *testing.T) {
 // opening flight before reading — so reads past the client bytes see io.EOF
 // exactly where a Serve goroutine would see the client's half-close.
 func (s *Server) ServeInline(out, in []byte, host ip.Addr, p proto.Protocol) []byte {
-	x := exchanges.Get().(*exchange)
-	x.rd.ResetBytes(in)
 	w := appendWriter{b: out}
-	x.w = &w
-	x.out = x.out[:0]
-	s.serve(x, host, p)
-	x.release()
+	x := &exchange{w: &w}
+	x.rd.ResetBytes(in)
+	s.serve(x, host, p, s.Class(host, p))
 	return w.b
 }
 
@@ -258,9 +255,10 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 // TestServeInlineMatchesGoroutineServe is the inline-serve byte proof: for
 // each protocol, the response flight ServeInline appends for a complete
 // client opening flight must be byte-identical to what a goroutine Serve
-// streams through a vconn pipe for the same flight. (The grab fast path
-// rides on this equivalence; the grabbers' parsers are insensitive to
-// chunking, so identical bytes mean identical zgrab.Results.)
+// streams through a vconn pipe for the same flight.
+// (TestFlightsMatchOracleEncoders records flights through ServeInline; the
+// grabbers' parsers are insensitive to chunking, so identical bytes mean
+// identical zgrab.Results.)
 func TestServeInlineMatchesGoroutineServe(t *testing.T) {
 	s := NewServer(rng.NewKey(77))
 	for _, host := range []ip.Addr{
@@ -317,22 +315,9 @@ func TestServeInlineGarbage(t *testing.T) {
 	}
 }
 
-// recDialer serves every dial inline and records both flights of the last
-// connection, so a test sees exactly what a zgrab.Grabber and a Server put
-// on the wire for each other.
-type recDialer struct {
-	s    *Server
-	conn recConn
-}
-
-func (d *recDialer) Dial(_ context.Context, dst ip.Addr, port uint16, _ time.Duration, _ int) (net.Conn, error) {
-	p, _ := proto.FromPort(port)
-	d.conn = recConn{s: d.s, host: dst, p: p}
-	return &d.conn, nil
-}
-
 // recConn is the in-memory client end: writes gather the client flight,
-// the first read serves it inline.
+// the first read serves it inline, so a test sees exactly what a
+// zgrab.Grabber and a Server put on the wire for each other.
 type recConn struct {
 	s      *Server
 	host   ip.Addr
@@ -389,19 +374,19 @@ func TestFlightsMatchOracleEncoders(t *testing.T) {
 
 	s := NewServer(rng.NewKey(2020))
 	key := rng.NewKey(9).Derive("grab")
-	d := &recDialer{s: s}
-	g := &zgrab.Grabber{Dialer: d, Key: key}
+	g := &zgrab.Grabber{Key: key}
 	for _, host := range hosts {
 		for _, p := range []proto.Protocol{proto.HTTP, proto.HTTPS, proto.SSH} {
-			res := g.Grab(context.Background(), p, host, 0)
+			conn := recConn{s: s, host: host, p: p}
+			res := g.Exchange(&conn, p, host)
 			if !res.Success || res.Banner == "" {
 				t.Fatalf("%v %v: grab failed: %+v", host, p, res)
 			}
-			if want := oracleClientFlight(p, host, key); !bytes.Equal(d.conn.client, want) {
-				t.Fatalf("%v %v: client flight\n got %q\nwant %q", host, p, d.conn.client, want)
+			if want := oracleClientFlight(p, host, key); !bytes.Equal(conn.client, want) {
+				t.Fatalf("%v %v: client flight\n got %q\nwant %q", host, p, conn.client, want)
 			}
-			if want := oracleServerFlight(s, p, host); !bytes.Equal(d.conn.server, want) {
-				t.Fatalf("%v %v: server flight\n got %q\nwant %q", host, p, d.conn.server, want)
+			if want := oracleServerFlight(s, p, host); !bytes.Equal(conn.server, want) {
+				t.Fatalf("%v %v: server flight\n got %q\nwant %q", host, p, conn.server, want)
 			}
 		}
 	}

@@ -12,15 +12,18 @@ import (
 )
 
 // decisionPackages are the packages whose state a scenario hands to every
-// scan: a write through a receiver there is state one scan can leak into
-// another's decisions.
-var decisionPackages = []string{"loss", "outage", "policy", "hostsim", "scenario"}
+// scan, and the fabric that runs a scan's decisions on it: a write through a
+// receiver there is state one scan can leak into another's decisions, or
+// one probe into the next.
+var decisionPackages = []string{"loss", "outage", "policy", "hostsim", "scenario", "fabric"}
 
 // receiverWriters is every method in decisionPackages allowed to write
 // through its receiver, as path.Match patterns over "pkg.(*Type).method".
 // Construction, a live detector's state, the rule list, MaxStartups' key
-// scratch and the exchange pool. Nothing in loss: a loss.Matrix is
-// immutable once NewMatrix returns.
+// scratch, a served connection's response buffer, and in a fabric the plan
+// compilation, PredialBatch's resolve scratch and Handshake's served
+// connection count. Nothing in loss: a loss.Matrix is immutable once
+// NewMatrix returns.
 var receiverWriters = []string{
 	"outage.(*Schedule).add",
 	"policy.(*IDS).RecordProbe",
@@ -31,8 +34,11 @@ var receiverWriters = []string{
 	"policy.(*Engine).Add",
 	"policy.(*MaxStartups).keys",
 	"hostsim.(*exchange).flush",
-	"hostsim.(*exchange).release",
 	"scenario.(*Scenario).build*",
+	"fabric.(*Fabric).newPlanTable",
+	"fabric.(*Fabric).compile",
+	"fabric.(*Fabric).PredialBatch",
+	"fabric.(*Fabric).Handshake",
 }
 
 // TestReceiverWritesAllowlisted lists every pointer-receiver method of the

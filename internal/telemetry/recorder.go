@@ -165,7 +165,7 @@ func ReadJournal(path string) ([]JournalEvent, error) {
 	defer f.Close()
 	var evs []JournalEvent
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // snapshot lines can be large
+	sc.Buffer(nil, 64<<20) // snapshot lines can be large: grow to 64 MiB
 	line := 0
 	for sc.Scan() {
 		line++

@@ -2,9 +2,11 @@
 // study runs against every L4-responsive host: an HTTP GET /, a TLS 1.2
 // handshake with Chrome's cipher suites, and an SSH handshake that
 // terminates after the protocol version exchange — the same three grabs the
-// paper performs with ZGrab. Grabbers speak real protocol bytes over any
-// net.Conn and classify failures the way the paper's analysis needs them
-// (timeout vs refused vs reset vs closed-before-banner).
+// paper performs with ZGrab. Exchange speaks real protocol bytes over any
+// net.Conn and classifies failures the way the paper's analysis needs them
+// (timeout vs refused vs reset vs closed-before-banner). GrabFast runs a
+// grab's retry loop against a Dialer, whose Handshake answers an accepted
+// connection with the Result such an exchange ends in.
 package zgrab
 
 import (
@@ -12,7 +14,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/httpwire"
@@ -55,29 +56,13 @@ type Result struct {
 	Success  bool
 	Fail     FailMode
 	Banner   string // server software: HTTP Server header, SSH version, TLS suite
-	Attempts int    // connection attempts used (≥1)
+	Attempts int    // connection attempts GrabFast used (≥1; Exchange leaves 0)
 }
-
-// Dialer abstracts the transport: the simulation fabric implements it, and
-// any dialer of real TCP can be adapted to it.
-type Dialer interface {
-	// Dial opens a connection to dst:port for the attempt-th try at
-	// virtual time t. Implementations must respect ctx cancellation: a
-	// canceled context fails the dial (the grabber classifies it as a
-	// timeout and stops retrying).
-	Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error)
-}
-
-// Sentinel errors a Dialer can return to signal L4 failure modes.
-var (
-	ErrTimeout = errors.New("zgrab: connection timed out")
-	ErrRefused = errors.New("zgrab: connection refused")
-)
 
 // DialVerdict is a dial decision computed without opening a connection:
-// the batched fast path evaluates a whole grab window's routing, churn,
-// policy/IDS, path, and handshake-loss checks up front, so the ~80% of
-// attempts that die at L4 never touch connection setup.
+// the grab stage evaluates a whole window's routing, churn, policy/IDS,
+// path, and handshake-loss checks up front, so the ~80% of attempts that
+// die at L4 never touch connection setup.
 type DialVerdict uint8
 
 const (
@@ -97,15 +82,12 @@ const (
 	DialConnect
 )
 
-// FastDialer is the batched fast path a Dialer may additionally support:
-// verdicts are precomputed per window (PredialBatch) or per retry attempt
-// (Predial), and Handshake answers a would-accept verdict with the
-// application handshake's outcome directly — no connection, no bytes.
-// Implementations must guarantee Predial+Handshake observe exactly the
-// decision sequence Dial observes and answer what the host would say over
-// the Dial connection, so GrabFast results are bit-identical to Grab.
-type FastDialer interface {
-	Dialer
+// Dialer is the transport a Grabber grabs through; the simulation fabric
+// implements it. Verdicts are precomputed per window (PredialBatch) or per
+// retry attempt (Predial), and Handshake answers an accepting verdict with
+// the application handshake's outcome: the Result an Exchange over that
+// connection ends in, with no connection opened.
+type Dialer interface {
 	// Predial evaluates one dial without connecting — a grab's retry
 	// attempts, one call each. Safe for concurrent use.
 	Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) DialVerdict
@@ -115,7 +97,7 @@ type FastDialer interface {
 	// concurrent use with itself — one caller owns the window.
 	PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []DialVerdict)
 	// Handshake is the grab's outcome for an accepting verdict (DialReset,
-	// DialHalfClose, or DialConnect): FailNone and the banner the grabber
+	// DialHalfClose, or DialConnect): FailNone and the banner Exchange
 	// would record, or the failure mode the exchange would end in.
 	Handshake(dst ip.Addr, p proto.Protocol, v DialVerdict) (FailMode, string)
 }
@@ -127,11 +109,12 @@ type Grabber struct {
 	// failed handshake (0 = single attempt). The paper's §6 experiment
 	// retries SSH up to 8 times.
 	Retries int
-	// Key derives the client randoms for TLS.
+	// Key derives Exchange's TLS client randoms. GrabFast opens no
+	// connection and ignores it.
 	Key rng.Key
-	// IOTimeout bounds each Grab exchange on its connection (default 10s
-	// when zero or negative; virtual connections complete instantly so it
-	// rarely matters). GrabFast opens no connection and ignores it.
+	// IOTimeout bounds each Exchange on its connection (default 10s when
+	// zero or negative; virtual connections complete instantly so it
+	// rarely matters). GrabFast ignores it.
 	IOTimeout time.Duration
 	// Metrics, when set, counts dials, handshakes, retries, and failure
 	// modes for this grabber's scan. The grab path is per-host, so each
@@ -139,17 +122,13 @@ type Grabber struct {
 	Metrics *telemetry.GrabMetrics
 }
 
-// dialed and handshook record one attempt's two latencies. Callers have
-// checked Metrics. dialed returns the clock reading that ended the dial,
-// where a handshake that follows begins.
+// dialed records one attempt's dial latency. Callers have checked Metrics.
+// It returns the clock reading that ended the dial, where a handshake that
+// follows begins.
 func (g *Grabber) dialed(since time.Time) time.Time {
 	now := time.Now()
 	g.Metrics.DialSeconds.ObserveDuration(now.Sub(since))
 	return now
-}
-
-func (g *Grabber) handshook(since time.Time) {
-	g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(since))
 }
 
 // count records one attempt's outcome into the grabber's metric bundle.
@@ -182,11 +161,55 @@ func (g *Grabber) count(res *Result, attempt int) {
 	}
 }
 
-// Grab performs the grab for p against dst at virtual time t, retrying per
-// the grabber's budget. A canceled context stops the retry loop after the
-// in-flight attempt; the last attempt's (failed) result is returned so the
-// caller, which is being torn down anyway, still sees a well-formed value.
-func (g *Grabber) Grab(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration) Result {
+// defaultIOTimeout is IOTimeout's documented default.
+const defaultIOTimeout = 10 * time.Second
+
+// scratch is what one exchange runs on: the client flight is built in out,
+// the server flight accumulates in rd's arena, and the parsed messages are
+// views into that arena, valid until the exchange returns; a Result's
+// Banner is a copy.
+type scratch struct {
+	out  []byte
+	rd   wirebuf.Reader
+	addr [48]byte // the destination's address text, formatted once
+	resp httpwire.Response
+	hr   tlslite.HandshakeReader
+	ch   tlslite.ClientHello
+}
+
+// Exchange runs p's application-layer handshake with dst on an established
+// connection, bounded by IOTimeout, and returns what it ends in: FailNone
+// and the server's software, or the failure mode. The caller closes conn.
+// Attempts is left zero: counting attempts is GrabFast's.
+func (g *Grabber) Exchange(conn net.Conn, p proto.Protocol, dst ip.Addr) Result {
+	timeout := g.IOTimeout
+	if timeout <= 0 {
+		timeout = defaultIOTimeout
+	}
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	res := Result{Proto: p}
+	var sc scratch
+	sc.rd.Reset(conn)
+	switch p {
+	case proto.HTTP:
+		grabHTTP(&sc, conn, dst, &res)
+	case proto.HTTPS:
+		grabTLS(&sc, conn, dst, g.Key, &res)
+	case proto.SSH:
+		grabSSH(&sc, conn, &res)
+	}
+	return res
+}
+
+// GrabFast performs the grab for p against dst at virtual time t, retrying
+// per the grabber's budget. v is attempt 0's verdict, precomputed by
+// PredialBatch over the grab window; retry attempts re-evaluate through
+// Predial (verdicts depend on the attempt number — MaxStartups hosts admit
+// immediate retries), and an accepted attempt's outcome is the dialer's
+// Handshake. A canceled context stops the retry loop after the in-flight
+// attempt; the last attempt's (failed) result is returned so the caller,
+// which is being torn down anyway, still sees a well-formed value.
+func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, v DialVerdict) Result {
 	var last Result
 	for attempt := 0; attempt <= g.Retries; attempt++ {
 		// The clock is read only when a retry can follow: the main study
@@ -195,7 +218,7 @@ func (g *Grabber) Grab(ctx context.Context, p proto.Protocol, dst ip.Addr, t tim
 		if g.Metrics != nil && attempt < g.Retries {
 			began = time.Now()
 		}
-		last = g.grabOnce(ctx, p, dst, t, attempt)
+		last = g.try(ctx, p, dst, t, attempt, v)
 		last.Attempts = attempt + 1
 		g.count(&last, attempt)
 		if last.Success || ctx.Err() != nil {
@@ -212,7 +235,8 @@ func (g *Grabber) Grab(ctx context.Context, p proto.Protocol, dst ip.Addr, t tim
 	return last
 }
 
-func (g *Grabber) grabOnce(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int) Result {
+// try is one attempt: attempt 0 takes v, a retry asks Predial.
+func (g *Grabber) try(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int, v DialVerdict) Result {
 	res := Result{Proto: p}
 	// The dial vs handshake latency split reads the clock only with a
 	// live bundle: a disabled grabber pays two nil checks per attempt.
@@ -220,109 +244,9 @@ func (g *Grabber) grabOnce(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 	if g.Metrics != nil {
 		dialStart = time.Now()
 	}
-	conn, err := g.Dialer.Dial(ctx, dst, p.Port(), t, attempt)
-	if g.Metrics != nil {
-		g.dialed(dialStart)
-	}
-	if err != nil {
-		res.Fail = classifyDialError(err)
-		return res
-	}
-	defer conn.Close()
-	timeout := g.IOTimeout
-	if timeout <= 0 {
-		timeout = defaultIOTimeout
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	g.exchange(conn, p, dst, &res)
-	return res
-}
-
-// defaultIOTimeout is IOTimeout's documented default.
-const defaultIOTimeout = 10 * time.Second
-
-// scratch is what one exchange runs on: the client flight is built in out,
-// the server flight accumulates in rd's arena, and the parsed messages are
-// views into that arena. Pooled per exchange — found here rather than
-// passed in, so neither Grab nor GrabFast grows a parameter. Views are valid
-// until the exchange returns; whatever a Result keeps is interned or copied
-// (see banner).
-type scratch struct {
-	out  []byte
-	rd   wirebuf.Reader
-	addr [48]byte // the destination's address text, formatted once
-	resp httpwire.Response
-	hr   tlslite.HandshakeReader
-	ch   tlslite.ClientHello
-}
-
-var scratches = sync.Pool{New: func() any { return new(scratch) }}
-
-// exchange runs the application-layer handshake on an established
-// connection: Grab's byte path.
-func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Result) {
-	var hsStart time.Time
-	if g.Metrics != nil {
-		hsStart = time.Now()
-	}
-	sc := scratches.Get().(*scratch)
-	sc.rd.Reset(conn)
-	switch p {
-	case proto.HTTP:
-		grabHTTP(sc, conn, dst, res)
-	case proto.HTTPS:
-		grabTLS(sc, conn, dst, g.Key, res)
-	case proto.SSH:
-		grabSSH(sc, conn, res)
-	}
-	sc.rd.Reset(nil) // the pool must not pin the connection
-	scratches.Put(sc)
-	if g.Metrics != nil {
-		g.handshook(hsStart)
-	}
-}
-
-// GrabFast performs the grab for p against dst on the batched fast path:
-// v is attempt 0's verdict, precomputed by PredialBatch over the grab
-// window; retry attempts re-evaluate through Predial (verdicts depend on
-// the attempt number — MaxStartups hosts admit immediate retries), and an
-// accepted attempt's outcome is the dialer's typed Handshake, not an
-// exchange of bytes. The retry loop, metric accounting, and failure
-// classification mirror Grab exactly; the Dialer must implement FastDialer.
-// Results are bit-identical to Grab (enforced by the fabric and experiment
-// differential tests).
-func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, v DialVerdict) Result {
-	fd := g.Dialer.(FastDialer)
-	var last Result
-	for attempt := 0; attempt <= g.Retries; attempt++ {
-		// The clock is read only when a retry can follow: the main study
-		// runs Retries = 0 and never observes RetrySeconds.
-		var began time.Time
-		if g.Metrics != nil && attempt < g.Retries {
-			began = time.Now()
-		}
-		last = g.grabOnceFast(ctx, fd, p, dst, t, attempt, v)
-		last.Attempts = attempt + 1
-		g.count(&last, attempt)
-		if last.Success || ctx.Err() != nil {
-			return last
-		}
-		if g.Metrics != nil && attempt < g.Retries {
-			g.Metrics.RetrySeconds.ObserveDuration(time.Since(began))
-		}
-	}
-	return last
-}
-
-func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int, v DialVerdict) Result {
-	res := Result{Proto: p}
-	var dialStart time.Time
-	if g.Metrics != nil {
-		dialStart = time.Now()
-	}
-	// The reference dial fails a canceled context immediately, classified
-	// as a timeout; re-checked per attempt, like Dial is called per
-	// attempt.
+	// A canceled context fails the dial, classified as a timeout: the
+	// connection never completes, which on the wire is indistinguishable
+	// from one. (The record is discarded with the canceled scan.)
 	if ctx.Err() != nil {
 		res.Fail = FailTimeout
 		if g.Metrics != nil {
@@ -331,7 +255,7 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 		return res
 	}
 	if attempt > 0 {
-		v = fd.Predial(dst, p.Port(), t, attempt)
+		v = g.Dialer.Predial(dst, p.Port(), t, attempt)
 	}
 	if v == DialTimeout || v == DialRefused {
 		if v == DialTimeout {
@@ -348,32 +272,12 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 	if g.Metrics != nil {
 		hsStart = g.dialed(dialStart)
 	}
-	res.Fail, res.Banner = fd.Handshake(dst, p, v)
+	res.Fail, res.Banner = g.Dialer.Handshake(dst, p, v)
 	res.Success = res.Fail == FailNone
 	if g.Metrics != nil {
-		g.handshook(hsStart)
+		g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(hsStart))
 	}
 	return res
-}
-
-func classifyDialError(err error) FailMode {
-	switch {
-	case errors.Is(err, ErrRefused):
-		return FailRefused
-	case errors.Is(err, ErrTimeout):
-		return FailTimeout
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// A dial aborted by run cancellation: the connection never
-		// completed, which on the wire is indistinguishable from a
-		// timeout. (The record is discarded with the canceled scan.)
-		return FailTimeout
-	default:
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return FailTimeout
-		}
-		return FailRefused
-	}
 }
 
 // classifyIOError maps a mid-handshake error to a failure mode.
@@ -421,7 +325,7 @@ func grabHTTP(sc *scratch, conn net.Conn, dst ip.Addr, res *Result) {
 	}
 	res.Success = true
 	if sv, ok := sc.resp.Get("Server"); ok {
-		res.Banner = banner(sv)
+		res.Banner = string(sv)
 	}
 }
 
@@ -493,31 +397,5 @@ func grabSSH(sc *scratch, conn net.Conn, res *Result) {
 		return
 	}
 	res.Success = true
-	res.Banner = banner(id.SoftwareVersion)
-}
-
-// knownBanners interns the server-software strings the grabbers see at
-// scale, so a Result's Banner costs no allocation and pins no parse buffer.
-// The lookup m[string(b)] does not allocate.
-var knownBanners = func() map[string]string {
-	m := make(map[string]string)
-	for _, s := range []string{
-		"nginx", "nginx/1.14.0", "Apache", "Apache/2.4.29 (Ubuntu)",
-		"Microsoft-IIS/10.0", "lighttpd/1.4.45", "openresty",
-		"OpenSSH_7.4", "OpenSSH_7.9p1", "OpenSSH_8.2p1", "dropbear_2019.78",
-		"OpenSSH_6.6.1", "OpenSSH_8.0",
-	} {
-		m[s] = s
-	}
-	return m
-}()
-
-// banner turns a view into exchange scratch into a string that outlives
-// the exchange: the interned instance when the software is a known one, a
-// copy otherwise.
-func banner(b []byte) string {
-	if s, ok := knownBanners[string(b)]; ok {
-		return s
-	}
-	return string(b)
+	res.Banner = string(id.SoftwareVersion)
 }
