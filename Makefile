@@ -26,10 +26,13 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# The streaming-worldgen audit at paper scale (Scale 1.0, ≈58M HTTP hosts:
-# about two minutes and a few GiB). Plain `go test ./...` runs the same
-# assertions at Scale 0.01; this target sets the variable the test checks to
-# add the full-scale build.
+# The streaming-worldgen audit at paper scale (Scale 1.0, 68.6M machines).
+# On a 2-core Xeon with GOMEMLIMIT unset the build takes ≈ 10 s and peaks at
+# ≈ 1.9 GiB RSS for a 1.7 GiB live heap; the whole target ≈ 15 s. The test
+# logs those figures (build time, bytes allocated, live heap, FIB size, peak
+# RSS) and the world digest. Plain `go test ./...` runs the same assertions
+# at Scale 0.01; this target sets the variable the test checks to add the
+# full-scale build.
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 

@@ -41,13 +41,15 @@ const (
 	// after it, so the ceiling is now 3 GiB — still well under the
 	// ≈2.5 GiB+widening an unspilled store would add on top.
 	scale1RSSCeil = 3 << 30
-	// fullRSSCeil bounds the Scale=1.0 run, whose live heap is ~10 GiB
-	// of world-scale structures — the per-scan L4 reply log alone is
-	// ~2.2 GiB (68.6M replies × 32 B), the FIB's host-presence/service
-	// arrays scale with it, and the sealed output is ~50M rows. Left to
-	// GOGC=100 the GC doubles that live heap with run-to-run peaks
-	// anywhere from 13 to 18+ GiB, so the benchmark pins fullMemLimit
-	// as a Go soft memory limit: the GC then holds heap headroom
+	// fullRSSCeil bounds the Scale=1.0 run. It was set when the run's
+	// live heap was ~10 GiB: a per-scan L4 reply log of ~2.2 GiB
+	// (68.6M replies × 32 B, gone since the grab stage takes replies off
+	// the walk through a bounded ring), the world's FIB, and ~50M sealed
+	// rows. Today the streamed world builds to ≈1.7 GiB live (FIB
+	// 986 MiB) at ≈1.9 GiB peak RSS (`make audit-fullscale`), and the
+	// sealed rows spill to disk under scale1Budget. Left to GOGC=100 the
+	// GC doubles the live heap, so the benchmark pins fullMemLimit as a
+	// Go soft memory limit: the GC then holds heap headroom
 	// deterministically and the ceiling proves the whole study fits in
 	// 16 GiB of RSS — bounded by the world, not by grab throughput or
 	// result volume (an unspilled store would add ~25 GiB on its own).

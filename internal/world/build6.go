@@ -3,7 +3,7 @@ package world
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/asn"
 	"repro/internal/geo"
@@ -189,6 +189,7 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 	// replacement from a window 4× the host count, so occupancy is ~25% —
 	// dense enough that /64-level analyses have support, sparse enough
 	// that stale hitlist entries have somewhere to point. ---
+	var sm sampler
 	for pi := range provs {
 		p := &provs[pi]
 		stream := w.Key.Derive("v6islands").Stream(uint64(p.as.Number))
@@ -200,11 +201,11 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 		for s := range subnets {
 			ids = append(ids, s)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		for _, sub := range ids {
 			islandHi := p.base.Hi() | sub
 			window := 4 * spec.HostsPerIsland
-			for _, off := range samplePerm(stream, window, spec.HostsPerIsland) {
+			for _, off := range sm.draw(stream, window, spec.HostsPerIsland) {
 				addr := ip.AddrFrom128(islandHi, uint64(off)+1)
 				w.addHost(addr, v6Mask(stream))
 			}
@@ -216,7 +217,7 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 	}
 	// Hosts were generated per island, not globally ordered; v6 worlds are
 	// small enough to sort in place (no streaming build).
-	sort.Slice(w.hosts, func(i, j int) bool { return w.hosts[i].Addr.Less(w.hosts[j].Addr) })
+	slices.SortFunc(w.hosts, func(a, b Host) int { return a.Addr.Compare(b.Addr) })
 
 	// --- 3. Per-AS index, origins, destination index. ---
 	for i := range w.hosts {

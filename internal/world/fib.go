@@ -2,7 +2,8 @@ package world
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
+	"unsafe"
 
 	"repro/internal/asn"
 	"repro/internal/geo"
@@ -95,32 +96,40 @@ type Dest struct {
 	Routed bool
 }
 
-// buildFIB constructs the sparse FIB from the world's AS prefix lists,
-// country assignments, and the host accumulator filled during placement.
-// Construction is deterministic: ASes are walked in number order and
+// buildFIB constructs the sparse FIB from the world's AS prefix lists and
+// country assignments, with room for machines hosts that placeHost then
+// adds. Construction is deterministic: ASes are walked in number order and
 // prefixes in announcement order, so the same world yields the same FIB
 // layout bit for bit. Two passes: the first marks every painted /24 in the
 // directory bitmap and sizes the dense block array from the ranks; the
 // second paints annotations into the dense blocks. Unpainted space — the
 // overwhelming majority at SpaceBits=32 — costs one directory bit.
-func buildFIB(w *World, hosts *hostAccum) *FIB {
+func buildFIB(w *World, machines int) *FIB {
 	space := uint64(1) << w.SpaceBits
 	nBlocks := (space + 255) >> 8
 	nWords := (nBlocks + 63) >> 6
 	f := &FIB{
 		dir:       make([]uint64, nWords),
 		ases:      w.Routes.All(),
+		masks:     make([]proto.Mask, 0, machines),
 		spaceBits: w.SpaceBits,
 	}
 
-	// Pass 1: directory bits for every block any prefix touches.
+	// Pass 1: directory bits for every block any prefix touches, and the
+	// fine /24s: those holding prefixes longer than /24.
+	var fine []uint32
 	for _, a := range f.ases {
 		for _, pfx := range a.Prefixes {
 			for b := uint64(pfx.Base.V4()) >> 8; b <= uint64(pfx.Last().V4())>>8; b++ {
 				f.dir[b>>6] |= 1 << (b & 63)
 			}
+			if pfx.Bits > 24 {
+				fine = append(fine, pfx.Base.V4()>>8)
+			}
 		}
 	}
+	slices.Sort(fine)
+	fine = slices.Compact(fine)
 	f.dirRank = make([]uint32, nWords)
 	total := uint32(0)
 	for i, wd := range f.dir {
@@ -150,9 +159,13 @@ func buildFIB(w *World, hosts *hostAccum) *FIB {
 	// Pass 2: paint blocks. Prefixes of /24 or shorter cover whole blocks;
 	// finer prefixes (the generator allocates chunks as small as 8
 	// addresses) share their /24 with other prefixes or unrouted gaps, so
-	// those blocks get per-address entries first and collapse back to
-	// uniform when every address agrees.
-	fine := make(map[uint32]*[256]fibAddr)
+	// those blocks get per-address entries first, 256 per fine block in one
+	// slab in block order, and collapse back to uniform when every address
+	// agrees.
+	slab := make([]fibAddr, 256*len(fine))
+	for i := range slab {
+		slab[i] = fibAddr{as: fibUnrouted, ctry: -1}
+	}
 	for ai, a := range f.ases {
 		for _, pfx := range a.Prefixes {
 			ci := internCountry(w.Countries.Lookup(pfx.First()))
@@ -164,58 +177,56 @@ func buildFIB(w *World, hosts *hostAccum) *FIB {
 				}
 				continue
 			}
-			bi := pfx.Base.V4() >> 8
-			pa := fine[bi]
-			if pa == nil {
-				pa = new([256]fibAddr)
-				for i := range pa {
-					pa[i] = fibAddr{as: fibUnrouted, ctry: -1}
-				}
-				fine[bi] = pa
-			}
-			lo := pfx.Base.V4() & 0xff
-			for off := uint64(0); off < pfx.NumAddrs(); off++ {
-				pa[lo+uint32(off)] = fibAddr{as: int32(ai), ctry: ci}
+			k, _ := slices.BinarySearch(fine, pfx.Base.V4()>>8)
+			lo := k<<8 | int(pfx.Base.V4()&0xff)
+			for off := range int(pfx.NumAddrs()) {
+				slab[lo+off] = fibAddr{as: int32(ai), ctry: ci}
 			}
 		}
 	}
-	fineIdx := make([]uint32, 0, len(fine))
-	for bi := range fine {
-		fineIdx = append(fineIdx, bi)
-	}
-	sort.Slice(fineIdx, func(i, j int) bool { return fineIdx[i] < fineIdx[j] })
-	for _, bi := range fineIdx {
-		pa := fine[bi]
-		uniform := true
-		for i := 1; i < 256; i++ {
-			if pa[i] != pa[0] {
-				uniform = false
-				break
-			}
-		}
+	// Mixed blocks move to the front of the slab in block order, so each
+	// one's mixedOff is 256 times the mixed blocks below it.
+	nMixed := 0
+	for k, bi := range fine {
+		pa := slab[k<<8 : (k+1)<<8]
 		blk := &f.blocks[f.blockIndex(uint64(bi))]
-		if uniform {
+		if uniform(pa) {
 			blk.asIdx = pa[0].as
 			blk.ctryIdx = pa[0].ctry
 			continue
 		}
 		blk.asIdx = fibMixed
-		blk.mixedOff = int32(len(f.mixed))
-		f.mixed = append(f.mixed, pa[:]...)
+		blk.mixedOff = int32(nMixed << 8)
+		copy(slab[nMixed<<8:], pa)
+		nMixed++
 	}
-
-	// Hosts: presence bits plus the flat mask array, accumulated per /24
-	// during placement (hosts arrive in address order, so each block's
-	// masks are contiguous and maskOff is the block's first host). Every
-	// host lives inside an announced prefix, so its block is painted.
-	f.masks = hosts.masks
-	for i := range hosts.blocks {
-		hb := &hosts.blocks[i]
-		blk := &f.blocks[f.blockIndex(uint64(hb.block))]
-		blk.present = hb.present
-		blk.maskOff = hb.maskOff
-	}
+	f.mixed = slab[: nMixed<<8 : nMixed<<8]
 	return f
+}
+
+// uniform reports whether every entry of a fine block agrees.
+func uniform(pa []fibAddr) bool {
+	for _, e := range pa[1:] {
+		if e != pa[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// placeHost records a live host at a with services m. Hosts must arrive in
+// strictly increasing address order: each block's masks are then
+// contiguous in f.masks, its first host sets maskOff, and the rank of a
+// presence bit indexes the block's span. Every host lives inside an
+// announced prefix, so its block is painted.
+func (f *FIB) placeHost(a uint32, m proto.Mask) {
+	blk := &f.blocks[f.blockIndex(uint64(a>>8))]
+	if blk.present == [4]uint64{} {
+		blk.maskOff = uint32(len(f.masks))
+	}
+	lo := a & 0xff
+	blk.present[lo>>6] |= 1 << (lo & 63)
+	f.masks = append(f.masks, m)
 }
 
 // blockIndex returns the dense index of /24 block bi, or -1 when the block
@@ -368,21 +379,21 @@ func (f *FIB) NumASes() int { return len(f.ases) }
 // recomputes that count from the prefix lists and checks the two agree.
 func (f *FIB) NumBlocks() int { return len(f.blocks) }
 
-// MemFootprint returns the FIB's resident size in bytes by component sum —
-// the number the ≤2 GiB full-IPv4 budget in DESIGN.md is checked against.
-// At SpaceBits=32 the directory and rank arrays are 2 MiB + 1 MiB fixed;
-// everything else scales with painted blocks, not with the space. A v6
-// FIB's blocks are its host /120s, plus the table that finds them.
+// MemFootprint returns the FIB's resident size in bytes: the backing
+// arrays of its slices, element size times capacity — the number the
+// ≤2 GiB full-IPv4 budget in DESIGN.md is checked against. At SpaceBits=32
+// the directory and rank arrays are 2 MiB + 1 MiB fixed; everything else
+// scales with painted blocks, not with the space. A v6 FIB's blocks are its
+// host /120s, plus the table that finds them. The ASes themselves belong to
+// the world's route table; the FIB counts its pointers to them.
 func (f *FIB) MemFootprint() uint64 {
-	const blockBytes = 48 // [4]uint64 + 4×4-byte fields
-	const slotBytes = 24  // a 16-byte Addr + an int32 index, padded
-	const spanBytes = 40  // two 16-byte Addrs + 2×4-byte indices
-	return uint64(len(f.dir))*8 +
-		uint64(len(f.dirRank))*4 +
-		uint64(len(f.blocks))*blockBytes +
-		uint64(len(f.mixed))*8 +
-		uint64(len(f.ases))*8 +
-		uint64(len(f.masks)) +
-		uint64(len(f.table6))*slotBytes +
-		uint64(len(f.spans6))*spanBytes
+	return arrayBytes(f.dir) + arrayBytes(f.dirRank) + arrayBytes(f.blocks) +
+		arrayBytes(f.mixed) + arrayBytes(f.ases) + arrayBytes(f.countries) +
+		arrayBytes(f.masks) + arrayBytes(f.table6) + arrayBytes(f.spans6)
+}
+
+// arrayBytes is the size of s's backing array.
+func arrayBytes[E any](s []E) uint64 {
+	var e E
+	return uint64(unsafe.Sizeof(e)) * uint64(cap(s))
 }
