@@ -2,8 +2,10 @@
 // originscan -trace-dir: it reconstructs the study→scan→stage→batch trace
 // tree and prints where the wall time went — per stage, per origin, along
 // the critical path, and in the slowest sampled batch/window exemplars —
-// plus the grab path's queue-wait vs service-time split from the journal's
-// final metrics snapshot.
+// plus the store path's spill-flush and merge distributions from the
+// journal's final metrics snapshot. Grab time is read from the per-stage
+// table and from the grab_window exemplars, whose hosts attribute says how
+// many replies the slot held: the grab path counts, it does not time.
 //
 // Usage:
 //
@@ -66,7 +68,7 @@ func main() {
 	originBreakdown(os.Stdout, spans)
 	criticalPath(os.Stdout, spans)
 	slowest(os.Stdout, spans, *topN)
-	grabAttribution(os.Stdout, snap)
+	storeAttribution(os.Stdout, snap)
 }
 
 func fatalf(format string, args ...any) {
@@ -291,25 +293,19 @@ func slowest(w io.Writer, spans []telemetry.SpanRecord, n int) {
 	fmt.Fprintln(w)
 }
 
-// grabAttribution prints the grab path's latency split from the journal's
-// final snapshot: how long hosts waited for a worker (queue) vs how long
-// the worker spent on them (service), and where service time went
-// (dial/handshake/retry).
-func grabAttribution(w io.Writer, snap *telemetry.Snapshot) {
+// storeAttribution prints the store path's wall-time distributions from
+// the journal's final snapshot: each spilled scan's segment flushes and its
+// seal's external merge. A study that did not spill has neither.
+func storeAttribution(w io.Writer, snap *telemetry.Snapshot) {
 	if snap == nil {
-		fmt.Fprintln(w, "grab-path attribution unavailable: journal has no final snapshot")
+		fmt.Fprintln(w, "store-path attribution unavailable: journal has no final snapshot")
 		return
 	}
 	rows := []struct{ label, family string }{
-		{"queue-wait", telemetry.MetricGrabQueueWait},
-		{"service", telemetry.MetricGrabService},
-		{"dial", telemetry.MetricGrabDialSeconds},
-		{"handshake", telemetry.MetricGrabHandshakeSeconds},
-		{"retry", telemetry.MetricGrabRetrySeconds},
-		{"window-append", telemetry.MetricWindowAppend},
 		{"spill-flush", telemetry.MetricSpillFlushSeconds},
+		{"merge", telemetry.MetricMergeSeconds},
 	}
-	fmt.Fprintln(w, "Grab-path attribution (final snapshot histograms, all scans merged)")
+	fmt.Fprintln(w, "Store-path attribution (final snapshot histograms, one observation per spilled scan)")
 	fmt.Fprintf(w, "%-14s %10s %12s %10s %10s %10s %10s\n",
 		"phase", "count", "total", "mean", "p50", "p90", "p99")
 	any := false
@@ -324,7 +320,7 @@ func grabAttribution(w io.Writer, snap *telemetry.Snapshot) {
 			secs(h.Sum), secs(mean), secs(quantile(h, 0.5)), secs(quantile(h, 0.9)), secs(quantile(h, 0.99)))
 	}
 	if !any {
-		fmt.Fprintln(w, "  (no grab-path histograms in snapshot)")
+		fmt.Fprintln(w, "  (no store-path histograms in snapshot: the study did not spill)")
 	}
 }
 

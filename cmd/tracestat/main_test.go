@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -216,14 +217,12 @@ func TestSlowest(t *testing.T) {
 }
 
 // TestGrabAttributionFromJournal reads a real journal: a tiny study runs
-// with a flight recorder attached, and the final snapshot read back from
-// the file counts one queue wait and one service time per sealed row and
-// attributes the grab path's queue-wait, service, dial and handshake time.
+// with a flight recorder attached and a spill store small enough to flush,
+// and the final snapshot read back from the file holds one spill-flush and
+// one merge observation per scan, which the store-path table prints as one
+// row each. The grab path records no histograms, so there is no grab row.
 func TestGrabAttributionFromJournal(t *testing.T) {
-	dir, rows := studyJournal(t)
-	if rows == 0 {
-		t.Fatal("study sealed no rows")
-	}
+	dir, scans := studyJournal(t)
 
 	evs, err := telemetry.ReadJournal(dir)
 	if err != nil {
@@ -233,28 +232,35 @@ func TestGrabAttributionFromJournal(t *testing.T) {
 	if snap == nil {
 		t.Fatal("journal has no final snapshot")
 	}
-	for _, family := range []string{telemetry.MetricGrabQueueWait, telemetry.MetricGrabService} {
-		if h := mergeHistogram(snap, family); h == nil || h.Count != rows {
-			t.Errorf("%s in the journal = %+v, want %d observations, one per sealed row", family, h, rows)
+	var segments int64
+	for _, c := range snap.Counters {
+		if c.Name == telemetry.MetricSpillSegments {
+			segments += c.Value
 		}
 	}
-	out := printed(func(w io.Writer) { grabAttribution(w, snap) })
-	for _, phase := range []string{"queue-wait", "service", "dial", "handshake"} {
-		found := false
-		for _, l := range strings.Split(out, "\n") {
-			if f := strings.Fields(l); len(f) == 7 && f[0] == phase {
-				found = true
-			}
+	if segments == 0 {
+		t.Fatal("the study spilled no segments: the budget does not exercise the spill store")
+	}
+	out := printed(func(w io.Writer) { storeAttribution(w, snap) })
+	rows := map[string]string{}
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) == 7 && f[0] != "phase" {
+			rows[f[0]] = f[1]
 		}
-		if !found {
-			t.Errorf("no %s row in the attribution:\n%s", phase, out)
-		}
+	}
+	want := map[string]string{"spill-flush": strconv.Itoa(scans), "merge": strconv.Itoa(scans)}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("attribution rows (phase → count) = %v, want %v, one observation per scan:\n%s", rows, want, out)
+	}
+	if got := printed(func(w io.Writer) { storeAttribution(w, &telemetry.Snapshot{}) }); !strings.Contains(got, "did not spill") {
+		t.Errorf("a snapshot without store histograms printed:\n%s", got)
 	}
 }
 
-// studyJournal runs a tiny study with a flight recorder attached and
-// returns the directory holding its journal and the rows the study sealed.
-func studyJournal(tb testing.TB) (string, uint64) {
+// studyJournal runs a tiny study with a flight recorder attached and every
+// scan's results through a spill store whose budget forces flushes, and
+// returns the directory holding its journal and the number of scans.
+func studyJournal(tb testing.TB) (string, int) {
 	tb.Helper()
 	dir := tb.TempDir()
 	reg := telemetry.New()
@@ -269,6 +275,8 @@ func studyJournal(tb testing.TB) (string, uint64) {
 		Origins:     origin.Set{origin.US1},
 		Parallelism: 1,
 		Telemetry:   reg,
+		SpillDir:    tb.TempDir(),
+		MemBudget:   4 << 10,
 	}
 	st, err := experiment.NewStudy(context.Background(), cfg)
 	if err != nil {
@@ -281,11 +289,12 @@ func studyJournal(tb testing.TB) (string, uint64) {
 	if err := reg.CloseRecorder(); err != nil {
 		tb.Fatal(err)
 	}
-	var rows uint64
 	for _, p := range cfg.Protocols {
-		rows += uint64(ds.Scan(origin.US1, p, 0).Len())
+		if ds.Scan(origin.US1, p, 0).Len() == 0 {
+			tb.Fatalf("%v scan sealed no rows", p)
+		}
 	}
-	return dir, rows
+	return dir, len(cfg.Protocols)
 }
 
 // journalOf encodes spans as journal lines.
@@ -332,6 +341,6 @@ func FuzzJournal(f *testing.F) {
 		originBreakdown(io.Discard, spans)
 		criticalPath(io.Discard, spans)
 		slowest(io.Discard, spans, 10)
-		grabAttribution(io.Discard, snap)
+		storeAttribution(io.Discard, snap)
 	})
 }

@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/ip"
@@ -127,71 +127,101 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 	}
 }
 
-// TestGrabWorkerClockAccounting pins the grab stage's telemetry now that
-// its one goroutine reads the clock once per host (a host's service ends
-// where the next one's begins): every offered host is served exactly once —
-// hosts offered, hosts done, queue-wait and service observations all equal
-// the rows the study sealed, with queue wait measured from the end of the
-// slot's PredialBatch — and the service time is time the stage actually
-// had: no more than the run's wall time (a service interval measured from
-// the wrong instant, such as the slot's start, overshoots that by orders of
-// magnitude).
-func TestGrabWorkerClockAccounting(t *testing.T) {
-	reg := telemetry.New()
-	cfg := grabPathConfig(1)
-	cfg.Telemetry = reg
-	st, err := NewStudy(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	ds, err := st.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	var rows uint64
-	for _, o := range ds.Origins {
-		for _, p := range cfg.Protocols {
-			for trial := 0; trial < ds.Trials; trial++ {
-				if sr := ds.Scan(o, p, trial); sr != nil {
-					rows += uint64(sr.Len())
+// TestGrabCountersMatchDataset holds the grab path's counters to the
+// dataset they describe. Every offered host is grabbed exactly once: hosts
+// offered and hosts done equal the sealed rows. Every connection attempt is
+// counted once: dials are the rows' attempts, retries the attempts after a
+// row's first, handshakes the L7 rows, and every other attempt failed in
+// exactly one mode. With no retry budget each attempt is its row's last, so
+// each mode's count is the rows that failed that way.
+func TestGrabCountersMatchDataset(t *testing.T) {
+	var serial *results.Dataset
+	for _, retries := range []int{2, 0} {
+		reg := telemetry.New()
+		cfg := grabPathConfig(1)
+		cfg.Retries = retries
+		cfg.Telemetry = reg
+		st, err := NewStudy(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := st.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if retries == 2 {
+			serial = ds
+		}
+		var rows, attempts, retried, l7 uint64
+		fails := map[zgrab.FailMode]uint64{}
+		for _, o := range ds.Origins {
+			for _, p := range cfg.Protocols {
+				for trial := 0; trial < ds.Trials; trial++ {
+					sr := ds.Scan(o, p, trial)
+					if sr == nil {
+						continue
+					}
+					sr.Each(func(r results.HostRecord) {
+						rows++
+						if r.L7 {
+							l7++
+						}
+						if r.ProbeMask != 0 {
+							attempts += uint64(r.Attempts)
+							retried += uint64(r.Attempts - 1)
+							fails[r.Fail]++
+						}
+					})
 				}
 			}
 		}
-	}
-	if rows == 0 {
-		t.Fatal("study sealed no rows")
-	}
-	if got := reg.CounterSum(telemetry.MetricGrabHostsDone); got != rows {
-		t.Errorf("hosts done = %d, want the %d sealed rows", got, rows)
-	}
-	// The hosts gauge is raised slot by slot as replies reach the grabber;
-	// at scan end it has caught up with hosts done (the progress line's
-	// backlog is their difference).
-	if got := reg.GaugeSum(telemetry.MetricGrabHosts); got != int64(rows) {
-		t.Errorf("hosts offered = %d, want the %d sealed rows", got, rows)
-	}
-	counts, sums := map[string]uint64{}, map[string]float64{}
-	for _, h := range reg.Snapshot().Histograms {
-		counts[h.Name] += h.Count
-		sums[h.Name] += h.Sum
-	}
-	for _, name := range []string{telemetry.MetricGrabQueueWait, telemetry.MetricGrabService} {
-		if counts[name] != rows {
-			t.Errorf("%s has %d observations, want one per sealed row (%d)", name, counts[name], rows)
+		if rows == 0 || l7 == 0 {
+			t.Fatalf("retries %d: study sealed %d rows, %d of them L7", retries, rows, l7)
+		}
+		if retries > 0 && retried == 0 {
+			t.Fatalf("retries %d: no row retried, the retry counters go untested", retries)
+		}
+		if got := reg.CounterSum(telemetry.MetricGrabHostsDone); got != rows {
+			t.Errorf("retries %d: hosts done = %d, want the %d sealed rows", retries, got, rows)
+		}
+		// The hosts gauge is raised slot by slot as replies reach the
+		// grabber; at scan end it has caught up with hosts done (the
+		// progress line's backlog is their difference).
+		if got := reg.GaugeSum(telemetry.MetricGrabHosts); got != int64(rows) {
+			t.Errorf("retries %d: hosts offered = %d, want the %d sealed rows", retries, got, rows)
+		}
+		dials, handshakes := reg.CounterSum(telemetry.MetricGrabDials), reg.CounterSum(telemetry.MetricGrabHandshakes)
+		for _, c := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"dials", dials, attempts},
+			{"retries", reg.CounterSum(telemetry.MetricGrabRetries), retried},
+			{"handshakes", handshakes, l7},
+			{"failures", reg.CounterSum(telemetry.MetricGrabFails), dials - handshakes},
+		} {
+			if c.got != c.want {
+				t.Errorf("retries %d: %s = %d, want %d", retries, c.name, c.got, c.want)
+			}
+		}
+		if retries > 0 {
+			continue
+		}
+		snap := reg.Snapshot()
+		for f := zgrab.FailTimeout; f <= zgrab.FailProto; f++ {
+			var got uint64
+			for _, c := range snap.Counters {
+				if c.Name == telemetry.MetricGrabFails && strings.Contains(c.Labels, `mode="`+f.String()+`"`) {
+					got += uint64(c.Value)
+				}
+			}
+			if got != fails[f] {
+				t.Errorf("retries 0: failures{mode=%q} = %d, want the %d rows that failed so", f, got, fails[f])
+			}
 		}
 	}
-	// Queue wait runs from the end of a slot's PredialBatch, so no host
-	// waited longer than the run took.
-	if wait := sums[telemetry.MetricGrabQueueWait]; wait < 0 || wait > float64(rows)*wall.Seconds() {
-		t.Errorf("hosts queued for %.3f s in total, in a run of %v with %d hosts", wait, wall, rows)
-	}
-	if service := sums[telemetry.MetricGrabService]; service <= 0 || service > wall.Seconds() {
-		t.Errorf("hosts were served for %.3f s in total, in a run of %v", service, wall)
-	}
 	// Eight workers seal one worker's bytes.
-	if diff := ds.Diff(grabPathStudy(t, 8)); diff != "" {
+	if diff := serial.Diff(grabPathStudy(t, 8)); diff != "" {
 		t.Errorf("parallel differs from serial: %s", diff)
 	}
 }

@@ -61,7 +61,6 @@ type grabStage struct {
 	dialer  zgrab.Dialer
 	grabber zgrab.Grabber
 	res     *results.ScanResult
-	pool    *telemetry.GrabPoolMetrics
 	// slots records per-slot exemplars under the scan span (slots straddle
 	// the stage spans); owned by the grabbing goroutine.
 	slots *telemetry.ChildTracer
@@ -117,7 +116,6 @@ func (st *Study) newGrabStage(ctx context.Context, o origin.ID, p proto.Protocol
 			Retries: cfg.Retries,
 			Metrics: telemetry.NewGrabMetrics(cfg.Telemetry, labels...),
 		},
-		pool:   telemetry.NewGrabPoolMetrics(cfg.Telemetry, labels...),
 		slots:  scanSpan.ChildTracer("grab_window"),
 		cur:    make([]zmap.Reply, 0, slot),
 		full:   make(chan []zmap.Reply, ring),
@@ -199,10 +197,15 @@ func (g *grabStage) run() {
 // grabSlot grabs one slot: attempt 0's verdicts in one batch, so the grabs
 // never touch connection setup for L4 failures; the grabs, in slot order;
 // then the in-order append, which may sort, dedup and spill — where
-// result-store back-pressure on the grab path becomes visible.
+// result-store back-pressure on the grab path becomes visible. Only the
+// sampled grab_window exemplar, which covers all three, reads the clock.
 func (g *grabStage) grabSlot(slot []zmap.Reply) error {
 	n := len(slot)
 	g.hosts += int64(n)
+	if gm := g.grabber.Metrics; gm != nil {
+		gm.Hosts.Add(int64(n))
+	}
+	g.slots.Begin()
 	m := 0
 	for i := range slot {
 		if r := &slot[i]; r.ProbeMask != 0 {
@@ -210,23 +213,7 @@ func (g *grabStage) grabSlot(slot []zmap.Reply) error {
 			m++
 		}
 	}
-	// Clock reads are gated on a live pool bundle, so disabled telemetry
-	// costs a nil check per slot and per host.
-	var began time.Time
-	if g.pool != nil {
-		g.pool.Hosts.Add(int64(n))
-		began = time.Now()
-	}
 	g.dialer.PredialBatch(g.preDst[:m], g.preT[:m], g.p.Port(), g.pre[:m])
-	// One clock read per host: a host's service ends where the next one's
-	// begins (now stays zero when telemetry is off).
-	var predialed, now time.Time
-	if g.pool != nil {
-		predialed = time.Now()
-		g.pool.Predial.ObserveDuration(predialed.Sub(began))
-		now = predialed
-	}
-	g.slots.Begin()
 	pre := g.pre[:m]
 	for i := range slot {
 		if err := g.ctx.Err(); err != nil {
@@ -240,20 +227,13 @@ func (g *grabStage) grabSlot(slot []zmap.Reply) error {
 			rec.L7, rec.Fail, rec.Attempts, rec.Banner = res.Success, res.Fail, res.Attempts, res.Banner
 		}
 		g.win[i] = rec
-		if g.pool != nil {
-			start := now
-			now = time.Now()
-			g.pool.QueueWait.ObserveDuration(start.Sub(predialed))
-			g.pool.Service.ObserveDuration(now.Sub(start))
-			g.pool.HostsDone.Inc()
-		}
 	}
 	if err := g.ctx.Err(); err != nil {
 		return err
 	}
 	g.res.AddBatch(g.win[:n])
-	if g.pool != nil {
-		g.pool.WindowAppend.ObserveDuration(time.Since(now))
+	if gm := g.grabber.Metrics; gm != nil {
+		gm.HostsDone.Add(uint64(n))
 	}
 	g.slots.End(telemetry.A("hosts", int64(n)))
 	return nil

@@ -14,6 +14,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
@@ -287,10 +288,15 @@ func raceBuild() bool {
 const grabAllocBudget = 0
 
 // TestGrabAllocBudget holds GrabFast to the budget for every protocol ×
-// verdict, over hosts whose classes cover the table.
+// verdict, over hosts whose classes cover the table, with metrics off and
+// with a live bundle. Telemetry is a pure observer at the grab layer too: a
+// grabber counting into a live registry returns, host for host, the Result
+// one with nil metrics does.
 func TestGrabAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	_, g, w := grabFabric(t, 0, nil)
+	live := *g
+	live.Metrics = telemetry.NewGrabMetrics(telemetry.New(), telemetry.L("origin", "US1"))
 	for _, p := range proto.All() {
 		var hosts []ip.Addr
 		for _, h := range w.Hosts() {
@@ -304,19 +310,29 @@ func TestGrabAllocBudget(t *testing.T) {
 		for _, v := range []zgrab.DialVerdict{
 			zgrab.DialConnect, zgrab.DialReset, zgrab.DialHalfClose, zgrab.DialTimeout, zgrab.DialRefused,
 		} {
-			want := v == zgrab.DialConnect
-			grab := func() {
-				for _, dst := range hosts {
-					if res := g.GrabFast(ctx, p, dst, time.Hour, v); res.Success != want {
-						t.Fatalf("%v verdict %d on %v: %+v", p, v, dst, res)
-					}
+			// The first accepted grab builds the table.
+			want := make([]zgrab.Result, len(hosts))
+			for i, dst := range hosts {
+				if want[i] = g.GrabFast(ctx, p, dst, time.Hour, v); want[i].Success != (v == zgrab.DialConnect) {
+					t.Fatalf("%v verdict %d on %v: %+v", p, v, dst, want[i])
 				}
 			}
-			grab() // the first accepted grab builds the table
-			if got := testing.AllocsPerRun(20, grab) / float64(len(hosts)); got > grabAllocBudget {
-				t.Errorf("%v verdict %d: %.2f allocs per grab, budget %d", p, v, got, grabAllocBudget)
+			for _, gr := range []*zgrab.Grabber{g, &live} {
+				grab := func() {
+					for i, dst := range hosts {
+						if res := gr.GrabFast(ctx, p, dst, time.Hour, v); res != want[i] {
+							t.Fatalf("%v verdict %d on %v, live metrics %t: %+v, want %+v", p, v, dst, gr.Metrics != nil, res, want[i])
+						}
+					}
+				}
+				if got := testing.AllocsPerRun(20, grab) / float64(len(hosts)); got > grabAllocBudget {
+					t.Errorf("%v verdict %d, live metrics %t: %.2f allocs per grab, budget %d", p, v, gr.Metrics != nil, got, grabAllocBudget)
+				}
 			}
 		}
+	}
+	if live.Metrics.Dials.Value() == 0 {
+		t.Error("the live bundle counted no dials")
 	}
 }
 

@@ -26,33 +26,16 @@ const (
 	MetricDuplicates = "zmap_duplicates_total"
 	MetricLost       = "zmap_probes_unanswered_total"
 
-	// L7 grabs (internal/zgrab), labeled origin/proto/trial.
+	// L7 grabs (internal/zgrab, internal/experiment), labeled
+	// origin/proto/trial. Hosts counts replies as their slots reach the
+	// grabber (it grows through the walk: the scan's total is not known
+	// before it ends); HostsDone counts them once grabbed.
 	MetricGrabDials      = "zgrab_dials_total"
 	MetricGrabHandshakes = "zgrab_handshakes_total"
 	MetricGrabRetries    = "zgrab_retries_total"
 	MetricGrabFails      = "zgrab_failures_total" // + mode label
-
-	// L7 latency split (internal/zgrab): where one grab's wall time goes
-	// — TCP dial vs application handshake vs retry back-off attempts.
-	MetricGrabDialSeconds      = "zgrab_dial_seconds"
-	MetricGrabHandshakeSeconds = "zgrab_handshake_seconds"
-	MetricGrabRetrySeconds     = "zgrab_retry_seconds"
-
-	// Grab stage (internal/experiment), labeled origin/proto/trial.
-	// QueueWait is how long a host's reply sat in its slot, from the end of
-	// the slot's PredialBatch until its grab began; Service is the grab's
-	// wall time; the split tells batching work whether the stage is
-	// service-bound or queue-bound. WindowAppend times the sink's per-slot
-	// hand-off. Predial times the fast path's batched pre-dial evaluation —
-	// one observation per grab slot, covering every destination's verdict.
-	// Hosts counts replies as their slots reach the grabber (it grows
-	// through the walk: the scan's total is not known before it ends).
-	MetricGrabPredial   = "zgrab_predial_seconds"
-	MetricGrabQueueWait = "zgrab_queue_wait_seconds"
-	MetricGrabService   = "zgrab_service_seconds"
-	MetricGrabHosts     = "zgrab_hosts_total"
-	MetricGrabHostsDone = "zgrab_hosts_done_total"
-	MetricWindowAppend  = "results_window_append_seconds"
+	MetricGrabHosts      = "zgrab_hosts_total"
+	MetricGrabHostsDone  = "zgrab_hosts_done_total"
 
 	// IDS detection (internal/policy), labeled ids/origin/proto/trial.
 	MetricIDSActivations = "ids_activations_total"
@@ -99,9 +82,8 @@ type SweepMetrics struct {
 	// and IDS block are indistinguishable on the wire).
 	Lost *Counter
 	// Unrouted counts targets short-circuited by the FIB's routability
-	// check. It is not a zmap.Stats field — the reference per-address
-	// path never computes it — so the scanner flushes it separately
-	// from the Stats deltas.
+	// check. It is not a zmap.Stats field, so the scanner flushes it
+	// separately from the Stats deltas.
 	Unrouted *Counter
 }
 
@@ -124,13 +106,10 @@ func NewSweepMetrics(r *Registry, labels ...Label) *SweepMetrics {
 	}
 }
 
-// LatencyBuckets are the histogram bounds for per-event latencies (dial,
-// handshake, queue wait), in seconds: finer than DurationBuckets at the
-// microsecond end, where a simulated in-process dial lands.
-var LatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1, 5, 30}
-
-// GrabMetrics are one scan's L7 handshake counters. The grab path is
-// per-host (not per-probe), so it updates these directly.
+// GrabMetrics are one scan's L7 counters: handshake attempts and their
+// outcomes, counted per attempt by zgrab.Grabber, and host progress (the
+// progress line's grab-phase rate source), counted per slot by the grab
+// stage. Nothing on the grab path reads the clock for them.
 type GrabMetrics struct {
 	Dials      *Counter
 	Handshakes *Counter
@@ -145,13 +124,8 @@ type GrabMetrics struct {
 	Timeouts  *Counter
 	Closed    *Counter
 	ProtoErrs *Counter
-	// Latency split: DialSeconds times the TCP connect alone,
-	// HandshakeSeconds the application exchange on an established
-	// connection, RetrySeconds whole failed attempts that led to a
-	// retry. Together they attribute a grab's service time.
-	DialSeconds      *Histogram
-	HandshakeSeconds *Histogram
-	RetrySeconds     *Histogram
+	Hosts     *Gauge
+	HostsDone *Counter
 }
 
 // NewGrabMetrics resolves the grab counter children for one scan's labels.
@@ -173,42 +147,8 @@ func NewGrabMetrics(r *Registry, labels ...Label) *GrabMetrics {
 		Timeouts:   mode("timeout"),
 		Closed:     mode("closed"),
 		ProtoErrs:  mode("proto"),
-
-		DialSeconds:      r.Histogram(MetricGrabDialSeconds, LatencyBuckets, labels...),
-		HandshakeSeconds: r.Histogram(MetricGrabHandshakeSeconds, LatencyBuckets, labels...),
-		RetrySeconds:     r.Histogram(MetricGrabRetrySeconds, LatencyBuckets, labels...),
-	}
-}
-
-// GrabPoolMetrics observe one scan's grab stage: the queue-wait vs
-// service-time split, the window hand-off to the result sink, and host
-// progress (the progress line's grab-phase rate source). Resolved once per
-// scan and written by the stage's one goroutine; nil when telemetry is off.
-type GrabPoolMetrics struct {
-	QueueWait    *Histogram
-	Service      *Histogram
-	WindowAppend *Histogram
-	// Predial times the fast path's per-slot batched verdict
-	// evaluation, so the dial work done ahead of the grabs stays
-	// attributable.
-	Predial   *Histogram
-	Hosts     *Gauge
-	HostsDone *Counter
-}
-
-// NewGrabPoolMetrics resolves the grab-stage instruments for one scan's
-// labels. Returns nil (a no-op bundle) when r is nil.
-func NewGrabPoolMetrics(r *Registry, labels ...Label) *GrabPoolMetrics {
-	if r == nil {
-		return nil
-	}
-	return &GrabPoolMetrics{
-		QueueWait:    r.Histogram(MetricGrabQueueWait, LatencyBuckets, labels...),
-		Service:      r.Histogram(MetricGrabService, LatencyBuckets, labels...),
-		WindowAppend: r.Histogram(MetricWindowAppend, LatencyBuckets, labels...),
-		Predial:      r.Histogram(MetricGrabPredial, LatencyBuckets, labels...),
-		Hosts:        r.Gauge(MetricGrabHosts, labels...),
-		HostsDone:    r.Counter(MetricGrabHostsDone, labels...),
+		Hosts:      r.Gauge(MetricGrabHosts, labels...),
+		HostsDone:  r.Counter(MetricGrabHostsDone, labels...),
 	}
 }
 

@@ -12,10 +12,10 @@
 //	{"ev":"span","span":{...}}        one SpanRecord, written at span end
 //	{"ev":"snapshot","metrics":{...}} full metrics Snapshot, written at close
 //
-// The final snapshot is what carries the histogram families (queue-wait,
-// service time, dial/handshake split) into offline analysis — spans alone
-// cannot reconstruct distributions that were recorded straight into
-// histograms.
+// The final snapshot is what carries the counters and the histogram
+// families (the spill store's flush and merge durations) into offline
+// analysis — spans alone cannot reconstruct distributions that were
+// recorded straight into histograms.
 package telemetry
 
 import (

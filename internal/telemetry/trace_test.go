@@ -288,7 +288,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	scan.End(nil)
 	study.End(nil)
 	r.Counter("probes_total", L("origin", "US1")).Add(7)
-	r.Histogram(MetricGrabQueueWait, LatencyBuckets).Observe(0.002)
+	r.Histogram(MetricSpillFlushSeconds, DurationBuckets).Observe(0.002)
 	if err := r.CloseRecorder(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 		}
 	}
 	for _, h := range snap.Histograms {
-		if h.Name == MetricGrabQueueWait && h.Count == 1 {
+		if h.Name == MetricSpillFlushSeconds && h.Count == 1 {
 			foundHist = true
 		}
 	}

@@ -118,17 +118,9 @@ type Grabber struct {
 	IOTimeout time.Duration
 	// Metrics, when set, counts dials, handshakes, retries, and failure
 	// modes for this grabber's scan. The grab path is per-host, so each
-	// attempt updates the (atomic, nil-safe) counters directly.
+	// attempt updates the (atomic, nil-safe) counters directly; it never
+	// reads the clock.
 	Metrics *telemetry.GrabMetrics
-}
-
-// dialed records one attempt's dial latency. Callers have checked Metrics.
-// It returns the clock reading that ended the dial, where a handshake that
-// follows begins.
-func (g *Grabber) dialed(since time.Time) time.Time {
-	now := time.Now()
-	g.Metrics.DialSeconds.ObserveDuration(now.Sub(since))
-	return now
 }
 
 // count records one attempt's outcome into the grabber's metric bundle.
@@ -212,24 +204,13 @@ func (g *Grabber) Exchange(conn net.Conn, p proto.Protocol, dst ip.Addr) Result 
 func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, v DialVerdict) Result {
 	var last Result
 	for attempt := 0; attempt <= g.Retries; attempt++ {
-		// The clock is read only when a retry can follow: the main study
-		// runs Retries = 0 and never observes RetrySeconds.
-		var began time.Time
-		if g.Metrics != nil && attempt < g.Retries {
-			began = time.Now()
-		}
 		last = g.try(ctx, p, dst, t, attempt, v)
 		last.Attempts = attempt + 1
 		g.count(&last, attempt)
+		// Refused and timed-out connections are retried like any other
+		// failure: §6 shows immediate retries recover MaxStartups hosts.
 		if last.Success || ctx.Err() != nil {
 			return last
-		}
-		// Refused and timed-out connections are retried like any
-		// other failure: §6 shows immediate retries recover
-		// MaxStartups hosts. RetrySeconds attributes the wall time
-		// those extra attempts cost the grab stage.
-		if g.Metrics != nil && attempt < g.Retries {
-			g.Metrics.RetrySeconds.ObserveDuration(time.Since(began))
 		}
 	}
 	return last
@@ -238,44 +219,24 @@ func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 // try is one attempt: attempt 0 takes v, a retry asks Predial.
 func (g *Grabber) try(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int, v DialVerdict) Result {
 	res := Result{Proto: p}
-	// The dial vs handshake latency split reads the clock only with a
-	// live bundle: a disabled grabber pays two nil checks per attempt.
-	var dialStart time.Time
-	if g.Metrics != nil {
-		dialStart = time.Now()
-	}
 	// A canceled context fails the dial, classified as a timeout: the
 	// connection never completes, which on the wire is indistinguishable
 	// from one. (The record is discarded with the canceled scan.)
 	if ctx.Err() != nil {
 		res.Fail = FailTimeout
-		if g.Metrics != nil {
-			g.dialed(dialStart)
-		}
 		return res
 	}
 	if attempt > 0 {
 		v = g.Dialer.Predial(dst, p.Port(), t, attempt)
 	}
-	if v == DialTimeout || v == DialRefused {
-		if v == DialTimeout {
-			res.Fail = FailTimeout
-		} else {
-			res.Fail = FailRefused
-		}
-		if g.Metrics != nil {
-			g.dialed(dialStart)
-		}
-		return res
-	}
-	var hsStart time.Time
-	if g.Metrics != nil {
-		hsStart = g.dialed(dialStart)
-	}
-	res.Fail, res.Banner = g.Dialer.Handshake(dst, p, v)
-	res.Success = res.Fail == FailNone
-	if g.Metrics != nil {
-		g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(hsStart))
+	switch v {
+	case DialTimeout:
+		res.Fail = FailTimeout
+	case DialRefused:
+		res.Fail = FailRefused
+	default:
+		res.Fail, res.Banner = g.Dialer.Handshake(dst, p, v)
+		res.Success = res.Fail == FailNone
 	}
 	return res
 }
