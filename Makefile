@@ -51,9 +51,13 @@ audit-fullscale:
 # holds the grab's typed handshake to the bytes it is read from: whatever
 # host-server key, IPv4 or IPv6 host, protocol, accepting verdict and TLS
 # client key, one fresh byte exchange with that host ends in the table entry
-# Handshake answers for the host's software class. The eleventh holds the spill store's segment reader to its contract: whatever
-# bytes a segment file holds, the merge gets rows or an error, never a panic,
-# and a segment the writer produced decodes to the rows it was written from.
+# Handshake answers for the host's software class. The eleventh holds the
+# spill store's segment reader to its contract: whatever bytes an ORSEG003
+# segment file holds (fixed-width rows whose banner field indexes the owning
+# result's dictionary; no banner text in the frame), the merge gets rows or
+# an error, never a panic, a row past the file's bytes or a banner index past
+# the dictionary, and a segment the writer produced decodes to the rows it
+# was written from.
 # The twelfth holds the seal's radix sort to the stable-sort oracle on
 # fuzzed address columns (duplicates, mixed families, keys differing in one
 # byte). The thirteenth feeds cmd/originscan's -hitlist loader hostile

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/pcap"
+	"repro/internal/pipeline"
 	"repro/internal/zgrab"
 )
 
@@ -134,5 +136,20 @@ func TestRunStdoutDeterministic(t *testing.T) {
 	}
 	if modes < 2 || lastCount < 0 {
 		t.Fatalf("scan shows %d fail modes and no banner table, nothing to order:\n%s", modes, first)
+	}
+}
+
+// TestRunRejectsNonsenseFlags: a negative retry budget and a negative trial
+// fail the command with the study's bad-configuration error instead of
+// printing a scan of nonsense rows.
+func TestRunRejectsNonsenseFlags(t *testing.T) {
+	for _, flag := range []string{"-retries", "-trial"} {
+		t.Run(flag, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run([]string{"-scale", "0.00002", flag, "-1"}, &out)
+			if !errors.Is(err, pipeline.ErrBadConfig) {
+				t.Errorf("%s -1: err = %v, want ErrBadConfig; printed\n%s", flag, err, out.String())
+			}
+		})
 	}
 }

@@ -158,9 +158,15 @@ type Study struct {
 // NewStudy builds the world and scenario for a config. World generation
 // runs as the lifecycle's Worldgen stage: cfg.Hooks observe it, generation
 // failures are tagged pipeline.ErrWorldGen, and a canceled context aborts
-// the build with pipeline.ErrCanceled.
+// the build with pipeline.ErrCanceled. A negative Retries is refused before
+// the build, tagged pipeline.ErrBadConfig.
 func NewStudy(ctx context.Context, cfg Config) (*Study, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Retries < 0 {
+		// A negative budget would run no grab attempt at all: every row
+		// would read Attempts 0 and FailNone.
+		return nil, pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("experiment: negative retry budget %d", cfg.Retries))
+	}
 	var w *world.World
 	runner := pipeline.Runner{Hooks: telemetry.ScanHooks(cfg.Telemetry, cfg.Hooks)}
 	err := runner.Run(ctx, pipeline.StageFunc{
@@ -467,8 +473,12 @@ func (st *Study) sweepConfig(p proto.Protocol, trial int) zmap.Config {
 
 // ScanOne runs a single origin's ZMap+ZGrab scan of one protocol in one
 // trial: the building block of the study. The live IDSes observe the scan's
-// probes directly, as they do in sub-experiments.
+// probes directly, as they do in sub-experiments. A trial outside
+// [0, Config.Trials) is an error tagged pipeline.ErrBadConfig.
 func (st *Study) ScanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int) (*results.ScanResult, error) {
+	if trial < 0 || trial >= st.Config.Trials {
+		return nil, pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("experiment: trial %d outside the study's %d trials", trial, st.Config.Trials))
+	}
 	return st.scanOne(ctx, o, p, trial, st.Scenario.IDSes, nil)
 }
 

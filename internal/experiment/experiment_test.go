@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/ip"
 	"repro/internal/origin"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/results"
 	"repro/internal/scenario"
@@ -483,5 +485,52 @@ func TestReplyHintStreamingWorld(t *testing.T) {
 	}
 	if streamed != retained {
 		t.Errorf("streamed build: hint %d, retained build of the same spec %d", streamed, retained)
+	}
+}
+
+// TestNonsenseInputsAreBadConfig: a negative retry budget (which would grab
+// with no attempt and record every host as Attempts 0, FailNone) and a
+// trial outside [0, Trials) are refused with pipeline.ErrBadConfig, not
+// scanned.
+func TestNonsenseInputsAreBadConfig(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{
+		WorldSpec: world.Spec{Seed: 6, Scale: 0.00003}, Trials: 2,
+		Protocols: []proto.Protocol{proto.HTTP}, Origins: origin.Set{origin.US1},
+	}
+	st, err := NewStudy(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(trial int) func() error {
+		return func() error {
+			_, err := st.ScanOne(ctx, origin.US1, proto.HTTP, trial)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		bad  bool
+	}{
+		{"negative retries", func() error {
+			neg := cfg
+			neg.Retries = -1
+			_, err := NewStudy(ctx, neg)
+			return err
+		}, true},
+		{"trial -1", scan(-1), true},
+		{"trial past the last", scan(2), true},
+		{"last trial", scan(1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if tc.bad && !errors.Is(err, pipeline.ErrBadConfig) {
+				t.Errorf("err = %v, want ErrBadConfig", err)
+			}
+			if !tc.bad && err != nil {
+				t.Errorf("err = %v, want a scan", err)
+			}
+		})
 	}
 }

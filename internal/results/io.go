@@ -136,36 +136,33 @@ func (s *ScanResult) writeJSON(bw *bufio.Writer, num []byte) error {
 				num = a.AppendTo(num)
 				num = append(num, '"')
 			}
+			r := &s.rows[i]
 			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(s.probeMask[i]), 10)
+			num = strconv.AppendUint(num, uint64(r.probeMask), 10)
 			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(s.flags[i]), 10)
+			num = strconv.AppendUint(num, uint64(r.flags), 10)
 			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(s.fail[i]), 10)
+			num = strconv.AppendUint(num, uint64(r.fail), 10)
 			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(s.attempts[i]), 10)
+			num = strconv.AppendUint(num, uint64(r.attempts), 10)
 			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(s.t[i]), 10)
+			num = strconv.AppendUint(num, uint64(r.t), 10)
 			num = append(num, ']')
 			bw.Write(num)
 		}
 		bw.WriteByte(']')
 	}
-	hasBanner := false
-	for _, b := range s.banner {
-		if b != "" {
-			hasBanner = true
-			break
-		}
-	}
-	if hasBanner {
+	// Banners are written as text, never as dictionary indices, and only
+	// when a surviving row carries one.
+	if slices.ContainsFunc(s.banner, func(k uint32) bool { return k != 0 }) {
 		// One banner at a time through the same scratch, never the column
 		// marshalled whole: raw when json.Marshal would not change it,
 		// json.Marshal of that one string otherwise — which keeps the
 		// default HTML escaping the old struct-based encoder applied.
 		bw.WriteString(`,"banners":`)
 		open := byte('[')
-		for _, b := range s.banner {
+		for i := range s.banner {
+			b := s.bannerAt(i)
 			num = append(num[:0], open)
 			open = ','
 			if rawBanner(b) {
@@ -208,7 +205,7 @@ func rawBanner(s string) bool {
 // trials grid would never show, is an error. Every error names the byte
 // offset it was found at.
 func ReadJSON(r io.Reader) (*Dataset, error) {
-	d := &decoder{r: r, buf: make([]byte, readWindow), mark: -1, intern: make(map[string]string)}
+	d := &decoder{r: r, buf: make([]byte, readWindow), mark: -1}
 	ds, err := d.dataset()
 	if err != nil {
 		return nil, fmt.Errorf("results: decoding dataset: %w", err)
@@ -239,9 +236,6 @@ type decoder struct {
 	// err is the reader's terminal error (io.EOF at a clean end).
 	err error
 
-	// intern maps banner text to the one string every row carrying it
-	// shares; a repeated banner costs a lookup, not an allocation.
-	intern map[string]string
 	// key and unq are scratch reused across tokens: the current object key
 	// and the last escaped string's decoded bytes.
 	key []byte
@@ -624,8 +618,9 @@ func (d *decoder) scan() (*ScanResult, error) {
 		case "records":
 			err = d.array(func() error { return d.record(s) })
 		case "banners":
-			// Banners go straight onto their column, which the records —
-			// normally already read — have sized.
+			// Banners go straight onto their column, as indices into the
+			// scan's dictionary (built in file order); the records —
+			// normally already read — have sized the column.
 			s.banner = slices.Grow(s.banner, max(0, len(s.addrs)-len(s.banner)))
 			err = d.array(func() error {
 				if d.next() != '"' {
@@ -635,12 +630,13 @@ func (d *decoder) scan() (*ScanResult, error) {
 				if err != nil {
 					return err
 				}
-				banner, ok := d.intern[string(b)]
+				// The lookup reads b in place; only a new banner is
+				// copied out of the window.
+				k, ok := s.bannerIdx[string(b)]
 				if !ok {
-					banner = string(b)
-					d.intern[banner] = banner
+					k = s.intern(string(b))
 				}
-				s.banner = append(s.banner, banner)
+				s.banner = append(s.banner, k)
 				return nil
 			})
 		default:
@@ -658,25 +654,21 @@ func (d *decoder) scan() (*ScanResult, error) {
 	if len(s.banner) > n {
 		s.banner = s.banner[:n]
 	}
-	s.banner = append(s.banner, make([]string, n-len(s.banner))...)
+	s.banner = append(s.banner, make([]uint32, n-len(s.banner))...)
 	s.resizeRows(n)
 	return s, nil
 }
 
-// resizeRows moves the six per-row columns a decoded record appends to
-// into arrays of exactly n rows' capacity: doubled while a scan of unknown
-// length is read (so a scan costs a handful of allocations, not one per
-// append-doubling per column), then cut to size.
+// resizeRows moves the two columns a decoded record appends to into arrays
+// of exactly n rows' capacity: doubled while a scan of unknown length is
+// read (so a scan costs a handful of allocations, not one per
+// append-doubling), then cut to size.
 func (s *ScanResult) resizeRows(n int) {
 	if n == cap(s.addrs) {
 		return
 	}
 	s.addrs = append(make(ip.AddrSlice, 0, n), s.addrs...)
-	s.probeMask = append(make([]uint8, 0, n), s.probeMask...)
-	s.flags = append(make([]uint8, 0, n), s.flags...)
-	s.fail = append(make([]zgrab.FailMode, 0, n), s.fail...)
-	s.attempts = append(make([]int32, 0, n), s.attempts...)
-	s.t = append(make([]time.Duration, 0, n), s.t...)
+	s.rows = append(make([]row, 0, n), s.rows...)
 }
 
 // recordFields names each tuple element after the address and gives its
@@ -726,10 +718,12 @@ func (d *decoder) record(s *ScanResult) error {
 		s.resizeRows(max(1024, 2*len(s.addrs)))
 	}
 	s.addrs = append(s.addrs, addr)
-	s.probeMask = append(s.probeMask, uint8(rec[1]))
-	s.flags = append(s.flags, uint8(rec[2]&(flagRST|flagL7)))
-	s.fail = append(s.fail, zgrab.FailMode(rec[3]))
-	s.attempts = append(s.attempts, int32(rec[4]))
-	s.t = append(s.t, time.Duration(rec[5]))
+	s.rows = append(s.rows, row{
+		t:         time.Duration(rec[5]),
+		attempts:  int32(rec[4]),
+		probeMask: uint8(rec[1]),
+		flags:     uint8(rec[2] & (flagRST | flagL7)),
+		fail:      zgrab.FailMode(rec[3]),
+	})
 	return nil
 }

@@ -157,7 +157,7 @@ func readScan(dec *json.Decoder) (*ScanResult, error) {
 	}
 	for i := range s.banner {
 		if i < len(banners) {
-			s.banner[i] = banners[i]
+			s.banner[i] = s.intern(banners[i])
 		}
 	}
 	return s, nil
@@ -213,12 +213,14 @@ func (s *ScanResult) readRecord(dec *json.Decoder) error {
 		return err
 	}
 	s.addrs = append(s.addrs, addr)
-	s.probeMask = append(s.probeMask, uint8(rec[1]))
-	s.flags = append(s.flags, uint8(rec[2])&(flagRST|flagL7))
-	s.fail = append(s.fail, zgrab.FailMode(rec[3]))
-	s.attempts = append(s.attempts, int32(rec[4]))
-	s.t = append(s.t, time.Duration(rec[5]))
-	s.banner = append(s.banner, "")
+	s.rows = append(s.rows, row{
+		t:         time.Duration(rec[5]),
+		attempts:  int32(rec[4]),
+		probeMask: uint8(rec[1]),
+		flags:     uint8(rec[2]) & (flagRST | flagL7),
+		fail:      zgrab.FailMode(rec[3]),
+	})
+	s.banner = append(s.banner, 0)
 	return nil
 }
 

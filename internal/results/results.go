@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/ip"
 	"repro/internal/origin"
@@ -57,7 +58,7 @@ const (
 
 // ScanResult is one origin's scan of one protocol in one trial.
 //
-// The record storage is append-mostly columnar: Add appends to the parallel
+// The record storage is append-mostly columnar: Add appends to three
 // columns, Seal sorts them by address (deduplicating repeated Adds of the
 // same host, last write wins, matching the map semantics it replaced) and
 // every reader operates on the sealed columns. Readers seal lazily, so the
@@ -71,14 +72,18 @@ type ScanResult struct {
 	// Scan statistics from the scanner.
 	Targets, ProbesSent, SynAcks, Rsts, Invalid uint64
 
-	// Parallel columns, sorted by addrs once sealed.
-	addrs     ip.AddrSlice
-	probeMask []uint8
-	flags     []uint8
-	fail      []zgrab.FailMode
-	attempts  []int32
-	t         []time.Duration
-	banner    []string
+	// The three columns, sorted by addrs once sealed: the address spine,
+	// the fixed-width rest of each record, and each record's banner as an
+	// index into banners (0 is "", k names banners[k-1]).
+	addrs  ip.AddrSlice
+	rows   []row
+	banner []uint32
+
+	// banners is the scan's append-only banner dictionary, in first-Add
+	// order, and bannerIdx maps each entry to its index. Entries are never
+	// removed: a spill segment's banner indices point here.
+	banners   []string
+	bannerIdx map[string]uint32
 
 	sealed bool
 	// spill, when non-nil, backs the append path with the spill-to-disk
@@ -89,10 +94,19 @@ type ScanResult struct {
 	// dedupDropped counts rows discarded by Seal's keep-last dedup —
 	// repeat Adds for one host. Telemetry reads it through SealStats.
 	dedupDropped int
-	// l7Addrs caches the sorted addresses with successful handshakes,
-	// the merge-join input of ground-truth and intersection queries.
-	l7Addrs ip.AddrSlice
 }
+
+// row is one record's fixed-width fields (16 bytes).
+type row struct {
+	t         time.Duration
+	attempts  int32
+	probeMask uint8
+	flags     uint8
+	fail      zgrab.FailMode
+}
+
+// rowBytes is one record's exact share of the three columns.
+const rowBytes = int64(unsafe.Sizeof(ip.Addr{}) + unsafe.Sizeof(row{}) + unsafe.Sizeof(uint32(0)))
 
 // NewScanResult returns an empty in-memory result set.
 func NewScanResult(o origin.ID, p proto.Protocol, trial int) *ScanResult {
@@ -109,12 +123,8 @@ func NewScanResultSized(o origin.ID, p proto.Protocol, trial int, n int) *ScanRe
 	s := &ScanResult{Origin: o, Proto: p, Trial: trial}
 	if n > 0 {
 		s.addrs = make(ip.AddrSlice, 0, n)
-		s.probeMask = make([]uint8, 0, n)
-		s.flags = make([]uint8, 0, n)
-		s.fail = make([]zgrab.FailMode, 0, n)
-		s.attempts = make([]int32, 0, n)
-		s.t = make([]time.Duration, 0, n)
-		s.banner = make([]string, 0, n)
+		s.rows = make([]row, 0, n)
+		s.banner = make([]uint32, 0, n)
 	}
 	return s
 }
@@ -123,9 +133,6 @@ func NewScanResultSized(o origin.ID, p proto.Protocol, trial int, n int) *ScanRe
 // (the replacement is resolved at Seal time; Add itself only appends).
 func (s *ScanResult) Add(r HostRecord) {
 	s.sealed = false
-	s.l7Addrs = nil
-	s.addrs = append(s.addrs, r.Addr)
-	s.probeMask = append(s.probeMask, r.ProbeMask)
 	var f uint8
 	if r.RST {
 		f |= flagRST
@@ -133,15 +140,44 @@ func (s *ScanResult) Add(r HostRecord) {
 	if r.L7 {
 		f |= flagL7
 	}
-	s.flags = append(s.flags, f)
-	s.fail = append(s.fail, r.Fail)
-	s.attempts = append(s.attempts, int32(r.Attempts))
-	s.t = append(s.t, r.T)
-	s.banner = append(s.banner, r.Banner)
+	s.appendRow(spillRow{
+		addr:   r.Addr,
+		row:    row{t: r.T, attempts: int32(r.Attempts), probeMask: r.ProbeMask, flags: f, fail: r.Fail},
+		banner: s.intern(r.Banner),
+	})
 	if s.spill != nil {
-		s.spill.liveBytes += spillRowBytes + int64(len(r.Banner))
+		s.spill.liveBytes += rowBytes
 		s.maybeSpill()
 	}
+}
+
+// intern returns b's banner index, adding b to the dictionary on its first
+// appearance: a map lookup per row, an allocation per distinct banner.
+func (s *ScanResult) intern(b string) uint32 {
+	if b == "" {
+		return 0
+	}
+	if k, ok := s.bannerIdx[b]; ok {
+		return k
+	}
+	if s.bannerIdx == nil {
+		s.bannerIdx = make(map[string]uint32)
+	}
+	s.banners = append(s.banners, b)
+	k := uint32(len(s.banners))
+	s.bannerIdx[b] = k
+	if s.spill != nil {
+		s.spill.liveBytes += int64(unsafe.Sizeof(b)) + int64(len(b))
+	}
+	return k
+}
+
+// bannerAt is row i's banner text.
+func (s *ScanResult) bannerAt(i int) string {
+	if k := s.banner[i]; k != 0 {
+		return s.banners[k-1]
+	}
+	return ""
 }
 
 // AddBatch appends a block of records — the batched grab hand-off writes
@@ -174,27 +210,13 @@ func (s *ScanResult) Seal() {
 }
 
 // sealMem is the in-memory seal: one stable sort + keep-last dedup over
-// the columns (sortByAddr), then the L7 cache. The spill store's Seal ends here too,
-// after the external merge has already left the columns sorted.
+// the columns (sortByAddr). The spill store's Seal ends here too, after the
+// external merge has already left the columns sorted.
 func (s *ScanResult) sealMem() {
-	if s.sealed {
-		return
+	if !s.sealed {
+		s.sortByAddr()
+		s.sealed = true
 	}
-	s.sortByAddr()
-	n := 0
-	for _, f := range s.flags {
-		if f&flagL7 != 0 {
-			n++
-		}
-	}
-	l7 := make(ip.AddrSlice, 0, n)
-	for i, f := range s.flags {
-		if f&flagL7 != 0 {
-			l7 = append(l7, s.addrs[i])
-		}
-	}
-	s.l7Addrs = l7
-	s.sealed = true
 }
 
 func (s *ScanResult) seal() {
@@ -211,7 +233,7 @@ func (s *ScanResult) seal() {
 // A radix sort (radixSort) orders an int32 row index by (address, arrival
 // index): a total order, so the result is the stable one, and of several
 // Adds for one host the latest stays last for dedup to keep. The
-// permutation is then applied to the seven columns in place, cycle by cycle
+// permutation is then applied to the three columns in place, cycle by cycle
 // — hold the row a cycle starts at, pull each row of the cycle from where
 // the index says it comes, drop the held row into the last hole — so every
 // row moves once. The index (4 B/row) comes from a pool: a seal that follows
@@ -334,13 +356,7 @@ func (s *ScanResult) dedup() {
 		out++
 		i = j + 1
 	}
-	s.addrs = s.addrs[:out]
-	s.probeMask = s.probeMask[:out]
-	s.flags = s.flags[:out]
-	s.fail = s.fail[:out]
-	s.attempts = s.attempts[:out]
-	s.t = s.t[:out]
-	s.banner = s.banner[:out]
+	s.truncate(out)
 	s.dedupDropped += before - out
 }
 
@@ -365,13 +381,6 @@ func (s *ScanResult) Addrs() ip.AddrSlice {
 	return s.addrs
 }
 
-// L7Addrs returns the sorted addresses with successful L7 handshakes
-// (cached at Seal). Callers must not modify it.
-func (s *ScanResult) L7Addrs() ip.AddrSlice {
-	s.seal()
-	return s.l7Addrs
-}
-
 // Find returns the row index of addr in the sealed columns.
 func (s *ScanResult) Find(addr ip.Addr) (int, bool) {
 	s.seal()
@@ -385,25 +394,26 @@ func (s *ScanResult) Find(addr ip.Addr) (int, bool) {
 // RecordAt materializes row i of the sealed columns. Indices come from
 // Find or from iterating Addrs.
 func (s *ScanResult) RecordAt(i int) HostRecord {
+	r := &s.rows[i]
 	return HostRecord{
 		Addr:      s.addrs[i],
-		ProbeMask: s.probeMask[i],
-		RST:       s.flags[i]&flagRST != 0,
-		L7:        s.flags[i]&flagL7 != 0,
-		Fail:      s.fail[i],
-		Banner:    s.banner[i],
-		Attempts:  int(s.attempts[i]),
-		T:         s.t[i],
+		ProbeMask: r.probeMask,
+		RST:       r.flags&flagRST != 0,
+		L7:        r.flags&flagL7 != 0,
+		Fail:      r.fail,
+		Banner:    s.bannerAt(i),
+		Attempts:  int(r.attempts),
+		T:         r.t,
 	}
 }
 
 // SuccessAt reports whether row i is an L7 success, optionally requiring a
 // response to probe 0 (the single-probe simulation).
 func (s *ScanResult) SuccessAt(i int, singleProbe bool) bool {
-	if s.flags[i]&flagL7 == 0 {
+	if s.rows[i].flags&flagL7 == 0 {
 		return false
 	}
-	if singleProbe && s.probeMask[i]&1 == 0 {
+	if singleProbe && s.rows[i].probeMask&1 == 0 {
 		return false
 	}
 	return true
@@ -420,7 +430,26 @@ func (s *ScanResult) Get(addr ip.Addr) (HostRecord, bool) {
 // L7Count returns the number of hosts with successful handshakes.
 func (s *ScanResult) L7Count() int {
 	s.seal()
-	return len(s.l7Addrs)
+	n := 0
+	for i := range s.rows {
+		if s.rows[i].flags&flagL7 != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// l7Set returns a new sorted slice of the addresses with successful L7
+// handshakes: the merge-join input of ground-truth and intersection
+// queries.
+func (s *ScanResult) l7Set() ip.AddrSlice {
+	out := make(ip.AddrSlice, 0, s.L7Count())
+	for i := range s.rows {
+		if s.rows[i].flags&flagL7 != 0 {
+			out = append(out, s.addrs[i])
+		}
+	}
+	return out
 }
 
 // Success reports whether the scan completed an L7 handshake with addr,
@@ -586,8 +615,8 @@ func (d *Dataset) MustScan(o origin.ID, p proto.Protocol, trial int) *ScanResult
 
 // GroundTruth returns the sorted set of hosts that completed an L7
 // handshake with at least one origin in the trial — the paper's working
-// definition of live hosts. It is a k-way merge union of the scans' sealed
-// L7 address columns, cached per (protocol, trial).
+// definition of live hosts. It is a k-way merge union of the scans' L7
+// addresses (read off the sealed flags), cached per (protocol, trial).
 func (d *Dataset) GroundTruth(p proto.Protocol, trial int) []ip.Addr {
 	gk := gtKey{p, trial}
 	d.gtMu.Lock()
@@ -599,7 +628,7 @@ func (d *Dataset) GroundTruth(p proto.Protocol, trial int) []ip.Addr {
 	lists := make([]ip.AddrSlice, 0, len(d.Origins))
 	for _, o := range d.Origins {
 		if s := d.Scan(o, p, trial); s != nil {
-			lists = append(lists, s.L7Addrs())
+			lists = append(lists, s.l7Set())
 		}
 	}
 	gt = ip.Union(lists...)
@@ -634,13 +663,13 @@ func (d *Dataset) Equal(o *Dataset) bool { return d.Diff(o) == "" }
 
 // Intersection returns the number of ground-truth hosts every origin saw in
 // the trial (the ∩ column of Table 4a): a k-way merge intersection of the
-// scans' L7 columns. Origins that did not scan the trial (Carinet outside
+// scans' L7 addresses. Origins that did not scan the trial (Carinet outside
 // trial 1) are skipped, as in the paper.
 func (d *Dataset) Intersection(p proto.Protocol, trial int) int {
 	lists := make([]ip.AddrSlice, 0, len(d.Origins))
 	for _, o := range d.Origins {
 		if s := d.Scan(o, p, trial); s != nil {
-			lists = append(lists, s.L7Addrs())
+			lists = append(lists, s.l7Set())
 		}
 	}
 	return len(ip.IntersectAll(lists...))

@@ -25,11 +25,7 @@ func (s *byAddr) Len() int           { return len(s.addrs) }
 func (s *byAddr) Less(i, j int) bool { return s.addrs[i].Less(s.addrs[j]) }
 func (s *byAddr) Swap(i, j int) {
 	s.addrs[i], s.addrs[j] = s.addrs[j], s.addrs[i]
-	s.probeMask[i], s.probeMask[j] = s.probeMask[j], s.probeMask[i]
-	s.flags[i], s.flags[j] = s.flags[j], s.flags[i]
-	s.fail[i], s.fail[j] = s.fail[j], s.fail[i]
-	s.attempts[i], s.attempts[j] = s.attempts[j], s.attempts[i]
-	s.t[i], s.t[j] = s.t[j], s.t[i]
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 	s.banner[i], s.banner[j] = s.banner[j], s.banner[i]
 }
 
@@ -63,7 +59,18 @@ func sortFixture(n int, addr func(i int) ip.Addr) *ScanResult {
 }
 
 func columnsOf(s *ScanResult) []any {
-	return []any{s.addrs, s.probeMask, s.flags, s.fail, s.attempts, s.t, s.banner, s.dedupDropped}
+	return []any{s.addrs, s.rows, s.banner, s.banners, s.dedupDropped}
+}
+
+// copyColumns is an unsorted copy of s's columns, sharing its dictionary:
+// the input the stable-sort oracle sorts beside sortByAddr.
+func copyColumns(s *ScanResult) *ScanResult {
+	return &ScanResult{
+		addrs:   append(ip.AddrSlice(nil), s.addrs...),
+		rows:    append([]row(nil), s.rows...),
+		banner:  append([]uint32(nil), s.banner...),
+		banners: s.banners,
+	}
 }
 
 // TestSortByAddrMatchesStableOracle pins sortByAddr — index sort by
@@ -108,15 +115,7 @@ func TestSortByAddrMatchesStableOracle(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := sortFixture(tc.n, tc.addr)
-			want := &ScanResult{
-				addrs:     append(ip.AddrSlice(nil), got.addrs...),
-				probeMask: append([]uint8(nil), got.probeMask...),
-				flags:     append([]uint8(nil), got.flags...),
-				fail:      append([]zgrab.FailMode(nil), got.fail...),
-				attempts:  append([]int32(nil), got.attempts...),
-				t:         append([]time.Duration(nil), got.t...),
-				banner:    append([]string(nil), got.banner...),
-			}
+			want := copyColumns(got)
 			got.sortByAddr()
 			want.sortByAddrOracle()
 			if !got.addrs.IsSorted() {
@@ -155,21 +154,13 @@ func BenchmarkSealSort(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			src := sortFixture(bc.n, bc.addr)
-			s := &ScanResult{
-				addrs: make(ip.AddrSlice, bc.n), probeMask: make([]uint8, bc.n), flags: make([]uint8, bc.n),
-				fail: make([]zgrab.FailMode, bc.n), attempts: make([]int32, bc.n),
-				t: make([]time.Duration, bc.n), banner: make([]string, bc.n),
-			}
+			s := &ScanResult{addrs: make(ip.AddrSlice, bc.n), rows: make([]row, bc.n), banner: make([]uint32, bc.n)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				copy(s.addrs, src.addrs)
-				copy(s.probeMask, src.probeMask)
-				copy(s.flags, src.flags)
-				copy(s.fail, src.fail)
-				copy(s.attempts, src.attempts)
-				copy(s.t, src.t)
+				copy(s.rows, src.rows)
 				copy(s.banner, src.banner)
 				b.StartTimer()
 				s.sortByAddr()
@@ -227,15 +218,7 @@ func FuzzSortByAddr(f *testing.F) {
 			}
 		}
 		got := sortFixture(len(addrs), func(i int) ip.Addr { return addrs[i] })
-		want := &ScanResult{
-			addrs:     append(ip.AddrSlice(nil), got.addrs...),
-			probeMask: append([]uint8(nil), got.probeMask...),
-			flags:     append([]uint8(nil), got.flags...),
-			fail:      append([]zgrab.FailMode(nil), got.fail...),
-			attempts:  append([]int32(nil), got.attempts...),
-			t:         append([]time.Duration(nil), got.t...),
-			banner:    append([]string(nil), got.banner...),
-		}
+		want := copyColumns(got)
 		got.sortByAddr()
 		want.sortByAddrOracle()
 		g, w := columnsOf(got), columnsOf(want)

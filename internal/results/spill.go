@@ -37,56 +37,56 @@ import (
 // sealed columns row for row — and the JSON encoder is a pure function of
 // the sealed columns and the scan stats.
 //
-// Segment file layout ("sorted binary columnar segment"): an 8-byte magic,
-// a u8 address width (bytes per address; 16 since ORSEG002 — addresses are
-// the 128-bit dual-stack form), then a sequence of frames until EOF. Each
-// frame holds up to spillFrameRows records as little-endian column
-// sections:
+// Segment file layout ("sorted binary segment"): an 8-byte magic, a u8
+// address width (bytes per address; 16 since ORSEG002 — addresses are the
+// 128-bit dual-stack form), then a sequence of frames until EOF. Each frame
+// holds up to spillFrameRows fixed-width little-endian rows:
 //
-//	magic   "ORSEG002"
+//	magic   "ORSEG003"
 //	width   u8 (= 16)
-//	frame:  u32 rows, u32 bannerBytes,
-//	        rows×u64 addrHi, rows×u64 addrLo,
-//	        rows×u8 probeMask, rows×u8 flags, rows×u8 fail,
-//	        rows×u32 attempts, rows×u64 t, rows×u32 bannerLen, bannerData
+//	frame:  u32 rows,
+//	        rows × (u64 addrHi, u64 addrLo, u64 t, u32 attempts,
+//	                u32 banner, u8 probeMask, u8 flags, u8 fail)
 //
-// A frame's declared sizes are checked before anything is allocated for
-// it: the frame must fit in what is left of the file, and the banner
-// lengths must add up to bannerBytes. A segment that fails either is an
-// error from the merge, never a panic or a short result.
+// The banner field is an index into the owning ScanResult's dictionary, not
+// text: the dictionary is append-only and outlives every segment the result
+// writes (segments are deleted at Seal or Discard), so a frame carries no
+// banner bytes and the reader makes no strings.
 //
-// A reader refuses other magics — including the retired 32-bit ORSEG001 —
-// and other widths loudly: a spill directory can survive a binary upgrade,
-// and decoding a 4-byte address column as 16-byte keys would corrupt every
-// record past the first row, so a version mismatch must be an error, never a guess.
+// A frame's declared size is checked against what is left of the file
+// before anything is read for it, and every banner index against the
+// dictionary's size. A segment that fails either is an error from the
+// merge, never a panic or a short result.
+//
+// A reader refuses other magics — including the retired ORSEG001 (32-bit
+// addresses) and ORSEG002 (banner text in the frame) — and other widths
+// loudly: a spill directory can survive a binary upgrade, and decoding one
+// layout as another would corrupt every row, so a version mismatch must be
+// an error, never a guess.
 //
 // Frames keep both ends streaming: the writer never seeks (a merge's row
 // count is unknown until it finishes), and a reader decodes one frame at a
-// time into small column buffers, so an open segment costs O(frame) memory
+// time into reused buffers, so an open segment costs O(frame) memory
 // regardless of its size.
 
 const (
-	segMagic = "ORSEG002"
-	// segMagicV1 is the retired 32-bit-address format, recognized only to
-	// fail with a version error instead of a generic bad-magic one.
-	segMagicV1 = "ORSEG001"
+	segMagic = "ORSEG003"
+	// segMagicPrefix is what every version's magic starts with; the retired
+	// ones are recognized only to fail with a version error instead of a
+	// generic bad-magic one.
+	segMagicPrefix = "ORSEG00"
 	// segAddrWidth is the bytes-per-address the current format encodes.
 	segAddrWidth = 16
 	// spillFrameRows caps rows per segment frame: the unit of reader
 	// memory and writer buffering.
 	spillFrameRows = 4096
-	// segFrameRowBytes is one row's share of a frame's fixed-width columns
-	// (addrHi, addrLo, probeMask, flags, fail, attempts, t, bannerLen).
-	segFrameRowBytes = 8 + 8 + 1 + 1 + 1 + 4 + 8 + 4
+	// segFrameRowBytes is one encoded row (addrHi, addrLo, t, attempts,
+	// banner, probeMask, flags, fail).
+	segFrameRowBytes = 8 + 8 + 8 + 4 + 4 + 1 + 1 + 1
 	// spillMergeFanIn caps segments merged in one pass (bounds open file
 	// handles and reader buffers); more segments merge hierarchically,
 	// oldest group first, which preserves run ordering.
 	spillMergeFanIn = 64
-	// spillRowBytes estimates the in-memory cost of one buffered record
-	// (column elements plus the banner string header); the banner bytes
-	// themselves are accounted separately. Used for both the budget
-	// accounting and the capacity-hint clamp.
-	spillRowBytes = 40
 	// DefaultSpillBudget is the per-result live-run budget when
 	// SpillConfig.Budget is unset: large enough that Scale ≤ 0.001
 	// studies never spill, small enough that a Scale 0.1 scan stays
@@ -100,7 +100,8 @@ type SpillConfig struct {
 	// temporary subdirectory per result). It must exist.
 	Dir string
 	// Budget is the live-run memory budget in bytes: once the buffered
-	// columns exceed it, the run is flushed to a segment. <= 0 means
+	// rows (rowBytes each) plus the banner dictionary entries they added
+	// (each counted once) exceed it, the run is flushed to a segment. <= 0 means
 	// DefaultSpillBudget. A tiny budget (even 1) is valid and only
 	// costs more segments — the sealed bytes do not change.
 	Budget int64
@@ -117,7 +118,7 @@ func (c SpillConfig) budget() int64 {
 // pre-allocating columns for under the budget (one extra row so the
 // threshold check, which runs after the append, has room).
 func (c SpillConfig) maxRows() int {
-	n := c.budget()/spillRowBytes + 1
+	n := c.budget()/rowBytes + 1
 	if n > int64(1)<<31 {
 		n = int64(1) << 31
 	}
@@ -149,7 +150,7 @@ type SpillStats struct {
 type spillState struct {
 	cfg       SpillConfig
 	dir       string // per-result temp dir, created on first flush
-	liveBytes int64  // estimated bytes buffered in the live columns
+	liveBytes int64  // bytes buffered in the live run (see SpillConfig.Budget)
 	segments  []spillSegment
 	err       error // sticky first I/O failure; disables further spilling
 	stats     SpillStats
@@ -217,9 +218,8 @@ func (s *ScanResult) SealErr() error {
 			}
 		}
 		s.sealMem()
-		// Estimate what the sealed columns occupy so a later Add →
-		// flush cycle accounts for re-spilling them as one run.
-		s.spill.liveBytes = s.liveColumnBytes()
+		// The sealed columns are the live run a later Add extends.
+		s.spill.liveBytes = int64(len(s.addrs)) * rowBytes
 		s.spill.cleanupDir()
 	}
 	return s.spill.err
@@ -252,16 +252,6 @@ func (sp *spillState) cleanupDir() {
 	}
 }
 
-// liveColumnBytes estimates the memory the current columns occupy, in the
-// same units the Add-path accounting uses.
-func (s *ScanResult) liveColumnBytes() int64 {
-	b := int64(len(s.addrs)) * spillRowBytes
-	for _, banner := range s.banner {
-		b += int64(len(banner))
-	}
-	return b
-}
-
 // maybeSpill flushes the live run once the budget is exceeded. Called
 // from Add; a no-op for in-memory results (s.spill == nil is checked by
 // the caller).
@@ -292,10 +282,11 @@ func (s *ScanResult) flushRun() error {
 	s.sortByAddr()
 	path := filepath.Join(sp.dir, fmt.Sprintf("run-%06d.seg", sp.stats.Segments))
 	flushBegin := time.Now()
-	n, bytes, err := writeSegment(path, func(emit func(spillRow)) {
+	n, bytes, err := writeSegment(path, func(emit func(spillRow)) error {
 		for i := range s.addrs {
 			emit(s.rowAt(i))
 		}
+		return nil
 	})
 	if err != nil {
 		os.Remove(path)
@@ -305,65 +296,36 @@ func (s *ScanResult) flushRun() error {
 	sp.stats.Segments++
 	sp.stats.SpilledBytes += bytes
 	sp.stats.FlushDuration += time.Since(flushBegin)
-	s.resetColumns()
+	// Empty the columns, keeping their capacity (bounded by the budget
+	// clamp) for the next run.
+	s.truncate(0)
 	sp.liveBytes = 0
 	return nil
 }
 
-// resetColumns empties the columns, keeping their capacity (bounded by the
-// budget clamp) for the next run.
-func (s *ScanResult) resetColumns() {
-	s.addrs = s.addrs[:0]
-	s.probeMask = s.probeMask[:0]
-	s.flags = s.flags[:0]
-	s.fail = s.fail[:0]
-	s.attempts = s.attempts[:0]
-	s.t = s.t[:0]
-	s.banner = s.banner[:0]
-}
-
-// spillRow is one record in segment-file terms: the raw column values,
-// flags already packed.
+// spillRow is one record across the three columns: the unit the sort, the
+// merge and the segment codec move.
 type spillRow struct {
-	addr      ip.Addr
-	probeMask uint8
-	flags     uint8
-	fail      zgrab.FailMode
-	attempts  int32
-	t         time.Duration
-	banner    string
+	addr   ip.Addr
+	row    row
+	banner uint32
 }
 
-func (s *ScanResult) rowAt(i int) spillRow {
-	return spillRow{
-		addr:      s.addrs[i],
-		probeMask: s.probeMask[i],
-		flags:     s.flags[i],
-		fail:      s.fail[i],
-		attempts:  s.attempts[i],
-		t:         s.t[i],
-		banner:    s.banner[i],
-	}
-}
+func (s *ScanResult) rowAt(i int) spillRow { return spillRow{s.addrs[i], s.rows[i], s.banner[i]} }
 
 func (s *ScanResult) setRow(i int, r spillRow) {
-	s.addrs[i] = r.addr
-	s.probeMask[i] = r.probeMask
-	s.flags[i] = r.flags
-	s.fail[i] = r.fail
-	s.attempts[i] = r.attempts
-	s.t[i] = r.t
-	s.banner[i] = r.banner
+	s.addrs[i], s.rows[i], s.banner[i] = r.addr, r.row, r.banner
 }
 
 func (s *ScanResult) appendRow(r spillRow) {
 	s.addrs = append(s.addrs, r.addr)
-	s.probeMask = append(s.probeMask, r.probeMask)
-	s.flags = append(s.flags, r.flags)
-	s.fail = append(s.fail, r.fail)
-	s.attempts = append(s.attempts, r.attempts)
-	s.t = append(s.t, r.t)
+	s.rows = append(s.rows, r.row)
 	s.banner = append(s.banner, r.banner)
+}
+
+// truncate cuts the three columns to their first n rows.
+func (s *ScanResult) truncate(n int) {
+	s.addrs, s.rows, s.banner = s.addrs[:n], s.rows[:n], s.banner[:n]
 }
 
 // mergeSpilled replaces the columns with the keep-last merge of every
@@ -376,8 +338,7 @@ func (s *ScanResult) mergeSpilled() error {
 	// The live run becomes the newest sorted run, in memory.
 	s.sortByAddr()
 	live := *s // snapshot of the live columns for the memory reader
-	s.addrs, s.probeMask, s.flags, s.fail = nil, nil, nil, nil
-	s.attempts, s.t, s.banner = nil, nil, nil
+	s.addrs, s.rows, s.banner = nil, nil, nil
 
 	// Hierarchical pre-merges: reduce the oldest segments first so run
 	// ordering (and therefore keep-last) is preserved; the live run only
@@ -404,7 +365,7 @@ func (s *ScanResult) mergeSpilled() error {
 	}()
 	total := len(live.addrs)
 	for _, seg := range sp.segments {
-		sr, err := openSegment(seg.path)
+		sr, err := openSegment(seg.path, len(s.banners))
 		if err != nil {
 			return err
 		}
@@ -413,13 +374,13 @@ func (s *ScanResult) mergeSpilled() error {
 	}
 	readers = append(readers, &memRunReader{s: &live, i: -1})
 
-	out := NewScanResultSized(s.Origin, s.Proto, s.Trial, total)
-	dropped, err := mergeRuns(readers, out.appendRow)
+	s.addrs = make(ip.AddrSlice, 0, total)
+	s.rows = make([]row, 0, total)
+	s.banner = make([]uint32, 0, total)
+	dropped, err := mergeRuns(readers, s.appendRow)
 	if err != nil {
 		return err
 	}
-	s.addrs, s.probeMask, s.flags = out.addrs, out.probeMask, out.flags
-	s.fail, s.attempts, s.t, s.banner = out.fail, out.attempts, out.t, out.banner
 	s.dedupDropped += dropped
 	sp.stats.MergeFanIn = len(readers)
 	sp.stats.MergePasses = passes
@@ -438,7 +399,7 @@ func (s *ScanResult) mergeToSegment(group []spillSegment) (spillSegment, error) 
 		}
 	}()
 	for _, seg := range group {
-		sr, err := openSegment(seg.path)
+		sr, err := openSegment(seg.path, len(s.banners))
 		if err != nil {
 			return spillSegment{}, err
 		}
@@ -446,7 +407,7 @@ func (s *ScanResult) mergeToSegment(group []spillSegment) (spillSegment, error) 
 	}
 	path := filepath.Join(sp.dir, fmt.Sprintf("run-%06d.seg", sp.stats.Segments))
 	var dropped int
-	n, bytes, err := writeSegmentErr(path, func(emit func(spillRow)) error {
+	n, bytes, err := writeSegment(path, func(emit func(spillRow)) error {
 		var err error
 		dropped, err = mergeRuns(readers, emit)
 		return err
@@ -520,12 +481,12 @@ type memRunReader struct {
 	i int
 }
 
-func (m *memRunReader) next(row *spillRow) (bool, error) {
+func (m *memRunReader) next(r *spillRow) (bool, error) {
 	m.i++
 	if m.i >= len(m.s.addrs) {
 		return false, nil
 	}
-	*row = m.s.rowAt(m.i)
+	*r = m.s.rowAt(m.i)
 	return true, nil
 }
 
@@ -535,28 +496,22 @@ func (m *memRunReader) close() error { return nil }
 
 type segmentWriter struct {
 	bw    *bufio.Writer
-	frame []spillRow
+	frame []byte // the encoded rows of the frame being filled
+	n     int    // rows in frame
 	rows  int
 	err   error
 }
 
 // writeSegment streams rows produced by fill into a new segment file at
 // path, returning the row count and file size.
-func writeSegment(path string, fill func(emit func(spillRow))) (rows int, size int64, err error) {
-	return writeSegmentErr(path, func(emit func(spillRow)) error {
-		fill(emit)
-		return nil
-	})
-}
-
-func writeSegmentErr(path string, fill func(emit func(spillRow)) error) (rows int, size int64, err error) {
+func writeSegment(path string, fill func(emit func(spillRow)) error) (rows int, size int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("results: creating segment: %w", err)
 	}
 	w := &segmentWriter{
 		bw:    bufio.NewWriterSize(f, 1<<16),
-		frame: make([]spillRow, 0, spillFrameRows),
+		frame: make([]byte, 0, spillFrameRows*segFrameRowBytes),
 	}
 	w.bw.WriteString(segMagic)
 	w.bw.WriteByte(segAddrWidth)
@@ -582,82 +537,54 @@ func writeSegmentErr(path string, fill func(emit func(spillRow)) error) (rows in
 }
 
 func (w *segmentWriter) emit(r spillRow) {
-	w.frame = append(w.frame, r)
+	le := binary.LittleEndian
+	b := le.AppendUint64(w.frame, r.addr.Hi())
+	b = le.AppendUint64(b, r.addr.Lo())
+	b = le.AppendUint64(b, uint64(r.row.t))
+	b = le.AppendUint32(b, uint32(r.row.attempts))
+	b = le.AppendUint32(b, r.banner)
+	w.frame = append(b, r.row.probeMask, r.row.flags, uint8(r.row.fail))
+	w.n++
 	w.rows++
-	if len(w.frame) == spillFrameRows {
+	if w.n == spillFrameRows {
 		w.flushFrame()
 	}
 }
 
-// flushFrame encodes the buffered rows as one columnar frame.
+// flushFrame writes the buffered rows as one frame.
 func (w *segmentWriter) flushFrame() {
-	if w.err != nil || len(w.frame) == 0 {
-		w.frame = w.frame[:0]
-		return
+	if w.err == nil && w.n > 0 {
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], uint32(w.n))
+		w.bw.Write(hdr[:])
+		// bufio.Writer latches its first error; record it once per frame.
+		if _, err := w.bw.Write(w.frame); err != nil {
+			w.err = err
+		}
 	}
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		w.bw.Write(scratch[:4])
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		w.bw.Write(scratch[:8])
-	}
-	bannerBytes := 0
-	for i := range w.frame {
-		bannerBytes += len(w.frame[i].banner)
-	}
-	u32(uint32(len(w.frame)))
-	u32(uint32(bannerBytes))
-	for i := range w.frame {
-		u64(w.frame[i].addr.Hi())
-	}
-	for i := range w.frame {
-		u64(w.frame[i].addr.Lo())
-	}
-	for i := range w.frame {
-		w.bw.WriteByte(w.frame[i].probeMask)
-	}
-	for i := range w.frame {
-		w.bw.WriteByte(w.frame[i].flags)
-	}
-	for i := range w.frame {
-		w.bw.WriteByte(uint8(w.frame[i].fail))
-	}
-	for i := range w.frame {
-		u32(uint32(w.frame[i].attempts))
-	}
-	for i := range w.frame {
-		u64(uint64(w.frame[i].t))
-	}
-	for i := range w.frame {
-		u32(uint32(len(w.frame[i].banner)))
-	}
-	for i := range w.frame {
-		w.bw.WriteString(w.frame[i].banner)
-	}
-	w.frame = w.frame[:0]
-	// bufio.Writer latches its first error; record it once per frame.
-	if _, err := w.bw.Write(nil); err != nil && w.err == nil {
-		w.err = err
-	}
+	w.frame, w.n = w.frame[:0], 0
 }
 
-// Segment file reader: decodes one frame at a time into column buffers, so
+// Segment file reader: decodes one frame at a time into reused buffers, so
 // an open segment costs O(spillFrameRows) memory.
 
 type segmentReader struct {
 	f   *os.File
 	br  *bufio.Reader
+	raw []byte // the current frame's encoded rows
 	buf []spillRow
 	i   int
 	// left is how many of the file's bytes no frame has claimed yet: the
 	// ceiling on what the next frame may declare.
 	left int64
+	// dict is the owning result's dictionary size: the largest banner
+	// index a row may carry.
+	dict uint32
 }
 
-func openSegment(path string) (*segmentReader, error) {
+// openSegment opens a segment whose banner indices point into a dictionary
+// of dict entries.
+func openSegment(path string, dict int) (*segmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("results: opening segment: %w", err)
@@ -666,8 +593,8 @@ func openSegment(path string) (*segmentReader, error) {
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != segMagic {
 		f.Close()
-		if err == nil && string(magic) == segMagicV1 {
-			return nil, fmt.Errorf("results: %s: segment version %s (32-bit addresses) is no longer readable; current format is %s", path, segMagicV1, segMagic)
+		if err == nil && string(magic[:len(segMagicPrefix)]) == segMagicPrefix {
+			return nil, fmt.Errorf("results: %s: segment version %s is no longer readable; current format is %s", path, magic, segMagic)
 		}
 		return nil, fmt.Errorf("results: %s: bad segment magic", path)
 	}
@@ -685,7 +612,7 @@ func openSegment(path string) (*segmentReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("results: %s: sizing segment: %w", path, err)
 	}
-	return &segmentReader{f: f, br: br, left: fi.Size() - int64(len(segMagic)) - 1}, nil
+	return &segmentReader{f: f, br: br, left: fi.Size() - int64(len(segMagic)) - 1, dict: uint32(dict)}, nil
 }
 
 func (r *segmentReader) next(row *spillRow) (bool, error) {
@@ -701,102 +628,43 @@ func (r *segmentReader) next(row *spillRow) (bool, error) {
 }
 
 func (r *segmentReader) readFrame() (bool, error) {
-	var hdr [8]byte
+	var hdr [4]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		if err == io.EOF {
 			return false, nil // clean end: no more frames
 		}
 		return false, fmt.Errorf("results: reading segment frame: %w", err)
 	}
-	rows := int(binary.LittleEndian.Uint32(hdr[:4]))
-	bannerBytes := int(binary.LittleEndian.Uint32(hdr[4:]))
+	rows := int(binary.LittleEndian.Uint32(hdr[:]))
 	if rows <= 0 || rows > spillFrameRows {
 		return false, fmt.Errorf("results: corrupt segment frame (%d rows)", rows)
 	}
-	size := int64(len(hdr)) + int64(rows)*segFrameRowBytes + int64(bannerBytes)
-	if size > r.left {
-		return false, fmt.Errorf("results: corrupt segment frame (%d bytes declared, %d left in the file)", size, r.left)
+	size := int64(rows) * segFrameRowBytes
+	if int64(len(hdr))+size > r.left {
+		return false, fmt.Errorf("results: corrupt segment frame (%d bytes declared, %d left in the file)", int64(len(hdr))+size, r.left)
 	}
-	r.left -= size
-	if cap(r.buf) < rows {
-		r.buf = make([]spillRow, rows)
+	r.left -= int64(len(hdr)) + size
+	if r.raw == nil {
+		r.raw = make([]byte, spillFrameRows*segFrameRowBytes)
+		r.buf = make([]spillRow, spillFrameRows)
 	}
-	r.buf = r.buf[:rows]
-	r.i = 0
-	var err error
-	u32s := make([]byte, 4*rows)
-	readU32s := func(dst func(i int, v uint32)) {
-		if err != nil {
-			return
-		}
-		if _, err = io.ReadFull(r.br, u32s); err != nil {
-			return
-		}
-		for i := 0; i < rows; i++ {
-			dst(i, binary.LittleEndian.Uint32(u32s[4*i:]))
-		}
-	}
-	readU8s := func(dst func(i int, v byte)) {
-		if err != nil {
-			return
-		}
-		b := u32s[:rows]
-		if _, err = io.ReadFull(r.br, b); err != nil {
-			return
-		}
-		for i := 0; i < rows; i++ {
-			dst(i, b[i])
-		}
-	}
-	readAddrWord := func(dst func(i int, v uint64)) {
-		if err != nil {
-			return
-		}
-		b := make([]byte, 8*rows)
-		if _, err = io.ReadFull(r.br, b); err != nil {
-			return
-		}
-		for i := 0; i < rows; i++ {
-			dst(i, binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-	his := make([]uint64, rows)
-	readAddrWord(func(i int, v uint64) { his[i] = v })
-	readAddrWord(func(i int, v uint64) { r.buf[i].addr = ip.AddrFrom128(his[i], v) })
-	readU8s(func(i int, v byte) { r.buf[i].probeMask = v })
-	readU8s(func(i int, v byte) { r.buf[i].flags = v })
-	readU8s(func(i int, v byte) { r.buf[i].fail = zgrab.FailMode(v) })
-	readU32s(func(i int, v uint32) { r.buf[i].attempts = int32(v) })
-	if err == nil {
-		u64s := make([]byte, 8*rows)
-		if _, err = io.ReadFull(r.br, u64s); err == nil {
-			for i := 0; i < rows; i++ {
-				r.buf[i].t = time.Duration(binary.LittleEndian.Uint64(u64s[8*i:]))
-			}
-		}
-	}
-	lens := make([]uint32, rows)
-	readU32s(func(i int, v uint32) { lens[i] = v })
-	if err == nil {
-		data := make([]byte, bannerBytes)
-		if _, err = io.ReadFull(r.br, data); err == nil {
-			off := 0
-			for i := 0; i < rows; i++ {
-				end := off + int(lens[i])
-				if end > len(data) {
-					err = fmt.Errorf("banner lengths exceed frame data")
-					break
-				}
-				r.buf[i].banner = string(data[off:end])
-				off = end
-			}
-			if err == nil && off != len(data) {
-				err = fmt.Errorf("banner lengths add up to %d of the frame's %d banner bytes", off, len(data))
-			}
-		}
-	}
-	if err != nil {
+	raw := r.raw[:size]
+	if _, err := io.ReadFull(r.br, raw); err != nil {
 		return false, fmt.Errorf("results: reading segment frame: %w", err)
+	}
+	le := binary.LittleEndian
+	r.buf, r.i = r.buf[:rows], 0
+	for i := range r.buf {
+		b := raw[i*segFrameRowBytes:]
+		k := le.Uint32(b[28:])
+		if k > r.dict {
+			return false, fmt.Errorf("results: corrupt segment frame (banner index %d, dictionary holds %d)", k, r.dict)
+		}
+		r.buf[i] = spillRow{
+			addr:   ip.AddrFrom128(le.Uint64(b), le.Uint64(b[8:])),
+			row:    row{t: time.Duration(le.Uint64(b[16:])), attempts: int32(le.Uint32(b[24:])), probeMask: b[32], flags: b[33], fail: zgrab.FailMode(b[34])},
+			banner: k,
+		}
 	}
 	return true, nil
 }

@@ -3,6 +3,7 @@ package results
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ip"
 	"repro/internal/origin"
@@ -25,7 +27,7 @@ import (
 // RESULTS_SPILL_BUDGET env knob (used by the CI spill job) appends an
 // extra threshold.
 func spillTestBudgets(t *testing.T) []int64 {
-	budgets := []int64{1, 4 * spillRowBytes, 64 << 10, 1 << 40}
+	budgets := []int64{1, 4 * rowBytes, 64 << 10, 1 << 40}
 	if v := os.Getenv("RESULTS_SPILL_BUDGET"); v != "" {
 		b, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -85,41 +87,90 @@ func spillRandRecord(rng *rand.Rand) HostRecord {
 	return r
 }
 
+// spillOp is one step of a record stream: a batch of Adds, or a Seal.
+type spillOp struct {
+	batch []HostRecord // nil = Seal
+}
+
+// randomSpillScript is a random stream interleaving Add, AddBatch (larger
+// than the tiny thresholds, so spills trigger mid-batch) and mid-stream
+// Seal (forcing merge → re-open → re-spill cycles).
+func randomSpillScript(rng *rand.Rand) []spillOp {
+	var script []spillOp
+	nops := 20 + rng.Intn(40)
+	for i := 0; i < nops; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			script = append(script, spillOp{}) // mid-stream Seal
+		case 1, 2, 3:
+			batch := make([]HostRecord, 1+rng.Intn(200))
+			for j := range batch {
+				batch[j] = spillRandRecord(rng)
+			}
+			script = append(script, spillOp{batch: batch})
+		default:
+			script = append(script, spillOp{batch: []HostRecord{spillRandRecord(rng)}})
+		}
+	}
+	return script
+}
+
+// scattered is the i-th of a scattered walk over distinct v4 hosts.
+func scattered(i int) ip.Addr { return ip.AddrFrom4(uint32(i) * 2654435761) }
+
+// bannerlessBatches is n batches of 200 rows with no banner, hosts
+// scattered(0) onward.
+func bannerlessBatches(n int) []spillOp {
+	var script []spillOp
+	for b := 0; b < n; b++ {
+		batch := make([]HostRecord, 200)
+		for j := range batch {
+			i := 200*b + j
+			batch[j] = HostRecord{Addr: scattered(i), ProbeMask: 1, Attempts: 1, T: time.Duration(i)}
+		}
+		script = append(script, spillOp{batch: batch})
+	}
+	return script
+}
+
 // TestSpillDifferential is the determinism proof in test form: identical
 // record streams through the in-memory store and spill stores at every
 // adversarial threshold must produce an empty DiffAgainst, identical
 // sealed JSON bytes, identical SealStats, and no leftover segment files.
-// The stream interleaves Add, AddBatch (larger than the tiny thresholds,
-// so spills trigger mid-batch), and mid-stream Seal (forcing merge →
-// re-open → re-spill cycles).
+// Six streams are random; two script the banner dictionary's edges: a
+// banner that first appears after segments were flushed (and then on a
+// host a segment already holds), and a keep-last dedup that drops the only
+// row carrying a banner, which must leave no "banners" key in the JSON.
 func TestSpillDifferential(t *testing.T) {
 	budgets := spillTestBudgets(t)
+	type stream struct {
+		name    string
+		script  []spillOp
+		banners bool // the sealed JSON has a "banners" key
+	}
+	var streams []stream
 	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		// One scripted random stream per seed, replayed into every store.
-		type op struct {
-			batch []HostRecord // nil = Seal
-		}
-		var script []op
-		nops := 20 + rng.Intn(40)
-		for i := 0; i < nops; i++ {
-			switch rng.Intn(8) {
-			case 0:
-				script = append(script, op{}) // mid-stream Seal
-			case 1, 2, 3:
-				batch := make([]HostRecord, 1+rng.Intn(200))
-				for j := range batch {
-					batch[j] = spillRandRecord(rng)
-				}
-				script = append(script, op{batch: batch})
-			default:
-				script = append(script, op{batch: []HostRecord{spillRandRecord(rng)}})
-			}
-		}
-		stats := [5]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
-
+		streams = append(streams, stream{name: fmt.Sprintf("seed %d", seed), script: randomSpillScript(rand.New(rand.NewSource(seed))), banners: true})
+	}
+	late := HostRecord{Addr: scattered(7), ProbeMask: 3, L7: true, Attempts: 1, Banner: "late/1.0"}
+	streams = append(streams, stream{
+		name: "banner after flushed segments",
+		script: append(bannerlessBatches(3),
+			spillOp{batch: []HostRecord{late, {Addr: ip.AddrFrom4(5000), L7: true, Banner: "late/1.0"}}},
+			spillOp{}, spillOp{batch: []HostRecord{{Addr: ip.AddrFrom4(5001), L7: true, Banner: "later/2.0"}}}),
+		banners: true,
+	})
+	only := HostRecord{Addr: scattered(3), ProbeMask: 3, L7: true, Attempts: 1, Banner: "gone/1.0"}
+	streams = append(streams, stream{
+		name: "dedup drops the only banner",
+		script: append(append([]spillOp{{batch: []HostRecord{only}}}, bannerlessBatches(3)...),
+			spillOp{batch: []HostRecord{{Addr: only.Addr, ProbeMask: 1}}}),
+		banners: false,
+	})
+	for si, st := range streams {
+		stats := [5]uint64{uint64(si), 2, 3, 4, 5}
 		run := func(s *ScanResult) {
-			for _, o := range script {
+			for _, o := range st.script {
 				if o.batch == nil {
 					s.Seal()
 					continue
@@ -138,44 +189,47 @@ func TestSpillDifferential(t *testing.T) {
 		run(mem)
 		wantJSON := sealedJSON(t, mem)
 		wantRows, wantDeduped := mem.SealStats()
+		if got := bytes.Contains(wantJSON, []byte(`"banners"`)); got != st.banners {
+			t.Fatalf("%s: sealed JSON has a banners key: %v, want %v", st.name, got, st.banners)
+		}
 
 		for _, budget := range budgets {
 			dir := t.TempDir()
 			sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{Dir: dir, Budget: budget})
 			if err != nil {
-				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
+				t.Fatalf("%s budget %d: %v", st.name, budget, err)
 			}
 			run(sp)
 			if err := sp.SealErr(); err != nil {
-				t.Fatalf("seed %d budget %d: SealErr: %v", seed, budget, err)
+				t.Fatalf("%s budget %d: SealErr: %v", st.name, budget, err)
 			}
 			if diff := mem.DiffAgainst(sp); diff != "" {
-				t.Fatalf("seed %d budget %d: mem vs spill: %s", seed, budget, diff)
+				t.Fatalf("%s budget %d: mem vs spill: %s", st.name, budget, diff)
 			}
 			if diff := sp.DiffAgainst(mem); diff != "" {
-				t.Fatalf("seed %d budget %d: spill vs mem: %s", seed, budget, diff)
+				t.Fatalf("%s budget %d: spill vs mem: %s", st.name, budget, diff)
 			}
 			if got := sealedJSON(t, sp); !bytes.Equal(got, wantJSON) {
-				t.Fatalf("seed %d budget %d: sealed JSON differs (%d vs %d bytes)",
-					seed, budget, len(got), len(wantJSON))
+				t.Fatalf("%s budget %d: sealed JSON differs (%d vs %d bytes)",
+					st.name, budget, len(got), len(wantJSON))
 			}
 			rows, deduped := sp.SealStats()
 			if rows != wantRows || deduped != wantDeduped {
-				t.Fatalf("seed %d budget %d: SealStats=(%d,%d) want (%d,%d)",
-					seed, budget, rows, deduped, wantRows, wantDeduped)
+				t.Fatalf("%s budget %d: SealStats=(%d,%d) want (%d,%d)",
+					st.name, budget, rows, deduped, wantRows, wantDeduped)
 			}
 			if n := countFiles(t, dir); n != 0 {
-				t.Fatalf("seed %d budget %d: %d segment files leaked after seal", seed, budget, n)
+				t.Fatalf("%s budget %d: %d segment files leaked after seal", st.name, budget, n)
 			}
-			st := sp.SpillStats()
-			if budget == 1 && st.Segments == 0 {
-				t.Fatalf("seed %d: threshold-1 store never spilled", seed)
+			sst := sp.SpillStats()
+			if budget == 1 && sst.Segments == 0 {
+				t.Fatalf("%s: threshold-1 store never spilled", st.name)
 			}
-			if budget == 1<<40 && st.Segments != 0 {
-				t.Fatalf("seed %d: huge-threshold store spilled %d segments", seed, st.Segments)
+			if budget == 1<<40 && sst.Segments != 0 {
+				t.Fatalf("%s: huge-threshold store spilled %d segments", st.name, sst.Segments)
 			}
-			if st.Segments > 0 && st.SpilledBytes == 0 {
-				t.Fatalf("seed %d budget %d: segments without bytes", seed, budget)
+			if sst.Segments > 0 && sst.SpilledBytes == 0 {
+				t.Fatalf("%s budget %d: segments without bytes", st.name, budget)
 			}
 		}
 	}
@@ -272,18 +326,50 @@ func TestSpillFlushErrorIsStickyButLossless(t *testing.T) {
 // TestSpilledConstructorClampsHint asserts the sizing fix: a capacity hint
 // beyond what the budget allows must not pre-allocate past the ceiling.
 func TestSpilledConstructorClampsHint(t *testing.T) {
-	cfg := SpillConfig{Dir: t.TempDir(), Budget: 100 * spillRowBytes}
+	cfg := SpillConfig{Dir: t.TempDir(), Budget: 100 * rowBytes}
 	sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 1<<20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, max := cap(sp.addrs), cfg.maxRows(); got > max {
-		t.Fatalf("hint pre-allocated %d rows, budget ceiling is %d", got, max)
+	// The clamp divides by the exact row size: 100 rows fit the budget,
+	// plus the one the threshold check appends before it flushes.
+	if got := cap(sp.addrs); got > 101 {
+		t.Fatalf("hint pre-allocated %d rows, budget ceiling is 101", got)
 	}
 	// The in-memory constructor trusts the hint (documented asymmetry).
 	mem := NewScanResultSized(origin.US1, proto.HTTP, 0, 1<<12)
 	if cap(mem.addrs) != 1<<12 {
 		t.Fatalf("in-memory hint not honored: cap %d", cap(mem.addrs))
+	}
+}
+
+// TestSpillBudgetCountsDictionaryOnce: the live run is the rows at
+// rowBytes each plus each banner dictionary entry once. A banner larger
+// than the budget flushes the run that introduced it, later rows carrying
+// it cost rowBytes each, not the banner again, and after a seal the count
+// restarts at the sealed rows.
+func TestSpillBudgetCountsDictionaryOnce(t *testing.T) {
+	banner := strings.Repeat("b", 1000)
+	sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{Dir: t.TempDir(), Budget: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 21; i++ { // 21 × rowBytes = 756 < 1000
+		sp.Add(HostRecord{Addr: scattered(i), L7: true, Banner: banner})
+		if got := sp.SpillStats().Segments; got != 1 {
+			t.Fatalf("after %d Adds: %d segments, want 1 (the first row's new entry)", i+1, got)
+		}
+	}
+	if err := sp.SealErr(); err != nil {
+		t.Fatal(err)
+	}
+	// The sealed rows are the next run's start: 21 + 7 rows cross the
+	// budget (28 × rowBytes = 1008), 21 + 6 do not.
+	for i := 21; i < 28; i++ {
+		sp.Add(HostRecord{Addr: scattered(i)})
+		if got, want := sp.SpillStats().Segments, 1+i/27; got != want {
+			t.Fatalf("after %d rows: %d segments, want %d", i+1, got, want)
+		}
 	}
 }
 
@@ -299,37 +385,40 @@ func TestSpilledConstructorRejectsBadDir(t *testing.T) {
 	}
 }
 
-// segmentFrame encodes an ORSEG002 segment holding one frame of rows
-// zero-valued records whose header declares bannerBytes and whose banner
-// lengths are lens, followed by data — a frame the writer would never
-// produce.
-func segmentFrame(bannerBytes uint32, lens []uint32, data string) []byte {
+// segmentFrame encodes a segment of one frame declaring rows rows, each
+// zero but for banner index k: a frame the writer produces only for a
+// dictionary of at least k entries.
+func segmentFrame(rows int, k uint32) []byte {
 	b := append([]byte(segMagic), segAddrWidth)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(lens)))
-	b = binary.LittleEndian.AppendUint32(b, bannerBytes)
-	b = append(b, make([]byte, len(lens)*(segFrameRowBytes-4))...)
-	for _, l := range lens {
-		b = binary.LittleEndian.AppendUint32(b, l)
+	b = binary.LittleEndian.AppendUint32(b, uint32(rows))
+	for i := 0; i < rows; i++ {
+		row := make([]byte, segFrameRowBytes)
+		binary.LittleEndian.PutUint32(row[28:], k)
+		b = append(b, row...)
 	}
-	return append(b, data...)
+	return b
 }
 
-// wrappedBannerFrame is a frame whose second banner length wraps a 32-bit
-// offset back to zero.
-func wrappedBannerFrame() []byte { return segmentFrame(1, []uint32{1, 0xFFFFFFFF}, "x") }
+// rowsPastEOF is a frame declaring three rows with the bytes of less than one.
+func rowsPastEOF() []byte { return segmentFrame(3, 0)[:len(segMagic)+1+4+10] }
+
+// truncatedFrame is a whole frame followed by the first half of a second
+// frame's header.
+func truncatedFrame() []byte { return append(segmentFrame(2, 0), 1, 0) }
 
 // TestSpillCorruptSegmentFailsMerge: a segment whose frame lies about its
-// sizes fails the merge with an error from SealErr — not a panic, not a
-// short result, and not a 4 GiB allocation on the frame's word.
+// size or names a banner past the dictionary fails the merge with an error
+// from SealErr — not a panic, not a short result, and not a large
+// allocation on the frame's word.
 func TestSpillCorruptSegmentFailsMerge(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		frame []byte
+		frame func(dict int) []byte
+		want  string // what the error says, past "segment frame"
 	}{
-		{"wrapped-banner-offset", wrappedBannerFrame()},
-		{"banner-lengths-short-of-data", segmentFrame(3, []uint32{1, 1}, "xyz")},
-		{"banner-bytes-past-eof", segmentFrame(0xFFFFFFFF, []uint32{1}, "x")},
-		{"rows-past-eof", segmentFrame(0, []uint32{0, 0, 0}, "")[:len(segMagic)+1+8+10]},
+		{"banner-index-past-dictionary", func(dict int) []byte { return segmentFrame(2, uint32(dict)+1) }, "dictionary holds"},
+		{"rows-past-eof", func(int) []byte { return rowsPastEOF() }, "left in the file"},
+		{"truncated-frame", func(int) []byte { return truncatedFrame() }, "unexpected EOF"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{Dir: t.TempDir(), Budget: 1})
@@ -343,27 +432,29 @@ func TestSpillCorruptSegmentFailsMerge(t *testing.T) {
 			if len(sp.spill.segments) == 0 {
 				t.Fatal("no segment was flushed")
 			}
-			if err := os.WriteFile(sp.spill.segments[0].path, tc.frame, 0o644); err != nil {
+			frame := tc.frame(len(sp.banners))
+			if err := os.WriteFile(sp.spill.segments[0].path, frame, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			err = sp.SealErr()
 			runtime.ReadMemStats(&after)
-			if err == nil || !strings.Contains(err.Error(), "segment frame") {
-				t.Errorf("SealErr = %v, want a corrupt segment frame error", err)
+			if err == nil || !strings.Contains(err.Error(), "segment frame") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("SealErr = %v, want a segment frame error saying %q", err, tc.want)
 			}
 			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
-				t.Errorf("the merge allocated %d MiB for a %d-byte segment", n>>20, len(tc.frame))
+				t.Errorf("the merge allocated %d MiB for a %d-byte segment", n>>20, len(frame))
 			}
 		})
 	}
 }
 
 // FuzzSegmentReader: whatever bytes a segment file holds, opening it and
-// draining its rows returns rows or an error, never a panic, and never more
-// rows than the file has bytes for. The segment flushRun writes decodes to
-// the rows it was written from.
+// draining its rows returns rows or an error, never a panic, never more
+// rows than the file has bytes for, and never a banner index past the
+// dictionary. The segment flushRun writes decodes to the rows it was
+// written from.
 func FuzzSegmentReader(f *testing.F) {
 	dir := f.TempDir()
 	sp, err := NewSpilledScanResult(origin.US1, proto.HTTP, 0, 0, SpillConfig{Dir: dir, Budget: 1 << 40})
@@ -389,8 +480,12 @@ func FuzzSegmentReader(f *testing.F) {
 	for i := range want {
 		want[i] = mem.rowAt(i)
 	}
+	dict := len(sp.banners)
 	f.Add(valid)
-	f.Add(wrappedBannerFrame())
+	f.Add(segmentFrame(1, uint32(dict)+1))
+	f.Add(rowsPastEOF())
+	f.Add(truncatedFrame())
+	f.Add(append([]byte("ORSEG002"), valid[len(segMagic):]...))
 	// One file per fuzzing process, rewritten per input: the inputs of a
 	// process run one at a time.
 	path := filepath.Join(dir, "fuzz.seg")
@@ -398,7 +493,7 @@ func FuzzSegmentReader(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := openSegment(path)
+		r, err := openSegment(path, dict)
 		if err != nil {
 			return
 		}
@@ -413,6 +508,9 @@ func FuzzSegmentReader(f *testing.F) {
 			}
 			if !ok {
 				break
+			}
+			if row.banner > uint32(dict) {
+				t.Fatalf("decoded banner index %d past a %d-entry dictionary", row.banner, dict)
 			}
 			got = append(got, row)
 		}

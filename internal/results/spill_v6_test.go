@@ -1,7 +1,7 @@
 package results
 
-// Dual-stack spill coverage: the ORSEG002 segment format carries 128-bit
-// addresses, refuses the retired 32-bit ORSEG001 format loudly, and
+// Dual-stack spill coverage: the segment format carries 128-bit
+// addresses, refuses the retired ORSEG001 and ORSEG002 formats loudly, and
 // round-trips IPv6 records bit-exactly through spill → merge → seal and
 // through the JSON encoding (v4 rows keep the historical bare-integer
 // form; v6 rows are canonical-text strings).
@@ -20,22 +20,25 @@ import (
 )
 
 // TestOpenSegmentRejectsOldMagic pins the upgrade story for spill
-// directories: a segment written by the retired 32-bit ORSEG001 format
-// must fail with an explicit version error — never decode (the address
-// column width changed, so decoding would corrupt every row) and never
-// report a generic bad-magic (the file WAS one of ours).
+// directories: a segment written by a retired format — ORSEG001 (32-bit
+// addresses) or ORSEG002 (banner text in the frame) — must fail with an
+// explicit version error — never decode (the row layout changed, so
+// decoding would corrupt every row) and never report a generic bad-magic
+// (the file WAS one of ours).
 func TestOpenSegmentRejectsOldMagic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "old.seg")
-	if err := os.WriteFile(path, []byte("ORSEG001\x00\x00\x00\x00"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := openSegment(path)
-	if err == nil {
-		t.Fatal("openSegment accepted an ORSEG001 segment")
-	}
-	if !strings.Contains(err.Error(), "ORSEG001") || !strings.Contains(err.Error(), "no longer readable") {
-		t.Errorf("old-magic error %q does not name the retired version", err)
+	for _, old := range []string{"ORSEG001", "ORSEG002"} {
+		path := filepath.Join(dir, old+".seg")
+		if err := os.WriteFile(path, []byte(old+"\x10\x00\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := openSegment(path, 0)
+		if err == nil {
+			t.Fatalf("openSegment accepted an %s segment", old)
+		}
+		if !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "no longer readable") {
+			t.Errorf("old-magic error %q does not name the retired version", err)
+		}
 	}
 
 	// A genuinely foreign file still gets the generic bad-magic error.
@@ -43,7 +46,7 @@ func TestOpenSegmentRejectsOldMagic(t *testing.T) {
 	if err := os.WriteFile(alien, []byte("NOTASEGM"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openSegment(alien); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
+	if _, err := openSegment(alien, 0); err == nil || !strings.Contains(err.Error(), "bad segment magic") {
 		t.Errorf("foreign magic error = %v, want bad segment magic", err)
 	}
 }
@@ -57,7 +60,7 @@ func TestOpenSegmentRejectsWrongWidth(t *testing.T) {
 	if err := os.WriteFile(path, append([]byte(segMagic), 4), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openSegment(path)
+	_, err := openSegment(path, 0)
 	if err == nil || !strings.Contains(err.Error(), "address width") {
 		t.Errorf("wrong-width error = %v, want address-width mismatch", err)
 	}
@@ -102,7 +105,7 @@ func TestSpillDifferentialDualStack(t *testing.T) {
 		}
 		memJSON := sealedJSON(t, mem)
 
-		for _, budget := range []int64{1, 4 * spillRowBytes, 64 << 10} {
+		for _, budget := range []int64{1, 4 * rowBytes, 64 << 10} {
 			dir := t.TempDir()
 			sp, err := NewSpilledScanResult(origin.AU, proto.HTTP, 0, 0, SpillConfig{Dir: dir, Budget: budget})
 			if err != nil {
