@@ -1,6 +1,8 @@
 # CI entry points. `make ci` is what every PR must pass: vet, build, the
 # full test suite, and the race detector over the concurrent engine paths
-# (internal packages run reduced-scale worlds, so the race pass stays fast).
+# and the commands (internal packages run reduced-scale worlds, so the race
+# pass stays fast; the commands' own tests, such as tracestat's journal
+# passes and originscan's trace flush, run under it too).
 # Beside it: fuzz-smoke (CI's fuzz-smoke job); bench-e2e / bench-compare, the
 # repository's one benchmark; bench-telemetry / bench-trace, the two <= 5 %
 # overhead records (CI's overhead job runs the gated one); and two by-hand
@@ -24,7 +26,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/...
 
 # The streaming-worldgen audit at paper scale (Scale 1.0, 68.6M machines).
 # On a 2-core Xeon with GOMEMLIMIT unset the build takes ≈ 10 s and peaks at
@@ -66,7 +68,9 @@ audit-fullscale:
 # (zmapsim -pcap's capture format) hostile files: packets then io.EOF or an
 # error, never a panic, and what it read rewrites through the Writer
 # unchanged. The fifteenth feeds cmd/tracestat hostile flight-recorder
-# journals: the reader fails or every pass returns, with no panic and no
+# journals, seeded with a study's journal, the same journal torn mid-way
+# through its final line (a killed run's last write) and two cyclic span
+# trees: the reader fails or every pass returns, with no panic and no
 # endless walk down a cyclic span tree.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/

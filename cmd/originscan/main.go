@@ -32,15 +32,16 @@
 // rate, ETA) refreshes on stderr every 2 seconds; -quiet suppresses it for
 // scripted runs. -telemetry-addr serves live metrics over HTTP for the
 // duration of the process: /metrics (Prometheus text), /metrics.json,
-// /spans, /trace (Chrome trace_event JSON of recent spans),
 // /debug/pprof/, and /debug/vars.
 //
 // -trace-dir DIR turns on the flight recorder: every finished span (the
-// study→scan→stage→batch trace tree) streams to DIR/journal.jsonl as it
-// ends, and on exit — normal, failed, or interrupted — the journal is
-// sealed with a final metrics snapshot and a Chrome trace_event file is
-// written to DIR/trace.json (load it in chrome://tracing or Perfetto).
-// Analyze the journal offline with cmd/tracestat.
+// study→scan→stage→batch trace tree) is written to DIR/journal.jsonl as
+// it ends, and on exit — normal, failed, or interrupted — the journal is
+// sealed with a final metrics snapshot and converted to a Chrome
+// trace_event file, DIR/trace.json, holding every span (load it in
+// chrome://tracing or Perfetto). Analyze the journal with cmd/tracestat,
+// during the run or after it: a journal is readable up to its last
+// completed span even if the process is killed.
 //
 // SIGINT/SIGTERM cancel the run: scans stop at the next sweep batch, every
 // scan completed before the interruption is flushed to -dataset (when set),
@@ -69,6 +70,7 @@ import (
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/report"
+	"repro/internal/telemetry"
 	"repro/internal/world"
 )
 
@@ -133,7 +135,7 @@ func main() {
 		if err != nil {
 			fatalf("telemetry listener: %v", err)
 		}
-		fmt.Printf("telemetry: serving /metrics, /metrics.json, /spans, /debug/pprof on http://%s\n", ln.Addr())
+		fmt.Printf("telemetry: serving /metrics, /metrics.json, /debug/pprof on http://%s\n", ln.Addr())
 		go func() {
 			if err := http.Serve(ln, reg.ServeMux()); err != nil {
 				fmt.Fprintf(os.Stderr, "originscan: telemetry server: %v\n", err)
@@ -459,8 +461,8 @@ func parseByteSize(s string) (int64, error) {
 }
 
 // traceFlush seals the -trace-dir flight recorder: the journal gets its
-// final metrics snapshot and the Chrome trace is written next to it. It is
-// a no-op until -trace-dir installs the real closure, and idempotent after
+// final metrics snapshot and is converted to the Chrome trace next to it.
+// It is a no-op until -trace-dir installs the real closure, and idempotent after
 // (both the deferred call and exitf run it — exitf skips defers via
 // os.Exit, and a multi-hour study should never lose its trace to the exit
 // path).
@@ -473,22 +475,31 @@ func setTraceFlush(reg *core.Telemetry, dir string) {
 			fmt.Fprintf(os.Stderr, "originscan: sealing trace journal: %v\n", err)
 		}
 		path := filepath.Join(dir, "trace.json")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "originscan: creating Chrome trace: %v\n", err)
-			return
-		}
-		if err := reg.WriteChrome(f); err != nil {
-			f.Close()
+		if err := writeChromeTrace(dir, path); err != nil {
 			fmt.Fprintf(os.Stderr, "originscan: writing Chrome trace: %v\n", err)
-			return
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "originscan: closing Chrome trace: %v\n", err)
 			return
 		}
 		fmt.Fprintf(os.Stderr, "originscan: trace journal and %s written\n", path)
 	}
+}
+
+// writeChromeTrace converts the sealed journal in dir to Chrome
+// trace_event JSON at path, the same conversion tracestat -chrome makes:
+// the file holds every journaled span.
+func writeChromeTrace(dir, path string) error {
+	evs, err := telemetry.ReadJournal(dir)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := telemetry.WriteChromeTrace(f, telemetry.JournalSpans(evs)); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

@@ -1,14 +1,48 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ip"
 )
+
+// TestTraceFlushWritesEverySpan holds -trace-dir's trace.json to the
+// journal it is converted from: every committed span is an event.
+func TestTraceFlushWritesEverySpan(t *testing.T) {
+	dir := t.TempDir()
+	reg := core.NewTelemetry()
+	rec, err := core.NewRecorder(filepath.Join(dir, core.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.AttachRecorder(rec)
+	setTraceFlush(reg, dir)
+	const n = 600
+	for i := 0; i < n; i++ {
+		reg.StartSpan("scan").End(nil)
+	}
+	traceFlush()
+
+	data, err := os.ReadFile(filepath.Join(dir, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(trace.TraceEvents); got != n {
+		t.Errorf("trace.json has %d events, want %d", got, n)
+	}
+}
 
 func TestParseByteSize(t *testing.T) {
 	cases := []struct {

@@ -12,10 +12,13 @@
 //	tracestat [-top N] [-chrome out.json] DIR|journal.jsonl
 //
 // The argument is either a -trace-dir directory (the tool opens
-// journal.jsonl inside it) or a journal file directly. -chrome additionally
-// converts every journaled span to Chrome trace_event JSON, which unlike
-// originscan's own trace.json (written from the bounded in-memory ring) is
-// lossless.
+// journal.jsonl inside it) or a journal file directly. The journal is the
+// study's one span record and is written a whole line at a time, so the
+// tool reads it while the study is still running, or after a kill, up to
+// the last completed span; such a journal has no final snapshot yet.
+// -chrome additionally converts every journaled span to Chrome
+// trace_event JSON — the same conversion originscan makes for its own
+// trace.json when the study ends.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -314,7 +315,8 @@ func journalOf(tb testing.TB, spans []telemetry.SpanRecord) []byte {
 // FuzzJournal feeds tracestat hostile journals: whatever a journal file
 // holds, reading it either fails or every pass over it returns — no panic,
 // no endless descent through a cyclic span tree. Seeded with a real study's
-// journal and the two cycle shapes.
+// journal, the same journal torn mid-way through its final line (a killed
+// run's last write), and the two cycle shapes.
 func FuzzJournal(f *testing.F) {
 	dir, _ := studyJournal(f)
 	seed, err := os.ReadFile(filepath.Join(dir, telemetry.JournalFile))
@@ -322,6 +324,8 @@ func FuzzJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	last := bytes.LastIndexByte(seed[:len(seed)-1], '\n') + 1
+	f.Add(seed[:last+(len(seed)-last)/2])
 	f.Add(journalOf(f, selfParented()))
 	f.Add(journalOf(f, twoCycle()))
 

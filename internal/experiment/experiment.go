@@ -168,7 +168,7 @@ func NewStudy(ctx context.Context, cfg Config) (*Study, error) {
 		return nil, pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("experiment: negative retry budget %d", cfg.Retries))
 	}
 	var w *world.World
-	runner := pipeline.Runner{Hooks: telemetry.ScanHooks(cfg.Telemetry, cfg.Hooks)}
+	runner := pipeline.Runner{Hooks: telemetry.NewStageTrace(cfg.Telemetry, nil).Hooks(cfg.Hooks)}
 	err := runner.Run(ctx, pipeline.StageFunc{
 		Stage: pipeline.StageWorldgen,
 		Run: func(ctx context.Context) error {

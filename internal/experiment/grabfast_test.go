@@ -94,7 +94,8 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 	}
 
 	var connects atomic.Int64
-	cfg.Telemetry = telemetry.New()
+	var journal func() []telemetry.SpanRecord
+	cfg.Telemetry, journal = journaled(t)
 	cfg.DialWrapper = func(d zgrab.Dialer) zgrab.Dialer {
 		return countingDialer{Dialer: d, n: &connects}
 	}
@@ -112,7 +113,7 @@ func TestDialWrapperObservesEveryConnection(t *testing.T) {
 	// conns_opened counts served connections only; reset and half-closed
 	// ones go through Handshake too.
 	opened := int64(-1)
-	for _, sp := range cfg.Telemetry.Spans() {
+	for _, sp := range journal() {
 		for _, a := range sp.Attrs {
 			if a.Key == "conns_opened" {
 				opened = a.Value

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -148,10 +149,31 @@ func watchBusiestAS(t *testing.T, st *Study) asn.ASN {
 	return busiest
 }
 
-// stageAttrSum adds up one attribute over the registry's retained stage
-// spans (a study here is 8 scans: the ring keeps all 24).
-func stageAttrSum(reg *telemetry.Registry, key string) (sum int64) {
-	for _, sp := range reg.Spans() {
+// journaled returns a registry that journals every span to a flight
+// recorder in a test directory, and a reader for the spans journaled so
+// far.
+func journaled(t *testing.T) (*telemetry.Registry, func() []telemetry.SpanRecord) {
+	t.Helper()
+	reg := telemetry.New()
+	rc, err := telemetry.NewRecorder(filepath.Join(t.TempDir(), telemetry.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.AttachRecorder(rc)
+	t.Cleanup(func() { _ = reg.CloseRecorder() })
+	return reg, func() []telemetry.SpanRecord {
+		t.Helper()
+		evs, err := telemetry.ReadJournal(rc.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return telemetry.JournalSpans(evs)
+	}
+}
+
+// stageAttrSum adds up one attribute over the stage spans.
+func stageAttrSum(spans []telemetry.SpanRecord, key string) (sum int64) {
+	for _, sp := range spans {
 		if sp.Name != "scan_stage" {
 			continue
 		}
@@ -248,7 +270,8 @@ func TestGrabStageMatchesStagedOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/retries=%d/%s", family, retries, name), func(t *testing.T) {
 					cfg := cfg
 					cfg.Parallelism = par
-					cfg.Telemetry = telemetry.New()
+					var journal func() []telemetry.SpanRecord
+					cfg.Telemetry, journal = journaled(t)
 					if spill {
 						// A handful of segments per scan in either world.
 						budget := map[bool]int64{false: 16 << 10, true: 64 << 10}[v6]
@@ -283,15 +306,16 @@ func TestGrabStageMatchesStagedOracle(t *testing.T) {
 							})
 						}
 					}
-					if held := stageAttrSum(cfg.Telemetry, "held_back"); held == 0 || held != watchedRows {
+					spans := journal()
+					if held := stageAttrSum(spans, "held_back"); held == 0 || held != watchedRows {
 						t.Errorf("%d replies were held back, the oracle has %d rows in the watched AS", held, watchedRows)
 					}
 					// (A 4,096-reply slot never fills in this world: that shape is
 					// the staged order on the overlapped path.)
-					if slots := stageAttrSum(cfg.Telemetry, "grab_slots"); slots == 0 && shape.slot != 4096 {
+					if slots := stageAttrSum(spans, "grab_slots"); slots == 0 && shape.slot != 4096 {
 						t.Error("no slot was handed off before a walk ended: nothing overlapped")
 					}
-					if hosts, rows := stageAttrSum(cfg.Telemetry, "hosts"), stageAttrSum(cfg.Telemetry, "rows")+stageAttrSum(cfg.Telemetry, "deduped"); hosts != rows {
+					if hosts, rows := stageAttrSum(spans, "hosts"), stageAttrSum(spans, "rows")+stageAttrSum(spans, "deduped"); hosts != rows {
 						t.Errorf("grab spans count %d hosts, seal spans %d rows", hosts, rows)
 					}
 					if spill {

@@ -78,9 +78,9 @@ func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 
 // trackFor picks the rendering track for a span: itself when it is a root
 // or a direct child of a root, otherwise its highest non-root ancestor
-// (the scan-level span). When the ancestry chain is broken — the ring
-// dropped the parent, or the span predates the trace tree (ID 0) — the
-// deepest reachable ancestor stands in.
+// (the scan-level span). When the ancestry chain is broken — a killed run
+// never journaled the parent, or the span predates the trace tree (ID 0) —
+// the deepest reachable ancestor stands in.
 func trackFor(byID map[SpanID]SpanRecord, s SpanRecord) SpanID {
 	id, parent := s.ID, s.Parent
 	for parent != 0 {
@@ -94,11 +94,4 @@ func trackFor(byID map[SpanID]SpanRecord, s SpanRecord) SpanID {
 		id, parent = p.ID, p.Parent
 	}
 	return id
-}
-
-// WriteChrome exports the registry's retained spans (the in-memory ring;
-// for a lossless export convert a flight-recorder journal instead — see
-// cmd/tracestat -chrome). Nil registry writes an empty trace.
-func (r *Registry) WriteChrome(w io.Writer) error {
-	return WriteChromeTrace(w, r.Spans())
 }

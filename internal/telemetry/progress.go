@@ -1,11 +1,10 @@
 // The progress sink: a periodic single-line status report on stderr (or
 // any writer) summarizing a running study — scans done/total, cumulative
-// probes, the current rate and an ETA, plus peak RSS and (when any) the
-// count of spans the ring dropped. While a sweep is driving the probe
-// counters the rate/ETA read out in probes; once the sweep completes and
-// the grab stage takes over (probe rate zero, grab completions rising)
-// the readout switches to grab-host completions, which is what actually
-// bounds the remaining wall time. It reads only the registry's aggregate
+// probes, the current rate and an ETA, plus peak RSS. While a sweep is
+// driving the probe counters the rate/ETA read out in probes; once the
+// sweep completes and the grab stage takes over (probe rate zero, grab
+// completions rising) the readout switches to grab-host completions,
+// which is what actually bounds the remaining wall time. It reads only the registry's aggregate
 // counters, so it works for serial and parallel runs alike, and `-quiet`
 // simply never starts it.
 package telemetry
@@ -129,9 +128,6 @@ func (p *Progress) line(now time.Time) string {
 	}
 	if rss, ok := PeakRSSBytes(); ok {
 		fmt.Fprintf(&b, " · rss %s", siBytes(rss))
-	}
-	if d := p.reg.SpanDrops(); d > 0 {
-		fmt.Fprintf(&b, " · %d spans dropped", d)
 	}
 	return b.String()
 }

@@ -1,10 +1,11 @@
 // The flight recorder: an append-only JSONL event journal written beside
-// the sealed dataset. Where the in-memory span ring keeps only the most
-// recent spanRingCap records, the journal is the lossless trace — every
-// committed span is teed to it the moment it ends, so a crashed or killed
-// run still leaves a readable record up to its last completed span.
-// cmd/tracestat loads a journal and prints the wall-time breakdown; the
-// same file converts to Chrome trace_event JSON (WriteChromeTrace).
+// the sealed dataset. It is the registry's one span record and a lossless
+// one — every committed span goes to it the moment it ends, in a single
+// write of one whole line, so a crashed or killed run still leaves a
+// readable record up to its last completed span, and a study still
+// running can be read as it goes. cmd/tracestat loads a journal and prints
+// the wall-time breakdown; the same file converts to Chrome trace_event
+// JSON (WriteChromeTrace).
 //
 // Format: one JSON object per line, discriminated by "ev":
 //
@@ -20,8 +21,10 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,12 +49,11 @@ type JournalEvent struct {
 // JournalFile is the journal's filename inside a -trace-dir.
 const JournalFile = "journal.jsonl"
 
-// Recorder appends journal events to a file. Safe for concurrent use; a
-// nil Recorder is inert.
+// Recorder appends journal events to a file, one unbuffered write per
+// event. Safe for concurrent use; a nil Recorder is inert.
 type Recorder struct {
 	mu   sync.Mutex
 	f    *os.File
-	bw   *bufio.Writer
 	path string
 	err  error // first write error, reported at Close
 }
@@ -66,7 +68,7 @@ func NewRecorder(path string) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Recorder{f: f, bw: bufio.NewWriterSize(f, 64<<10), path: path}, nil
+	return &Recorder{f: f, path: path}, nil
 }
 
 // Path returns the journal file's path ("" on nil).
@@ -88,7 +90,7 @@ func (rc *Recorder) writeEvent(ev JournalEvent) {
 	}
 	enc, err := json.Marshal(ev)
 	if err == nil {
-		_, err = rc.bw.Write(append(enc, '\n'))
+		_, err = rc.f.Write(append(enc, '\n'))
 	}
 	if err != nil && rc.err == nil {
 		rc.err = err
@@ -99,8 +101,8 @@ func (rc *Recorder) writeSpan(rec SpanRecord) {
 	rc.writeEvent(JournalEvent{Ev: "span", Span: &rec})
 }
 
-// Close flushes and closes the journal, reporting the first deferred
-// write error if any. Safe on nil and idempotent.
+// Close closes the journal, reporting the first deferred write error if
+// any. Safe on nil and idempotent.
 func (rc *Recorder) Close() error {
 	if rc == nil {
 		return nil
@@ -109,9 +111,6 @@ func (rc *Recorder) Close() error {
 	defer rc.mu.Unlock()
 	if rc.f == nil {
 		return rc.err
-	}
-	if err := rc.bw.Flush(); err != nil && rc.err == nil {
-		rc.err = err
 	}
 	if err := rc.f.Close(); err != nil && rc.err == nil {
 		rc.err = err
@@ -152,8 +151,10 @@ func (r *Registry) CloseRecorder() error {
 
 // ReadJournal parses a flight-recorder journal back into its events. It
 // accepts either the journal file itself or a directory containing
-// JournalFile. Unknown event kinds are skipped (forward compatibility);
-// malformed lines are an error with their line number.
+// JournalFile. Unknown event kinds are skipped (forward compatibility). A
+// final line with no newline that does not parse is a write torn by a
+// crash: it is dropped and the events before it returned. Any other
+// malformed line is an error with its line number.
 func ReadJournal(path string) ([]JournalEvent, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		path = filepath.Join(path, JournalFile)
@@ -164,24 +165,28 @@ func ReadJournal(path string) ([]JournalEvent, error) {
 	}
 	defer f.Close()
 	var evs []JournalEvent
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 64<<20) // snapshot lines can be large: grow to 64 MiB
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	br := bufio.NewReader(f)
+	for line := 1; ; line++ {
+		b, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("telemetry: %s: %w", path, err)
 		}
-		var ev JournalEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("telemetry: %s:%d: %w", path, line, err)
+		last := err == io.EOF // the file ends in this line, unterminated
+		b = bytes.TrimSuffix(bytes.TrimSuffix(b, []byte("\n")), []byte("\r"))
+		if len(b) > 0 {
+			var ev JournalEvent
+			if err := json.Unmarshal(b, &ev); err != nil {
+				if last {
+					return evs, nil // a torn final write
+				}
+				return nil, fmt.Errorf("telemetry: %s:%d: %w", path, line, err)
+			}
+			evs = append(evs, ev)
 		}
-		evs = append(evs, ev)
+		if last {
+			return evs, nil
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: %s: %w", path, err)
-	}
-	return evs, nil
 }
 
 // JournalSpans extracts the span records from a parsed journal, in commit

@@ -83,19 +83,17 @@ func formatFloat(v float64) string {
 }
 
 // Snapshot is the JSON form of the registry: every family's children with
-// their current values, plus the retained spans. Families and children are
-// sorted, so two snapshots of identical state encode identically.
+// their current values. Families and children are sorted, so two
+// snapshots of identical state encode identically. Spans are not part of
+// it: they live in the flight-recorder journal.
 type Snapshot struct {
 	// PeakRSSBytes is the process's peak resident set (VmHWM) at snapshot
-	// time, 0 where unavailable; SpanDrops counts spans the bounded ring
-	// overwrote. Both make memory pressure and trace truncation visible
-	// in a scrape without a separate endpoint.
+	// time, 0 where unavailable: memory pressure is visible in a scrape
+	// without a separate endpoint.
 	PeakRSSBytes int64           `json:"peak_rss_bytes,omitempty"`
-	SpanDrops    uint64          `json:"span_drops,omitempty"`
 	Counters     []SampleJSON    `json:"counters"`
 	Gauges       []SampleJSON    `json:"gauges"`
 	Histograms   []HistogramJSON `json:"histograms"`
-	Spans        []SpanRecord    `json:"spans"`
 }
 
 // SampleJSON is one counter or gauge child.
@@ -126,7 +124,6 @@ func (r *Registry) Snapshot() Snapshot {
 	if b, ok := PeakRSSBytes(); ok {
 		snap.PeakRSSBytes = b
 	}
-	snap.SpanDrops = r.SpanDrops()
 	for _, f := range r.sortedFamilies() {
 		for _, ch := range f.children() {
 			switch f.kind {
@@ -143,7 +140,6 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 	}
-	snap.Spans = r.Spans()
 	return snap
 }
 
@@ -159,13 +155,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // debug surfaces:
 //
 //	/metrics       Prometheus text exposition
-//	/metrics.json  JSON snapshot (counters, gauges, histograms, spans)
-//	/spans         completed-span trace, newest last
-//	/trace         retained spans as Chrome trace_event JSON
+//	/metrics.json  JSON snapshot (counters, gauges, histograms)
 //	/debug/vars    expvar
 //	/debug/pprof/  pprof index (profile, heap, goroutine, trace, ...)
 //
-// cmd/originscan serves this on -telemetry-addr.
+// cmd/originscan serves this on -telemetry-addr. Spans are not served:
+// run cmd/tracestat on the flight-recorder journal, which is current even
+// while the study runs.
 func (r *Registry) ServeMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -175,16 +171,6 @@ func (r *Registry) ServeMux() *http.ServeMux {
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Spans())
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteChrome(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

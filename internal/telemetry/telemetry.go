@@ -250,14 +250,14 @@ func (f *family) children() []*child {
 	return out
 }
 
-// Registry owns the metric families and the span trace. The zero value is
+// Registry owns the metric families, the span IDs and the attached flight
+// recorder that every finished span goes to. The zero value is
 // not usable; call New. A nil *Registry is the disabled state: every lookup
 // returns a nil instrument and every recording call is a no-op.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	spans    spanRing
 	spanIDs  atomic.Uint64
 	recorder atomic.Pointer[Recorder]
 	start    time.Time

@@ -36,8 +36,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Errorf("nil histogram count = %d", count)
 	}
 	r.StartSpan("scan").End(nil)
-	if r.Spans() != nil {
-		t.Error("nil registry has spans")
+	if err := r.CloseRecorder(); err != nil {
+		t.Errorf("nil CloseRecorder = %v", err)
 	}
 	if NewSweepMetrics(r) != nil || NewGrabMetrics(r) != nil || NewIDSMetrics(r) != nil || NewSealMetrics(r) != nil {
 		t.Error("nil registry produced non-nil metric bundles")
@@ -205,17 +205,18 @@ func TestJSONSnapshotRoundTrips(t *testing.T) {
 	if len(snap.Counters) < 2 { // c_total plus the span's counters
 		t.Errorf("counters = %+v", snap.Counters)
 	}
-	if len(snap.Spans) != 1 || snap.Spans[0].Err != "boom" {
-		t.Errorf("spans = %+v", snap.Spans)
+	if bytes.Contains(buf.Bytes(), []byte(`"spans"`)) {
+		t.Errorf("snapshot carries spans; they belong in the journal:\n%s", buf.String())
 	}
 }
 
 func TestSpanRecords(t *testing.T) {
 	r := New()
+	journal := journaled(t, r)
 	sp := r.StartSpan("scan_stage", L("stage", "sweep"))
 	time.Sleep(time.Millisecond)
 	sp.End(nil)
-	spans := r.Spans()
+	spans := journal()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(spans))
 	}
@@ -235,24 +236,14 @@ func TestSpanRecords(t *testing.T) {
 	}
 }
 
-func TestSpanRingBounded(t *testing.T) {
+func TestStageTraceHooksRecordStages(t *testing.T) {
 	r := New()
-	for i := 0; i < spanRingCap+10; i++ {
-		r.StartSpan("s").End(nil)
-	}
-	spans := r.Spans()
-	if len(spans) != spanRingCap {
-		t.Errorf("ring holds %d, want %d", len(spans), spanRingCap)
-	}
-}
-
-func TestScanHooksRecordStages(t *testing.T) {
-	r := New()
+	journal := journaled(t, r)
 	var nextBefore, nextAfter int
-	hooks := ScanHooks(r, pipeline.Hooks{
+	hooks := NewStageTrace(r, nil, L("origin", "US1")).Hooks(pipeline.Hooks{
 		Before: func(_ context.Context, _ pipeline.Stage) { nextBefore++ },
 		After:  func(_ context.Context, _ pipeline.Stage, _ error) { nextAfter++ },
-	}, L("origin", "US1"))
+	})
 	err := pipeline.Runner{Hooks: hooks}.Run(context.Background(),
 		pipeline.StageFunc{Stage: pipeline.StageSweep, Run: func(context.Context) error { return nil }},
 		pipeline.StageFunc{Stage: pipeline.StageGrab, Run: func(context.Context) error { return errors.New("boom") }},
@@ -263,7 +254,7 @@ func TestScanHooksRecordStages(t *testing.T) {
 	if nextBefore != 2 || nextAfter != 2 {
 		t.Errorf("wrapped hooks fired %d/%d, want 2/2", nextBefore, nextAfter)
 	}
-	spans := r.Spans()
+	spans := journal()
 	if len(spans) != 2 {
 		t.Fatalf("spans = %+v", spans)
 	}
@@ -277,8 +268,8 @@ func TestScanHooksRecordStages(t *testing.T) {
 	// Nil registry passes hooks through untouched.
 	var nilReg *Registry
 	passthrough := pipeline.Hooks{Before: func(context.Context, pipeline.Stage) {}}
-	if got := ScanHooks(nilReg, passthrough); got.Before == nil || got.After != nil {
-		t.Error("nil-registry ScanHooks did not pass hooks through")
+	if got := NewStageTrace(nilReg, nil).Hooks(passthrough); got.Before == nil || got.After != nil {
+		t.Error("nil-registry stage trace did not pass hooks through")
 	}
 }
 
@@ -308,9 +299,6 @@ func TestServeMuxEndpoints(t *testing.T) {
 	}
 	if out := get("/metrics.json"); !strings.Contains(out, `"probes_total"`) {
 		t.Errorf("/metrics.json missing counter:\n%s", out)
-	}
-	if out := get("/spans"); !strings.Contains(out, `"scan"`) {
-		t.Errorf("/spans missing span:\n%s", out)
 	}
 	if out := get("/debug/vars"); !strings.Contains(out, "cmdline") {
 		t.Errorf("/debug/vars not mounted:\n%s", out)

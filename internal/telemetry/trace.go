@@ -3,10 +3,11 @@
 // spans, and a stage owns sampled batch/window exemplars — linked by span
 // IDs and stamped with a monotonic start offset so a trace can be replayed
 // on one timeline. Ending a span records the duration into a histogram
-// family, bumps completion/error counters, appends the record to a bounded
-// in-memory ring (the /spans sink), and tees it to the flight recorder when
-// one is attached. Spans are observational only — they never alter control
-// flow — and all entry points are no-ops on a nil registry or nil span.
+// family, bumps completion/error counters, and tees the record to the
+// flight recorder when one is attached: the journal is the one place a
+// finished span goes. Spans are observational only — they never alter
+// control flow — and all entry points are no-ops on a nil registry or nil
+// span.
 package telemetry
 
 import (
@@ -17,13 +18,6 @@ import (
 
 	"repro/internal/pipeline"
 )
-
-// spanRingCap bounds the completed-span ring. At production scale a study
-// runs ~63 scans × 3 stages plus study-level spans and a bounded set of
-// batch exemplars, so 512 keeps the interesting tail; the flight recorder
-// (journal) is the lossless record, and SpanDrops counts what the ring
-// overwrote.
-const spanRingCap = 512
 
 // SpanID identifies one span within a registry's trace. IDs are allocated
 // from a per-registry counter starting at 1; 0 means "no span" (a root's
@@ -42,16 +36,15 @@ type Attr struct {
 // A is shorthand for constructing an Attr.
 func A(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 
-// SpanRecord is one completed span, as exposed by Spans, the JSON sink,
-// and the flight-recorder journal.
+// SpanRecord is one completed span, as the flight-recorder journal holds
+// it.
 type SpanRecord struct {
-	ID     SpanID    `json:"id,omitempty"`
-	Parent SpanID    `json:"parent,omitempty"`
-	Name   string    `json:"name"`
-	Labels string    `json:"labels,omitempty"`
-	Start  time.Time `json:"start"`
+	ID     SpanID `json:"id,omitempty"`
+	Parent SpanID `json:"parent,omitempty"`
+	Name   string `json:"name"`
+	Labels string `json:"labels,omitempty"`
 	// StartNS is the span's start as monotonic nanoseconds since the
-	// registry epoch (Registry.Start). Unlike the wall-clock Start it is
+	// registry epoch (Registry.Start, the journal's meta start). It is
 	// immune to clock steps, so trace viewers and tracestat order and
 	// nest spans by (StartNS, StartNS+Duration).
 	StartNS  int64         `json:"start_ns"`
@@ -63,46 +56,6 @@ type SpanRecord struct {
 	// sampling (ChildTracer). Children-Dropped exemplar records exist.
 	Children uint64 `json:"children,omitempty"`
 	Dropped  uint64 `json:"dropped,omitempty"`
-}
-
-// spanRing is a fixed-capacity ring of completed spans.
-type spanRing struct {
-	mu    sync.Mutex
-	buf   [spanRingCap]SpanRecord
-	next  int
-	n     int
-	drops uint64
-}
-
-func (sr *spanRing) push(rec SpanRecord) {
-	sr.mu.Lock()
-	if sr.n == spanRingCap {
-		sr.drops++
-	}
-	sr.buf[sr.next] = rec
-	sr.next = (sr.next + 1) % spanRingCap
-	if sr.n < spanRingCap {
-		sr.n++
-	}
-	sr.mu.Unlock()
-}
-
-// snapshot returns the retained spans oldest-first.
-func (sr *spanRing) snapshot() []SpanRecord {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	out := make([]SpanRecord, 0, sr.n)
-	start := (sr.next - sr.n + spanRingCap) % spanRingCap
-	for i := 0; i < sr.n; i++ {
-		out = append(out, sr.buf[(start+i)%spanRingCap])
-	}
-	return out
-}
-
-func (sr *spanRing) dropped() uint64 {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.drops
 }
 
 // Span is an in-flight timed operation, a node in the trace tree. A nil
@@ -179,8 +132,8 @@ func (s *Span) SetAttr(key string, v int64) {
 
 // End completes the span: it observes the duration in the
 // "<name>_duration_seconds" histogram, increments "<name>_total" (and
-// "<name>_errors_total" when err != nil), and commits the record to the
-// span ring and the flight recorder. Safe on nil. End must be called at
+// "<name>_errors_total" when err != nil), and tees the record to the
+// flight recorder when one is attached. Safe on nil. End must be called at
 // most once.
 func (s *Span) End(err error) {
 	if s == nil || s.reg == nil {
@@ -190,7 +143,7 @@ func (s *Span) End(err error) {
 	s.reg.observeSpan(s.name, s.labels, d, err)
 	rec := SpanRecord{
 		ID: s.id, Parent: s.parent, Name: s.name, Labels: labelKey(s.labels),
-		Start: s.start, StartNS: s.startNS, Duration: d,
+		StartNS: s.startNS, Duration: d,
 	}
 	if err != nil {
 		rec.Err = err.Error()
@@ -214,36 +167,16 @@ func (r *Registry) observeSpan(name string, labels []Label, d time.Duration, err
 	}
 }
 
-// commitSpan is the shared span-commit path: ring plus flight recorder.
+// commitSpan tees a finished span to the flight recorder, if one is
+// attached.
 func (r *Registry) commitSpan(rec SpanRecord) {
-	r.spans.push(rec)
 	if rc := r.recorder.Load(); rc != nil {
 		rc.writeSpan(rec)
 	}
 }
 
-// Spans returns the retained completed spans, oldest first (nil on a nil
-// registry).
-func (r *Registry) Spans() []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	return r.spans.snapshot()
-}
-
-// SpanDrops reports how many completed spans the bounded ring has
-// overwritten since the registry was created (0 on nil). A non-zero value
-// with no flight recorder attached means /spans is showing a truncated
-// trace.
-func (r *Registry) SpanDrops() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.spans.dropped()
-}
-
 // Bounded child sampling. A full-space sweep walks 2^32 addresses in ~1M
-// batches; recording each as a span would swamp the ring, journal, and
+// batches; recording each as a span would swamp the journal and the
 // collection overhead budget. ChildTracer records the first sampleFirst
 // children (startup behaviour: cold caches, first spill flush) and then
 // every sampleEvery-th (steady state), counting the rest only in the
@@ -310,7 +243,6 @@ func (t *ChildTracer) End(attrs ...Attr) {
 		Parent:   t.parent.id,
 		Name:     t.name,
 		Labels:   t.labels,
-		Start:    t.start,
 		StartNS:  int64(t.start.Sub(t.reg.start)),
 		Duration: time.Since(t.start),
 	}
@@ -392,12 +324,4 @@ func (st *StageTrace) Hooks(next pipeline.Hooks) pipeline.Hooks {
 			}
 		},
 	}
-}
-
-// ScanHooks wraps next with per-stage span recording rooted at the
-// registry (no parent span). Kept as the convenience form of
-// NewStageTrace(r, nil, ...).Hooks(next) for callers that don't need the
-// stage span handles. With a nil registry next is returned unchanged.
-func ScanHooks(r *Registry, next pipeline.Hooks, labels ...Label) pipeline.Hooks {
-	return NewStageTrace(r, nil, labels...).Hooks(next)
 }

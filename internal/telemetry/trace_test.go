@@ -5,13 +5,36 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// findSpan returns the last retained record with the given name.
+// journaled attaches a flight recorder in a test directory to r and
+// returns a reader for the spans journaled so far: tests read spans where
+// the program keeps them.
+func journaled(t testing.TB, r *Registry) func() []SpanRecord {
+	t.Helper()
+	rc, err := NewRecorder(filepath.Join(t.TempDir(), JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AttachRecorder(rc)
+	t.Cleanup(func() { _ = r.CloseRecorder() })
+	return func() []SpanRecord {
+		t.Helper()
+		evs, err := ReadJournal(rc.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return JournalSpans(evs)
+	}
+}
+
+// findSpan returns the last journaled record with the given name.
 func findSpan(t *testing.T, recs []SpanRecord, name string) SpanRecord {
 	t.Helper()
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -25,6 +48,7 @@ func findSpan(t *testing.T, recs []SpanRecord, name string) SpanRecord {
 
 func TestSpanHierarchy(t *testing.T) {
 	r := New()
+	spans := journaled(t, r)
 	study := r.StartSpan("study", L("family", "ipv4"))
 	scan := study.StartChild("scan", L("origin", "US1"))
 	stage := scan.StartChild("scan_stage", L("stage", "sweep"))
@@ -33,7 +57,7 @@ func TestSpanHierarchy(t *testing.T) {
 	scan.End(nil)
 	study.End(errors.New("boom"))
 
-	recs := r.Spans()
+	recs := spans()
 	st := findSpan(t, recs, "study")
 	sc := findSpan(t, recs, "scan")
 	sg := findSpan(t, recs, "scan_stage")
@@ -75,6 +99,7 @@ func TestSpanHierarchy(t *testing.T) {
 
 func TestChildTracerBoundedSampling(t *testing.T) {
 	r := New()
+	spans := journaled(t, r)
 	parent := r.StartSpan("scan_stage", L("stage", "sweep"))
 	tr := parent.ChildTracer("sweep_batch")
 	const units = 100_000
@@ -90,7 +115,8 @@ func TestChildTracerBoundedSampling(t *testing.T) {
 	if got := tr.Count(); got != units {
 		t.Errorf("Count = %d, want %d", got, units)
 	}
-	p := findSpan(t, r.Spans(), "scan_stage")
+	recs := spans()
+	p := findSpan(t, recs, "scan_stage")
 	if p.Children != units {
 		t.Errorf("parent children = %d, want %d", p.Children, units)
 	}
@@ -98,7 +124,7 @@ func TestChildTracerBoundedSampling(t *testing.T) {
 		t.Errorf("parent dropped = %d, want %d (=%d recorded)", p.Dropped, units-wantLive, wantLive)
 	}
 	live := 0
-	for _, rec := range r.Spans() {
+	for _, rec := range recs {
 		if rec.Name == "sweep_batch" {
 			live++
 			if rec.Parent != p.ID {
@@ -143,9 +169,6 @@ func TestNilRegistryTracingIsInert(t *testing.T) {
 	if got := st.Span(0); got != nil {
 		t.Error("nil StageTrace handed out a non-nil span")
 	}
-	if drops := r.SpanDrops(); drops != 0 {
-		t.Errorf("nil registry SpanDrops = %d", drops)
-	}
 }
 
 // TestConcurrentSpanCreation exercises the span tree under -race: many
@@ -153,6 +176,7 @@ func TestNilRegistryTracingIsInert(t *testing.T) {
 // tracers against one shared parent.
 func TestConcurrentSpanCreation(t *testing.T) {
 	r := New()
+	spans := journaled(t, r)
 	root := r.StartSpan("study")
 	var wg sync.WaitGroup
 	const workers, perWorker = 8, 50
@@ -170,33 +194,20 @@ func TestConcurrentSpanCreation(t *testing.T) {
 	}
 	wg.Wait()
 	root.End(nil)
-	rec := findSpan(t, r.Spans(), "study")
+	recs := spans()
+	if len(recs) != workers*perWorker+1 {
+		t.Errorf("%d spans journaled, want %d", len(recs), workers*perWorker+1)
+	}
+	rec := findSpan(t, recs, "study")
 	if rec.Children != workers*perWorker {
 		t.Errorf("root children = %d, want %d", rec.Children, workers*perWorker)
 	}
 	ids := map[SpanID]bool{}
-	for _, s := range r.Spans() {
+	for _, s := range recs {
 		if ids[s.ID] && s.ID != 0 {
 			t.Fatalf("duplicate span ID %d", s.ID)
 		}
 		ids[s.ID] = true
-	}
-}
-
-func TestSpanRingDrops(t *testing.T) {
-	r := New()
-	const n = spanRingCap + 88
-	for i := 0; i < n; i++ {
-		r.StartSpan("s").End(nil)
-	}
-	if got := len(r.Spans()); got != spanRingCap {
-		t.Errorf("ring retained %d spans, cap %d", got, spanRingCap)
-	}
-	if got := r.SpanDrops(); got != 88 {
-		t.Errorf("SpanDrops = %d, want 88", got)
-	}
-	if snap := r.Snapshot(); snap.SpanDrops != 88 {
-		t.Errorf("Snapshot.SpanDrops = %d, want 88", snap.SpanDrops)
 	}
 }
 
@@ -205,6 +216,7 @@ func TestSpanRingDrops(t *testing.T) {
 // onto their scan-level ancestor's track.
 func TestChromeTraceSchema(t *testing.T) {
 	r := New()
+	spans := journaled(t, r)
 	study := r.StartSpan("study")
 	scanA := study.StartChild("scan", L("origin", "US1"))
 	stage := scanA.StartChild("scan_stage", L("stage", "sweep"))
@@ -216,7 +228,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	study.End(nil)
 
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, spans()); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {
@@ -342,6 +354,96 @@ func TestRecorderRoundTrip(t *testing.T) {
 	// CloseRecorder with nothing attached is a no-op.
 	if err := r.CloseRecorder(); err != nil {
 		t.Errorf("second CloseRecorder: %v", err)
+	}
+}
+
+// TestRecorderUnclosedJournalReadable holds the recorder to its crash
+// promise: every span committed before the process dies is in the file,
+// with no close and no flush.
+func TestRecorderUnclosedJournalReadable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFile)
+	rc, err := NewRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rc.Close() })
+	r := New()
+	r.AttachRecorder(rc)
+	const n = 40
+	for i := 0; i < n; i++ {
+		r.StartSpan("scan").End(nil)
+	}
+	evs, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(JournalSpans(evs)); got != n {
+		t.Errorf("unclosed journal holds %d spans, want %d", got, n)
+	}
+}
+
+// TestReadJournalTornFinalLine cuts a sealed journal at every byte: each
+// cut reads back every complete event before it, and never fails. A
+// malformed line that does end in a newline is still an error.
+func TestReadJournalTornFinalLine(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, JournalFile)
+	rc, err := NewRecorder(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New()
+	r.AttachRecorder(rc)
+	study := r.StartSpan("study")
+	for i := 0; i < 3; i++ {
+		study.StartChild("scan", L("origin", fmt.Sprint(i))).End(nil)
+	}
+	study.End(nil)
+	if err := r.CloseRecorder(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ReadJournal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 6 { // meta, four spans, snapshot
+		t.Fatalf("sealed journal has %d events, want 6", len(full))
+	}
+
+	cut := filepath.Join(dir, "cut.jsonl")
+	for n := 0; n <= len(data); n++ {
+		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := ReadJournal(cut)
+		if err != nil {
+			t.Fatalf("journal cut at byte %d: %v", n, err)
+		}
+		// Every newline-terminated line is an event; the unterminated rest
+		// is one more only if it happens to be a whole object.
+		complete := bytes.Count(data[:n], []byte("\n"))
+		if len(evs) != complete && len(evs) != complete+1 {
+			t.Fatalf("journal cut at byte %d: %d events, %d complete lines", n, len(evs), complete)
+		}
+		for i := range evs {
+			if evs[i].Ev != full[i].Ev {
+				t.Fatalf("journal cut at byte %d: event %d is %q, want %q", n, i, evs[i].Ev, full[i].Ev)
+			}
+		}
+	}
+
+	// A malformed line in the middle of the file is no torn write.
+	line2 := bytes.SplitAfter(data, []byte("\n"))[1]
+	bad := bytes.Replace(data, line2, append(line2[:10:10], '\n'), 1)
+	if err := os.WriteFile(cut, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJournal(cut); err == nil || !strings.Contains(err.Error(), ":2:") {
+		t.Errorf("malformed line 2 read as %v, want an error naming line 2", err)
 	}
 }
 
