@@ -43,9 +43,13 @@
 // during the run or after it: a journal is readable up to its last
 // completed span even if the process is killed.
 //
+// -dataset is written to a temporary file beside it and renamed into place
+// once complete, so the name never holds a truncated dataset.
 // SIGINT/SIGTERM cancel the run: scans stop at the next sweep batch, every
 // scan completed before the interruption is flushed to -dataset (when set),
-// and the process exits with code 130. Other failures exit with code 1.
+// and the process exits with code 130 (saying so if the dataset could not
+// be written). Other failures, a dataset that cannot be written after a
+// completed study among them, exit with code 1.
 package main
 
 import (
@@ -70,6 +74,7 @@ import (
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/report"
+	"repro/internal/results"
 	"repro/internal/telemetry"
 	"repro/internal/world"
 )
@@ -221,17 +226,22 @@ func main() {
 	if err != nil {
 		// Whatever interrupted the run, flush the scans that completed:
 		// a multi-hour study should never lose its sealed partial data.
-		flushDataset(*datasetPath, study)
+		var unwritten string
+		if ferr := flushDataset(*datasetPath, study.DS); ferr != nil {
+			unwritten = fmt.Sprintf("; dataset not written: %v", ferr)
+		}
 		if errors.Is(err, core.ErrCanceled) {
 			msg := interruptionMessage(err)
-			exitf(exitCanceled, "%s after %v; %d scans sealed", msg,
-				time.Since(start).Round(time.Second), study.DS.Len())
+			exitf(exitCanceled, "%s after %v; %d scans sealed%s", msg,
+				time.Since(start).Round(time.Second), study.DS.Len(), unwritten)
 		}
-		fatalf("running study: %v", err)
+		fatalf("running study: %v%s", err, unwritten)
 	}
 	fmt.Printf("scans complete in %v\n", time.Since(start).Round(time.Second))
 
-	flushDataset(*datasetPath, study)
+	if err := flushDataset(*datasetPath, study.DS); err != nil {
+		fatalf("%v", err)
+	}
 
 	if w.Family == world.FamilyIPv6 {
 		// The paper's figures are calibrated against v4 profile networks;
@@ -326,27 +336,40 @@ func interruptionMessage(err error) string {
 	}
 }
 
-// flushDataset writes the study's dataset (complete or partial) to path.
-// Flush failures are reported but never mask the run's own outcome.
-func flushDataset(path string, study *core.Study) {
-	if path == "" || study.DS == nil {
-		return
+// flushDataset writes a study's dataset (complete or partial) to path. It
+// writes a temporary file beside path and renames it over path only once
+// the whole dataset is written, synced and closed, so a failed or killed
+// write never leaves a truncated file under the final name; on failure the
+// temporary file is removed.
+func flushDataset(path string, ds *results.Dataset) error {
+	if path == "" || ds == nil {
+		return nil
 	}
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "originscan: creating dataset file: %v\n", err)
-		return
+		return fmt.Errorf("writing dataset %s: %w", path, err)
 	}
-	if err := study.DS.WriteJSON(f); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "originscan: writing dataset: %v\n", err)
-		return
+	// CreateTemp makes the file owner-only; a dataset gets the mode
+	// os.Create gives under the usual umask.
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = ds.WriteJSON(f)
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "originscan: closing dataset: %v\n", err)
-		return
+	if err == nil {
+		err = f.Sync()
 	}
-	fmt.Printf("dataset (%d scans) written to %s\n", study.DS.Len(), path)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("writing dataset %s: %w", path, err)
+	}
+	fmt.Printf("dataset (%d scans) written to %s\n", ds.Len(), path)
+	return nil
 }
 
 // runFollowUp executes and prints the §7 follow-up experiment (Table 4b,

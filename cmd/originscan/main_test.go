@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ip"
+	"repro/internal/origin"
+	"repro/internal/proto"
+	"repro/internal/results"
 )
 
 // TestTraceFlushWritesEverySpan holds -trace-dir's trace.json to the
@@ -41,6 +45,46 @@ func TestTraceFlushWritesEverySpan(t *testing.T) {
 	}
 	if got := len(trace.TraceEvents); got != n {
 		t.Errorf("trace.json has %d events, want %d", got, n)
+	}
+}
+
+// TestFlushDatasetIsAllOrNothing: a dataset that cannot be written is an
+// error, and nothing is left beside the target — no temporary file, no
+// truncated dataset; one that can be written lands whole under its name.
+func TestFlushDatasetIsAllOrNothing(t *testing.T) {
+	ds := results.NewDataset(origin.Set{origin.AU}, 1)
+	s := results.NewScanResult(origin.AU, proto.HTTP, 0)
+	s.Add(results.HostRecord{Addr: ip.AddrFrom4(1), ProbeMask: 1, L7: true, Banner: "nginx"})
+	if err := ds.Put(s); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	isDir := filepath.Join(dir, "taken.json")
+	if err := os.Mkdir(isDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{isDir, filepath.Join(dir, "missing", "out.json")} {
+		if err := flushDataset(path, ds); err == nil {
+			t.Errorf("flushDataset(%s) succeeded", path)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("after failed flushes the directory holds %v (%v), want only the target directory", ents, err)
+	}
+
+	path := filepath.Join(dir, "out.json")
+	if err := flushDataset(path, ds); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ds.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("written dataset differs from WriteJSON's bytes (%v)", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Errorf("after a flush the directory holds %v, want the target directory and out.json", ents)
 	}
 }
 

@@ -9,16 +9,16 @@
 // address), and v4-only hot paths never pay for the wider form beyond the
 // extra word of storage. The whole study manipulates hundreds of millions
 // of addresses, so Addr must stay a small comparable struct usable as a map
-// key with no heap footprint (net.IP / netip.Addr are deliberately not used
-// on hot paths; netip is borrowed only for v6 formatting and, in the tests,
-// as the oracle the parser is fuzzed against).
+// key with no heap footprint (net.IP / netip.Addr are deliberately not used:
+// this package parses and formats both families itself, and netip appears
+// only in the tests, as the oracle the parser and the formatter are fuzzed
+// against).
 package ip
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -226,16 +226,13 @@ func parseAddr6[S string | []byte](s S) (Addr, bool) {
 		start := i
 		var acc uint32
 		for ; i < len(s); i++ {
-			h, ok := hexVal(s[i])
-			if !ok {
+			h := hexDigitVal[s[i]]
+			if h > 0xf {
 				break
 			}
-			if i-start == 4 {
-				return Addr{}, false
-			}
-			acc = acc<<4 | h
+			acc = acc<<4 | uint32(h)
 		}
-		if i == start {
+		if i == start || i-start > 4 {
 			return Addr{}, false
 		}
 		if i < len(s) && s[i] == '.' {
@@ -316,10 +313,50 @@ func (a Addr) AppendTo(dst []byte) []byte {
 		dst = append(dst, '.')
 		return strconv.AppendUint(dst, uint64(v&0xff), 10)
 	}
-	var b [16]byte
-	bePutUint64(b[0:8], a.hi)
-	bePutUint64(b[8:16], a.lo)
-	return netip.AddrFrom16(b).AppendTo(dst)
+	// RFC 5952: lower-case hex groups without leading zeros, the longest
+	// run of two or more zero groups (the first of equal runs) as "::".
+	var g [8]uint16
+	for j := 0; j < 4; j++ {
+		g[j] = uint16(a.hi >> (48 - 16*j))
+		g[j+4] = uint16(a.lo >> (48 - 16*j))
+	}
+	zs, ze := len(g), len(g) // the zero run "::" stands for, g[zs:ze]
+	for i := 0; i < len(g); i++ {
+		j := i
+		for j < len(g) && g[j] == 0 {
+			j++
+		}
+		if j-i >= 2 && j-i > ze-zs {
+			zs, ze = i, j
+		}
+		i = j
+	}
+	for i := 0; i < len(g); i++ {
+		if i == zs {
+			dst = append(dst, ':', ':')
+			if i = ze; i == len(g) {
+				break
+			}
+		} else if i > 0 {
+			dst = append(dst, ':')
+		}
+		dst = appendHex16(dst, g[i])
+	}
+	return dst
+}
+
+// appendHex16 appends v in lower-case hex without leading zeros.
+func appendHex16(dst []byte, v uint16) []byte {
+	const digits = "0123456789abcdef"
+	switch {
+	case v >= 0x1000:
+		return append(dst, digits[v>>12], digits[v>>8&0xf], digits[v>>4&0xf], digits[v&0xf])
+	case v >= 0x100:
+		return append(dst, digits[v>>8], digits[v>>4&0xf], digits[v&0xf])
+	case v >= 0x10:
+		return append(dst, digits[v>>4], digits[v&0xf])
+	}
+	return append(dst, digits[v])
 }
 
 // Octets returns the four octets of an IPv4 address (panics on IPv6).
@@ -497,27 +534,18 @@ func (p Prefix) Nth(i uint64) Addr {
 	return p.Base.Add(i)
 }
 
-// hexVal returns the value of a hex digit of either case.
-func hexVal(c byte) (uint32, bool) {
-	switch {
-	case c-'0' <= 9:
-		return uint32(c - '0'), true
-	case (c|0x20)-'a' <= 5:
-		return uint32((c|0x20)-'a') + 10, true
+// hexDigitVal maps each hex digit of either case to its value and every
+// other byte to 0xff.
+var hexDigitVal = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c >= '0' && c <= '9':
+			t[c] = uint8(c - '0')
+		case c|0x20 >= 'a' && c|0x20 <= 'f':
+			t[c] = uint8(c|0x20-'a') + 10
+		default:
+			t[c] = 0xff
+		}
 	}
-	return 0, false
-}
-
-// bePutUint64 is a local big-endian store so the v6 format path avoids an
-// encoding/binary import in this leaf package.
-func bePutUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
-}
+	return t
+}()

@@ -68,8 +68,8 @@ var parseAddrSeeds = []string{
 }
 
 // checkParseAddr holds one input to the contract: string form ≡ bytes form
-// ≡ oracle (netip for IPv6), and an accepted address survives AppendTo →
-// parse in both forms.
+// ≡ oracle (netip for IPv6), an accepted address survives AppendTo → parse
+// in both forms, and an accepted IPv6 address formats as netip's text.
 func checkParseAddr(t *testing.T, s string) {
 	t.Helper()
 	want, wantErr := parseAddrOracle(s)
@@ -94,6 +94,52 @@ func checkParseAddr(t *testing.T, s string) {
 	back, err := ParseAddrBytes(text)
 	if err != nil || back != got {
 		t.Fatalf("%q → %q → %v, %v: AppendTo does not round-trip", s, text, back, err)
+	}
+	if got.Is6() {
+		checkFormat6(t, got)
+	}
+}
+
+// checkFormat6 holds AppendTo's IPv6 text to netip's RFC 5952 form.
+func checkFormat6(t *testing.T, a Addr) {
+	t.Helper()
+	var b [16]byte
+	for i := 0; i < 8; i++ {
+		b[i] = byte(a.hi >> (56 - 8*i))
+		b[i+8] = byte(a.lo >> (56 - 8*i))
+	}
+	if got, want := string(a.AppendTo(nil)), netip.AddrFrom16(b).String(); got != want {
+		t.Fatalf("AppendTo(%#x:%#x) = %q, netip says %q", a.hi, a.lo, got, want)
+	}
+}
+
+// TestFormat6ZeroRuns walks all 256 zero/non-zero patterns of the eight
+// groups: the longest zero run becomes "::", the first of two equal runs
+// wins, and a single zero group is never compressed. The non-zero groups
+// cycle through every digit count, so leading-zero trimming is covered too.
+func TestFormat6ZeroRuns(t *testing.T) {
+	vals := []uint64{0x2a00, 0x1, 0xabc, 0xf0, 0xffff, 0x10}
+	for mask := 0; mask < 256; mask++ {
+		var a Addr
+		for g := 0; g < 8; g++ {
+			a.hi, a.lo = a.hi<<16|a.lo>>48, a.lo<<16
+			if mask&(1<<g) != 0 {
+				a.lo |= vals[(mask+g)%len(vals)]
+			}
+		}
+		checkFormat6(t, a)
+	}
+	for a, want := range map[Addr]string{
+		MustParseAddr("1:0:0:2:0:0:3:4"): "1::2:0:0:3:4",
+		MustParseAddr("1:0:2:0:0:0:3:0"): "1:0:2::3:0",
+		MustParseAddr("1:2:3:4:5:6:0:7"): "1:2:3:4:5:6:0:7",
+		MustParseAddr("0:0:0:0:0:0:0:1"): "::1",
+		MustParseAddr("1:0:0:0:0:0:0:0"): "1::",
+		{}:                               "::",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ import (
 // WriteJSON serializes the dataset.
 func (d *Dataset) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var num []byte // scratch for number formatting
+	var sc writeScratch
 	bw.WriteString(`{"origins":`)
 	if len(d.Origins) == 0 {
 		bw.WriteString("null")
@@ -60,8 +60,7 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 		bw.WriteByte('"')
 	}
 	bw.WriteString(`,"trials":`)
-	num = strconv.AppendInt(num[:0], int64(d.Trials), 10)
-	bw.Write(num)
+	bw.Write(strconv.AppendInt(sc.num[:0], int64(d.Trials), 10))
 	bw.WriteString(`,"scans":`)
 	wroteScan := false
 	for _, o := range d.Origins {
@@ -77,7 +76,7 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 				} else {
 					bw.WriteByte(',')
 				}
-				if err := s.writeJSON(bw, num); err != nil {
+				if err := s.writeJSON(bw, &sc); err != nil {
 					return err
 				}
 			}
@@ -92,9 +91,22 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
+// writeScratch is the encoder's scratch, reused across a dataset's scans.
+type writeScratch struct {
+	// num holds one number, or one row's text with its brackets and
+	// separator, on its way to the writer.
+	num []byte
+	// banners is the current scan's banner dictionary as JSON text, each
+	// entry encoded once: dictionary index k (0 is "") is written as
+	// banners[ends[k]:ends[k+1]].
+	banners []byte
+	ends    []int
+}
+
 // writeJSON streams one scan object from the sealed columns.
-func (s *ScanResult) writeJSON(bw *bufio.Writer, num []byte) error {
+func (s *ScanResult) writeJSON(bw *bufio.Writer, sc *writeScratch) error {
 	s.seal()
+	num := sc.num
 	writeField := func(name string, v uint64, first bool) {
 		if !first {
 			bw.WriteByte(',')
@@ -155,32 +167,47 @@ func (s *ScanResult) writeJSON(bw *bufio.Writer, num []byte) error {
 	// Banners are written as text, never as dictionary indices, and only
 	// when a surviving row carries one.
 	if slices.ContainsFunc(s.banner, func(k uint32) bool { return k != 0 }) {
-		// One banner at a time through the same scratch, never the column
-		// marshalled whole: raw when json.Marshal would not change it,
-		// json.Marshal of that one string otherwise — which keeps the
-		// default HTML escaping the old struct-based encoder applied.
+		if err := sc.encodeBanners(s.banners); err != nil {
+			return err
+		}
 		bw.WriteString(`,"banners":`)
 		open := byte('[')
-		for i := range s.banner {
-			b := s.bannerAt(i)
+		for _, k := range s.banner {
 			num = append(num[:0], open)
 			open = ','
-			if rawBanner(b) {
-				num = append(num, '"')
-				num = append(num, b...)
-				num = append(num, '"')
-			} else {
-				enc, err := json.Marshal(b)
-				if err != nil {
-					return err
-				}
-				num = append(num, enc...)
-			}
+			num = append(num, sc.banners[sc.ends[k]:sc.ends[k+1]]...)
 			bw.Write(num)
 		}
 		bw.WriteByte(']')
 	}
 	bw.WriteByte('}')
+	sc.num = num
+	return nil
+}
+
+// encodeBanners fills the scratch's banner table from a scan's dictionary.
+// Each entry is written raw between quotes when json.Marshal would not
+// change it, and as json.Marshal of that one string otherwise — which
+// keeps the default HTML escaping the old struct-based encoder applied.
+// Entries no surviving row names (Seal's keep-last dedup can orphan one)
+// are encoded too and never written.
+func (sc *writeScratch) encodeBanners(dict []string) error {
+	sc.banners = append(sc.banners[:0], `""`...)
+	sc.ends = append(sc.ends[:0], 0, len(sc.banners))
+	for _, b := range dict {
+		if rawBanner(b) {
+			sc.banners = append(sc.banners, '"')
+			sc.banners = append(sc.banners, b...)
+			sc.banners = append(sc.banners, '"')
+		} else {
+			enc, err := json.Marshal(b)
+			if err != nil {
+				return err
+			}
+			sc.banners = append(sc.banners, enc...)
+		}
+		sc.ends = append(sc.ends, len(sc.banners))
+	}
 	return nil
 }
 
@@ -616,7 +643,12 @@ func (d *decoder) scan() (*ScanResult, error) {
 		case "invalid":
 			s.Invalid, err = d.uint(64)
 		case "records":
-			err = d.array(func() error { return d.record(s) })
+			err = d.array(func() error {
+				if d.fastRecords(s) {
+					return nil
+				}
+				return d.record(s)
+			})
 		case "banners":
 			// Banners go straight onto their column, as indices into the
 			// scan's dictionary (built in file order); the records —
@@ -714,6 +746,12 @@ func (d *decoder) record(s *ScanResult) error {
 	if err != nil {
 		return fmt.Errorf("record %d: %w", len(s.addrs), err)
 	}
+	s.appendRecord(addr, &rec)
+	return nil
+}
+
+// appendRecord appends one decoded tuple to the scan's columns.
+func (s *ScanResult) appendRecord(addr ip.Addr, rec *[len(recordFields)]uint64) {
 	if len(s.addrs) == cap(s.addrs) {
 		s.resizeRows(max(1024, 2*len(s.addrs)))
 	}
@@ -725,5 +763,91 @@ func (d *decoder) record(s *ScanResult) error {
 		flags:     uint8(rec[2] & (flagRST | flagL7)),
 		fail:      zgrab.FailMode(rec[3]),
 	})
-	return nil
+}
+
+// fastRecords consumes, from the cursor, the longest run of records that
+// sit whole in the window in the form WriteJSON gives them — six elements,
+// no whitespace, plain-text IPv6 addresses, numbers in their columns'
+// ranges — joined by bare commas, and leaves the cursor after the last.
+// It reports whether it consumed any. Everything else is record's: a
+// short or long tuple, whitespace, an escape, a record the window's end
+// splits, and every error; so a record is either taken whole here or
+// read by record as though this routine did not exist.
+func (d *decoder) fastRecords(s *ScanResult) bool {
+	b := d.buf[:d.end]
+	start := d.pos
+	var rec [len(recordFields)]uint64
+	for i := d.pos; ; {
+		addr, end, ok := fastRecord(b, i, &rec)
+		if !ok {
+			break
+		}
+		s.appendRecord(addr, &rec)
+		d.pos = end
+		if end == len(b) || b[end] != ',' {
+			break
+		}
+		i = end + 1
+	}
+	return d.pos != start
+}
+
+// fastRecord parses the record at b[i] for fastRecords into rec, and
+// returns its address and the index after its closing bracket.
+func fastRecord(b []byte, i int, rec *[len(recordFields)]uint64) (ip.Addr, int, bool) {
+	if i == len(b) || b[i] != '[' {
+		return ip.Addr{}, 0, false
+	}
+	i++
+	var addr ip.Addr
+	if i < len(b) && b[i] == '"' {
+		j := i + 1
+		for j < len(b) && plainByte[b[j]] {
+			j++
+		}
+		if j == len(b) || b[j] != '"' {
+			return ip.Addr{}, 0, false
+		}
+		a, err := ip.ParseAddrBytes(b[i+1 : j])
+		if err != nil {
+			return ip.Addr{}, 0, false
+		}
+		addr, i = a, j+1
+	} else {
+		v, j, ok := fastUint(b, i, 32)
+		if !ok {
+			return ip.Addr{}, 0, false
+		}
+		addr, i = ip.AddrFrom4(uint32(v)), j
+	}
+	for n := 1; n < len(rec); n++ {
+		if i == len(b) || b[i] != ',' {
+			return ip.Addr{}, 0, false
+		}
+		v, j, ok := fastUint(b, i+1, recordFields[n].bits)
+		if !ok {
+			return ip.Addr{}, 0, false
+		}
+		rec[n], i = v, j
+	}
+	if i == len(b) || b[i] != ']' {
+		return ip.Addr{}, 0, false
+	}
+	return addr, i + 1, true
+}
+
+// fastUint parses the unsigned integer at b[i] for fastRecord: one to 19
+// digits (so no overflow is possible), no leading zero, and a value that
+// fits the given width. It returns the index after the last digit.
+func fastUint(b []byte, i int, bits uint) (uint64, int, bool) {
+	j := i
+	var v uint64
+	for j < len(b) && b[j]-'0' <= 9 {
+		v = v*10 + uint64(b[j]-'0')
+		j++
+	}
+	if j == i || j-i > 19 || (b[i] == '0' && j-i > 1) || v>>bits != 0 {
+		return 0, 0, false
+	}
+	return v, j, true
 }

@@ -394,6 +394,34 @@ func TestReadJSONRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestReadJSONFastRecordBoundary: a record that differs from the form
+// WriteJSON gives it in any one way, met in the middle of a run of
+// canonical records, loads or is refused exactly as the oracle says — the
+// fast record routine either takes it whole and right, or leaves it to
+// record and its errors.
+func TestReadJSONFastRecordBoundary(t *testing.T) {
+	for _, rec := range []string{
+		`[01,1,2,0,1,5]`, `[1,01,2,0,1,5]`, `[1,1,00,0,1,5]`, `[1,1,2,0,1,05]`, `[0,0,0,0,0,0]`,
+		`[4294967295,255,3,255,2147483647,9223372036854775807]`, `[4294967296,1,2,0,1,5]`,
+		`[1,256,2,0,1,5]`, `[1,1,2,256,1,5]`, `[1,1,2,0,2147483648,5]`, `[1,1,2,0,1,9223372036854775808]`,
+		`[1,1,1000000000000000000,0,1,5]`, `[1,1,18446744073709551615,0,1,5]`, `[1,1,18446744073709551616,0,1,5]`,
+		`[1,1,2,0,1,99999999999999999999]`, `[1,1,2,0,1,0000000000000000000005]`,
+		`[1,1,2,0,1]`, `[1]`, `[]`, `[1,1,2,0,1,5,6]`, `[ 1,1,2,0,1,5]`, `[1 ,1,2,0,1,5]`, `[1,1,2,0,1,5 ]`,
+		`[1,1,2,0,1,5.0]`, `[1,1,2,0,1,5e0]`, `[1,1,2,0,1,-5]`, `[1,1,2,0,1,]`, `[1,,2,0,1,5]`, `[1,1,2,0,1,5}`,
+		`[1,1,2,0,1,5]]`, `[1,1,2,0,1,"5"]`, `[null,1,2,0,1,5]`, `[[1],1,2,0,1,5]`,
+		`["2a00::1",1,2,0,1,5]`, `["2A00:0:0:0:0:0:0:1",1,2,0,1,5]`, `["2a00::\u0031",1,2,0,1,5]`,
+		`["2a00::g",1,2,0,1,5]`, `["2a00::1%eth0",1,2,0,1,5]`, `["1.2.3.4",1,2,0,1,5]`, `["",1,2,0,1,5]`,
+		`["2a00::1,1,2,0,1,5]`, `["2a00::1"1,2,0,1,5]`, "[\"2a00::1\x00\",1,2,0,1,5]",
+	} {
+		for _, doc := range []string{
+			scanDoc(`"records":[[7,3,2,0,1,9],` + rec + `,[8,3,2,0,1,9]]`),
+			scanDoc(`"records":[["2a00::7",3,2,0,1,9],` + rec + `]`),
+		} {
+			checkOracle(t, []byte(doc))
+		}
+	}
+}
+
 func FuzzReadJSON(f *testing.F) {
 	f.Add(encode(f, results.Sample()))
 	for _, docs := range []map[string]string{acceptDocs, rejectDocs, strictOnly} {
@@ -463,10 +491,7 @@ func TestReadJSONAllocBudget(t *testing.T) {
 // BenchmarkReadJSON is the one-command home of the decoder's MiB/s and
 // allocs/op, beside the bench's results.read_json_mib_per_s.
 func BenchmarkReadJSON(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		doc  []byte
-	}{{"golden-v4", goldenJSON(b)}, {"hitlist-v6", hitlistJSON(b)}} {
+	for _, c := range codecDocs(b) {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(c.doc)))
 			b.ReportAllocs()
@@ -481,10 +506,86 @@ func BenchmarkReadJSON(b *testing.B) {
 	}
 }
 
-// TestWriteJSONBannerEscapesMatchMarshal: the encoder writes banners one at
-// a time, raw when it can; whatever it writes must be the bytes
-// json.Marshal gives that string (HTML escaping, U+2028/9, invalid UTF-8 →
-// U+FFFD), and must read back as what json.Unmarshal makes of them.
+// codecDoc is a document the codec's benchmarks and allocation budgets
+// run on.
+type codecDoc struct {
+	name string
+	doc  []byte
+}
+
+// codecDocs are the golden v4 dataset and a real IPv6 hitlist study.
+func codecDocs(tb testing.TB) []codecDoc {
+	return []codecDoc{{"golden-v4", goldenJSON(tb)}, {"hitlist-v6", hitlistJSON(tb)}}
+}
+
+// decodeDoc reads a codec document back into the dataset it was written
+// from.
+func decodeDoc(tb testing.TB, doc []byte) *results.Dataset {
+	tb.Helper()
+	ds, err := results.ReadJSON(bytes.NewReader(doc))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
+
+// TestWriteJSONAllocBudget: encoding costs at most 0.01 allocations per
+// row — the output buffer, the scratch and one json.Marshal per escaped
+// dictionary entry; nothing per row, v4 or v6.
+func TestWriteJSONAllocBudget(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const budget = 0.01
+	for _, c := range codecDocs(t) {
+		ds := decodeDoc(t, c.doc)
+		rows := countRows(t, c.doc)
+		var buf bytes.Buffer
+		buf.Grow(len(c.doc))
+		allocs := testing.AllocsPerRun(5, func() {
+			buf.Reset()
+			if err := ds.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(buf.Bytes(), c.doc) {
+			t.Fatalf("%s: WriteJSON does not reproduce the document it was read from", c.name)
+		}
+		t.Logf("%s: %d rows, %.0f allocations, %.4f per row", c.name, rows, allocs, allocs/float64(rows))
+		if allocs/float64(rows) > budget {
+			t.Errorf("%s: %.4f allocations per row, budget %.2f", c.name, allocs/float64(rows), budget)
+		}
+	}
+}
+
+// BenchmarkWriteJSON is the encoder's twin of BenchmarkReadJSON, beside
+// the bench's results.write_json_mib_per_s.
+func BenchmarkWriteJSON(b *testing.B) {
+	for _, c := range codecDocs(b) {
+		b.Run(c.name, func(b *testing.B) {
+			ds := decodeDoc(b, c.doc)
+			var buf bytes.Buffer
+			buf.Grow(len(c.doc))
+			b.SetBytes(int64(len(c.doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := ds.WriteJSON(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteJSONBannerEscapesMatchMarshal: the encoder encodes each entry of
+// a scan's banner dictionary once, raw when it can, and writes every row's
+// banner from that table; whatever it writes must be the bytes json.Marshal
+// gives the per-row banner list (HTML escaping, U+2028/9, invalid UTF-8 →
+// U+FFFD), and must read back as what json.Unmarshal makes of them. Every
+// banner repeats on many rows, keep-last dedup orphans a dictionary entry,
+// and a scan whose dictionary only orphans still writes no "banners".
 func TestWriteJSONBannerEscapesMatchMarshal(t *testing.T) {
 	banners := []string{
 		"nginx", "Apache/2.4.41 (Ubuntu)", "", " ", "~", "\x7f",
@@ -493,22 +594,48 @@ func TestWriteJSONBannerEscapesMatchMarshal(t *testing.T) {
 		"sep\u2028and\u2029", "caf\u00e9", "\U0001F600", "\ufffd",
 		"bad\xffutf8", "\xc0\x80", "\xed\xa0\x80", "trunc\xe2\x82",
 	}
+	const reps = 3
 	s := results.NewScanResult(origin.AU, proto.HTTP, 0)
-	for i, b := range banners {
-		s.Add(results.HostRecord{Addr: ip.AddrFrom4(uint32(i + 1)), ProbeMask: 1, L7: true, Banner: b})
+	var perRow []string // the surviving rows' banners, in address order
+	for r := 0; r < reps; r++ {
+		for i, b := range banners {
+			a := ip.AddrFrom4(uint32(r*len(banners) + i + 1))
+			if i == 1 && r == 0 {
+				// Keep-last replaces this row, orphaning its banner, the
+				// only row to carry it.
+				s.Add(results.HostRecord{Addr: a, ProbeMask: 1, L7: true, Banner: "orphan<\n>"})
+			}
+			s.Add(results.HostRecord{Addr: a, ProbeMask: 1, L7: true, Banner: b})
+			perRow = append(perRow, b)
+		}
 	}
+	// A dictionary entry with no surviving row: no "banners" at all.
+	bare := results.NewScanResult(origin.AU, proto.SSH, 0)
+	bare.Add(results.HostRecord{Addr: ip.AddrFrom4(1), ProbeMask: 1, L7: true, Banner: "SSH-2.0-x"})
+	bare.Add(results.HostRecord{Addr: ip.AddrFrom4(1), ProbeMask: 1})
+	bare.Add(results.HostRecord{Addr: ip.AddrFrom4(2), ProbeMask: 1})
 	ds := results.NewDataset(origin.Set{origin.AU}, 1)
-	if err := ds.Put(s); err != nil {
-		t.Fatal(err)
+	for _, sc := range []*results.ScanResult{s, bare} {
+		if err := ds.Put(sc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	raw := encode(t, ds)
-	want, err := json.Marshal(banners)
+	want, err := json.Marshal(perRow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.Index(raw, []byte(`"banners":`))
-	if i < 0 || !bytes.HasPrefix(raw[i+len(`"banners":`):], []byte(string(want)+"}")) {
-		t.Fatalf("banner column\n got %s\nwant %s", raw[max(i, 0):], want)
+	var doc struct {
+		Scans []map[string]json.RawMessage `json:"scans"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Scans) != 2 {
+		t.Fatalf("document does not parse as two scans (%v): %s", err, raw)
+	}
+	if got := doc.Scans[0]["banners"]; !bytes.Equal(got, want) {
+		t.Fatalf("banner column\n got %s\nwant %s", got, want)
+	}
+	if got, ok := doc.Scans[1]["banners"]; ok {
+		t.Errorf("scan with no surviving banner writes \"banners\":%s", got)
 	}
 	back, err := checkOracle(t, raw)
 	if err != nil {
