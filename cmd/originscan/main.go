@@ -237,7 +237,8 @@ func main() {
 		}
 		fatalf("running study: %v%s", err, unwritten)
 	}
-	fmt.Printf("scans complete in %v\n", time.Since(start).Round(time.Second))
+	// Wall time varies run to run; stdout stays a function of the seed.
+	fmt.Fprintf(os.Stderr, "scans complete in %v\n", time.Since(start).Round(time.Second))
 
 	if err := flushDataset(*datasetPath, study.DS); err != nil {
 		fatalf("%v", err)

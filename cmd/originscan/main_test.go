@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -184,4 +185,46 @@ func FuzzReadHitlist(f *testing.F) {
 			t.Fatalf("every address line parses, yet %v", err)
 		}
 	})
+}
+
+// mainArgsEnv, when set, makes the test binary run the command itself with
+// these (space-separated) arguments instead of the tests.
+const mainArgsEnv = "ORIGINSCAN_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"originscan"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStdoutIsAFunctionOfTheSeed runs the command twice, at one and two
+// scan workers: stdout must be byte-identical and carry no wall-time line
+// (the scan timing goes to stderr).
+func TestStdoutIsAFunctionOfTheSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the study twice")
+	}
+	run := func(parallelism int) string {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=-scale 0.0001 -trials 2 -skip-followup -quiet -parallelism %d", mainArgsEnv, parallelism))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("-parallelism %d: %v\nstderr: %s", parallelism, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "scans complete in") {
+			t.Errorf("-parallelism %d: stderr has no timing line: %q", parallelism, stderr.String())
+		}
+		return stdout.String()
+	}
+	one, two := run(1), run(2)
+	if strings.Contains(one, "scans complete in") || !strings.Contains(one, "§8") {
+		t.Errorf("stdout has a timing line or no report:\n%s", one)
+	}
+	if one != two {
+		t.Errorf("stdout at -parallelism 1 and 2 differ:\n--- 1 ---\n%s\n--- 2 ---\n%s", one, two)
+	}
 }

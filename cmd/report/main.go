@@ -1,10 +1,12 @@
 // Command report re-runs the paper's analyses over a previously saved
 // dataset (written by originscan -dataset). The world is regenerated from
-// the same seed and scale so topology lookups (AS, country) match the scans.
+// the same seed and scale so topology lookups (AS, country) match the scans,
+// so -seed and -scale must be the ones the dataset was collected with; the
+// trial count is the dataset's own.
 //
 // Usage:
 //
-//	report -in dataset.json [-seed N] [-scale F] [-trials N]
+//	report -in dataset.json [-seed N] [-scale F]
 package main
 
 import (
@@ -25,10 +27,9 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "dataset JSON written by originscan -dataset (required)")
-		seed   = flag.Uint64("seed", 2020, "study seed the dataset was collected with")
-		scale  = flag.Float64("scale", 0.001, "world scale the dataset was collected with")
-		trials = flag.Int("trials", 3, "trials the dataset was collected with")
+		in    = flag.String("in", "", "dataset JSON written by originscan -dataset (required)")
+		seed  = flag.Uint64("seed", 2020, "study seed the dataset was collected with")
+		scale = flag.Float64("scale", 0.001, "world scale the dataset was collected with")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -51,7 +52,7 @@ func main() {
 	defer stop()
 	study, err := core.New(ctx, experiment.Config{
 		WorldSpec: world.Spec{Seed: *seed, Scale: *scale},
-		Trials:    *trials,
+		Trials:    ds.Trials,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -267,17 +267,6 @@ func TestPairwiseMcNemar(t *testing.T) {
 	}
 }
 
-func TestCochranQAnalysis(t *testing.T) {
-	ds := twoOriginDS(t)
-	_, df, p := CochranQ(ds, proto.HTTP, 0)
-	if df != 1 {
-		t.Errorf("df = %d", df)
-	}
-	if p < 0 || p > 1 {
-		t.Errorf("p = %v", p)
-	}
-}
-
 func TestExclusive(t *testing.T) {
 	// h3: long-term from BR, accessible from AU only → exclusively
 	// accessible from AU and exclusively inaccessible from BR.
@@ -661,5 +650,20 @@ func TestAgreementEmptyDataset(t *testing.T) {
 	agg := AgreementWithin(ds, proto.HTTP, 0, 2, 0.05)
 	if agg.Blocks != 0 || len(agg.PerPair) != 0 {
 		t.Errorf("empty dataset agreement = %+v", agg)
+	}
+}
+
+// TestAgreementOneOrigin: with a single scanning origin there is no pair to
+// compare, so the mean is 0, not 0/0.
+func TestAgreementOneOrigin(t *testing.T) {
+	b1a, b1b := ip.MustParseAddr("1.0.0.1"), ip.MustParseAddr("1.0.0.2")
+	ds := mkDS(t, origin.Set{origin.AU}, 2, outcomeSpec{
+		origin.AU: {{b1a: true, b1b: true}, {b1a: true, b1b: false}},
+	})
+	for trial := 0; trial < ds.Trials; trial++ {
+		agg := AgreementWithin(ds, proto.HTTP, trial, 1, 0.05)
+		if agg.Blocks == 0 || len(agg.PerPair) != 0 || agg.Mean != 0 {
+			t.Errorf("trial %d: one-origin agreement = %+v, want blocks, no pairs, mean 0", trial, agg)
+		}
 	}
 }

@@ -129,8 +129,8 @@ func MissingBreakdown(c *Classifier) []Breakdown {
 			if c.ok[o][t] == nil {
 				continue
 			}
-			b := Breakdown{Origin: o, Trial: t, GroundTruth: len(ds.GroundTruth(c.Proto, t))}
-			c.eachMissed(o, t, func(i int) {
+			b := Breakdown{Origin: o, Trial: t, GroundTruth: len(c.joins[t].GT)}
+			c.eachMissed(o, t, func(i, _ int) {
 				isNet := net.has(i)
 				switch cls[i] {
 				case ClassTransient:

@@ -59,47 +59,21 @@ func Bursts(c *Classifier, topo Topology, scanHours int) BurstReport {
 	}
 
 	st := c.spine(topo)
-	// firstT[t][i] is when union[i] was probed in trial t, from the first
-	// origin (in dataset order) that recorded it; built on first need.
-	firstT := make([][]time.Duration, ds.Trials)
 	for _, o := range ds.Origins {
 		cls := c.class[o]
 		for t := 0; t < ds.Trials; t++ {
-			s := ds.Scan(o, c.Proto, t)
-			if s == nil {
-				continue
-			}
-			// Missed hosts come in address order, so one cursor into the
-			// scan's address column finds each one's own record.
-			addrs := s.Addrs()
-			j := 0
-			c.eachMissed(o, t, func(i int) {
-				g := st.group[i]
-				if cls[i] != ClassTransient || g < 0 {
+			c.eachMissed(o, t, func(i, g int) {
+				gr := st.group[i]
+				if cls[i] != ClassTransient || gr < 0 {
 					return
 				}
-				as, a := st.groups[g].AS, c.union[i]
+				as := st.groups[gr].AS
 				transientASes[as] = true
 				k := key{o, as, t}
 				if series[k] == nil {
 					series[k] = make([]float64, scanHours)
 				}
-				for j < len(addrs) && addrs[j].Less(a) {
-					j++
-				}
-				h := 0
-				if j < len(addrs) && addrs[j] == a {
-					h = hourOf(s.RecordAt(j).T)
-				} else {
-					// Scans are synchronized: another origin's
-					// record of the host gives the probe hour.
-					if firstT[t] == nil {
-						firstT[t] = c.firstProbeTimes(t)
-					}
-					if pt := firstT[t][i]; pt >= 0 {
-						h = hourOf(pt)
-					}
-				}
+				h := hourOf(c.probeTime(t, g))
 				if h >= scanHours {
 					h = scanHours - 1
 				}
@@ -170,29 +144,16 @@ func Bursts(c *Classifier, topo Topology, scanHours int) BurstReport {
 	return rep
 }
 
-// firstProbeTimes returns, per spine host, when it was probed in the trial
-// according to the first origin (in dataset order) that recorded it, or -1
-// (scans are seed-synchronized, so all origins probe a target at the same
-// virtual time). One merge walk per origin's scan against the spine.
-func (c *Classifier) firstProbeTimes(trial int) []time.Duration {
-	out := make([]time.Duration, len(c.union))
-	for i := range out {
-		out[i] = -1
-	}
+// probeTime is when ground-truth host g of the trial was probed, read from
+// the first origin (in dataset order) that recorded it: scans are
+// seed-synchronized, so every origin probes a target at the same virtual
+// time, missed or not. Every ground-truth host has a record.
+func (c *Classifier) probeTime(trial, g int) time.Duration {
+	j := c.joins[trial]
 	for _, o := range c.DS.Origins {
-		s := c.DS.Scan(o, c.Proto, trial)
-		if s == nil {
-			continue
-		}
-		ui := 0
-		for j, a := range s.Addrs() {
-			for ui < len(c.union) && c.union[ui].Less(a) {
-				ui++
-			}
-			if ui < len(c.union) && c.union[ui] == a && out[ui] < 0 {
-				out[ui] = s.RecordAt(j).T
-			}
+		if r, ok := j.Of(o).Record(g); ok {
+			return r.T
 		}
 	}
-	return out
+	return 0
 }

@@ -59,9 +59,12 @@ func (c Class) String() string {
 //
 // Its layout mirrors the columnar store: the sorted union of all live
 // hosts is the spine, and presence bitmasks, per-origin classes and
-// per-(origin, trial) success bits are columns aligned with it. Downstream
-// analyses iterate the spine by index (OfAt/PresentAt), which is a straight
-// array walk — no hash lookups, no searches of the scan columns. The AS and
+// per-(origin, trial) success bits are columns aligned with it. at maps
+// each trial's ground-truth hosts onto the spine, so a pass over a trial's
+// hosts reads both the spine's columns and the trial's join (the scans'
+// rows) by index, never a scan's address column. Downstream analyses
+// iterate the spine by index (OfAt/PresentAt), which is a straight array
+// walk — no hash lookups, no searches. The AS and
 // country columns, and the results several figures share, are built once on
 // first use (with the first Topology a pass hands in) and are then safe for
 // concurrent readers.
@@ -74,6 +77,10 @@ type Classifier struct {
 	union ip.AddrSlice
 	// presence[i] is a bitmask of trials union[i] was live in.
 	presence []uint8
+	// joins[t] is trial t's join; at[t][g] is the spine index of its
+	// ground-truth host g.
+	joins []*results.Join
+	at    [][]int32
 	// class[origin][i] is union[i]'s classification from the origin.
 	class map[origin.ID][]Class
 	// ok[origin][t] has bit i set when the origin completed an L7
@@ -155,66 +162,62 @@ func (st *spineTopo) asOf(i int) (asn.ASN, bool) {
 	return 0, false
 }
 
-// NewClassifier classifies the dataset's hosts for one protocol. All
-// per-host state is built with merge walks over the trials' sorted
-// ground-truth and scan columns.
+// NewClassifier classifies the dataset's hosts for one protocol, reading
+// every scan row through the trials' joins.
 func NewClassifier(ds *results.Dataset, p proto.Protocol) *Classifier {
+	joins := make([]*results.Join, ds.Trials)
 	gts := make([]ip.AddrSlice, ds.Trials)
-	for t := range gts {
-		gts[t] = ds.GroundTruth(p, t)
+	for t := range joins {
+		joins[t] = ds.Join(p, t)
+		gts[t] = joins[t].GT
 	}
 	c := &Classifier{
 		DS: ds, Proto: p,
 		union: ip.Union(gts...),
+		joins: joins,
+		at:    make([][]int32, ds.Trials),
 		class: make(map[origin.ID][]Class, len(ds.Origins)),
 		ok:    make(map[origin.ID][]bitset, len(ds.Origins)),
 	}
 	c.presence = make([]uint8, len(c.union))
 	for t, gt := range gts {
+		c.at[t] = make([]int32, len(gt))
 		ui := 0
-		for _, a := range gt {
+		for g, a := range gt {
 			for c.union[ui].Less(a) {
 				ui++
 			}
 			c.presence[ui] |= 1 << t
+			c.at[t][g] = int32(ui)
 		}
 	}
 	for _, o := range ds.Origins {
-		c.class[o], c.ok[o] = c.classifyOrigin(o, gts)
+		c.class[o], c.ok[o] = c.classifyOrigin(o)
 	}
 	return c
 }
 
-// classifyOrigin walks each trial's ground truth against the origin's scan
-// column, setting the trial's success bits and accumulating per-host
-// present/missed counts along the union spine, then folds the counts into
-// classes.
-func (c *Classifier) classifyOrigin(o origin.ID, gts []ip.AddrSlice) ([]Class, []bitset) {
+// classifyOrigin reads the origin's column of each trial's join, setting
+// the trial's success bits and accumulating per-host present/missed counts
+// along the union spine, then folds the counts into classes.
+func (c *Classifier) classifyOrigin(o origin.ID) ([]Class, []bitset) {
 	present := make([]uint8, len(c.union))
 	missed := make([]uint8, len(c.union))
-	ok := make([]bitset, len(gts))
-	for t, gt := range gts {
-		s := c.DS.Scan(o, c.Proto, t)
-		if s == nil {
+	ok := make([]bitset, len(c.joins))
+	for t, j := range c.joins {
+		col := j.Of(o)
+		if col.Scan == nil {
 			// Origin did not scan this trial (Carinet): only its
 			// scanned trials count.
 			continue
 		}
-		addrs := s.Addrs()
 		ok[t] = newBitset(len(c.union))
-		ui, j := 0, 0
-		for _, a := range gt {
-			for c.union[ui].Less(a) {
-				ui++
-			}
-			for j < len(addrs) && addrs[j].Less(a) {
-				j++
-			}
-			present[ui]++
-			if j < len(addrs) && addrs[j] == a && s.SuccessAt(j, false) {
-				ok[t].set(ui)
+		for g, i := range c.at[t] {
+			present[i]++
+			if col.Success(g, false) {
+				ok[t].set(int(i))
 			} else {
-				missed[ui]++
+				missed[i]++
 			}
 		}
 	}
@@ -301,21 +304,22 @@ func (c *Classifier) HostsOfClass(o origin.ID, cl Class) []ip.Addr {
 // to handshake with, in address order.
 func (c *Classifier) MissedInTrial(o origin.ID, trial int) []ip.Addr {
 	var out []ip.Addr
-	c.eachMissed(o, trial, func(i int) { out = append(out, c.union[i]) })
+	c.eachMissed(o, trial, func(i, _ int) { out = append(out, c.union[i]) })
 	return out
 }
 
-// eachMissed calls fn with the spine index of every host live in the trial
-// that the origin failed to handshake with, in address order; it calls
-// nothing when the origin did not scan the trial.
-func (c *Classifier) eachMissed(o origin.ID, trial int, fn func(i int)) {
+// eachMissed calls fn with the spine index i and the ground-truth index g
+// (into the trial's join) of every host live in the trial that the origin
+// failed to handshake with, in address order; it calls nothing when the
+// origin did not scan the trial.
+func (c *Classifier) eachMissed(o origin.ID, trial int, fn func(i, g int)) {
 	oks := c.ok[o]
 	if trial < 0 || trial >= len(oks) || oks[trial] == nil {
 		return
 	}
-	for i := range c.union {
-		if c.PresentAt(i, trial) && !oks[trial].has(i) {
-			fn(i)
+	for g, i := range c.at[trial] {
+		if !oks[trial].has(int(i)) {
+			fn(int(i), g)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
@@ -81,31 +80,22 @@ type McNemarPair struct {
 
 // PairwiseMcNemar computes the §3 significance matrix.
 func PairwiseMcNemar(ds *results.Dataset, p proto.Protocol, trial int) []McNemarPair {
-	gt := ds.GroundTruth(p, trial)
+	j := ds.Join(p, trial)
 	var origins origin.Set
+	var cols []results.Column
 	for _, o := range ds.Origins {
-		if ds.Scan(o, p, trial) != nil {
+		if col := j.Of(o); col.Scan != nil {
 			origins = append(origins, o)
+			cols = append(cols, col)
 		}
 	}
 	nPairs := len(origins) * (len(origins) - 1) / 2
 	var out []McNemarPair
-	for i := 0; i < len(origins); i++ {
-		for j := i + 1; j < len(origins); j++ {
-			a, b := origins[i], origins[j]
-			sa, sb := ds.MustScan(a, p, trial), ds.MustScan(b, p, trial)
-			aAddrs, bAddrs := sa.Addrs(), sb.Addrs()
+	for a := range origins {
+		for b := a + 1; b < len(origins); b++ {
 			var onlyA, onlyB uint64
-			ai, bi := 0, 0
-			for _, h := range gt {
-				for ai < len(aAddrs) && aAddrs[ai].Less(h) {
-					ai++
-				}
-				for bi < len(bAddrs) && bAddrs[bi].Less(h) {
-					bi++
-				}
-				va := ai < len(aAddrs) && aAddrs[ai] == h && sa.SuccessAt(ai, false)
-				vb := bi < len(bAddrs) && bAddrs[bi] == h && sb.SuccessAt(bi, false)
+			for g := range j.GT {
+				va, vb := cols[a].Success(g, false), cols[b].Success(g, false)
 				if va && !vb {
 					onlyA++
 				} else if vb && !va {
@@ -114,45 +104,12 @@ func PairwiseMcNemar(ds *results.Dataset, p proto.Protocol, trial int) []McNemar
 			}
 			r := stats.McNemar(onlyA, onlyB)
 			out = append(out, McNemarPair{
-				OrigA: a, OrigB: b, McNemarResult: r,
+				OrigA: origins[a], OrigB: origins[b], McNemarResult: r,
 				PAdjusted: stats.Bonferroni(r.P, nPairs),
 			})
 		}
 	}
 	return out
-}
-
-// CochranQ runs Cochran's Q across all origins for one protocol and trial
-// (§3 notes why pairwise McNemar is preferred; provided for completeness).
-func CochranQ(ds *results.Dataset, p proto.Protocol, trial int) (q float64, df int, pval float64) {
-	gt := ds.GroundTruth(p, trial)
-	var origins origin.Set
-	for _, o := range ds.Origins {
-		if ds.Scan(o, p, trial) != nil {
-			origins = append(origins, o)
-		}
-	}
-	scans := make([]*results.ScanResult, len(origins))
-	addrs := make([]ip.AddrSlice, len(origins))
-	cursors := make([]int, len(origins))
-	for i, o := range origins {
-		scans[i] = ds.MustScan(o, p, trial)
-		addrs[i] = scans[i].Addrs()
-	}
-	rows := make([][]bool, 0, len(gt))
-	for _, h := range gt {
-		row := make([]bool, len(origins))
-		for i := range origins {
-			j, as := cursors[i], addrs[i]
-			for j < len(as) && as[j].Less(h) {
-				j++
-			}
-			cursors[i] = j
-			row[i] = j < len(as) && as[j] == h && scans[i].SuccessAt(j, false)
-		}
-		rows = append(rows, row)
-	}
-	return stats.CochranQ(rows)
 }
 
 // ProbeStats quantifies the §7 probe-level findings for one origin,
@@ -173,24 +130,17 @@ func Probes(ds *results.Dataset, p proto.Protocol, o origin.ID, trial int) Probe
 	ps := ProbeStats{Origin: o, Trial: trial}
 	ps.Coverage2Probe = ds.Coverage(o, p, trial, false)
 	ps.Coverage1Probe = ds.Coverage(o, p, trial, true)
-	s := ds.Scan(o, p, trial)
-	if s == nil {
+	j := ds.Join(p, trial)
+	col := j.Of(o)
+	if col.Scan == nil {
 		return ps
 	}
-	addrs := s.Addrs()
-	j := 0
-	for _, h := range ds.GroundTruth(p, trial) {
-		for j < len(addrs) && addrs[j].Less(h) {
-			j++
-		}
-		mask := uint8(0)
-		if j < len(addrs) && addrs[j] == h {
-			mask = s.RecordAt(j).ProbeMask
-		}
+	for g := range j.GT {
+		r, _ := col.Record(g)
 		switch {
-		case mask == 0b11:
+		case r.ProbeMask == 0b11:
 			// both probes answered
-		case mask == 0:
+		case r.ProbeMask == 0:
 			ps.LostAtLeastOne++
 			ps.LostBoth++
 		default:

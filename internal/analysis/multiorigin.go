@@ -38,15 +38,16 @@ type MultiOriginLevel struct {
 // averaged across trials, for one protocol (Figures 15, 17, 18).
 // singleProbe selects the 1-probe simulation.
 //
-// One merge pass per origin and trial records which origins saw each
-// ground-truth host; a combination's coverage is then the share of hosts
-// whose origin mask meets its own, counted over a histogram of the
-// trial's distinct masks (at most 2^n, however many hosts), where
+// One pass per origin and trial over the trial's join records which
+// origins saw each ground-truth host; a combination's coverage is then the
+// share of hosts whose origin mask meets its own, counted over a histogram
+// of the trial's distinct masks (at most 2^n, however many hosts), where
 // Dataset.CoverageOfSet (the single-combination API the tests hold this
-// to) runs a k-cursor merge. Combinations are reduced in lexicographic
-// order, which fixes first-wins ties and float summation order. ctx is
-// checked once per level; a canceled evaluation returns the levels
-// completed so far with pipeline.ErrCanceled.
+// to) tests every host against every origin of the combination.
+// Combinations are reduced in lexicographic order, which fixes first-wins
+// ties and float summation order. ctx is checked once per level; a
+// canceled evaluation returns the levels completed so far with
+// pipeline.ErrCanceled.
 func MultiOrigin(ctx context.Context, ds *results.Dataset, p proto.Protocol, origins origin.Set, singleProbe bool) ([]MultiOriginLevel, error) {
 	n := len(origins)
 	// seen[t][g] has bit i set when origins[i] completed a handshake with
@@ -55,20 +56,16 @@ func MultiOrigin(ctx context.Context, ds *results.Dataset, p proto.Protocol, ori
 	seen := make([][]uint64, ds.Trials)
 	scanned := make([]uint64, ds.Trials)
 	for t := range seen {
-		gt := ds.GroundTruth(p, t)
-		seen[t] = make([]uint64, len(gt))
+		j := ds.Join(p, t)
+		seen[t] = make([]uint64, len(j.GT))
 		for i, o := range origins {
-			s := ds.Scan(o, p, t)
-			if s == nil {
+			col := j.Of(o)
+			if col.Scan == nil {
 				continue
 			}
 			scanned[t] |= 1 << i
-			addrs, j := s.Addrs(), 0
-			for g, a := range gt {
-				for j < len(addrs) && addrs[j].Less(a) {
-					j++
-				}
-				if j < len(addrs) && addrs[j] == a && s.SuccessAt(j, singleProbe) {
+			for g := range seen[t] {
+				if col.Success(g, singleProbe) {
 					seen[t][g] |= 1 << i
 				}
 			}

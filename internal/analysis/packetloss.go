@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/asn"
-	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
@@ -27,11 +26,9 @@ type PacketLossEstimate struct {
 
 // PacketLoss computes the estimator for one (origin, protocol, trial).
 func PacketLoss(ds *results.Dataset, topo Topology, p proto.Protocol, o origin.ID, trial int, minHosts int) PacketLossEstimate {
-	s := ds.Scan(o, p, trial)
-	if s == nil {
-		return lossTally{}.estimate(o, trial, minHosts)
-	}
-	return tallyLoss(s, ds.GroundTruth(p, trial), topo.ASOf).estimate(o, trial, minHosts)
+	j := ds.Join(p, trial)
+	asOf := func(g int) (asn.ASN, bool) { return topo.ASOf(j.GT[g]) }
+	return tallyLoss(j.Of(o), asOf).estimate(o, trial, minHosts)
 }
 
 // PacketLoss is the package's PacketLoss for the classifier's protocol,
@@ -63,27 +60,19 @@ func (c *lossCount) add(one bool) {
 
 func (c *lossCount) rate() float64 { return float64(c.one) / float64(c.responding) }
 
-// tallyLoss walks the trial's ground truth against the scan. RST-only and
-// unresponsive hosts are excluded per §5.2; asOf resolves each counted
-// host's AS, in address order.
-func tallyLoss(s *results.ScanResult, gt []ip.Addr, asOf func(ip.Addr) (asn.ASN, bool)) *lossTally {
+// tallyLoss counts the origin's rows of the trial's ground-truth hosts.
+// RST-only and unresponsive hosts are excluded per §5.2; asOf resolves each
+// counted host's AS from its ground-truth index, in address order.
+func tallyLoss(col results.Column, asOf func(g int) (asn.ASN, bool)) *lossTally {
 	lt := &lossTally{perAS: map[asn.ASN]*lossCount{}}
-	addrs := s.Addrs()
-	j := 0
-	for _, h := range gt {
-		for j < len(addrs) && addrs[j].Less(h) {
-			j++
-		}
-		if j >= len(addrs) || addrs[j] != h {
-			continue
-		}
-		r := s.RecordAt(j)
-		if r.ProbeMask == 0 || r.RST {
+	for g := range col.Rows {
+		r, ok := col.Record(g)
+		if !ok || r.ProbeMask == 0 || r.RST {
 			continue
 		}
 		one := r.ProbeMask != 0b11
 		lt.all.add(one)
-		if as, ok := asOf(h); ok {
+		if as, ok := asOf(g); ok {
 			c := lt.perAS[as]
 			if c == nil {
 				c = &lossCount{}
@@ -120,13 +109,9 @@ func (c *Classifier) lossTallies(topo Topology) map[origin.ID][]*lossTally {
 		for _, o := range c.DS.Origins {
 			c.loss[o] = make([]*lossTally, c.DS.Trials)
 			for t := range c.loss[o] {
-				if s := c.DS.Scan(o, c.Proto, t); s != nil {
-					ui := 0
-					c.loss[o][t] = tallyLoss(s, c.DS.GroundTruth(c.Proto, t), func(h ip.Addr) (asn.ASN, bool) {
-						for c.union[ui].Less(h) {
-							ui++
-						}
-						return st.asOf(ui)
+				if col := c.joins[t].Of(o); col.Scan != nil {
+					c.loss[o][t] = tallyLoss(col, func(g int) (asn.ASN, bool) {
+						return st.asOf(int(c.at[t][g]))
 					})
 				}
 			}

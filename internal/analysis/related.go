@@ -34,15 +34,16 @@ type PairAgreement struct {
 // papers).
 //
 // A block is a run of the sorted ground truth, so each origin's rate for
-// every block comes from one merge walk of the ground truth against its
-// scan, and an origin pair compares two rate slices.
+// every block is a count over a run of its join column, and an origin pair
+// compares two rate slices. With fewer than two scanning origins there is
+// no pair: Mean is 0 and PerPair empty.
 func AgreementWithin(ds *results.Dataset, p proto.Protocol, trial int, minHosts int, tolerance float64) Slash24Agreement {
 	if minHosts < 1 {
 		minHosts = 2
 	}
-	gt := ds.GroundTruth(p, trial)
-	var blocks [][2]int // [lo, hi) into gt
-	slash24Runs(gt, func(lo, hi int) {
+	j := ds.Join(p, trial)
+	var blocks [][2]int // [lo, hi) into j.GT
+	slash24Runs(j.GT, func(lo, hi int) {
 		if hi-lo >= minHosts {
 			blocks = append(blocks, [2]int{lo, hi})
 		}
@@ -55,19 +56,15 @@ func AgreementWithin(ds *results.Dataset, p proto.Protocol, trial int, minHosts 
 	var origins origin.Set
 	var rates [][]float64
 	for _, o := range ds.Origins {
-		s := ds.Scan(o, p, trial)
-		if s == nil {
+		col := j.Of(o)
+		if col.Scan == nil {
 			continue
 		}
-		addrs, j := s.Addrs(), 0
 		r := make([]float64, len(blocks))
 		for b, blk := range blocks {
 			n := 0
-			for _, a := range gt[blk[0]:blk[1]] {
-				for j < len(addrs) && addrs[j].Less(a) {
-					j++
-				}
-				if j < len(addrs) && addrs[j] == a && s.SuccessAt(j, false) {
+			for g := blk[0]; g < blk[1]; g++ {
+				if col.Success(g, false) {
 					n++
 				}
 			}
@@ -77,22 +74,24 @@ func AgreementWithin(ds *results.Dataset, p proto.Protocol, trial int, minHosts 
 		rates = append(rates, r)
 	}
 	var sum float64
-	for i := 0; i < len(origins); i++ {
-		for j := i + 1; j < len(origins); j++ {
+	for a := range origins {
+		for b := a + 1; b < len(origins); b++ {
 			agree := 0
-			for b := range blocks {
-				if math.Abs(rates[i][b]-rates[j][b]) <= tolerance {
+			for k := range blocks {
+				if math.Abs(rates[a][k]-rates[b][k]) <= tolerance {
 					agree++
 				}
 			}
 			pa := PairAgreement{
-				A: origins[i], B: origins[j],
+				A: origins[a], B: origins[b],
 				Agreement: float64(agree) / float64(len(blocks)),
 			}
 			out.PerPair = append(out.PerPair, pa)
 			sum += pa.Agreement
 		}
 	}
-	out.Mean = sum / float64(len(out.PerPair))
+	if len(out.PerPair) > 0 {
+		out.Mean = sum / float64(len(out.PerPair))
+	}
 	return out
 }

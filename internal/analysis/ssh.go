@@ -57,23 +57,10 @@ func SSHCauses(c *Classifier, topo Topology, temporalASes []asn.ASN) []SSHBreakd
 	for _, o := range ds.Origins {
 		b := SSHBreakdown{Origin: o}
 		for t := 0; t < ds.Trials; t++ {
-			s := ds.Scan(o, c.Proto, t)
-			if s == nil {
-				continue
-			}
-			addrs := s.Addrs()
-			j := 0
-			c.eachMissed(o, t, func(i int) {
-				a := c.union[i]
+			col := c.joins[t].Of(o)
+			c.eachMissed(o, t, func(i, g int) {
 				b.Missing++
-				for j < len(addrs) && addrs[j].Less(a) {
-					j++
-				}
-				ok := j < len(addrs) && addrs[j] == a
-				var r results.HostRecord
-				if ok {
-					r = s.RecordAt(j)
-				}
+				r, ok := col.Record(g)
 				as, _ := st.asOf(i)
 				switch {
 				case isTemporal[as] && ok && r.Fail == zgrab.FailReset:

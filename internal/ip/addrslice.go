@@ -1,17 +1,17 @@
 package ip
 
-// AddrSlice is a sorted, duplicate-free slice of addresses: the column
-// format of the results store and the shared currency of the analyses'
-// merge-join set algebra. All operations assume (and preserve) strictly
-// ascending order; Union/Intersect/Diff run as linear merges, never
-// rebuilding hash sets.
+// AddrSlice is a sorted, duplicate-free slice of addresses: the address
+// column of a sealed scan and of a trial's ground truth. Search finds an
+// address by binary search; Union merges the trials' ground truths into the
+// classifier's spine as one linear k-way merge, never a hash set. Which row
+// of a scan holds a host is the results package's Join, not a helper here.
 //
-// The sortedness precondition is not checked on the merge paths: passing
-// an unsorted or duplicated slice to Search, Union, Intersect, or Diff
-// yields silently wrong (not panicking) results, because the merge
-// cursors only ever advance. Slices produced by ScanResult's sealed
-// columns or by these helpers themselves always satisfy the invariant;
-// hand-built slices can be validated with IsSorted.
+// The sortedness precondition is not checked on these paths: passing an
+// unsorted or duplicated slice to Search or Union yields silently wrong
+// (not panicking) results, because binary search and the merge cursors
+// assume order. Slices produced by ScanResult's sealed columns, by a Join
+// or by Union always satisfy the invariant; hand-built slices can be
+// validated with IsSorted.
 type AddrSlice []Addr
 
 // Search returns the smallest index i with s[i] >= a (len(s) when none).
@@ -81,71 +81,4 @@ func Union(lists ...AddrSlice) AddrSlice {
 			}
 		}
 	}
-}
-
-// Intersect returns the sorted intersection of two sorted slices. Both
-// receiver and argument must be strictly ascending.
-func (s AddrSlice) Intersect(o AddrSlice) AddrSlice {
-	var out AddrSlice
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch s[i].Compare(o[j]) {
-		case -1:
-			i++
-		case 1:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// IntersectAll returns the sorted intersection of all the given sorted
-// slices (nil when called with no lists).
-func IntersectAll(lists ...AddrSlice) AddrSlice {
-	if len(lists) == 0 {
-		return nil
-	}
-	out := append(AddrSlice(nil), lists[0]...)
-	for _, l := range lists[1:] {
-		if len(out) == 0 {
-			return out
-		}
-		out = out.intersectInto(l)
-	}
-	return out
-}
-
-// intersectInto filters s in place to the elements also present in o.
-func (s AddrSlice) intersectInto(o AddrSlice) AddrSlice {
-	n, j := 0, 0
-	for i := 0; i < len(s); i++ {
-		for j < len(o) && o[j].Less(s[i]) {
-			j++
-		}
-		if j < len(o) && o[j] == s[i] {
-			s[n] = s[i]
-			n++
-		}
-	}
-	return s[:n]
-}
-
-// Diff returns the sorted elements of s not present in o. Both slices
-// must be strictly ascending.
-func (s AddrSlice) Diff(o AddrSlice) AddrSlice {
-	var out AddrSlice
-	j := 0
-	for _, a := range s {
-		for j < len(o) && o[j].Less(a) {
-			j++
-		}
-		if j >= len(o) || o[j] != a {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -83,9 +83,8 @@ func TestIsSorted(t *testing.T) {
 	}
 }
 
-// checkAlgebra cross-checks Union, Intersect, IntersectAll, and Diff
-// against hash-set reference implementations on random inputs drawn by
-// draw.
+// checkAlgebra cross-checks Union and Contains against hash-set reference
+// implementations on random inputs drawn by draw.
 func checkAlgebra(t *testing.T, rng *rand.Rand, draw func() Addr) {
 	t.Helper()
 	for trial := 0; trial < 100; trial++ {
@@ -103,35 +102,6 @@ func checkAlgebra(t *testing.T, rng *rand.Rand, draw func() Addr) {
 			}
 		}
 		checkSet(t, "Union", Union(lists...), wantUnion)
-
-		wantInter := map[Addr]bool{}
-		for a := range sets[0] {
-			all := true
-			for _, m := range sets[1:] {
-				if !m[a] {
-					all = false
-					break
-				}
-			}
-			if all {
-				wantInter[a] = true
-			}
-		}
-		checkSet(t, "IntersectAll", IntersectAll(lists...), wantInter)
-
-		if k >= 2 {
-			wantPair := map[Addr]bool{}
-			wantDiff := map[Addr]bool{}
-			for a := range sets[0] {
-				if sets[1][a] {
-					wantPair[a] = true
-				} else {
-					wantDiff[a] = true
-				}
-			}
-			checkSet(t, "Intersect", lists[0].Intersect(lists[1]), wantPair)
-			checkSet(t, "Diff", lists[0].Diff(lists[1]), wantDiff)
-		}
 
 		// Search/Contains agree with the reference membership for both
 		// present and randomly drawn (mostly absent) addresses.
@@ -191,15 +161,6 @@ func TestUnionMaxAddr(t *testing.T) {
 	got = Union(AddrSlice{max4, max6}, AddrSlice{max6})
 	if len(got) != 2 || got[0] != max4 || got[1] != max6 {
 		t.Fatalf("Union with max v6 address = %v", got)
-	}
-}
-
-func TestIntersectAllEmpty(t *testing.T) {
-	if got := IntersectAll(); got != nil {
-		t.Errorf("IntersectAll() = %v, want nil", got)
-	}
-	if got := IntersectAll(AddrSlice{a4(1), a4(2)}, nil, AddrSlice{a4(2)}); len(got) != 0 {
-		t.Errorf("IntersectAll with empty list = %v, want empty", got)
 	}
 }
 

@@ -554,6 +554,10 @@ func Sec8Agreement(w io.Writer, s *core.Study) {
 	header(w, "§8: /24 response-rate agreement between origin pairs (tolerance 5%)")
 	for _, p := range proto.All() {
 		agg := s.Agreement(p, 0)
+		if len(agg.PerPair) == 0 {
+			fmt.Fprintf(w, "[%s] no origin pair to compare over %d /24 blocks\n", p, agg.Blocks)
+			continue
+		}
 		fmt.Fprintf(w, "[%s] mean agreement %s over %d /24 blocks (paper: 87%%; Heidemann '08: 96%% for two US origins)\n",
 			p, pct(agg.Mean), agg.Blocks)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/origin"
+	"repro/internal/proto"
 	"repro/internal/world"
 )
 
@@ -213,5 +214,25 @@ func TestAllGolden(t *testing.T) {
 	sum := sha256.Sum256(b.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != allGoldenSHA256 {
 		t.Errorf("report.All digest %s, want %s", got, allGoldenSHA256)
+	}
+}
+
+// TestSec8OneOrigin: a one-origin study has no origin pair to compare, and
+// § 8 says so instead of printing a 0/0 mean.
+func TestSec8OneOrigin(t *testing.T) {
+	s, err := core.New(context.Background(), experiment.Config{
+		WorldSpec: world.TestSpec(42), Origins: origin.Set{origin.US1}, Trials: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	Sec8Agreement(&b, s)
+	out := b.String()
+	if strings.Contains(out, "NaN") || strings.Count(out, "no origin pair to compare") != len(proto.All()) {
+		t.Errorf("one-origin § 8:\n%s", out)
 	}
 }

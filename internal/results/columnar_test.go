@@ -156,28 +156,106 @@ func TestSealKeepsLastDuplicate(t *testing.T) {
 	}
 }
 
-// TestCountSuccessInMatchesPointLookups checks the two-pointer coverage
-// walk against per-host Success queries.
-func TestCountSuccessInMatchesPointLookups(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := NewScanResult(origin.AU, proto.HTTP, 0)
-	for i := 0; i < 500; i++ {
-		s.Add(randRecord(rng))
-	}
-	var gt []ip.Addr
-	for a := uint32(0); a < 80; a += uint32(1 + rng.Intn(3)) {
-		gt = append(gt, ip.AddrFrom4(a))
-	}
-	for _, single := range []bool{false, true} {
-		want := 0
-		for _, a := range gt {
-			if s.Success(a, single) {
-				want++
+// TestJoinRowsMatchPointLookups holds the join to per-host point lookups:
+// for every (protocol, trial), GT is exactly the hosts some origin's scan
+// succeeded with, and every origin's row column names Find's row for each
+// GT host (-1 when the scan has none). It runs on v4 with Carinet scanning
+// one trial of two (its column is nil in the other) and on v6.
+func TestJoinRowsMatchPointLookups(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		addr func(rng *rand.Rand) ip.Addr
+	}{
+		{"v4", func(rng *rand.Rand) ip.Addr { return ip.AddrFrom4(uint32(rng.Intn(96))) }},
+		{"v6", func(rng *rand.Rand) ip.Addr {
+			return ip.AddrFrom128(0x20010db8<<32|uint64(rng.Intn(3)), uint64(rng.Intn(32)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			origins := origin.Set{origin.AU, origin.BR, origin.CARINET, origin.DE}
+			ds := NewDataset(origins, 2)
+			pool := map[ip.Addr]bool{}
+			for _, o := range origins {
+				for trial := 0; trial < ds.Trials; trial++ {
+					if o == origin.CARINET && trial > 0 {
+						continue
+					}
+					s := NewScanResult(o, proto.HTTP, trial)
+					for i := 0; i < 150; i++ {
+						r := randRecord(rng)
+						r.Addr = tc.addr(rng)
+						pool[r.Addr] = true
+						s.Add(r)
+					}
+					if err := ds.Put(s); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-		if got := s.CountSuccessIn(gt, single); got != want {
-			t.Errorf("CountSuccessIn(single=%v) = %d, want %d", single, got, want)
-		}
+			for trial := 0; trial < ds.Trials; trial++ {
+				j := ds.Join(proto.HTTP, trial)
+				var want ip.AddrSlice
+				for a := range pool {
+					for _, o := range origins {
+						if s := ds.Scan(o, proto.HTTP, trial); s != nil && s.Success(a, false) {
+							want = append(want, a)
+							break
+						}
+					}
+				}
+				sort.Slice(want, func(i, k int) bool { return want[i].Less(want[k]) })
+				if len(j.GT) != len(want) || !j.GT.IsSorted() {
+					t.Fatalf("trial %d: GT has %d hosts (sorted %v), want %d", trial, len(j.GT), j.GT.IsSorted(), len(want))
+				}
+				for g, a := range want {
+					if j.GT[g] != a {
+						t.Fatalf("trial %d: GT[%d] = %v, want %v", trial, g, j.GT[g], a)
+					}
+				}
+				inter := 0
+				for _, a := range j.GT {
+					all := true
+					for _, o := range origins {
+						if s := ds.Scan(o, proto.HTTP, trial); s != nil && !s.Success(a, false) {
+							all = false
+						}
+					}
+					if all {
+						inter++
+					}
+				}
+				if got := ds.Intersection(proto.HTTP, trial); got != inter {
+					t.Errorf("trial %d: Intersection = %d, want %d", trial, got, inter)
+				}
+				for _, o := range origins {
+					s, c := ds.Scan(o, proto.HTTP, trial), j.Of(o)
+					if s == nil {
+						if c.Scan != nil || c.Rows != nil {
+							t.Errorf("trial %d: %v did not scan, column %+v", trial, o, c)
+						}
+						continue
+					}
+					if c.Scan != s || len(c.Rows) != len(j.GT) {
+						t.Fatalf("trial %d: %v column has %d rows for %d hosts", trial, o, len(c.Rows), len(j.GT))
+					}
+					for g, a := range j.GT {
+						i, ok := s.Find(a)
+						if !ok {
+							i = -1
+						}
+						if int(c.Rows[g]) != i {
+							t.Errorf("trial %d: %v row of %v = %d, Find says %d", trial, o, a, c.Rows[g], i)
+						}
+						for _, single := range []bool{false, true} {
+							if got := c.Success(g, single); got != s.Success(a, single) {
+								t.Errorf("trial %d: %v Success(%v, single=%v) = %v", trial, o, a, single, got)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,16 +1,16 @@
 // Package results holds the measurement data a study produces: for every
-// (origin, protocol, trial), the per-host probe and handshake outcomes, plus
-// the set algebra the paper's analyses run on top (ground-truth unions,
-// per-origin misses, intersections).
+// (origin, protocol, trial), the per-host probe and handshake outcomes, and
+// the host-major join the paper's analyses read them through.
 //
 // Storage is columnar: a ScanResult keeps parallel columns ("struct of
 // arrays") sorted by address. Records append during the scan; Seal sorts and
 // deduplicates once when the scan commits, after which every read — point
-// lookup, in-order iteration, set algebra — works on the sorted columns with
-// no per-call allocation. The Dataset's set operations (ground truth,
-// intersection, coverage) are merge-joins over the sealed address columns
-// rather than per-call hash sets, which is what lets the analyses scale to
-// Censys-sized result sets.
+// lookup, in-order iteration — works on the sorted columns with no per-call
+// allocation. Every comparison between origins is made host by host over a
+// trial's ground truth, so the Dataset builds one Join per (protocol,
+// trial): the ground truth, and for each origin its scan's row for every
+// ground-truth host. It is one merge over the sealed address columns, made
+// once and cached; the analyses then read scan rows by index.
 package results
 
 import (
@@ -375,7 +375,8 @@ func (s *ScanResult) SealStats() (rows, deduped int) {
 }
 
 // Addrs returns the sealed, sorted address column. Callers must not modify
-// it; it is the merge-join spine the analyses iterate against.
+// it. Analyses do not read it: they find a host's row through the trial's
+// Join.
 func (s *ScanResult) Addrs() ip.AddrSlice {
 	s.seal()
 	return s.addrs
@@ -408,9 +409,10 @@ func (s *ScanResult) RecordAt(i int) HostRecord {
 }
 
 // SuccessAt reports whether row i is an L7 success, optionally requiring a
-// response to probe 0 (the single-probe simulation).
+// response to probe 0 (the single-probe simulation). A negative i (no row)
+// is not.
 func (s *ScanResult) SuccessAt(i int, singleProbe bool) bool {
-	if s.rows[i].flags&flagL7 == 0 {
+	if i < 0 || s.rows[i].flags&flagL7 == 0 {
 		return false
 	}
 	if singleProbe && s.rows[i].probeMask&1 == 0 {
@@ -439,19 +441,6 @@ func (s *ScanResult) L7Count() int {
 	return n
 }
 
-// l7Set returns a new sorted slice of the addresses with successful L7
-// handshakes: the merge-join input of ground-truth and intersection
-// queries.
-func (s *ScanResult) l7Set() ip.AddrSlice {
-	out := make(ip.AddrSlice, 0, s.L7Count())
-	for i := range s.rows {
-		if s.rows[i].flags&flagL7 != 0 {
-			out = append(out, s.addrs[i])
-		}
-	}
-	return out
-}
-
 // Success reports whether the scan completed an L7 handshake with addr,
 // optionally requiring a response to probe 0 (the single-probe simulation
 // the paper uses: "we simulate scanning with one probe by requiring
@@ -460,28 +449,6 @@ func (s *ScanResult) l7Set() ip.AddrSlice {
 func (s *ScanResult) Success(addr ip.Addr, singleProbe bool) bool {
 	i, ok := s.Find(addr)
 	return ok && s.SuccessAt(i, singleProbe)
-}
-
-// CountSuccessIn counts how many of the addresses in gt the scan
-// successfully handshaked with — a two-pointer merge-join over the sealed
-// address column.
-//
-// Precondition: gt must be sorted ascending with no duplicates (the shape
-// GroundTruth and the ip.Union/Intersect helpers produce). The merge
-// cursor only moves forward, so an unsorted gt silently undercounts —
-// it is not detected.
-func (s *ScanResult) CountSuccessIn(gt []ip.Addr, singleProbe bool) int {
-	s.seal()
-	n, j := 0, 0
-	for _, a := range gt {
-		for j < len(s.addrs) && s.addrs[j].Less(a) {
-			j++
-		}
-		if j < len(s.addrs) && s.addrs[j] == a && s.SuccessAt(j, singleProbe) {
-			n++
-		}
-	}
-	return n
 }
 
 // Each visits every record in ascending address order. Iteration seals the
@@ -536,8 +503,8 @@ type Dataset struct {
 	Trials  int
 	scans   map[key]*ScanResult
 
-	gtMu    sync.Mutex // guards gtCache (analyses may run concurrently)
-	gtCache map[gtKey][]ip.Addr
+	joinMu sync.Mutex // guards joins (analyses may run concurrently)
+	joins  map[joinKey]*Join
 }
 
 type key struct {
@@ -546,7 +513,7 @@ type key struct {
 	t int
 }
 
-type gtKey struct {
+type joinKey struct {
 	p proto.Protocol
 	t int
 }
@@ -557,7 +524,7 @@ func NewDataset(origins origin.Set, trials int) *Dataset {
 		Origins: origins,
 		Trials:  trials,
 		scans:   make(map[key]*ScanResult),
-		gtCache: make(map[gtKey][]ip.Addr),
+		joins:   make(map[joinKey]*Join),
 	}
 }
 
@@ -582,7 +549,7 @@ func (d *Dataset) Put(s *ScanResult) error {
 }
 
 // Replace stores a sealed scan at its key, overwriting any existing scan
-// and invalidating the ground-truth cache. It is the explicit-overwrite
+// and invalidating the trial's cached Join. It is the explicit-overwrite
 // counterpart to Put for callers that recompute a scan on purpose.
 func (d *Dataset) Replace(s *ScanResult) {
 	s.Seal()
@@ -591,9 +558,9 @@ func (d *Dataset) Replace(s *ScanResult) {
 
 func (d *Dataset) store(k key, s *ScanResult) {
 	d.scans[k] = s
-	d.gtMu.Lock()
-	delete(d.gtCache, gtKey{s.Proto, s.Trial})
-	d.gtMu.Unlock()
+	d.joinMu.Lock()
+	delete(d.joins, joinKey{s.Proto, s.Trial})
+	d.joinMu.Unlock()
 }
 
 // Len returns the number of stored scans.
@@ -611,31 +578,6 @@ func (d *Dataset) MustScan(o origin.ID, p proto.Protocol, trial int) *ScanResult
 		panic(fmt.Sprintf("results: no scan for %v/%v/trial %d", o, p, trial))
 	}
 	return s
-}
-
-// GroundTruth returns the sorted set of hosts that completed an L7
-// handshake with at least one origin in the trial — the paper's working
-// definition of live hosts. It is a k-way merge union of the scans' L7
-// addresses (read off the sealed flags), cached per (protocol, trial).
-func (d *Dataset) GroundTruth(p proto.Protocol, trial int) []ip.Addr {
-	gk := gtKey{p, trial}
-	d.gtMu.Lock()
-	gt, ok := d.gtCache[gk]
-	d.gtMu.Unlock()
-	if ok {
-		return gt
-	}
-	lists := make([]ip.AddrSlice, 0, len(d.Origins))
-	for _, o := range d.Origins {
-		if s := d.Scan(o, p, trial); s != nil {
-			lists = append(lists, s.l7Set())
-		}
-	}
-	gt = ip.Union(lists...)
-	d.gtMu.Lock()
-	d.gtCache[gk] = gt
-	d.gtMu.Unlock()
-	return gt
 }
 
 // Diff compares two datasets scan-by-scan and record-by-record, returning
@@ -660,65 +602,3 @@ func (d *Dataset) Diff(o *Dataset) string {
 
 // Equal reports whether two datasets are record-for-record identical.
 func (d *Dataset) Equal(o *Dataset) bool { return d.Diff(o) == "" }
-
-// Intersection returns the number of ground-truth hosts every origin saw in
-// the trial (the ∩ column of Table 4a): a k-way merge intersection of the
-// scans' L7 addresses. Origins that did not scan the trial (Carinet outside
-// trial 1) are skipped, as in the paper.
-func (d *Dataset) Intersection(p proto.Protocol, trial int) int {
-	lists := make([]ip.AddrSlice, 0, len(d.Origins))
-	for _, o := range d.Origins {
-		if s := d.Scan(o, p, trial); s != nil {
-			lists = append(lists, s.l7Set())
-		}
-	}
-	return len(ip.IntersectAll(lists...))
-}
-
-// Coverage returns the fraction of the trial's ground truth the origin saw.
-func (d *Dataset) Coverage(o origin.ID, p proto.Protocol, trial int, singleProbe bool) float64 {
-	gt := d.GroundTruth(p, trial)
-	if len(gt) == 0 {
-		return 0
-	}
-	s := d.Scan(o, p, trial)
-	if s == nil {
-		return 0
-	}
-	return float64(s.CountSuccessIn(gt, singleProbe)) / float64(len(gt))
-}
-
-// CoverageOfSet returns the fraction of the trial's ground truth seen by
-// any origin in the set — multi-origin coverage (§7, Figure 15) of one
-// combination, in one merge pass with a cursor per scan. The
-// 2^n-combination analysis.MultiOrigin computes the same number from an
-// origin-mask column and is tested against this.
-func (d *Dataset) CoverageOfSet(origins origin.Set, p proto.Protocol, trial int, singleProbe bool) float64 {
-	gt := d.GroundTruth(p, trial)
-	if len(gt) == 0 {
-		return 0
-	}
-	scans := make([]*ScanResult, 0, len(origins))
-	for _, o := range origins {
-		if s := d.Scan(o, p, trial); s != nil {
-			s.seal()
-			scans = append(scans, s)
-		}
-	}
-	cursors := make([]int, len(scans))
-	n := 0
-	for _, a := range gt {
-		for si, s := range scans {
-			j := cursors[si]
-			for j < len(s.addrs) && s.addrs[j].Less(a) {
-				j++
-			}
-			cursors[si] = j
-			if j < len(s.addrs) && s.addrs[j] == a && s.SuccessAt(j, singleProbe) {
-				n++
-				break
-			}
-		}
-	}
-	return float64(n) / float64(len(gt))
-}
