@@ -72,7 +72,8 @@ func benchFabric(b *testing.B) (fab *Fabric, src ip.Addr, host, empty, unrouted 
 // BenchmarkFabricSend measures one SYN evaluation per destination class.
 // The routed/empty and unrouted cases are the per-probe cost the sweep pays
 // for the overwhelming majority of scan positions; the host case includes
-// building the SYN-ACK response packet.
+// building the SYN-ACK response packet. "probebatch" is the typed batch the
+// sweep calls instead, priced per target.
 func BenchmarkFabricSend(b *testing.B) {
 	fab, src, host, empty, unrouted := benchFabric(b)
 	for _, bc := range []struct {
@@ -87,16 +88,15 @@ func BenchmarkFabricSend(b *testing.B) {
 		})
 	}
 	b.Run("hitlist-v6", benchSendHitlistV6)
+	b.Run("probebatch", benchProbeBatchHitlistV6)
 }
 
-// benchSendHitlistV6 is BenchmarkFabricSend's "hitlist-v6" class: the bench
-// hitlist workload's world (64 providers) under its calibrated
-// scenario — one block, set-block or fence rule for most providers plus the
-// global scatter, the largest rule list any scenario builds — with probes
-// walking the hitlist as a scan does (live hosts, stale and unrouted tails).
-// It is the unit number for what compiling the rule list per destination AS
-// buys: ns/probe here used to grow with the rule count.
-func benchSendHitlistV6(b *testing.B) {
+// hitlistV6Fabric is the bench hitlist workload's world (64 providers) under
+// its calibrated scenario — one block, set-block or fence rule for most
+// providers plus the global scatter, the largest rule list any scenario
+// builds — with a CEN fabric over it, the hitlist (live hosts, stale and
+// unrouted tails) and the rule count.
+func hitlistV6Fabric(b *testing.B) (*Fabric, *origin.Origin, []ip.Addr, int) {
 	w, err := world.BuildV6(context.Background(), world.V6Spec{Seed: 5, Providers: 64, IslandsPerProvider: 8, HostsPerIsland: 24})
 	if err != nil {
 		b.Fatal(err)
@@ -108,7 +108,15 @@ func benchSendHitlistV6(b *testing.B) {
 		Loss: sc.Loss, Outages: sc.Outages[proto.HTTP], Churn: sc.Churn,
 		NumOrigins: 7, Hosts: sc.Hosts,
 	}, org, 0)
-	hitlist := w.Hitlist()
+	return fab, org, w.Hitlist(), len(sc.Engine.Rules())
+}
+
+// benchSendHitlistV6 is BenchmarkFabricSend's "hitlist-v6" class: probes
+// walking the hitlist world's targets as a scan does, one Send each. It is
+// the unit number for what compiling the rule list per destination AS buys:
+// ns/probe here used to grow with the rule count.
+func benchSendHitlistV6(b *testing.B) {
+	fab, org, hitlist, rules := hitlistV6Fabric(b)
 	buf := make([]byte, 0, 2*packet.ReplyCap)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,7 +126,35 @@ func benchSendHitlistV6(b *testing.B) {
 		buf = packet.MakeSYNInto(buf, src, dst, 40000, proto.HTTP.Port(), 0xdead0000, 0)
 		fab.Send(src, buf, time.Duration(i%len(hitlist))*time.Second)
 	}
-	b.ReportMetric(float64(len(sc.Engine.Rules())), "rules")
+	b.ReportMetric(float64(rules), "rules")
+}
+
+// benchProbeBatchHitlistV6 is BenchmarkFabricSend's "probebatch" class: the
+// same world and targets answered as the sweep asks, ProbeBatch over
+// 4096-target windows with two back-to-back probes each. One op is one
+// target, so ns/op is ns/target: what drawing a target's shared fate once
+// instead of once per probe buys. An untimed pass over the hitlist first
+// compiles every plan the loop touches, so a short run does not time that.
+func benchProbeBatchHitlistV6(b *testing.B) {
+	fab, org, hitlist, _ := hitlistV6Fabric(b)
+	const window, probes = 4096, 2
+	dsts := make([]ip.Addr, window)
+	ts := make([]time.Duration, window)
+	synAcks, rsts := make([]uint8, window), make([]uint8, window)
+	run := func(targets int) {
+		for base := 0; base < targets; base += window {
+			n := min(window, targets-base)
+			for i := range dsts[:n] {
+				k := (base + i) % len(hitlist)
+				dsts[i], ts[i] = hitlist[k], time.Duration(k)*time.Second
+			}
+			fab.ProbeBatch(org.SourceIPs, proto.HTTP.Port(), probes, 0, dsts[:n], ts[:n], synAcks[:n], rsts[:n])
+		}
+	}
+	run(len(hitlist))
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 // benchGrabFabric builds the grab-stage benchmark fixture: a quiet fabric

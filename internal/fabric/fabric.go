@@ -162,7 +162,7 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 		return nil // empty space nothing in this AS would answer for
 	}
 	reply := pkt[len(pkt):]
-	switch f.probe(pl, src, dst, &d, p, t, probeIdx) {
+	switch f.probe(pl, &fate{}, src, dst, &d, p, t, probeIdx) {
 	case answerRST:
 		return packet.MakeRSTInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
 	case answerSYNACK:
@@ -181,12 +181,13 @@ const (
 
 // probe is the one per-probe L4 decision: Send encodes its answer as packet
 // bytes, ProbeBatch as mask bits. The callers have resolved dst, taken its
-// plan and answered darkSilent empty space.
-func (f *Fabric) probe(pl *plan, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probeIdx uint64) uint8 {
-	verdict, through := f.decide(pl, true, src, dst, d, p, t, int(probeIdx), 0)
+// plan and answered darkSilent empty space; fm carries the draws earlier
+// probes of the same target made (fresh for Send).
+func (f *Fabric) probe(pl *plan, fm *fate, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probeIdx uint64) uint8 {
+	verdict, through := f.decide(pl, fm, true, src, dst, d, p, t, 0)
 	// Independent per-packet loss on top of the shared path state: the
 	// probe and its response can each be dropped.
-	if !through || pl.path.ProbeLost(dst, probeIdx, t) {
+	if !through || pl.path.ProbeLost(&fm.loss, dst, probeIdx, t) {
 		return answerNone
 	}
 	switch {
@@ -206,8 +207,9 @@ func (f *Fabric) probe(pl *plan, src, dst ip.Addr, d *world.Dest, p proto.Protoc
 // ProbeBatch implements zmap.BatchProber: Send's decisions for a batch
 // without the packets — the FIB resolved in bulk, one plan per target, then
 // probe per SYN, target-major so live detectors count the sequence Send
-// would show them. The resolve scratch lives on the stack, so concurrent
-// calls on one fabric share nothing.
+// would show them. A target's probes share one fate, so what they have in
+// common is drawn once. The resolve scratch and the fates live on the
+// stack, so concurrent calls on one fabric share nothing.
 func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
 	p, isProto := proto.FromPort(port)
 	var dests [256]world.Dest
@@ -219,8 +221,9 @@ func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.
 			if d := &dests[i]; d.Routed && isProto {
 				if pl := f.planFor(p, d); d.Host || !pl.darkSilent {
 					src := origin.SourceFor(srcs, dst)
+					var fm fate
 					for j := 0; j < probes; j++ {
-						switch f.probe(pl, src, dst, d, p, ts[base+i]+time.Duration(j)*delay, uint64(j)) {
+						switch f.probe(pl, &fm, src, dst, d, p, ts[base+i]+time.Duration(j)*delay, uint64(j)) {
 						case answerSYNACK:
 							sa |= 1 << j
 						case answerRST:

@@ -63,7 +63,7 @@ func (f *Fabric) predialEval(dst ip.Addr, d *world.Dest, port uint16, t time.Dur
 		return zgrab.DialRefused
 	}
 	pl := f.planFor(p, d)
-	verdict, through := f.decide(pl, false, origin.SourceFor(f.org.SourceIPs, dst), dst, d, p, t, 0, attempt)
+	verdict, through := f.decide(pl, &fate{}, false, origin.SourceFor(f.org.SourceIPs, dst), dst, d, p, t, attempt)
 	switch {
 	case !through:
 		return zgrab.DialTimeout

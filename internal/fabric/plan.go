@@ -113,9 +113,36 @@ func (f *Fabric) Watched(p proto.Protocol, dst ip.Addr) bool {
 	return d.Routed && len(f.planFor(p, &d).detectors) > 0
 }
 
-// decide is the one decision chain under Send (l4) and Predial: host
-// churn, the detectors watching the AS, the plan's policy rules, then the
-// path's burst outages and loss episode. It returns the policy verdict and
+// fate holds the draws one target's L4 probes share (DESIGN § 8.2): whether
+// the host is churned offline this trial, whether the path is in a loss
+// episode, the policy verdict at one probe time, and the path's loss draws
+// (loss.TargetDraws). Each is drawn the first time a probe needs it, so a
+// probe draws nothing its own chain would not, and each is a keyed hash of
+// coordinates the probes have in common, so reusing it is what drawing it
+// again would give. What can differ between a target's probes stays per
+// probe: detector counts, the outages at the probe's time, the per-packet
+// loss draws, and the verdict when the probe time moves. The zero value
+// has drawn nothing: Send and Predial use a fresh one per probe or dial,
+// ProbeBatch one per target.
+type fate struct {
+	known     uint8 // know* bits: which draws below are filled
+	offline   bool
+	episode   bool
+	verdict   policy.Verdict
+	verdictAt time.Duration
+	loss      loss.TargetDraws
+}
+
+const (
+	knowOffline uint8 = 1 << iota
+	knowEpisode
+	knowVerdict
+)
+
+// decide is the one decision chain under Send (l4), ProbeBatch and Predial:
+// host churn, the detectors watching the AS, the plan's policy rules, then
+// the path's burst outages and loss episode, taking fm's draws where a
+// probe before this one filled them. It returns the policy verdict and
 // whether packets get through at all; with through false (machine offline,
 // source blocked, Silent policy, path down) the caller answers with silence
 // or a timeout and the verdict is moot. What follows differs by layer —
@@ -128,16 +155,21 @@ func (f *Fabric) Watched(p proto.Protocol, dst ip.Addr) bool {
 // L7 connection (and only Silent blocks it); and a refusing policy answers
 // an L7 connect before the path is consulted, while at L4 the RST still has
 // to survive the path.
-func (f *Fabric) decide(pl *plan, l4 bool, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probe, attempt int) (v policy.Verdict, through bool) {
-	if d.Host && f.cfg.Churn.Offline(dst, f.trial) {
-		// The machine is down this trial: silence, from every origin.
-		return policy.Allow, false
+func (f *Fabric) decide(pl *plan, fm *fate, l4 bool, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, attempt int) (v policy.Verdict, through bool) {
+	if d.Host {
+		if fm.known&knowOffline == 0 {
+			fm.offline, fm.known = f.cfg.Churn.Offline(dst, f.trial), fm.known|knowOffline
+		}
+		if fm.offline {
+			// The machine is down this trial: silence, from every origin.
+			return policy.Allow, false
+		}
 	}
 	if len(pl.detectors) > 0 || pl.policy.Len() > 0 {
 		q := f.queries.Get().(*policy.Query)
 		*q = f.scan
 		q.SrcIP, q.Dst, q.DstAS, q.DstCountry, q.Proto = src, dst, d.AS.Number, d.Country, p
-		q.Time, q.Probe, q.Attempt = t, probe, attempt
+		q.Time, q.Attempt = t, attempt
 		blocked := false
 		for i := 0; i < len(pl.detectors) && !blocked; i++ {
 			if l4 {
@@ -150,7 +182,13 @@ func (f *Fabric) decide(pl *plan, l4 bool, src, dst ip.Addr, d *world.Dest, p pr
 			}
 		}
 		if !blocked {
-			v, _ = pl.policy.Evaluate(q)
+			// Rules are pure functions of the query, and a target's probes
+			// at one time pose the same query.
+			if fm.known&knowVerdict == 0 || fm.verdictAt != t {
+				fm.verdict, _ = pl.policy.Evaluate(q)
+				fm.verdictAt, fm.known = t, fm.known|knowVerdict
+			}
+			v = fm.verdict
 		}
 		f.queries.Put(q)
 		if blocked || v == policy.Silent {
@@ -162,8 +200,11 @@ func (f *Fabric) decide(pl *plan, l4 bool, src, dst ip.Addr, d *world.Dest, p pr
 	}
 	// Both probes of a target and the follow-up connection share the path's
 	// outage and episode state — loss is not independent.
-	if pl.outages.Affected(dst, t) || pl.path.EpisodeActive(dst) {
+	if pl.outages.Affected(dst, t) {
 		return v, false
 	}
-	return v, true
+	if fm.known&knowEpisode == 0 {
+		fm.episode, fm.known = pl.path.EpisodeActive(dst), fm.known|knowEpisode
+	}
+	return v, !fm.episode
 }

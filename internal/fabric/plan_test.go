@@ -177,12 +177,12 @@ type oracleChain struct {
 	trial int
 }
 
-func (o *oracleChain) query(src, dst ip.Addr, d world.Dest, p proto.Protocol, t time.Duration, probe, attempt int) *policy.Query {
+func (o *oracleChain) query(src, dst ip.Addr, d world.Dest, p proto.Protocol, t time.Duration, attempt int) *policy.Query {
 	return &policy.Query{
 		Origin: o.org.ID, SrcIP: src, SrcCountry: o.org.Country,
 		NumSrcIPs: len(o.org.SourceIPs), Rep: o.org.ScanReputation,
 		Dst: dst, DstAS: d.AS.Number, DstCountry: d.Country, Proto: p,
-		Trial: o.trial, Time: t, Probe: probe, Attempt: attempt,
+		Trial: o.trial, Time: t, Attempt: attempt,
 		ConcurrentOrigins: o.cfg.NumOrigins,
 	}
 }
@@ -208,7 +208,7 @@ func (o *oracleChain) send(src, dst ip.Addr, port uint16, probeIdx uint64, t tim
 	if d.Host && o.cfg.Churn.Offline(dst, o.trial) {
 		return 0
 	}
-	q := o.query(src, dst, d, p, t, int(probeIdx), 0)
+	q := o.query(src, dst, d, p, t, 0)
 	for _, ids := range o.cfg.IDSes {
 		if ids.RecordProbe(q) {
 			return 0
@@ -250,7 +250,7 @@ func (o *oracleChain) predial(dst ip.Addr, port uint16, t time.Duration, attempt
 	if d.Host && o.cfg.Churn.Offline(dst, o.trial) {
 		return zgrab.DialTimeout
 	}
-	q := o.query(origin.SourceFor(o.org.SourceIPs, dst), dst, d, p, t, 0, attempt)
+	q := o.query(origin.SourceFor(o.org.SourceIPs, dst), dst, d, p, t, attempt)
 	verdict, _ := o.cfg.Engine.Evaluate(q)
 	for _, ids := range o.cfg.IDSes {
 		if v, ok := ids.Evaluate(q); ok && v == policy.Silent {

@@ -44,7 +44,8 @@ func (bw *batchWorld) config(p proto.Protocol, idses []*policy.IDS) *Config {
 // batchWorlds returns the two calibrated worlds of planWorlds under their
 // scenarios (lossy paths, outage schedules, churn, live IDSes), plus the v4
 // world with one AS refusing every connection — the RefuseTCP verdict the
-// scenarios never produce, and the only way routed-empty space answers.
+// scenarios never produce, and the only way routed-empty space answers —
+// and the Alibaba ASes silent in their blocked windows (silentRST).
 func batchWorlds(t testing.TB) []batchWorld {
 	t.Helper()
 	var out []batchWorld
@@ -78,7 +79,8 @@ func batchWorlds(t testing.TB) []batchWorld {
 			// when the source is blocked.
 			rule := &policy.StaticBlock{RuleName: "refuse-as", Action: policy.RefuseTCP,
 				Dests: policy.DestMatch{ASes: []asn.ASN{as.Number, refusing.sc.IDSes[0].AS}}}
-			refusing.engine = policy.NewEngine(append([]policy.Rule{rule}, refusing.sc.Engine.Rules()...)...)
+			rules := []policy.Rule{rule, silentRST{refusing.sc.Alibaba}}
+			refusing.engine = policy.NewEngine(append(rules, refusing.sc.Engine.Rules()...)...)
 			break
 		}
 	}
@@ -86,6 +88,21 @@ func batchWorlds(t testing.TB) []batchWorld {
 		t.Fatal("no unwatched AS with a host to refuse from")
 	}
 	return append(out, refusing)
+}
+
+// silentRST answers Silent wherever the scenario's Alibaba detector
+// (policy.TemporalRST) is in a blocked window. TemporalRST's own verdict,
+// ResetAfterAccept, still draws a SYN-ACK at L4, so only this rendering
+// makes a probe's L4 answer depend on its time: two probes of one target
+// straddling a window edge draw different verdicts, and ProbeBatch's
+// per-target memo must draw the verdict again when the probe time moves.
+type silentRST struct{ *policy.TemporalRST }
+
+func (s silentRST) Evaluate(q *policy.Query) (policy.Verdict, bool) {
+	if _, ok := s.TemporalRST.Evaluate(q); ok {
+		return policy.Silent, true
+	}
+	return 0, false
 }
 
 // sendMasks is the byte path for one target: probes real SYNs through Send,
@@ -271,6 +288,16 @@ func FuzzProbeBatchMatchesSend(f *testing.F) {
 	f.Add(uint64(1)<<63|1<<62|11, int64(0), uint8(2), int64(time.Second), uint8(1), uint8(1))
 	f.Add(uint64(0x08080808), int64(time.Minute), uint8(1), int64(0), uint8(3), uint8(3)) // outside the space
 	f.Add(uint64(bw.w.Origins.Get(origin.US1).SourceIPs[0].Add(1).V4()), int64(5), uint8(3), int64(9), uint8(0), uint8(2))
+	// Two probes 2 s apart either side of a MicroBurstWindow edge (4650 s),
+	// toward a host whose burst draws differ between the two windows: the
+	// memo must draw the burst again for the second probe.
+	f.Add(uint64(1)<<63, int64(4649*time.Second), uint8(1), int64(2*time.Second), uint8(3), uint8(0))
+	f.Add(uint64(1)<<63, int64(5069*time.Second), uint8(1), int64(2*time.Second), uint8(5), uint8(0))
+	// Two SSH probes 90 s apart toward an Alibaba host, across the edge of
+	// one of its TemporalRST windows (silentRST): the memo must draw the
+	// verdict again for the second probe's time.
+	f.Add(uint64(1)<<63|915, int64(931*time.Minute), uint8(1), int64(90*time.Second), uint8(0), uint8(2))
+	f.Add(uint64(1)<<63|915, int64(993*time.Minute), uint8(1), int64(90*time.Second), uint8(1<<4), uint8(2))
 	for i, dst := range bw.dsts {
 		if dst.Is4() && i%16 == 0 {
 			f.Add(uint64(dst.V4()), int64(i)*int64(time.Minute), uint8(i), int64(i)*int64(time.Second), uint8(i/16), uint8(i/7))

@@ -294,17 +294,39 @@ func (p *Path) PacketLost(dst ip.Addr, pktIdx uint64, t time.Duration) bool {
 	return p.m.pktKey.Bool(q*(1-c), uint64(p.origin), dst.Word64(), uint64(p.trial), pktIdx)
 }
 
+// TargetDraws holds the loss draws one target's probes share on a path:
+// the destination's drop probability, and the micro-burst draw of the last
+// MicroBurstWindow a probe fell in. Each is a keyed hash of coordinates the
+// probes have in common, so reusing it for a later probe of the same target
+// is what drawing it again would give. The zero value has drawn nothing;
+// one TargetDraws serves one destination on one Path.
+type TargetDraws struct {
+	drop     float64
+	window   uint64
+	hasDrop  bool
+	hasBurst bool
+	burst    bool
+}
+
 // ProbeLost reports whether probe probeIdx of a target elicits no response
 // because the probe (packet 2·probeIdx) or its response (2·probeIdx+1) is
 // dropped: PacketLost(2i) || PacketLost(2i+1), with the destination's drop
 // probability and the micro-burst draw — which does not depend on the packet
-// index — taken once instead of once per direction. PacketLost remains the
-// per-packet definition the tests hold this to.
-func (p *Path) ProbeLost(dst ip.Addr, probeIdx uint64, t time.Duration) bool {
-	q := p.DropFor(dst)
-	c := p.m.cfg.PairCorrelation
+// index — taken once instead of once per direction, and once per target
+// (per window for the burst) when the target's probes share td. A fresh
+// TargetDraws gives the per-probe draw. PacketLost remains the per-packet
+// definition the tests hold this to.
+func (p *Path) ProbeLost(td *TargetDraws, dst ip.Addr, probeIdx uint64, t time.Duration) bool {
+	if !td.hasDrop {
+		td.drop, td.hasDrop = p.DropFor(dst), true
+	}
+	q, c := td.drop, p.m.cfg.PairCorrelation
 	d, trial := dst.Word64(), uint64(p.trial)
-	if p.m.microKey.Bool(q*c, uint64(p.site)+siteKeyOffset, d, trial, uint64(t/MicroBurstWindow)) {
+	if w := uint64(t / MicroBurstWindow); !td.hasBurst || td.window != w {
+		td.burst = p.m.microKey.Bool(q*c, uint64(p.site)+siteKeyOffset, d, trial, w)
+		td.window, td.hasBurst = w, true
+	}
+	if td.burst {
 		return true
 	}
 	ind := q * (1 - c)

@@ -351,7 +351,8 @@ func TestDelayedProbesEscapeMicroBursts(t *testing.T) {
 
 // TestProbeLostMatchesPacketLost pins the folded per-probe draw to the
 // per-packet definition: ProbeLost(i) == PacketLost(2i) || PacketLost(2i+1)
-// for probe indexes 0–2, across MicroBurstWindow boundaries (the instants
+// for probe indexes 0–2, drawn fresh and with one TargetDraws carried
+// through a target's probes, across MicroBurstWindow boundaries (the instants
 // either side of one, and whole windows apart), on ordinary paths and on a
 // path whose bad-prefix /24s swap in a far higher drop. Loss is turned up so
 // every branch of the disjunction fires.
@@ -376,12 +377,16 @@ func TestProbeLostMatchesPacketLost(t *testing.T) {
 					if p.DropFor(dst) == 0.45 {
 						badNets++
 					}
+					// shared carries the target's draws from probe to probe
+					// and window to window, as ProbeBatch's memo does.
+					var shared TargetDraws
 					for _, at := range times {
 						for i := uint64(0); i < 3; i++ {
-							got := p.ProbeLost(dst, i, at)
+							var fresh TargetDraws
+							got, memo := p.ProbeLost(&fresh, dst, i, at), p.ProbeLost(&shared, dst, i, at)
 							want := p.PacketLost(dst, 2*i, at) || p.PacketLost(dst, 2*i+1, at)
-							if got != want {
-								t.Fatalf("%v→AS%d trial %d %v probe %d at %v: ProbeLost %v, PacketLost pair %v", o, as, trial, dst, i, at, got, want)
+							if got != want || memo != want {
+								t.Fatalf("%v→AS%d trial %d %v probe %d at %v: ProbeLost %v (with the target's earlier draws %v), PacketLost pair %v", o, as, trial, dst, i, at, got, memo, want)
 							}
 							if got {
 								lost++

@@ -112,7 +112,9 @@ func (d *IDS) RecordProbe(q *Query) bool {
 
 // Evaluate implements Rule: it reports the verdict for already-detected
 // sources. It does not count the probe; the fabric calls RecordProbe for
-// that on the L4 path.
+// that on the L4 path. Its verdict hangs on detection state, not on q
+// alone, so an IDS belongs in a fabric's IDSes, not in an Engine's rules
+// (see Rule).
 func (d *IDS) Evaluate(q *Query) (Verdict, bool) {
 	if !d.Covers(q) {
 		return 0, false

@@ -78,8 +78,7 @@ type Query struct {
 	Proto      proto.Protocol
 
 	Trial   int           // 0-based trial index
-	Time    time.Duration // virtual time since trial start (base probe time)
-	Probe   int           // 0-based L4 probe index for this target (0 on L7)
+	Time    time.Duration // virtual time since trial start (the probe's or dial's)
 	Attempt int           // 0-based L7 retry number
 
 	// ConcurrentOrigins is how many origins are attempting an L7
@@ -92,7 +91,11 @@ type Query struct {
 // Rule is one destination-side behaviour. Evaluate returns (verdict, true)
 // when the rule has an opinion about the query, or (_, false) to defer.
 // Evaluate must not retain q: the caller may reuse it for the next probe
-// the moment Evaluate returns (see Query).
+// the moment Evaluate returns (see Query). Evaluate must also be a pure
+// function of *q: the fabric's ProbeBatch asks once for the probes of a
+// target that share a time and reuses the verdict for all of them, so
+// behaviour that changes with what a source has already sent belongs in a
+// Detector, not a Rule.
 type Rule interface {
 	// Name identifies the rule in diagnostics and cause attribution.
 	Name() string

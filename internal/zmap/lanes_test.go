@@ -233,3 +233,117 @@ func TestNextBatchLanesGeometricIdentity(t *testing.T) {
 		}
 	}
 }
+
+// sieveRun is what a space sweep's walk keeps, over a whole shard: the
+// candidates with their 1-based scan positions, and the targets (positions
+// the lists admit) and Blocked counts.
+type sieveRun struct {
+	dsts             []ip.Addr
+	pos              []uint64
+	targets, blocked int
+}
+
+func (r *sieveRun) equal(o *sieveRun) bool {
+	return slices.Equal(r.dsts, o.dsts) && slices.Equal(r.pos, o.pos) && r.targets == o.targets && r.blocked == o.blocked
+}
+
+// serialSieve is the fused walk's oracle: repeated Next, then per position
+// the lists (a drop is Blocked), then the directory bit, as the per-address
+// reference sweep applies them.
+func serialSieve(pm *Permutation, proto sieve) sieveRun {
+	var r sieveRun
+	for i, a := range serialWalk(pm.Iterate()) {
+		dst := ip.AddrFrom4(uint32(a))
+		if !proto.listed(dst) {
+			r.blocked++
+			continue
+		}
+		r.targets++
+		if b := a >> 8; proto.hasDir && (b/64 >= uint64(len(proto.dir)) || proto.dir[b/64]&(1<<(b%64)) == 0) {
+			continue
+		}
+		r.dsts, r.pos = append(r.dsts, dst), append(r.pos, uint64(i)+1)
+	}
+	return r
+}
+
+// drainSieve runs the fused walk with a size-long buffer until it visits
+// nothing, numbering positions with a running count as the sweep does.
+func drainSieve(pm *Permutation, proto sieve, size int) sieveRun {
+	var r sieveRun
+	sv := proto
+	sv.dsts, sv.pos = make([]ip.Addr, size), make([]uint64, size)
+	it := pm.Iterate()
+	var position uint64
+	for {
+		n := sv.next(it, position)
+		if n == 0 {
+			return r
+		}
+		r.dsts, r.pos = append(r.dsts, sv.dsts[:sv.kept]...), append(r.pos, sv.pos[:sv.kept]...)
+		r.targets += n - sv.blocked
+		r.blocked += sv.blocked
+		position += uint64(n)
+	}
+}
+
+// TestNextBatchLanesSieve holds the fused walk — lists and /24 directory
+// applied inside the lane rounds — to repeated Next plus the lists plus the
+// directory bit: the same candidates at the same positions, and the same
+// target and Blocked counts, for every shard of several shard counts and
+// buffer sizes around the round and sweep-batch boundaries. The sieves:
+// none (every offset a candidate), a directory alone (the dark-round fast
+// path), one cut shorter than the space (words past its end are dark), and
+// lists with a directory (the per-offset path).
+func TestNextBatchLanesSieve(t *testing.T) {
+	allow, block := ip.NewSet(), ip.NewSet()
+	allow.Add(ip.MakePrefix(ip.AddrFrom4(0), 19))
+	allow.Add(ip.MakePrefix(ip.AddrFrom4(1<<15), 17))
+	block.Add(ip.MakePrefix(ip.AddrFrom4(1024), 23)) // a dark /24 and a painted one
+	block.Add(ip.MakePrefix(ip.AddrFrom4(1<<15+300), 30))
+	// Every third /24 painted, in all three words a 40000 space needs.
+	dir := make([]uint64, 3)
+	for b := 0; b < 3*64; b++ {
+		if b%3 != 1 {
+			dir[b/64] |= 1 << (b % 64)
+		}
+	}
+	sieves := map[string]sieve{
+		"none":        {},
+		"dir":         {dir: dir, hasDir: true},
+		"dir/short":   {dir: dir[:1], hasDir: true},
+		"dir/empty":   {dir: nil, hasDir: true},
+		"lists":       {allow: allow, block: block},
+		"lists+dir":   {dir: dir[:2], hasDir: true, allow: allow, block: block},
+		"block+dir":   {dir: dir, hasDir: true, block: block},
+		"allow/short": {dir: dir[:1], hasDir: true, allow: allow},
+	}
+	sawKept, sawBlocked, sawDark := false, false, false
+	key := rng.NewKey(11)
+	for _, space := range append(laneSpaces, 40000) {
+		for _, shards := range []int{1, 2, 3, 7} {
+			for shard := 0; shard < shards; shard++ {
+				pm, err := NewPermutationN(key, space, shard, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, proto := range sieves {
+					want := serialSieve(pm, proto)
+					sawKept = sawKept || len(want.dsts) > 0
+					sawBlocked = sawBlocked || want.blocked > 0
+					sawDark = sawDark || want.targets > len(want.dsts)
+					for _, size := range []int{1, 2, 3, 4, 5, 7, 4095, 4096, 4097} {
+						if got := drainSieve(pm, proto, size); !got.equal(&want) {
+							t.Fatalf("space %d shard %d/%d sieve %s buffer %d: %d candidates (%d targets, %d blocked), want %d (%d, %d)\n got %v %v\nwant %v %v",
+								space, shard, shards, name, size, len(got.dsts), got.targets, got.blocked,
+								len(want.dsts), want.targets, want.blocked, head(got.pos), got.dsts[:min(4, len(got.dsts))], head(want.pos), want.dsts[:min(4, len(want.dsts))])
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawKept || !sawBlocked || !sawDark {
+		t.Errorf("vacuous: candidates %v, list drops %v, dark targets %v", sawKept, sawBlocked, sawDark)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/ip"
 	"repro/internal/rng"
 )
 
@@ -125,79 +126,177 @@ func (it *Iterator) Next() (addr uint32, ok bool) {
 // NextBatch fills buf with the next addresses of the shard's walk and
 // returns how many it wrote: len(buf) until the walk nears exhaustion, then
 // one final partial batch, then 0. The sequence is exactly the one repeated
-// Next calls yield — batching amortizes the per-address call overhead (the
-// sweep's context check and telemetry flush run once per batch) and lets the
-// walk run four multiply chains at once (see walkBatch). The buffer is
-// caller-owned and reused across calls.
-func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf) }
+// Next calls yield — batching amortizes the per-address call overhead and
+// lets the walk run four multiply chains at once (see walkBatch). The
+// buffer is caller-owned and reused across calls.
+func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf, nil) }
 
 // NextBatch64 is NextBatch emitting full-width walk values — the form
 // hitlist iteration uses, where a value is an index into a target list
 // rather than an IPv4 address.
-func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf) }
+func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf, nil) }
 
-// walkBatch is the one batch walker under both NextBatch methods: it fills
-// vals and advances the iterator exactly as len(vals) successful Next calls
-// would.
+// sieve is what a space sweep keeps of its walk: the offsets the
+// allow/blocklists admit (the rest counted blocked) whose /24 the sink's
+// directory does not rule out, widened to addresses in dsts with their
+// 1-based scan positions in pos. With no directory every admitted offset is
+// kept. The walk fills at most len(pos) scan positions per call.
+type sieve struct {
+	dir          []uint64 // the sink's /24 directory, when hasDir
+	hasDir       bool
+	allow, block *ip.Set
+	dsts         []ip.Addr
+	pos          []uint64
+	base         uint64 // scan positions before this call
+	kept         int    // candidates written to dsts / pos
+	blocked      int    // offsets the lists dropped
+}
+
+// next runs the walk's next len(sv.pos) scan positions after base through
+// the sieve and returns how many it visited (fewer only at the walk's end);
+// kept and blocked then count this call's candidates and list drops.
+func (sv *sieve) next(it *Iterator, base uint64) int {
+	sv.base, sv.kept, sv.blocked = base, 0, 0
+	return walkBatch[uint32](it, nil, sv)
+}
+
+// painted reports the directory bit of offset a's /24: false for a word
+// past the end of dir, which promises the whole /24 unrouted.
+func painted(dir []uint64, a uint64) bool {
+	w := a >> 14
+	return w < uint64(len(dir)) && dir[w]&(1<<(a>>8&63)) != 0
+}
+
+// listed reports whether the allow/blocklists let dst be probed.
+func (sv *sieve) listed(dst ip.Addr) bool {
+	return (sv.allow == nil || sv.allow.Contains(dst)) && (sv.block == nil || !sv.block.Contains(dst))
+}
+
+// admit applies the lists and then the directory to the offset at scan
+// position base+n+1 (DESIGN § 8.1: an offset the lists drop is Blocked even
+// when dark), keeping a survivor.
+func (sv *sieve) admit(a uint64, n int) {
+	if (sv.allow != nil || sv.block != nil) && !sv.listed(ip.AddrFrom4(uint32(a))) {
+		sv.blocked++
+		return
+	}
+	if sv.hasDir && !painted(sv.dir, a) {
+		return
+	}
+	sv.dsts[sv.kept], sv.pos[sv.kept] = ip.AddrFrom4(uint32(a)), sv.base+uint64(n)+1
+	sv.kept++
+}
+
+// walkBatch is the one permutation walker: it advances the iterator over
+// the next in-space walk values exactly as that many successful Next calls
+// would, and returns how many it visited — at most len(vals), or with a
+// sieve at most len(sv.pos). Without a sieve it stores each value in vals;
+// a space sweep passes a sieve instead, and each value goes through
+// sv.admit, so an offset the directory rules out is never stored at all.
 //
 // A scalar walk is one serially dependent multiply chain, x ← x·step, so its
 // cost is the multiplier's latency, not its throughput. But the walk is a
 // geometric sequence, x_{i+k} = x_i·step^k, so four lanes seeded
 // cur·step^{0..3} and each advanced by step⁴ visit the same elements, and a
-// round that emits lanes 0‥3 in that order — four stores when, as almost
+// round that takes lanes 0‥3 in that order — four stores when, as almost
 // always, no lane maps outside the space; lane by lane with the skip applied
-// in turn otherwise — emits them in the scalar walk's order with the four
-// chains overlapped in the pipeline. Rounds run while at least four buffer
-// slots and four walk elements remain (a round fills at most four slots and
-// consumes exactly four elements, so neither bound is overrun); then lane 0,
-// the next unemitted element, becomes the scalar cursor again and a scalar
-// tail finishes the buffer or the walk. The state persisted between calls is
-// therefore the scalar one whatever the buffer size: every resume point,
-// shard stride and final partial batch yields the sequence repeated Next
-// yields.
-func walkBatch[V uint32 | uint64](it *Iterator, vals []V) int {
+// in turn otherwise — takes them in the scalar walk's order with the four
+// chains overlapped in the pipeline. A sieve with a directory and no lists
+// first runs dark rounds — four in-space offsets in unpainted /24s — in a
+// loop of their own that tests the four bits and nothing else; the round
+// that ends a run goes through the general round alone. Rounds run while at
+// least four buffer slots and four walk elements remain (a round visits at
+// most four values and consumes exactly four elements, so neither bound is
+// overrun); then lane 0, the next unvisited element, becomes the scalar
+// cursor again and a scalar tail finishes the buffer or the walk. The state
+// persisted between calls is therefore the scalar one whatever the buffer
+// size: every resume point, shard stride and final partial batch yields the
+// sequence repeated Next yields.
+func walkBatch[V uint32 | uint64](it *Iterator, vals []V, sv *sieve) int {
 	pm := it.pm
-	cur, emitted, max := it.current, it.emitted, it.max
+	cur, left := it.current, it.max-it.emitted
 	step, shoup, p, space := pm.step, pm.stepShoup, pm.p, pm.space
+	limit := len(vals)
+	var dir []uint64
+	darkRuns := false
+	if sv != nil {
+		limit = len(sv.pos)
+		dir, darkRuns = sv.dir, sv.hasDir && sv.allow == nil && sv.block == nil
+	}
 	n := 0
-	if len(vals) >= 4 && max-emitted >= 4 {
+	if limit >= 4 && left >= 4 {
 		step4, shoup4 := pm.step4, pm.step4Shp
 		c0 := cur
 		c1 := mulmodShoup(c0, step, shoup, p)
 		c2 := mulmodShoup(c1, step, shoup, p)
 		c3 := mulmodShoup(c2, step, shoup, p)
-		for n+4 <= len(vals) && max-emitted >= 4 {
-			a0, a1, a2, a3 := c0-1, c1-1, c2-1, c3-1
-			c0 = mulmodShoup(c0, step4, shoup4, p)
-			c1 = mulmodShoup(c1, step4, shoup4, p)
-			c2 = mulmodShoup(c2, step4, shoup4, p)
-			c3 = mulmodShoup(c3, step4, shoup4, p)
-			if a0 < space && a1 < space && a2 < space && a3 < space {
-				out := vals[n : n+4 : n+4]
-				out[0], out[1], out[2], out[3] = V(a0), V(a1), V(a2), V(a3)
-				n += 4
-			} else {
+		for {
+			// Rounds that overrun neither bound, however many lanes skip.
+			rounds := min(uint64(limit-n), left) / 4
+			if rounds == 0 {
+				break
+			}
+			if darkRuns {
+				r := rounds
+				for ; r > 0; r-- {
+					a0, a1, a2, a3 := c0-1, c1-1, c2-1, c3-1
+					if a0 >= space || a1 >= space || a2 >= space || a3 >= space ||
+						painted(dir, a0) || painted(dir, a1) || painted(dir, a2) || painted(dir, a3) {
+						break
+					}
+					c0 = mulmodShoup(c0, step4, shoup4, p)
+					c1 = mulmodShoup(c1, step4, shoup4, p)
+					c2 = mulmodShoup(c2, step4, shoup4, p)
+					c3 = mulmodShoup(c3, step4, shoup4, p)
+				}
+				n += int(4 * (rounds - r))
+				left -= 4 * (rounds - r)
+				if r == 0 {
+					continue
+				}
+				rounds = 1
+			}
+			left -= 4 * rounds
+			for ; rounds > 0; rounds-- {
+				a0, a1, a2, a3 := c0-1, c1-1, c2-1, c3-1
+				c0 = mulmodShoup(c0, step4, shoup4, p)
+				c1 = mulmodShoup(c1, step4, shoup4, p)
+				c2 = mulmodShoup(c2, step4, shoup4, p)
+				c3 = mulmodShoup(c3, step4, shoup4, p)
+				if sv == nil && a0 < space && a1 < space && a2 < space && a3 < space {
+					out := vals[n : n+4 : n+4]
+					out[0], out[1], out[2], out[3] = V(a0), V(a1), V(a2), V(a3)
+					n += 4
+					continue
+				}
 				for _, a := range [4]uint64{a0, a1, a2, a3} {
 					if a < space {
-						vals[n] = V(a)
+						if sv == nil {
+							vals[n] = V(a)
+						} else {
+							sv.admit(a, n)
+						}
 						n++
 					}
 				}
 			}
-			emitted += 4
 		}
 		cur = c0
 	}
-	for n < len(vals) && emitted < max {
+	for n < limit && left > 0 {
 		v := cur
 		cur = mulmodShoup(cur, step, shoup, p)
+		left--
 		if a := v - 1; a < space {
-			vals[n] = V(a)
+			if sv == nil {
+				vals[n] = V(a)
+			} else {
+				sv.admit(a, n)
+			}
 			n++
 		}
-		emitted++
 	}
-	it.current, it.emitted = cur, emitted
+	it.current, it.emitted = cur, it.max-left
 	return n
 }
 

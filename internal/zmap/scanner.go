@@ -280,7 +280,7 @@ func (s *Scanner) srcFor(dst ip.Addr) ip.Addr {
 // and its routability, the per-reply or per-target callback), what it has
 // counted, and the caller-owned batch arrays the walk, the lists, the
 // routability call and the clock stamp work in. One kernel is a single
-// ~190 KiB allocation reused for the whole sweep, so the per-address cost is
+// ~175 KiB allocation reused for the whole sweep, so the per-address cost is
 // array writes — no per-batch allocation, no interface call per address.
 type sweepKernel struct {
 	s *Scanner
@@ -289,19 +289,19 @@ type sweepKernel struct {
 	// nothing is sent and visit is invoked for every target instead.
 	sink  PacketSink
 	brt   BatchRoutability // nil: every candidate is routed
-	dir   []uint64         // the sink's /24 directory, when hasDir
 	bp    BatchProber
 	reply func(Reply)
 	visit func(ip.Addr, time.Duration)
 
-	hasDir   bool
+	// sv is the space sweep's filter over its walk: the lists and the
+	// sink's /24 directory, writing candidates into dsts and pos.
+	sv       sieve
 	st       Stats
 	unrouted uint64
 	fl       *statsFlusher
 	bt       *telemetry.ChildTracer
 	synBuf   []byte
 
-	addrs  [sweepBatch]uint32 // space sweep: the walk's offsets
 	idxs   [sweepBatch]uint64 // hitlist scan: the walk's list indices
 	pos    [sweepBatch]uint64 // 1-based scan positions of the candidates
 	dsts   [sweepBatch]ip.Addr
@@ -326,6 +326,7 @@ func (r routedEach) RoutedBatch(dst []ip.Addr, routed []bool) {
 // flushing its counters per batch through a flusher of its own.
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
 	k := &sweepKernel{s: s, sink: sink, bt: bt}
+	k.sv = sieve{allow: s.cfg.Allowlist, block: s.cfg.Blocklist, dsts: k.dsts[:], pos: k.pos[:]}
 	if sink != nil {
 		if brt, ok := sink.(BatchRoutability); ok {
 			k.brt = brt
@@ -333,7 +334,7 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 			k.brt = routedEach{rt}
 		}
 		if br, ok := sink.(BlockRoutability); ok {
-			k.dir, k.hasDir = br.RoutedBlocks(), true
+			k.sv.dir, k.sv.hasDir = br.RoutedBlocks(), true
 		}
 		k.bp, _ = sink.(BatchProber)
 		// Room for the SYN (as large as a SYN-ACK: both carry only the MSS
@@ -353,8 +354,9 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 func (k *sweepKernel) sweep(ctx context.Context) error {
 	defer func() { k.fl.flush(&k.st) }()
 	// How a batch is fetched is the only thing a hitlist scan and a space
-	// sweep differ in: list entries by permuted index, or permuted offsets
-	// (which the directory can rule out before they become addresses).
+	// sweep differ in: list entries by permuted index, or the walk's
+	// offsets sieved as it visits them (the lists and the directory rule
+	// most out before they become addresses).
 	var it *Iterator
 	var hit *HitlistIterator
 	if k.s.hitlist != nil {
@@ -374,8 +376,9 @@ func (k *sweepKernel) sweep(ctx context.Context) error {
 			targets = k.admitListed(n, position)
 			cands = targets
 		} else {
-			n = it.NextBatch(k.addrs[:])
-			targets, cands = k.admitSpace(n, position)
+			n = k.sv.next(it, position)
+			k.st.Blocked += uint64(k.sv.blocked)
+			targets, cands = n-k.sv.blocked, k.sv.kept
 		}
 		k.step(targets, cands)
 		position += uint64(n)
@@ -388,12 +391,6 @@ func (k *sweepKernel) sweep(ctx context.Context) error {
 	}
 }
 
-// listed reports whether the allow/blocklists let dst be probed.
-func (k *sweepKernel) listed(dst ip.Addr) bool {
-	allow, block := k.s.cfg.Allowlist, k.s.cfg.Blocklist
-	return (allow == nil || allow.Contains(dst)) && (block == nil || !block.Contains(dst))
-}
-
 // admitListed runs the allow/blocklists over the n hitlist entries in
 // k.dsts (scan positions base+1…), compacting the survivors to the front of
 // k.dsts with their positions in k.pos, counts the rest Blocked, and returns
@@ -401,7 +398,7 @@ func (k *sweepKernel) listed(dst ip.Addr) bool {
 func (k *sweepKernel) admitListed(n int, base uint64) int {
 	kept := 0
 	for i, dst := range k.dsts[:n] {
-		if !k.listed(dst) {
+		if !k.sv.listed(dst) {
 			continue
 		}
 		k.dsts[kept], k.pos[kept] = dst, base+uint64(i)+1
@@ -409,31 +406,6 @@ func (k *sweepKernel) admitListed(n int, base uint64) int {
 	}
 	k.st.Blocked += uint64(n - kept)
 	return kept
-}
-
-// admitSpace turns the n walk offsets in k.addrs (scan positions base+1…)
-// into the batch's candidates: the lists first, when configured, counting
-// what they drop Blocked (DESIGN § 8.1: a dropped address is Blocked even
-// when dark); then the sink's /24 directory, on the raw offset. Only
-// survivors of both become addresses, in k.dsts with their positions in
-// k.pos. It returns how many targets the lists left and how many of them
-// are candidates; the difference is unrouted for certain.
-func (k *sweepKernel) admitSpace(n int, base uint64) (targets, cands int) {
-	lists := k.s.cfg.Allowlist != nil || k.s.cfg.Blocklist != nil
-	dir, hasDir := k.dir, k.hasDir
-	for i, a := range k.addrs[:n] {
-		if lists && !k.listed(ip.AddrFrom4(a)) {
-			continue
-		}
-		targets++
-		if b := a >> 8; hasDir && (int(b>>6) >= len(dir) || dir[b>>6]>>(b&63)&1 == 0) {
-			continue
-		}
-		k.dsts[cands], k.pos[cands] = ip.AddrFrom4(a), base+uint64(i)+1
-		cands++
-	}
-	k.st.Blocked += uint64(n - targets)
-	return targets, cands
 }
 
 // step is the sweep's one batch step, over targets the lists left, of which
