@@ -177,7 +177,7 @@ func (f *Fabric) decide(pl *plan, fm *fate, l4 bool, src, dst ip.Addr, d *world.
 				// even ones that will go unanswered.
 				blocked = pl.detectors[i].RecordProbe(q)
 			} else {
-				dv, ok := pl.detectors[i].Evaluate(q)
+				dv, ok := pl.detectors[i].ConnVerdict(q)
 				blocked = ok && dv == policy.Silent
 			}
 		}

@@ -253,7 +253,7 @@ func (o *oracleChain) predial(dst ip.Addr, port uint16, t time.Duration, attempt
 	q := o.query(origin.SourceFor(o.org.SourceIPs, dst), dst, d, p, t, attempt)
 	verdict, _ := o.cfg.Engine.Evaluate(q)
 	for _, ids := range o.cfg.IDSes {
-		if v, ok := ids.Evaluate(q); ok && v == policy.Silent {
+		if v, ok := ids.ConnVerdict(q); ok && v == policy.Silent {
 			return zgrab.DialTimeout
 		}
 	}

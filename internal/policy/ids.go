@@ -54,11 +54,11 @@ type idsBlockKey struct {
 	trial int // -1 when Persistent
 }
 
-// Name implements Rule.
+// Name implements Detector.
 func (d *IDS) Name() string { return d.RuleName }
 
 // Covers reports whether the query targets this IDS's protected AS with a
-// protocol the IDS monitors. RecordProbe and Evaluate share this gate.
+// protocol the IDS monitors. RecordProbe and ConnVerdict share this gate.
 func (d *IDS) Covers(q *Query) bool {
 	return q.DstAS == d.AS && d.Protos.Matches(q)
 }
@@ -110,12 +110,13 @@ func (d *IDS) RecordProbe(q *Query) bool {
 	return false
 }
 
-// Evaluate implements Rule: it reports the verdict for already-detected
-// sources. It does not count the probe; the fabric calls RecordProbe for
-// that on the L4 path. Its verdict hangs on detection state, not on q
-// alone, so an IDS belongs in a fabric's IDSes, not in an Engine's rules
-// (see Rule).
-func (d *IDS) Evaluate(q *Query) (Verdict, bool) {
+// ConnVerdict implements Detector: it reports the verdict for
+// already-detected sources. It does not count the probe; the fabric calls
+// RecordProbe for that on the L4 path. Its verdict hangs on detection
+// state, not on q alone, so it is deliberately not named Evaluate: an IDS
+// cannot be a Rule (rules are pure functions of the query), only a
+// fabric's Detector.
+func (d *IDS) ConnVerdict(q *Query) (Verdict, bool) {
 	if !d.Covers(q) {
 		return 0, false
 	}
@@ -187,8 +188,8 @@ type Detector interface {
 	// RecordProbe observes one L4 probe and reports whether the source is
 	// blocked for it (the probe is then dropped).
 	RecordProbe(q *Query) bool
-	// Evaluate reports the verdict for an L7 connection attempt.
-	Evaluate(q *Query) (Verdict, bool)
+	// ConnVerdict reports the verdict for an L7 connection attempt.
+	ConnVerdict(q *Query) (Verdict, bool)
 }
 
 // Detectors adapts live IDSes to the Detector interface.

@@ -268,19 +268,19 @@ func TestIDSDetectsAfterThreshold(t *testing.T) {
 		if d.RecordProbe(q) {
 			t.Fatalf("detected early at probe %d", i)
 		}
-		if _, ok := d.Evaluate(q); ok {
-			t.Fatal("Evaluate blocked before detection")
+		if _, ok := d.ConnVerdict(q); ok {
+			t.Fatal("ConnVerdict blocked before detection")
 		}
 	}
 	if !d.RecordProbe(q) {
 		t.Fatal("not detected at threshold")
 	}
-	if v, ok := d.Evaluate(q); !ok || v != Silent {
+	if v, ok := d.ConnVerdict(q); !ok || v != Silent {
 		t.Errorf("after detection = %v,%v", v, ok)
 	}
 	// Persistent: still blocked in the next trial.
 	q.Trial = 1
-	if v, ok := d.Evaluate(q); !ok || v != Silent {
+	if v, ok := d.ConnVerdict(q); !ok || v != Silent {
 		t.Errorf("next trial = %v,%v; want persistent block", v, ok)
 	}
 }
@@ -304,7 +304,7 @@ func TestIDSPerSourceIP(t *testing.T) {
 	}
 	q := baseQuery()
 	q.DstAS = 1
-	if _, ok := d.Evaluate(q); !ok {
+	if _, ok := d.ConnVerdict(q); !ok {
 		t.Error("single-IP origin should be detected")
 	}
 }
@@ -316,16 +316,16 @@ func TestIDSNonPersistentResetsAcrossTrials(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.RecordProbe(q)
 	}
-	if _, ok := d.Evaluate(q); !ok {
+	if _, ok := d.ConnVerdict(q); !ok {
 		t.Fatal("should be blocked in trial 0")
 	}
 	q.Trial = 1
-	if _, ok := d.Evaluate(q); ok {
+	if _, ok := d.ConnVerdict(q); ok {
 		t.Error("non-persistent IDS should not carry over to the next trial")
 	}
 	d.Reset()
 	q.Trial = 0
-	if _, ok := d.Evaluate(q); ok {
+	if _, ok := d.ConnVerdict(q); ok {
 		t.Error("Reset did not clear detection state")
 	}
 }
@@ -337,7 +337,7 @@ func TestIDSIgnoresOtherAS(t *testing.T) {
 	if d.RecordProbe(q) {
 		t.Error("probe to other AS must not count")
 	}
-	if _, ok := d.Evaluate(q); ok {
+	if _, ok := d.ConnVerdict(q); ok {
 		t.Error("other AS must not be blocked")
 	}
 }
