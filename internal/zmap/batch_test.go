@@ -44,29 +44,37 @@ func (s *Scanner) emitTarget(dst ip.Addr, position uint64, st *Stats, emit func(
 	emit(dst, t)
 }
 
-// referenceWalk replays the pre-batching serial walk: one address (or
-// hitlist entry) at a time through emitTarget, context checked at sweepBatch
-// position boundaries.
+// referenceWalk replays the pre-batching serial walk: one group element at a
+// time, multiplied out from the shard's first, each in-space one (an
+// address or a hitlist entry) through emitTarget, the context checked at
+// the start of every block of sweepBatch elements (and once in an empty
+// shard).
 func referenceWalk(ctx context.Context, s *Scanner, st *Stats, emit func(ip.Addr, time.Duration)) error {
-	it := s.perm.Iterate()
+	pm := s.perm
+	x := pm.first
 	var position uint64
-	for {
-		if position%sweepBatch == 0 {
+	for e := uint64(0); e == 0 || e < pm.shardLen; e++ {
+		if e%sweepBatch == 0 {
 			if err := ctx.Err(); err != nil {
 				return pipeline.Canceled(err)
 			}
 		}
-		a, ok := it.Next()
-		if !ok {
+		if e == pm.shardLen {
 			return nil
 		}
+		v := x
+		x = mulmod(x, pm.step, pm.p)
+		if v-1 >= pm.space {
+			continue
+		}
 		position++
-		dst := ip.AddrFrom4(a)
+		dst := ip.AddrFrom4(uint32(v - 1))
 		if s.hitlist != nil {
-			dst = s.hitlist[a]
+			dst = s.hitlist[v-1]
 		}
 		s.emitTarget(dst, position, st, emit)
 	}
+	return nil
 }
 
 // referenceRun is the pre-batching serial sweep: referenceWalk with a
@@ -484,10 +492,11 @@ func TestShardedBatchedMatchesSerialReference(t *testing.T) {
 // TestCancelBatchedMatchesSerialReference cancels mid-sweep after a fixed
 // probe count and checks the batched path stops at exactly the boundary the
 // per-address loop stopped at: same error class, same Stats, same reply
-// prefix. The batch boundaries ARE the old context-check boundaries, so a
-// cancellation is observed at the identical point — and one that lands in
-// the final partial batch (9000 Sends into the 5000-entry hitlist) is not
-// observed at all: the walk ends before the next boundary.
+// prefix. The reference checks the context where the sweep does, at every
+// block of sweepBatch group elements, so a cancellation is observed at the
+// identical point — and one that lands in the final partial block (9000
+// Sends into the 5000-entry hitlist) is not observed at all: the walk ends
+// before the next boundary.
 func TestCancelBatchedMatchesSerialReference(t *testing.T) {
 	configs := batchDiffConfigs()
 	big := testConfig()

@@ -30,7 +30,17 @@ func (pm *Permutation) IterateHitlist(list []ip.Addr) *HitlistIterator {
 // many it wrote (0 when exhausted). idxs is caller-owned scratch of the
 // same length receiving the raw list indices.
 func (h *HitlistIterator) NextBatch(dsts []ip.Addr, idxs []uint64) int {
-	n := h.it.NextBatch64(idxs[:len(dsts)])
+	return h.fill(dsts, idxs, h.it.max)
+}
+
+// block is NextBatch over the walk's next block: at most sweepBatch group
+// elements, the unit a sweep steps in.
+func (h *HitlistIterator) block(dsts []ip.Addr, idxs []uint64) int {
+	return h.fill(dsts, idxs, sweepBatch)
+}
+
+func (h *HitlistIterator) fill(dsts []ip.Addr, idxs []uint64, span uint64) int {
+	n := walkBatch(h.it, idxs[:len(dsts)], nil, len(dsts), span)
 	for i := 0; i < n; i++ {
 		dsts[i] = h.list[idxs[i]]
 	}

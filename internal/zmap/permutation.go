@@ -29,8 +29,13 @@ type Permutation struct {
 	stepShoup uint64 // floor(step<<64 / p): Shoup factor for the walk stride
 	step4     uint64 // step⁴ mod p: the stride of each of walkBatch's four lanes
 	step4Shp  uint64 // Shoup factor of step4
-	space     uint64 // number of valid addresses [0, space)
-	shardLen  uint64 // group elements this shard owns
+	// stepBlk = step^sweepBatch and stepBlk2 = step^(2·sweepBatch), with
+	// their Shoup factors: the jumps from one block of the walk to the next
+	// and to the one after, so a block is reached without walking to it.
+	stepBlk, stepBlkShp   uint64
+	stepBlk2, stepBlk2Shp uint64
+	space                 uint64 // number of valid addresses [0, space)
+	shardLen              uint64 // group elements this shard owns
 }
 
 // NewPermutation builds the permutation for a space of 2^spaceBits
@@ -82,9 +87,13 @@ func NewPermutationN(key rng.Key, n uint64, shard, shards int) (*Permutation, er
 		max++
 	}
 	step4 := mulmodPow(step, 4, p)
+	stepBlk := mulmodPow(step, sweepBatch, p)
+	stepBlk2 := mulmod(stepBlk, stepBlk, p)
 	return &Permutation{
 		p: p, first: first, step: step, stepShoup: shoupFactor(step, p),
 		step4: step4, step4Shp: shoupFactor(step4, p),
+		stepBlk: stepBlk, stepBlkShp: shoupFactor(stepBlk, p),
+		stepBlk2: stepBlk2, stepBlk2Shp: shoupFactor(stepBlk2, p),
 		space: space, shardLen: max,
 	}, nil
 }
@@ -129,35 +138,96 @@ func (it *Iterator) Next() (addr uint32, ok bool) {
 // Next calls yield — batching amortizes the per-address call overhead and
 // lets the walk run four multiply chains at once (see walkBatch). The
 // buffer is caller-owned and reused across calls.
-func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf, nil) }
+func (it *Iterator) NextBatch(buf []uint32) int { return walkBatch(it, buf, nil, len(buf), it.max) }
 
 // NextBatch64 is NextBatch emitting full-width walk values — the form
 // hitlist iteration uses, where a value is an index into a target list
 // rather than an IPv4 address.
-func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf, nil) }
+func (it *Iterator) NextBatch64(buf []uint64) int { return walkBatch(it, buf, nil, len(buf), it.max) }
+
+// blocks is how many blocks of sweepBatch group elements the shard's walk
+// spans: at least one, so a sweep over an empty shard still runs one
+// (empty) block.
+func (it *Iterator) blocks() uint64 { return max(1, (it.max+sweepBatch-1)/sweepBatch) }
+
+// skip moves an iterator that sits at the start of a block to the start of
+// the next one without walking the block: one multiply by step^sweepBatch.
+func (it *Iterator) skip() {
+	pm := it.pm
+	if it.max-it.emitted <= sweepBatch {
+		it.emitted = it.max
+		return
+	}
+	it.current = mulmodShoup(it.current, pm.stepBlk, pm.stepBlkShp, pm.p)
+	it.emitted += sweepBatch
+}
+
+// cand is a sieve's record of one candidate: the v4 offset and its index
+// among the in-space values of the call that visited it, so its scan
+// position is the call's base + idx + 1. Eight bytes, where the widened
+// ip.Addr and position take forty: the form a block waits in between the
+// goroutine that walked it and the one that numbers it. A call visits at
+// most 65536 values (a sweep's at most sweepBatch).
+type cand struct {
+	off uint32
+	idx uint16
+}
 
 // sieve is what a space sweep keeps of its walk: the offsets the
 // allow/blocklists admit (the rest counted blocked) whose /24 the sink's
-// directory does not rule out, widened to addresses in dsts with their
-// 1-based scan positions in pos. With no directory every admitted offset is
-// kept. The walk fills at most len(pos) scan positions per call.
+// directory does not rule out, recorded as cands. With no directory every
+// admitted offset is kept. A call walks at most len(pos) in-space values,
+// or with span set one block: at most span group elements.
+//
+// A scan's sieve is copied into the helper goroutine that walks every other
+// block (see walker), so dir and the lists are read from two goroutines at
+// once: the directory slice must not change while a scan runs (the
+// BlockRoutability contract), and the lists are ip.Sets whose Contains is a
+// read-only radix lookup, written by nobody during a scan. Each goroutine
+// writes only its own sieve's cands, blocked, dsts, pos and kept.
 type sieve struct {
 	dir          []uint64 // the sink's /24 directory, when hasDir
 	hasDir       bool
 	allow, block *ip.Set
-	dsts         []ip.Addr
-	pos          []uint64
-	base         uint64 // scan positions before this call
-	kept         int    // candidates written to dsts / pos
-	blocked      int    // offsets the lists dropped
+	span         uint64 // when > 0, a call walks one block of span group elements
+	cands        []cand // this call's candidates, in walk order
+	blocked      int    // offsets the lists dropped in this call
+	// next widens the candidates into dsts (as addresses) and pos (their
+	// 1-based scan positions); kept counts them.
+	dsts []ip.Addr
+	pos  []uint64
+	kept int
 }
 
-// next runs the walk's next len(sv.pos) scan positions after base through
-// the sieve and returns how many it visited (fewer only at the walk's end);
-// kept and blocked then count this call's candidates and list drops.
+// next runs the walk's next block (span set) or next len(sv.pos) scan
+// positions through the sieve, numbered from base, and returns how many
+// in-space values it visited (fewer only at the walk's or the block's end);
+// kept and blocked then count this call's candidates and list drops, and
+// dsts and pos hold the candidates.
 func (sv *sieve) next(it *Iterator, base uint64) int {
-	sv.base, sv.kept, sv.blocked = base, 0, 0
-	return walkBatch[uint32](it, nil, sv)
+	n := sv.walk(it)
+	sv.kept = widen(sv.cands, base, sv.dsts, sv.pos)
+	return n
+}
+
+// walk is next without the widening: the candidates stay cands.
+func (sv *sieve) walk(it *Iterator) int {
+	limit, span := len(sv.pos), it.max
+	if sv.span > 0 {
+		limit, span = int(sv.span), sv.span
+	}
+	sv.cands, sv.blocked = sv.cands[:0], 0
+	return walkBatch[uint32](it, nil, sv, limit, span)
+}
+
+// widen writes cands, numbered from base, into dsts and pos and returns how
+// many there are.
+func widen(cands []cand, base uint64, dsts []ip.Addr, pos []uint64) int {
+	dsts, pos = dsts[:len(cands)], pos[:len(cands)]
+	for i, c := range cands {
+		dsts[i], pos[i] = ip.AddrFrom4(c.off), base+uint64(c.idx)+1
+	}
+	return len(cands)
 }
 
 // painted reports the directory bit of offset a's /24: false for a word
@@ -172,9 +242,9 @@ func (sv *sieve) listed(dst ip.Addr) bool {
 	return (sv.allow == nil || sv.allow.Contains(dst)) && (sv.block == nil || !sv.block.Contains(dst))
 }
 
-// admit applies the lists and then the directory to the offset at scan
-// position base+n+1 (DESIGN § 8.1: an offset the lists drop is Blocked even
-// when dark), keeping a survivor.
+// admit applies the lists and then the directory to the n-th in-space
+// offset of the call (DESIGN § 8.1: an offset the lists drop is Blocked
+// even when dark), recording a survivor.
 func (sv *sieve) admit(a uint64, n int) {
 	if (sv.allow != nil || sv.block != nil) && !sv.listed(ip.AddrFrom4(uint32(a))) {
 		sv.blocked++
@@ -183,14 +253,29 @@ func (sv *sieve) admit(a uint64, n int) {
 	if sv.hasDir && !painted(sv.dir, a) {
 		return
 	}
-	sv.dsts[sv.kept], sv.pos[sv.kept] = ip.AddrFrom4(uint32(a)), sv.base+uint64(n)+1
-	sv.kept++
+	if len(sv.cands) == cap(sv.cands) {
+		sv.grow()
+	}
+	sv.cands = append(sv.cands, cand{off: uint32(a), idx: uint16(n)})
+}
+
+// grow makes room for more candidates: 64 at first, then at least a whole
+// block's. A walker's ring slot therefore allocates at most twice in a
+// sweep, 512 bytes for the handful a dark block keeps and 32 KiB once a
+// block outgrows them, where append's growth would allocate five times a
+// dense block's final size in steps of a quarter.
+func (sv *sieve) grow() {
+	n := 64
+	if cap(sv.cands) >= n {
+		n = max(sweepBatch, 2*cap(sv.cands))
+	}
+	sv.cands = append(make([]cand, 0, n), sv.cands...)
 }
 
 // walkBatch is the one permutation walker: it advances the iterator over
-// the next in-space walk values exactly as that many successful Next calls
-// would, and returns how many it visited — at most len(vals), or with a
-// sieve at most len(sv.pos). Without a sieve it stores each value in vals;
+// at most span group elements and returns how many in-space values it
+// visited — at most limit — exactly as that many successful Next calls
+// would. Without a sieve it stores each value in vals (limit = len(vals));
 // a space sweep passes a sieve instead, and each value goes through
 // sv.admit, so an offset the directory rules out is never stored at all.
 //
@@ -208,19 +293,18 @@ func (sv *sieve) admit(a uint64, n int) {
 // least four buffer slots and four walk elements remain (a round visits at
 // most four values and consumes exactly four elements, so neither bound is
 // overrun); then lane 0, the next unvisited element, becomes the scalar
-// cursor again and a scalar tail finishes the buffer or the walk. The state
-// persisted between calls is therefore the scalar one whatever the buffer
-// size: every resume point, shard stride and final partial batch yields the
-// sequence repeated Next yields.
-func walkBatch[V uint32 | uint64](it *Iterator, vals []V, sv *sieve) int {
+// cursor again and a scalar tail finishes the buffer, the span or the walk.
+// The state persisted between calls is therefore the scalar one whatever
+// the buffer size: every resume point, shard stride and final partial batch
+// yields the sequence repeated Next yields.
+func walkBatch[V uint32 | uint64](it *Iterator, vals []V, sv *sieve, limit int, span uint64) int {
 	pm := it.pm
-	cur, left := it.current, it.max-it.emitted
+	total := min(it.max-it.emitted, span)
+	cur, left := it.current, total
 	step, shoup, p, space := pm.step, pm.stepShoup, pm.p, pm.space
-	limit := len(vals)
 	var dir []uint64
 	darkRuns := false
 	if sv != nil {
-		limit = len(sv.pos)
 		dir, darkRuns = sv.dir, sv.hasDir && sv.allow == nil && sv.block == nil
 	}
 	n := 0
@@ -296,7 +380,7 @@ func walkBatch[V uint32 | uint64](it *Iterator, vals []V, sv *sieve) int {
 			n++
 		}
 	}
-	it.current, it.emitted = cur, it.max-left
+	it.current, it.emitted = cur, it.emitted+total-left
 	return n
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,11 +17,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sweepBatch is how many scan positions a sweep advances between context
-// checks. Cancellation therefore lands within one batch: a canceled sweep
-// stops after at most sweepBatch further targets instead of walking the rest
-// of the address space. The check is a pure read, so an
-// uncancelled sweep emits a bit-identical schedule.
+// sweepBatch is a sweep's block: how many group elements of the shard's walk
+// (in-space or not) one batch step covers, so a block holds at most
+// sweepBatch targets. The context is checked before each block, so a
+// canceled sweep stops after at most one more block instead of walking the
+// rest of the address space. The check is a pure read, so an uncancelled
+// sweep emits a bit-identical schedule.
 const sweepBatch = 4096
 
 // PacketSink is the transport the scanner sends probes through. The
@@ -80,7 +82,8 @@ type BatchRoutability interface {
 // space sweep tests the bit on the walk's raw offsets, before any ip.Addr
 // exists, so a dark address costs one bit test; hitlist scans never
 // consult it. The slice is read-only and must not change while a scan
-// runs; a v6-only sink returns an empty one.
+// runs: a sweep over 64 blocks or more reads it from two goroutines at once
+// (the sweep's and its walker's). A v6-only sink returns an empty one.
 type BlockRoutability interface {
 	RoutedBlocks() []uint64
 }
@@ -160,9 +163,9 @@ type Config struct {
 	ExpectedReplies int
 	// Telemetry, when set, receives live sweep counters. The sweep
 	// accumulates into its private Stats as always and flushes deltas
-	// into these counters once per sweepBatch positions (and once at
-	// sweep end), so the per-probe hot path is unchanged and a nil
-	// bundle costs one pointer check per batch.
+	// into these counters once per block of the walk (and once at sweep
+	// end), so the per-probe hot path is unchanged and a nil bundle
+	// costs one pointer check per block.
 	Telemetry *telemetry.SweepMetrics
 }
 
@@ -316,16 +319,20 @@ type sweepKernel struct {
 	split  splitter
 
 	// sv is the space sweep's filter over its walk: the lists and the
-	// sink's /24 directory, writing candidates into dsts and pos.
-	sv       sieve
+	// sink's /24 directory, recording candidates into own and widening
+	// them into dsts and pos.
+	sv sieve
+	// w walks every other block of a long space sweep on a second
+	// goroutine (see walker).
+	w        walker
 	st       Stats
 	unrouted uint64
 	fl       *statsFlusher
 	bt       *telemetry.ChildTracer
 	synBuf   []byte
 
-	idxs   [sweepBatch]uint64 // hitlist scan: the walk's list indices
-	pos    [sweepBatch]uint64 // 1-based scan positions of the candidates
+	own    [sweepBatch]cand   // the candidates of a block this goroutine walked
+	pos    [sweepBatch]uint64 // 1-based scan positions of the candidates (a hitlist block's list indices first)
 	dsts   [sweepBatch]ip.Addr
 	times  [sweepBatch]time.Duration
 	routed [sweepBatch]bool
@@ -348,7 +355,8 @@ func (r routedEach) RoutedBatch(dst []ip.Addr, routed []bool) {
 // flushing its counters per batch through a flusher of its own.
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
 	k := &sweepKernel{s: s, sink: sink, bt: bt}
-	k.sv = sieve{allow: s.cfg.Allowlist, block: s.cfg.Blocklist, dsts: k.dsts[:], pos: k.pos[:]}
+	k.sv = sieve{allow: s.cfg.Allowlist, block: s.cfg.Blocklist, span: sweepBatch,
+		cands: k.own[:0], dsts: k.dsts[:], pos: k.pos[:]}
 	if sink != nil {
 		if brt, ok := sink.(BatchRoutability); ok {
 			k.brt = brt
@@ -370,13 +378,18 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 	return k
 }
 
-// sweep walks the scanner's permutation through the batch step, numbering
-// its targets as it goes. The permutation walk, context check and telemetry
-// flush all amortize to once per sweepBatch addresses; a canceled sweep
-// returns pipeline.ErrCanceled with the walk stopped at a batch boundary.
+// sweep walks the scanner's permutation block by block through the batch
+// step, numbering its targets as it goes. The permutation walk, context
+// check and telemetry flush all amortize to once per block; a canceled
+// sweep returns pipeline.ErrCanceled with the walk stopped at a block
+// boundary. A space sweep of helperBlocks blocks or more with GOMAXPROCS >
+// 1 has a walker sieve the odd blocks ahead on a second goroutine; the
+// sweep goroutine walks the even ones and numbers and steps every block in
+// walk order, so the schedule, the probes and the replies are those of the
+// walk on one goroutine.
 func (k *sweepKernel) sweep(ctx context.Context) error {
 	defer func() { k.fl.flush(&k.st) }()
-	// How a batch is fetched is the only thing a hitlist scan and a space
+	// How a block is fetched is the only thing a hitlist scan and a space
 	// sweep differ in: list entries by permuted index, or the walk's
 	// offsets sieved as it visits them (the lists and the directory rule
 	// most out before they become addresses).
@@ -384,31 +397,44 @@ func (k *sweepKernel) sweep(ctx context.Context) error {
 	var hit *HitlistIterator
 	if k.s.hitlist != nil {
 		hit = k.s.perm.IterateHitlist(k.s.hitlist)
+		it = hit.it
 	} else {
 		it = k.s.perm.Iterate()
 	}
+	blocks := it.blocks()
+	var w *walker
+	if hit == nil && blocks >= helperBlocks && runtime.GOMAXPROCS(0) > 1 {
+		w = k.startWalker(it)
+		defer w.halt()
+	}
 	var position uint64
-	for {
+	for b := uint64(0); ; b++ {
 		if err := ctx.Err(); err != nil {
 			return pipeline.Canceled(err)
 		}
 		k.fl.flush(&k.st)
-		var n, targets, cands int
-		if hit != nil {
-			n = hit.NextBatch(k.dsts[:], k.idxs[:])
-			targets = k.admitListed(n, position)
-			cands = targets
-		} else {
+		var n, blocked, cands int
+		switch {
+		case hit != nil:
+			n = hit.block(k.dsts[:], k.pos[:])
+			cands = k.admitListed(n, position)
+			blocked = n - cands
+		case w != nil && b%2 == 1:
+			wb := w.take(b / 2)
+			n, blocked = wb.n, wb.blocked
+			cands = widen(wb.cands, position, k.dsts[:], k.pos[:])
+			w.release(b / 2)
+		default:
 			n = k.sv.next(it, position)
-			k.st.Blocked += uint64(k.sv.blocked)
-			targets, cands = n-k.sv.blocked, k.sv.kept
+			blocked, cands = k.sv.blocked, k.sv.kept
+			if w != nil {
+				it.skip() // the walker's block
+			}
 		}
-		k.step(targets, cands)
+		k.st.Blocked += uint64(blocked)
+		k.step(n-blocked, cands)
 		position += uint64(n)
-		if n < sweepBatch {
-			// Partial (or empty) batch: the walk is exhausted. Cancellation
-			// is only ever observed at exact sweepBatch boundaries, so finish
-			// without another check.
+		if b+1 == blocks {
 			return nil
 		}
 	}
@@ -416,8 +442,8 @@ func (k *sweepKernel) sweep(ctx context.Context) error {
 
 // admitListed runs the allow/blocklists over the n hitlist entries in
 // k.dsts (scan positions base+1…), compacting the survivors to the front of
-// k.dsts with their positions in k.pos, counts the rest Blocked, and returns
-// how many survived: every one of them is a candidate.
+// k.dsts with their positions in k.pos, and returns how many survived:
+// every one of them is a candidate.
 func (k *sweepKernel) admitListed(n int, base uint64) int {
 	kept := 0
 	for i, dst := range k.dsts[:n] {
@@ -427,8 +453,155 @@ func (k *sweepKernel) admitListed(n int, base uint64) int {
 		k.dsts[kept], k.pos[kept] = dst, base+uint64(i)+1
 		kept++
 	}
-	k.st.Blocked += uint64(n - kept)
 	return kept
+}
+
+// helperBlocks is the fewest blocks a shard's walk must span for its sweep
+// to start a walker. A walker costs a goroutine and a ring whose slots grow
+// to hold a dense block's candidates, which a short walk does not repay; the
+// floor keeps it off the study's scans (a 2^14 scan spans four blocks).
+const helperBlocks = 64
+
+// ringDepth is how many walked blocks the walker may hold ahead of the
+// sweep goroutine. The walker refills the ring half a ring at a time, so it
+// parks at most once per half ring, and a wake-up costs about as much as the
+// ~10 µs walk of a block; shallower rings measured slower and less steady
+// (DESIGN § 8.1).
+const ringDepth = 8
+
+// takeSpins is how many times the sweep goroutine yields, looking for the
+// walker's next block, before it parks. Over dark space both goroutines
+// walk at one rate, so the block is usually a moment away, and parking
+// for it would cost a wake-up per block.
+const takeSpins = 64
+
+// walker is a long space sweep's second goroutine over the permutation.
+// The walk is a geometric sequence, so block b's first element is
+// first·step^{b·sweepBatch} and any block can be walked without walking
+// to it: the walker walks the odd blocks (its block j is the walk's block
+// 2j+1), each through its own copy of the kernel's sieve, and leaves each
+// in a ring slot as cands with the block's in-space and Blocked counts.
+// Nothing it does depends on the blocks before it, so no scan position has
+// to be recovered and nothing is merged: the sweep goroutine takes the
+// slots in walk order and numbers them as it numbers its own blocks. The
+// mutex orders every slot hand-over; its two conditions are where each side
+// parks.
+type walker struct {
+	sv    sieve    // the kernel's lists and directory; its own cands
+	it    Iterator // moved to the start of each block it walks
+	start uint64   // first element of its next window's first block
+	ring  [ringDepth]walked
+
+	mu          sync.Mutex
+	ready, room sync.Cond // a slot was filled; the sweep freed half the ring
+	taken       uint64    // blocks the sweep goroutine has numbered
+	stop        bool      // the sweep is over: exit
+	done        chan struct{}
+}
+
+// walked is a ring slot: one block the walker walked and sieved.
+type walked struct {
+	cands      []cand        // grown on demand, kept across blocks
+	n, blocked int           // in-space values visited; of them, list drops
+	seq        atomic.Uint64 // j+1 once the slot holds the walker's block j
+}
+
+// testHookWalkOrder, when set, reorders each window of blocks the walker
+// is about to walk; tests shuffle it to show the walk order of the walker's
+// blocks does not reach the schedule.
+var testHookWalkOrder func(window []uint64)
+
+// startWalker starts the walker on the odd blocks of the sweep's walk; it,
+// the sweep's iterator, must sit at the start of block 0.
+func (k *sweepKernel) startWalker(it *Iterator) *walker {
+	pm := it.pm
+	w := &k.w
+	w.sv = k.sv
+	w.sv.cands, w.sv.dsts, w.sv.pos = nil, nil, nil
+	w.it = *it
+	w.start = mulmodShoup(it.current, pm.stepBlk, pm.stepBlkShp, pm.p)
+	w.ready.L, w.room.L = &w.mu, &w.mu
+	w.done = make(chan struct{})
+	go w.run()
+	return w
+}
+
+// run walks the walker's blocks half a ring (a window) at a time, once the
+// sweep goroutine has numbered the blocks whose slots the window reuses.
+func (w *walker) run() {
+	defer close(w.done)
+	const half = ringDepth / 2
+	pm, count := w.it.pm, w.it.blocks()/2 // the walk's odd blocks
+	var order, starts [half]uint64
+	for lo := uint64(0); lo < count; lo += half {
+		win := order[:min(half, count-lo)]
+		for i := range win {
+			win[i], starts[i] = lo+uint64(i), w.start
+			w.start = mulmodShoup(w.start, pm.stepBlk2, pm.stepBlk2Shp, pm.p)
+		}
+		if testHookWalkOrder != nil {
+			testHookWalkOrder(win)
+		}
+		w.mu.Lock()
+		for !w.stop && w.taken+half < lo {
+			w.room.Wait()
+		}
+		stop := w.stop
+		w.mu.Unlock()
+		for _, j := range win {
+			if stop {
+				return
+			}
+			wb := &w.ring[j%ringDepth]
+			w.it.current, w.it.emitted = starts[j-lo], (2*j+1)*sweepBatch
+			w.sv.cands = wb.cands
+			wb.n = w.sv.walk(&w.it)
+			wb.cands, wb.blocked = w.sv.cands, w.sv.blocked
+			w.mu.Lock()
+			wb.seq.Store(j + 1)
+			stop = w.stop
+			w.mu.Unlock()
+			w.ready.Signal()
+		}
+	}
+}
+
+// take waits for the walker's block j and returns its slot.
+func (w *walker) take(j uint64) *walked {
+	wb := &w.ring[j%ringDepth]
+	for range takeSpins {
+		if wb.seq.Load() == j+1 {
+			return wb
+		}
+		runtime.Gosched()
+	}
+	w.mu.Lock()
+	for wb.seq.Load() != j+1 {
+		w.ready.Wait()
+	}
+	w.mu.Unlock()
+	return wb
+}
+
+// release hands block j's slot back, waking the walker when half the ring
+// is free.
+func (w *walker) release(j uint64) {
+	w.mu.Lock()
+	w.taken = j + 1
+	w.mu.Unlock()
+	if (j+1)%(ringDepth/2) == 0 {
+		w.room.Signal()
+	}
+}
+
+// halt stops the walker after the block it is walking, if any, and waits
+// for it to exit.
+func (w *walker) halt() {
+	w.mu.Lock()
+	w.stop = true
+	w.mu.Unlock()
+	w.room.Signal()
+	<-w.done
 }
 
 // step is the sweep's one batch step, over targets the lists left, of which
