@@ -430,10 +430,9 @@ func (st *Study) newScanResult(o origin.ID, p proto.Protocol, trial, hint int) (
 	return results.NewSpilledScanResult(o, p, trial, hint, spill)
 }
 
-// replyHint sizes one scan's result store, the grab stage's slots and
-// zmap.Config.ExpectedReplies: only hosts reply, so the world's host count
-// bounds all three. It is the count, not len(Hosts()) — a StreamHosts world
-// retains no host slice.
+// replyHint sizes one scan's result store and the grab stage's slots: only
+// hosts reply, so the world's host count bounds both. It is the count, not
+// len(Hosts()) — a StreamHosts world retains no host slice.
 func (st *Study) replyHint() int { return st.World.NumHosts() }
 
 // originRecord resolves the origin, applying the follow-up Censys IP swap.
@@ -533,7 +532,6 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 
 	zcfg := st.sweepConfig(p, trial)
 	zcfg.SourceIPs = org.SourceIPs
-	zcfg.ExpectedReplies = st.replyHint()
 	zcfg.Telemetry = telemetry.NewSweepMetrics(cfg.Telemetry, labels...)
 	sc, err := zmap.NewScanner(zcfg)
 	if err != nil {

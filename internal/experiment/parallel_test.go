@@ -126,11 +126,11 @@ type keySink struct {
 	note func(src, dst ip.Addr, port uint16)
 }
 
-func (k keySink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8, hold bool) {
+func (k keySink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
 	if len(dsts) > 0 {
 		k.note(srcs[0], dsts[0], port)
 	}
-	k.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts, hold)
+	k.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts)
 }
 
 // TestChainsSerializeEachOrigin watches eight workers through Hooks: a scan

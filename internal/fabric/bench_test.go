@@ -148,7 +148,7 @@ func benchProbeBatchHitlistV6(b *testing.B) {
 				k := (base + i) % len(hitlist)
 				dsts[i], ts[i] = hitlist[k], time.Duration(k)*time.Second
 			}
-			fab.ProbeBatch(org.SourceIPs, proto.HTTP.Port(), probes, 0, dsts[:n], ts[:n], synAcks[:n], rsts[:n], false)
+			fab.ProbeBatch(org.SourceIPs, proto.HTTP.Port(), probes, 0, dsts[:n], ts[:n], synAcks[:n], rsts[:n])
 		}
 	}
 	run(len(hitlist))

@@ -204,23 +204,21 @@ func (f *Fabric) probe(pl *plan, fm *fate, src, dst ip.Addr, d *world.Dest, p pr
 	return answerSYNACK
 }
 
-// held marks a target a hold call of ProbeBatch left undecided: every bit
-// set in both answer masks, as the zmap.BatchProber contract spells it
-// (zmap.Held), so the fabric satisfies the contract without importing the
-// scanner.
+// held marks a target ProbeBatch left undecided: every bit set in both
+// answer masks, as the zmap.BatchProber contract spells it (zmap.Held), so
+// the fabric satisfies the contract without importing the scanner.
 const held = ^uint8(0)
 
 // ProbeBatch implements zmap.BatchProber: Send's decisions for a batch
 // without the packets — the FIB resolved in bulk, one plan per target, then
-// probe per SYN, target-major so live detectors count the sequence Send
-// would show them. A target's probes share one fate, so what they have in
-// common is drawn once. The resolve scratch and the fates live on the
-// stack, so concurrent calls on one fabric share nothing but the detectors.
-// With hold, a target in an AS whose plan has detectors is marked held
-// instead: those are the only probes whose answers depend on what was
-// probed before them (DESIGN § 8.2), so a hold call touches no detector and
-// may run beside any other call.
-func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8, hold bool) {
+// probe per SYN. A target's probes share one fate, so what they have in
+// common is drawn once. A target in an AS whose plan has detectors is
+// marked held instead: those are the only probes whose answers depend on
+// what was probed before them (DESIGN § 8.2), and the caller decides them
+// through Send, in target order. So ProbeBatch calls no detector, and with
+// the resolve scratch and the fates on the stack, concurrent calls on one
+// fabric share nothing.
+func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
 	p, isProto := proto.FromPort(port)
 	var dests [256]world.Dest
 	for base := 0; base < len(dsts); base += len(dests) {
@@ -229,7 +227,7 @@ func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.
 		for i, dst := range chunk {
 			var sa, rst uint8
 			if d := &dests[i]; d.Routed && isProto {
-				if pl := f.planFor(p, d); hold && len(pl.detectors) > 0 {
+				if pl := f.planFor(p, d); len(pl.detectors) > 0 {
 					sa, rst = held, held
 				} else if d.Host || !pl.darkSilent {
 					src := origin.SourceFor(srcs, dst)

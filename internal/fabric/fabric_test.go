@@ -371,7 +371,7 @@ func TestSendZeroAllocs(t *testing.T) {
 			dsts[i], ts[i] = cases[i%len(cases)].dst, time.Hour
 		}
 		srcs := []ip.Addr{src}
-		probeBatch := func() { fab.ProbeBatch(srcs, 80, 2, 0, dsts, ts, synAcks, rsts, false) }
+		probeBatch := func() { fab.ProbeBatch(srcs, 80, 2, 0, dsts, ts, synAcks, rsts) }
 		probeBatch()
 		for i := range dsts {
 			var wantSA, wantRST uint8

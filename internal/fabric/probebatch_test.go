@@ -2,10 +2,12 @@ package fabric
 
 // The typed L4 path against the byte path. ProbeBatch answers a batch of
 // targets with mask bits; Send answers one packet with packet bytes; both run
-// the same per-probe decision (probe). These tests drive the two encodings
-// side by side — real MakeSYNInto → Send → decoded reply on one fabric,
-// ProbeBatch on its twin, live detectors cloned per side — and fail if the
-// batch path drifts from Send by one probe.
+// the same per-probe decision (probe). ProbeBatch leaves the targets a live
+// detector watches Held, and the sweep decides those through Send in target
+// order. These tests drive the two paths side by side — real MakeSYNInto →
+// Send → decoded reply on one fabric, ProbeBatch plus the held pass on its
+// twin, live detectors cloned per side — and fail if the typed path drifts
+// from Send by one probe.
 
 import (
 	"context"
@@ -128,36 +130,54 @@ func sendMasks(t testing.TB, fab *Fabric, buf *[]byte, srcs []ip.Addr, port uint
 	return synAcks, rsts
 }
 
-// probeBatchIn calls ProbeBatch over dsts in windows of size window, into
-// answer arrays pre-filled with garbage: every entry must be written.
-func probeBatchIn(fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, window int) (synAcks, rsts []uint8) {
-	synAcks, rsts = make([]uint8, len(dsts)), make([]uint8, len(dsts))
-	for i := range synAcks {
-		synAcks[i], rsts[i] = 0xff, 0xff
-	}
+// probeBatchIn answers dsts as the sweep does: ProbeBatch over windows of
+// size window, then each window's Held targets decided through Send, in
+// target order. The answer arrays start as garbage that is not Held, so an
+// entry no call writes shows as a wrong answer. held counts the targets
+// ProbeBatch left Held.
+func probeBatchIn(t testing.TB, fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, window int) (synAcks, rsts []uint8, held int) {
+	synAcks, rsts = garbageMasks(len(dsts))
+	buf := make([]byte, 0, 2*packet.ReplyCap)
 	for base := 0; base < len(dsts); base += window {
 		end := min(base+window, len(dsts))
-		fab.ProbeBatch(srcs, port, probes, delay, dsts[base:end], ts[base:end], synAcks[base:end], rsts[base:end], false)
+		fab.ProbeBatch(srcs, port, probes, delay, dsts[base:end], ts[base:end], synAcks[base:end], rsts[base:end])
+		for i := base; i < end; i++ {
+			if synAcks[i]&rsts[i] != 0 {
+				synAcks[i], rsts[i] = sendMasks(t, fab, &buf, srcs, port, probes, delay, dsts[i], ts[i])
+				held++
+			}
+		}
+	}
+	return synAcks, rsts, held
+}
+
+// garbageMasks returns n answer pairs no call has written: set bits, but
+// none in both masks, so an unwritten entry is neither silence nor Held.
+func garbageMasks(n int) (synAcks, rsts []uint8) {
+	synAcks, rsts = make([]uint8, n), make([]uint8, n)
+	for i := range synAcks {
+		synAcks[i], rsts[i] = 0x5a, 0xa5
 	}
 	return synAcks, rsts
 }
 
 // TestProbeBatchMatchesSend: for {US1, CEN, US64 (64 source IPs)} × every
 // protocol × trials {0, 1} × Probes {1, 2, 3} × ProbeDelay {0, 30 s}, every
-// target of the scan order through the byte path and through ProbeBatch.
-// Per-target masks must be equal, and afterwards each live detector must
-// hold the same blocked sources on both sides — which it only does if the
-// batch shows detectors the probes in Send's order. A port no protocol owns
-// must draw silence from both.
+// target of the scan order through the byte path and through ProbeBatch
+// with its held pass. Per-target masks must be equal, and afterwards each
+// live detector must hold the same blocked sources on both sides — which it
+// only does if the held pass shows detectors the probes in Send's order. A
+// port no protocol owns must draw silence from both.
 func TestProbeBatchMatchesSend(t *testing.T) {
 	for _, bw := range batchWorlds(t) {
 		t.Run(bw.name, func(t *testing.T) {
-			var synAcks, rsts, blocked, delayed int
+			var synAcks, rsts, blocked, delayed, held int
 			buf := make([]byte, 0, 2*packet.ReplyCap)
 			diff := func(org *origin.Origin, p proto.Protocol, port uint16, trial, probes int, delay time.Duration, window int) {
 				idsA, idsB := cloneIDSes(bw.sc.IDSes), cloneIDSes(bw.sc.IDSes)
 				byBytes, typed := New(bw.config(p, idsA), org, trial), New(bw.config(p, idsB), org, trial)
-				gotSA, gotRST := probeBatchIn(typed, org.SourceIPs, port, probes, delay, bw.order, bw.ts, window)
+				gotSA, gotRST, h := probeBatchIn(t, typed, org.SourceIPs, port, probes, delay, bw.order, bw.ts, window)
+				held += h
 				for i, dst := range bw.order {
 					wantSA, wantRST := sendMasks(t, byBytes, &buf, org.SourceIPs, port, probes, delay, dst, bw.ts[i])
 					if gotSA[i] != wantSA || gotRST[i] != wantRST {
@@ -214,36 +234,39 @@ func TestProbeBatchMatchesSend(t *testing.T) {
 			if synAcks == 0 || rsts == 0 || delayed == 0 {
 				t.Fatalf("vacuous differential: %d SYN-ACK targets, %d RST targets, %d split by the probe delay", synAcks, rsts, delayed)
 			}
-			if bw.name != "v6" && blocked == 0 {
-				t.Fatal("no detector blocked a source: the probe order is not under test")
+			if bw.name != "v6" && (blocked == 0 || held == 0) {
+				t.Fatalf("%d targets held, %d sources blocked: the held pass's order is not under test", held, blocked)
 			}
 			before := synAcks + rsts
 			diff(bw.w.Origins.Get(origin.US1), proto.HTTP, 8080, 0, 2, 0, 4096)
 			if synAcks+rsts != before {
 				t.Fatal("a port no protocol owns was answered")
 			}
-			t.Logf("%d targets: %d SYN-ACK and %d RST target answers compared, %d blocked sources, %d targets split by the delay",
-				len(bw.order), synAcks, rsts, blocked, delayed)
+			t.Logf("%d targets: %d SYN-ACK and %d RST target answers compared, %d held, %d blocked sources, %d targets split by the delay",
+				len(bw.order), synAcks, rsts, held, blocked, delayed)
 		})
 	}
 }
 
 // TestProbeBatchConcurrent: four goroutines call ProbeBatch on one fabric
-// over disjoint slices of the schedule, and the answers must equal one
-// serial call's. The resolve scratch is per call, not per fabric
-// (PredialBatch's is per fabric: it is single-caller by contract; this is
-// not) — run with -race. No detectors: their counts depend on the
-// interleaving.
+// over disjoint slices of the schedule, then the Held targets are decided
+// through Send in target order; the answers and the detectors' blocked
+// sources must equal the unsplit path's (probeBatchIn). The resolve scratch
+// is per call, not per fabric (PredialBatch's is per fabric: it is
+// single-caller by contract; this is not), and ProbeBatch touches no
+// detector, so live detectors need no care — run with -race. Single-IP US1
+// crosses the detectors' thresholds.
 func TestProbeBatchConcurrent(t *testing.T) {
 	bw := batchWorlds(t)[0]
-	org := bw.w.Origins.Get(origin.US64)
+	org := bw.w.Origins.Get(origin.US1)
 	p := proto.SSH
-	want := New(bw.config(p, nil), org, 1)
-	wantSA, wantRST := probeBatchIn(want, org.SourceIPs, p.Port(), 2, 0, bw.order, bw.ts, 4096)
+	idsWant, idsGot := cloneIDSes(bw.sc.IDSes), cloneIDSes(bw.sc.IDSes)
+	want := New(bw.config(p, idsWant), org, 1)
+	wantSA, wantRST, held := probeBatchIn(t, want, org.SourceIPs, p.Port(), 2, 0, bw.order, bw.ts, 4096)
 
 	const shards = 4
-	fab := New(bw.config(p, nil), org, 1)
-	gotSA, gotRST := make([]uint8, len(bw.order)), make([]uint8, len(bw.order))
+	fab := New(bw.config(p, idsGot), org, 1)
+	gotSA, gotRST := garbageMasks(len(bw.order))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < shards; g++ {
@@ -255,14 +278,18 @@ func TestProbeBatchConcurrent(t *testing.T) {
 			// Small windows, so the goroutines' calls interleave.
 			for base := lo; base < hi; base += 300 {
 				end := min(base+300, hi)
-				fab.ProbeBatch(org.SourceIPs, p.Port(), 2, 0, bw.order[base:end], bw.ts[base:end], gotSA[base:end], gotRST[base:end], false)
+				fab.ProbeBatch(org.SourceIPs, p.Port(), 2, 0, bw.order[base:end], bw.ts[base:end], gotSA[base:end], gotRST[base:end])
 			}
 		}()
 	}
 	close(start)
 	wg.Wait()
+	buf := make([]byte, 0, 2*packet.ReplyCap)
 	answered := 0
 	for i := range wantSA {
+		if gotSA[i]&gotRST[i] != 0 {
+			gotSA[i], gotRST[i] = sendMasks(t, fab, &buf, org.SourceIPs, p.Port(), 2, 0, bw.order[i], bw.ts[i])
+		}
 		if gotSA[i] != wantSA[i] || gotRST[i] != wantRST[i] {
 			t.Fatalf("target %d (%v): concurrent answer %02b/%02b, serial %02b/%02b", i, bw.order[i], gotSA[i], gotRST[i], wantSA[i], wantRST[i])
 		}
@@ -270,8 +297,79 @@ func TestProbeBatchConcurrent(t *testing.T) {
 			answered++
 		}
 	}
-	if answered == 0 {
-		t.Fatal("nothing answered: the comparison is vacuous")
+	for i := range idsWant {
+		for _, src := range org.SourceIPs {
+			if a, b := idsWant[i].BlockedState(src, 1), idsGot[i].BlockedState(src, 1); a != b {
+				t.Fatalf("detector %s blocks %v: %v serially, %v concurrently", idsWant[i].RuleName, src, a, b)
+			}
+		}
+	}
+	if answered == 0 || held == 0 {
+		t.Fatalf("%d targets answered, %d held: the comparison is vacuous", answered, held)
+	}
+}
+
+// countingDetector forwards to a detector and counts the calls it is shown.
+type countingDetector struct {
+	policy.Detector
+	probes, conns atomic.Int64
+}
+
+func (d *countingDetector) RecordProbe(q *policy.Query) bool {
+	d.probes.Add(1)
+	return d.Detector.RecordProbe(q)
+}
+
+func (d *countingDetector) ConnVerdict(q *policy.Query) (policy.Verdict, bool) {
+	d.conns.Add(1)
+	return d.Detector.ConnVerdict(q)
+}
+
+// TestProbeBatchTouchesNoDetector: on the v4 world scanned from US1, with
+// every detector wrapped in a counting one, ProbeBatch over the whole scan
+// order must make no RecordProbe and no ConnVerdict call, and must leave
+// Held exactly the targets Watched names. Deciding the held targets through
+// Send afterwards must reach the detectors, so the wrapping is seen.
+func TestProbeBatchTouchesNoDetector(t *testing.T) {
+	bw := batchWorlds(t)[0]
+	org := bw.w.Origins.Get(origin.US1)
+	for _, p := range proto.All() {
+		var dets []*countingDetector
+		var wrapped []policy.Detector
+		for _, ids := range cloneIDSes(bw.sc.IDSes) {
+			d := &countingDetector{Detector: ids}
+			dets, wrapped = append(dets, d), append(wrapped, d)
+		}
+		fab := New(bw.planWorld.config(p, wrapped), org, 0)
+		synAcks, rsts := garbageMasks(len(bw.order))
+		for base := 0; base < len(bw.order); base += 4096 {
+			end := min(base+4096, len(bw.order))
+			fab.ProbeBatch(org.SourceIPs, p.Port(), 2, 30*time.Second, bw.order[base:end], bw.ts[base:end], synAcks[base:end], rsts[base:end])
+		}
+		calls := func() (probes, conns int64) {
+			for _, d := range dets {
+				probes, conns = probes+d.probes.Load(), conns+d.conns.Load()
+			}
+			return probes, conns
+		}
+		if probes, conns := calls(); probes != 0 || conns != 0 {
+			t.Fatalf("%v: ProbeBatch made %d RecordProbe and %d ConnVerdict calls", p, probes, conns)
+		}
+		buf := make([]byte, 0, 2*packet.ReplyCap)
+		held := 0
+		for i, dst := range bw.order {
+			isHeld := synAcks[i] == zmap.Held && rsts[i] == zmap.Held
+			if watched := fab.Watched(p, dst); isHeld != watched {
+				t.Fatalf("%v: target %d (%v) answered %08b/%08b, watched %v", p, i, dst, synAcks[i], rsts[i], watched)
+			}
+			if isHeld {
+				held++
+				sendMasks(t, fab, &buf, org.SourceIPs, p.Port(), 2, 30*time.Second, dst, bw.ts[i])
+			}
+		}
+		if probes, _ := calls(); held == 0 || probes == 0 {
+			t.Fatalf("%v: %d targets held, and deciding them through Send made %d RecordProbe calls", p, held, probes)
+		}
 	}
 }
 
@@ -290,8 +388,8 @@ func (d *seqDetector) RecordProbe(q *policy.Query) bool {
 	return d.IDS.RecordProbe(q)
 }
 
-// The fabric is a zmap.BatchProber, and marks the targets a hold call
-// leaves undecided with the contract's own value.
+// The fabric is a zmap.BatchProber, and marks the targets ProbeBatch leaves
+// undecided with the contract's own value.
 var _ zmap.BatchProber = (*Fabric)(nil)
 
 func TestHeldIsTheContractsMarker(t *testing.T) {
@@ -301,17 +399,13 @@ func TestHeldIsTheContractsMarker(t *testing.T) {
 }
 
 // splitProbe drives ProbeBatch the way the sweep's batch split does: per
-// 4096-target batch, hold calls over 256-target chunks, claimed from one
-// counter by two goroutines in the order perm gives; then the Held targets
-// decided by single-target hold-free calls, in target order, or in reverse
-// when reverseHeld is set. Entries start as garbage that is not Held, so an
-// entry no call writes shows as a wrong answer.
-func splitProbe(fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, perm func(n int) []int, reverseHeld bool) (synAcks, rsts []uint8, held int) {
+// 4096-target batch, calls over 256-target chunks, claimed from one counter
+// by two goroutines in the order perm gives; then the Held targets decided
+// through Send, in target order, or in reverse when reverseHeld is set.
+func splitProbe(t testing.TB, fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, perm func(n int) []int, reverseHeld bool) (synAcks, rsts []uint8, held int) {
 	const batch, chunk = 4096, 256
-	synAcks, rsts = make([]uint8, len(dsts)), make([]uint8, len(dsts))
-	for i := range synAcks {
-		synAcks[i], rsts[i] = 0x5a, 0xa5
-	}
+	synAcks, rsts = garbageMasks(len(dsts))
+	buf := make([]byte, 0, 2*packet.ReplyCap)
 	for base := 0; base < len(dsts); base += batch {
 		end := min(base+batch, len(dsts))
 		order := perm((end - base + chunk - 1) / chunk)
@@ -324,7 +418,7 @@ func splitProbe(fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time
 				for c := next.Add(1) - 1; c < int64(len(order)); c = next.Add(1) - 1 {
 					lo := base + order[c]*chunk
 					hi := min(lo+chunk, end)
-					fab.ProbeBatch(srcs, port, probes, delay, dsts[lo:hi], ts[lo:hi], synAcks[lo:hi], rsts[lo:hi], true)
+					fab.ProbeBatch(srcs, port, probes, delay, dsts[lo:hi], ts[lo:hi], synAcks[lo:hi], rsts[lo:hi])
 				}
 			}()
 		}
@@ -339,7 +433,7 @@ func splitProbe(fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time
 			slices.Reverse(idx)
 		}
 		for _, i := range idx {
-			fab.ProbeBatch(srcs, port, probes, delay, dsts[i:i+1], ts[i:i+1], synAcks[i:i+1], rsts[i:i+1], false)
+			synAcks[i], rsts[i] = sendMasks(t, fab, &buf, srcs, port, probes, delay, dsts[i], ts[i])
 		}
 		held += len(idx)
 	}
@@ -349,12 +443,13 @@ func splitProbe(fab *Fabric, srcs []ip.Addr, port uint16, probes int, delay time
 // TestProbeBatchSplitMatchesSerial is the order-independence differential
 // for the sweep's batch split: on the v4 world from single-IP US1, whose
 // probes cross detector thresholds mid-batch, ProbeBatch split across two
-// goroutines with the chunk-claim order shuffled by a seeded permutation
-// must give every target the answer one serial hold-free pass gives, and
-// leave every detector with the same blocked sources and the same recorded
-// probe sequence. It holds only because watched targets are held and then
-// decided in target order: deciding the held targets in reverse must change
-// both the answers and the detectors' sequences. Run with -race: the hold
+// goroutines with the chunk-claim order shuffled by a seeded permutation,
+// its held targets then decided through Send, must give every target the
+// answer one serial Send loop over the whole order gives, and leave every
+// detector with the same blocked sources and the same recorded probe
+// sequence. It holds only because watched targets are held and then decided
+// in target order: deciding the held targets in reverse must change both
+// the answers and the detectors' sequences. Run with -race: the ProbeBatch
 // calls run concurrently on one fabric.
 func TestProbeBatchSplitMatchesSerial(t *testing.T) {
 	bw := batchWorlds(t)[0]
@@ -386,7 +481,11 @@ func TestProbeBatchSplitMatchesSerial(t *testing.T) {
 	var held, blocked, reorderedAnswers, reorderedSeqs int
 	for _, p := range proto.All() {
 		serial, serialDets := newFabric(p)
-		wantSA, wantRST := probeBatchIn(serial, org.SourceIPs, p.Port(), probes, delay, bw.order, bw.ts, 4096)
+		wantSA, wantRST := make([]uint8, len(bw.order)), make([]uint8, len(bw.order))
+		buf := make([]byte, 0, 2*packet.ReplyCap)
+		for i, dst := range bw.order {
+			wantSA[i], wantRST[i] = sendMasks(t, serial, &buf, org.SourceIPs, p.Port(), probes, delay, dst, bw.ts[i])
+		}
 		for _, d := range serialDets {
 			for _, src := range org.SourceIPs {
 				if d.BlockedState(src, 0) {
@@ -397,7 +496,7 @@ func TestProbeBatchSplitMatchesSerial(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rnd := rand.New(rand.NewSource(seed))
 			split, splitDets := newFabric(p)
-			gotSA, gotRST, h := splitProbe(split, org.SourceIPs, p.Port(), probes, delay, bw.order, bw.ts, rnd.Perm, false)
+			gotSA, gotRST, h := splitProbe(t, split, org.SourceIPs, p.Port(), probes, delay, bw.order, bw.ts, rnd.Perm, false)
 			held += h
 			for i := range wantSA {
 				if gotSA[i] != wantSA[i] || gotRST[i] != wantRST[i] {
@@ -411,7 +510,7 @@ func TestProbeBatchSplitMatchesSerial(t *testing.T) {
 		}
 		// The same split, with the held targets decided back to front.
 		reversed, reversedDets := newFabric(p)
-		gotSA, gotRST, _ := splitProbe(reversed, org.SourceIPs, p.Port(), probes, delay, bw.order, bw.ts, rand.New(rand.NewSource(1)).Perm, true)
+		gotSA, gotRST, _ := splitProbe(t, reversed, org.SourceIPs, p.Port(), probes, delay, bw.order, bw.ts, rand.New(rand.NewSource(1)).Perm, true)
 		if !slices.Equal(gotSA, wantSA) || !slices.Equal(gotRST, wantRST) {
 			reorderedAnswers++
 		}
@@ -432,8 +531,10 @@ func TestProbeBatchSplitMatchesSerial(t *testing.T) {
 
 // FuzzProbeBatchMatchesSend fuzzes one target's coordinates — destination,
 // probe time, probe count, delay, origin, trial, protocol or a port no
-// protocol owns — against the refusing-AS world, and requires ProbeBatch's
-// answer to equal the Send loop's. The destination word is either a raw v4
+// protocol owns — against the refusing-AS world, and requires the typed
+// answer (ProbeBatch, or Send when ProbeBatch holds the target) to equal the
+// Send loop's, and ProbeBatch to hold the target exactly when a detector
+// watches it. The destination word is either a raw v4
 // address (inside or outside the space, routed or not) or, with its top bit
 // set, an index into the world's hosts and their neighbours, so the fuzzer
 // reaches hosts, routed-empty space and the refusing AS quickly.
@@ -473,7 +574,7 @@ func FuzzProbeBatchMatchesSend(f *testing.F) {
 		org := origins[int(orgIdx&0x0f)%len(origins)]
 		trial := int(orgIdx >> 4 & 1)
 		port := ports[int(portIdx)%len(ports)]
-		p, _ := proto.FromPort(port)
+		p, isProto := proto.FromPort(port)
 		n := 1 + int(probes%8)
 		when := time.Duration(uint64(at) % uint64(scenario.ScanDuration))
 		gap := time.Duration(uint64(delay) % uint64(2*time.Minute))
@@ -482,10 +583,13 @@ func FuzzProbeBatchMatchesSend(f *testing.F) {
 		typed := New(bw.config(p, cloneIDSes(bw.sc.IDSes)), org, trial)
 		buf := make([]byte, 0, 2*packet.ReplyCap)
 		wantSA, wantRST := sendMasks(t, byBytes, &buf, org.SourceIPs, port, n, gap, dst, when)
-		gotSA, gotRST := probeBatchIn(typed, org.SourceIPs, port, n, gap, []ip.Addr{dst}, []time.Duration{when}, 1)
+		gotSA, gotRST, held := probeBatchIn(t, typed, org.SourceIPs, port, n, gap, []ip.Addr{dst}, []time.Duration{when}, 1)
 		if gotSA[0] != wantSA || gotRST[0] != wantRST {
 			t.Fatalf("%v → %v:%d trial %d, %d probes %v apart at %v: ProbeBatch %08b/%08b, Send loop %08b/%08b",
 				org.ID, dst, port, trial, n, gap, when, gotSA[0], gotRST[0], wantSA, wantRST)
+		}
+		if watched := isProto && typed.Watched(p, dst); (held == 1) != watched {
+			t.Fatalf("%v → %v:%d: ProbeBatch held it %v, watched %v", org.ID, dst, port, held == 1, watched)
 		}
 	})
 }

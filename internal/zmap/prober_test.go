@@ -25,11 +25,10 @@ import (
 )
 
 // countingSink forwards everything to the fabric and counts which L4 path
-// the sweep took: Sends, ProbeBatch calls, and of those the hold calls and
-// the targets they left Held.
+// the sweep took: Sends, ProbeBatch calls, and the targets those left Held.
 type countingSink struct {
 	*fabric.Fabric
-	sends, batches, holds, held atomic.Int64
+	sends, batches, held atomic.Int64
 }
 
 func (c *countingSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
@@ -37,19 +36,16 @@ func (c *countingSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	return c.Fabric.Send(src, pkt, t)
 }
 
-func (c *countingSink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8, hold bool) {
+func (c *countingSink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
 	c.batches.Add(1)
-	c.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts, hold)
-	if hold {
-		c.holds.Add(1)
-		n := 0
-		for i, m := range synAcks {
-			if m == zmap.Held && rsts[i] == zmap.Held {
-				n++
-			}
+	c.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts)
+	n := 0
+	for i, m := range synAcks {
+		if m == zmap.Held && rsts[i] == zmap.Held {
+			n++
 		}
-		c.held.Add(int64(n))
 	}
+	c.held.Add(int64(n))
 }
 
 // TestRunBatchProberMatchesPacketSink runs Scanner.Run over the fabric and
@@ -58,11 +54,12 @@ func (c *countingSink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay
 // sequence, for a v4 space sweep with a blocklist (from single-IP US1) and a
 // v6 hitlist scan (from US64's 64 source IPs), three probes 30 s apart. Both
 // sides count into detectors of their own (a clone of each IDS per side).
-// The typed side runs at GOMAXPROCS 1 (one hold-free call per batch) and 2,
-// where the v4 sweep must split: more hold calls than the batches the
-// unsplit run made, and detector-watched targets left Held for the sweep
-// goroutine to decide in order. So the kernel's own split, and its in-order
-// pass over the held targets, answer as the packet path does.
+// The typed side runs at GOMAXPROCS 1 (one call per batch) and 2, where the
+// v4 sweep must split: more calls than the batches the unsplit run made. At
+// both widths the v4 sweep's detector-watched targets come back Held and the
+// sweep goroutine decides each through Send, one per probe, and nothing
+// else is sent. So the kernel's own split, and its in-order pass over the
+// held targets, answer as the packet path does.
 func TestRunBatchProberMatchesPacketSink(t *testing.T) {
 	ctx := context.Background()
 	w4, err := world.Build(ctx, world.TestSpec(3))
@@ -130,23 +127,20 @@ func TestRunBatchProberMatchesPacketSink(t *testing.T) {
 				prev := runtime.GOMAXPROCS(procs)
 				stT, repT := run(typed)
 				runtime.GOMAXPROCS(prev)
-				calls, holds, held := typed.batches.Load(), typed.holds.Load(), typed.held.Load()
-				t.Logf("GOMAXPROCS %d: %d ProbeBatch calls, %d of them hold calls, %d targets held", procs, calls, holds, held)
-				if typed.sends.Load() != 0 || calls == 0 {
-					t.Fatalf("GOMAXPROCS %d: the fabric was swept with %d Sends and %d ProbeBatch calls: the kernel did not take the typed path",
-						procs, typed.sends.Load(), calls)
+				calls, sends, held := typed.batches.Load(), typed.sends.Load(), typed.held.Load()
+				t.Logf("GOMAXPROCS %d: %d ProbeBatch calls, %d targets held, %d Sends", procs, calls, held, sends)
+				if calls == 0 || sends != held*int64(cfg.Probes) {
+					t.Fatalf("GOMAXPROCS %d: %d ProbeBatch calls left %d targets held, decided by %d Sends: want %d Sends, one per probe of each held target",
+						procs, calls, held, sends, held*int64(cfg.Probes))
 				}
 				switch {
+				case tc.name != "v4-space-blocklist":
+				case held == 0:
+					t.Fatalf("GOMAXPROCS %d: no target held: the held pass never ran", procs)
 				case procs == 1:
-					if holds != 0 {
-						t.Fatalf("GOMAXPROCS 1: %d hold calls: the sweep split a batch with no second core", holds)
-					}
 					unsplit = calls
-				case tc.name == "v4-space-blocklist":
-					if holds <= unsplit || held == 0 {
-						t.Fatalf("GOMAXPROCS 2: %d hold calls over %d batches, %d targets held: the split or its held pass never ran",
-							holds, unsplit, held)
-					}
+				case calls <= unsplit:
+					t.Fatalf("GOMAXPROCS 2: %d ProbeBatch calls over %d batches: the split never ran", calls, unsplit)
 				}
 				if stT != stB {
 					t.Fatalf("GOMAXPROCS %d: stats over the typed path %+v, over packets %+v", procs, stT, stB)

@@ -97,23 +97,20 @@ type BlockRoutability interface {
 // MakeSYNInto builds for it. Sinks that speak bytes (pcap tee, raw socket)
 // lack it.
 //
-// Without hold, a call decides its targets target-major and probe-minor, so
-// a stateful observer (a live detector) sees the sequence the packet path
-// would show it. With hold, the call decides only the targets whose answers
-// are a function of their own coordinates, and leaves each target whose
-// evaluation would read or write such state undecided, marked with every
-// bit set in both masks (synAcks[i] = rsts[i] = Held = 0xff); the caller then decides those itself with
-// hold-free calls, in target order, once every hold call over the batch has
-// returned. Hold calls must be safe for concurrent use: the sweep splits a
-// batch across two goroutines with them (see splitter).
+// A call decides only the targets whose answers are a function of their own
+// coordinates. It leaves each target a live detector watches undecided,
+// every bit set in both masks (synAcks[i] = rsts[i] = Held), for the caller
+// to decide through Send in target order; so a call touches no shared
+// state, and calls must be safe for concurrent use (the sweep splits a
+// batch across two goroutines, see splitter).
 type BatchProber interface {
-	ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8, hold bool)
+	ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8)
 }
 
-// Held is what a hold call of BatchProber.ProbeBatch writes into both
-// answer masks of a target it left undecided: every bit, so a sink can
-// write ^uint8(0) without importing this package. A decided target never
-// shows a bit in both masks: each probe draws one answer or none.
+// Held is what BatchProber.ProbeBatch writes into both answer masks of a
+// target it left undecided: every bit, so a sink can write ^uint8(0)
+// without importing this package. A decided target never shows a bit in
+// both masks: each probe draws one answer or none.
 const Held uint8 = 0xff
 
 // Config configures one scan.
@@ -159,7 +156,8 @@ type Config struct {
 	// to its prefixes.
 	Blocklist *ip.Set
 	Allowlist *ip.Set
-	// ExpectedReplies sizes reply buffers up front (0 = no hint).
+	// Deprecated: ExpectedReplies is ignored; the sweep keeps no reply
+	// buffer to size.
 	ExpectedReplies int
 	// Telemetry, when set, receives live sweep counters. The sweep
 	// accumulates into its private Stats as always and flushes deltas
@@ -663,16 +661,19 @@ func (k *sweepKernel) step(targets, cands int) {
 		if k.splits && kept > probeChunk {
 			k.probeSplit(kept)
 		} else {
-			k.probe(0, kept, false)
+			k.probe(0, kept)
 		}
-		k.st.ProbesSent += uint64(s.cfg.Probes) * uint64(kept)
+		held := 0
 		sa, rst := k.synAcks[:kept], k.rsts[:kept]
 		for i, m := range sa {
 			if m&rst[i] != 0 {
-				// Held by the split: decided here, in target order, so the
-				// detectors see the serial sequence.
-				k.probe(i, i+1, false)
-				m = sa[i]
+				// Held: decided here through the packet path, in target
+				// order, so the detectors see the serial sequence.
+				held++
+				if r, ok := s.probeTarget(k.sink, k.dsts[i], k.times[i], &k.st, &k.synBuf); ok {
+					k.reply(r)
+				}
+				continue
 			}
 			if m|rst[i] == 0 {
 				continue
@@ -685,6 +686,7 @@ func (k *sweepKernel) step(targets, cands int) {
 			}
 			k.reply(Reply{Dst: k.dsts[i], ProbeMask: m, RST: rst[i] != 0, T: k.times[i]})
 		}
+		k.st.ProbesSent += uint64(s.cfg.Probes) * uint64(kept-held) // probeTarget counted the held
 	default:
 		for i, dst := range k.dsts[:kept] {
 			if r, ok := s.probeTarget(k.sink, dst, k.times[i], &k.st, &k.synBuf); ok {
@@ -697,9 +699,9 @@ func (k *sweepKernel) step(targets, cands int) {
 
 // probe is the typed path's one call: targets [lo, hi) of the routed slice
 // through the sink's ProbeBatch, answers into the kernel's masks.
-func (k *sweepKernel) probe(lo, hi int, hold bool) {
+func (k *sweepKernel) probe(lo, hi int) {
 	c := &k.s.cfg
-	k.bp.ProbeBatch(c.SourceIPs, c.TargetPort, c.Probes, c.ProbeDelay, k.dsts[lo:hi], k.times[lo:hi], k.synAcks[lo:hi], k.rsts[lo:hi], hold)
+	k.bp.ProbeBatch(c.SourceIPs, c.TargetPort, c.Probes, c.ProbeDelay, k.dsts[lo:hi], k.times[lo:hi], k.synAcks[lo:hi], k.rsts[lo:hi])
 }
 
 // probeChunk is how many routed targets one claim of a split batch covers.
@@ -708,10 +710,10 @@ const probeChunk = 256
 // splitter is a typed sweep's second goroutine. The walk, the clock stamp
 // and the reply order stay on the sweep goroutine; only the ProbeBatch
 // calls over a batch's routed slice are shared. The two goroutines claim
-// probeChunk-target chunks from next, and every claim is a hold call, so a
-// target whose answer hangs on evaluation order (one a live detector
-// watches) is left Held for the sweep goroutine to decide afterwards, in
-// target order; everything else is a keyed hash of its own coordinates and
+// probeChunk-target chunks from next. ProbeBatch leaves a target whose
+// answer hangs on evaluation order (one a live detector watches) Held for
+// the sweep goroutine to decide afterwards, in target order, as an unsplit
+// batch does; everything else is a keyed hash of its own coordinates and
 // may be decided anywhere, in any order. The goroutine lives for one Run,
 // and the channels are its only synchronization: a split batch costs two
 // channel operations and no allocation.
@@ -734,7 +736,7 @@ func (k *sweepKernel) probeSplit(kept int) {
 	sp.kept = kept
 	sp.next.Store(1)
 	sp.start <- struct{}{}
-	k.probe(0, probeChunk, true)
+	k.probe(0, probeChunk)
 	k.claim()
 	<-sp.done
 }
@@ -747,7 +749,7 @@ func (k *sweepKernel) claim() {
 		if lo >= sp.kept {
 			return
 		}
-		k.probe(lo, min(lo+probeChunk, sp.kept), true)
+		k.probe(lo, min(lo+probeChunk, sp.kept))
 	}
 }
 
