@@ -25,8 +25,8 @@
 // At -scale 0.1 and above the in-memory result columns dominate the
 // process footprint; -spill-dir routes each scan's records through the
 // spill-to-disk store, and -mem-budget caps the study's live result
-// memory (accepts 64MiB/2GiB-style suffixes, split across concurrent
-// scans). Sealed datasets are byte-identical with or without spilling.
+// memory (accepts 64MiB/2GiB-style suffixes, split across the stores that
+// can be live at once: two per scan worker). Sealed datasets are byte-identical with or without spilling.
 //
 // While scans run, a single-line progress report (scans done/total, probe
 // rate, ETA) refreshes on stderr every 2 seconds; -quiet suppresses it for
@@ -96,7 +96,7 @@ func main() {
 		carinet      = flag.Bool("carinet", true, "include the Carinet origin in trial 1")
 		csvDir       = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		blocklist    = flag.String("blocklist", "", "ZMap-style blocklist file applied to every scan")
-		parallelism  = flag.Int("parallelism", 0, "concurrent (origin, protocol, trial) scans (0 = GOMAXPROCS)")
+		parallelism  = flag.Int("parallelism", 0, "(origin, protocol, trial) scans sweeping at once (0 = GOMAXPROCS)")
 		spillDir     = flag.String("spill-dir", "", "spill scan results to segment files in this directory")
 		memBudget    = flag.String("mem-budget", "", "live result memory cap, e.g. 256MiB or 2GiB (requires -spill-dir)")
 		telemAddr    = flag.String("telemetry-addr", "", "serve live metrics, pprof, and expvar on this address")

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -200,9 +202,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// seedStdoutSHA256 pins TestStdoutIsAFunctionOfTheSeed's stdout (699
+// lines), taken before a scan's drain and seal ran beside the next scan's
+// sweep: it holds every change to the engine's scheduling to the bytes.
+const seedStdoutSHA256 = "79fa5307060d96b1ac92bde79bcf14223e9458b7628f137517f46f8a3cd8b2ce"
+
 // TestStdoutIsAFunctionOfTheSeed runs the command twice, at one and two
-// scan workers: stdout must be byte-identical and carry no wall-time line
-// (the scan timing goes to stderr).
+// scan workers: stdout must be byte-identical, equal the pinned digest and
+// carry no wall-time line (the scan timing goes to stderr).
 func TestStdoutIsAFunctionOfTheSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the study twice")
@@ -226,5 +233,8 @@ func TestStdoutIsAFunctionOfTheSeed(t *testing.T) {
 	}
 	if one != two {
 		t.Errorf("stdout at -parallelism 1 and 2 differ:\n--- 1 ---\n%s\n--- 2 ---\n%s", one, two)
+	}
+	if sum := sha256.Sum256([]byte(one)); hex.EncodeToString(sum[:]) != seedStdoutSHA256 {
+		t.Errorf("stdout sha256 %x, %d lines; pinned %s", sum, strings.Count(one, "\n"), seedStdoutSHA256)
 	}
 }

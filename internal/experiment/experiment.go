@@ -77,14 +77,20 @@ type Config struct {
 	// wants to observe: PredialBatch once per grab slot, Predial per retry
 	// attempt, Handshake per accepted connection (served, reset or
 	// half-closed). All three run on the grab stage's one goroutine, never
-	// concurrently within a scan, while the scan's sweep is still walking
-	// on another goroutine, the sink's.
+	// concurrently within a scan: under the walk, which goes on on another
+	// goroutine (the sink's), and after it, beside the next scan's walk.
 	DialWrapper func(zgrab.Dialer) zgrab.Dialer
 	// Hooks observe lifecycle stage transitions of every scan and of
 	// world generation (instrumentation, progress reporting, tests). A
-	// scan's stages fire in order on the scan's goroutine, but L7 work is
-	// not confined to Grab: Sweep spans the walk and the grabbing under it,
-	// Grab the drain of the ring and the held-back tail (see scanOne).
+	// scan's stages fire in order, but not on one goroutine: Sweep on the
+	// worker that walks the scan, Grab and Seal on the scan's grab stage
+	// goroutine, beside the worker's next scan's Sweep — so two scans'
+	// hooks interleave at every Parallelism, 1 included. Study.Run makes
+	// the calls one at a time (so a hook must not wait for another), and
+	// ScanOf names the scan a hook fires for.
+	// L7 work is not confined to Grab: Sweep spans the walk and the
+	// grabbing under it, Grab the partial last slot and the held-back
+	// replies (see Study.sweep).
 	Hooks pipeline.Hooks
 	// Telemetry, when set, receives live metrics from every layer of the
 	// run: sweep and grab counters labeled per (origin, proto, trial),
@@ -94,11 +100,14 @@ type Config struct {
 	// to a run without one.
 	Telemetry *telemetry.Registry
 	// Parallelism is how many workers take (origin, protocol, trial) scans
-	// off the study's task list (0 = GOMAXPROCS). Scans of different origins
-	// run concurrently; the scans of one origin run one after another, in
-	// study order, so every width produces the same dataset and leaves the
-	// IDSes in the same state. A scan in flight is two goroutines: its grab
-	// stage's runs beside its sweep.
+	// off the study's task list (0 = GOMAXPROCS): how many scans sweep at
+	// once. Scans of different origins run concurrently; the scans of one
+	// origin run one after another, in study order, so every width
+	// produces the same dataset and leaves the IDSes in the same state. A
+	// scan in flight is two goroutines: its grab stage's runs beside its
+	// sweep, and once the walk returns it drains and seals the scan while
+	// the worker sweeps its next one. A worker waits for that tail only
+	// before it hands off another, so it holds at most two scans.
 	Parallelism int
 	// Deprecated: ScanShards is ignored; every scan sweeps on one
 	// goroutine. Config.Shard/Shards is the one way to split a scan.
@@ -111,10 +120,12 @@ type Config struct {
 	// must exist.
 	SpillDir string
 	// MemBudget caps the study's total live result-store memory in
-	// bytes, split evenly across the scans that can be in flight at once
-	// (Parallelism): each scan's store spills once its share is
-	// exceeded. <= 0 with SpillDir set leaves every store on
-	// results.DefaultSpillBudget. Ignored without SpillDir.
+	// bytes, split evenly across the stores that can be live at once: two
+	// per worker (a scan sweeping and the one before it draining and
+	// sealing), at most one per scan of the study — 2 × Parallelism capped
+	// by the task count; ScanOne's one store gets all of it. Each store
+	// spills once its share is exceeded. <= 0 with SpillDir set leaves
+	// every store on results.DefaultSpillBudget. Ignored without SpillDir.
 	MemBudget int64
 	// ScenarioConfig tweaks behaviour models (ablations).
 	ScenarioConfig scenario.Config
@@ -201,9 +212,10 @@ func NewStudy(ctx context.Context, cfg Config) (*Study, error) {
 }
 
 // Run executes all trials and returns the dataset. The scans run on a
-// bounded worker pool of Parallelism workers; the scans of one origin run one
-// at a time, in study order, against IDS clones of their own, so the dataset
-// and the IDSes' end state are bit-identical at every width.
+// bounded worker pool of Parallelism workers, each sweeping one scan while
+// the scan before it drains and seals; the scans of one origin run one at a
+// time, in study order, against IDS clones of their own, so the dataset and
+// the IDSes' end state are bit-identical at every width.
 //
 // Cancellation and failure both return the partial dataset alongside the
 // error: every scan that completed before the interruption is sealed and
@@ -273,36 +285,47 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 	scansDone := reg.Counter(telemetry.MetricScansDone)
 	queueDepth := reg.Gauge(telemetry.MetricQueueDepth)
 
-	outs := make([]*results.ScanResult, len(tasks))
-	errs := make([]error, len(tasks))
 	idx := make(chan int, len(tasks))
 	for i := range tasks {
 		idx <- i
 	}
 	close(idx)
 	queueDepth.Set(int64(len(tasks)))
+	env := &scanEnv{span: studySpan, hooks: serialHooks(cfg.Hooks), stores: min(2*cfg.parallelism(), len(tasks)), scansDone: scansDone}
 	worker := func(w int) {
 		wl := telemetry.L("worker", strconv.Itoa(w))
 		busyNS := reg.Counter(telemetry.MetricWorkerBusyNS, wl)
 		workerScans := reg.Counter(telemetry.MetricWorkerScans, wl)
+		// tail closes once the worker's last handed-off scan has ended.
+		var tail <-chan struct{}
 		for i := range idx {
 			queueDepth.Add(-1)
 			t := &tasks[i]
-			// The predecessor was dequeued earlier, so it is running or
-			// done: the lowest task in flight never waits.
+			// The predecessor was dequeued earlier, so it is sweeping, in
+			// its tail or done: the lowest task in flight never waits.
 			<-t.after
 			// A canceled run drains the remaining tasks without scanning.
-			if ctx.Err() == nil {
-				t.observe(st, reg)
-				begin := time.Now()
-				outs[i], errs[i] = st.scanOne(ctx, t.o, t.p, t.trial, t.idses, studySpan)
-				busyNS.Add(uint64(time.Since(begin).Nanoseconds()))
-				workerScans.Inc()
-				if !errors.Is(errs[i], pipeline.ErrCanceled) {
-					scansDone.Inc()
-				}
+			if ctx.Err() != nil {
+				close(t.done)
+				continue
 			}
-			close(t.done)
+			t.observe(st, reg)
+			begin := time.Now()
+			if sc, err := st.sweep(ctx, t, env); err != nil {
+				env.end(t, nil, err)
+			} else {
+				// One tail at a time: the worker holds at most two scans,
+				// the one it sweeps and the one before it.
+				if tail != nil {
+					<-tail
+				}
+				tail = sc.start()
+			}
+			busyNS.Add(uint64(time.Since(begin).Nanoseconds()))
+			workerScans.Inc()
+		}
+		if tail != nil {
+			<-tail
 		}
 	}
 	// The caller is worker 0, so a one-worker run starts no goroutine here.
@@ -321,10 +344,10 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 	// classified: partial results survive both cancellation and failure.
 	var scanErrs []error
 	var canceledErr error
-	for i, t := range tasks {
-		err := errs[i]
-		if outs[i] != nil {
-			err = ds.Put(outs[i])
+	for _, t := range tasks {
+		err := t.err
+		if t.res != nil {
+			err = ds.Put(t.res)
 		}
 		if err == nil {
 			continue
@@ -370,12 +393,17 @@ type scanKey struct {
 // chainTask is one scan of the study's task list, linked into its origin's
 // chain: it scans against the origin's IDS clones once after — the previous
 // scan of the origin in task order — is closed, and closes done when it
-// ends, on success, failure and cancel alike.
+// ends, on success, failure and cancel alike: after its Seal, so the next
+// scan of the origin starts against detectors the scan no longer touches.
 type chainTask struct {
 	scanKey
 	idses []*policy.IDS
 	after <-chan struct{}
 	done  chan struct{}
+	// The scan's outcome, set before done closes: the sealed store, or
+	// nil and the error.
+	res *results.ScanResult
+	err error
 }
 
 // observe points the origin's IDS clones at this scan's activation and drop
@@ -414,20 +442,20 @@ func (st *Study) hitlist() []ip.Addr {
 
 // newScanResult builds the result store for one scan: the in-memory
 // columns by default, or a spill-backed store when cfg.SpillDir is set.
-// The study-wide MemBudget is split across the scans that can run
-// concurrently, so the study's total live column memory stays bounded
-// regardless of parallelism; the store clamps the capacity hint by its
-// share.
-func (st *Study) newScanResult(o origin.ID, p proto.Protocol, trial, hint int) (*results.ScanResult, error) {
+// The study-wide MemBudget is split across the stores that can be live at
+// once, so the study's total live column memory stays bounded regardless
+// of parallelism; the store clamps the capacity hint by its share.
+func (st *Study) newScanResult(k scanKey, hint, stores int) (*results.ScanResult, error) {
 	cfg := st.Config
 	if cfg.SpillDir == "" {
-		return results.NewScanResultSized(o, p, trial, hint), nil
+		return results.NewScanResultSized(k.o, k.p, k.trial, hint), nil
 	}
 	spill := results.SpillConfig{Dir: cfg.SpillDir}
 	if cfg.MemBudget > 0 {
-		spill.Budget = cfg.MemBudget / int64(cfg.parallelism())
+		// A share is never 0, which would mean the default budget.
+		spill.Budget = max(cfg.MemBudget/int64(stores), 1)
 	}
-	return results.NewSpilledScanResult(o, p, trial, hint, spill)
+	return results.NewSpilledScanResult(k.o, k.p, k.trial, hint, spill)
 }
 
 // replyHint sizes one scan's result store and the grab stage's slots: only
@@ -473,12 +501,78 @@ func (st *Study) sweepConfig(p proto.Protocol, trial int) zmap.Config {
 // ScanOne runs a single origin's ZMap+ZGrab scan of one protocol in one
 // trial: the building block of the study. The live IDSes observe the scan's
 // probes directly, as they do in sub-experiments. A trial outside
-// [0, Config.Trials) is an error tagged pipeline.ErrBadConfig.
+// [0, Config.Trials) is an error tagged pipeline.ErrBadConfig. It runs the
+// scan's head and then its tail, as a study's worker does, but waits for
+// the tail before it returns.
 func (st *Study) ScanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int) (*results.ScanResult, error) {
 	if trial < 0 || trial >= st.Config.Trials {
 		return nil, pipeline.Tag(pipeline.ErrBadConfig, fmt.Errorf("experiment: trial %d outside the study's %d trials", trial, st.Config.Trials))
 	}
-	return st.scanOne(ctx, o, p, trial, st.Scenario.IDSes, nil)
+	t := &chainTask{scanKey: scanKey{o: o, p: p, trial: trial}, idses: st.Scenario.IDSes, done: make(chan struct{})}
+	sc, err := st.sweep(ctx, t, &scanEnv{hooks: st.Config.Hooks, stores: 1})
+	if err != nil {
+		return nil, err
+	}
+	<-sc.start()
+	return t.res, t.err
+}
+
+// scanEnv is what the scans of one Study.Run share; ScanOne's scan runs
+// under one of its own.
+type scanEnv struct {
+	span      *telemetry.Span // the study span, parent of every scan span
+	hooks     pipeline.Hooks
+	stores    int // result stores live at once: MemBudget's divisor
+	scansDone *telemetry.Counter
+}
+
+// end records a scan's outcome and closes its chain link.
+func (env *scanEnv) end(t *chainTask, res *results.ScanResult, err error) {
+	t.res, t.err = res, err
+	if !errors.Is(err, pipeline.ErrCanceled) {
+		env.scansDone.Inc()
+	}
+	close(t.done)
+}
+
+// serialHooks returns h with its calls made one at a time. A study's scans
+// fire hooks from several goroutines — a scan's Grab and Seal on its grab
+// stage goroutine beside the next scan's Sweep on the worker, at every
+// width — and an observer need not lock for that. The lock is held across
+// the caller's hook, which is what it is for, so a hook must not wait for
+// another scan's hook.
+func serialHooks(h pipeline.Hooks) pipeline.Hooks {
+	var mu sync.Mutex
+	out := h
+	if h.Before != nil {
+		out.Before = func(ctx context.Context, s pipeline.Stage) {
+			mu.Lock()
+			defer mu.Unlock()
+			h.Before(ctx, s)
+		}
+	}
+	if h.After != nil {
+		out.After = func(ctx context.Context, s pipeline.Stage, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			h.After(ctx, s, err)
+		}
+	}
+	return out
+}
+
+// scanCtxKey keys the scan in the context its stages and hooks receive.
+type scanCtxKey struct{}
+
+// ScanOf reports the scan a stage hook fires for: the (origin, protocol,
+// trial) of the stage context a scan's hooks receive. ok is false for a
+// context no scan stage passed on (world generation, analysis, report).
+func ScanOf(ctx context.Context) (o origin.ID, p proto.Protocol, trial int, ok bool) {
+	sc, ok := ctx.Value(scanCtxKey{}).(*scan)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	return sc.task.o, sc.task.p, sc.task.trial, true
 }
 
 // spanUnder starts a child of parent, or a root span when the scan runs
@@ -490,39 +584,63 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 	return reg.StartSpan(name, labels...)
 }
 
-// scanOne runs one scan against the given IDSes (the live ones, or its
-// origin's clones). The scan is a three-stage pipeline run through a
-// pipeline.Runner, so cfg.Hooks observe the transitions, sequentially and on
-// this goroutine, and any interruption reports its stage — but the L7 work is
-// not confined to the middle one. Sweep is the L4 walk with the grabStage
-// grabbing under it (see grabstage.go); Grab is what is left when the walk
-// returns: draining the ring and grabbing the held-back tail; Seal commits
-// the sorted columns. A cancellation is reported against the stage whose
-// hook was open when it was observed, whatever raised it: a cancel raised
-// from a Handshake while the walk is still going is a sweep interruption.
-// A canceled scan returns nil (the partial result is not well-defined
-// mid-stage) and leaves no spill file. A grab's handshake is a table read
-// on the goroutine that asked for it, with no connection behind it (the
-// first in a process builds the table and joins every goroutine it starts),
-// so the only goroutine a scan leaves running is the grab stage's one, gone
-// when it returns.
-func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, idses []*policy.IDS, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
+// testHookTail, when set, runs on a scan's grab stage goroutine once the
+// ring has drained, before the scan's Grab stage; tests delay or hold tails
+// with it to show their timing does not reach the result.
+var testHookTail func(o origin.ID, p proto.Protocol, trial int)
+
+// scan is one scan between its head and its tail: what the Sweep stage
+// hands the Grab and Seal stages.
+type scan struct {
+	st     *Study
+	task   *chainTask
+	env    *scanEnv
+	ctx    context.Context // the stage context, which names the scan (ScanOf)
+	span   *telemetry.Span
+	fab    *fabric.Fabric
+	labels []telemetry.Label
+	grab   *grabStage
+	stats  zmap.Stats
+}
+
+// sweep runs one scan's head against the task's IDSes (the live ones, or
+// its origin's clones) on the calling goroutine and returns the scan, for
+// start to hand its tail to its grab stage's goroutine. The scan is a
+// three-stage pipeline run through a pipeline.Runner, so env.hooks observe
+// the transitions, in order, and any interruption reports its stage — but
+// the L7 work is not confined to the middle one. Sweep is the L4 walk with
+// the grabStage grabbing under it (see grabstage.go), and it is the head.
+// The tail runs on the grab stage's goroutine once it has drained the
+// slots the walk handed off: Grab grabs the partial last slot and the
+// held-back replies, Seal commits the sorted columns. A cancellation is
+// reported against the stage whose hook was open when it was observed,
+// whatever raised it: a cancel raised from a Handshake while the walk is
+// still going is a sweep interruption. A canceled scan ends with no result
+// (the partial result is not well-defined mid-stage) and leaves no spill
+// file. A grab's handshake is a table read on the goroutine that asked for
+// it, with no connection behind it (the first in a process builds the
+// table and joins every goroutine it starts), so the only goroutine a scan
+// leaves running is the grab stage's one, gone when the tail ends — or,
+// when the head fails, before sweep returns.
+func (st *Study) sweep(ctx context.Context, t *chainTask, env *scanEnv) (*scan, error) {
 	cfg := st.Config
+	o, p, trial := t.o, t.p, t.trial
+	s := &scan{st: st, task: t, env: env}
+	s.ctx = context.WithValue(ctx, scanCtxKey{}, s)
 	org := st.originRecord(o)
 	// Per-scan telemetry: metric children are resolved once here (and in
 	// newGrabStage), labeled by the scan's identity, and the hot paths touch
 	// only the pre-resolved atomic counters. With no registry every bundle
 	// is nil and the instruments no-op.
-	labels := scanLabels(st.World.Family, o, p, trial)
+	s.labels = scanLabels(st.World.Family, o, p, trial)
 	// One scan = one span under the study root; its children are the stage
 	// spans and the grab-slot exemplars, the sweep span owns the sweep-batch
-	// exemplars.
-	scanSpan := spanUnder(cfg.Telemetry, studySpan, "scan", labels...)
-	defer func() { scanSpan.End(err) }()
-	fab := fabric.New(&fabric.Config{
+	// exemplars. The tail ends it.
+	s.span = spanUnder(cfg.Telemetry, env.span, "scan", s.labels...)
+	s.fab = fabric.New(&fabric.Config{
 		World:      st.World,
 		Engine:     st.Scenario.Engine,
-		IDSes:      policy.Detectors(idses),
+		IDSes:      policy.Detectors(t.idses),
 		Loss:       st.Scenario.Loss,
 		Outages:    st.Scenario.Outages[p],
 		Churn:      st.Scenario.Churn,
@@ -532,37 +650,69 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 
 	zcfg := st.sweepConfig(p, trial)
 	zcfg.SourceIPs = org.SourceIPs
-	zcfg.Telemetry = telemetry.NewSweepMetrics(cfg.Telemetry, labels...)
+	zcfg.Telemetry = telemetry.NewSweepMetrics(cfg.Telemetry, s.labels...)
 	sc, err := zmap.NewScanner(zcfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %v/%v/trial %d: %w", o, p, trial, err)
+		err = fmt.Errorf("experiment: %v/%v/trial %d: %w", o, p, trial, err)
+		s.span.End(err)
+		return nil, err
 	}
-	var sink zmap.PacketSink = fab
+	var sink zmap.PacketSink = s.fab
 	if cfg.SinkWrapper != nil {
-		sink = cfg.SinkWrapper(fab)
+		sink = cfg.SinkWrapper(s.fab)
 	}
 
-	var grab *grabStage
-	var stats zmap.Stats
-	tr := telemetry.NewStageTrace(cfg.Telemetry, scanSpan, labels...)
-	runner := pipeline.Runner{Hooks: tr.Hooks(cfg.Hooks)}
-	err = runner.Run(ctx,
-		pipeline.StageFunc{Stage: pipeline.StageSweep, Run: func(ctx context.Context) error {
-			// The stage span receives the sweep's batch exemplars and
-			// target totals, and how many slots the walk handed the grab.
-			span := tr.Span(pipeline.StageSweep)
-			sc.SetTraceSpan(span)
-			var err error
-			if grab, err = st.newGrabStage(ctx, o, p, trial, fab, scanSpan, labels); err != nil {
-				return err
-			}
-			stats, err = sc.Run(ctx, sink, grab.offer)
-			span.SetAttr("grab_slots", int64(grab.handed))
+	// The head and the tail each trace their own stages.
+	tr := telemetry.NewStageTrace(cfg.Telemetry, s.span, s.labels...)
+	runner := pipeline.Runner{Hooks: tr.Hooks(env.hooks)}
+	err = runner.Run(s.ctx, pipeline.StageFunc{Stage: pipeline.StageSweep, Run: func(ctx context.Context) error {
+		// The stage span receives the sweep's batch exemplars and target
+		// totals, and how many slots the walk handed the grab.
+		span := tr.Span(pipeline.StageSweep)
+		sc.SetTraceSpan(span)
+		var err error
+		if s.grab, err = st.newGrabStage(ctx, t.scanKey, env.stores, s.fab, s.span, s.labels); err != nil {
 			return err
-		}},
+		}
+		s.stats, err = sc.Run(ctx, sink, s.grab.offer)
+		span.SetAttr("grab_slots", int64(s.grab.handed))
+		return err
+	}})
+	if err != nil {
+		// An interrupted or failed scan's partial store is abandoned, once
+		// nothing writes to it any more: delete any spilled segments so a
+		// canceled study leaks no disk.
+		if s.grab != nil {
+			s.grab.stop()
+			_ = s.grab.res.Discard()
+		}
+		s.span.End(err)
+		return nil, err
+	}
+	return s, nil
+}
+
+// start hands the scan's tail to its grab stage's goroutine and returns a
+// channel that closes once the tail has ended the scan (env.end).
+func (s *scan) start() <-chan struct{} {
+	s.grab.close(s)
+	return s.grab.done
+}
+
+// tail runs the Grab and Seal stages, once the ring has drained, and ends
+// the scan with the sealed store, or with the error and the store
+// discarded (spilled segments deleted).
+func (s *scan) tail() {
+	if testHookTail != nil {
+		testHookTail(s.task.o, s.task.p, s.task.trial)
+	}
+	tr := telemetry.NewStageTrace(s.st.Config.Telemetry, s.span, s.labels...)
+	runner := pipeline.Runner{Hooks: tr.Hooks(s.env.hooks)}
+	var res *results.ScanResult
+	err := runner.Run(s.ctx,
 		pipeline.StageFunc{Stage: pipeline.StageGrab, Run: func(context.Context) error {
 			var err error
-			res, err = grab.finish(tr.Span(pipeline.StageGrab))
+			res, err = s.grab.finish(tr.Span(pipeline.StageGrab))
 			return err
 		}},
 		pipeline.StageFunc{Stage: pipeline.StageSeal, Run: func(context.Context) error {
@@ -573,29 +723,25 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			// deleted as the merge consumes them). Either way the stored
 			// scan is an immutable sorted view before any analysis touches
 			// it.
-			res.Targets = stats.Targets
-			res.ProbesSent = stats.ProbesSent
-			res.SynAcks = stats.SynAcks
-			res.Rsts = stats.Rsts
-			res.Invalid = stats.Invalid
+			res.Targets = s.stats.Targets
+			res.ProbesSent = s.stats.ProbesSent
+			res.SynAcks = s.stats.SynAcks
+			res.Rsts = s.stats.Rsts
+			res.Invalid = s.stats.Invalid
 			if err := res.SealErr(); err != nil {
 				return err
 			}
-			st.observeSeal(res, tr.Span(pipeline.StageSeal), fab.ConnsOpened(), labels)
+			s.st.observeSeal(res, tr.Span(pipeline.StageSeal), s.fab.ConnsOpened(), s.labels)
 			return nil
 		}},
 	)
+	s.span.End(err)
 	if err != nil {
-		// An interrupted or failed scan's partial store is abandoned, once
-		// nothing writes to it any more: delete any spilled segments so a
-		// canceled study leaks no disk.
-		if grab != nil {
-			grab.stop()
-			_ = grab.res.Discard()
-		}
-		return nil, err
+		// The ring is drained and closed: nothing writes to the store.
+		_ = s.grab.res.Discard()
+		res = nil
 	}
-	return res, nil
+	s.env.end(s.task, res, err)
 }
 
 // observeSeal records a sealed scan's store statistics on its seal span and

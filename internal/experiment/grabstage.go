@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/ip"
-	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
 	"repro/internal/telemetry"
@@ -38,7 +37,11 @@ type grabShape struct{ slot, ring int }
 // a slot and hands full slots through a bounded ring to the stage's one
 // goroutine, which per slot runs one PredialBatch, grabs the slot's replies
 // in order and appends their records with one AddBatch. The walk goes on
-// meanwhile on the caller's goroutine; there is no reply log.
+// meanwhile on the caller's goroutine; there is no reply log. When the walk
+// returns, the caller closes the ring with the scan's tail, and the stage's
+// goroutine drains the ring and then runs it: grabs the partial last slot
+// and the held-back replies (finish) and seals the store, while the caller
+// goes on to its next scan.
 //
 // One kind of reply cannot be grabbed under the walk. Every grab-time
 // decision is a keyed hash of the connection's own coordinates except the
@@ -46,9 +49,9 @@ type grabShape struct{ slot, ring int }
 // far, and a source detected at any point of a scan is blocked for all of
 // the scan's connections. So replies from an AS a detector watches
 // (fabric.Watched, a plan-time fact) are held back — for live and scheduled
-// detectors alike — and go through the ring once the walk has returned
-// (finish). Sealed bytes cannot tell: Seal sorts by address, and keep-last
-// dedup only compares rows of one address, all held back or all not.
+// detectors alike — and are grabbed once the walk has returned (finish).
+// Sealed bytes cannot tell: Seal sorts by address, and keep-last dedup only
+// compares rows of one address, all held back or all not.
 //
 // The grabber re-checks ctx before each host and a partially grabbed slot
 // is never appended; after the first error it keeps receiving slots and
@@ -65,18 +68,20 @@ type grabStage struct {
 	// the stage spans); owned by the grabbing goroutine.
 	slots *telemetry.ChildTracer
 
-	// The sweep's side, owned by the scan's goroutine: the slot being
-	// filled, the held-back replies, and the ring — full slots go out on
-	// full, recycled ones come back on free, each channel a whole ring deep.
+	// The sweep's side, owned by the walking goroutine until close hands
+	// what is left to the stage's goroutine: the slot being filled, the
+	// held-back replies, and the ring — full slots go out on full, recycled
+	// ones come back on free, each channel a whole ring deep — and the tail
+	// the stage's goroutine runs once the ring has drained.
 	cur, held  []zmap.Reply
 	full, free chan []zmap.Reply
 	handed     int // slots handed off so far
-	closed     bool
+	tail       *scan
 
 	// The grabbing side: per-slot scratch (records; attempt 0's verdicts, one
 	// per reply with a SYN-ACK — a reply without one is recorded but never
-	// grabbed), the hosts offered so far, and the first error, read after
-	// done closes.
+	// grabbed), the hosts offered so far, and the first error, read by the
+	// tail or after done closes.
 	win    []results.HostRecord
 	preDst []ip.Addr
 	preT   []time.Duration
@@ -86,13 +91,14 @@ type grabStage struct {
 	done   chan struct{}
 }
 
-// newGrabStage builds the scan's store, dialer and grabber and starts the
-// stage's goroutine — the only one a scan's grab ever starts. The caller
-// owes it a stop.
-func (st *Study) newGrabStage(ctx context.Context, o origin.ID, p proto.Protocol, trial int, fab *fabric.Fabric, scanSpan *telemetry.Span, labels []telemetry.Label) (*grabStage, error) {
+// newGrabStage builds the scan's store — its MemBudget share one of
+// stores — dialer and grabber and starts the stage's goroutine, the only
+// one a scan's grab ever starts. The caller owes it a close or a stop.
+func (st *Study) newGrabStage(ctx context.Context, k scanKey, stores int, fab *fabric.Fabric, scanSpan *telemetry.Span, labels []telemetry.Label) (*grabStage, error) {
 	cfg := st.Config
+	p := k.p
 	hosts := st.replyHint()
-	res, err := st.newScanResult(o, p, trial, hosts)
+	res, err := st.newScanResult(k, hosts, stores)
 	if err != nil {
 		return nil, err
 	}
@@ -153,44 +159,61 @@ func (g *grabStage) push(r zmap.Reply) {
 	}
 }
 
-// finish is the Grab stage, run once the walk has returned: the held-back
-// replies join the partial last slot and go through the ring, the ring
-// closes, the stage's goroutine drains it. It returns the store, ready to seal.
+// finish is the Grab stage, run by the stage's goroutine once the walk has
+// returned and the ring has drained: the held-back replies join the partial
+// last slot and are grabbed slot by slot. It returns the store, ready to
+// seal.
 func (g *grabStage) finish(span *telemetry.Span) (*results.ScanResult, error) {
 	span.SetAttr("held_back", int64(len(g.held)))
 	for _, r := range g.held {
-		g.push(r)
+		g.cur = append(g.cur, r)
+		if len(g.cur) == cap(g.cur) {
+			g.grab(g.cur)
+			g.cur = g.cur[:0]
+		}
 	}
 	if len(g.cur) > 0 {
-		g.full <- g.cur
+		g.grab(g.cur)
 	}
-	g.stop()
 	span.SetAttr("hosts", g.hosts)
 	return g.res, g.err
 }
 
-// stop closes the ring and waits for the stage's goroutine to exit,
-// dropping what the sweep's side still holds. Idempotent; after it the
-// stage's store and error belong to the caller.
-func (g *grabStage) stop() {
-	if g.closed {
-		return
-	}
-	g.closed = true
+// close ends the sweep's side: the ring closes, and the stage's goroutine
+// drains it, runs the scan's tail (when non-nil) and exits. After it the
+// sweep's side belongs to the stage's goroutine.
+func (g *grabStage) close(tail *scan) {
+	g.tail = tail
 	close(g.full)
+}
+
+// stop closes the ring with no tail and waits for the stage's goroutine to
+// exit, dropping what the sweep's side still holds; after it the stage's
+// store and error belong to the caller.
+func (g *grabStage) stop() {
+	g.close(nil)
 	<-g.done
 }
 
 // run is the stage's goroutine: it receives slots in hand-off order until
-// the ring closes. After an error it keeps receiving and recycles without
-// grabbing: the sweep's side must never block on a ring nobody drains.
+// the ring closes, then runs the tail. After an error it keeps receiving and
+// recycles without grabbing: the sweep's side must never block on a ring
+// nobody drains.
 func (g *grabStage) run() {
 	defer close(g.done)
 	for slot := range g.full {
-		if g.err == nil {
-			g.err = g.grabSlot(slot)
-		}
+		g.grab(slot)
 		g.free <- slot[:0]
+	}
+	if g.tail != nil {
+		g.tail.tail()
+	}
+}
+
+// grab grabs one slot unless an earlier one failed.
+func (g *grabStage) grab(slot []zmap.Reply) {
+	if g.err == nil {
+		g.err = g.grabSlot(slot)
 	}
 }
 

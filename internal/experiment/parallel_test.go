@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -133,17 +134,27 @@ func (k keySink) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.
 	k.Fabric.ProbeBatch(srcs, port, probes, delay, dsts, ts, synAcks, rsts)
 }
 
-// TestChainsSerializeEachOrigin watches eight workers through Hooks: a scan
-// is in flight from its Sweep stage's Before hook to its Seal stage's After
-// hook, and no two scans of one origin may ever be in flight together; each
-// origin's scans must start in study order. The hooks and the sweep run on
-// the scan's goroutine, which ties the two together (goid); a scan is
-// identified from its sink: the origin by its source address, the
-// (protocol, trial) by the port and the first routed target, which the
-// per-(protocol, trial) seed fixes.
+// TestChainsSerializeEachOrigin watches the workers through Hooks, at one
+// worker and at eight: a scan is in flight from its Sweep stage's Before
+// hook to its Seal stage's After hook, and no two scans of one origin may
+// ever be in flight together; each origin's scans must start in study
+// order. A scan's hooks fire on two goroutines (Seal on its grab stage's),
+// so they name their scan by the stage context (ScanOf). The sink names it
+// independently — the origin by its source address, the (protocol, trial)
+// by the port and the first routed target, which the per-(protocol, trial)
+// seed fixes — and must find that scan in flight. At one worker each tail
+// is held until the next walk has ended (holdTails), and some scan must
+// start before the one before it has sealed: the worker does not wait for
+// a tail before it sweeps again.
 func TestChainsSerializeEachOrigin(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) { checkChains(t, par) })
+	}
+}
+
+func checkChains(t *testing.T, par int) {
 	ctx := context.Background()
-	cfg := equivalenceConfig(8)
+	cfg := equivalenceConfig(par)
 	st, err := NewStudy(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,50 +197,76 @@ func TestChainsSerializeEachOrigin(t *testing.T) {
 
 	type scan struct {
 		key        scanKey
-		known      bool
-		start, end int // positions in the hook event sequence
+		seen       bool // the sink saw the scan's traffic while it was in flight
+		start, end int  // positions in the hook event sequence
 	}
 	var mu sync.Mutex
 	seq := 0
-	current := map[string]*scan{} // goroutine → the scan it runs
+	inFlight := map[scanKey]*scan{}
 	var scans []*scan
+	var hold *tailHold
+	if par == 1 {
+		hold = holdTails(t, equivalenceTasks)
+	}
+	key := func(ctx context.Context) scanKey {
+		o, p, trial, ok := ScanOf(ctx)
+		if !ok {
+			t.Fatal("a scan stage's context names no scan")
+		}
+		return scanKey{o: o, p: p, trial: trial}
+	}
 	st.Config.Hooks = pipeline.Hooks{
-		Before: func(_ context.Context, s pipeline.Stage) {
+		Before: func(ctx context.Context, s pipeline.Stage) {
 			if s != pipeline.StageSweep {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			seq++
-			sc := &scan{start: seq}
-			current[goid()] = sc
+			sc := &scan{key: key(ctx), start: seq}
+			if inFlight[sc.key] != nil {
+				t.Errorf("%v/%v/trial %d started twice", sc.key.o, sc.key.p, sc.key.trial)
+			}
+			inFlight[sc.key] = sc
 			scans = append(scans, sc)
 		},
-		After: func(_ context.Context, s pipeline.Stage, _ error) {
+		After: func(ctx context.Context, s pipeline.Stage, _ error) {
+			if s == pipeline.StageSweep && hold != nil {
+				hold.sweepEnded()
+			}
 			if s != pipeline.StageSeal {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			seq++
-			current[goid()].end = seq
-			delete(current, goid())
+			k := key(ctx)
+			inFlight[k].end = seq
+			delete(inFlight, k)
 		},
 	}
 	st.Config.SinkWrapper = func(inner zmap.PacketSink) zmap.PacketSink {
+		known := false // the scan's sink has named it
 		return keySink{Fabric: inner.(*fabric.Fabric), note: func(src, dst ip.Addr, port uint16) {
 			mu.Lock()
 			defer mu.Unlock()
-			sc := current[goid()]
-			if sc == nil || sc.known {
+			if known {
 				return
 			}
 			id, ok := first[dst]
 			if !ok || id.p.Port() != port {
-				t.Errorf("a scan's first routed target %v (port %d) is no (protocol, trial)'s", dst, port)
+				// A batch of the split's helper may come first; the first
+				// routed target is in the scan's first batch.
 				return
 			}
-			sc.key, sc.known = scanKey{o: srcOrigin[src], p: id.p, trial: id.trial}, true
+			known = true
+			k := scanKey{o: srcOrigin[src], p: id.p, trial: id.trial}
+			sc := inFlight[k]
+			if sc == nil {
+				t.Errorf("the sink saw %v/%v/trial %d probing while its hooks had it out of flight", k.o, k.p, k.trial)
+				return
+			}
+			sc.seen = true
 		}}
 	}
 	ds, err := st.Run(ctx)
@@ -241,8 +278,8 @@ func TestChainsSerializeEachOrigin(t *testing.T) {
 	}
 	byOrigin := map[origin.ID][]*scan{}
 	for _, sc := range scans {
-		if !sc.known {
-			t.Fatal("a scan sent no probe batch: it cannot be identified")
+		if !sc.seen {
+			t.Fatalf("%v/%v/trial %d: its sink never saw it in flight", sc.key.o, sc.key.p, sc.key.trial)
 		}
 		byOrigin[sc.key.o] = append(byOrigin[sc.key.o], sc)
 	}
@@ -260,27 +297,44 @@ func TestChainsSerializeEachOrigin(t *testing.T) {
 			}
 		}
 	}
+	if par == 1 {
+		overlapped := false
+		for i := 1; i < len(scans); i++ {
+			overlapped = overlapped || scans[i].start < scans[i-1].end
+		}
+		if !overlapped {
+			t.Error("Parallelism 1: every scan started after the one before it sealed; tails do not overlap the next sweep")
+		}
+	}
 }
 
 // equivalenceTasks is how many scans equivalenceConfig lists: three origins
 // × two protocols × two trials, and Carinet's two trial-0 scans.
 const equivalenceTasks = 3*2*2 + 2
 
-// TestInterruptedRunLeavesLiveIDSes cancels the equivalence study as its
-// last scan starts, at one worker and at eight: by then its single-IP
-// origins have been detected (a complete run blocks them, see
-// TestParallelMatchesSerial), but only a fully successful run may commit
-// detection state, so the live IDSes must still block nobody.
+// TestInterruptedRunLeavesLiveIDSes cancels the equivalence study once its
+// last scan has started and every other scan has sealed (the last sweep
+// may start before the scan before it seals), at one worker and at eight:
+// by then its single-IP origins have been detected (a complete run blocks
+// them, see TestParallelMatchesSerial), but only a fully successful run may
+// commit detection state, so the live IDSes must still block nobody.
 func TestInterruptedRunLeavesLiveIDSes(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var started atomic.Int64
+		var started, sealed atomic.Int64
 		cfg := equivalenceConfig(par)
-		cfg.Hooks = pipeline.Hooks{Before: func(_ context.Context, s pipeline.Stage) {
-			if s == pipeline.StageSweep && started.Add(1) == equivalenceTasks {
-				cancel()
-			}
-		}}
+		cfg.Hooks = pipeline.Hooks{
+			Before: func(_ context.Context, s pipeline.Stage) {
+				if s == pipeline.StageSweep && started.Add(1) == equivalenceTasks && sealed.Load() == equivalenceTasks-1 {
+					cancel()
+				}
+			},
+			After: func(_ context.Context, s pipeline.Stage, err error) {
+				if s == pipeline.StageSeal && err == nil && sealed.Add(1) == equivalenceTasks-1 && started.Load() == equivalenceTasks {
+					cancel()
+				}
+			},
+		}
 		st, err := NewStudy(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -137,9 +138,16 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 			defer cancel()
 			dir := t.TempDir()
 			var sealed, armed atomic.Bool
-			var conns atomic.Int64
+			var conns, scans atomic.Int64
 			filesAtCancel := -1
 			inGrab := armInGrab(&armed)
+			cancelAfterSeal := func() {
+				for !sealed.Load() {
+					runtime.Gosched()
+				}
+				filesAtCancel = countSpillFiles(t, dir)
+				cancel()
+			}
 			cfg := Config{
 				WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 				Protocols:   []proto.Protocol{proto.HTTP},
@@ -157,15 +165,20 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 						if stage == pipeline.StageSeal && err == nil {
 							// First scan committed: cancel in the next one.
 							sealed.Store(true)
-							armed.Store(tc.stage == pipeline.StageSweep)
 						}
 					},
 				},
 				DialWrapper: func(inner zgrab.Dialer) zgrab.Dialer {
-					return leakCancelDialer{Dialer: inner, armed: &armed, conns: &conns, after: tc.after, cancel: func() {
-						filesAtCancel = countSpillFiles(t, dir)
-						cancel()
-					}}
+					armed, conns := &armed, &conns
+					if tc.stage == pipeline.StageSweep {
+						// The second scan may start walking before the
+						// first has sealed: its dialer counts its own
+						// connections from its start, and the cancel
+						// waits for that seal.
+						armed, conns = new(atomic.Bool), new(atomic.Int64)
+						armed.Store(scans.Add(1) == 2)
+					}
+					return leakCancelDialer{Dialer: inner, armed: armed, conns: conns, after: tc.after, cancel: cancelAfterSeal}
 				},
 			}
 			st, err := NewStudy(ctx, cfg)

@@ -69,7 +69,7 @@ func planWorlds(t testing.TB) []planWorld {
 	return out
 }
 
-// config assembles a fabric config the way experiment.scanOne does, with
+// config assembles a fabric config the way experiment.Study.sweep does, with
 // the given detectors.
 func (pw *planWorld) config(p proto.Protocol, dets []policy.Detector) *Config {
 	return &Config{

@@ -31,9 +31,10 @@ const (
 	// StageSweep is the L4 ZMap sweep of one scan, with the L7 handshakes
 	// on its replies running under it (ZMap piped into ZGrab).
 	StageSweep
-	// StageGrab is what is left of the L7 ZGrab pass when the sweep
-	// returns: the replies still queued, and those held back because a
-	// detector watches their network.
+	// StageGrab is what is left of the L7 ZGrab pass once the sweep has
+	// returned and the replies it handed off are grabbed: the partial last
+	// slot, and the replies held back because a detector watches their
+	// network.
 	StageGrab
 	// StageSeal commits the scan's columns (sort + dedup; for a
 	// spill-backed store, the external merge of on-disk segments plus
@@ -63,8 +64,10 @@ func (s Stage) String() string {
 }
 
 // Hooks are optional callbacks fired around every stage a Runner executes —
-// the seam for progress reporting, tracing, and tests. Hooks must be safe
-// for concurrent use when scans run in parallel (one Runner per scan).
+// the seam for progress reporting, tracing, and tests. One scan's stages
+// may run on different goroutines, and several scans' at once (one Runner
+// per scan); the caller that runs them says whether it serializes the
+// calls (experiment.Study.Run does).
 type Hooks struct {
 	// Before fires immediately before the stage runs.
 	Before func(ctx context.Context, s Stage)
@@ -128,7 +131,7 @@ func normalize(err error) error {
 // not the layer that raised it. Work may run under a stage that is not its
 // namesake: a scan grabs while it sweeps, so a cancellation raised from a
 // grab stage's dial during the walk is observed by the sweep and reported
-// as StageSweep; raised while the Grab stage drains, as StageGrab.
+// as StageSweep; raised once the walk has returned, as StageGrab.
 func InterruptedStage(err error) (Stage, bool) {
 	var se *StageError
 	if errors.As(err, &se) {

@@ -608,8 +608,9 @@ func TestScannerCancelMidSweepStopsWithinOneBatch(t *testing.T) {
 	if !errors.Is(err, pipeline.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// The sweep only checks the context every sweepBatch positions, so at
-	// most one more batch of probes goes out after cancellation.
+	// The sweep checks the context before each block of sweepBatch group
+	// elements, which holds at most sweepBatch targets, so at most one more
+	// block of probes goes out after cancellation.
 	if max := cancelAfter + cfg.Probes*sweepBatch; sent > max {
 		t.Errorf("%d probes sent after cancel, want <= %d", sent, max)
 	}
