@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/fabric"
@@ -29,7 +30,8 @@ const (
 	grabRing = 4
 )
 
-// grabShape overrides grabSlot and grabRing where non-zero; only tests set it.
+// grabShape is a stage's slot and ring sizes. Study.grabShape overrides
+// grabSlot and grabRing where non-zero; only tests set it.
 type grabShape struct{ slot, ring int }
 
 // grabStage is one scan's L7 half, running under its L4 half instead of
@@ -78,17 +80,64 @@ type grabStage struct {
 	handed     int // slots handed off so far
 	tail       *scan
 
-	// The grabbing side: per-slot scratch (records; attempt 0's verdicts, one
-	// per reply with a SYN-ACK — a reply without one is recorded but never
-	// grabbed), the hosts offered so far, and the first error, read by the
-	// tail or after done closes.
-	win    []results.HostRecord
-	preDst []ip.Addr
-	preT   []time.Duration
-	pre    []zgrab.DialVerdict
-	hosts  int64
-	err    error
-	done   chan struct{}
+	// The grabbing side: the hosts offered so far, and the first error,
+	// read by the tail or after done closes.
+	hosts int64
+	err   error
+	done  chan struct{}
+
+	// The buffers behind cur, the ring's slots and the grabbing side's
+	// per-slot scratch; the stage's goroutine hands them back to
+	// grabBufPool as it exits.
+	*grabBufs
+}
+
+// grabBufs is a grab stage's fixed scratch, sized by its shape: the ring's
+// slot slices (the first becomes cur) and the grabbing side's per-slot
+// scratch — records, and attempt 0's verdicts, one per reply with a
+// SYN-ACK (a reply without one is recorded but never grabbed). It outlives
+// its scan through grabBufPool, so a study of many small scans allocates a
+// few sets, not one per scan.
+type grabBufs struct {
+	shape     grabShape
+	ringSlots [][]zmap.Reply
+	win       []results.HostRecord
+	preDst    []ip.Addr
+	preT      []time.Duration
+	pre       []zgrab.DialVerdict
+}
+
+// grabBufPool recycles grab stages' buffers. A set whose shape differs from
+// the one a stage needs is dropped, not resized: every scan of a study has
+// one shape, and only tests and tiny worlds make others.
+var grabBufPool sync.Pool
+
+// getGrabBufs returns a set of buffers of the given shape, a recycled one
+// when the pool holds one of that shape.
+func getGrabBufs(shape grabShape) *grabBufs {
+	if b, ok := grabBufPool.Get().(*grabBufs); ok && b.shape == shape {
+		return b
+	}
+	slot := shape.slot
+	b := &grabBufs{shape: shape, ringSlots: make([][]zmap.Reply, shape.ring),
+		win:    make([]results.HostRecord, slot),
+		preDst: make([]ip.Addr, slot),
+		preT:   make([]time.Duration, slot),
+		pre:    make([]zgrab.DialVerdict, slot),
+	}
+	for i := range b.ringSlots {
+		b.ringSlots[i] = make([]zmap.Reply, 0, slot)
+	}
+	return b
+}
+
+// release hands the stage's buffers back once its goroutine is done with
+// them, clearing the records first so no banner outlives its scan. The
+// stage keeps no reference to them.
+func (g *grabStage) release() {
+	clear(g.win)
+	grabBufPool.Put(g.grabBufs)
+	g.grabBufs, g.cur = nil, nil
 }
 
 // newGrabStage builds the scan's store — its MemBudget share one of
@@ -107,14 +156,16 @@ func (st *Study) newGrabStage(ctx context.Context, k scanKey, stores int, fab *f
 		dialer = cfg.DialWrapper(fab)
 	}
 	// A world smaller than a slot sizes the buffers: together they stay
-	// below the reply log they replace.
-	slot, ring := min(grabSlot, max(hosts, 1)), grabRing
+	// below the reply log they replace. They are recycled from scan to scan
+	// (grabBufs).
+	shape := grabShape{slot: min(grabSlot, max(hosts, 1)), ring: grabRing}
 	if st.grabShape.slot > 0 {
-		slot = st.grabShape.slot
+		shape.slot = st.grabShape.slot
 	}
 	if st.grabShape.ring > 0 {
-		ring = st.grabShape.ring
+		shape.ring = st.grabShape.ring
 	}
+	b := getGrabBufs(shape)
 	g := &grabStage{
 		ctx: ctx, p: p, fab: fab, dialer: dialer, res: res,
 		grabber: zgrab.Grabber{
@@ -122,18 +173,15 @@ func (st *Study) newGrabStage(ctx context.Context, k scanKey, stores int, fab *f
 			Retries: cfg.Retries,
 			Metrics: telemetry.NewGrabMetrics(cfg.Telemetry, labels...),
 		},
-		slots:  scanSpan.ChildTracer("grab_window"),
-		cur:    make([]zmap.Reply, 0, slot),
-		full:   make(chan []zmap.Reply, ring),
-		free:   make(chan []zmap.Reply, ring),
-		win:    make([]results.HostRecord, slot),
-		preDst: make([]ip.Addr, slot),
-		preT:   make([]time.Duration, slot),
-		pre:    make([]zgrab.DialVerdict, slot),
-		done:   make(chan struct{}),
+		slots:    scanSpan.ChildTracer("grab_window"),
+		cur:      b.ringSlots[0],
+		full:     make(chan []zmap.Reply, shape.ring),
+		free:     make(chan []zmap.Reply, shape.ring),
+		done:     make(chan struct{}),
+		grabBufs: b,
 	}
-	for i := 1; i < ring; i++ {
-		g.free <- make([]zmap.Reply, 0, slot)
+	for _, s := range b.ringSlots[1:] {
+		g.free <- s
 	}
 	go g.run()
 	return g, nil
@@ -208,6 +256,7 @@ func (g *grabStage) run() {
 	if g.tail != nil {
 		g.tail.tail()
 	}
+	g.release()
 }
 
 // grab grabs one slot unless an earlier one failed.

@@ -73,10 +73,15 @@ type Fabric struct {
 
 	// plans holds one lazily filled table of per-destination-AS plans per
 	// protocol (see plan.go). planMu serializes compilation and guards
-	// ruleBuf, the backing array the plans' rule sub-lists are carved from.
+	// ruleBuf, the backing array the plans' rule sub-lists are carved from,
+	// and gate, the scan query with one (protocol, AS) filled in that compile
+	// hands the engine and the detectors: a field, not a local, because a
+	// local passed by pointer through those interfaces escapes, one heap
+	// query per AS compiled.
 	plans   [proto.N]atomic.Pointer[[]plan]
 	planMu  sync.Mutex
 	ruleBuf []policy.Rule
+	gate    policy.Query
 
 	// preDests is PredialBatch's FIB resolution scratch. PredialBatch is
 	// single-caller by contract (the grab stage's goroutine owns it),

@@ -74,16 +74,18 @@ func (f *Fabric) newPlanTable(p proto.Protocol) *[]plan {
 }
 
 // compile fills pl for (p, as). Rule sub-lists are carved from one backing
-// array shared by all of the fabric's plans, so compiling costs no
-// allocation per AS beyond that array's occasional growth (and a small
-// slice for the rare AS with an outage or a detector).
+// array shared by all of the fabric's plans, and the gate is the fabric's
+// own, so compiling costs no allocation per AS beyond that array's
+// occasional growth (and a small slice for the rare AS with an outage or a
+// detector).
 func (f *Fabric) compile(pl *plan, p proto.Protocol, as asn.ASN) {
 	f.planMu.Lock()
 	defer f.planMu.Unlock()
 	if pl.ready.Load() {
 		return
 	}
-	gate := f.scan
+	gate := &f.gate
+	*gate = f.scan
 	gate.Proto, gate.DstAS = p, as
 
 	matrix := f.cfg.Loss
@@ -91,9 +93,9 @@ func (f *Fabric) compile(pl *plan, p proto.Protocol, as asn.ASN) {
 	if sched := f.cfg.Outages; sched != nil {
 		pl.outages = sched.Path(f.trial, f.org.ID, as)
 	}
-	pl.policy, f.ruleBuf = f.cfg.Engine.Plan(&gate, f.ruleBuf)
+	pl.policy, f.ruleBuf = f.cfg.Engine.Plan(gate, f.ruleBuf)
 	for _, det := range f.cfg.IDSes {
-		if g, ok := det.(policy.ScanGated); ok && !g.CanMatch(&gate) {
+		if g, ok := det.(policy.ScanGated); ok && !g.CanMatch(gate) {
 			continue
 		}
 		pl.detectors = append(pl.detectors, det)

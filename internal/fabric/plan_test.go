@@ -427,3 +427,61 @@ func TestPlanFirstTouchConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAllocsPerAS holds plan compilation to no allocation per AS:
+// building a fresh fabric and compiling one plan for every AS allocates the
+// fabric, its plan table and the growth of ruleBuf, and nothing else, at
+// two world sizes. Outages and detectors, whose rare per-AS slices are the
+// documented exception, are left out.
+func TestCompileAllocsPerAS(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	ctx := context.Background()
+	const fixed = 4 // the fabric, the plan table and its header, slack
+	for _, scale := range []float64{0.00005, 0.0002} {
+		w, err := world.Build(ctx, world.Spec{Seed: 3, Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := scenario.New(w, scenario.Config{Trials: 1})
+		fib := w.FIB()
+		var dests []world.Dest
+		seen := make(map[int32]bool)
+		for _, a := range w.Routes.All() {
+			for _, pfx := range a.Prefixes {
+				if d := fib.Resolve(pfx.First()); d.Routed && !seen[d.ASIdx] {
+					seen[d.ASIdx] = true
+					dests = append(dests, d)
+				}
+			}
+		}
+		cfg := &Config{World: w, Engine: sc.Engine, Loss: sc.Loss, Churn: sc.Churn, NumOrigins: 7, Hosts: sc.Hosts}
+		org := w.Origins.Get(origin.US1)
+		p := proto.HTTP
+		var fab *Fabric
+		allocs := testing.AllocsPerRun(3, func() {
+			fab = New(cfg, org, 0)
+			for i := range dests {
+				fab.planFor(p, &dests[i])
+			}
+		})
+		// ruleBuf grows by appending one rule at a time: replay it.
+		growths := 0
+		var replay []policy.Rule
+		for range fab.ruleBuf {
+			c := cap(replay)
+			if replay = append(replay, nil); cap(replay) != c {
+				growths++
+			}
+		}
+		t.Logf("scale %v: %d ASes, %d rules carved, %v allocations (%d of them ruleBuf growth)", scale, len(dests), len(fab.ruleBuf), allocs, growths)
+		if len(dests) <= 2*fixed {
+			t.Fatalf("scale %v: only %d ASes: an allocation per AS would not show", scale, len(dests))
+		}
+		if extra := allocs - float64(growths); extra > fixed {
+			t.Errorf("scale %v: compiling %d plans allocates %v times beyond ruleBuf's %d growths, want at most %d: an allocation per AS",
+				scale, len(dests), extra, growths, fixed)
+		}
+	}
+}

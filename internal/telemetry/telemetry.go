@@ -39,39 +39,64 @@ type Label struct{ Key, Value string }
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // labelKey canonicalizes a label set: sorted by key, rendered k="v",...
-// The result doubles as the Prometheus exposition form. Every scan resolves
-// dozens of labeled children, so the key is sized up front and sorted
-// without reflection.
+// The result doubles as the Prometheus exposition form. The key is built
+// on the stack, so the string returned is its one allocation.
 func labelKey(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
-	n := 0
-	for _, l := range ls {
-		n += len(l.Key) + len(l.Value) + 4
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
-	}
-	return b.String()
+	var buf [keyBufSize]byte
+	return string(appendLabelKey(buf[:0], labels))
 }
 
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+const (
+	// stackLabels is the most labels appendLabelKey sorts in a stack array;
+	// larger sets (none in this repository) sort on the heap.
+	stackLabels = 8
+	// keyBufSize is the stack buffer a key is built in; a longer key
+	// grows onto the heap.
+	keyBufSize = 256
+)
+
+// appendLabelKey appends the canonical key of labels to b. Every scan
+// resolves dozens of labeled children, so the labels are sorted without
+// reflection in a stack array and nothing is allocated while b has room.
+func appendLabelKey(b []byte, labels []Label) []byte {
+	var arr [stackLabels]Label
+	ls := arr[:0]
+	if len(labels) > len(arr) {
+		ls = make([]Label, 0, len(labels))
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	ls = append(ls, labels...)
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	for i, l := range ls {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, `="`...)
+		b = appendEscapedLabel(b, l.Value)
+		b = append(b, '"')
+	}
+	return b
+}
+
+// appendEscapedLabel appends v with backslash, quote and newline escaped,
+// as the exposition format wants label values.
+func appendEscapedLabel(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '"':
+			b = append(b, `\"`...)
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
 // kind discriminates the instrument types a family can hold.
@@ -218,13 +243,18 @@ type family struct {
 	byLabel map[string]*child
 }
 
+// get returns the family's child for labels, creating it on first use. A
+// lookup of an existing child allocates nothing: the key is built on the
+// stack and becomes a string only when a new child is inserted.
 func (f *family) get(labels []Label) *child {
-	lk := labelKey(labels)
+	var buf [keyBufSize]byte
+	key := appendLabelKey(buf[:0], labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ch, ok := f.byLabel[lk]; ok {
+	if ch, ok := f.byLabel[string(key)]; ok {
 		return ch
 	}
+	lk := string(key)
 	ch := &child{labels: lk}
 	switch f.kind {
 	case kindCounter:

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -368,4 +370,68 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestLabelKeyRendersExpositionForm pins the canonical key: labels sorted
+// by key, each k="v" with backslash, quote and newline escaped, for sets
+// that fit the stack sort and one that does not, and a key longer than the
+// stack buffer.
+func TestLabelKeyRendersExpositionForm(t *testing.T) {
+	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	render := func(ls []Label) string {
+		ls = append([]Label(nil), ls...)
+		sort.SliceStable(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+		var parts []string
+		for _, l := range ls {
+			parts = append(parts, l.Key+`="`+esc.Replace(l.Value)+`"`)
+		}
+		return strings.Join(parts, ",")
+	}
+	var many []Label
+	for i := stackLabels + 3; i > 0; i-- {
+		many = append(many, L(fmt.Sprintf("k%02d", i), fmt.Sprint(i)))
+	}
+	for name, ls := range map[string][]Label{
+		"empty":    nil,
+		"one":      {L("origin", "US1")},
+		"unsorted": {L("trial", "2"), L("origin", "US64"), L("proto", "https")},
+		"escaped":  {L("b", `say "hi"`), L("a", "back\\slash\nnewline")},
+		"many":     many,
+		"long":     {L("banner", strings.Repeat("x", 2*keyBufSize))},
+	} {
+		if got, want := labelKey(ls), render(ls); got != want {
+			t.Errorf("%s: labelKey = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestLabelLookupAllocs holds the labeled-child lookup, which every scan
+// makes about twenty times: resolving a child that exists allocates
+// nothing, and a new one allocates its key, the child and its counter (map
+// growth amortizes below one).
+func TestLabelLookupAllocs(t *testing.T) {
+	r := New()
+	labels := []Label{L("trial", "0"), L("origin", "US1"), L("proto", "http")}
+	c := r.Counter("x_total", labels...)
+	if n := testing.AllocsPerRun(100, func() {
+		if r.Counter("x_total", labels...) != c {
+			t.Fatal("a repeat lookup resolved a different child")
+		}
+	}); n != 0 {
+		t.Errorf("a repeat lookup allocates %v times, want 0", n)
+	}
+	trials := make([]string, 102)
+	for i := range trials {
+		trials[i] = fmt.Sprint(i)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("y_total", L("trial", trials[i]), L("origin", "US1"))
+		i++
+	}); n > 3 {
+		t.Errorf("a new child allocates %v times, want at most 3 (key, child, counter)", n)
+	}
+	if got := len(r.lookup("y_total", kindCounter, nil).children()); got != 101 {
+		t.Fatalf("%d children, want 101: the lookups did not each create one", got)
+	}
 }

@@ -244,6 +244,60 @@ func TestRunAllocsIndependentOfBatches(t *testing.T) {
 	}
 }
 
+// TestSecondRunReusesKernel holds a scan's fixed scratch to one allocation
+// per process, not one per scan: once a Run has warmed the fabric, a second
+// Run of the same scanner over the same sink allocates less than 16 KiB,
+// where a fresh sweep kernel alone is ~175 KiB.
+func TestSecondRunReusesKernel(t *testing.T) {
+	if raceBuild() {
+		t.Skip("sync.Pool sheds entries under the race detector: kernels are not always recycled")
+	}
+	ctx := context.Background()
+	w, err := world.Build(ctx, world.TestSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := scenario.New(w, scenario.Config{Trials: 1})
+	org := w.Origins.Get(origin.US1)
+	p := proto.HTTP
+	fab := fabric.New(&fabric.Config{
+		World: w, Engine: sc.Engine, IDSes: policy.Detectors(sc.IDSes), Loss: sc.Loss,
+		Outages: sc.Outages[p], Churn: sc.Churn, NumOrigins: 7, Hosts: sc.Hosts,
+	}, org, 0)
+	s, err := zmap.NewScanner(zmap.Config{
+		SourceIPs: org.SourceIPs, TargetPort: p.Port(), Probes: 2,
+		SpaceBits: 12, Seed: 5, ScanDuration: scenario.ScanDuration,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	handler := func(zmap.Reply) { replies++ }
+	if _, err := s.Run(ctx, fab, handler); err != nil {
+		t.Fatal(err)
+	}
+	// The least over a few runs: a collection during a run empties the
+	// pools, which is not the sweep's doing.
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := s.Run(ctx, fab, handler); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	t.Logf("a second Run allocates %d B", least)
+	if least >= 16<<10 {
+		t.Errorf("a second Run allocates %d B, want < 16 KiB: the sweep kernel is not recycled", least)
+	}
+	if replies == 0 {
+		t.Fatal("no target answered: the runs probed nothing")
+	}
+}
+
 // raceBuild reports whether the test binary was built with -race.
 func raceBuild() bool {
 	bi, ok := debug.ReadBuildInfo()

@@ -298,9 +298,11 @@ func (s *Scanner) srcFor(dst ip.Addr) ip.Addr {
 // sweepKernel is one sweep's state: where its targets go (the sink
 // and its routability, the per-reply or per-target callback), what it has
 // counted, and the caller-owned batch arrays the walk, the lists, the
-// routability call and the clock stamp work in. One kernel is a single
-// ~175 KiB allocation reused for the whole sweep, so the per-address cost is
-// array writes — no per-batch allocation, no interface call per address.
+// routability call and the clock stamp work in. A kernel is one ~175 KiB
+// object reused for the whole sweep, so the per-address cost is array
+// writes — no per-batch allocation, no interface call per address — and
+// recycled across sweeps through kernels, so a study of many small scans
+// allocates it a few times, not once per scan.
 type sweepKernel struct {
 	s *Scanner
 	// sink receives the probes; reply is invoked for every target that
@@ -348,11 +350,19 @@ func (r routedEach) RoutedBatch(dst []ip.Addr, routed []bool) {
 	}
 }
 
+// kernels recycles sweep kernels. A kernel goes back only once no
+// goroutine holds it: its sweep has returned (halting the walker), the
+// splitter has stopped, and the caller has read its Stats (release).
+var kernels = sync.Pool{New: func() any { return new(sweepKernel) }}
+
 // newKernel returns a sweep's kernel over sink (nil for Targets),
 // reporting batch exemplars through bt and, when the scan has telemetry,
-// flushing its counters per batch through a flusher of its own.
+// flushing its counters per batch through a flusher of its own. The kernel
+// comes from kernels reset whole, so nothing of an earlier sweep survives
+// in it; the caller owes it a release.
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
-	k := &sweepKernel{s: s, sink: sink, bt: bt}
+	k := kernels.Get().(*sweepKernel)
+	*k = sweepKernel{s: s, sink: sink, bt: bt}
 	k.sv = sieve{allow: s.cfg.Allowlist, block: s.cfg.Blocklist, span: sweepBatch,
 		cands: k.own[:0], dsts: k.dsts[:], pos: k.pos[:]}
 	if sink != nil {
@@ -374,6 +384,15 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 		}
 	}
 	return k
+}
+
+// release hands the kernel back to kernels, dropping what it references
+// (the scanner, the sink, the callbacks) so a pooled kernel pins nothing of
+// its sweep. Only after the sweep has returned and stopSplit has: no other
+// goroutine may still hold it.
+func (k *sweepKernel) release() {
+	*k = sweepKernel{}
+	kernels.Put(k)
 }
 
 // sweep walks the scanner's permutation block by block through the batch
@@ -778,7 +797,9 @@ func (k *sweepKernel) stopSplit() {
 func (s *Scanner) Targets(ctx context.Context, fn func(dst ip.Addr, t time.Duration)) error {
 	k := s.newKernel(nil, nil)
 	k.visit = fn
-	return k.sweep(ctx)
+	err := k.sweep(ctx)
+	k.release()
+	return err
 }
 
 // probeTarget sends the configured probes for one target, validates the
@@ -832,7 +853,9 @@ func (s *Scanner) Run(ctx context.Context, sink PacketSink, handler func(Reply))
 		s.trace.SetAttr("targets", int64(k.st.Targets))
 		s.trace.SetAttr("unrouted", int64(k.unrouted))
 	}
-	return k.st, err
+	st := k.st
+	k.release()
+	return st, err
 }
 
 // validateResp checks a response packet against the probe's cookie, exactly
