@@ -118,10 +118,11 @@ func checkWorld(w *world.World, ds *results.Dataset) error {
 					return fmt.Errorf("the %v %v scan of trial %d probed %d targets, an earlier scan %d",
 						o, p, trial, s.Targets, targets)
 				}
-				for i, a := range s.Addrs() {
+				for i := range s.Len() {
 					if !s.SuccessAt(i, false) {
 						continue
 					}
+					a := s.AddrAt(i)
 					if d := fib.Resolve(a); !d.Host || !d.Services.Has(p) {
 						return fmt.Errorf("the %v %v scan of trial %d completed a handshake with %v, which is no %v host of the world",
 							o, p, trial, a, p)

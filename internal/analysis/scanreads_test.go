@@ -13,7 +13,8 @@ import (
 // TestPassesReadRowsThroughJoin fails if non-test analysis code reads a
 // scan's address column: which row of a scan holds a host is decided once,
 // by results.Join, and every pass reads rows by index through it. The check
-// is by name: (*results.ScanResult).Addrs is the only Addrs in the tree.
+// is by name: (*results.ScanResult).Addrs and AddrAt are the only methods
+// of those names in the tree.
 func TestPassesReadRowsThroughJoin(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -41,6 +42,7 @@ func TestAddrsReadsDetector(t *testing.T) {
 func (c *C) call()   { _ = c.s.Addrs() }
 func value(s *S)     { f := s.Addrs; _ = f }
 func closure(s *S)   { func() { _ = len(s.Addrs()) }() }
+func at(s *S)        { _ = s.AddrAt(0) }
 func other(s *S)     { _ = s.NumAddrs(); _ = s.Find }
 `
 	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, 0)
@@ -48,14 +50,14 @@ func other(s *S)     { _ = s.NumAddrs(); _ = s.Find }
 		t.Fatal(err)
 	}
 	got := addrsReadsIn(f)
-	want := []string{"call", "closure", "value"}
+	want := []string{"at", "call", "closure", "value"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("found reads in %v, want %v", got, want)
 	}
 }
 
 // addrsReadsIn returns, sorted, the functions and methods declared in f
-// whose bodies refer to a selector named Addrs.
+// whose bodies refer to a selector named Addrs or AddrAt.
 func addrsReadsIn(f *ast.File) []string {
 	var out []string
 	for _, d := range f.Decls {
@@ -65,7 +67,7 @@ func addrsReadsIn(f *ast.File) []string {
 		}
 		reads := false
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Addrs" {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Addrs" || sel.Sel.Name == "AddrAt") {
 				reads = true
 			}
 			return !reads

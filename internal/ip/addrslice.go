@@ -1,7 +1,8 @@
 package ip
 
-// AddrSlice is a sorted, duplicate-free slice of addresses: the address
-// column of a sealed scan and of a trial's ground truth. Search finds an
+// AddrSlice is a sorted, duplicate-free slice of addresses: a trial's
+// ground truth, and the address column of a sealed scan that holds an IPv6
+// address (an IPv4 scan's column is 4 bytes a row). Search finds an
 // address by binary search; Union merges the trials' ground truths into the
 // classifier's spine as one linear k-way merge, never a hash set. Which row
 // of a scan holds a host is the results package's Join, not a helper here.
@@ -9,9 +10,9 @@ package ip
 // The sortedness precondition is not checked on these paths: passing an
 // unsorted or duplicated slice to Search or Union yields silently wrong
 // (not panicking) results, because binary search and the merge cursors
-// assume order. Slices produced by ScanResult's sealed columns, by a Join
-// or by Union always satisfy the invariant; hand-built slices can be
-// validated with IsSorted.
+// assume order. Slices produced by ScanResult.Addrs, by a Join or by Union
+// always satisfy the invariant; hand-built slices can be validated with
+// IsSorted.
 type AddrSlice []Addr
 
 // Search returns the smallest index i with s[i] >= a (len(s) when none).

@@ -2,6 +2,7 @@ package results
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -55,19 +56,43 @@ func randRecord(rng *rand.Rand) HostRecord {
 
 // TestColumnarMatchesMapModel drives the columnar store and the map
 // reference through random interleavings of Add, Get, Each, Success, and
-// Seal, checking every observable after every operation batch.
+// Seal, checking every observable after every operation batch. The v4
+// stream keeps the address column narrow; the mixed-family stream widens it
+// at its first IPv6 Add, and Get and Success probe IPv6 addresses on both
+// sides of that point (half of its probes are addresses already added).
 func TestColumnarMatchesMapModel(t *testing.T) {
+	v4Probe := func(rng *rand.Rand, _ []ip.Addr) ip.Addr { return ip.AddrFrom4(uint32(rng.Intn(64))) }
+	mixedProbe := func(rng *rand.Rand, added []ip.Addr) ip.Addr {
+		if len(added) > 0 && rng.Intn(2) == 0 {
+			return added[rng.Intn(len(added))]
+		}
+		return v6RandRecord(rng).Addr
+	}
+	for _, in := range []struct {
+		name   string
+		record func(*rand.Rand) HostRecord
+		probe  func(*rand.Rand, []ip.Addr) ip.Addr
+	}{
+		{"v4", randRecord, v4Probe},
+		{"mixed-family", v6RandRecord, mixedProbe},
+	} {
+		t.Run(in.name, func(t *testing.T) { checkColumnarModel(t, in.record, in.probe) })
+	}
+}
+
+func checkColumnarModel(t *testing.T, record func(*rand.Rand) HostRecord, probe func(*rand.Rand, []ip.Addr) ip.Addr) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		s := NewScanResult(origin.AU, proto.HTTP, 0)
 		model := &mapModel{}
+		var added []ip.Addr
 		ops := rng.Intn(200)
 		for i := 0; i < ops; i++ {
 			switch rng.Intn(10) {
 			case 0: // explicit mid-stream Seal; Add after re-opens
 				s.Seal()
 			case 1, 2: // Get on a random address
-				a := ip.AddrFrom4(uint32(rng.Intn(64)))
+				a := probe(rng, added)
 				got, ok := s.Get(a)
 				want, wantOK := model.recs[a]
 				if ok != wantOK || got != want {
@@ -75,7 +100,7 @@ func TestColumnarMatchesMapModel(t *testing.T) {
 						trial, i, a, got, ok, want, wantOK)
 				}
 			case 3: // Success under both probe policies
-				a := ip.AddrFrom4(uint32(rng.Intn(64)))
+				a := probe(rng, added)
 				w := model.recs[a]
 				if got := s.Success(a, false); got != w.L7 {
 					t.Fatalf("trial %d op %d: Success(%v,false)=%v", trial, i, a, got)
@@ -84,9 +109,10 @@ func TestColumnarMatchesMapModel(t *testing.T) {
 					t.Fatalf("trial %d op %d: Success(%v,true)=%v", trial, i, a, got)
 				}
 			default:
-				r := randRecord(rng)
+				r := record(rng)
 				s.Add(r)
 				model.Add(r)
+				added = append(added, r.Addr)
 			}
 		}
 		want := model.sorted()
@@ -111,6 +137,10 @@ func TestColumnarMatchesMapModel(t *testing.T) {
 		}
 		if !ip.AddrSlice(s.Addrs()).IsSorted() {
 			t.Fatalf("trial %d: sealed address column not strictly sorted", trial)
+		}
+		wide := slices.ContainsFunc(want, func(r HostRecord) bool { return !r.Addr.Is4() })
+		if s.addrs.isWide != wide {
+			t.Fatalf("trial %d: address column wide = %v, holding an IPv6 address = %v", trial, s.addrs.isWide, wide)
 		}
 	}
 }

@@ -129,19 +129,19 @@ func (s *ScanResult) writeJSON(bw *bufio.Writer, sc *writeScratch) error {
 	writeField("rsts", s.Rsts, false)
 	writeField("invalid", s.Invalid, false)
 	bw.WriteString(`,"records":`)
-	if len(s.addrs) == 0 {
+	if s.addrs.len() == 0 {
 		bw.WriteString("null")
 	} else {
 		// Each row, with its brackets and separator, is built in the
 		// scratch and handed to the writer in one call.
 		open := byte('[')
-		for i := range s.addrs {
+		for i := range s.addrs.len() {
 			num = append(num[:0], open, '[')
 			open = ','
 			// IPv4 addresses keep the historical bare-integer encoding
 			// (byte-identity with every pre-dual-stack file); IPv6 is a
 			// JSON string in canonical text form.
-			if a := s.addrs[i]; a.Is4() {
+			if a := s.addrs.at(i); a.Is4() {
 				num = strconv.AppendUint(num, uint64(a.V4()), 10)
 			} else {
 				num = append(num, '"')
@@ -653,7 +653,7 @@ func (d *decoder) scan() (*ScanResult, error) {
 			// Banners go straight onto their column, as indices into the
 			// scan's dictionary (built in file order); the records —
 			// normally already read — have sized the column.
-			s.banner = slices.Grow(s.banner, max(0, len(s.addrs)-len(s.banner)))
+			s.banner = slices.Grow(s.banner, max(0, s.addrs.len()-len(s.banner)))
 			err = d.array(func() error {
 				if d.next() != '"' {
 					return d.errAt("banner string")
@@ -682,7 +682,7 @@ func (d *decoder) scan() (*ScanResult, error) {
 	// Banners pair with rows by position and either list may be the
 	// longer; the column ends with one entry per row, and the row columns
 	// with no spare capacity.
-	n := len(s.addrs)
+	n := s.addrs.len()
 	if len(s.banner) > n {
 		s.banner = s.banner[:n]
 	}
@@ -694,12 +694,13 @@ func (d *decoder) scan() (*ScanResult, error) {
 // resizeRows moves the two columns a decoded record appends to into arrays
 // of exactly n rows' capacity: doubled while a scan of unknown length is
 // read (so a scan costs a handful of allocations, not one per
-// append-doubling), then cut to size.
+// append-doubling), then cut to size. The address column keeps its width:
+// IPv4 records go on as 4-byte values, and the first IPv6 one widens it.
 func (s *ScanResult) resizeRows(n int) {
-	if n == cap(s.addrs) {
+	if n == s.addrs.cap() {
 		return
 	}
-	s.addrs = append(make(ip.AddrSlice, 0, n), s.addrs...)
+	s.addrs.setCap(n)
 	s.rows = append(make([]row, 0, n), s.rows...)
 }
 
@@ -744,7 +745,7 @@ func (d *decoder) record(s *ScanResult) error {
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("record %d: %w", len(s.addrs), err)
+		return fmt.Errorf("record %d: %w", s.addrs.len(), err)
 	}
 	s.appendRecord(addr, &rec)
 	return nil
@@ -752,10 +753,10 @@ func (d *decoder) record(s *ScanResult) error {
 
 // appendRecord appends one decoded tuple to the scan's columns.
 func (s *ScanResult) appendRecord(addr ip.Addr, rec *[len(recordFields)]uint64) {
-	if len(s.addrs) == cap(s.addrs) {
-		s.resizeRows(max(1024, 2*len(s.addrs)))
+	if n := s.addrs.len(); n == s.addrs.cap() {
+		s.resizeRows(max(1024, 2*n))
 	}
-	s.addrs = append(s.addrs, addr)
+	s.addrs.append(addr)
 	s.rows = append(s.rows, row{
 		t:         time.Duration(rec[5]),
 		attempts:  int32(rec[4]),

@@ -105,10 +105,10 @@ func (d *Dataset) join(p proto.Protocol, trial int) *Join {
 		found, l7 := false, false
 		for _, k := range live {
 			s, i := j.cols[k].Scan, pos[k]
-			if i == len(s.addrs) {
+			if i == s.addrs.len() {
 				continue
 			}
-			switch a, ok := s.addrs[i], s.rows[i].flags&flagL7 != 0; {
+			switch a, ok := s.addrs.at(i), s.rows[i].flags&flagL7 != 0; {
 			case !found || a.Less(h):
 				h, found, l7 = a, true, ok
 			case a == h:
@@ -123,7 +123,7 @@ func (d *Dataset) join(p proto.Protocol, trial int) *Join {
 		}
 		for _, k := range live {
 			c, i := &j.cols[k], pos[k]
-			if i < len(c.Scan.addrs) && c.Scan.addrs[i] == h {
+			if i < c.Scan.addrs.len() && c.Scan.addrs.at(i) == h {
 				pos[k]++
 			} else {
 				i = -1

@@ -212,7 +212,7 @@ func (s *ScanResult) readRecord(dec *json.Decoder) error {
 	if _, err := dec.Token(); err != nil { // closing ']'
 		return err
 	}
-	s.addrs = append(s.addrs, addr)
+	s.addrs.append(addr)
 	s.rows = append(s.rows, row{
 		t:         time.Duration(rec[5]),
 		attempts:  int32(rec[4]),

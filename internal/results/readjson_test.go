@@ -103,10 +103,16 @@ const smallDoc = `{"origins":"AAE=", "trials":2, "scans":[
 ]}
 `
 
+// widenDoc's scan lists IPv4 records, then an IPv6 one, then IPv4 again:
+// the decoder's address column starts at 4 bytes a row and widens at the
+// fourth record, keeping the rows before it.
+var widenDoc = scanDoc(`"records":[[10,1,2,0,1,5],[4294967295,1,2,0,1,6],[7,3,0,0,2,7],["2a00:1::2b",1,2,4,2,8],[11,1,2]],"banners":["a","b","","c","d"]`)
+
 // acceptDocs are hand-written documents both decoders must accept, with
 // Equal results: everything WriteJSON never emits but the format allows.
 var acceptDocs = map[string]string{
 	"small":          smallDoc,
+	"v4 then v6":     widenDoc,
 	"minimal":        `{"trials":1}`,
 	"whitespace":     " \t\r\n{ \"origins\" : \"AA==\" ,\n\"trials\"\t:\r1 , \"scans\" : [ { \"origin\" : 0 , \"proto\" : 1 , \"trial\" : 0 , \"records\" : [ [ 7 , 1 , 2 , 0 , 1 , 9 ] , [ 8 ] ] , \"banners\" : [ \"a\" , \"b\" ] } ] } \n\t",
 	"reordered keys": `{"scans":[{"banners":["x","y"],"records":[[5,3,2,0,1,1],[6,3,2,0,1,2]],"trial":1,"proto":2,"origin":0}],"trials":2,"origins":"AA=="}`,
@@ -424,6 +430,7 @@ func TestReadJSONFastRecordBoundary(t *testing.T) {
 
 func FuzzReadJSON(f *testing.F) {
 	f.Add(encode(f, results.Sample()))
+	f.Add([]byte(widenDoc))
 	for _, docs := range []map[string]string{acceptDocs, rejectDocs, strictOnly} {
 		for _, doc := range docs {
 			if len(doc) < 4096 { // the long-string and depth documents only slow mutation down

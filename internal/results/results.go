@@ -15,7 +15,6 @@ package results
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -72,10 +71,13 @@ type ScanResult struct {
 	// Scan statistics from the scanner.
 	Targets, ProbesSent, SynAcks, Rsts, Invalid uint64
 
-	// The three columns, sorted by addrs once sealed: the address spine,
-	// the fixed-width rest of each record, and each record's banner as an
-	// index into banners (0 is "", k names banners[k-1]).
-	addrs  ip.AddrSlice
+	// The three columns, sorted by addrs once sealed: the address spine
+	// (4 bytes a row while every address is IPv4, 16 from the first that
+	// is not: see addrCol), the fixed-width rest of each record, and each
+	// record's banner as an index into banners (0 is "", k names
+	// banners[k-1]). A sealed row is 24 bytes in an IPv4 scan, 36 in one
+	// that holds an IPv6 address.
+	addrs  addrCol
 	rows   []row
 	banner []uint32
 
@@ -105,7 +107,10 @@ type row struct {
 	fail      zgrab.FailMode
 }
 
-// rowBytes is one record's exact share of the three columns.
+// rowBytes is one record's share of the three columns at the wide
+// address width (36 B): exact for a scan holding an IPv6 address, an upper
+// bound for an IPv4 scan's 24 B. The spill budget charges it for every row,
+// so a narrow scan flushes where a wide one would.
 const rowBytes = int64(unsafe.Sizeof(ip.Addr{}) + unsafe.Sizeof(row{}) + unsafe.Sizeof(uint32(0)))
 
 // NewScanResult returns an empty in-memory result set.
@@ -115,14 +120,15 @@ func NewScanResult(o origin.ID, p proto.Protocol, trial int) *ScanResult {
 
 // NewScanResultSized returns an empty in-memory result set with column
 // storage sized for n hosts, avoiding regrowth when the caller knows the
-// reply count. The hint is trusted as given here — an in-memory result has
-// no memory ceiling; NewSpilledScanResult applies the same hint but clamps
-// it by the spill budget, so callers sizing from a population estimate
-// cannot pre-allocate past the ceiling the budget promises.
+// reply count. The address column takes the hint at its first Add, once
+// its width is known. The hint is trusted as given here — an in-memory
+// result has no memory ceiling; NewSpilledScanResult applies the same hint
+// but clamps it by the spill budget, so callers sizing from a population
+// estimate cannot pre-allocate past the ceiling the budget promises.
 func NewScanResultSized(o origin.ID, p proto.Protocol, trial int, n int) *ScanResult {
 	s := &ScanResult{Origin: o, Proto: p, Trial: trial}
 	if n > 0 {
-		s.addrs = make(ip.AddrSlice, 0, n)
+		s.addrs.setCap(n)
 		s.rows = make([]row, 0, n)
 		s.banner = make([]uint32, 0, n)
 	}
@@ -230,34 +236,32 @@ func (s *ScanResult) seal() {
 // already strictly ascending — decoded datasets, merged spill output — are
 // left alone.
 //
-// A radix sort (radixSort) orders an int32 row index by (address, arrival
-// index): a total order, so the result is the stable one, and of several
-// Adds for one host the latest stays last for dedup to keep. The
+// A radix sort (addrCol.radixSort) orders an int32 row index by (address,
+// arrival index): a total order, so the result is the stable one, and of
+// several Adds for one host the latest stays last for dedup to keep. The
 // permutation is then applied to the three columns in place, cycle by cycle
 // — hold the row a cycle starts at, pull each row of the cycle from where
 // the index says it comes, drop the held row into the last hole — so every
 // row moves once. The index (4 B/row) comes from a pool: a seal that follows
 // another allocates nothing.
 func (s *ScanResult) sortByAddr() {
-	if s.addrs.IsSorted() {
+	if s.addrs.isSorted() {
 		return
 	}
-	addrs := s.addrs
+	n := s.addrs.len()
 	buf := sortScratch.Get().(*[]int32)
-	if n := len(addrs); cap(*buf) < n {
+	if cap(*buf) < n {
+		size := n
 		if cap(*buf) > 0 { // outgrown: leave room for the next, slightly larger scan
-			n += n / 4
+			size += n / 4
 		}
-		*buf = make([]int32, n)
+		*buf = make([]int32, size)
 	}
-	idx := (*buf)[:len(addrs)]
-	var vary [2]uint64 // low word, high word
-	for i, a := range addrs {
+	idx := (*buf)[:n]
+	for i := range idx {
 		idx[i] = int32(i)
-		vary[0] |= a.Lo() ^ addrs[0].Lo()
-		vary[1] |= a.Hi() ^ addrs[0].Hi()
 	}
-	radixSort(idx, addrs, 15, vary)
+	s.addrs.radixSort(idx)
 	for i := range idx {
 		if int(idx[i]) == i {
 			continue
@@ -278,76 +282,13 @@ func (s *ScanResult) sortByAddr() {
 // sortScratch holds sortByAddr's row index between seals.
 var sortScratch = sync.Pool{New: func() any { return new([]int32) }}
 
-// radixSort orders the rows idx names by (address, row). The rows agree in
-// every address byte above digit (0 is the low word's least significant
-// byte, 15 the high word's most); vary marks the bytes that differ anywhere
-// in the scan (the OR of every address XOR the first), and only those get a
-// pass: an in-place counting pass (American flag sort: no second buffer)
-// on the most significant one, then a recursion into each bucket. Passes
-// are not stable, so a bucket of one repeated address is ordered by row and
-// a bucket of ≤ 32 rows by insertion on (address, row).
-func radixSort(idx []int32, addrs ip.AddrSlice, digit int, vary [2]uint64) {
-	for digit >= 0 && vary[digit>>3]>>(8*(digit&7))&0xff == 0 {
-		digit--
-	}
-	if digit < 0 { // one address, repeated
-		slices.Sort(idx)
-		return
-	}
-	if len(idx) <= 32 {
-		for i := 1; i < len(idx); i++ {
-			r, j := idx[i], i
-			for ; j > 0 && (addrs[r].Less(addrs[idx[j-1]]) || addrs[r] == addrs[idx[j-1]] && r < idx[j-1]); j-- {
-				idx[j] = idx[j-1]
-			}
-			idx[j] = r
-		}
-		return
-	}
-	shift := uint(8 * (digit & 7))
-	key := func(r int32) int {
-		if digit >= 8 {
-			return int(addrs[r].Hi() >> shift & 0xff)
-		}
-		return int(addrs[r].Lo() >> shift & 0xff)
-	}
-	var head, tail [256]int32
-	for _, r := range idx {
-		tail[key(r)]++
-	}
-	sum := int32(0)
-	for b, c := range tail {
-		head[b] = sum
-		sum += c
-		tail[b] = sum
-	}
-	for b := range head {
-		for head[b] < tail[b] {
-			r := idx[head[b]]
-			for k := key(r); k != b; k = key(r) {
-				r, idx[head[k]] = idx[head[k]], r
-				head[k]++
-			}
-			idx[head[b]] = r
-			head[b]++
-		}
-	}
-	lo := int32(0)
-	for _, hi := range tail {
-		if hi-lo > 1 {
-			radixSort(idx[lo:hi], addrs, digit-1, vary)
-		}
-		lo = hi
-	}
-}
-
 // dedup compacts sorted columns, keeping the last row of each address run.
 func (s *ScanResult) dedup() {
-	before := len(s.addrs)
+	before := s.addrs.len()
 	out := 0
-	for i := 0; i < len(s.addrs); {
+	for i := 0; i < before; {
 		j := i
-		for j+1 < len(s.addrs) && s.addrs[j+1] == s.addrs[i] {
+		for j+1 < before && s.addrs.same(j+1, i) {
 			j++
 		}
 		if out != j {
@@ -363,7 +304,7 @@ func (s *ScanResult) dedup() {
 // Len returns the number of recorded hosts.
 func (s *ScanResult) Len() int {
 	s.seal()
-	return len(s.addrs)
+	return s.addrs.len()
 }
 
 // SealStats seals the result and reports the committed row count and the
@@ -371,33 +312,39 @@ func (s *ScanResult) Len() int {
 // records both when a scan commits to the dataset.
 func (s *ScanResult) SealStats() (rows, deduped int) {
 	s.seal()
-	return len(s.addrs), s.dedupDropped
+	return s.addrs.len(), s.dedupDropped
 }
 
 // Addrs returns the sealed, sorted address column. Callers must not modify
-// it. Analyses do not read it: they find a host's row through the trial's
-// Join.
+// it. For an IPv4 scan, whose column is 4 bytes a row, it is a fresh copy
+// at 16 bytes a row on every call: a reader that walks the rows iterates
+// Len and AddrAt instead. Analyses do not read it: they find a host's row
+// through the trial's Join.
 func (s *ScanResult) Addrs() ip.AddrSlice {
 	s.seal()
-	return s.addrs
+	return s.addrs.slice()
 }
+
+// AddrAt returns row i's address in the sealed columns. Indices come from
+// Find or from counting up to Len.
+func (s *ScanResult) AddrAt(i int) ip.Addr { return s.addrs.at(i) }
 
 // Find returns the row index of addr in the sealed columns.
 func (s *ScanResult) Find(addr ip.Addr) (int, bool) {
 	s.seal()
-	i := s.addrs.Search(addr)
-	if i < len(s.addrs) && s.addrs[i] == addr {
+	i := s.addrs.search(addr)
+	if i < s.addrs.len() && s.addrs.at(i) == addr {
 		return i, true
 	}
 	return i, false
 }
 
 // RecordAt materializes row i of the sealed columns. Indices come from
-// Find or from iterating Addrs.
+// Find or from counting up to Len.
 func (s *ScanResult) RecordAt(i int) HostRecord {
 	r := &s.rows[i]
 	return HostRecord{
-		Addr:      s.addrs[i],
+		Addr:      s.addrs.at(i),
 		ProbeMask: r.probeMask,
 		RST:       r.flags&flagRST != 0,
 		L7:        r.flags&flagL7 != 0,
@@ -458,7 +405,7 @@ func (s *ScanResult) Success(addr ip.Addr, singleProbe bool) bool {
 // under the running loop.
 func (s *ScanResult) Each(fn func(HostRecord)) {
 	s.seal()
-	for i := range s.addrs {
+	for i := range s.addrs.len() {
 		fn(s.RecordAt(i))
 	}
 }
@@ -473,15 +420,15 @@ func (s *ScanResult) DiffAgainst(o *ScanResult) string {
 	}
 	s.seal()
 	o.seal()
-	if len(s.addrs) != len(o.addrs) {
-		return fmt.Sprintf("%d vs %d records", len(s.addrs), len(o.addrs))
+	if s.addrs.len() != o.addrs.len() {
+		return fmt.Sprintf("%d vs %d records", s.addrs.len(), o.addrs.len())
 	}
-	for i := range s.addrs {
-		if s.addrs[i] != o.addrs[i] {
-			return fmt.Sprintf("row %d: host %v vs %v", i, s.addrs[i], o.addrs[i])
-		}
+	for i := range s.addrs.len() {
 		if r, or := s.RecordAt(i), o.RecordAt(i); r != or {
-			return fmt.Sprintf("host %v: %+v vs %+v", s.addrs[i], r, or)
+			if r.Addr != or.Addr {
+				return fmt.Sprintf("row %d: host %v vs %v", i, r.Addr, or.Addr)
+			}
+			return fmt.Sprintf("host %v: %+v vs %+v", r.Addr, r, or)
 		}
 	}
 	if s.Targets != o.Targets || s.ProbesSent != o.ProbesSent ||

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -21,17 +22,19 @@ import (
 // dedup can keep it (map-replacement semantics).
 type byAddr ScanResult
 
-func (s *byAddr) Len() int           { return len(s.addrs) }
-func (s *byAddr) Less(i, j int) bool { return s.addrs[i].Less(s.addrs[j]) }
+func (s *byAddr) Len() int           { return s.addrs.len() }
+func (s *byAddr) Less(i, j int) bool { return s.addrs.at(i).Less(s.addrs.at(j)) }
 func (s *byAddr) Swap(i, j int) {
-	s.addrs[i], s.addrs[j] = s.addrs[j], s.addrs[i]
+	ai, aj := s.addrs.at(i), s.addrs.at(j)
+	s.addrs.set(i, aj)
+	s.addrs.set(j, ai)
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 	s.banner[i], s.banner[j] = s.banner[j], s.banner[i]
 }
 
 // sortByAddrOracle is what every seal and flush site ran before sortByAddr.
 func (s *ScanResult) sortByAddrOracle() {
-	if !s.addrs.IsSorted() {
+	if !s.addrs.isSorted() {
 		sort.Stable((*byAddr)(s))
 		s.dedup()
 	}
@@ -59,14 +62,26 @@ func sortFixture(n int, addr func(i int) ip.Addr) *ScanResult {
 }
 
 func columnsOf(s *ScanResult) []any {
-	return []any{s.addrs, s.rows, s.banner, s.banners, s.dedupDropped}
+	return []any{s.addrs.slice(), s.rows, s.banner, s.banners, s.dedupDropped}
+}
+
+// clone is an independent copy of the column, at its width.
+func (c *addrCol) clone() addrCol {
+	return addrCol{narrow: slices.Clone(c.narrow), wide: slices.Clone(c.wide), isWide: c.isWide}
+}
+
+// copyFrom overwrites the column's rows with src's: both are one width and
+// one length.
+func (c *addrCol) copyFrom(src *addrCol) {
+	copy(c.narrow, src.narrow)
+	copy(c.wide, src.wide)
 }
 
 // copyColumns is an unsorted copy of s's columns, sharing its dictionary:
 // the input the stable-sort oracle sorts beside sortByAddr.
 func copyColumns(s *ScanResult) *ScanResult {
 	return &ScanResult{
-		addrs:   append(ip.AddrSlice(nil), s.addrs...),
+		addrs:   s.addrs.clone(),
 		rows:    append([]row(nil), s.rows...),
 		banner:  append([]uint32(nil), s.banner...),
 		banners: s.banners,
@@ -118,7 +133,7 @@ func TestSortByAddrMatchesStableOracle(t *testing.T) {
 			want := copyColumns(got)
 			got.sortByAddr()
 			want.sortByAddrOracle()
-			if !got.addrs.IsSorted() {
+			if !got.addrs.isSorted() {
 				t.Fatal("columns not strictly ascending after sortByAddr")
 			}
 			g, w := columnsOf(got), columnsOf(want)
@@ -154,12 +169,12 @@ func BenchmarkSealSort(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			src := sortFixture(bc.n, bc.addr)
-			s := &ScanResult{addrs: make(ip.AddrSlice, bc.n), rows: make([]row, bc.n), banner: make([]uint32, bc.n)}
+			s := &ScanResult{addrs: src.addrs.clone(), rows: make([]row, bc.n), banner: make([]uint32, bc.n)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				copy(s.addrs, src.addrs)
+				s.addrs.copyFrom(&src.addrs)
 				copy(s.rows, src.rows)
 				copy(s.banner, src.banner)
 				b.StartTimer()

@@ -219,7 +219,7 @@ func (s *ScanResult) SealErr() error {
 		}
 		s.sealMem()
 		// The sealed columns are the live run a later Add extends.
-		s.spill.liveBytes = int64(len(s.addrs)) * rowBytes
+		s.spill.liveBytes = int64(s.addrs.len()) * rowBytes
 		s.spill.cleanupDir()
 	}
 	return s.spill.err
@@ -257,7 +257,7 @@ func (sp *spillState) cleanupDir() {
 // the caller).
 func (s *ScanResult) maybeSpill() {
 	sp := s.spill
-	if sp.err != nil || sp.liveBytes < sp.cfg.budget() || len(s.addrs) == 0 {
+	if sp.err != nil || sp.liveBytes < sp.cfg.budget() || s.addrs.len() == 0 {
 		return
 	}
 	if err := s.flushRun(); err != nil {
@@ -283,7 +283,7 @@ func (s *ScanResult) flushRun() error {
 	path := filepath.Join(sp.dir, fmt.Sprintf("run-%06d.seg", sp.stats.Segments))
 	flushBegin := time.Now()
 	n, bytes, err := writeSegment(path, func(emit func(spillRow)) error {
-		for i := range s.addrs {
+		for i := range s.addrs.len() {
 			emit(s.rowAt(i))
 		}
 		return nil
@@ -311,21 +311,24 @@ type spillRow struct {
 	banner uint32
 }
 
-func (s *ScanResult) rowAt(i int) spillRow { return spillRow{s.addrs[i], s.rows[i], s.banner[i]} }
+func (s *ScanResult) rowAt(i int) spillRow { return spillRow{s.addrs.at(i), s.rows[i], s.banner[i]} }
 
 func (s *ScanResult) setRow(i int, r spillRow) {
-	s.addrs[i], s.rows[i], s.banner[i] = r.addr, r.row, r.banner
+	s.addrs.set(i, r.addr)
+	s.rows[i], s.banner[i] = r.row, r.banner
 }
 
 func (s *ScanResult) appendRow(r spillRow) {
-	s.addrs = append(s.addrs, r.addr)
+	s.addrs.append(r.addr)
 	s.rows = append(s.rows, r.row)
 	s.banner = append(s.banner, r.banner)
 }
 
-// truncate cuts the three columns to their first n rows.
+// truncate cuts the three columns to their first n rows, keeping their
+// storage (and the address column's width).
 func (s *ScanResult) truncate(n int) {
-	s.addrs, s.rows, s.banner = s.addrs[:n], s.rows[:n], s.banner[:n]
+	s.addrs.truncate(n)
+	s.rows, s.banner = s.rows[:n], s.banner[:n]
 }
 
 // mergeSpilled replaces the columns with the keep-last merge of every
@@ -338,7 +341,7 @@ func (s *ScanResult) mergeSpilled() error {
 	// The live run becomes the newest sorted run, in memory.
 	s.sortByAddr()
 	live := *s // snapshot of the live columns for the memory reader
-	s.addrs, s.rows, s.banner = nil, nil, nil
+	s.addrs, s.rows, s.banner = addrCol{}, nil, nil
 
 	// Hierarchical pre-merges: reduce the oldest segments first so run
 	// ordering (and therefore keep-last) is preserved; the live run only
@@ -363,7 +366,7 @@ func (s *ScanResult) mergeSpilled() error {
 			r.close()
 		}
 	}()
-	total := len(live.addrs)
+	total := live.addrs.len()
 	for _, seg := range sp.segments {
 		sr, err := openSegment(seg.path, len(s.banners))
 		if err != nil {
@@ -374,7 +377,9 @@ func (s *ScanResult) mergeSpilled() error {
 	}
 	readers = append(readers, &memRunReader{s: &live, i: -1})
 
-	s.addrs = make(ip.AddrSlice, 0, total)
+	// The merged rows hold every address any run did: the live run's width,
+	// which its flushes kept, is theirs.
+	s.addrs = live.addrs.fresh(total)
 	s.rows = make([]row, 0, total)
 	s.banner = make([]uint32, 0, total)
 	dropped, err := mergeRuns(readers, s.appendRow)
@@ -483,7 +488,7 @@ type memRunReader struct {
 
 func (m *memRunReader) next(r *spillRow) (bool, error) {
 	m.i++
-	if m.i >= len(m.s.addrs) {
+	if m.i >= m.s.addrs.len() {
 		return false, nil
 	}
 	*r = m.s.rowAt(m.i)

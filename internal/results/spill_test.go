@@ -333,13 +333,13 @@ func TestSpilledConstructorClampsHint(t *testing.T) {
 	}
 	// The clamp divides by the exact row size: 100 rows fit the budget,
 	// plus the one the threshold check appends before it flushes.
-	if got := cap(sp.addrs); got > 101 {
+	if got := sp.addrs.cap(); got > 101 {
 		t.Fatalf("hint pre-allocated %d rows, budget ceiling is 101", got)
 	}
 	// The in-memory constructor trusts the hint (documented asymmetry).
 	mem := NewScanResultSized(origin.US1, proto.HTTP, 0, 1<<12)
-	if cap(mem.addrs) != 1<<12 {
-		t.Fatalf("in-memory hint not honored: cap %d", cap(mem.addrs))
+	if mem.addrs.cap() != 1<<12 {
+		t.Fatalf("in-memory hint not honored: cap %d", mem.addrs.cap())
 	}
 }
 
@@ -476,7 +476,7 @@ func FuzzSegmentReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	mem.sortByAddr()
-	want := make([]spillRow, len(mem.addrs))
+	want := make([]spillRow, mem.addrs.len())
 	for i := range want {
 		want[i] = mem.rowAt(i)
 	}

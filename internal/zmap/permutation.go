@@ -260,10 +260,11 @@ func (sv *sieve) admit(a uint64, n int) {
 }
 
 // grow makes room for more candidates: 64 at first, then at least a whole
-// block's. A walker's ring slot therefore allocates at most twice in a
-// sweep, 512 bytes for the handful a dark block keeps and 32 KiB once a
-// block outgrows them, where append's growth would allocate five times a
-// dense block's final size in steps of a quarter.
+// block's. A walker's ring slot therefore allocates at most twice in its
+// kernel's life (a recycled kernel keeps the slots' arrays), 512 bytes for
+// the handful a dark block keeps and 32 KiB once a block outgrows them,
+// where append's growth would allocate five times a dense block's final
+// size in steps of a quarter.
 func (sv *sieve) grow() {
 	n := 64
 	if cap(sv.cands) >= n {

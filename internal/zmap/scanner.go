@@ -359,10 +359,13 @@ var kernels = sync.Pool{New: func() any { return new(sweepKernel) }}
 // reporting batch exemplars through bt and, when the scan has telemetry,
 // flushing its counters per batch through a flusher of its own. The kernel
 // comes from kernels reset whole, so nothing of an earlier sweep survives
-// in it; the caller owes it a release.
+// in it but the walker ring slots' empty candidate arrays; the caller owes
+// it a release.
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
 	k := kernels.Get().(*sweepKernel)
+	slots := k.ringSlots()
 	*k = sweepKernel{s: s, sink: sink, bt: bt}
+	k.keepRingSlots(slots)
 	k.sv = sieve{allow: s.cfg.Allowlist, block: s.cfg.Blocklist, span: sweepBatch,
 		cands: k.own[:0], dsts: k.dsts[:], pos: k.pos[:]}
 	if sink != nil {
@@ -391,8 +394,28 @@ func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKe
 // its sweep. Only after the sweep has returned and stopSplit has: no other
 // goroutine may still hold it.
 func (k *sweepKernel) release() {
+	slots := k.ringSlots()
 	*k = sweepKernel{}
+	k.keepRingSlots(slots)
 	kernels.Put(k)
+}
+
+// ringSlots returns the walker ring slots' candidate arrays, emptied: what
+// a kernel carries across its resets, so a recycled kernel's walker does
+// not grow its ring from nothing again. A cand holds no pointer, so the
+// arrays pin nothing of the sweep that filled them.
+func (k *sweepKernel) ringSlots() (slots [ringDepth][]cand) {
+	for i := range k.w.ring {
+		slots[i] = k.w.ring[i].cands[:0]
+	}
+	return slots
+}
+
+// keepRingSlots puts ringSlots' arrays back into a reset kernel's ring.
+func (k *sweepKernel) keepRingSlots(slots [ringDepth][]cand) {
+	for i := range k.w.ring {
+		k.w.ring[i].cands = slots[i]
+	}
 }
 
 // sweep walks the scanner's permutation block by block through the batch
