@@ -38,7 +38,7 @@ race:
 audit-fullscale:
 	WORLD_AUDIT_FULLSCALE=1 $(GO) test -run 'TestStreamingFullScaleAudit' -v -timeout 30m ./internal/world/
 
-# Ten seconds of each of the fifteen fuzz targets. Eight are decoders,
+# Ten seconds of each of the sixteen fuzz targets. Eight are decoders,
 # differential against the pre-rewrite implementations kept in the packages'
 # oracle_test.go files (for ip.ParseAddr, in parse_test.go, with net/netip
 # behind it; for the packet decoder, the allocating form against the
@@ -71,13 +71,17 @@ audit-fullscale:
 # journals, seeded with a study's journal, the same journal torn mid-way
 # through its final line (a killed run's last write) and two cyclic span
 # trees: the reader fails or every pass returns, with no panic and no
-# endless walk down a cyclic span tree.
+# endless walk down a cyclic span tree. The sixteenth holds the dataset
+# decoder's look-ahead to its in-line decoder: whatever bytes it reads, the
+# scans it decodes on workers give the dataset, or the error at the offset,
+# that decoding every scan in line gives.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResponse -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadRequest -fuzztime 10s ./internal/httpwire/
 	$(GO) test -run xxx -fuzz FuzzReadID -fuzztime 10s ./internal/sshwire/
 	$(GO) test -run xxx -fuzz FuzzHandshakeReader -fuzztime 10s ./internal/tlslite/
 	$(GO) test -run xxx -fuzz FuzzReadJSON -fuzztime 10s ./internal/results/
+	$(GO) test -run xxx -fuzz FuzzLookaheadMatchesInLine -fuzztime 10s ./internal/results/
 	$(GO) test -run xxx -fuzz FuzzParseAddr -fuzztime 10s ./internal/ip/
 	$(GO) test -run xxx -fuzz FuzzIsSorted -fuzztime 10s ./internal/ip/
 	$(GO) test -run xxx -fuzz FuzzDecodeTCP -fuzztime 10s ./internal/packet/

@@ -6,4 +6,13 @@ package results
 var (
 	ReadJSONOracle = readJSONOracle
 	Sample         = sample
+	InlineBound    = inlineBound
 )
+
+// ReadAheadBound is the most input the decoder holds past its cursor with
+// the given number of workers.
+func ReadAheadBound(workers int) int { return workers * aheadPerWorker }
+
+// TextBound is WriteJSON's bound on s's text, which decides whether a
+// worker encodes it.
+func TextBound(s *ScanResult) int { return s.textBound() }

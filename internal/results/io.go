@@ -1,14 +1,16 @@
 package results
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/ip"
@@ -22,9 +24,9 @@ import (
 // raw results and cmd/report can re-run analyses without re-scanning.
 //
 // Both directions stream over the columnar store: the encoder walks the
-// sealed columns and writes tuples and banners straight to the output
-// buffer, and the decoder is a single-pass byte scanner over a fixed read
-// window that appends rows straight onto fresh columns — neither side
+// sealed columns and appends tuples and banners straight to its output
+// buffer, and the decoder is a single-pass byte scanner over a read window
+// that appends rows straight onto fresh columns — neither side
 // materializes per-row structs, an intermediate records slice, a scan's
 // banner column or the file (DESIGN.md § 5 "Wire format"). The bytes
 // produced are identical to the earlier reflection-based encoder
@@ -32,6 +34,17 @@ import (
 // slices, banners omitted when none captured, HTML-escaped strings, and
 // the trailing newline are all preserved, which the golden-dataset test
 // locks in.
+//
+// A scan is the unit of work for GOMAXPROCS workers. WriteJSON encodes
+// scans into a buffer per scan and hands the buffers to the writer in
+// study order; ReadJSON cuts the text ahead of its cursor at the separator
+// WriteJSON puts between scans and decodes each piece in place, taking a
+// piece only where the in-line decoder would have read that same scan. A
+// dataset of one scan, GOMAXPROCS 1, or a scan of more than inlineBound
+// bytes of text goes through the one-goroutine streaming path, so the
+// codec holds at most a constant times GOMAXPROCS of text, whatever the
+// dataset's size, and the bytes, the dataset and every error (with its
+// offset) are the same at every GOMAXPROCS.
 //
 // Wire layout:
 //
@@ -42,60 +55,220 @@ import (
 //	   "banners":[...]}   // omitted when no banner was captured
 //	]}
 
-// WriteJSON serializes the dataset.
+// WriteJSON serializes the dataset. With GOMAXPROCS > 1 and two or more
+// scans, the scans are encoded on GOMAXPROCS workers, each into a buffer of
+// its own, and the buffers are handed to w in study order; a scan whose
+// text could pass inlineBound is streamed in line in its turn instead. The
+// bytes are the same either way.
 func (d *Dataset) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var sc writeScratch
-	bw.WriteString(`{"origins":`)
+	var scans []*ScanResult
+	for _, o := range d.Origins {
+		for _, p := range proto.All() {
+			for t := 0; t < d.Trials; t++ {
+				if s := d.Scan(o, p, t); s != nil {
+					scans = append(scans, s)
+				}
+			}
+		}
+	}
+	out := jsonOut{w: w, b: make([]byte, 0, flushAt+maxRowText)}
+	out.b = append(out.b, `{"origins":`...)
 	if len(d.Origins) == 0 {
-		bw.WriteString("null")
+		out.b = append(out.b, "null"...)
 	} else {
 		// The wire type is a byte slice, which JSON encodes as base64.
 		ids := make([]byte, len(d.Origins))
 		for i, o := range d.Origins {
 			ids[i] = uint8(o)
 		}
-		bw.WriteByte('"')
-		bw.WriteString(base64.StdEncoding.EncodeToString(ids))
-		bw.WriteByte('"')
+		out.b = append(out.b, '"')
+		out.b = base64.StdEncoding.AppendEncode(out.b, ids)
+		out.b = append(out.b, '"')
 	}
-	bw.WriteString(`,"trials":`)
-	bw.Write(strconv.AppendInt(sc.num[:0], int64(d.Trials), 10))
-	bw.WriteString(`,"scans":`)
-	wroteScan := false
-	for _, o := range d.Origins {
-		for _, p := range proto.All() {
-			for t := 0; t < d.Trials; t++ {
-				s := d.Scan(o, p, t)
-				if s == nil {
-					continue
-				}
-				if !wroteScan {
-					bw.WriteByte('[')
-					wroteScan = true
-				} else {
-					bw.WriteByte(',')
-				}
-				if err := s.writeJSON(bw, &sc); err != nil {
-					return err
-				}
+	out.b = append(out.b, `,"trials":`...)
+	out.b = strconv.AppendInt(out.b, int64(d.Trials), 10)
+	out.b = append(out.b, `,"scans":`...)
+	var err error
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(scans) > 1 {
+		err = writeScans(&out, scans, workers)
+	} else {
+		var sc writeScratch
+		for i, s := range scans {
+			if err = s.writeJSON(&out, scanSep(i), &sc); err != nil || out.err != nil {
+				break
 			}
 		}
 	}
-	if !wroteScan {
-		bw.WriteString("null")
-	} else {
-		bw.WriteByte(']')
+	if err != nil {
+		return err
 	}
-	bw.WriteString("}\n")
-	return bw.Flush()
+	if len(scans) == 0 {
+		out.b = append(out.b, "null"...)
+	} else {
+		out.b = append(out.b, ']')
+	}
+	out.b = append(out.b, "}\n"...)
+	out.flush()
+	return out.err
 }
 
-// writeScratch is the encoder's scratch, reused across a dataset's scans.
+// inlineBound is the most text a scan may have to be encoded, or decoded,
+// on a worker: past it the scan is streamed in line, so the codec never
+// holds a large scan as text.
+const inlineBound = 2 << 20
+
+// flushAt is the size at which a streaming jsonOut hands its text to the
+// writer: the serial encoder's window.
+const flushAt = 64 << 10
+
+// maxRowText is the longest text a record can have, separator included:
+// an IPv6 address of 39 characters and every column at its maximum.
+const maxRowText = len(`,["ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",255,3,255,2147483647,9223372036854775807]`)
+
+// scanSep is what goes before scan i in the "scans" array.
+func scanSep(i int) byte {
+	if i == 0 {
+		return '['
+	}
+	return ','
+}
+
+// jsonOut is the encoder's output. With w set it streams: text is appended
+// to b and handed to w each time b passes flushAt bytes. With w nil it
+// holds a whole scan's text for a worker.
+type jsonOut struct {
+	b   []byte
+	w   io.Writer
+	err error // the writer's first error; what follows it is dropped
+}
+
+// flush hands b to the writer and empties it.
+func (o *jsonOut) flush() {
+	o.write(o.b)
+	o.b = o.b[:0]
+}
+
+// write hands p to the writer, keeping its first error as bufio.Writer
+// does (a short write without one is io.ErrShortWrite).
+func (o *jsonOut) write(p []byte) {
+	if o.err != nil || len(p) == 0 {
+		return
+	}
+	n, err := o.w.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	o.err = err
+}
+
+// encodeSlot is a worker's buffer: one scan's text, separator first, on
+// its way to the writer. A slot and its scratch serve many scans of a call.
+type encodeSlot struct {
+	s    *ScanResult
+	sep  byte
+	out  jsonOut
+	sc   writeScratch
+	err  error
+	done chan struct{}
+}
+
+// writeScans encodes scans on workers and writes them to out in order,
+// encoding ahead of the writer by at most two buffers per worker. A scan
+// textBound puts over inlineBound is not handed to a worker: out streams it
+// when its turn comes, while the workers go on encoding the scans after it.
+func writeScans(out *jsonOut, scans []*ScanResult, workers int) error {
+	inline := make([]bool, len(scans))
+	for i, s := range scans {
+		s.seal()
+		inline[i] = s.textBound() > inlineBound
+	}
+	slots := make([]encodeSlot, 2*workers)
+	free := make([]*encodeSlot, len(slots))
+	for i := range slots {
+		slots[i].done = make(chan struct{}, 1)
+		free[i] = &slots[i]
+	}
+	todo := make(chan *encodeSlot, len(slots)) // never more sends pending than slots
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sl := range todo {
+				if need := sl.s.textBound(); cap(sl.out.b) < need {
+					sl.out.b = make([]byte, 0, need)
+				}
+				sl.out.b = sl.out.b[:0]
+				sl.err = sl.s.writeJSON(&sl.out, sl.sep, &sl.sc)
+				sl.done <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		close(todo)
+		wg.Wait()
+	}()
+	var (
+		queue []*encodeSlot // handed out, in study order
+		sc    writeScratch  // the in-line scans'
+		next  int           // the next scan to hand out
+	)
+	for i, s := range scans {
+		for ; next < len(scans) && len(free) > 0; next++ {
+			if inline[next] {
+				continue
+			}
+			sl := free[len(free)-1]
+			free = free[:len(free)-1]
+			sl.s, sl.sep = scans[next], scanSep(next)
+			todo <- sl
+			queue = append(queue, sl)
+		}
+		if inline[i] {
+			if err := s.writeJSON(out, scanSep(i), &sc); err != nil {
+				return err
+			}
+		} else {
+			sl := queue[0]
+			queue = queue[1:]
+			<-sl.done
+			if sl.err != nil {
+				return sl.err
+			}
+			// The scan's text goes to the writer as it is, after whatever
+			// out holds.
+			out.flush()
+			out.write(sl.out.b)
+			free = append(free, sl)
+		}
+		if out.err != nil {
+			return out.err
+		}
+	}
+	return nil
+}
+
+// textBound is an upper bound on the length of s's text, separator
+// included: each row at maxRowText, plus a separator and the longest
+// dictionary entry's text when the scan has banners.
+func (s *ScanResult) textBound() int {
+	perRow := maxRowText
+	if len(s.banners) > 0 {
+		longest := 0
+		for _, b := range s.banners {
+			n := len(b) + 2
+			if !rawBanner(b) {
+				n = 6*len(b) + 2 // every byte as a \u escape
+			}
+			longest = max(longest, n)
+		}
+		perRow += 1 + longest
+	}
+	return 256 + s.addrs.len()*perRow
+}
+
+// writeScratch is the encoder's scratch, reused across scans.
 type writeScratch struct {
-	// num holds one number, or one row's text with its brackets and
-	// separator, on its way to the writer.
-	num []byte
 	// banners is the current scan's banner dictionary as JSON text, each
 	// entry encoded once: dictionary index k (0 is "") is written as
 	// banners[ends[k]:ends[k+1]].
@@ -103,85 +276,89 @@ type writeScratch struct {
 	ends    []int
 }
 
-// writeJSON streams one scan object from the sealed columns.
-func (s *ScanResult) writeJSON(bw *bufio.Writer, sc *writeScratch) error {
+// writeJSON appends sep and one scan object, taken from the sealed
+// columns, to out, which hands its text to the writer row by row when it
+// streams.
+func (s *ScanResult) writeJSON(out *jsonOut, sep byte, sc *writeScratch) error {
 	s.seal()
-	num := sc.num
-	writeField := func(name string, v uint64, first bool) {
-		if !first {
-			bw.WriteByte(',')
-		}
-		bw.WriteByte('"')
-		bw.WriteString(name)
-		bw.WriteString(`":`)
-		num = strconv.AppendUint(num[:0], v, 10)
-		bw.Write(num)
+	limit := math.MaxInt
+	if out.w != nil {
+		limit = flushAt
 	}
-	bw.WriteByte('{')
-	writeField("origin", uint64(uint8(s.Origin)), true)
-	writeField("proto", uint64(uint8(s.Proto)), false)
-	bw.WriteString(`,"trial":`)
-	num = strconv.AppendInt(num[:0], int64(s.Trial), 10)
-	bw.Write(num)
-	writeField("targets", s.Targets, false)
-	writeField("probes", s.ProbesSent, false)
-	writeField("synacks", s.SynAcks, false)
-	writeField("rsts", s.Rsts, false)
-	writeField("invalid", s.Invalid, false)
-	bw.WriteString(`,"records":`)
+	b := append(out.b, sep, '{')
+	field := func(name string, v uint64) {
+		b = append(b, name...)
+		b = strconv.AppendUint(b, v, 10)
+	}
+	field(`"origin":`, uint64(uint8(s.Origin)))
+	field(`,"proto":`, uint64(uint8(s.Proto)))
+	b = append(b, `,"trial":`...)
+	b = strconv.AppendInt(b, int64(s.Trial), 10)
+	field(`,"targets":`, s.Targets)
+	field(`,"probes":`, s.ProbesSent)
+	field(`,"synacks":`, s.SynAcks)
+	field(`,"rsts":`, s.Rsts)
+	field(`,"invalid":`, s.Invalid)
+	b = append(b, `,"records":`...)
 	if s.addrs.len() == 0 {
-		bw.WriteString("null")
+		b = append(b, "null"...)
 	} else {
-		// Each row, with its brackets and separator, is built in the
-		// scratch and handed to the writer in one call.
 		open := byte('[')
 		for i := range s.addrs.len() {
-			num = append(num[:0], open, '[')
+			b = append(b, open, '[')
 			open = ','
 			// IPv4 addresses keep the historical bare-integer encoding
 			// (byte-identity with every pre-dual-stack file); IPv6 is a
 			// JSON string in canonical text form.
 			if a := s.addrs.at(i); a.Is4() {
-				num = strconv.AppendUint(num, uint64(a.V4()), 10)
+				b = strconv.AppendUint(b, uint64(a.V4()), 10)
 			} else {
-				num = append(num, '"')
-				num = a.AppendTo(num)
-				num = append(num, '"')
+				b = append(b, '"')
+				b = a.AppendTo(b)
+				b = append(b, '"')
 			}
 			r := &s.rows[i]
-			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(r.probeMask), 10)
-			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(r.flags), 10)
-			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(r.fail), 10)
-			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(r.attempts), 10)
-			num = append(num, ',')
-			num = strconv.AppendUint(num, uint64(r.t), 10)
-			num = append(num, ']')
-			bw.Write(num)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, uint64(r.probeMask), 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, uint64(r.flags), 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, uint64(r.fail), 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, uint64(r.attempts), 10)
+			b = append(b, ',')
+			b = strconv.AppendUint(b, uint64(r.t), 10)
+			b = append(b, ']')
+			if len(b) >= limit {
+				out.b = b
+				out.flush()
+				b = out.b
+			}
 		}
-		bw.WriteByte(']')
+		b = append(b, ']')
 	}
 	// Banners are written as text, never as dictionary indices, and only
 	// when a surviving row carries one.
 	if slices.ContainsFunc(s.banner, func(k uint32) bool { return k != 0 }) {
 		if err := sc.encodeBanners(s.banners); err != nil {
+			out.b = b
 			return err
 		}
-		bw.WriteString(`,"banners":`)
+		b = append(b, `,"banners":`...)
 		open := byte('[')
 		for _, k := range s.banner {
-			num = append(num[:0], open)
+			b = append(b, open)
 			open = ','
-			num = append(num, sc.banners[sc.ends[k]:sc.ends[k+1]]...)
-			bw.Write(num)
+			b = append(b, sc.banners[sc.ends[k]:sc.ends[k+1]]...)
+			if len(b) >= limit {
+				out.b = b
+				out.flush()
+				b = out.b
+			}
 		}
-		bw.WriteByte(']')
+		b = append(b, ']')
 	}
-	bw.WriteByte('}')
-	sc.num = num
+	out.b = append(b, '}')
 	return nil
 }
 
@@ -231,8 +408,15 @@ func rawBanner(s string) bool {
 // field wider than its column, or a scan the dataset's origins × protocols ×
 // trials grid would never show, is an error. Every error names the byte
 // offset it was found at.
+//
+// With GOMAXPROCS > 1, the scans after the first are decoded ahead on
+// GOMAXPROCS workers (lookahead): the same dataset and the same errors, at
+// the same offsets, as the one-goroutine decoder gives.
 func ReadJSON(r io.Reader) (*Dataset, error) {
 	d := &decoder{r: r, buf: make([]byte, readWindow), mark: -1}
+	if workers := runtime.GOMAXPROCS(0); workers > 1 {
+		d.la = &lookahead{workers: workers}
+	}
 	ds, err := d.dataset()
 	if err != nil {
 		return nil, fmt.Errorf("results: decoding dataset: %w", err)
@@ -242,7 +426,7 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 
 // readWindow is the decoder's refill unit. The window grows past it only
 // while a single token longer than the window — a string, or an unknown
-// field's number — is being scanned.
+// field's number — is being scanned, or for the look-ahead's batches.
 const readWindow = 64 << 10
 
 // maxSkipDepth is encoding/json's nesting limit, applied to skipped values.
@@ -267,6 +451,10 @@ type decoder struct {
 	// and the last escaped string's decoded bytes.
 	key []byte
 	unq []byte
+
+	// la decodes scans ahead of the cursor on workers; nil decodes every
+	// scan in line.
+	la *lookahead
 }
 
 // fill slides the unread input (or the marked token) to the front of the
@@ -290,10 +478,15 @@ func (d *decoder) fill() bool {
 	if d.end == len(d.buf) {
 		d.buf = append(d.buf, make([]byte, len(d.buf))...)
 	}
-	// Like bufio, give a reader that returns (0, nil) a bounded number of
-	// chances before calling it stuck.
+	return d.read(len(d.buf))
+}
+
+// read reads once into buf[end:upto], reporting whether any bytes arrived.
+// Like bufio, it gives a reader that returns (0, nil) a bounded number of
+// chances before calling it stuck.
+func (d *decoder) read(upto int) bool {
 	for tries := 0; tries < 100; tries++ {
-		n, err := d.r.Read(d.buf[d.end:])
+		n, err := d.r.Read(d.buf[d.end:upto])
 		d.end += n
 		if err != nil {
 			d.err = err
@@ -570,9 +763,17 @@ func (d *decoder) dataset() (*Dataset, error) {
 			return d.array(func() error {
 				d.next()
 				off := d.base + int64(d.pos)
-				s, err := d.scan()
-				if err != nil {
-					return fmt.Errorf("scan %d: %w", len(scans), err)
+				var s *ScanResult
+				if len(scans) > 0 {
+					// A dataset of one scan never looks ahead. The scan
+					// before sizes the batch.
+					s = d.takeAhead(off - offsets[len(offsets)-1])
+				}
+				if s == nil {
+					var err error
+					if s, err = d.scan(); err != nil {
+						return fmt.Errorf("scan %d: %w", len(scans), err)
+					}
 				}
 				scans = append(scans, s)
 				offsets = append(offsets, off)
@@ -614,6 +815,220 @@ func (d *decoder) dataset() (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// lookahead decodes scans ahead of the cursor, each whole candidate on a
+// worker, in place in the window. A candidate is the text from the cursor,
+// or from the end of the candidate before it, to the next `},{"origin":`
+// (or, once the input has ended, to the `}]` after the last scan):
+// WriteJSON puts that between scans, and finding it needs no parse. It
+// may be no scan at all (the pattern can sit inside a string or an unknown
+// field), so the cursor takes a candidate only if it decoded whole, with
+// no error and its closing brace as its last byte, and starts exactly
+// where the cursor stands: where the scan before it ended, as decoded
+// ahead or in line. Every other scan is decoded in line, so each error is
+// the in-line decoder's, at its offset, whatever the workers saw.
+type lookahead struct {
+	workers int
+	// ahead is the current batch in file order; next is the first of it
+	// the cursor has neither taken nor passed.
+	ahead []candidate
+	next  int
+	// quiet is where the last cut that found too little to share stopped
+	// searching: the cursor cuts no batch before it.
+	quiet int64
+	// subs are the workers' decoders, kept for their scratch.
+	subs []decoder
+	// taken counts the scans the cursor took decoded ahead.
+	taken int
+}
+
+// candidate is one scan decoded ahead: its text, until a worker has
+// decoded it, the text's stream offsets, and the scan, or nil when the
+// text is not one whole scan object.
+type candidate struct {
+	text       []byte
+	start, end int64
+	s          *ScanResult
+}
+
+// scanSeparator is what WriteJSON writes between two scans, and
+// lastScanEnd what it writes after the last.
+var (
+	scanSeparator = []byte(`},{"origin":`)
+	lastScanEnd   = []byte(`}]`)
+)
+
+// A batch holds batchPerWorker candidates for each worker, or as many as
+// fit in aheadPerWorker bytes per worker past the cursor: the window's
+// bound, room for two candidates of inlineBound. The look-ahead reads
+// readStep at a time, so the workers start on a batch before it is cut.
+const (
+	batchPerWorker = 8
+	aheadPerWorker = 2 * inlineBound
+	readStep       = 1 << 20
+)
+
+// takeAhead returns the scan starting at the cursor, decoded ahead,
+// and moves the cursor past it; or nil, and the scan is to be decoded in
+// line. When the cursor has passed the whole batch it cuts the next one,
+// expecting scans of about span bytes.
+func (d *decoder) takeAhead(span int64) *ScanResult {
+	la := d.la
+	if la == nil {
+		return nil
+	}
+	off := d.base + int64(d.pos)
+	for la.next < len(la.ahead) && la.ahead[la.next].start < off {
+		la.next++
+	}
+	if la.next == len(la.ahead) {
+		if off < la.quiet {
+			return nil
+		}
+		d.cutBatch(int(min(span, inlineBound)))
+		off = d.base + int64(d.pos)
+	}
+	if la.next == len(la.ahead) {
+		return nil
+	}
+	c := &la.ahead[la.next]
+	if c.start != off || c.s == nil {
+		return nil
+	}
+	la.next++
+	la.taken++
+	d.pos = int(c.end - d.base)
+	s := c.s
+	c.s = nil
+	return s
+}
+
+// cutBatch cuts a batch at the cursor and decodes it. It splits off the
+// run of candidates that starts at the cursor, each at most inlineBound
+// long, reading ahead readStep at a time, until it has batchPerWorker of
+// them per worker, the window holds aheadPerWorker bytes per worker past
+// the cursor, or the input ends. The first time the window fills it is
+// widened to hold a batch of scans of span bytes, and after that only for
+// longer ones. GOMAXPROCS workers start once the batch has two candidates
+// and take each one as it is found, so reading ahead overlaps decoding. A
+// candidate's text does not move while it is decoded: the window slides
+// only before the cut, and widening it copies the text into a new array,
+// leaving the old one to the workers. A batch of fewer than two is not
+// decoded: the cursor's scan goes in line.
+func (d *decoder) cutBatch(span int) {
+	la := d.la
+	want, limit := la.workers*batchPerWorker, la.workers*aheadPerWorker
+	if cap(la.ahead) < want {
+		// The workers hold pointers into it: it must not grow.
+		la.ahead = make([]candidate, 0, want)
+	}
+	la.ahead, la.next = la.ahead[:0], 0
+	if len(la.subs) < la.workers {
+		la.subs = make([]decoder, la.workers)
+	}
+	room := min(limit, (want+1)*span)
+	d.makeRoom(0, 0)
+	var (
+		todo chan *candidate
+		wg   sync.WaitGroup
+	)
+	add := func(start, end int) {
+		la.ahead = append(la.ahead, candidate{start: d.base + int64(start), end: d.base + int64(end), text: d.buf[start:end:end]})
+		switch n := len(la.ahead); {
+		case n == 2:
+			todo = make(chan *candidate, want) // never more sends than a batch holds
+			for w := range la.workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for c := range todo {
+						c.s = la.subs[w].whole(c.text, c.start)
+						c.text = nil
+					}
+				}()
+			}
+			todo <- &la.ahead[0]
+			todo <- &la.ahead[1]
+		case n > 2:
+			todo <- &la.ahead[n-1]
+		}
+	}
+	// Offsets are from the cursor, at the window's start from here on:
+	// start is where the next candidate begins, from is where the search
+	// for its end goes on, stop is where that search ends.
+	start, from, stop := 0, 0, 0
+	for len(la.ahead) < want {
+		text := d.buf[:d.end]
+		stop = min(len(text), start+inlineBound-1+len(scanSeparator))
+		if i := bytes.Index(text[from:stop], scanSeparator); i >= 0 {
+			end := from + i + 1
+			add(start, end)
+			start, from = end+1, end+1
+			continue
+		}
+		if stop < len(text) || len(text) >= limit || d.err != nil {
+			if stop == len(text) && d.err != nil {
+				// The input ends with no separator after start: the scan
+				// there is the array's last if it ends where the array does.
+				if j := bytes.Index(text[start:], lastScanEnd); j >= 0 && j < inlineBound {
+					add(start, start+j+1)
+				}
+			}
+			break
+		}
+		from = max(start, stop-len(scanSeparator)+1)
+		d.readAhead(min(limit, len(text)+readStep, start+inlineBound+len(scanSeparator)), room, limit)
+	}
+	if len(la.ahead) < 2 {
+		// Nothing to share out before the cursor passes where the search
+		// gave up.
+		clear(la.ahead)
+		la.ahead = la.ahead[:0]
+		la.quiet = d.base + int64(stop)
+		return
+	}
+	close(todo)
+	wg.Wait()
+}
+
+// makeRoom slides the unread input to the start of the window, first
+// moving the window into a new array of max(n, size) bytes if it is
+// narrower than n.
+func (d *decoder) makeRoom(n, size int) {
+	buf := d.buf
+	if len(buf) < n {
+		buf = make([]byte, max(n, size))
+	}
+	d.end = copy(buf, d.buf[d.pos:d.end])
+	d.buf, d.base, d.pos = buf, d.base+int64(d.pos), 0
+}
+
+// readAhead reads until the window holds n bytes past the cursor, which
+// makeRoom has put at its start, or the input has ended, asking the reader
+// for no more than that. A full window is widened, never slid: to room
+// the first time, then by doubling up to limit, so a cut that keeps
+// meeting longer scans widens it a few times, not once per read, and a
+// short input never widens it.
+func (d *decoder) readAhead(n, room, limit int) {
+	for d.end < n && d.err == nil {
+		if d.end == len(d.buf) {
+			d.makeRoom(n, max(room, min(limit, 2*len(d.buf))))
+		}
+		d.read(min(len(d.buf), n))
+	}
+}
+
+// whole decodes text, which starts at stream offset base, as exactly one
+// scan object and nothing after it, or returns nil. d keeps only its
+// scratch from an earlier call: it reads text in place and nothing more.
+func (d *decoder) whole(text []byte, base int64) *ScanResult {
+	*d = decoder{buf: text, end: len(text), base: base, mark: -1, err: io.EOF, key: d.key[:0], unq: d.unq[:0]}
+	s, err := d.scan()
+	if err != nil || d.pos != len(text) {
+		return nil
+	}
+	return s
 }
 
 // scan consumes one scan object, appending records directly onto the

@@ -108,6 +108,55 @@ const smallDoc = `{"origins":"AAE=", "trials":2, "scans":[
 // fourth record, keeping the rows before it.
 var widenDoc = scanDoc(`"records":[[10,1,2,0,1,5],[4294967295,1,2,0,1,6],[7,3,0,0,2,7],["2a00:1::2b",1,2,4,2,8],[11,1,2]],"banners":["a","b","","c","d"]`)
 
+// scansDoc wraps scan objects in a two-origin (AU, BR), two-trial dataset:
+// scan i is origin i%2, protocol i/4, trial i/2%2, plus its fields. The
+// scans are joined as WriteJSON joins them unless sep says otherwise, so
+// the decoder's look-ahead cuts them into candidates.
+func scansDoc(sep string, fields ...string) string {
+	var b strings.Builder
+	b.WriteString(`{"origins":"AAE=","trials":2,"scans":[`)
+	for i, f := range fields {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		fmt.Fprintf(&b, `{"origin":%d,"proto":%d,"trial":%d,%s}`, i%2, i/4, i/2%2, f)
+	}
+	b.WriteString("]}\n")
+	return b.String()
+}
+
+// fiveScans are the fields of five small scans, each with a banner.
+var fiveScans = []string{
+	`"targets":9,"records":[[1,3,2,0,1,5],[2,1,0,0,0,6]],"banners":["a"]`,
+	`"targets":9,"records":[[3,3,2,0,1,5],[4,1,2,4,2,6]],"banners":["b","c"]`,
+	`"targets":9,"records":[[5,3,2,0,1,5],["2a00::6",1,2,0,1,6]],"banners":["d"]`,
+	`"targets":9,"records":[[7,3,2,0,1,5]],"banners":["e"]`,
+	`"targets":9,"records":[[9,3,2,0,1,5],[10,3,0,0,0,7]]`,
+}
+
+// withScan returns fiveScans with scan i's fields replaced.
+func withScan(i int, fields string) []string {
+	scans := slices.Clone(fiveScans)
+	scans[i] = fields
+	return scans
+}
+
+// oversizeScans puts a scan of more than results.InlineBound bytes of text
+// between small ones, three before it and four after: the look-ahead must
+// leave it to the in-line decoder and still take the scans around it.
+func oversizeScans() []string {
+	var b strings.Builder
+	b.WriteString(`"targets":9,"records":[`)
+	for i := 0; b.Len() <= results.InlineBound; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "[%d,3,2,0,1,%d]", 100+i, 1000000+i)
+	}
+	b.WriteByte(']')
+	return append(append(slices.Clone(fiveScans[:3]), b.String()), fiveScans[1:]...)
+}
+
 // acceptDocs are hand-written documents both decoders must accept, with
 // Equal results: everything WriteJSON never emits but the format allows.
 var acceptDocs = map[string]string{
@@ -146,6 +195,18 @@ var acceptDocs = map[string]string{
 		strings.Repeat("y", 70<<10) + `\n"],"` + strings.Repeat("k", 65<<10) + `":"` + strings.Repeat("z", 130<<10) + `"`),
 	"identical rescans": `{"origins":"AA==","trials":1,"scans":[{"origin":0,"proto":0,"trial":0,"records":[[1,1,2]]},{"origin":0,"proto":0,"trial":0,"records":[[1,1,2]]}]}`,
 	"deep unknown":      `{"trials":1,"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+
+	// Multi-scan documents, whose scans after the first the decoder's
+	// look-ahead cuts into candidates and decodes on workers.
+	"five scans": scansDoc(",", fiveScans...),
+	// The second scan's unknown field holds the separator the look-ahead
+	// cuts candidates at, so its candidate ends inside that field.
+	"false boundary": scansDoc(",", withScan(1, `"x":[{},{"origin":0}],`+fiveScans[1])...),
+	"false boundary in a banner": scansDoc(",",
+		withScan(2, `"records":[[5,3,2,0,1,5],[6,3,2,0,1,5]],"banners":["},{\"origin\":","}"]`)...),
+	"whitespace between scans": scansDoc(", ", fiveScans...),
+	"newlines between scans":   scansDoc("\n,\n", fiveScans...),
+	"oversize scan":            scansDoc(",", oversizeScans()...),
 }
 
 // rejectDocs holds one sentinel per class of malformed input; both
@@ -212,6 +273,17 @@ var rejectDocs = map[string]string{
 	"lone minus in skip":       `{"trials":1,"x":-}`,
 	"leading zero in skip":     `{"trials":1,"x":[01]}`,
 	"conflicting rescans":      `{"origins":"AA==","trials":1,"scans":[{"origin":0,"proto":0,"trial":0,"records":[[1,1,2]]},{"origin":0,"proto":0,"trial":0,"records":[[2,1,2]]}]}`,
+
+	// Later scans of a multi-scan document, which the decoder's look-ahead
+	// decodes on workers: still the in-line decoder's error.
+	"bad record in scan 2 of 5": scansDoc(",", withScan(2, `"records":[[5,3,2,0,1,5],[6,3,2,0,1,"x"]]`)...),
+	"bad fields in scans 2-4":   scansDoc(",", fiveScans[0], fiveScans[1], `"records":[[-1]]`, `"proto":9`, `"x":tru`),
+	"truncated in scan 3 of 5":  truncated(scansDoc(",", fiveScans...), `[[7,3,2`),
+}
+
+// truncated cuts doc just after the first occurrence of at.
+func truncated(doc, at string) string {
+	return doc[:strings.Index(doc, at)+len(at)]
 }
 
 // strictOnly are the documents ReadJSON refuses and the oracle accepted —

@@ -129,8 +129,8 @@ func recycleKinds(t *testing.T) []recycleKind {
 // TestRecycledKernelChangesNoResult runs every ordered pair of recycleKinds
 // back to back in one process, A then B and B then A, at GOMAXPROCS 2 (the
 // split and the walker run), and holds each scan to the Stats and the reply
-// or visit sequence it gave when it ran first. Under -race sync.Pool drops
-// some kernels, so there the pairs mix recycled and fresh ones.
+// or visit sequence it gave when it ran first. The kernel free list keeps
+// what the first scan released, so the second always inherits it.
 func TestRecycledKernelChangesNoResult(t *testing.T) {
 	withProcs(2, func() {
 		kinds := recycleKinds(t)

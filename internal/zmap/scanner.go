@@ -350,10 +350,20 @@ func (r routedEach) RoutedBatch(dst []ip.Addr, routed []bool) {
 	}
 }
 
-// kernels recycles sweep kernels. A kernel goes back only once no
-// goroutine holds it: its sweep has returned (halting the walker), the
-// splitter has stopped, and the caller has read its Stats (release).
-var kernels = sync.Pool{New: func() any { return new(sweepKernel) }}
+// kernels recycles sweep kernels: a free list of at most keptKernels,
+// which, unlike a sync.Pool, a garbage collection does not empty, so a
+// study allocates one kernel per sweep running at once, however often
+// the collector runs. A kernel goes back only once no goroutine holds it:
+// its sweep has returned (halting the walker), the splitter has stopped,
+// and the caller has read its Stats (release).
+var kernels struct {
+	sync.Mutex
+	free []*sweepKernel
+}
+
+// keptKernels bounds the free list: ≈ 1.4 MiB of kernels kept for a
+// study that ran that many sweeps at once.
+const keptKernels = 8
 
 // newKernel returns a sweep's kernel over sink (nil for Targets),
 // reporting batch exemplars through bt and, when the scan has telemetry,
@@ -362,7 +372,16 @@ var kernels = sync.Pool{New: func() any { return new(sweepKernel) }}
 // in it but the walker ring slots' empty candidate arrays; the caller owes
 // it a release.
 func (s *Scanner) newKernel(sink PacketSink, bt *telemetry.ChildTracer) *sweepKernel {
-	k := kernels.Get().(*sweepKernel)
+	var k *sweepKernel
+	kernels.Lock()
+	if n := len(kernels.free); n > 0 {
+		k = kernels.free[n-1]
+		kernels.free = kernels.free[:n-1]
+	}
+	kernels.Unlock()
+	if k == nil {
+		k = new(sweepKernel)
+	}
 	slots := k.ringSlots()
 	*k = sweepKernel{s: s, sink: sink, bt: bt}
 	k.keepRingSlots(slots)
@@ -397,7 +416,11 @@ func (k *sweepKernel) release() {
 	slots := k.ringSlots()
 	*k = sweepKernel{}
 	k.keepRingSlots(slots)
-	kernels.Put(k)
+	kernels.Lock()
+	if len(kernels.free) < keptKernels {
+		kernels.free = append(kernels.free, k)
+	}
+	kernels.Unlock()
 }
 
 // ringSlots returns the walker ring slots' candidate arrays, emptied: what
