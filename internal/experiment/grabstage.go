@@ -88,7 +88,7 @@ type grabStage struct {
 
 	// The buffers behind cur, the ring's slots and the grabbing side's
 	// per-slot scratch; the stage's goroutine hands them back to
-	// grabBufPool as it exits.
+	// grabBufSets as it exits.
 	*grabBufs
 }
 
@@ -96,7 +96,7 @@ type grabStage struct {
 // slot slices (the first becomes cur) and the grabbing side's per-slot
 // scratch — records, and attempt 0's verdicts, one per reply with a
 // SYN-ACK (a reply without one is recorded but never grabbed). It outlives
-// its scan through grabBufPool, so a study of many small scans allocates a
+// its scan through grabBufSets, so a study of many small scans allocates a
 // few sets, not one per scan.
 type grabBufs struct {
 	shape     grabShape
@@ -107,19 +107,38 @@ type grabBufs struct {
 	pre       []zgrab.DialVerdict
 }
 
-// grabBufPool recycles grab stages' buffers. A set whose shape differs from
-// the one a stage needs is dropped, not resized: every scan of a study has
-// one shape, and only tests and tiny worlds make others.
-var grabBufPool sync.Pool
+// grabBufSets recycles grab stages' buffers: a free list of at most
+// keptGrabBufs sets, which, unlike a sync.Pool, a garbage collection does
+// not empty, so a study allocates one set per grab stage running at once
+// (two per worker: a scan's tail beside the next scan's sweep), however
+// often the collector runs. A set whose shape differs from the one a stage
+// needs is dropped, not resized: every scan of a study has one shape, and
+// only tests and tiny worlds make others.
+var grabBufSets struct {
+	sync.Mutex
+	free []*grabBufs
+}
+
+// keptGrabBufs bounds the free list: ≈ 0.8 MiB of default-shape sets kept
+// for a study that ran that many grab stages at once.
+const keptGrabBufs = 8
 
 // getGrabBufs returns a set of buffers of the given shape, a recycled one
-// when the pool holds one of that shape.
+// when the free list's last set has that shape.
 func getGrabBufs(shape grabShape) *grabBufs {
-	if b, ok := grabBufPool.Get().(*grabBufs); ok && b.shape == shape {
+	var b *grabBufs
+	grabBufSets.Lock()
+	if n := len(grabBufSets.free); n > 0 {
+		b = grabBufSets.free[n-1]
+		grabBufSets.free[n-1] = nil
+		grabBufSets.free = grabBufSets.free[:n-1]
+	}
+	grabBufSets.Unlock()
+	if b != nil && b.shape == shape {
 		return b
 	}
 	slot := shape.slot
-	b := &grabBufs{shape: shape, ringSlots: make([][]zmap.Reply, shape.ring),
+	b = &grabBufs{shape: shape, ringSlots: make([][]zmap.Reply, shape.ring),
 		win:    make([]results.HostRecord, slot),
 		preDst: make([]ip.Addr, slot),
 		preT:   make([]time.Duration, slot),
@@ -136,7 +155,11 @@ func getGrabBufs(shape grabShape) *grabBufs {
 // stage keeps no reference to them.
 func (g *grabStage) release() {
 	clear(g.win)
-	grabBufPool.Put(g.grabBufs)
+	grabBufSets.Lock()
+	if len(grabBufSets.free) < keptGrabBufs {
+		grabBufSets.free = append(grabBufSets.free, g.grabBufs)
+	}
+	grabBufSets.Unlock()
 	g.grabBufs, g.cur = nil, nil
 }
 

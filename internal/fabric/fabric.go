@@ -72,21 +72,24 @@ type Fabric struct {
 	queries sync.Pool
 
 	// plans holds one lazily filled table of per-destination-AS plans per
-	// protocol (see plan.go). planMu serializes compilation and guards
-	// ruleBuf, the backing array the plans' rule sub-lists are carved from,
-	// and gate, the scan query with one (protocol, AS) filled in that compile
-	// hands the engine and the detectors: a field, not a local, because a
-	// local passed by pointer through those interfaces escapes, one heap
-	// query per AS compiled.
-	plans   [proto.N]atomic.Pointer[[]plan]
-	planMu  sync.Mutex
-	ruleBuf []policy.Rule
-	gate    policy.Query
-
-	// preDests is PredialBatch's FIB resolution scratch. PredialBatch is
-	// single-caller by contract (the grab stage's goroutine owns it),
-	// so one slice per fabric suffices.
-	preDests []world.Dest
+	// protocol: a hot byte per AS and a cold plan per AS over the fabric's
+	// interned gates (see plan.go). planMu serializes compilation and
+	// guards what only compile touches: ruleBuf, the backing array the
+	// gates' rule lists are carved from; planQ, the scan query with one
+	// (protocol, AS) filled in that compile hands the engine and the
+	// detectors (a field, not a local, because a local passed by pointer
+	// through those interfaces escapes, one heap query per AS compiled);
+	// the gate list's length and blocks; and interned, the keys of the
+	// gates ASes share. Published plans, their gates and lossPath, the
+	// template a decision's loss path is rebuilt from, are read without it.
+	plans     [proto.N]planTable
+	planMu    sync.Mutex
+	ruleBuf   []policy.Rule
+	planQ     policy.Query
+	gates     gateList
+	interned  [maxInterned]gateKey
+	nInterned int
+	lossPath  loss.Path
 
 	// opened counts served connections over the fabric's lifetime (the
 	// grab stage's span attribute).
@@ -109,7 +112,8 @@ func New(cfg *Config, org *origin.Origin, trial int) *Fabric {
 			Trial:             trial,
 			ConcurrentOrigins: cfg.NumOrigins,
 		},
-		queries: sync.Pool{New: func() any { return new(policy.Query) }},
+		queries:  sync.Pool{New: func() any { return new(policy.Query) }},
+		lossPath: cfg.Loss.Base(org.ID, trial),
 	}
 }
 
@@ -162,12 +166,12 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	if !isProto {
 		return nil
 	}
-	pl := f.planFor(p, &d)
-	if !d.Host && pl.darkSilent {
+	if h := f.hotFor(p, &d); !d.Host && h&hotDarkSilent != 0 {
 		return nil // empty space nothing in this AS would answer for
 	}
+	v := f.view(&f.plans[p].cold[d.ASIdx])
 	reply := pkt[len(pkt):]
-	switch f.probe(pl, &fate{}, src, dst, &d, p, t, probeIdx) {
+	switch f.probe(&v, &fate{}, src, dst, &d, p, t, probeIdx) {
 	case answerRST:
 		return packet.MakeRSTInto(reply, dst, src, tcph.DstPort, tcph.SrcPort, 0, tcph.Seq+1)
 	case answerSYNACK:
@@ -186,9 +190,9 @@ const (
 
 // probe is the one per-probe L4 decision: Send encodes its answer as packet
 // bytes, ProbeBatch as mask bits. The callers have resolved dst, taken its
-// plan and answered darkSilent empty space; fm carries the draws earlier
+// plan and answered dark-silent empty space; fm carries the draws earlier
 // probes of the same target made (fresh for Send).
-func (f *Fabric) probe(pl *plan, fm *fate, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probeIdx uint64) uint8 {
+func (f *Fabric) probe(pl *view, fm *fate, src, dst ip.Addr, d *world.Dest, p proto.Protocol, t time.Duration, probeIdx uint64) uint8 {
 	verdict, through := f.decide(pl, fm, true, src, dst, d, p, t, 0)
 	// Independent per-packet loss on top of the shared path state: the
 	// probe and its response can each be dropped.
@@ -215,14 +219,14 @@ func (f *Fabric) probe(pl *plan, fm *fate, src, dst ip.Addr, d *world.Dest, p pr
 const held = ^uint8(0)
 
 // ProbeBatch implements zmap.BatchProber: Send's decisions for a batch
-// without the packets — the FIB resolved in bulk, one plan per target, then
-// probe per SYN. A target's probes share one fate, so what they have in
-// common is drawn once. A target in an AS whose plan has detectors is
-// marked held instead: those are the only probes whose answers depend on
-// what was probed before them (DESIGN § 8.2), and the caller decides them
-// through Send, in target order. So ProbeBatch calls no detector, and with
-// the resolve scratch and the fates on the stack, concurrent calls on one
-// fabric share nothing.
+// without the packets — the FIB resolved in bulk, one hot byte per target,
+// and only for a target that needs a decision its plan, then probe per SYN.
+// A target's probes share one fate, so what they have in common is drawn
+// once. A target in an AS a detector watches is marked held instead: those
+// are the only probes whose answers depend on what was probed before them
+// (DESIGN § 8.2), and the caller decides them through Send, in target
+// order. So ProbeBatch calls no detector, and with the resolve scratch and
+// the fates on the stack, concurrent calls on one fabric share nothing.
 func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.Duration, dsts []ip.Addr, ts []time.Duration, synAcks, rsts []uint8) {
 	p, isProto := proto.FromPort(port)
 	var dests [256]world.Dest
@@ -232,13 +236,14 @@ func (f *Fabric) ProbeBatch(srcs []ip.Addr, port uint16, probes int, delay time.
 		for i, dst := range chunk {
 			var sa, rst uint8
 			if d := &dests[i]; d.Routed && isProto {
-				if pl := f.planFor(p, d); len(pl.detectors) > 0 {
+				if h := f.hotFor(p, d); h&hotWatched != 0 {
 					sa, rst = held, held
-				} else if d.Host || !pl.darkSilent {
+				} else if d.Host || h&hotDarkSilent == 0 {
+					v := f.view(&f.plans[p].cold[d.ASIdx])
 					src := origin.SourceFor(srcs, dst)
 					var fm fate
 					for j := 0; j < probes; j++ {
-						switch f.probe(pl, &fm, src, dst, d, p, ts[base+i]+time.Duration(j)*delay, uint64(j)) {
+						switch f.probe(&v, &fm, src, dst, d, p, ts[base+i]+time.Duration(j)*delay, uint64(j)) {
 						case answerSYNACK:
 							sa |= 1 << j
 						case answerRST:

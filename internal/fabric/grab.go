@@ -37,16 +37,16 @@ func (f *Fabric) Predial(dst ip.Addr, port uint16, t time.Duration, attempt int)
 
 // PredialBatch implements zgrab.Dialer: evaluate attempt 0 for a whole
 // grab window, resolving the FIB in bulk first (same-/24 neighbors share
-// directory ranks). Single-caller by contract: it reuses the fabric's
-// resolution scratch.
+// directory ranks), 256 destinations at a time into stack scratch, as
+// ProbeBatch does. Safe for concurrent use.
 func (f *Fabric) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []zgrab.DialVerdict) {
-	if cap(f.preDests) < len(dsts) {
-		f.preDests = make([]world.Dest, len(dsts))
-	}
-	dests := f.preDests[:len(dsts)]
-	f.fib.ResolveBatch(dsts, dests)
-	for i, dst := range dsts {
-		out[i] = f.predialEval(dst, &dests[i], port, ts[i], 0)
+	var dests [256]world.Dest
+	for base := 0; base < len(dsts); base += len(dests) {
+		chunk := dsts[base:min(base+len(dests), len(dsts))]
+		f.fib.ResolveBatch(chunk, dests[:len(chunk)])
+		for i, dst := range chunk {
+			out[base+i] = f.predialEval(dst, &dests[i], port, ts[base+i], 0)
+		}
 	}
 }
 
@@ -62,14 +62,14 @@ func (f *Fabric) predialEval(dst ip.Addr, d *world.Dest, port uint16, t time.Dur
 	if !isProto {
 		return zgrab.DialRefused
 	}
-	pl := f.planFor(p, d)
-	verdict, through := f.decide(pl, &fate{}, false, origin.SourceFor(f.org.SourceIPs, dst), dst, d, p, t, attempt)
+	v := f.view(f.planFor(p, d))
+	verdict, through := f.decide(&v, &fate{}, false, origin.SourceFor(f.org.SourceIPs, dst), dst, d, p, t, attempt)
 	switch {
 	case !through:
 		return zgrab.DialTimeout
 	case verdict == policy.RefuseTCP, !d.Host, !d.Services.Has(p):
 		return zgrab.DialRefused
-	case pl.path.HandshakeFailed(dst, attempt):
+	case v.path.HandshakeFailed(dst, attempt):
 		// Per-packet loss over the whole handshake exchange: the
 		// connection times out mid-handshake.
 		return zgrab.DialTimeout

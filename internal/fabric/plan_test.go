@@ -2,10 +2,15 @@ package fabric
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/asn"
 	"repro/internal/ip"
 	"repro/internal/loss"
 	"repro/internal/origin"
@@ -120,15 +125,15 @@ func TestPlanMatchesEngine(t *testing.T) {
 								continue
 							}
 							pl := fab.planFor(p, &d)
-							if want := cfg.Loss.Path(org.ID, d.AS.Number, trial); pl.path != want {
-								t.Fatalf("%v→AS%d trial %d: plan path %+v, matrix path %+v", org.ID, d.AS.Number, trial, pl.path, want)
+							if want := cfg.Loss.Path(org.ID, d.AS.Number, trial); fab.view(pl).path != want {
+								t.Fatalf("%v→AS%d trial %d: plan path %+v, matrix path %+v", org.ID, d.AS.Number, trial, fab.view(pl).path, want)
 							}
 							for ti, at := range sampleTimes {
 								q := fab.scan
 								q.SrcIP, q.Dst, q.DstAS, q.DstCountry, q.Proto = origin.SourceFor(org.SourceIPs, dst), dst, d.AS.Number, d.Country, p
 								q.Time, q.Attempt = at, ti%3
 								wantV, wantRule := cfg.Engine.Evaluate(&q)
-								gotV, gotRule := pl.policy.Evaluate(&q)
+								gotV, gotRule := fab.view(pl).policy.Evaluate(&q)
 								if gotV != wantV || gotRule != wantRule {
 									t.Fatalf("%v %v trial %d → %v at %v: plan says %v by %q, engine %v by %q",
 										org.ID, p, trial, dst, at, gotV, gotRule, wantV, wantRule)
@@ -136,11 +141,11 @@ func TestPlanMatchesEngine(t *testing.T) {
 								if wantRule != "" {
 									decided++
 								}
-								if got, want := pl.outages.Affected(dst, at), cfg.Outages.Affected(trial, org.ID, d.AS.Number, dst, at); got != want {
+								if got, want := fab.view(pl).outages.Affected(dst, at), cfg.Outages.Affected(trial, org.ID, d.AS.Number, dst, at); got != want {
 									t.Fatalf("%v %v trial %d → %v at %v: plan outage %v, schedule %v", org.ID, p, trial, dst, at, got, want)
 								}
 								for _, ids := range pw.sc.IDSes {
-									if ids.Covers(&q) && !hasDetector(pl.detectors, ids) {
+									if ids.Covers(&q) && !hasDetector(fab.view(pl).detectors, ids) {
 										t.Fatalf("%v → %v: detector %s covers the query but is not in the plan", p, dst, ids.RuleName)
 									}
 								}
@@ -365,7 +370,7 @@ func TestKernelMatchesOracleChain(t *testing.T) {
 // TestPlanFirstTouchConcurrent is the sharded-sweep shape: four goroutines
 // send probes toward the same ASes at once, each possibly the first to touch
 // an AS's plan. Every goroutine must see the same fully built plan (run with
-// -race), each plan's rule sub-list must have been carved exactly once, and
+// -race), each distinct rule list must have been carved exactly once, and
 // the result must equal what a single goroutine compiles.
 func TestPlanFirstTouchConcurrent(t *testing.T) {
 	pw := planWorlds(t)[0]
@@ -398,15 +403,15 @@ func TestPlanFirstTouchConcurrent(t *testing.T) {
 	wg.Wait()
 
 	ref := New(pw.config(p, policy.Detectors(cloneIDSes(pw.sc.IDSes))), org, 0)
-	carved := 0
-	tab := *fab.plans[p].Load()
-	for i := range tab {
-		if tab[i].ready.Load() {
-			carved += tab[i].policy.Len()
+	carved, lists := 0, make(map[uint64]bool)
+	for _, k := range fab.interned[:fab.nInterned] {
+		if !lists[k.rules] {
+			lists[k.rules] = true
+			carved += bits.OnesCount64(k.rules)
 		}
 	}
 	if carved != len(fab.ruleBuf) {
-		t.Errorf("plans hold %d rules, the shared backing array %d: a sub-list was carved twice", carved, len(fab.ruleBuf))
+		t.Errorf("distinct rule lists hold %d rules, the shared backing array %d: a list was carved twice", carved, len(fab.ruleBuf))
 	}
 	for g := 1; g < shards; g++ {
 		for i := range seen[0] {
@@ -420,9 +425,9 @@ func TestPlanFirstTouchConcurrent(t *testing.T) {
 		if !d.Routed {
 			continue
 		}
-		got, want := fab.planFor(p, &d), ref.planFor(p, &d)
+		got, want := fab.view(fab.planFor(p, &d)), ref.view(ref.planFor(p, &d))
 		if got.path != want.path || got.policy.Len() != want.policy.Len() ||
-			len(got.detectors) != len(want.detectors) || got.darkSilent != want.darkSilent {
+			len(got.detectors) != len(want.detectors) || fab.hotFor(p, &d)&hotDarkSilent != ref.hotFor(p, &d)&hotDarkSilent {
 			t.Fatalf("AS%d: concurrently built plan differs from a serial build", d.AS.Number)
 		}
 	}
@@ -482,6 +487,121 @@ func TestCompileAllocsPerAS(t *testing.T) {
 		if extra := allocs - float64(growths); extra > fixed {
 			t.Errorf("scale %v: compiling %d plans allocates %v times beyond ruleBuf's %d growths, want at most %d: an allocation per AS",
 				scale, len(dests), extra, growths, fixed)
+		}
+	}
+}
+
+// TestPlanTableBytesPerAS holds a protocol's plans to a size a cache can
+// hold: compiling every AS on a fresh fabric allocates at most 48 B per AS
+// beyond ruleBuf's growth — the hot word's byte, the 40 B cold plan (with
+// its allocation's rounding), and the shared gates — at two world sizes.
+// Outages and detectors, whose rare per-AS entries are the documented
+// exception, are left out, as in TestCompileAllocsPerAS.
+func TestPlanTableBytesPerAS(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	const budget = 48
+	for _, scale := range []float64{0.00005, 0.0002} {
+		w, err := world.Build(ctx, world.Spec{Seed: 3, Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := scenario.New(w, scenario.Config{Trials: 1})
+		fib := w.FIB()
+		var dests []world.Dest
+		seen := make(map[int32]bool)
+		for _, a := range w.Routes.All() {
+			for _, pfx := range a.Prefixes {
+				if d := fib.Resolve(pfx.First()); d.Routed && !seen[d.ASIdx] {
+					seen[d.ASIdx] = true
+					dests = append(dests, d)
+				}
+			}
+		}
+		cfg := &Config{World: w, Engine: sc.Engine, Loss: sc.Loss, Churn: sc.Churn, NumOrigins: 7, Hosts: sc.Hosts}
+		org := w.Origins.Get(origin.US1)
+		p := proto.HTTP
+		least := ^uint64(0)
+		var fab *Fabric
+		for range 3 {
+			fab = New(cfg, org, 0)
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			for i := range dests {
+				fab.planFor(p, &dests[i])
+			}
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+		}
+		// ruleBuf grows by appending one rule at a time: replay it.
+		var ruleBytes uint64
+		var replay []policy.Rule
+		for range fab.ruleBuf {
+			c := cap(replay)
+			if replay = append(replay, nil); cap(replay) != c {
+				ruleBytes += uint64(cap(replay)) * uint64(unsafe.Sizeof(replay[0]))
+			}
+		}
+		perAS := float64(least-ruleBytes) / float64(len(dests))
+		t.Logf("scale %v: %d ASes, %d gates (%d interned), %d B allocated (%d of them ruleBuf): %.1f B per AS",
+			scale, len(dests), fab.gates.n, fab.nInterned, least, ruleBytes, perAS)
+		if perAS > budget {
+			t.Errorf("scale %v: the plan table and its gates take %.1f B per AS, want at most %d", scale, perAS, budget)
+		}
+	}
+}
+
+// TestGatesPastTheInternLimits drives Send and Predial against the oracle
+// chain where ASes cannot all share interned gates: one rule gated to each
+// of maxInterned+8 ASes (more distinct keys than the fabric interns, so the
+// later ASes get gates of their own), and to each of 70 (more rules than a
+// key's mask holds, so no gate is interned).
+func TestGatesPastTheInternLimits(t *testing.T) {
+	actions := []policy.Verdict{policy.Silent, policy.RefuseTCP, policy.ResetAfterAccept, policy.CloseAfterAccept}
+	for _, n := range []int{maxInterned + 8, 70} {
+		cfg, w := quietConfig(t)
+		ases := w.Routes.All()
+		if len(ases) < n {
+			t.Fatalf("the quiet world has %d ASes, want at least %d", len(ases), n)
+		}
+		dsts := diffTargets(t, w)
+		for i, a := range ases[:n] {
+			cfg.Engine.Add(&policy.StaticBlock{RuleName: fmt.Sprint("as", i), Action: actions[i%len(actions)],
+				Dests: policy.DestMatch{ASes: []asn.ASN{a.Number}}})
+			dsts = append(dsts, a.Prefixes[0].First())
+		}
+		org := w.Origins.Get(origin.US1)
+		fab, ora := New(cfg, org, 0), &oracleChain{cfg, org, 0}
+		buf := make([]byte, 0, 2*packet.ReplyCap)
+		answered := 0
+		for i, dst := range dsts {
+			src := origin.SourceFor(org.SourceIPs, dst)
+			at := time.Duration(i) * time.Second
+			buf = packet.MakeSYNInto(buf, src, dst, 40000, proto.HTTP.Port(), 7, 0)
+			got := replyFlags(t, fab.Send(src, buf, at))
+			if want := ora.send(src, dst, proto.HTTP.Port(), 0, at); got != want {
+				t.Fatalf("%d rules → %v: Send flags %#x, oracle %#x", n, dst, got, want)
+			}
+			if got, want := fab.Predial(dst, proto.HTTP.Port(), at, 0), ora.predial(dst, proto.HTTP.Port(), at, 0); got != want {
+				t.Fatalf("%d rules → %v: Predial %d, oracle %d", n, dst, got, want)
+			}
+			if got != 0 {
+				answered++
+			}
+		}
+		t.Logf("%d rules: %d gates, %d interned, %d of %d probes answered", n, fab.gates.n, fab.nInterned, answered, len(dsts))
+		want := maxInterned
+		if n > 64 {
+			want = 0
+		}
+		if fab.nInterned != want {
+			t.Errorf("%d rules: %d gates interned, want %d", n, fab.nInterned, want)
+		}
+		if answered == 0 {
+			t.Fatalf("%d rules: no probe was answered: the differential is vacuous", n)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/scenario"
+	"repro/internal/zgrab"
 	"repro/internal/zmap"
 )
 
@@ -252,10 +253,9 @@ func TestProbeBatchMatchesSend(t *testing.T) {
 // over disjoint slices of the schedule, then the Held targets are decided
 // through Send in target order; the answers and the detectors' blocked
 // sources must equal the unsplit path's (probeBatchIn). The resolve scratch
-// is per call, not per fabric (PredialBatch's is per fabric: it is
-// single-caller by contract; this is not), and ProbeBatch touches no
-// detector, so live detectors need no care — run with -race. Single-IP US1
-// crosses the detectors' thresholds.
+// is per call, not per fabric, and ProbeBatch touches no detector, so live
+// detectors need no care — run with -race. Single-IP US1 crosses the
+// detectors' thresholds.
 func TestProbeBatchConcurrent(t *testing.T) {
 	bw := batchWorlds(t)[0]
 	org := bw.w.Origins.Get(origin.US1)
@@ -307,6 +307,81 @@ func TestProbeBatchConcurrent(t *testing.T) {
 	if answered == 0 || held == 0 {
 		t.Fatalf("%d targets answered, %d held: the comparison is vacuous", answered, held)
 	}
+}
+
+// TestPredialBatchConcurrent: four goroutines each walk the whole schedule
+// on one fresh fabric, from a different quarter and in small windows, so
+// they race to compile every plan first, calling PredialBatch, ProbeBatch
+// and Watched on each window. Every goroutine's dial verdicts, answer masks
+// and watched bits must equal a serial fabric's. No probe reaches a
+// detector (held targets are not decided), so the detectors' state, which
+// PredialBatch reads, stays empty on both sides. Run with -race.
+func TestPredialBatchConcurrent(t *testing.T) {
+	bw := batchWorlds(t)[0]
+	org := bw.w.Origins.Get(origin.US1)
+	p := proto.SSH
+	n := len(bw.order)
+	type verdicts struct {
+		pre          []zgrab.DialVerdict
+		synAcks, rst []uint8
+		watched      []bool
+	}
+	const window = 300
+	run := func(fab *Fabric, v *verdicts, from int) {
+		for done := 0; done < n; {
+			lo := (from + done) % n
+			hi := min(lo+window, n)
+			fab.PredialBatch(bw.order[lo:hi], bw.ts[lo:hi], p.Port(), v.pre[lo:hi])
+			fab.ProbeBatch(org.SourceIPs, p.Port(), 2, 0, bw.order[lo:hi], bw.ts[lo:hi], v.synAcks[lo:hi], v.rst[lo:hi])
+			for i := lo; i < hi; i++ {
+				v.watched[i] = fab.Watched(p, bw.order[i])
+			}
+			done += hi - lo
+		}
+	}
+	fresh := func() *verdicts {
+		v := &verdicts{pre: make([]zgrab.DialVerdict, n), watched: make([]bool, n)}
+		v.synAcks, v.rst = garbageMasks(n)
+		return v
+	}
+	want := fresh()
+	run(New(bw.config(p, cloneIDSes(bw.sc.IDSes)), org, 1), want, 0)
+
+	const shards = 4
+	fab := New(bw.config(p, cloneIDSes(bw.sc.IDSes)), org, 1)
+	got := make([]*verdicts, shards)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = fresh()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			run(fab, got[g], g*n/shards)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	connects, watched := 0, 0
+	for i, dst := range bw.order {
+		for g, v := range got {
+			if v.pre[i] != want.pre[i] || v.synAcks[i] != want.synAcks[i] || v.rst[i] != want.rst[i] || v.watched[i] != want.watched[i] {
+				t.Fatalf("goroutine %d, target %d (%v): dial %d, answers %02b/%02b, watched %v; serial dial %d, answers %02b/%02b, watched %v",
+					g, i, dst, v.pre[i], v.synAcks[i], v.rst[i], v.watched[i], want.pre[i], want.synAcks[i], want.rst[i], want.watched[i])
+			}
+		}
+		if want.pre[i] == zgrab.DialConnect {
+			connects++
+		}
+		if want.watched[i] {
+			watched++
+		}
+	}
+	if connects == 0 || watched == 0 {
+		t.Fatalf("%d dials connected, %d targets watched: the comparison is vacuous", connects, watched)
+	}
+	t.Logf("%d targets: %d dials connected, %d watched", n, connects, watched)
 }
 
 // countingDetector forwards to a detector and counts the calls it is shown.

@@ -230,11 +230,11 @@ func (m *Matrix) volatileEpisode(o origin.ID, as asn.ASN, trial int) float64 {
 }
 
 // Path is the loss state of one (origin, AS, trial) path, resolved once:
-// the fabric keeps it in its plan for the AS and asks it the per-probe and
-// per-connection loss questions (episode, probe loss, handshake loss)
-// without repeating the parameter lookup. Every draw is still a keyed hash
-// of the same event coordinates, so decisions do not depend on how a caller
-// groups them.
+// the fabric keeps an AS's Params in its plan, rebuilds the Path from them
+// per decision (Base, With) and asks it the per-probe and per-connection
+// loss questions (episode, probe loss, handshake loss) without repeating
+// the parameter lookup. Every draw is still a keyed hash of the same event
+// coordinates, so decisions do not depend on how a caller groups them.
 type Path struct {
 	m      *Matrix
 	params Params
@@ -245,7 +245,21 @@ type Path struct {
 
 // Path resolves the loss state of the (origin, AS) path in a trial.
 func (m *Matrix) Path(o origin.ID, as asn.ASN, trial int) Path {
-	return Path{m: m, params: m.Params(o, as, trial), origin: o, site: m.alias(o), trial: trial}
+	return m.Base(o, trial).With(m.Params(o, as, trial))
+}
+
+// Base returns origin o's path in a trial before any AS's parameters are
+// filled in: the template With completes, so a caller that keeps an AS's
+// Params rebuilds its Path without another lookup.
+func (m *Matrix) Base(o origin.ID, trial int) Path {
+	return Path{m: m, origin: o, site: m.alias(o), trial: trial}
+}
+
+// With returns the path p with the loss parameters params:
+// m.Base(o, trial).With(m.Params(o, as, trial)) is m.Path(o, as, trial).
+func (p Path) With(params Params) Path {
+	p.params = params
+	return p
 }
 
 // DropFor returns the effective per-packet drop probability for a specific

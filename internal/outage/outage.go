@@ -254,6 +254,9 @@ func (s *Schedule) Path(trial int, o origin.ID, as asn.ASN) PathOutages {
 	return p
 }
 
+// Len returns how many events can cover the path (0 for most paths).
+func (p *PathOutages) Len() int { return len(p.events) }
+
 // Affected reports whether host dst is inside one of the path's outages at
 // time t.
 func (p *PathOutages) Affected(dst ip.Addr, t time.Duration) bool {

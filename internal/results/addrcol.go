@@ -119,6 +119,16 @@ func (c *addrCol) widen() {
 	*c = addrCol{wide: w, isWide: true}
 }
 
+// clip drops the column's spare capacity in place: no copy, and later
+// appends reallocate.
+func (c *addrCol) clip() {
+	if c.isWide {
+		c.wide = slices.Clip(c.wide)
+	} else {
+		c.narrow, c.hint = slices.Clip(c.narrow), 0
+	}
+}
+
 // truncate cuts the column to its first n rows, keeping its storage and
 // its width.
 func (c *addrCol) truncate(n int) {

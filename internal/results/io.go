@@ -771,7 +771,7 @@ func (d *decoder) dataset() (*Dataset, error) {
 				}
 				if s == nil {
 					var err error
-					if s, err = d.scan(); err != nil {
+					if s, err = d.scan(0); err != nil {
 						return fmt.Errorf("scan %d: %w", len(scans), err)
 					}
 				}
@@ -1022,19 +1022,31 @@ func (d *decoder) readAhead(n, room, limit int) {
 // whole decodes text, which starts at stream offset base, as exactly one
 // scan object and nothing after it, or returns nil. d keeps only its
 // scratch from an earlier call: it reads text in place and nothing more.
+// The scan's columns are sized from rowBound(text) before the first record.
 func (d *decoder) whole(text []byte, base int64) *ScanResult {
 	*d = decoder{buf: text, end: len(text), base: base, mark: -1, err: io.EOF, key: d.key[:0], unq: d.unq[:0]}
-	s, err := d.scan()
+	s, err := d.scan(rowBound(text))
 	if err != nil || d.pos != len(text) {
 		return nil
 	}
 	return s
 }
 
+// rowBound is an upper bound on the records of the scan whose whole text is
+// text: each record opens with a '[', as does the records array, and none
+// is shorter than "[]" and a comma.
+func rowBound(text []byte) int {
+	return min(max(bytes.Count(text, []byte("["))-1, 0), (len(text)+1)/3)
+}
+
 // scan consumes one scan object, appending records directly onto the
-// columns of a fresh ScanResult.
-func (d *decoder) scan() (*ScanResult, error) {
+// columns of a fresh ScanResult, sized for hint rows (0: unknown, so they
+// grow by doubling as records arrive).
+func (d *decoder) scan(hint int) (*ScanResult, error) {
 	s := &ScanResult{}
+	if hint > 0 {
+		s.resizeRows(hint)
+	}
 	err := d.object(func(key []byte) (err error) {
 		var u uint64
 		switch string(key) {
@@ -1096,13 +1108,19 @@ func (d *decoder) scan() (*ScanResult, error) {
 	}
 	// Banners pair with rows by position and either list may be the
 	// longer; the column ends with one entry per row, and the row columns
-	// with no spare capacity.
+	// with no spare capacity: cut in place when at most an eighth of them
+	// is spare (as a hint from rowBound leaves them), else moved.
 	n := s.addrs.len()
 	if len(s.banner) > n {
 		s.banner = s.banner[:n]
 	}
 	s.banner = append(s.banner, make([]uint32, n-len(s.banner))...)
-	s.resizeRows(n)
+	if spare := s.addrs.cap() - n; spare > 0 && spare <= n/8 {
+		s.addrs.clip()
+		s.rows = slices.Clip(s.rows)
+	} else {
+		s.resizeRows(n)
+	}
 	return s, nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -728,6 +729,48 @@ func TestWriteJSONBannerEscapesMatchMarshal(t *testing.T) {
 	for i, w := range decoded {
 		if r := got.RecordAt(i); r.Banner != w {
 			t.Errorf("banner %d read back as %q, want %q", i, r.Banner, w)
+		}
+	}
+}
+
+// TestAheadScanSizesColumns holds a scan decoded ahead to one allocation
+// per column: its text bounds its rows before the first record, so
+// decoding a 10 k-row scan allocates at most 1.25× its final address, row
+// and banner columns, for an IPv4 scan (4-byte addresses) and an IPv6 one.
+// Growing by doubling from 1,024 rows and cutting to size allocates ≈ 4×
+// them.
+func TestAheadScanSizesColumns(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 10_000
+	for _, family := range []string{"v4", "v6"} {
+		var b bytes.Buffer
+		b.WriteString(`{"origin":1,"proto":0,"trial":0,"targets":65536,"records":[`)
+		for i := range rows {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if family == "v4" {
+				fmt.Fprintf(&b, `[%d,3,3,0,1,%d]`, 1<<24+i, i*1000)
+			} else {
+				fmt.Fprintf(&b, `["2a00::%x",3,3,0,1,%d]`, i, i*1000)
+			}
+		}
+		b.WriteString(`],"banners":["SSH-2.0-OpenSSH_8.2p1"]}`)
+		text := b.Bytes()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := results.DecodeWhole(text)
+		runtime.ReadMemStats(&after)
+		if s == nil || s.Len() != rows {
+			t.Fatalf("%s: the scan did not decode whole", family)
+		}
+		cols := uint64(results.ColumnBytes(s))
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d rows, %d B allocated for %d B of columns (%.2f×)", family, rows, got, cols, float64(got)/float64(cols))
+		if float64(got) > 1.25*float64(cols) {
+			t.Errorf("%s: decoding ahead allocates %d B, over 1.25× the final columns' %d B", family, got, cols)
 		}
 	}
 }

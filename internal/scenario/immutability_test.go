@@ -24,9 +24,8 @@ var decisionPackages = []string{"loss", "outage", "policy", "hostsim", "scenario
 // through its receiver, as path.Match patterns over "pkg.(*Type).method".
 // Construction, a live detector's state, the rule list, MaxStartups' key
 // scratch, a served connection's response buffer, and in a fabric the plan
-// compilation, PredialBatch's resolve scratch and Handshake's served
-// connection count. Nothing in loss: a loss.Matrix is immutable once
-// NewMatrix returns.
+// compilation and Handshake's served connection count. Nothing in loss: a
+// loss.Matrix is immutable once NewMatrix returns.
 var receiverWriters = []string{
 	"outage.(*Schedule).add",
 	"policy.(*IDS).RecordProbe",
@@ -40,7 +39,6 @@ var receiverWriters = []string{
 	"scenario.(*Scenario).build*",
 	"fabric.(*Fabric).newPlanTable",
 	"fabric.(*Fabric).compile",
-	"fabric.(*Fabric).PredialBatch",
 	"fabric.(*Fabric).Handshake",
 }
 
