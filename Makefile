@@ -29,8 +29,8 @@ race:
 	$(GO) test -race ./internal/... ./cmd/...
 
 # The streaming-worldgen audit at paper scale (Scale 1.0, 68.6M machines).
-# On a 2-core Xeon with GOMEMLIMIT unset the build takes ≈ 10 s and peaks at
-# ≈ 1.9 GiB RSS for a 1.7 GiB live heap; the whole target ≈ 15 s. The test
+# On a 2-core Xeon with GOMEMLIMIT unset the build takes ≈ 6 s and peaks at
+# ≈ 1.65 GiB RSS for a 1.4 GiB live heap; the whole target ≈ 10 s. The test
 # logs those figures (build time, bytes allocated, live heap, FIB size, peak
 # RSS) and the world digest. Plain `go test ./...` runs the same assertions
 # at Scale 0.01; this target sets the variable the test checks to add the
@@ -139,5 +139,5 @@ bench-scale1:
 	$(GO) test -run xxx -bench 'BenchmarkScale1Study|BenchmarkScale1FullStudy' -benchtime 1x -benchmem -timeout 150m . | \
 	    $(GO) run ./cmd/benchjson \
 	        -command "go test -run xxx -bench 'BenchmarkScale1Study|BenchmarkScale1FullStudy' -benchtime 1x -benchmem -timeout 150m ." \
-	        -note "Scale1Study: Scale=0.1 study (US1/HTTP/1 trial, ~5.8M-host streaming world) through the full experiment path with the spill store under a fixed 128 MiB result budget; peak-rss-MiB is the process VmHWM high-water mark (must stay under the 3 GiB ceiling — raised from PR 7's 2 GiB for the 128-bit address widening; the in-memory store would peak well above it). Scale1FullStudy: the same study at Scale=1.0 — the ROADMAP's full-IPv4-scale milestone, ~68.6M hosts and ~53M L7 handshakes on the grab fast path, RSS ceiling 16 GiB with a pinned 14 GiB Go soft memory limit so GC headroom over the ~10 GiB live heap (the ~2.2 GiB per-scan reply log, the FIB host arrays, the sealed output) is deterministic rather than GOGC-timing luck. spill-segments/spilled-MiB/merge-* are the spill store's own counters; sealed bytes are identical to the in-memory path (differential tests pin this). Single-core container." \
+	        -note "Scale1Study: Scale=0.1 study (US1/HTTP/1 trial, ~5.8M-host streaming world) through the full experiment path with the spill store under a fixed 128 MiB result budget; peak-rss-MiB is the process VmHWM high-water mark (must stay under the 3 GiB ceiling — raised from 2 GiB for the 128-bit address widening; the in-memory store would peak well above it). Scale1FullStudy: the same study at Scale=1.0 — the ROADMAP's full-IPv4-scale milestone, ~68.6M hosts and ~53M L7 handshakes on the grab fast path, with no Go memory limit set; RSS ceiling 4 GiB over the ≈1.4 GiB live streamed world (FIB 986 MiB) and the fabric's plan tables. spill-segments/spilled-MiB/merge-* are the spill store's own counters; sealed bytes are identical to the in-memory path (differential tests pin this)." \
 	        -out BENCH_scale1.json

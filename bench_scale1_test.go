@@ -9,15 +9,14 @@
 // BenchmarkScale1FullStudy is the ROADMAP's full-IPv4-scale milestone: the
 // complete study over the ~68.6M-host Scale=1.0 world, unblocked by the
 // grab fast path (≈53M L7 handshakes dominate its wall time). Its RSS
-// ceiling is set by the world itself (streamed hosts + FIB + per-scan
-// reply log), not the result store.
+// ceiling is set by the world itself (the streamed world's FIB and AS
+// registry) and the fabric's per-AS plan tables, not the result store.
 //
 // Run via `make bench-scale1`; results land in BENCH_scale1.json.
 package scanorigin
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/experiment"
@@ -41,20 +40,14 @@ const (
 	// after it, so the ceiling is now 3 GiB — still well under the
 	// ≈2.5 GiB+widening an unspilled store would add on top.
 	scale1RSSCeil = 3 << 30
-	// fullRSSCeil bounds the Scale=1.0 run. It was set when the run's
-	// live heap was ~10 GiB: a per-scan L4 reply log of ~2.2 GiB
-	// (68.6M replies × 32 B, gone since the grab stage takes replies off
-	// the walk through a bounded ring), the world's FIB, and ~50M sealed
-	// rows. Today the streamed world builds to ≈1.7 GiB live (FIB
-	// 986 MiB) at ≈1.9 GiB peak RSS (`make audit-fullscale`), and the
-	// sealed rows spill to disk under scale1Budget. Left to GOGC=100 the
-	// GC doubles the live heap, so the benchmark pins fullMemLimit as a
-	// Go soft memory limit: the GC then holds heap headroom
-	// deterministically and the ceiling proves the whole study fits in
-	// 16 GiB of RSS — bounded by the world, not by grab throughput or
-	// result volume (an unspilled store would add ~25 GiB on its own).
-	fullRSSCeil  = 16 << 30
-	fullMemLimit = 14 << 30
+	// fullRSSCeil bounds the Scale=1.0 run, with no Go memory limit set:
+	// the whole study must fit in 4 GiB of RSS, bounded by the world, not
+	// by grab throughput or result volume (an unspilled store would add
+	// ~25 GiB on its own). The streamed world builds to ≈1.4 GiB live
+	// (FIB 986 MiB) at ≈1.7 GiB peak RSS (`make audit-fullscale`), the
+	// sealed rows spill to disk under scale1Budget, and the study peaks
+	// at ≈3.1 GiB RSS.
+	fullRSSCeil = 4 << 30
 )
 
 func BenchmarkScale1Study(b *testing.B) {
@@ -85,7 +78,6 @@ func BenchmarkScale1Study(b *testing.B) {
 // budget. ns/op is the wall time of one complete study; peak-rss-MiB and
 // the spill counters are the memory proof.
 func BenchmarkScale1FullStudy(b *testing.B) {
-	defer debug.SetMemoryLimit(debug.SetMemoryLimit(fullMemLimit))
 	for i := 0; i < b.N; i++ {
 		cfg := experiment.Config{
 			WorldSpec: world.Spec{Seed: 2020, Scale: 1.0, StreamHosts: true},

@@ -1,7 +1,7 @@
-// Package asn provides the autonomous-system registry and the announced-
-// prefix routing table. The paper snapshots a routing table from the U.S.
-// origin at the start of each trial to map destination IPs to origin ASes;
-// Table here plays that role via longest-prefix match.
+// Package asn provides the autonomous-system registry: each AS with the
+// prefixes it announces and their countries. The paper maps destination IPs
+// to origin ASes through a routing-table snapshot; here the world's FIB,
+// built from this registry, answers that for every address.
 package asn
 
 import (
@@ -54,6 +54,32 @@ type AS struct {
 	Country  geo.Country
 	Kind     Kind
 	Prefixes []ip.Prefix
+	// PrefixCountries is the country each prefix geolocates to ("" for
+	// none), parallel to Prefixes; nil while every prefix is in Country.
+	PrefixCountries []geo.Country
+}
+
+// Announce appends prefix p, geolocated to c.
+func (a *AS) Announce(p ip.Prefix, c geo.Country) {
+	if a.PrefixCountries == nil && c != a.Country {
+		a.PrefixCountries = make([]geo.Country, len(a.Prefixes), len(a.Prefixes)+1)
+		for i := range a.PrefixCountries {
+			a.PrefixCountries[i] = a.Country
+		}
+	}
+	a.Prefixes = append(a.Prefixes, p)
+	if a.PrefixCountries != nil {
+		a.PrefixCountries = append(a.PrefixCountries, c)
+	}
+}
+
+// PrefixCountry returns the country Prefixes[i] geolocates to ("" for
+// none).
+func (a *AS) PrefixCountry(i int) geo.Country {
+	if a.PrefixCountries == nil {
+		return a.Country
+	}
+	return a.PrefixCountries[i]
 }
 
 // NumAddrs returns the total announced address space of the AS.
@@ -65,49 +91,26 @@ func (a *AS) NumAddrs() uint64 {
 	return n
 }
 
-// Table is a routing-table snapshot: announced prefixes mapped to origin AS.
+// Table is the AS registry of a world. The world's FIB, built from it,
+// checks that the announced prefixes are disjoint.
 type Table struct {
 	byNumber map[ASN]*AS
 	ordered  []*AS
-	routes   *ip.RadixTree[ASN]
 }
 
-// NewTable returns an empty routing table.
+// NewTable returns an empty registry.
 func NewTable() *Table {
-	return &Table{
-		byNumber: make(map[ASN]*AS),
-		routes:   ip.NewRadixTree[ASN](),
-	}
+	return &Table{byNumber: make(map[ASN]*AS)}
 }
 
-// Register adds an AS and announces its prefixes. Registering the same ASN
-// twice or announcing an overlapping more-general route is an error: the
-// synthetic world allocates disjoint prefixes, so overlap means a generator
-// bug.
+// Register adds an AS. Registering the same ASN twice is an error.
 func (t *Table) Register(a *AS) error {
 	if _, dup := t.byNumber[a.Number]; dup {
 		return fmt.Errorf("asn: duplicate AS%d", a.Number)
 	}
-	for _, p := range a.Prefixes {
-		if owner, ok := t.routes.Lookup(p.First()); ok {
-			return fmt.Errorf("asn: AS%d prefix %v overlaps AS%d", a.Number, p, owner)
-		}
-	}
 	t.byNumber[a.Number] = a
 	t.ordered = append(t.ordered, a)
-	for _, p := range a.Prefixes {
-		t.routes.Insert(p, a.Number)
-	}
 	return nil
-}
-
-// Lookup returns the origin AS for an address.
-func (t *Table) Lookup(a ip.Addr) (*AS, bool) {
-	n, ok := t.routes.Lookup(a)
-	if !ok {
-		return nil, false
-	}
-	return t.byNumber[n], true
 }
 
 // Get returns the AS with the given number.

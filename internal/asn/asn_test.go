@@ -3,6 +3,7 @@ package asn
 import (
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/ip"
 )
 
@@ -14,7 +15,7 @@ func mkAS(n ASN, name string, prefixes ...string) *AS {
 	return a
 }
 
-func TestTableRegisterLookup(t *testing.T) {
+func TestTableRegister(t *testing.T) {
 	tab := NewTable()
 	if err := tab.Register(mkAS(100, "Alpha", "10.0.0.0/16", "10.2.0.0/16")); err != nil {
 		t.Fatal(err)
@@ -22,22 +23,13 @@ func TestTableRegisterLookup(t *testing.T) {
 	if err := tab.Register(mkAS(200, "Beta", "10.1.0.0/16")); err != nil {
 		t.Fatal(err)
 	}
-	a, ok := tab.Lookup(ip.MustParseAddr("10.2.99.1"))
-	if !ok || a.Number != 100 {
-		t.Errorf("Lookup = %v,%v", a, ok)
-	}
-	b, ok := tab.Lookup(ip.MustParseAddr("10.1.0.1"))
-	if !ok || b.Number != 200 {
-		t.Errorf("Lookup = %v,%v", b, ok)
-	}
-	if _, ok := tab.Lookup(ip.MustParseAddr("11.0.0.1")); ok {
-		t.Error("Lookup found unannounced space")
-	}
 	if tab.Len() != 2 {
 		t.Errorf("Len = %d", tab.Len())
 	}
 }
 
+// TestTableRejectsDuplicates: an ASN registers once. (Overlapping prefixes
+// are the FIB's to refuse: world.TestBuildFIBRefusesOverlap.)
 func TestTableRejectsDuplicates(t *testing.T) {
 	tab := NewTable()
 	if err := tab.Register(mkAS(100, "Alpha", "10.0.0.0/16")); err != nil {
@@ -46,8 +38,29 @@ func TestTableRejectsDuplicates(t *testing.T) {
 	if err := tab.Register(mkAS(100, "AlphaAgain", "11.0.0.0/16")); err == nil {
 		t.Error("Register accepted duplicate ASN")
 	}
-	if err := tab.Register(mkAS(300, "Nested", "10.0.5.0/24")); err == nil {
-		t.Error("Register accepted overlapping prefix")
+}
+
+// TestAnnounceRecordsPrefixCountries holds Announce to its one allocation
+// rule: an AS whose prefixes all geolocate to its own country keeps no
+// per-prefix list, and the first prefix elsewhere starts one that fills in
+// the earlier prefixes with the AS's country.
+func TestAnnounceRecordsPrefixCountries(t *testing.T) {
+	a := &AS{Number: 1, Country: "US"}
+	a.Announce(ip.MustParsePrefix("10.0.0.0/16"), "US")
+	a.Announce(ip.MustParsePrefix("10.1.0.0/16"), "US")
+	if a.PrefixCountries != nil {
+		t.Fatalf("single-country AS keeps PrefixCountries %v", a.PrefixCountries)
+	}
+	a.Announce(ip.MustParsePrefix("10.2.0.0/24"), "DE")
+	a.Announce(ip.MustParsePrefix("10.3.0.0/24"), "")
+	want := []geo.Country{"US", "US", "DE", ""}
+	if len(a.Prefixes) != len(want) || len(a.PrefixCountries) != len(want) {
+		t.Fatalf("%d prefixes, %d countries, want %d of each", len(a.Prefixes), len(a.PrefixCountries), len(want))
+	}
+	for i, c := range want {
+		if got := a.PrefixCountry(i); got != c {
+			t.Errorf("PrefixCountry(%d) = %q, want %q", i, got, c)
+		}
 	}
 }
 

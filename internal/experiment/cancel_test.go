@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,15 +18,20 @@ import (
 
 // cancelSink counts probe sends and cancels the run once armed and the
 // send budget is spent — a deterministic way to interrupt a sweep mid-space.
+// A sink with a gate holds each Send until the gate is closed.
 type cancelSink struct {
 	inner  zmap.PacketSink
 	armed  *atomic.Bool
 	sends  *atomic.Int64
 	after  int64
 	cancel context.CancelFunc
+	gate   <-chan struct{}
 }
 
 func (c cancelSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
+	if c.gate != nil {
+		<-c.gate
+	}
 	if c.armed.Load() && c.sends.Add(1) == c.after {
 		c.cancel()
 	}
@@ -36,11 +42,18 @@ func (c cancelSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 // canceling the context during the second scan's sweep stops the run with
 // an ErrCanceled chain naming the interrupted (origin, proto, trial) and
 // stage, while the dataset keeps every scan sealed before the cancellation.
+// The first scan's tail runs on its grab goroutine while the second scan
+// sweeps, so the second scan's sink holds its probes until the first scan's
+// Seal has armed the cancel (or a stage has failed): otherwise, on one P,
+// the whole second sweep can run before that Seal.
 func TestCancelMidSweepSealsPartialDataset(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var armed atomic.Bool
 	var sends atomic.Int64
+	var sinks atomic.Int32
+	sealed := make(chan struct{})
+	var release sync.Once
 	cfg := Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP},
@@ -52,10 +65,17 @@ func TestCancelMidSweepSealsPartialDataset(t *testing.T) {
 					// First scan sealed: cancel during the next sweep.
 					armed.Store(true)
 				}
+				if stage == pipeline.StageSeal || err != nil {
+					release.Do(func() { close(sealed) })
+				}
 			},
 		},
 		SinkWrapper: func(inner zmap.PacketSink) zmap.PacketSink {
-			return cancelSink{inner: inner, armed: &armed, sends: &sends, after: 64, cancel: cancel}
+			c := cancelSink{inner: inner, armed: &armed, sends: &sends, after: 64, cancel: cancel}
+			if sinks.Add(1) == 2 {
+				c.gate = sealed
+			}
+			return c
 		},
 	}
 	st, err := NewStudy(ctx, cfg)

@@ -1,14 +1,11 @@
-// Package geo provides the country registry and an IP-geolocation database
-// with longest-prefix-match lookup, shaped after the MaxMind GeoLite2
-// database the paper uses for geolocation.
+// Package geo provides the country catalogue of a world: the codes, names
+// and host weights the generator apportions hosts by. The paper geolocates
+// destinations with the MaxMind GeoLite2 database; here each announced
+// prefix records its country (asn.AS.PrefixCountries) and the world's FIB
+// answers the country of any address.
 package geo
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/ip"
-)
+import "sort"
 
 // Country is an ISO 3166-1 alpha-2 country code.
 type Country string
@@ -22,20 +19,15 @@ type CountryInfo struct {
 	Weight float64
 }
 
-// Registry holds the set of countries in a world and the geolocation
-// database mapping prefixes to countries.
+// Registry holds the set of countries in a world.
 type Registry struct {
 	countries map[Country]CountryInfo
 	ordered   []CountryInfo
-	db        *ip.RadixTree[Country]
 }
 
 // NewRegistry returns a registry with the given countries.
 func NewRegistry(countries []CountryInfo) *Registry {
-	r := &Registry{
-		countries: make(map[Country]CountryInfo, len(countries)),
-		db:        ip.NewRadixTree[Country](),
-	}
+	r := &Registry{countries: make(map[Country]CountryInfo, len(countries))}
 	for _, c := range countries {
 		r.countries[c.Code] = c
 		r.ordered = append(r.ordered, c)
@@ -107,22 +99,6 @@ func DefaultCountries() []CountryInfo {
 		{"TW", "Taiwan", 0.008},
 		{"CZ", "Czechia", 0.005},
 	}
-}
-
-// Lookup returns the country for an address per the geolocation database.
-func (r *Registry) Lookup(a ip.Addr) (Country, bool) {
-	return r.db.Lookup(a)
-}
-
-// Assign records that a prefix geolocates to a country. Countries must be
-// registered; unknown codes are an error so world-building bugs surface
-// early.
-func (r *Registry) Assign(p ip.Prefix, c Country) error {
-	if _, ok := r.countries[c]; !ok {
-		return fmt.Errorf("geo: unknown country %q", c)
-	}
-	r.db.Insert(p, c)
-	return nil
 }
 
 // Info returns the registered info for a country code.

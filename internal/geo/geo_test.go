@@ -1,37 +1,6 @@
 package geo
 
-import (
-	"testing"
-
-	"repro/internal/ip"
-)
-
-func TestRegistryAssignLookup(t *testing.T) {
-	r := NewRegistry(DefaultCountries())
-	if err := r.Assign(ip.MustParsePrefix("1.0.0.0/16"), "JP"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Assign(ip.MustParsePrefix("1.0.128.0/17"), "US"); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := r.Lookup(ip.MustParseAddr("1.0.0.1")); !ok || c != "JP" {
-		t.Errorf("Lookup = %v,%v", c, ok)
-	}
-	// More specific assignment wins (anycast-style reassignment).
-	if c, ok := r.Lookup(ip.MustParseAddr("1.0.200.1")); !ok || c != "US" {
-		t.Errorf("Lookup = %v,%v", c, ok)
-	}
-	if _, ok := r.Lookup(ip.MustParseAddr("9.9.9.9")); ok {
-		t.Error("Lookup found unassigned address")
-	}
-}
-
-func TestRegistryRejectsUnknownCountry(t *testing.T) {
-	r := NewRegistry(DefaultCountries())
-	if err := r.Assign(ip.MustParsePrefix("10.0.0.0/8"), "XX"); err == nil {
-		t.Error("Assign accepted unknown country")
-	}
-}
+import "testing"
 
 func TestDefaultCountriesContainPaperCountries(t *testing.T) {
 	// Every country named in the paper's Table 2 / Table 5 must exist.

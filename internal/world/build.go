@@ -32,8 +32,7 @@ type World struct {
 	Routes    *asn.Table
 	Origins   *origin.Directory
 
-	hosts       []Host // sorted by address; nil when Spec.StreamHosts
-	byAS        map[asn.ASN][]int32
+	hosts       []Host             // sorted by address; nil when Spec.StreamHosts
 	asHostCount map[asn.ASN]uint64 // hosts per AS, maintained during placement
 	numHosts    int
 	fib         *FIB // sparse per-/24 destination index (hot-path lookups)
@@ -113,7 +112,6 @@ func Build(ctx context.Context, spec Spec) (*World, error) {
 		Key:         rng.NewKey(spec.Seed).Derive("world"),
 		Countries:   geo.NewRegistry(geo.DefaultCountries()),
 		Routes:      asn.NewTable(),
-		byAS:        make(map[asn.ASN][]int32),
 		asHostCount: make(map[asn.ASN]uint64),
 		profileASN:  make(map[string]asn.ASN),
 	}
@@ -259,7 +257,10 @@ func Build(ctx context.Context, spec Spec) (*World, error) {
 	// hosts, scattered into it portion by portion. The allocator handed
 	// out prefixes bottom-up and each chunk streams in address order, so
 	// hosts arrive globally sorted with no sort and no address-keyed map. ---
-	f := buildFIB(w, machines)
+	f, err := buildFIB(w, machines)
+	if err != nil {
+		return nil, err
+	}
 	if !spec.StreamHosts {
 		w.hosts = make([]Host, 0, machines)
 	}
@@ -269,14 +270,6 @@ func Build(ctx context.Context, spec Spec) (*World, error) {
 			return nil, pipeline.Canceled(err)
 		}
 		w.place(&portions[i], f, &sc)
-	}
-
-	// --- 8. Per-AS host index (hosts are sorted by construction). A
-	// streaming build retains no host slice, so the index stays empty. ---
-	for i := range w.hosts {
-		if a, ok := w.Routes.Lookup(w.hosts[i].Addr); ok {
-			w.byAS[a.Number] = append(w.byAS[a.Number], int32(i))
-		}
 	}
 	w.fib = f
 	return w, nil
@@ -329,8 +322,8 @@ func (w *World) chunkHosts(pfx ip.Prefix, left int) int {
 }
 
 // allocate gives one portion its prefixes, chunks of at most /16 sized to
-// the machines still to place, and geolocates them. It returns the
-// portion's machine count.
+// the machines still to place, each geolocated to the portion's country,
+// which must be in the catalogue. It returns the portion's machine count.
 func (w *World) allocate(alloc *allocator, p *portion) (int, error) {
 	machines := w.layout(p).machines
 	p.first = len(p.as.Prefixes)
@@ -342,10 +335,10 @@ func (w *World) allocate(alloc *allocator, p *portion) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		p.as.Prefixes = append(p.as.Prefixes, pfx)
-		if err := w.Countries.Assign(pfx, p.country); err != nil {
-			return 0, err
+		if _, ok := w.Countries.Info(p.country); !ok {
+			return 0, fmt.Errorf("world: unknown country %q", p.country)
 		}
+		p.as.Announce(pfx, p.country)
 		placed += w.chunkHosts(pfx, left)
 	}
 	return machines, nil

@@ -139,7 +139,6 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 		Key:         rng.NewKey(spec.Seed).Derive("world6"),
 		Countries:   geo.NewRegistry(geo.DefaultCountries()),
 		Routes:      asn.NewTable(),
-		byAS:        make(map[asn.ASN][]int32),
 		asHostCount: make(map[asn.ASN]uint64),
 		profileASN:  make(map[string]asn.ASN),
 	}
@@ -173,9 +172,6 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 			Prefixes: []ip.Prefix{pfx},
 		}
 		if err := w.Routes.Register(a); err != nil {
-			return nil, err
-		}
-		if err := w.Countries.Assign(pfx, c); err != nil {
 			return nil, err
 		}
 		provs[i] = provider{as: a, base: base}
@@ -219,12 +215,7 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 	// small enough to sort in place (no streaming build).
 	slices.SortFunc(w.hosts, func(a, b Host) int { return a.Addr.Compare(b.Addr) })
 
-	// --- 3. Per-AS index, origins, destination index. ---
-	for i := range w.hosts {
-		if a, ok := w.Routes.Lookup(w.hosts[i].Addr); ok {
-			w.byAS[a.Number] = append(w.byAS[a.Number], int32(i))
-		}
-	}
+	// --- 3. Origins, destination index. ---
 	w.Origins = origin.NewDirectory(v6SourceBase)
 	w.fib = buildFIB6(w, w.hosts)
 
@@ -236,16 +227,19 @@ func BuildV6(ctx context.Context, spec V6Spec) (*World, error) {
 	for i := range w.hosts {
 		hl = append(hl, w.hosts[i].Addr)
 	}
+	hostIdx := make([][]int32, len(provs))
+	for i := range provs {
+		hostIdx[i] = w.HostsInAS(provs[i].as.Number)
+	}
 	hlStream := w.Key.Derive("v6hitlist").Stream()
 	nStale := int(spec.StaleFrac * float64(w.numHosts))
 	for i := 0; i < nStale; i++ {
-		p := &provs[hlStream.Intn(len(provs))]
+		pi := hlStream.Intn(len(provs))
 		// Reuse an existing island's /64 when possible so stale entries
 		// sit beside live machines the way decayed hitlist entries do.
-		hostIdx := w.byAS[p.as.Number]
-		islandHi := p.base.Hi() | hlStream.Uint64n(1<<32)
-		if len(hostIdx) > 0 {
-			islandHi = w.hosts[hostIdx[hlStream.Intn(len(hostIdx))]].Addr.Hi()
+		islandHi := provs[pi].base.Hi() | hlStream.Uint64n(1<<32)
+		if idx := hostIdx[pi]; len(idx) > 0 {
+			islandHi = w.hosts[idx[hlStream.Intn(len(idx))]].Addr.Hi()
 		}
 		hl = append(hl, ip.AddrFrom128(islandHi, 1<<16+hlStream.Uint64n(1<<20)))
 	}

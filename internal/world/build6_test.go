@@ -135,9 +135,9 @@ func TestParseFamily(t *testing.T) {
 	}
 }
 
-// checkFIB6 holds the v6 FIB to the reference structures (Routes radix,
-// Countries radix, host index: ValidateAddr) at every address in addrs, and
-// holds ResolveBatch and Routed to Resolve at the same addresses.
+// checkFIB6 holds the v6 FIB to the reference (longest-prefix-match tables
+// over the announcements, host index: ValidateAddr) at every address in
+// addrs, and holds ResolveBatch and Routed to Resolve at the same addresses.
 func checkFIB6(t *testing.T, name string, w *World, addrs []ip.Addr) {
 	t.Helper()
 	f := w.FIB()
@@ -234,14 +234,10 @@ func handBuiltV6(t *testing.T, prefixes []handPrefix, hosts []string) *World {
 		Routes:    asn.NewTable(),
 	}
 	for _, hp := range prefixes {
-		pfx := ip.MustParsePrefix(hp.prefix)
-		if err := w.Routes.Register(&asn.AS{Number: hp.as, Name: hp.prefix, Prefixes: []ip.Prefix{pfx}}); err != nil {
+		a := &asn.AS{Number: hp.as, Name: hp.prefix}
+		a.Announce(ip.MustParsePrefix(hp.prefix), hp.country)
+		if err := w.Routes.Register(a); err != nil {
 			t.Fatal(err)
-		}
-		if hp.country != "" {
-			if err := w.Countries.Assign(pfx, hp.country); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	for i, h := range hosts {

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/asn"
 	"repro/internal/geo"
 	"repro/internal/ip"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 )
 
@@ -16,9 +18,8 @@ import (
 // to its routedness, announcing AS, geolocated country, and (via a per-/24
 // host presence bitmap ranking into a flat side array) the service mask of
 // the host living there. It is precomputed once at Build time from the
-// same prefix lists that feed the radix structures, so a destination
-// lookup on the probe path costs a bitmap test, a popcount rank, and an
-// array index instead of two radix walks and a map hash.
+// ASes' prefix lists and prefix countries, so a destination lookup on the
+// probe path costs a bitmap test, a popcount rank, and an array index.
 //
 // Sparsity is what makes the SpaceBits=32 world affordable: full IPv4 has
 // 16.7M /24 blocks but only the announced ones carry information, so the
@@ -27,10 +28,11 @@ import (
 // painted blocks. An absent directory bit IS the answer — unrouted, no
 // country, no host — with no struct behind it.
 //
-// The radix tables (World.Routes, World.Countries) and the host slice
-// remain the reference representation; the tests' Validate proves the FIB
-// agrees with them for every address in the space, and the world accessors
-// (ASOf, CountryOf, Lookup) answer from the FIB.
+// It is the world's only address index: the world accessors (ASOf,
+// CountryOf, Lookup) answer from it, and building it is where overlapping
+// announcements are refused. The tests' Validate holds it, for every
+// address in the space, to longest-prefix-match tables the test builds from
+// the same prefix lists, and to the host slice.
 type FIB struct {
 	dir       []uint64      // directory: bit b set when /24 block b is painted
 	dirRank   []uint32      // exclusive prefix popcount of dir per word
@@ -97,14 +99,16 @@ type Dest struct {
 }
 
 // buildFIB constructs the sparse FIB from the world's AS prefix lists and
-// country assignments, with room for machines hosts that placeHost then
-// adds. Construction is deterministic: ASes are walked in number order and
+// prefix countries, with room for machines hosts that placeHost then adds.
+// Construction is deterministic: ASes are walked in number order and
 // prefixes in announcement order, so the same world yields the same FIB
 // layout bit for bit. Two passes: the first marks every painted /24 in the
 // directory bitmap and sizes the dense block array from the ranks; the
 // second paints annotations into the dense blocks. Unpainted space — the
-// overwhelming majority at SpaceBits=32 — costs one directory bit.
-func buildFIB(w *World, machines int) *FIB {
+// overwhelming majority at SpaceBits=32 — costs one directory bit. An
+// address painted twice (two announcements overlap) fails the build with
+// ErrWorldGen.
+func buildFIB(w *World, machines int) (*FIB, error) {
 	space := uint64(1) << w.SpaceBits
 	nBlocks := (space + 255) >> 8
 	nWords := (nBlocks + 63) >> 6
@@ -142,19 +146,7 @@ func buildFIB(w *World, machines int) *FIB {
 		f.blocks[i].ctryIdx = -1
 	}
 
-	ctryIdxOf := make(map[geo.Country]int32)
-	internCountry := func(c geo.Country, ok bool) int32 {
-		if !ok {
-			return -1
-		}
-		if i, seen := ctryIdxOf[c]; seen {
-			return i
-		}
-		i := int32(len(f.countries))
-		f.countries = append(f.countries, c)
-		ctryIdxOf[c] = i
-		return i
-	}
+	seen := make(map[geo.Country]int32)
 
 	// Pass 2: paint blocks. Prefixes of /24 or shorter cover whole blocks;
 	// finer prefixes (the generator allocates chunks as small as 8
@@ -167,11 +159,14 @@ func buildFIB(w *World, machines int) *FIB {
 		slab[i] = fibAddr{as: fibUnrouted, ctry: -1}
 	}
 	for ai, a := range f.ases {
-		for _, pfx := range a.Prefixes {
-			ci := internCountry(w.Countries.Lookup(pfx.First()))
+		for i, pfx := range a.Prefixes {
+			ci := f.internCountry(seen, a.PrefixCountry(i))
 			if pfx.Bits <= 24 {
 				for b := uint64(pfx.Base.V4()) >> 8; b <= uint64(pfx.Last().V4())>>8; b++ {
 					blk := &f.blocks[f.blockIndex(b)]
+					if blk.asIdx != fibUnrouted {
+						return nil, errOverlap(pfx)
+					}
 					blk.asIdx = int32(ai)
 					blk.ctryIdx = ci
 				}
@@ -180,6 +175,9 @@ func buildFIB(w *World, machines int) *FIB {
 			k, _ := slices.BinarySearch(fine, pfx.Base.V4()>>8)
 			lo := k<<8 | int(pfx.Base.V4()&0xff)
 			for off := range int(pfx.NumAddrs()) {
+				if slab[lo+off].as != fibUnrouted {
+					return nil, errOverlap(pfx)
+				}
 				slab[lo+off] = fibAddr{as: int32(ai), ctry: ci}
 			}
 		}
@@ -190,6 +188,9 @@ func buildFIB(w *World, machines int) *FIB {
 	for k, bi := range fine {
 		pa := slab[k<<8 : (k+1)<<8]
 		blk := &f.blocks[f.blockIndex(uint64(bi))]
+		if blk.asIdx != fibUnrouted { // also painted by a /24-or-shorter prefix
+			return nil, errOverlap(ip.AddrFrom4(bi << 8).Slash24())
+		}
 		if uniform(pa) {
 			blk.asIdx = pa[0].as
 			blk.ctryIdx = pa[0].ctry
@@ -201,7 +202,27 @@ func buildFIB(w *World, machines int) *FIB {
 		nMixed++
 	}
 	f.mixed = slab[: nMixed<<8 : nMixed<<8]
-	return f
+	return f, nil
+}
+
+// internCountry returns c's index in f.countries, seen, appending it when
+// new; -1 for "" (no geolocation).
+func (f *FIB) internCountry(seen map[geo.Country]int32, c geo.Country) int32 {
+	if c == "" {
+		return -1
+	}
+	i, ok := seen[c]
+	if !ok {
+		i = int32(len(f.countries))
+		f.countries = append(f.countries, c)
+		seen[c] = i
+	}
+	return i
+}
+
+// errOverlap reports an address of pfx painted twice.
+func errOverlap(pfx ip.Prefix) error {
+	return pipeline.Tag(pipeline.ErrWorldGen, fmt.Errorf("world: %v overlaps another announcement", pfx))
 }
 
 // uniform reports whether every entry of a fine block agrees.

@@ -103,22 +103,12 @@ func (f *FIB) routed6(a ip.Addr) bool {
 // every host must sit inside an announced prefix.
 func buildFIB6(w *World, hosts []Host) *FIB {
 	f := &FIB{ases: w.Routes.All()}
-	ctryIdxOf := make(map[geo.Country]int32)
+	seen := make(map[geo.Country]int32)
 	for ai, a := range f.ases {
-		for _, pfx := range a.Prefixes {
-			ci := int32(-1)
-			if c, ok := w.Countries.Lookup(pfx.First()); ok {
-				if idx, seen := ctryIdxOf[c]; seen {
-					ci = idx
-				} else {
-					ci = int32(len(f.countries))
-					f.countries = append(f.countries, c)
-					ctryIdxOf[c] = ci
-				}
-			}
+		for i, pfx := range a.Prefixes {
 			f.spans6 = append(f.spans6, fib6Span{
 				first: pfx.First(), last: pfx.Last(),
-				asIdx: int32(ai), ctryIdx: ci,
+				asIdx: int32(ai), ctryIdx: f.internCountry(seen, a.PrefixCountry(i)),
 			})
 		}
 	}

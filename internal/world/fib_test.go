@@ -2,6 +2,7 @@ package world
 
 import (
 	"context"
+	"errors"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -9,14 +10,15 @@ import (
 	"repro/internal/asn"
 	"repro/internal/geo"
 	"repro/internal/ip"
+	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/rng"
 )
 
 // TestFIBDifferentialFullSpace is the FIB's correctness proof: for every
-// address in the scan space, the flat index must agree with the radix
-// routing table, the radix geolocation database, and the host map it was
-// built from. The fast path is always on, so any disagreement here would
+// address in the scan space, the flat index must agree with longest-prefix
+// match over the announcements it was built from (AS and country) and with
+// the host list. The fast path is always on, so any disagreement here would
 // silently change scan results.
 func TestFIBDifferentialFullSpace(t *testing.T) {
 	for _, seed := range []uint64{3, 7, 2020} {
@@ -261,36 +263,17 @@ func TestMemFootprintCountsEveryArray(t *testing.T) {
 // and every address of the space must match the radix tables and the host
 // list.
 func TestFIBFineBlocks(t *testing.T) {
-	w := &World{
-		Countries: geo.NewRegistry(geo.DefaultCountries()),
-		Routes:    asn.NewTable(),
-		SpaceBits: 12,
-	}
-	ases := map[asn.ASN]*asn.AS{}
-	for _, hp := range []handPrefix{
+	w := handBuiltV4(t, []handPrefix{
 		{1, "0.0.0.0/25", "US"}, {1, "0.0.0.128/25", "US"},
 		{2, "0.0.1.0/25", "DE"},
 		{3, "0.0.2.0/26", "US"}, {1, "0.0.2.64/26", "US"}, {2, "0.0.2.128/25", ""},
 		{4, "0.0.4.0/23", "GB"},
-	} {
-		pfx := ip.MustParsePrefix(hp.prefix)
-		if ases[hp.as] == nil {
-			ases[hp.as] = &asn.AS{Number: hp.as}
-		}
-		ases[hp.as].Prefixes = append(ases[hp.as].Prefixes, pfx)
-		if hp.country != "" {
-			if err := w.Countries.Assign(pfx, hp.country); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for n := asn.ASN(1); n <= 4; n++ {
-		if err := w.Routes.Register(ases[n]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	hosts := []string{"0.0.0.5", "0.0.0.200", "0.0.1.0", "0.0.1.127", "0.0.2.63", "0.0.2.64", "0.0.2.255", "0.0.4.1", "0.0.5.255"}
-	f := buildFIB(w, len(hosts))
+	f, err := buildFIB(w, len(hosts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hosts {
 		a := ip.MustParseAddr(h)
 		f.placeHost(a.V4(), proto.Mask(1+i%7))
@@ -309,6 +292,54 @@ func TestFIBFineBlocks(t *testing.T) {
 	for k, b := range []uint64{1, 2} {
 		if blk := &f.blocks[f.blockIndex(b)]; blk.asIdx != fibMixed || blk.mixedOff != int32(k*256) {
 			t.Errorf("block %d: asIdx %d mixedOff %d, want mixed at %d", b, blk.asIdx, blk.mixedOff, k*256)
+		}
+	}
+}
+
+// handBuiltV4 registers explicit announcements in a world of SpaceBits 12
+// with no FIB yet; the prefixes of one AS keep their listed order.
+func handBuiltV4(t *testing.T, prefixes []handPrefix) *World {
+	t.Helper()
+	w := &World{
+		Countries: geo.NewRegistry(geo.DefaultCountries()),
+		Routes:    asn.NewTable(),
+		SpaceBits: 12,
+	}
+	for _, hp := range prefixes {
+		a, ok := w.Routes.Get(hp.as)
+		if !ok {
+			a = &asn.AS{Number: hp.as}
+			if err := w.Routes.Register(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Announce(ip.MustParsePrefix(hp.prefix), hp.country)
+	}
+	return w
+}
+
+// TestBuildFIBRefusesOverlap holds buildFIB to its disjointness guard: an
+// address painted twice fails the build with ErrWorldGen, whichever AS
+// comes first, for each way two announcements can meet: a /24-or-shorter
+// prefix over another, a prefix longer than /24 over another, and a
+// /24-or-shorter prefix over a /24 that longer prefixes share. Only the
+// first address of a prefix in another announcement was caught before.
+func TestBuildFIBRefusesOverlap(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		prefixes []handPrefix
+	}{
+		{"coarse over coarse", []handPrefix{{1, "0.0.0.0/23", "US"}, {2, "0.0.1.0/24", "US"}}},
+		{"coarse within coarse", []handPrefix{{1, "0.0.1.0/24", "US"}, {2, "0.0.0.0/22", "DE"}}},
+		{"one AS twice", []handPrefix{{1, "0.0.2.0/24", "US"}, {1, "0.0.2.0/24", "US"}}},
+		{"fine over fine", []handPrefix{{1, "0.0.0.0/25", "US"}, {2, "0.0.0.96/27", "US"}}},
+		{"fine over fine, tail", []handPrefix{{1, "0.0.0.64/26", ""}, {2, "0.0.0.0/25", "US"}}},
+		{"coarse over fine", []handPrefix{{1, "0.0.0.0/24", "US"}, {2, "0.0.0.128/25", "US"}}},
+		{"fine under coarse", []handPrefix{{1, "0.0.1.128/25", "US"}, {2, "0.0.0.0/23", "US"}}},
+	} {
+		w := handBuiltV4(t, tc.prefixes)
+		if _, err := buildFIB(w, 0); !errors.Is(err, pipeline.ErrWorldGen) {
+			t.Errorf("%s: buildFIB err = %v, want ErrWorldGen", tc.name, err)
 		}
 	}
 }

@@ -138,14 +138,25 @@ func TestWorldStreamingMatchesRetained(t *testing.T) {
 }
 
 // TestASWeightsMatchHostIndex pins the placement-time per-AS counters that
-// ASWeights now answers from to the retained per-AS host index they
-// replaced on the streaming path.
+// ASWeights now answers from to the host index HostsInAS reads off the
+// sorted host slice, and holds that index to the FIB: every index it
+// returns, in ascending order, is a host the FIB resolves to that AS.
 func TestASWeightsMatchHostIndex(t *testing.T) {
-	w := buildTest(t, 2020)
-	nums, weights := w.ASWeights()
-	for i, n := range nums {
-		if got := uint64(len(w.HostsInAS(n))); weights[i] != got {
-			t.Errorf("AS %v: counter %d, host index %d", n, weights[i], got)
+	for _, w := range []*World{buildTest(t, 2020), buildV6(t, TestV6Spec(2020))} {
+		nums, weights := w.ASWeights()
+		for i, n := range nums {
+			idx := w.HostsInAS(n)
+			if got := uint64(len(idx)); weights[i] != got {
+				t.Errorf("%v AS %v: counter %d, host index %d", w.Family, n, weights[i], got)
+			}
+			for k, hi := range idx {
+				if k > 0 && idx[k-1] >= hi {
+					t.Fatalf("%v AS %v: host index not ascending at %d: %d after %d", w.Family, n, k, hi, idx[k-1])
+				}
+				if d := w.Resolve(w.Hosts()[hi].Addr); !d.Host || d.AS == nil || d.AS.Number != n {
+					t.Fatalf("%v AS %v: host %d (%v) resolves to %+v", w.Family, n, hi, w.Hosts()[hi].Addr, d)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/asn"
@@ -74,9 +75,24 @@ func (w *World) ProfileNames() []string {
 	return out
 }
 
-// HostsInAS returns the indices (into Hosts()) of the AS's hosts, or nil
-// for a streaming build (no host slice, no index).
-func (w *World) HostsInAS(n asn.ASN) []int32 { return w.byAS[n] }
+// HostsInAS returns the indices (into Hosts()) of the AS's hosts in
+// ascending order, or nil for a streaming build (no host slice): the runs
+// of the sorted host slice inside its prefixes.
+func (w *World) HostsInAS(n asn.ASN) []int32 {
+	a, ok := w.Routes.Get(n)
+	if !ok || w.hosts == nil {
+		return nil
+	}
+	var out []int32
+	for _, pfx := range a.Prefixes {
+		i := sort.Search(len(w.hosts), func(i int) bool { return !w.hosts[i].Addr.Less(pfx.First()) })
+		for ; i < len(w.hosts) && pfx.Contains(w.hosts[i].Addr); i++ {
+			out = append(out, int32(i))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // ASWeights returns all AS numbers and their total host counts, in AS
 // order; used to weight burst-outage sampling and analyses. The counts

@@ -3,8 +3,10 @@ package world
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/asn"
 	"repro/internal/geo"
 	"repro/internal/ip"
 	"repro/internal/proto"
@@ -368,3 +370,31 @@ func TestChurnDisabled(t *testing.T) {
 }
 
 func rngKeyForTest() rng.Key { return rng.NewKey(123) }
+
+// TestAllocateRejectsUnknownCountry: a portion's prefixes take its country,
+// which must be in the world's catalogue; an unknown code fails allocation
+// before the prefix is announced.
+func TestAllocateRejectsUnknownCountry(t *testing.T) {
+	spec, err := TestSpec(1).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &World{Spec: spec, Countries: geo.NewRegistry(geo.DefaultCountries())}
+	p := portion{as: &asn.AS{Number: 1, Country: "US"}, country: "XX", nHTTP: 10}
+	var alloc allocator
+	if _, err := w.allocate(&alloc, &p); err == nil || !strings.Contains(err.Error(), `unknown country "XX"`) {
+		t.Fatalf("allocate with country XX: err = %v", err)
+	}
+	if len(p.as.Prefixes) != 0 {
+		t.Errorf("the failed portion announced %v", p.as.Prefixes)
+	}
+	p.country = "DE"
+	if n, err := w.allocate(&alloc, &p); err != nil || n != 10 {
+		t.Fatalf("allocate with country DE: %d machines, err %v", n, err)
+	}
+	for i := range p.as.Prefixes {
+		if c := p.as.PrefixCountry(i); c != "DE" {
+			t.Errorf("prefix %v geolocates to %q, want DE", p.as.Prefixes[i], c)
+		}
+	}
+}

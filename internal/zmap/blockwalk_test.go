@@ -299,7 +299,8 @@ func TestSweepCancelWithWalkerAhead(t *testing.T) {
 // of 2^22 (1024 blocks) may allocate no more than one of 2^19 (128 blocks)
 // beyond a small constant, so the walker's ring slots cannot grow per block;
 // and a shard under helperBlocks blocks (2^19 in three shards, 43 each)
-// starts no walker.
+// starts no walker. It counts the sweep's own allocations (sweepMallocs),
+// not the process's.
 func TestDarkSweepAllocsIndependentOfBlocks(t *testing.T) {
 	windows := countWalks(t, nil)
 	run := func(bits uint8, shards int) (mallocs, walks int64) {
@@ -312,17 +313,15 @@ func TestDarkSweepAllocsIndependentOfBlocks(t *testing.T) {
 		sink := darkSink{dir: make([]uint64, 1<<bits>>8>>6)}
 		mallocs = math.MaxInt64
 		before := windows.Load()
-		// The fewest over a few runs: a GOMAXPROCS change allocates the new
-		// Ps, which is not the sweep's.
+		// The fewest over a few runs: the first builds the kernel the
+		// others recycle.
 		for range 5 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			n := ms.Mallocs
-			if _, err := s.Run(context.Background(), sink, func(Reply) {}); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&ms)
-			mallocs = min(mallocs, int64(ms.Mallocs-n))
+			n := sweepMallocs(func() {
+				if _, err := s.Run(context.Background(), sink, func(Reply) {}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			mallocs = min(mallocs, n)
 		}
 		return mallocs, windows.Load() - before
 	}
@@ -340,4 +339,57 @@ func TestDarkSweepAllocsIndependentOfBlocks(t *testing.T) {
 			t.Errorf("a shard of %d blocks started the walker (%d windows)", (1<<19)/3/sweepBatch+1, walks)
 		}
 	})
+}
+
+// sweepMallocs returns how many heap allocations run makes on the sweep's
+// goroutines (under Scanner.Run, the walker and the split helper), read from
+// a profile of every allocation. It leaves out the runtime's sudogs, the
+// records a goroutine parks on: parking on a sync.Cond takes one from the
+// cache of the P the goroutine runs on and returns it to the cache of the P
+// it wakes on, so when the sweep and its walker migrate between Ps (a box
+// busy with other processes) one P's cache runs dry and the runtime
+// allocates a fresh one, up to one per park; parks, like blocks, grow with
+// the space. Counted from the process's MemStats.Mallocs, those made a
+// 2^22 dark sweep read 13 allocations beside a 2^19 sweep's 5 under load.
+func sweepMallocs(run func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := sweepAllocs()
+	run()
+	return sweepAllocs() - before
+}
+
+// sweepAllocs sums the allocations profiled so far on the sweep's
+// goroutines, sudogs aside.
+func sweepAllocs() int64 {
+	runtime.GC() // publishes every allocation made before it
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var total int64
+	for _, r := range recs {
+		sweep, sudog := false, false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			switch f.Function {
+			case "repro/internal/zmap.(*Scanner).Run", "repro/internal/zmap.(*walker).run", "repro/internal/zmap.(*sweepKernel).help":
+				sweep = true
+			case "runtime.acquireSudog":
+				sudog = true
+			}
+		}
+		if sweep && !sudog {
+			total += r.AllocObjects
+		}
+	}
+	return total
 }
